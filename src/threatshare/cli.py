@@ -552,11 +552,10 @@ def _stage_rank(cfg: RunConfig) -> list[Path]:
     totals_path = _require_input(ap["totals"], "attribute")
     ledger = credit.CreditLedger()
     for line in totals_path.read_text().splitlines()[1:]:
-        pid_s, team_s, total_s, _per90, matches_s, minutes_s = line.split(",")
+        pid_s, team_s, total_s, _per90, _matches, minutes_s = line.split(",")
         pid = int(pid_s)
         ledger.player_total[pid] = float(total_s)
         ledger.player_team[pid] = int(team_s) if team_s else None
-        ledger.player_matches[pid] = set(range(int(matches_s)))
         ledger.player_minutes[pid] = float(minutes_s)
 
     rank_paths = _ranking_paths(cfg)

@@ -286,16 +286,6 @@ def mean_rows(a) -> Tensor:
     return _result(data, [(a, lambda g: np.repeat(g / n, n, axis=0))])
 
 
-def l2_norm_rows(a) -> Tensor:
-    """Per-row Euclidean norm, shape (n, 1). Zero rows get zero gradient."""
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"l2_norm_rows: expected 2-D, got {a.shape}")
-    norms = np.sqrt((a.data**2).sum(axis=1, keepdims=True))
-    safe = np.where(norms > 0, norms, 1.0)
-    return _result(norms, [(a, lambda g: g * a.data / safe)])
-
-
 def mse(pred, target) -> Tensor:
     pred, target = _as_tensor(pred), _as_tensor(target)
     if pred.shape != target.shape:
@@ -308,23 +298,6 @@ def mse(pred, target) -> Tensor:
         [
             (pred, lambda g: g * 2.0 * diff / n),
             (target, lambda g: g * -2.0 * diff / n),
-        ],
-    )
-
-
-def mae(pred, target) -> Tensor:
-    pred, target = _as_tensor(pred), _as_tensor(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mae: shapes {pred.shape} and {target.shape}")
-    diff = pred.data - target.data
-    n = diff.size
-    data = np.float64(np.abs(diff).mean())
-    sgn = np.sign(diff)
-    return _result(
-        data,
-        [
-            (pred, lambda g: g * sgn / n),
-            (target, lambda g: g * -sgn / n),
         ],
     )
 

@@ -22,6 +22,7 @@ from threatshare.graphs import (
     EventGraph,
     normalized_adjacency,
 )
+from threatshare.ingest import PITCH_LENGTH, PITCH_WIDTH, PROVIDER_LENGTH, PROVIDER_WIDTH
 
 FIXTURE_MATCH_IDS = (9001, 9002)
 
@@ -51,7 +52,10 @@ def _fmt_clock(seconds: float) -> str:
 
 
 def _provider_xy(x_m: float, y_m: float) -> list[float]:
-    return [round(x_m * 120.0 / 105.0, 2), round(y_m * 80.0 / 68.0, 2)]
+    return [
+        round(x_m * PROVIDER_LENGTH / PITCH_LENGTH, 2),
+        round(y_m * PROVIDER_WIDTH / PITCH_WIDTH, 2),
+    ]
 
 
 def generate_match_events(match_id: int, seed: int, n_events: int = 200) -> list[dict]:
@@ -95,7 +99,7 @@ def generate_match_events(match_id: int, seed: int, n_events: int = 200) -> list
             if near_goal and roll < 0.5:
                 goal = bool(rng.uniform() < 0.3)
                 row["type"] = {"name": "Shot"}
-                goal_x = 105.0 if team_id == 1001 else 0.0
+                goal_x = PITCH_LENGTH if team_id == 1001 else 0.0
                 row["shot"] = {
                     "end_location": _provider_xy(goal_x, 34.0 + float(rng.uniform(-3, 3))),
                     "outcome": {"name": "Goal" if goal else "Off T"},

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from threatshare.ingest import SPADL_ACTION_TYPES, SpadlAction
-from threatshare.xt import XtGrid, XtLabel, label_stream, xt_of
+from threatshare.ingest import PASS_LIKE_SPADL, PITCH_LENGTH, PITCH_WIDTH, SPADL_ACTION_TYPES
+from threatshare.xt import XtLabel, label_stream
 
 log = logging.getLogger(__name__)
 
@@ -38,86 +38,11 @@ HALF_NOMINAL_S = 2700.0
 MATCH_NOMINAL_S = 5400.0
 DT_CLIP_S = 60.0
 
-PASS_LIKE_SPADL = frozenset(
-    {
-        "pass",
-        "cross",
-        "throw_in",
-        "freekick_crossed",
-        "freekick_short",
-        "corner_crossed",
-        "corner_short",
-    }
-)
-
 ROLE_CODES = {"GK": 0, "DF": 1, "MF": 2, "FW": 3}
 ROLE_UNKNOWN = 4
 N_ROLES = 5
 
 _TYPE_INDEX = {t: i for i, t in enumerate(SPADL_ACTION_TYPES)}
-
-
-@dataclass(frozen=True)
-class EdgeFeature:
-    """Fixed-layout description of one in-window interaction."""
-
-    event_type_code: float  # type index / vocabulary size
-    result_code: float  # 1 success, 0 fail
-    start_x: float  # coordinates normalized to [0, 1]
-    start_y: float
-    end_x: float
-    end_y: float
-    xt_value: float
-    delta_xt: float
-    t_since_start: float  # match clock / 5400
-    dt_prev: float  # gap to the window's newest action, clipped at 60 s
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.event_type_code,
-                self.result_code,
-                self.start_x,
-                self.start_y,
-                self.end_x,
-                self.end_y,
-                self.xt_value,
-                self.delta_xt,
-                self.t_since_start,
-                self.dt_prev,
-            ],
-            dtype=np.float64,
-        )
-
-
-@dataclass(frozen=True)
-class EdgeContext:
-    """Window timing plus the action's labeled threat change."""
-
-    latest_match_time_s: float
-    delta_xt: float
-
-
-def match_clock_s(action: SpadlAction) -> float:
-    """Approximate seconds since kickoff from the 12 SPADL attributes."""
-    return (action.period - 1) * HALF_NOMINAL_S + action.time_s
-
-
-def encode_edge(action: SpadlAction, ctx: EdgeContext, grid: XtGrid) -> EdgeFeature:
-    """Encode one action into the 10-slot edge layout."""
-    gap = max(0.0, ctx.latest_match_time_s - match_clock_s(action))
-    return EdgeFeature(
-        event_type_code=_TYPE_INDEX[action.action_type] / len(SPADL_ACTION_TYPES),
-        result_code=1.0 if action.result == "success" else 0.0,
-        start_x=action.start_x / 105.0,
-        start_y=action.start_y / 68.0,
-        end_x=action.end_x / 105.0,
-        end_y=action.end_y / 68.0,
-        xt_value=xt_of(grid, (action.end_x, action.end_y)),
-        delta_xt=ctx.delta_xt,
-        t_since_start=match_clock_s(action) / MATCH_NOMINAL_S,
-        dt_prev=min(gap, DT_CLIP_S) / DT_CLIP_S,
-    )
 
 
 @dataclass
@@ -178,146 +103,118 @@ def infer_recipients(actions) -> list:
     return recipients
 
 
-def build_graph(
-    actions,
-    index: int,
-    k: int,
-    stats: dict,
-    *,
-    labels=None,
-    grid: XtGrid = None,
-    roles: dict | None = None,
-    extra_node_features: dict | None = None,
-) -> EventGraph:
-    """Build the graph for the event at ``index`` over a window of k prior
-    actions (clamped at the stream start).
+def encode_edges(actions, labels: list[XtLabel], clock: np.ndarray) -> np.ndarray:
+    """Edge rows of one match stream, shape (N, 10), one row per action.
 
-    ``stats`` maps player id to the d=10 feature vector; players without an
-    entry are imputed with the population mean and counted in meta.
-    ``labels`` must align 1:1 with ``actions`` (computed via
-    :func:`threatshare.xt.label_stream` when omitted).
+    Slots: 0 type index / vocabulary size; 1 result (1 success, 0 fail);
+    2-5 start x, start y, end x, end y normalized to [0, 1] by the pitch
+    size; 6 end-zone xT; 7 labeled xT change; 8 match clock / 5400;
+    9 gap to the window's newest action, clipped at 60 s and scaled to
+    [0, 1]. Slot 9 depends on the window, so it is 0 here and each graph
+    fills it for its own slice.
     """
-    actions = list(actions)
-    if not 0 <= index < len(actions):
-        raise IndexError(f"event index {index} outside stream of {len(actions)}")
-    if k < 0:
-        raise ValueError("window size k must be >= 0")
-    if labels is None:
-        if grid is None:
-            raise ValueError("build_graph needs labels or a grid to compute them")
-        labels = label_stream(actions, grid)
-
-    lo = max(0, index - k)
-    window = list(range(lo, index + 1))
-    recipients = infer_recipients(actions)
-
-    participants = set()
-    for i in window:
-        participants.add(actions[i].player_id)
-        if recipients[i] is not None:
-            participants.add(recipients[i])
-    node_ids = sorted(participants)
-    node_index = {pid: j for j, pid in enumerate(node_ids)}
-
-    if stats:
-        population = np.array(list(stats.values()), dtype=np.float64)
-        mean_vec = population.mean(axis=0)
-        feat_dim = population.shape[1]
-    else:
-        feat_dim = NODE_FEATURE_DIM
-        mean_vec = np.zeros(feat_dim)
-    features = np.zeros((len(node_ids), feat_dim))
-    imputed = 0
-    for pid, j in node_index.items():
-        vec = stats.get(pid)
-        if vec is None:
-            features[j] = mean_vec
-            imputed += 1
-        else:
-            features[j] = np.asarray(vec, dtype=np.float64)
-    if extra_node_features:
-        extra_dim = len(next(iter(extra_node_features.values())))
-        extra = np.zeros((len(node_ids), extra_dim))
-        for pid, j in node_index.items():
-            if pid in extra_node_features:
-                extra[j] = np.asarray(extra_node_features[pid], dtype=np.float64)
-        features = np.hstack([features, extra])
-
-    latest = max(match_clock_s(actions[i]) for i in window)
-    edge_list = []
-    edge_rows = []
-    node_xy = np.zeros((len(node_ids), 2))
-    for i in window:
-        a = actions[i]
-        src = node_index[a.player_id]
-        dst = node_index[recipients[i]] if recipients[i] is not None else src
-        edge_list.append((src, dst))
-        edge_rows.append(encode_edge_from_label(a, latest, labels[i]).as_vector())
-        # latest touch wins: actor at the action end, recipient at the pass end
-        node_xy[src] = (a.end_x / 105.0, a.end_y / 68.0)
-        node_xy[dst] = (a.end_x / 105.0, a.end_y / 68.0)
-
-    role_codes = np.full(len(node_ids), ROLE_UNKNOWN, dtype=np.int64)
-    if roles:
-        for pid, j in node_index.items():
-            role_codes[j] = ROLE_CODES.get(str(roles.get(pid, "")).upper(), ROLE_UNKNOWN)
-
-    graph = EventGraph(
-        event_id=labels[index].event_id,
-        node_ids=node_ids,
-        node_features=features,
-        adjacency=normalized_adjacency(len(node_ids), edge_list),
-        edge_list=edge_list,
-        edge_features=np.array(edge_rows),
-        label=labels[index].delta_xt,
-        node_xy=node_xy,
-        node_roles=role_codes,
-        cross_team=labels[index].cross_team,
-        meta={
-            "match_id": actions[index].game_id,
-            "event_index": index,
-            "k": k,
-            "n_imputed": imputed,
-            "actor_id": actions[index].player_id,
-        },
-    )
-    graph.validate()
-    return graph
-
-
-def encode_edge_from_label(action: SpadlAction, latest: float, label: XtLabel) -> EdgeFeature:
-    """Edge encoding when per-action xT values were already computed."""
-    gap = max(0.0, latest - match_clock_s(action))
-    return EdgeFeature(
-        event_type_code=_TYPE_INDEX[action.action_type] / len(SPADL_ACTION_TYPES),
-        result_code=1.0 if action.result == "success" else 0.0,
-        start_x=action.start_x / 105.0,
-        start_y=action.start_y / 68.0,
-        end_x=action.end_x / 105.0,
-        end_y=action.end_y / 68.0,
-        xt_value=label.xt_value,
-        delta_xt=label.delta_xt,
-        t_since_start=match_clock_s(action) / MATCH_NOMINAL_S,
-        dt_prev=min(gap, DT_CLIP_S) / DT_CLIP_S,
-    )
+    return np.array(
+        [
+            (
+                _TYPE_INDEX[a.action_type] / len(SPADL_ACTION_TYPES),
+                1.0 if a.result == "success" else 0.0,
+                a.start_x / PITCH_LENGTH,
+                a.start_y / PITCH_WIDTH,
+                a.end_x / PITCH_LENGTH,
+                a.end_y / PITCH_WIDTH,
+                label.xt_value,
+                label.delta_xt,
+                t / MATCH_NOMINAL_S,
+                0.0,
+            )
+            for a, label, t in zip(actions, labels, clock)
+        ],
+        dtype=np.float64,
+    ).reshape(-1, EDGE_FEATURE_DIM)
 
 
 def build_match_graphs(actions, k, stats, grid, roles=None, extra_node_features=None):
-    """One graph per event of a single match stream."""
+    """One graph per event of a single match stream.
+
+    The graph of the event at index i covers the window of the k actions
+    before it (clamped at the stream start) and the event itself. Its nodes
+    are every actor and recipient in the window, sorted by player id; each
+    action adds one directed edge from actor to recipient, or a self-edge
+    when nobody receives.
+
+    ``stats`` maps player id to the d=10 feature vector; players without an
+    entry are imputed with the population mean and counted in meta.
+    ``extra_node_features`` appends per-player columns (zeros when absent).
+    Labels, recipients, player rows and edge rows are computed once for the
+    match; each event's graph slices its window out of them.
+    """
+    if k < 0:
+        raise ValueError("window size k must be >= 0")
     labels = label_stream(actions, grid)
-    return [
-        build_graph(
-            actions,
-            i,
-            k,
-            stats,
-            labels=labels,
-            grid=grid,
-            roles=roles,
-            extra_node_features=extra_node_features,
+    recipients = infer_recipients(actions)
+    clock = np.array([(a.period - 1) * HALF_NOMINAL_S + a.time_s for a in actions])
+    edge_rows = encode_edges(actions, labels, clock)
+
+    if stats:
+        mean_vec = np.array(list(stats.values()), dtype=np.float64).mean(axis=0)
+    else:
+        mean_vec = np.zeros(NODE_FEATURE_DIM)
+    extra_dim = len(next(iter(extra_node_features.values()))) if extra_node_features else 0
+    players = sorted({a.player_id for a in actions} | {r for r in recipients if r is not None})
+    player_index = {pid: j for j, pid in enumerate(players)}
+    player_rows = np.zeros((len(players), len(mean_vec) + extra_dim))
+    imputed = np.zeros(len(players), dtype=bool)
+    role_codes = np.full(len(players), ROLE_UNKNOWN, dtype=np.int64)
+    for j, pid in enumerate(players):
+        vec = stats.get(pid)
+        imputed[j] = vec is None
+        player_rows[j, : len(mean_vec)] = mean_vec if vec is None else vec
+        if extra_dim and pid in extra_node_features:
+            player_rows[j, len(mean_vec) :] = extra_node_features[pid]
+        if roles:
+            role_codes[j] = ROLE_CODES.get(str(roles.get(pid, "")).upper(), ROLE_UNKNOWN)
+    src_all = [player_index[a.player_id] for a in actions]
+    dst_all = [s if r is None else player_index[r] for s, r in zip(src_all, recipients)]
+    src_all, dst_all = np.array(src_all, dtype=np.int64), np.array(dst_all, dtype=np.int64)
+
+    graphs = []
+    for index, a in enumerate(actions):
+        lo = max(0, index - k)
+        src, dst = src_all[lo : index + 1], dst_all[lo : index + 1]
+        nodes = np.unique(np.concatenate([src, dst]))
+        edge_list = list(
+            zip(np.searchsorted(nodes, src).tolist(), np.searchsorted(nodes, dst).tolist())
         )
-        for i in range(len(actions))
-    ]
+        edges = edge_rows[lo : index + 1].copy()
+        window_clock = clock[lo : index + 1]
+        edges[:, 9] = np.minimum(window_clock.max() - window_clock, DT_CLIP_S) / DT_CLIP_S
+        node_xy = np.zeros((len(nodes), 2))
+        for (s, d), xy in zip(edge_list, edges[:, 4:6]):
+            # latest touch wins: actor at the action end, recipient at the pass end
+            node_xy[s] = xy
+            node_xy[d] = xy
+        graph = EventGraph(
+            event_id=labels[index].event_id,
+            node_ids=[players[j] for j in nodes.tolist()],
+            node_features=player_rows[nodes],
+            adjacency=normalized_adjacency(len(nodes), edge_list),
+            edge_list=edge_list,
+            edge_features=edges,
+            label=labels[index].delta_xt,
+            node_xy=node_xy,
+            node_roles=role_codes[nodes],
+            cross_team=labels[index].cross_team,
+            meta={
+                "match_id": a.game_id,
+                "event_index": index,
+                "k": k,
+                "n_imputed": int(imputed[nodes].sum()),
+                "actor_id": a.player_id,
+            },
+        )
+        graph.validate()
+        graphs.append(graph)
+    return graphs
 
 
 def split_dataset(graphs, split_frac: float, seed: int, unit: str = "graph"):
@@ -346,24 +243,6 @@ def split_dataset(graphs, split_frac: float, seed: int, unit: str = "graph"):
         val = [g for g in graphs if g.meta["match_id"] not in train_matches]
         return train, val
     raise ValueError(f"unknown split unit {unit!r}")
-
-
-def make_dataset(
-    matches: dict,
-    k: int,
-    stats: dict,
-    grid: XtGrid,
-    split_frac: float = 0.8,
-    seed: int = 0,
-    *,
-    unit: str = "graph",
-    roles=None,
-):
-    """Graphs for every event of every match, split into (train, val)."""
-    graphs = []
-    for match_id in sorted(matches):
-        graphs.extend(build_match_graphs(matches[match_id], k, stats, grid, roles=roles))
-    return split_dataset(graphs, split_frac, seed, unit=unit)
 
 
 def batch(graphs, batch_size: int):

@@ -26,17 +26,6 @@ PITCH_WIDTH = 68.0
 PROVIDER_LENGTH = 120.0
 PROVIDER_WIDTH = 80.0
 
-EVENT_TYPES = (
-    "pass",
-    "shot",
-    "dribble",
-    "tackle",
-    "interception",
-    "clearance",
-    "carry",
-    "other",
-)
-
 # pass-like types may carry a recipient id
 PASS_LIKE = frozenset({"pass"})
 
@@ -97,6 +86,19 @@ SPADL_ACTION_TYPES = (
     "bad_touch",
     "non_action",
     "dribble",
+)
+
+# SPADL types that move the ball to a teammate, so may have a recipient
+PASS_LIKE_SPADL = frozenset(
+    {
+        "pass",
+        "cross",
+        "throw_in",
+        "freekick_crossed",
+        "freekick_short",
+        "corner_crossed",
+        "corner_short",
+    }
 )
 
 # RawEvent type -> SPADL type. SPADL's "dribble" is a ball carry; a

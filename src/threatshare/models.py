@@ -359,7 +359,6 @@ class Checkpoint:
             "seed": self.seed,
             "optimizer": self.optimizer_scalars,
             "graph_schema_version": self.graph_schema_version,
-            "init_schemes": {},
         }
         ckpt_io.save_container(path, manifest, self.params_state)
 

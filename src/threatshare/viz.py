@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-PITCH_LENGTH = 105.0
-PITCH_WIDTH = 68.0
+from threatshare.ingest import PITCH_LENGTH, PITCH_WIDTH
 
 _SCALE = 8.0
 _MARGIN = 30.0

@@ -26,26 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-log = logging.getLogger(__name__)
+from threatshare.ingest import PASS_LIKE_SPADL, PITCH_LENGTH, PITCH_WIDTH
 
-PITCH_LENGTH = 105.0
-PITCH_WIDTH = 68.0
+log = logging.getLogger(__name__)
 
 # which SPADL types count as shots / ball moves when estimating the surface
 SHOT_TYPES = frozenset({"shot", "shot_penalty", "shot_freekick"})
-MOVE_TYPES = frozenset(
-    {
-        "pass",
-        "cross",
-        "throw_in",
-        "freekick_crossed",
-        "freekick_short",
-        "corner_crossed",
-        "corner_short",
-        "dribble",
-        "take_on",
-    }
-)
+MOVE_TYPES = PASS_LIKE_SPADL | {"dribble", "take_on"}
 
 MAX_ITERATIONS = 1000
 

@@ -97,12 +97,10 @@ class TestPrimitiveGradients:
     def test_reductions(self):
         a = self.leaf(5, 3)
         fd_check(lambda: _weighted(dc.mean_rows(a), np.random.default_rng(14)), [a])
-        fd_check(lambda: _weighted(dc.l2_norm_rows(a), np.random.default_rng(15)), [a])
 
     def test_losses(self):
         a, t = self.leaf(2, 3), self.leaf(2, 3)
         fd_check(lambda: dc.mse(a, t), [a, t])
-        fd_check(lambda: dc.mae(a, t), [a, t])
 
 
 class TestOpValues:

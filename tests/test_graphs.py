@@ -61,6 +61,14 @@ class TestRecipientInference:
         assert graphs.infer_recipients(acts) == [None, None]
 
 
+def graph_at(acts, index, k, stats, grid):
+    return graphs.build_match_graphs(acts, k, stats, grid)[index]
+
+
+# slots of the 10-wide edge row
+RESULT, START_X, START_Y, END_X, END_Y, XT, DELTA_XT, T_SINCE_START, DT_PREV = range(1, 10)
+
+
 class TestBuildGraph:
     def test_two_passes_window_enumeration(self, tiny_grid):
         # A(1) -> B(2), then B(2) -> C(3); k=1 at index 1
@@ -69,7 +77,7 @@ class TestBuildGraph:
             action(2, t=5.0),
             action(3, t=9.0, action_type="dribble"),
         ]
-        g = graphs.build_graph(acts, 1, 1, stats_for(1, 2, 3), grid=tiny_grid)
+        g = graph_at(acts, 1, 1, stats_for(1, 2, 3), tiny_grid)
         assert g.node_ids == [1, 2, 3]
         idx = {pid: i for i, pid in enumerate(g.node_ids)}
         assert set(g.edge_list) == {(idx[1], idx[2]), (idx[2], idx[3])}
@@ -77,29 +85,38 @@ class TestBuildGraph:
         # self-loops on the diagonal wherever no incoming edge exists
         assert g.adjacency[idx[1], idx[1]] > 0
 
+    def test_one_graph_per_event_in_stream_order(self, tiny_grid):
+        acts = [action(1, t=0.0), action(2, t=5.0), action(3, t=9.0, action_type="dribble")]
+        gs = graphs.build_match_graphs(acts, 1, stats_for(1, 2, 3), tiny_grid)
+        assert [g.meta["event_index"] for g in gs] == [0, 1, 2]
+        assert [g.event_id for g in gs] == ["1:0", "1:1", "1:2"]
+        assert [g.meta["actor_id"] for g in gs] == [1, 2, 3]
+        assert [len(g.edge_list) for g in gs] == [1, 2, 2]
+
     def test_k_zero_only_current_participants(self, tiny_grid):
         acts = [action(1, t=0.0), action(2, t=5.0), action(3, t=9.0, action_type="dribble")]
-        g = graphs.build_graph(acts, 1, 0, stats_for(1, 2, 3), grid=tiny_grid)
+        g = graph_at(acts, 1, 0, stats_for(1, 2, 3), tiny_grid)
         assert g.node_ids == [2, 3]
 
     def test_window_clamps_at_stream_start(self, tiny_grid):
         acts = [action(4, action_type="dribble")]
-        g = graphs.build_graph(acts, 0, 5, stats_for(4), grid=tiny_grid)
+        g = graph_at(acts, 0, 5, stats_for(4), tiny_grid)
         assert g.node_ids == [4]
         assert g.edge_list == [(0, 0)]  # no recipient -> self-edge
+
+    def test_negative_k_rejected(self, tiny_grid):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            graphs.build_match_graphs([action(1)], -1, stats_for(1), tiny_grid)
 
     def test_window_monotone_in_k(self, fixture_actions, fixture_grid, fixture_features):
         from threatshare.ingest import group_by_match
 
         stream = list(group_by_match(fixture_actions).values())[0]
-        labels = xt.label_stream(stream, fixture_grid)
+        by_k = [graphs.build_match_graphs(stream, k, fixture_features, fixture_grid) for k in range(6)]
         for index in (5, 40, 120):
             prev_nodes = set()
-            for k in range(0, 6):
-                g = graphs.build_graph(
-                    stream, index, k, fixture_features, labels=labels, grid=fixture_grid
-                )
-                nodes = set(g.node_ids)
+            for gs in by_k:
+                nodes = set(gs[index].node_ids)
                 assert prev_nodes <= nodes
                 prev_nodes = nodes
 
@@ -118,7 +135,7 @@ class TestBuildGraph:
     def test_missing_stats_imputed_with_mean(self, tiny_grid):
         stats = stats_for(1, 2)
         acts = [action(1, t=0.0), action(7, t=3.0, team=1, action_type="dribble")]
-        g = graphs.build_graph(acts, 1, 1, stats, grid=tiny_grid)
+        g = graph_at(acts, 1, 1, stats, tiny_grid)
         mean_vec = np.array(list(stats.values())).mean(axis=0)
         j = g.node_ids.index(7)
         np.testing.assert_allclose(g.node_features[j], mean_vec)
@@ -127,45 +144,51 @@ class TestBuildGraph:
     def test_label_is_event_delta(self, tiny_grid):
         acts = [action(1, end=(80, 30)), action(2, end=(20, 30))]
         labels = xt.label_stream(acts, tiny_grid)
-        g = graphs.build_graph(acts, 1, 1, stats_for(1, 2), labels=labels, grid=tiny_grid)
+        g = graph_at(acts, 1, 1, stats_for(1, 2), tiny_grid)
         assert g.label == labels[1].delta_xt
-
-    def test_bad_index_rejected(self, tiny_grid):
-        with pytest.raises(IndexError):
-            graphs.build_graph([action(1)], 3, 1, stats_for(1), grid=tiny_grid)
+        assert g.cross_team == labels[1].cross_team
+        assert g.edge_features[-1, DELTA_XT] == labels[1].delta_xt
+        assert g.edge_features[-1, XT] == labels[1].xt_value
 
 
 class TestEdgeEncoding:
     def test_center_coordinates_normalize_to_half(self, tiny_grid):
         a = action(1, start=(52.5, 34.0), end=(52.5, 34.0))
-        ef = graphs.encode_edge(a, graphs.EdgeContext(0.0, 0.01), tiny_grid)
-        assert (ef.start_x, ef.start_y) == (0.5, 0.5)
-        assert ef.delta_xt == 0.01
+        g = graph_at([a], 0, 0, stats_for(1), tiny_grid)
+        row = g.edge_features[0]
+        assert (row[START_X], row[START_Y], row[END_X], row[END_Y]) == (0.5, 0.5, 0.5, 0.5)
+        assert g.node_xy.tolist() == [[0.5, 0.5]]
 
     def test_latest_action_has_zero_gap(self, tiny_grid):
-        a = action(1, t=100.0)
-        ef = graphs.encode_edge(a, graphs.EdgeContext(100.0, 0.0), tiny_grid)
-        assert ef.dt_prev == 0.0
+        acts = [action(1, t=80.0), action(2, t=100.0)]
+        g = graph_at(acts, 1, 1, stats_for(1, 2), tiny_grid)
+        assert g.edge_features[-1, DT_PREV] == 0.0
+        assert g.edge_features[0, DT_PREV] == 20.0 / 60.0
 
     def test_gap_clipped_at_sixty_seconds(self, tiny_grid):
-        a = action(1, t=0.0)
-        ef = graphs.encode_edge(a, graphs.EdgeContext(500.0, 0.0), tiny_grid)
-        assert ef.dt_prev == 1.0
+        acts = [action(1, t=0.0), action(2, t=500.0)]
+        g = graph_at(acts, 1, 1, stats_for(1, 2), tiny_grid)
+        assert g.edge_features[0, DT_PREV] == 1.0
 
     def test_failed_tackle_result_zero(self, tiny_grid):
-        a = action(1, action_type="tackle", result="fail")
-        ef = graphs.encode_edge(a, graphs.EdgeContext(0.0, 0.0), tiny_grid)
-        assert ef.result_code == 0.0
+        acts = [action(1), action(2, action_type="tackle", result="fail")]
+        g = graph_at(acts, 1, 1, stats_for(1, 2), tiny_grid)
+        assert g.edge_features[0, RESULT] == 1.0
+        assert g.edge_features[1, RESULT] == 0.0
 
     def test_vector_layout_is_ten_wide(self, tiny_grid):
-        a = action(1)
-        vec = graphs.encode_edge(a, graphs.EdgeContext(0.0, 0.0), tiny_grid).as_vector()
-        assert vec.shape == (10,)
-        assert np.all(np.isfinite(vec))
+        acts = [action(1, t=0.0), action(2, t=4.0), action(3, t=9.0, action_type="dribble")]
+        for g in graphs.build_match_graphs(acts, 2, stats_for(1, 2, 3), tiny_grid):
+            assert g.edge_features.shape == (len(g.edge_list), 10)
+            assert np.all(np.isfinite(g.edge_features))
 
-    def test_match_clock_uses_period_offset(self):
-        a = action(1, t=30.0, period=2)
-        assert graphs.match_clock_s(a) == 2700.0 + 30.0
+    def test_match_clock_uses_period_offset(self, tiny_grid):
+        acts = [action(1, t=40.0), action(2, t=30.0, period=2)]
+        g = graph_at(acts, 1, 1, stats_for(1, 2), tiny_grid)
+        assert g.edge_features[0, T_SINCE_START] == 40.0 / 5400.0
+        assert g.edge_features[1, T_SINCE_START] == (2700.0 + 30.0) / 5400.0
+        # the second-half action is the window's newest, 2,690 s later
+        assert g.edge_features[0, DT_PREV] == 1.0
 
 
 class TestSplitAndBatch:
@@ -214,14 +237,14 @@ class TestSplitAndBatch:
         singles = graphs.batch(self.graphs_n(3), 1)
         assert [len(c) for c in singles] == [1, 1, 1]
 
-    def test_make_dataset_builds_and_splits(self, fixture_actions, fixture_grid, fixture_features):
+    def test_one_graph_per_event_then_split(self, fixture_actions, fixture_grid, fixture_features):
         from threatshare.ingest import group_by_match
 
         matches = group_by_match(fixture_actions)
-        train, val = graphs.make_dataset(
-            matches, k=2, stats=fixture_features, grid=fixture_grid,
-            split_frac=0.8, seed=3,
-        )
+        gs = []
+        for match_id in sorted(matches):
+            gs.extend(graphs.build_match_graphs(matches[match_id], 2, fixture_features, fixture_grid))
+        train, val = graphs.split_dataset(gs, 0.8, seed=3)
         total = sum(len(stream) for stream in matches.values())
         assert len(train) + len(val) == total
         assert len(train) == int(np.ceil(total * 0.8))
@@ -266,3 +289,41 @@ class TestPersistence:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValueError, match="schema version"):
             graphs.read_graphs(path)
+
+
+# sha256 of graphs.ndjson for the bundled fixture with the default grid and
+# roles, keyed by (window_k, append_centrality_features). Pins the graph store
+# byte for byte, so any change to windowing, encoding or float formatting shows.
+GOLDEN_GRAPHS_SHA256 = {
+    (0, False): "94666437d428c59531d2968a288b4750d61354b4f9c8d2b9861a11ba9f9fbd44",
+    (0, True): "9076c79325165bbf457dc3d16cec400c45737eae87803f516dfab85f82963815",
+    (7, False): "4b30bfd17c2fb03d80ffe47102cf78521abd371519515aede7ffa118b790a9a8",
+    (7, True): "8725383e122c85927c1300d21879097b71b88138305e9b5ab46c97cc9ca3b5e5",
+    (50, False): "1da4d62cf7bd1f896a47f7495555e7b3f25c92092e72a0743b96af42e8845870",
+    (50, True): "0c0b4a57ec0e97466f4fdcbec762d245c218bf43f42e6dee9633024ef7942b8d",
+}
+
+
+@pytest.mark.parametrize("k,centrality", sorted(GOLDEN_GRAPHS_SHA256))
+def test_graph_store_is_byte_identical_to_golden(k, centrality, tmp_path, fixture_dir):
+    import hashlib
+    import json
+
+    from threatshare import cli
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "paths": {
+            "cache_dir": str(tmp_path / "cache"),
+            "data_dir": str(fixture_dir),
+            "artifacts_dir": str(tmp_path / "artifacts"),
+            "stats_csv": str(fixture_dir / "player_stats.csv"),
+            "roles_csv": str(fixture_dir / "player_roles.csv"),
+        },
+        "window_k": k,
+        "append_centrality_features": centrality,
+    }))
+    for stage in ("ingest", "xt-fit", "build-graphs"):
+        assert cli.main(["--config", str(config), "--quiet", stage]) == 0
+    digest = hashlib.sha256((tmp_path / "artifacts" / "graphs.ndjson").read_bytes()).hexdigest()
+    assert digest == GOLDEN_GRAPHS_SHA256[(k, centrality)]
