@@ -6,8 +6,8 @@
 Every stage writes its artifacts under the configured artifacts directory
 and records input digests in ``manifest.json``; re-running a stage whose
 inputs and config are unchanged is a no-op. Exit codes: 0 success,
-2 config error, 3 missing upstream artifact (or failed fetch), 4 numeric
-failure.
+2 config error, 3 missing or unreadable input file or artifact (or failed
+fetch), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -16,25 +16,16 @@ import argparse
 import hashlib
 import json
 import logging
+import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
+from typing import Callable, get_args, get_type_hints
 
 from threatshare import credit, graphs as graphs_mod, ingest, models, viz, xt
 from threatshare.diffcore import NumericError
 
 log = logging.getLogger("threatshare")
-
-PIPELINE_STAGES = (
-    "fetch",
-    "ingest",
-    "xt-fit",
-    "build-graphs",
-    "train",
-    "evaluate",
-    "attribute",
-    "rank",
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,64 +41,54 @@ class ConfigError(ValueError):
 
 
 class MissingArtifactError(FileNotFoundError):
-    """A stage input is absent; the message names the stage to run first."""
+    """A stage input is absent; the message says which stage or key makes it."""
 
 
 # ── configuration ─────────────────────────────────────────────────────────
-
-_CONFIG_SHAPE = {
-    "paths": {"cache_dir", "data_dir", "artifacts_dir", "stats_csv", "roles_csv"},
-    "grid": {"n_x", "n_y", "tol"},
-    "window_k": None,
-    "model": {
-        "variant",
-        "hidden_dim",
-        "n_layers",
-        "n_heads",
-        "ffn_dim",
-        "edge_mlp_dims",
-        "head_hidden_dim",
-        "role_embedding_dim",
-    },
-    "training": {
-        "lr",
-        "weight_decay",
-        "epochs",
-        "batch_size",
-        "split_frac",
-        "patience",
-        "lr_step",
-        "lr_gamma",
-        "split_unit",
-    },
-    "seed": None,
-    "attribution_source": None,
-    "negative_share_mode": None,
-    "append_centrality_features": None,
-    "fetch": {"competition_id", "season_id"},
-}
+#
+# The dataclasses below are the config schema: their nesting is the JSON
+# layout, their defaults are the defaults and their annotations the types.
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class PathsConfig:
     cache_dir: Path = Path("cache")
     data_dir: Path = Path("data/fixture")
     artifacts_dir: Path = Path("artifacts")
     stats_csv: Path = Path("data/fixture/player_stats.csv")
     roles_csv: Path | None = Path("data/fixture/player_roles.csv")
+
+
+@dataclass(frozen=True)
+class GridConfig:
     n_x: int = 16
     n_y: int = 12
     tol: float = 1e-8
+
+
+@dataclass(frozen=True)
+class TrainingSection(models.TrainingConfig):
+    split_unit: str = "graph"
+
+
+@dataclass(frozen=True)
+class FetchConfig:
+    competition_id: int = 2
+    season_id: int = 27
+
+
+@dataclass
+class RunConfig:
+    paths: PathsConfig = field(default_factory=PathsConfig)
+    grid: GridConfig = field(default_factory=GridConfig)
     window_k: int | None = None
     model: models.ModelConfig = field(default_factory=models.ModelConfig)
-    training: models.TrainingConfig = field(default_factory=models.TrainingConfig)
-    split_unit: str = "graph"
+    training: TrainingSection = field(default_factory=TrainingSection)
     seed: int = 7
     attribution_source: str = "predicted"
     negative_share_mode: str = "prorata"
     append_centrality_features: bool = False
-    competition_id: int = 2
-    season_id: int = 27
+    fetch: FetchConfig = field(default_factory=FetchConfig)
 
     @property
     def resolved_k(self) -> int:
@@ -115,61 +96,54 @@ class RunConfig:
             return self.window_k
         return DEFAULT_K[self.model.variant]
 
+    def _as_json(self) -> dict:
+        """The configuration as JSON values, ``window_k`` unresolved. The
+        model seed is not a key: training takes it from ``seed``."""
+        data = json.loads(json.dumps(asdict(self), default=str))
+        del data["model"]["seed"]
+        return data
+
     def effective_dict(self) -> dict:
         """Full configuration with every default resolved (round-trips)."""
-        return {
-            "paths": {
-                "cache_dir": str(self.cache_dir),
-                "data_dir": str(self.data_dir),
-                "artifacts_dir": str(self.artifacts_dir),
-                "stats_csv": str(self.stats_csv),
-                "roles_csv": None if self.roles_csv is None else str(self.roles_csv),
-            },
-            "grid": {"n_x": self.n_x, "n_y": self.n_y, "tol": self.tol},
-            "window_k": self.resolved_k,
-            "model": {
-                "variant": self.model.variant,
-                "hidden_dim": self.model.hidden_dim,
-                "n_layers": self.model.n_layers,
-                "n_heads": self.model.n_heads,
-                "ffn_dim": self.model.ffn_dim,
-                "edge_mlp_dims": list(self.model.edge_mlp_dims),
-                "head_hidden_dim": self.model.head_hidden_dim,
-                "role_embedding_dim": self.model.role_embedding_dim,
-            },
-            "training": {
-                "lr": self.training.lr,
-                "weight_decay": self.training.weight_decay,
-                "epochs": self.training.epochs,
-                "batch_size": self.training.batch_size,
-                "split_frac": self.training.split_frac,
-                "patience": self.training.patience,
-                "lr_step": self.training.lr_step,
-                "lr_gamma": self.training.lr_gamma,
-                "split_unit": self.split_unit,
-            },
-            "seed": self.seed,
-            "attribution_source": self.attribution_source,
-            "negative_share_mode": self.negative_share_mode,
-            "append_centrality_features": self.append_centrality_features,
-            "fetch": {"competition_id": self.competition_id, "season_id": self.season_id},
-        }
+        return {**self._as_json(), "window_k": self.resolved_k}
 
     def config_hash(self) -> str:
         return _sha_text(json.dumps(self.effective_dict(), sort_keys=True))
 
 
-def _reject_unknown(data: dict, shape: dict, where: str = "config") -> None:
-    for key in data:
-        if key not in shape:
-            raise ConfigError(f"{where}: unknown key {key!r}")
-        sub = shape[key]
-        if isinstance(sub, set):
-            if not isinstance(data[key], dict):
-                raise ConfigError(f"{where}.{key}: expected an object")
-            for inner in data[key]:
-                if inner not in sub:
-                    raise ConfigError(f"{where}.{key}: unknown key {inner!r}")
+def _coerce(hint, value):
+    """``value`` as the annotated type; ``X | None`` also takes null."""
+    if get_args(hint):
+        if value is None:
+            return None
+        (hint,) = [a for a in get_args(hint) if a is not type(None)]
+    if hint is tuple:
+        return tuple(int(v) for v in value)
+    return hint(value)
+
+
+def _overlay(defaults, keys: dict, data, where: str):
+    """Copy of the dataclass ``defaults`` with the keys of ``data`` coerced in."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where or 'config root'} must be a JSON object")
+    hints = get_type_hints(type(defaults))
+    changes = {}
+    for key, value in data.items():
+        dotted = f"{where}.{key}" if where else key
+        if key not in keys:
+            raise ConfigError(f"unknown key {dotted!r}")
+        current = getattr(defaults, key)
+        if is_dataclass(current):
+            changes[key] = _overlay(current, keys[key], value, dotted)
+            continue
+        try:
+            changes[key] = _coerce(hints[key], value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{dotted}: {exc}") from None
+    try:
+        return replace(defaults, **changes)
+    except (ValueError, ArithmeticError) as exc:  # a section's own check
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -179,93 +153,33 @@ def _require(cond: bool, message: str) -> None:
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a raw config dict (every field range-checked) into RunConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(data, _CONFIG_SHAPE)
-    cfg = RunConfig()
-
-    paths = data.get("paths", {})
-    if "cache_dir" in paths:
-        cfg.cache_dir = Path(paths["cache_dir"])
-    if "data_dir" in paths:
-        cfg.data_dir = Path(paths["data_dir"])
-    if "artifacts_dir" in paths:
-        cfg.artifacts_dir = Path(paths["artifacts_dir"])
-    if "stats_csv" in paths:
-        cfg.stats_csv = Path(paths["stats_csv"])
-    if "roles_csv" in paths:
-        cfg.roles_csv = None if paths["roles_csv"] is None else Path(paths["roles_csv"])
-
-    grid = data.get("grid", {})
-    cfg.n_x = int(grid.get("n_x", cfg.n_x))
-    cfg.n_y = int(grid.get("n_y", cfg.n_y))
-    cfg.tol = float(grid.get("tol", cfg.tol))
-    _require(1 <= cfg.n_x <= 200 and 1 <= cfg.n_y <= 200, "grid: n_x, n_y must be in [1, 200]")
-    _require(0.0 < cfg.tol < 1.0, "grid.tol must be in (0, 1)")
-
-    if "window_k" in data and data["window_k"] is not None:
-        cfg.window_k = int(data["window_k"])
-        _require(0 <= cfg.window_k <= 50, "window_k must be in [0, 50]")
-
-    m = data.get("model", {})
-    try:
-        cfg.model = models.ModelConfig(
-            variant=m.get("variant", "gcn"),
-            hidden_dim=int(m.get("hidden_dim", 64)),
-            n_layers=int(m.get("n_layers", 2)),
-            n_heads=int(m.get("n_heads", 4)),
-            ffn_dim=int(m.get("ffn_dim", 128)),
-            edge_mlp_dims=tuple(m.get("edge_mlp_dims", (10, 32, 16))),
-            head_hidden_dim=int(m.get("head_hidden_dim", 32)),
-            role_embedding_dim=int(m.get("role_embedding_dim", 8)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    _require(cfg.model.hidden_dim >= 1, "model.hidden_dim must be >= 1")
-    _require(cfg.model.n_layers >= 1, "model.n_layers must be >= 1")
-    _require(len(cfg.model.edge_mlp_dims) == 3, "model.edge_mlp_dims must have 3 entries")
-
-    t = data.get("training", {})
-    cfg.training = models.TrainingConfig(
-        lr=float(t.get("lr", 1e-4)),
-        weight_decay=float(t.get("weight_decay", 1e-4)),
-        epochs=int(t.get("epochs", 25)),
-        batch_size=int(t.get("batch_size", 64)),
-        split_frac=float(t.get("split_frac", 0.8)),
-        patience=int(t.get("patience", 5)),
-        lr_step=int(t.get("lr_step", 10)),
-        lr_gamma=float(t.get("lr_gamma", 0.5)),
-    )
-    cfg.split_unit = t.get("split_unit", "graph")
-    _require(cfg.training.lr > 0, "training.lr must be > 0")
-    _require(cfg.training.weight_decay >= 0, "training.weight_decay must be >= 0")
-    _require(1 <= cfg.training.epochs <= 1000, "training.epochs must be in [1, 1000]")
-    _require(cfg.training.batch_size >= 1, "training.batch_size must be >= 1")
-    _require(0.0 < cfg.training.split_frac < 1.0, "training.split_frac must be in (0, 1)")
-    _require(cfg.training.patience >= 1, "training.patience must be >= 1")
-    _require(cfg.training.lr_step >= 1, "training.lr_step must be >= 1")
-    _require(0.0 < cfg.training.lr_gamma <= 1.0, "training.lr_gamma must be in (0, 1]")
-    _require(cfg.split_unit in ("graph", "match"), "training.split_unit must be graph|match")
-
-    if "seed" in data:
-        cfg.seed = int(data["seed"])
-        _require(cfg.seed >= 0, "seed must be >= 0")
-    cfg.attribution_source = data.get("attribution_source", cfg.attribution_source)
+    defaults = RunConfig()
+    cfg = _overlay(defaults, defaults._as_json(), data, "")
+    g, m, t = cfg.grid, cfg.model, cfg.training
+    _require(1 <= g.n_x <= 200 and 1 <= g.n_y <= 200, "grid: n_x, n_y must be in [1, 200]")
+    _require(0.0 < g.tol < 1.0, "grid.tol must be in (0, 1)")
+    _require(cfg.window_k is None or 0 <= cfg.window_k <= 50, "window_k must be in [0, 50]")
+    _require(m.hidden_dim >= 1, "model.hidden_dim must be >= 1")
+    _require(m.n_layers >= 1, "model.n_layers must be >= 1")
+    _require(len(m.edge_mlp_dims) == 3, "model.edge_mlp_dims must have 3 entries")
+    _require(t.lr > 0, "training.lr must be > 0")
+    _require(t.weight_decay >= 0, "training.weight_decay must be >= 0")
+    _require(1 <= t.epochs <= 1000, "training.epochs must be in [1, 1000]")
+    _require(t.batch_size >= 1, "training.batch_size must be >= 1")
+    _require(0.0 < t.split_frac < 1.0, "training.split_frac must be in (0, 1)")
+    _require(t.patience >= 1, "training.patience must be >= 1")
+    _require(t.lr_step >= 1, "training.lr_step must be >= 1")
+    _require(0.0 < t.lr_gamma <= 1.0, "training.lr_gamma must be in (0, 1]")
+    _require(t.split_unit in ("graph", "match"), "training.split_unit must be graph|match")
+    _require(cfg.seed >= 0, "seed must be >= 0")
     _require(
         cfg.attribution_source in ("predicted", "labeled"),
         "attribution_source must be predicted|labeled",
     )
-    cfg.negative_share_mode = data.get("negative_share_mode", cfg.negative_share_mode)
     _require(
         cfg.negative_share_mode in credit.NEGATIVE_SHARE_MODES,
         "negative_share_mode must be prorata|actor",
     )
-    if "append_centrality_features" in data:
-        cfg.append_centrality_features = bool(data["append_centrality_features"])
-
-    f = data.get("fetch", {})
-    cfg.competition_id = int(f.get("competition_id", cfg.competition_id))
-    cfg.season_id = int(f.get("season_id", cfg.season_id))
     return cfg
 
 
@@ -279,11 +193,11 @@ def load_config(path=None, *, seed=None, stage_dir=None) -> RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if seed is not None and isinstance(data, dict):
+        data = {**data, "seed": seed}
     cfg = parse_config(data)
-    if seed is not None:
-        cfg.seed = int(seed)
     if stage_dir is not None:
-        cfg.artifacts_dir = Path(stage_dir)
+        cfg.paths = replace(cfg.paths, artifacts_dir=Path(stage_dir))
     return cfg
 
 
@@ -303,7 +217,7 @@ def _sha_file(path: Path) -> str:
 
 
 def artifact_paths(cfg: RunConfig) -> dict:
-    a = cfg.artifacts_dir
+    a = cfg.paths.artifacts_dir
     v = cfg.model.variant
     return {
         "fetched": a / "fetched.json",
@@ -321,9 +235,17 @@ def artifact_paths(cfg: RunConfig) -> dict:
 
 
 def _load_manifest(cfg: RunConfig) -> dict:
+    """The recorded manifest; a missing or unreadable one reads as empty."""
     path = artifact_paths(cfg)["manifest"]
-    if path.exists():
-        return json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+        if isinstance(manifest, dict) and isinstance(manifest.get("stages"), dict):
+            return manifest
+        raise ValueError("no stages table")
+    except FileNotFoundError:
+        pass
+    except ValueError as exc:
+        log.warning("%s is unreadable (%s); every stage runs again", path, exc)
     return {"config": None, "config_hash": None, "seed": None, "stages": {}}
 
 
@@ -333,13 +255,17 @@ def _save_manifest(cfg: RunConfig, manifest: dict) -> None:
     manifest["seed"] = cfg.seed
     path = artifact_paths(cfg)["manifest"]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    os.replace(tmp, path)
 
 
-def _require_input(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(f"missing {path}; run {producer} first")
-    return path
+def _require_inputs(declared) -> list[Path]:
+    """Paths of the declared ``(path, how to make it)`` inputs, all present."""
+    for path, remedy in declared:
+        if not Path(path).is_file():
+            raise MissingArtifactError(f"missing {path}; {remedy}")
+    return [Path(path) for path, _ in declared]
 
 
 def _stage_key(cfg_subset: dict, input_paths: list[Path]) -> str:
@@ -363,7 +289,9 @@ def _outputs_fresh(entry: dict | None, key: str) -> bool:
 
 
 def _stage_fetch(cfg: RunConfig) -> list[Path]:
-    paths = ingest.fetch_open_data(cfg.competition_id, cfg.season_id, cfg.cache_dir)
+    paths = ingest.fetch_open_data(
+        cfg.fetch.competition_id, cfg.fetch.season_id, cfg.paths.cache_dir
+    )
     out = artifact_paths(cfg)["fetched"]
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps([str(p) for p in paths], indent=1))
@@ -372,17 +300,12 @@ def _stage_fetch(cfg: RunConfig) -> list[Path]:
 
 
 def _event_files(cfg: RunConfig) -> list[Path]:
-    return sorted(cfg.data_dir.glob("*.json"))
+    return sorted(cfg.paths.data_dir.glob("*.json"))
 
 
 def _stage_ingest(cfg: RunConfig) -> list[Path]:
-    files = _event_files(cfg)
-    if not files:
-        raise MissingArtifactError(
-            f"no event files in {cfg.data_dir}; run fetch first or point "
-            "paths.data_dir at a directory of event JSON files"
-        )
     ap = artifact_paths(cfg)
+    files = _event_files(cfg)
     all_actions = []
     summaries = {}
     for path in files:
@@ -398,46 +321,37 @@ def _stage_ingest(cfg: RunConfig) -> list[Path]:
 
 def _stage_xt_fit(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    actions = ingest.read_actions(_require_input(ap["actions"], "ingest"))
-    grid = xt.fit_grid(actions, cfg.n_x, cfg.n_y, tol=cfg.tol)
+    actions = ingest.read_actions(ap["actions"])
+    grid = xt.fit_grid(actions, cfg.grid.n_x, cfg.grid.n_y, tol=cfg.grid.tol)
     grid.save(ap["grid"])
     log.info(
         "xt-fit: %dx%d grid converged in %d iterations",
-        cfg.n_x,
-        cfg.n_y,
+        cfg.grid.n_x,
+        cfg.grid.n_y,
         grid.meta["iterations"],
     )
     return [ap["grid"]]
 
 
-def _build_all_graphs(cfg: RunConfig, k: int):
+def _build_all_graphs(cfg: RunConfig, k: int) -> list:
     ap = artifact_paths(cfg)
-    actions = ingest.read_actions(_require_input(ap["actions"], "ingest"))
-    grid = xt.XtGrid.load(_require_input(ap["grid"], "xt-fit"))
-    stats_raw = ingest.load_player_stats(_require_input(cfg.stats_csv, "nothing (provide paths.stats_csv)"))
-    features = ingest.normalize_per90(stats_raw)
-    roles = ingest.load_player_roles(cfg.roles_csv) if cfg.roles_csv else None
-
-    by_match = ingest.group_by_match(actions)
-    out = []
-    for match_id in sorted(by_match):
-        stream = by_match[match_id]
-        extra = None
-        if cfg.append_centrality_features:
-            pg = credit.build_passing_graph(stream, graphs_mod.infer_recipients(stream))
-            report = credit.centralities(pg)
-            extra = credit.normalized_centrality_features(report, len(pg.nodes))
-        out.extend(
-            graphs_mod.build_match_graphs(
-                stream, k, features, grid, roles=roles, extra_node_features=extra
-            )
+    grid = xt.XtGrid.load(ap["grid"])
+    features = ingest.normalize_per90(ingest.load_player_stats(cfg.paths.stats_csv))
+    roles = None if cfg.paths.roles_csv is None else ingest.load_player_roles(cfg.paths.roles_csv)
+    by_match = ingest.group_by_match(ingest.read_actions(ap["actions"]))
+    return [
+        g
+        for match_id in sorted(by_match)
+        for g in graphs_mod.build_match_graphs(
+            by_match[match_id], k, features, grid, roles=roles,
+            centrality=cfg.append_centrality_features,
         )
-    return out, stats_raw
+    ]
 
 
 def _stage_build_graphs(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    all_graphs, _ = _build_all_graphs(cfg, cfg.resolved_k)
+    all_graphs = _build_all_graphs(cfg, cfg.resolved_k)
     graphs_mod.write_graphs(all_graphs, ap["graphs"])
     log.info("build-graphs: %d graphs at k=%d", len(all_graphs), cfg.resolved_k)
     return [ap["graphs"]]
@@ -445,14 +359,13 @@ def _stage_build_graphs(cfg: RunConfig) -> list[Path]:
 
 def _split_from_config(cfg: RunConfig, all_graphs):
     return graphs_mod.split_dataset(
-        all_graphs, cfg.training.split_frac, cfg.seed, unit=cfg.split_unit
+        all_graphs, cfg.training.split_frac, cfg.seed, unit=cfg.training.split_unit
     )
 
 
 def _stage_train(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    all_graphs = graphs_mod.read_graphs(_require_input(ap["graphs"], "build-graphs"))
-    train_set, val_set = _split_from_config(cfg, all_graphs)
+    train_set, val_set = _split_from_config(cfg, graphs_mod.read_graphs(ap["graphs"]))
     model_cfg = replace(cfg.model, seed=cfg.seed)
     result = models.train(model_cfg, train_set, val_set, cfg.training)
     result.checkpoint.save(ap["checkpoint"])
@@ -471,9 +384,8 @@ def _stage_train(cfg: RunConfig) -> list[Path]:
 
 def _stage_evaluate(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    ckpt = models.Checkpoint.load(_require_input(ap["checkpoint"], "train"))
-    all_graphs = graphs_mod.read_graphs(_require_input(ap["graphs"], "build-graphs"))
-    train_set, val_set = _split_from_config(cfg, all_graphs)
+    ckpt = models.Checkpoint.load(ap["checkpoint"])
+    train_set, val_set = _split_from_config(cfg, graphs_mod.read_graphs(ap["graphs"]))
     lines = ["split,mse,mae,combined"]
     for name, subset in (("train", train_set), ("val", val_set)):
         m = models.evaluate(ckpt, subset)
@@ -496,10 +408,10 @@ def _player_teams(actions) -> dict:
 
 def _stage_attribute(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    ckpt = models.Checkpoint.load(_require_input(ap["checkpoint"], "train"))
-    all_graphs = graphs_mod.read_graphs(_require_input(ap["graphs"], "build-graphs"))
-    actions = ingest.read_actions(_require_input(ap["actions"], "ingest"))
-    stats_raw = ingest.load_player_stats(cfg.stats_csv)
+    ckpt = models.Checkpoint.load(ap["checkpoint"])
+    all_graphs = graphs_mod.read_graphs(ap["graphs"])
+    actions = ingest.read_actions(ap["actions"])
+    stats_raw = ingest.load_player_stats(cfg.paths.stats_csv)
     params, model_cfg = ckpt.build()
     outputs = [models.forward(g, params, model_cfg) for g in all_graphs]
     ledger = credit.build_ledger(
@@ -530,7 +442,7 @@ def _stage_attribute(cfg: RunConfig) -> list[Path]:
 
 
 def _ranking_paths(cfg: RunConfig) -> dict:
-    a = cfg.artifacts_dir
+    a = cfg.paths.artifacts_dir
     out = {}
     for mode in ("total", "per90"):
         for scope in ("overall", "by_team"):
@@ -548,10 +460,8 @@ def _render_rank_text(title: str, rows) -> list[str]:
 
 
 def _stage_rank(cfg: RunConfig) -> list[Path]:
-    ap = artifact_paths(cfg)
-    totals_path = _require_input(ap["totals"], "attribute")
     ledger = credit.CreditLedger()
-    for line in totals_path.read_text().splitlines()[1:]:
+    for line in artifact_paths(cfg)["totals"].read_text().splitlines()[1:]:
         pid_s, team_s, total_s, _per90, _matches, minutes_s = line.split(",")
         pid = int(pid_s)
         ledger.player_total[pid] = float(total_s)
@@ -578,75 +488,77 @@ def _stage_rank(cfg: RunConfig) -> list[Path]:
     return written
 
 
-_STAGE_RUNNERS = {
-    "fetch": _stage_fetch,
-    "ingest": _stage_ingest,
-    "xt-fit": _stage_xt_fit,
-    "build-graphs": _stage_build_graphs,
-    "train": _stage_train,
-    "evaluate": _stage_evaluate,
-    "attribute": _stage_attribute,
-    "rank": _stage_rank,
-}
+# ── the stage table ───────────────────────────────────────────────────────
 
 
-def _stage_inputs(cfg: RunConfig, stage: str) -> list[Path]:
-    ap = artifact_paths(cfg)
-    if stage == "fetch":
-        return []
-    if stage == "ingest":
-        return _event_files(cfg)
-    if stage == "xt-fit":
-        return [ap["actions"]]
-    if stage == "build-graphs":
-        extra = [cfg.roles_csv] if cfg.roles_csv and Path(cfg.roles_csv).exists() else []
-        return [ap["actions"], ap["grid"], cfg.stats_csv] + extra
-    if stage == "train":
-        return [ap["graphs"]]
-    if stage == "evaluate":
-        return [ap["graphs"], ap["checkpoint"]]
-    if stage == "attribute":
-        return [ap["graphs"], ap["checkpoint"], ap["actions"], cfg.stats_csv]
-    if stage == "rank":
-        return [ap["totals"]]
-    raise ValueError(f"unknown stage {stage!r}")
+@dataclass(frozen=True)
+class Stage:
+    """A pipeline stage: its runner, its declared ``(path, how to make it)``
+    inputs, and the part of the effective config its manifest key covers."""
+
+    run: Callable[[RunConfig], list[Path]]
+    inputs: Callable[[RunConfig], list[tuple[Path, str]]]
+    config: Callable[[dict], dict]
 
 
-def _stage_config_subset(cfg: RunConfig, stage: str) -> dict:
-    full = cfg.effective_dict()
-    subsets = {
-        "fetch": {"fetch": full["fetch"], "paths": full["paths"]["cache_dir"]},
-        "ingest": {"data_dir": full["paths"]["data_dir"]},
-        "xt-fit": {"grid": full["grid"]},
-        "build-graphs": {
-            "window_k": full["window_k"],
-            "append_centrality_features": full["append_centrality_features"],
-        },
-        "train": {
-            "model": full["model"],
-            "training": full["training"],
-            "seed": full["seed"],
-        },
-        "evaluate": {
-            "model": full["model"],
-            "training": full["training"],
-            "seed": full["seed"],
-        },
-        "attribute": {
-            "attribution_source": full["attribution_source"],
-            "negative_share_mode": full["negative_share_mode"],
-        },
-        "rank": {},
-    }
-    return {"stage": stage, "config": subsets[stage]}
+def _pick(*keys):
+    return lambda full: {k: full[k] for k in keys}
 
 
-_INPUT_PRODUCERS = {
-    "actions.ndjson": "ingest",
-    "xt_grid.json": "xt-fit",
-    "graphs.ndjson": "build-graphs",
-    "shares.csv": "attribute",
-    "player_totals.csv": "attribute",
+def _inputs(*artifacts, files=()):
+    """Inputs function: ``(artifact, producing stage)`` pairs, then the
+    files named by ``paths`` keys (a null path declares nothing)."""
+
+    def declared(cfg: RunConfig) -> list[tuple[Path, str]]:
+        ap = artifact_paths(cfg)
+        out = [(ap[name], f"run {stage} first") for name, stage in artifacts]
+        for key in files:
+            if getattr(cfg.paths, key) is not None:
+                out.append((getattr(cfg.paths, key), f"check paths.{key}"))
+        return out
+
+    return declared
+
+
+def _ingest_inputs(cfg: RunConfig) -> list[tuple[Path, str]]:
+    remedy = "run fetch first or point paths.data_dir at a directory of event JSON files"
+    files = _event_files(cfg) or [cfg.paths.data_dir / "*.json"]
+    return [(p, remedy) for p in files]
+
+
+# In pipeline order; each stage's manifest key digests its config subset and inputs.
+STAGES = {
+    "fetch": Stage(
+        _stage_fetch,
+        _inputs(),
+        lambda full: {"fetch": full["fetch"], "paths": full["paths"]["cache_dir"]},
+    ),
+    "ingest": Stage(
+        _stage_ingest, _ingest_inputs, lambda full: {"data_dir": full["paths"]["data_dir"]}
+    ),
+    "xt-fit": Stage(_stage_xt_fit, _inputs(("actions", "ingest")), _pick("grid")),
+    "build-graphs": Stage(
+        _stage_build_graphs,
+        _inputs(("actions", "ingest"), ("grid", "xt-fit"), files=("stats_csv", "roles_csv")),
+        _pick("window_k", "append_centrality_features"),
+    ),
+    "train": Stage(
+        _stage_train, _inputs(("graphs", "build-graphs")), _pick("model", "training", "seed")
+    ),
+    "evaluate": Stage(
+        _stage_evaluate,
+        _inputs(("graphs", "build-graphs"), ("checkpoint", "train")),
+        _pick("model", "training", "seed"),
+    ),
+    "attribute": Stage(
+        _stage_attribute,
+        _inputs(
+            ("graphs", "build-graphs"), ("checkpoint", "train"), ("actions", "ingest"),
+            files=("stats_csv",),
+        ),
+        _pick("attribution_source", "negative_share_mode"),
+    ),
+    "rank": Stage(_stage_rank, _inputs(("totals", "attribute")), _pick()),
 }
 
 
@@ -658,27 +570,15 @@ def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bo
     own_manifest = manifest is None
     if own_manifest:
         manifest = _load_manifest(cfg)
-
-    inputs = []
-    for p in _stage_inputs(cfg, stage):
-        p = Path(p)
-        if not p.exists():
-            producer = _INPUT_PRODUCERS.get(p.name, "the upstream stage")
-            raise MissingArtifactError(f"missing {p}; run {producer} first")
-        inputs.append(p)
-    if stage == "ingest" and not inputs:
-        raise MissingArtifactError(
-            f"no event files in {cfg.data_dir}; run fetch first or point "
-            "paths.data_dir at a directory of event JSON files"
-        )
-
-    key = _stage_key(_stage_config_subset(cfg, stage), inputs)
+    spec = STAGES[stage]
+    inputs = _require_inputs(spec.inputs(cfg))
+    key = _stage_key({"stage": stage, "config": spec.config(cfg.effective_dict())}, inputs)
     entry = manifest["stages"].get(stage)
     if _outputs_fresh(entry, key):
         log.info("%s: up to date, skipping", stage)
         return False
 
-    outputs = _STAGE_RUNNERS[stage](cfg)
+    outputs = spec.run(cfg)
     manifest["stages"][stage] = {
         "key": key,
         "outputs": {str(p): _sha_file(p) for p in outputs},
@@ -691,14 +591,14 @@ def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bo
 def run_pipeline(cfg: RunConfig, stages) -> dict:
     """Run the requested pipeline stages in canonical order."""
     stages = list(stages)
-    unknown = [s for s in stages if s not in PIPELINE_STAGES]
+    unknown = [s for s in stages if s not in STAGES]
     if unknown:
         raise ConfigError(f"unknown stage(s): {', '.join(unknown)}")
-    ordered = [s for s in PIPELINE_STAGES if s in stages]
     manifest = _load_manifest(cfg)
     ran = {}
-    for stage in ordered:
-        ran[stage] = run_stage(cfg, stage, manifest=manifest)
+    for stage in STAGES:
+        if stage in stages:
+            ran[stage] = run_stage(cfg, stage, manifest=manifest)
     _save_manifest(cfg, manifest)
     return ran
 
@@ -715,14 +615,11 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
     k_values = list(k_values)
     if not k_values:
         raise ConfigError("ablate: k_values must be non-empty")
-    ap = artifact_paths(cfg)
-    _require_input(ap["actions"], "ingest")
-    _require_input(ap["grid"], "xt-fit")
+    _require_inputs(STAGES["build-graphs"].inputs(cfg))
 
     cells: dict = {}
     for k in k_values:
-        all_graphs, _ = _build_all_graphs(cfg, k)
-        train_set, val_set = _split_from_config(cfg, all_graphs)
+        train_set, val_set = _split_from_config(cfg, _build_all_graphs(cfg, k))
         for variant in models.VARIANTS:
             model_cfg = replace(cfg.model, variant=variant, seed=cfg.seed)
             try:
@@ -749,7 +646,7 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
                     cell = cells[(variant, k)]
                     row.append("failed" if cell is None else repr(cell[block][metric]))
             lines.append(",".join(row))
-        path = cfg.artifacts_dir / f"ablation_{metric}.csv"
+        path = cfg.paths.artifacts_dir / f"ablation_{metric}.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
@@ -778,9 +675,9 @@ def load_shares_ledger(path) -> credit.CreditLedger:
 def plot_case(cfg: RunConfig, match_id: int, start: int, end: int, out=None) -> Path:
     """Render the attributed deltas of one in-match action range to SVG."""
     ap = artifact_paths(cfg)
-    actions = ingest.read_actions(_require_input(ap["actions"], "ingest"))
-    ledger = load_shares_ledger(_require_input(ap["shares"], "attribute"))
-    stream = ingest.group_by_match(actions).get(match_id)
+    _require_inputs(_inputs(("actions", "ingest"), ("shares", "attribute"))(cfg))
+    ledger = load_shares_ledger(ap["shares"])
+    stream = ingest.group_by_match(ingest.read_actions(ap["actions"])).get(match_id)
     if stream is None:
         raise MissingArtifactError(f"match {match_id} not present in {ap['actions']}")
     if not 0 <= start <= end < len(stream):
@@ -788,11 +685,15 @@ def plot_case(cfg: RunConfig, match_id: int, start: int, end: int, out=None) -> 
             f"action range [{start}, {end}] outside match stream of {len(stream)}"
         )
     rows = credit.case_report(stream[start : end + 1], start, ledger)
-    out = Path(out) if out else cfg.artifacts_dir / f"case_{match_id}_{start}_{end}.svg"
+    out = Path(out) if out else cfg.paths.artifacts_dir / f"case_{match_id}_{start}_{end}.svg"
     return viz.plot_case(rows, out)
 
 
 # ── command line ──────────────────────────────────────────────────────────
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",") if v.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -807,11 +708,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--quiet", action="store_true", help="warnings only")
     sub = parser.add_subparsers(dest="command", required=True)
-    for stage in PIPELINE_STAGES:
+    for stage in STAGES:
         sub.add_parser(stage, help=f"run the {stage} stage")
     ab = sub.add_parser("ablate", help="sweep the temporal window size")
     ab.add_argument(
         "--k-values",
+        type=_int_list,
         default=",".join(str(k) for k in DEFAULT_ABLATION_K),
         help="comma-separated window sizes",
     )
@@ -834,20 +736,19 @@ def main(argv=None) -> int:
     )
     try:
         cfg = load_config(args.config, seed=args.seed, stage_dir=args.stage_dir)
-        if args.command in PIPELINE_STAGES:
+        if args.command in STAGES:
             run_pipeline(cfg, [args.command])
             if args.command == "rank" and not args.quiet:
                 path = _ranking_paths(cfg)[(args.mode, args.scope)]
                 sys.stdout.write(path.read_text())
         elif args.command == "ablate":
-            k_values = [int(v) for v in str(args.k_values).split(",") if v.strip()]
-            ablate(cfg, k_values)
+            ablate(cfg, args.k_values)
         elif args.command == "plot-case":
             plot_case(cfg, args.match, args.start, args.end, args.out)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
-    except MissingArtifactError as exc:
+    except (MissingArtifactError, ingest.SchemaError) as exc:
         log.error("%s", exc)
         return EXIT_MISSING
     except ingest.FetchError as exc:

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from threatshare import credit
 from threatshare.ingest import PASS_LIKE_SPADL, PITCH_LENGTH, PITCH_WIDTH, SPADL_ACTION_TYPES
 from threatshare.xt import XtLabel, label_stream
 
@@ -133,7 +134,7 @@ def encode_edges(actions, labels: list[XtLabel], clock: np.ndarray) -> np.ndarra
     ).reshape(-1, EDGE_FEATURE_DIM)
 
 
-def build_match_graphs(actions, k, stats, grid, roles=None, extra_node_features=None):
+def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
     """One graph per event of a single match stream.
 
     The graph of the event at index i covers the window of the k actions
@@ -152,6 +153,10 @@ def build_match_graphs(actions, k, stats, grid, roles=None, extra_node_features=
         raise ValueError("window size k must be >= 0")
     labels = label_stream(actions, grid)
     recipients = infer_recipients(actions)
+    extra = {}
+    if centrality:
+        pg = credit.build_passing_graph(actions, recipients)
+        extra = credit.normalized_centrality_features(credit.centralities(pg), len(pg.nodes))
     clock = np.array([(a.period - 1) * HALF_NOMINAL_S + a.time_s for a in actions])
     edge_rows = encode_edges(actions, labels, clock)
 
@@ -159,7 +164,7 @@ def build_match_graphs(actions, k, stats, grid, roles=None, extra_node_features=
         mean_vec = np.array(list(stats.values()), dtype=np.float64).mean(axis=0)
     else:
         mean_vec = np.zeros(NODE_FEATURE_DIM)
-    extra_dim = len(next(iter(extra_node_features.values()))) if extra_node_features else 0
+    extra_dim = len(next(iter(extra.values()))) if extra else 0
     players = sorted({a.player_id for a in actions} | {r for r in recipients if r is not None})
     player_index = {pid: j for j, pid in enumerate(players)}
     player_rows = np.zeros((len(players), len(mean_vec) + extra_dim))
@@ -169,8 +174,8 @@ def build_match_graphs(actions, k, stats, grid, roles=None, extra_node_features=
         vec = stats.get(pid)
         imputed[j] = vec is None
         player_rows[j, : len(mean_vec)] = mean_vec if vec is None else vec
-        if extra_dim and pid in extra_node_features:
-            player_rows[j, len(mean_vec) :] = extra_node_features[pid]
+        if pid in extra:
+            player_rows[j, len(mean_vec) :] = extra[pid]
         if roles:
             role_codes[j] = ROLE_CODES.get(str(roles.get(pid, "")).upper(), ROLE_UNKNOWN)
     src_all = [player_index[a.player_id] for a in actions]

@@ -2,6 +2,8 @@
 determinism, exit codes, ablation tables, and the case plot."""
 
 import json
+import logging
+
 import numpy as np
 import pytest
 
@@ -44,11 +46,41 @@ def write_config(tmp_path, fixture_dir, overrides=None, name="config.json"):
 ALL_STAGES = ["ingest", "xt-fit", "build-graphs", "train", "evaluate", "attribute", "rank"]
 
 
+# Every key set away from its default.
+FULL_CONFIG = {
+    "paths": {"cache_dir": "run/cache", "data_dir": "run/events", "artifacts_dir": "run/art",
+              "stats_csv": "run/stats.csv", "roles_csv": None},
+    "grid": {"n_x": 10, "n_y": 8, "tol": 1e-6},
+    "window_k": 4,
+    "model": {"variant": "transformer", "hidden_dim": 12, "n_layers": 1, "n_heads": 3,
+              "ffn_dim": 24, "edge_mlp_dims": [10, 8, 6], "head_hidden_dim": 6,
+              "role_embedding_dim": 4},
+    "training": {"lr": 0.003, "weight_decay": 0.0, "epochs": 2, "batch_size": 32,
+                 "split_frac": 0.5, "patience": 2, "lr_step": 3, "lr_gamma": 0.9,
+                 "split_unit": "match"},
+    "seed": 21,
+    "attribution_source": "labeled",
+    "negative_share_mode": "actor",
+    "append_centrality_features": True,
+    "fetch": {"competition_id": 11, "season_id": 90},
+}
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         cfg = cli.parse_config({})
         again = cli.parse_config(cfg.effective_dict())
         assert again.effective_dict() == cfg.effective_dict()
+        assert cfg.config_hash() == (
+            "853321a46ecb56dac7659e832663087c3427bf7c213b6c5d4786e2961243801b"
+        )
+        full = cli.parse_config(FULL_CONFIG)
+        assert full.effective_dict() == FULL_CONFIG
+        assert cli.parse_config(full.effective_dict()).effective_dict() == FULL_CONFIG
+        # recorded before the config schema was declared once
+        assert full.config_hash() == (
+            "c641447781116501e083d80abbdf3cb8e62c66a5a6ce6ba7e918820fefd90510"
+        )
 
     def test_window_default_depends_on_variant(self):
         assert cli.parse_config({}).resolved_k == 7
@@ -71,6 +103,8 @@ class TestConfig:
             cli.parse_config({"model": {"variant": "mlp"}})
         with pytest.raises(cli.ConfigError):
             cli.parse_config({"seed": -1})
+        with pytest.raises(cli.ConfigError, match="seed"):
+            cli.load_config(None, seed=-1)
 
     def test_effective_config_written_to_manifest(self, tmp_path, fixture_dir):
         config = write_config(tmp_path, fixture_dir)
@@ -168,6 +202,72 @@ class TestPipeline:
 
         gs = graphs_mod.read_graphs(cli.artifact_paths(cfg)["graphs"])
         assert gs[0].node_features.shape[1] == 13
+
+
+def _bad_stats_cell(tmp_path, fixture_dir):
+    lines = (fixture_dir / "player_stats.csv").read_text().splitlines()
+    lines[1] = "101,n/a" + lines[1][len("101,0"):]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return {"paths": {"stats_csv": str(path)}}
+
+
+def _truncate_manifest(tmp_path):
+    path = tmp_path / "artifacts" / "manifest.json"
+    path.write_bytes(path.read_bytes()[:50])
+
+
+# (config overrides, stages run first, damage done after them, stage, exit code,
+#  text the one ERROR line must hold; for exit 0, the one WARNING line)
+FAILURE_CASES = {
+    "null-value": (
+        lambda tmp, fx: {"grid": {"n_x": None}}, [], None, "ingest", 2, "grid.n_x"),
+    "non-numeric-string": (
+        lambda tmp, fx: {"training": {"epochs": "abc"}}, [], None, "ingest", 2,
+        "training.epochs"),
+    "scalar-edge-mlp-dims": (
+        lambda tmp, fx: {"model": {"edge_mlp_dims": 5}}, [], None, "ingest", 2,
+        "model.edge_mlp_dims"),
+    "unknown-key": (lambda tmp, fx: {"nope": 1}, [], None, "ingest", 2, "'nope'"),
+    "missing-config": (None, [], None, "ingest", 2, "absent.json"),
+    "missing-artifact": (lambda tmp, fx: {}, ["ingest"], None, "train", 3, "build-graphs"),
+    "missing-roles-csv": (
+        lambda tmp, fx: {"paths": {"roles_csv": str(tmp / "absent_roles.csv")}},
+        ["ingest", "xt-fit"], None, "build-graphs", 3, "absent_roles.csv"),
+    "non-numeric-stats-cell": (
+        _bad_stats_cell, ["ingest", "xt-fit"], None, "build-graphs", 3, "bad.csv:2"),
+    "truncated-manifest": (
+        lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"], _truncate_manifest,
+        "build-graphs", 0, "manifest.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+def test_failures_exit_with_their_code_and_one_line(case, tmp_path, fixture_dir, caplog):
+    overrides, before, damage, stage, code, named = FAILURE_CASES[case]
+    if overrides is None:
+        config = tmp_path / "absent.json"
+    else:
+        config = write_config(tmp_path, fixture_dir, overrides(tmp_path, fixture_dir))
+    for earlier in before:
+        assert cli.main(["--config", str(config), "--quiet", earlier]) == 0
+    graphs_before = (tmp_path / "artifacts" / "graphs.ndjson").read_bytes() if damage else None
+    if damage:
+        damage(tmp_path)
+    caplog.clear()
+    assert cli.main(["--config", str(config), "--quiet", stage]) == code
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    if code:
+        assert len(errors) == 1 and named in errors[0], errors
+        assert "\n" not in errors[0]
+        return
+    # exit 0: one warning, then a clean rebuild with an intact manifest
+    assert errors == []
+    warnings = [r.getMessage() for r in caplog.records if named in r.getMessage()]
+    assert len(warnings) == 1, warnings
+    manifest = json.loads((tmp_path / "artifacts" / "manifest.json").read_text())
+    assert set(manifest["stages"]) == {stage}
+    assert (tmp_path / "artifacts" / "graphs.ndjson").read_bytes() == graphs_before
 
 
 class TestDeterminism:

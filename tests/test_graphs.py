@@ -304,9 +304,8 @@ GOLDEN_GRAPHS_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("k,centrality", sorted(GOLDEN_GRAPHS_SHA256))
-def test_graph_store_is_byte_identical_to_golden(k, centrality, tmp_path, fixture_dir):
-    import hashlib
+def build_fixture_graphs(tmp_path, fixture_dir, k, centrality):
+    """Run ingest, xt-fit and build-graphs through the CLI; return graphs.ndjson."""
     import json
 
     from threatshare import cli
@@ -325,5 +324,21 @@ def test_graph_store_is_byte_identical_to_golden(k, centrality, tmp_path, fixtur
     }))
     for stage in ("ingest", "xt-fit", "build-graphs"):
         assert cli.main(["--config", str(config), "--quiet", stage]) == 0
-    digest = hashlib.sha256((tmp_path / "artifacts" / "graphs.ndjson").read_bytes()).hexdigest()
+    return tmp_path / "artifacts" / "graphs.ndjson"
+
+
+@pytest.mark.parametrize("k,centrality", sorted(GOLDEN_GRAPHS_SHA256))
+def test_graph_store_is_byte_identical_to_golden(k, centrality, tmp_path, fixture_dir):
+    import hashlib
+
+    store = build_fixture_graphs(tmp_path, fixture_dir, k, centrality)
+    digest = hashlib.sha256(store.read_bytes()).hexdigest()
     assert digest == GOLDEN_GRAPHS_SHA256[(k, centrality)]
+
+
+def test_recipient_rule_runs_once_per_match_with_centrality(tmp_path, fixture_dir, monkeypatch):
+    calls = []
+    rule = graphs.infer_recipients
+    monkeypatch.setattr(graphs, "infer_recipients", lambda acts: calls.append(1) or rule(acts))
+    build_fixture_graphs(tmp_path, fixture_dir, 7, True)
+    assert len(calls) == len(list(fixture_dir.glob("*.json"))) == 2
