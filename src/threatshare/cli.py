@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+import zipfile
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
@@ -41,7 +42,8 @@ class ConfigError(ValueError):
 
 
 class MissingArtifactError(FileNotFoundError):
-    """A stage input is absent; the message says which stage or key makes it."""
+    """A stage input is absent or unreadable; the message says which stage or
+    key makes it."""
 
 
 # ── configuration ─────────────────────────────────────────────────────────
@@ -253,11 +255,51 @@ def _save_manifest(cfg: RunConfig, manifest: dict) -> None:
     manifest["config"] = cfg.effective_dict()
     manifest["config_hash"] = cfg.config_hash()
     manifest["seed"] = cfg.seed
-    path = artifact_paths(cfg)["manifest"]
+    _write_text(artifact_paths(cfg)["manifest"], json.dumps(manifest, sort_keys=True, indent=1))
+
+
+def _write_atomic(path: Path, write: Callable[[Path], object]) -> Path:
+    """``write`` a temporary sibling of ``path``, then move it into place, so
+    a crash leaves the previous file or none, never a partial one."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    os.replace(tmp, path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
+def _write_text(path: Path, text: str) -> Path:
+    return _write_atomic(path, lambda tmp: tmp.write_text(text))
+
+
+# The stage that writes each artifact another stage reads.
+_PRODUCER = {
+    "actions": "ingest",
+    "grid": "xt-fit",
+    "graphs": "build-graphs",
+    "checkpoint": "train",
+    "shares": "attribute",
+    "totals": "attribute",
+}
+
+# What a reader raises on a truncated or garbled artifact.
+_UNREADABLE = (ValueError, KeyError, TypeError, IndexError, EOFError, zipfile.BadZipFile)
+
+
+def _read(cfg: RunConfig, name: str, reader: Callable[[Path], object]):
+    """``reader`` applied to one artifact; an unreadable file is a one-line
+    error naming the stage that writes it."""
+    path = artifact_paths(cfg)[name]
+    try:
+        return reader(path)
+    except _UNREADABLE as exc:
+        detail = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+        raise MissingArtifactError(
+            f"unreadable {path} ({detail}); run {_PRODUCER[name]} again"
+        ) from None
 
 
 def _require_inputs(declared) -> list[Path]:
@@ -268,10 +310,20 @@ def _require_inputs(declared) -> list[Path]:
     return [Path(path) for path, _ in declared]
 
 
-def _stage_key(cfg_subset: dict, input_paths: list[Path]) -> str:
+def _check_unchanged(manifest: dict, digests: dict[Path, str]) -> None:
+    """Each input a recorded stage wrote must still hold what it wrote."""
+    for stage, entry in manifest["stages"].items():
+        for path, digest in entry.get("outputs", {}).items():
+            if digests.get(Path(path), digest) != digest:
+                raise MissingArtifactError(
+                    f"{path} changed since {stage} wrote it; run {stage} again"
+                )
+
+
+def _stage_key(cfg_subset: dict, digests: dict[Path, str]) -> str:
     parts = [json.dumps(cfg_subset, sort_keys=True)]
-    for p in sorted(input_paths):
-        parts.append(f"{p}:{_sha_file(p)}")
+    for p in sorted(digests):
+        parts.append(f"{p}:{digests[p]}")
     return _sha_text("|".join(parts))
 
 
@@ -292,9 +344,7 @@ def _stage_fetch(cfg: RunConfig) -> list[Path]:
     paths = ingest.fetch_open_data(
         cfg.fetch.competition_id, cfg.fetch.season_id, cfg.paths.cache_dir
     )
-    out = artifact_paths(cfg)["fetched"]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps([str(p) for p in paths], indent=1))
+    out = _write_text(artifact_paths(cfg)["fetched"], json.dumps([str(p) for p in paths], indent=1))
     log.info("fetch: %d event files available", len(paths))
     return [out]
 
@@ -313,17 +363,17 @@ def _stage_ingest(cfg: RunConfig) -> list[Path]:
         actions = ingest.to_spadl(result.events)
         all_actions.extend(actions)
         summaries[path.name] = asdict(result.summary)
-    ingest.write_actions(all_actions, ap["actions"])
-    ap["ingest_summary"].write_text(json.dumps(summaries, sort_keys=True, indent=1))
+    _write_atomic(ap["actions"], lambda tmp: ingest.write_actions(all_actions, tmp))
+    _write_text(ap["ingest_summary"], json.dumps(summaries, sort_keys=True, indent=1))
     log.info("ingest: %d actions from %d matches", len(all_actions), len(files))
     return [ap["actions"], ap["ingest_summary"]]
 
 
 def _stage_xt_fit(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    actions = ingest.read_actions(ap["actions"])
+    actions = _read(cfg, "actions", ingest.read_actions)
     grid = xt.fit_grid(actions, cfg.grid.n_x, cfg.grid.n_y, tol=cfg.grid.tol)
-    grid.save(ap["grid"])
+    _write_atomic(ap["grid"], grid.save)
     log.info(
         "xt-fit: %dx%d grid converged in %d iterations",
         cfg.grid.n_x,
@@ -334,11 +384,10 @@ def _stage_xt_fit(cfg: RunConfig) -> list[Path]:
 
 
 def _build_all_graphs(cfg: RunConfig, k: int) -> list:
-    ap = artifact_paths(cfg)
-    grid = xt.XtGrid.load(ap["grid"])
+    grid = _read(cfg, "grid", xt.XtGrid.load)
     features = ingest.normalize_per90(ingest.load_player_stats(cfg.paths.stats_csv))
     roles = None if cfg.paths.roles_csv is None else ingest.load_player_roles(cfg.paths.roles_csv)
-    by_match = ingest.group_by_match(ingest.read_actions(ap["actions"]))
+    by_match = ingest.group_by_match(_read(cfg, "actions", ingest.read_actions))
     return [
         g
         for match_id in sorted(by_match)
@@ -352,7 +401,7 @@ def _build_all_graphs(cfg: RunConfig, k: int) -> list:
 def _stage_build_graphs(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
     all_graphs = _build_all_graphs(cfg, cfg.resolved_k)
-    graphs_mod.write_graphs(all_graphs, ap["graphs"])
+    _write_atomic(ap["graphs"], lambda tmp: graphs_mod.write_graphs(all_graphs, tmp))
     log.info("build-graphs: %d graphs at k=%d", len(all_graphs), cfg.resolved_k)
     return [ap["graphs"]]
 
@@ -365,11 +414,11 @@ def _split_from_config(cfg: RunConfig, all_graphs):
 
 def _stage_train(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    train_set, val_set = _split_from_config(cfg, graphs_mod.read_graphs(ap["graphs"]))
+    train_set, val_set = _split_from_config(cfg, _read(cfg, "graphs", graphs_mod.read_graphs))
     model_cfg = replace(cfg.model, seed=cfg.seed)
     result = models.train(model_cfg, train_set, val_set, cfg.training)
-    result.checkpoint.save(ap["checkpoint"])
-    models.write_train_log(result.log, ap["train_log"])
+    _write_atomic(ap["checkpoint"], result.checkpoint.save)
+    _write_atomic(ap["train_log"], lambda tmp: models.write_train_log(result.log, tmp))
     log.info(
         "train[%s]: %d epochs, best val MSE %s%s",
         cfg.model.variant,
@@ -384,13 +433,13 @@ def _stage_train(cfg: RunConfig) -> list[Path]:
 
 def _stage_evaluate(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    ckpt = models.Checkpoint.load(ap["checkpoint"])
-    train_set, val_set = _split_from_config(cfg, graphs_mod.read_graphs(ap["graphs"]))
+    ckpt = _read(cfg, "checkpoint", models.Checkpoint.load)
+    train_set, val_set = _split_from_config(cfg, _read(cfg, "graphs", graphs_mod.read_graphs))
     lines = ["split,mse,mae,combined"]
     for name, subset in (("train", train_set), ("val", val_set)):
         m = models.evaluate(ckpt, subset)
         lines.append(f"{name},{m['mse']!r},{m['mae']!r},{m['combined']!r}")
-    ap["metrics"].write_text("\n".join(lines) + "\n")
+    _write_text(ap["metrics"], "\n".join(lines) + "\n")
     log.info("evaluate[%s]: %s", cfg.model.variant, lines[-1])
     return [ap["metrics"]]
 
@@ -408,12 +457,12 @@ def _player_teams(actions) -> dict:
 
 def _stage_attribute(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    ckpt = models.Checkpoint.load(ap["checkpoint"])
-    all_graphs = graphs_mod.read_graphs(ap["graphs"])
-    actions = ingest.read_actions(ap["actions"])
+    ckpt = _read(cfg, "checkpoint", models.Checkpoint.load)
+    all_graphs = _read(cfg, "graphs", graphs_mod.read_graphs)
+    actions = _read(cfg, "actions", ingest.read_actions)
     stats_raw = ingest.load_player_stats(cfg.paths.stats_csv)
     params, model_cfg = ckpt.build()
-    outputs = [models.forward(g, params, model_cfg) for g in all_graphs]
+    outputs = models.predict(all_graphs, params, model_cfg)
     ledger = credit.build_ledger(
         all_graphs,
         outputs,
@@ -427,7 +476,7 @@ def _stage_attribute(cfg: RunConfig) -> list[Path]:
     for (event_id, pid), share in sorted(ledger.shares.items()):
         cross = int(ledger.event_cross_team.get(event_id, False))
         share_lines.append(f"{event_id},{pid},{share!r},{cross}")
-    ap["shares"].write_text("\n".join(share_lines) + "\n")
+    _write_text(ap["shares"], "\n".join(share_lines) + "\n")
 
     total_lines = ["player_id,team_id,total,per90,matches,minutes"]
     for pid in sorted(ledger.player_total):
@@ -436,7 +485,7 @@ def _stage_attribute(cfg: RunConfig) -> list[Path]:
             f"{ledger.per90(pid)!r},{len(ledger.player_matches.get(pid, ()))},"
             f"{ledger.player_minutes.get(pid, 0.0)!r}"
         )
-    ap["totals"].write_text("\n".join(total_lines) + "\n")
+    _write_text(ap["totals"], "\n".join(total_lines) + "\n")
     log.info("attribute: %d share rows, %d players", len(ledger.shares), len(ledger.player_total))
     return [ap["shares"], ap["totals"]]
 
@@ -459,14 +508,19 @@ def _render_rank_text(title: str, rows) -> list[str]:
     return lines
 
 
-def _stage_rank(cfg: RunConfig) -> list[Path]:
+def _load_totals_ledger(path: Path) -> credit.CreditLedger:
     ledger = credit.CreditLedger()
-    for line in artifact_paths(cfg)["totals"].read_text().splitlines()[1:]:
+    for line in path.read_text().splitlines()[1:]:
         pid_s, team_s, total_s, _per90, _matches, minutes_s = line.split(",")
         pid = int(pid_s)
         ledger.player_total[pid] = float(total_s)
         ledger.player_team[pid] = int(team_s) if team_s else None
         ledger.player_minutes[pid] = float(minutes_s)
+    return ledger
+
+
+def _stage_rank(cfg: RunConfig) -> list[Path]:
+    ledger = _read(cfg, "totals", _load_totals_ledger)
 
     rank_paths = _ranking_paths(cfg)
     written = []
@@ -477,13 +531,10 @@ def _stage_rank(cfg: RunConfig) -> list[Path]:
             lines = ["rank,player_id,team_id,metric"]
             for r in rows:
                 lines.append(f"{r.rank},{r.player_id},{r.team_id},{r.metric!r}")
-            path = rank_paths[(mode, scope)]
-            path.write_text("\n".join(lines) + "\n")
-            written.append(path)
+            written.append(_write_text(rank_paths[(mode, scope)], "\n".join(lines) + "\n"))
             if mode == "total":
                 text_blocks.extend(_render_rank_text(f"{mode} credit, {scope}", rows[:20]))
-    rank_paths["text"].write_text("\n".join(text_blocks))
-    written.append(rank_paths["text"])
+    written.append(_write_text(rank_paths["text"], "\n".join(text_blocks)))
     log.info("rank: wrote %d tables", len(written) - 1)
     return written
 
@@ -506,12 +557,12 @@ def _pick(*keys):
 
 
 def _inputs(*artifacts, files=()):
-    """Inputs function: ``(artifact, producing stage)`` pairs, then the
-    files named by ``paths`` keys (a null path declares nothing)."""
+    """Inputs function: the named artifacts, then the files named by
+    ``paths`` keys (a null path declares nothing)."""
 
     def declared(cfg: RunConfig) -> list[tuple[Path, str]]:
         ap = artifact_paths(cfg)
-        out = [(ap[name], f"run {stage} first") for name, stage in artifacts]
+        out = [(ap[name], f"run {_PRODUCER[name]} first") for name in artifacts]
         for key in files:
             if getattr(cfg.paths, key) is not None:
                 out.append((getattr(cfg.paths, key), f"check paths.{key}"))
@@ -536,29 +587,26 @@ STAGES = {
     "ingest": Stage(
         _stage_ingest, _ingest_inputs, lambda full: {"data_dir": full["paths"]["data_dir"]}
     ),
-    "xt-fit": Stage(_stage_xt_fit, _inputs(("actions", "ingest")), _pick("grid")),
+    "xt-fit": Stage(_stage_xt_fit, _inputs("actions"), _pick("grid")),
     "build-graphs": Stage(
         _stage_build_graphs,
-        _inputs(("actions", "ingest"), ("grid", "xt-fit"), files=("stats_csv", "roles_csv")),
+        _inputs("actions", "grid", files=("stats_csv", "roles_csv")),
         _pick("window_k", "append_centrality_features"),
     ),
     "train": Stage(
-        _stage_train, _inputs(("graphs", "build-graphs")), _pick("model", "training", "seed")
+        _stage_train, _inputs("graphs"), _pick("model", "training", "seed")
     ),
     "evaluate": Stage(
         _stage_evaluate,
-        _inputs(("graphs", "build-graphs"), ("checkpoint", "train")),
+        _inputs("graphs", "checkpoint"),
         _pick("model", "training", "seed"),
     ),
     "attribute": Stage(
         _stage_attribute,
-        _inputs(
-            ("graphs", "build-graphs"), ("checkpoint", "train"), ("actions", "ingest"),
-            files=("stats_csv",),
-        ),
+        _inputs("graphs", "checkpoint", "actions", files=("stats_csv",)),
         _pick("attribution_source", "negative_share_mode"),
     ),
-    "rank": Stage(_stage_rank, _inputs(("totals", "attribute")), _pick()),
+    "rank": Stage(_stage_rank, _inputs("totals"), _pick()),
 }
 
 
@@ -571,8 +619,9 @@ def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bo
     if own_manifest:
         manifest = _load_manifest(cfg)
     spec = STAGES[stage]
-    inputs = _require_inputs(spec.inputs(cfg))
-    key = _stage_key({"stage": stage, "config": spec.config(cfg.effective_dict())}, inputs)
+    digests = {p: _sha_file(p) for p in _require_inputs(spec.inputs(cfg))}
+    _check_unchanged(manifest, digests)
+    key = _stage_key({"stage": stage, "config": spec.config(cfg.effective_dict())}, digests)
     entry = manifest["stages"].get(stage)
     if _outputs_fresh(entry, key):
         log.info("%s: up to date, skipping", stage)
@@ -647,9 +696,7 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
                     row.append("failed" if cell is None else repr(cell[block][metric]))
             lines.append(",".join(row))
         path = cfg.paths.artifacts_dir / f"ablation_{metric}.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+        written.append(_write_text(path, "\n".join(lines) + "\n"))
 
     manifest = _load_manifest(cfg)
     manifest["stages"]["ablate"] = {
@@ -675,9 +722,9 @@ def load_shares_ledger(path) -> credit.CreditLedger:
 def plot_case(cfg: RunConfig, match_id: int, start: int, end: int, out=None) -> Path:
     """Render the attributed deltas of one in-match action range to SVG."""
     ap = artifact_paths(cfg)
-    _require_inputs(_inputs(("actions", "ingest"), ("shares", "attribute"))(cfg))
-    ledger = load_shares_ledger(ap["shares"])
-    stream = ingest.group_by_match(ingest.read_actions(ap["actions"])).get(match_id)
+    _require_inputs(_inputs("actions", "shares")(cfg))
+    ledger = _read(cfg, "shares", load_shares_ledger)
+    stream = ingest.group_by_match(_read(cfg, "actions", ingest.read_actions)).get(match_id)
     if stream is None:
         raise MissingArtifactError(f"match {match_id} not present in {ap['actions']}")
     if not 0 <= start <= end < len(stream):
@@ -686,7 +733,7 @@ def plot_case(cfg: RunConfig, match_id: int, start: int, end: int, out=None) -> 
         )
     rows = credit.case_report(stream[start : end + 1], start, ledger)
     out = Path(out) if out else cfg.paths.artifacts_dir / f"case_{match_id}_{start}_{end}.svg"
-    return viz.plot_case(rows, out)
+    return _write_atomic(out, lambda tmp: viz.plot_case(rows, tmp))
 
 
 # ── command line ──────────────────────────────────────────────────────────

@@ -27,28 +27,26 @@ def attribute(
     delta: float,
     *,
     negative_mode: str = "prorata",
-) -> dict[int, float]:
+) -> tuple[dict[int, float], bool]:
     """Split ``delta`` over the graph's players by embedding magnitude.
 
     share_v = (|h_v| / sum_u |h_u|) * delta. All-zero embeddings degrade to
-    a uniform split (logged). ``negative_mode="actor"`` instead hands a
-    negative delta entirely to the event's acting player.
+    a uniform split. ``negative_mode="actor"`` instead hands a negative
+    delta entirely to the event's acting player. Returns the shares and
+    whether the split fell back to uniform.
     """
     if negative_mode not in NEGATIVE_SHARE_MODES:
         raise ValueError(f"unknown negative_mode {negative_mode!r}")
     node_ids = list(graph.node_ids)
     if negative_mode == "actor" and delta < 0:
         actor = graph.meta.get("actor_id", node_ids[0])
-        return {pid: (delta if pid == actor else 0.0) for pid in node_ids}
+        return {pid: (delta if pid == actor else 0.0) for pid in node_ids}, False
 
     norms = np.linalg.norm(np.asarray(output.node_embeddings), axis=1)
     total = norms.sum()
-    if total == 0.0:
-        log.warning("event %s: all-zero embeddings, uniform split", graph.event_id)
-        weights = np.full(len(node_ids), 1.0 / len(node_ids))
-    else:
-        weights = norms / total
-    return {pid: float(w * delta) for pid, w in zip(node_ids, weights)}
+    uniform = total == 0.0
+    weights = np.full(len(node_ids), 1.0 / len(node_ids)) if uniform else norms / total
+    return {pid: float(w * delta) for pid, w in zip(node_ids, weights)}, bool(uniform)
 
 
 # ── passing-network centralities ──────────────────────────────────────────
@@ -166,6 +164,7 @@ class CreditLedger:
     player_team: dict = field(default_factory=dict)
     player_matches: dict = field(default_factory=dict)  # player -> set of match ids
     player_minutes: dict = field(default_factory=dict)
+    uniform_fallbacks: int = 0  # events split uniformly: all embeddings were zero
 
     def add_event(self, event_id, match_id, delta, cross_team, shares: dict) -> None:
         self.event_delta[event_id] = delta
@@ -194,15 +193,23 @@ def build_ledger(
     """Attribute every event and aggregate into a season ledger.
 
     ``source`` picks the delta that gets distributed: the model prediction
-    (default) or the labeled value.
+    (default) or the labeled value. Events whose embeddings are all zero
+    fall back to a uniform split; their count is logged once.
     """
     if source not in ("predicted", "labeled"):
         raise ValueError(f"unknown attribution source {source!r}")
     ledger = CreditLedger()
     for g, out in zip(graphs, outputs):
         delta = out.prediction if source == "predicted" else g.label
-        shares = attribute(g, out, delta, negative_mode=negative_mode)
+        shares, uniform = attribute(g, out, delta, negative_mode=negative_mode)
+        ledger.uniform_fallbacks += uniform
         ledger.add_event(g.event_id, g.meta.get("match_id"), delta, g.cross_team, shares)
+    if ledger.uniform_fallbacks:
+        log.warning(
+            "%d of %d events had all-zero embeddings; their deltas were split uniformly",
+            ledger.uniform_fallbacks,
+            len(ledger.event_delta),
+        )
     if stats:
         for pid, s in stats.items():
             ledger.player_minutes[pid] = s.minutes_played

@@ -1,10 +1,12 @@
 """Float64 tensors with taped reverse-mode differentiation.
 
 Deliberately small: eager dense arrays, one closure tape per result, no
-fusion, no views. Everything here operates on event-graph-sized matrices
-(at most 22 nodes), so clarity wins over throughput. Every op checks its
-output for NaN/Inf and raises NumericError rather than letting garbage
-propagate into training.
+views. The cost of an op is almost all interpreter overhead, not arithmetic,
+so callers pack many small graphs into one set of matrices and the index ops
+(``gather_rows``, ``segment_sum``, ``segment_softmax``, ``pair_dot``,
+``pair_mix``) address rows by index arrays instead of dense masks. Every op
+checks its output for NaN/Inf and raises NumericError rather than letting
+garbage propagate into training.
 """
 
 from __future__ import annotations
@@ -162,13 +164,6 @@ def matmul(a, b) -> Tensor:
     )
 
 
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
-    return _result(a.data.T, [(a, lambda g: g.T)])
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.data.shape
@@ -214,30 +209,6 @@ def leaky_relu(a, slope=0.2) -> Tensor:
     return _result(data, [(a, lambda g: g * np.where(keep, 1.0, slope))])
 
 
-def softmax(a, axis=-1, mask=None) -> Tensor:
-    """Row softmax; ``mask`` (bool, True = participate) zeroes excluded slots.
-
-    Every row must keep at least one unmasked entry.
-    """
-    a = _as_tensor(a)
-    x = a.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeError(f"softmax mask: {mask.shape} for data {x.shape}")
-        if np.any(mask.sum(axis=axis) == 0):
-            raise NumericError("softmax: a row is fully masked")
-        x = np.where(mask, x, -np.inf)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g, y=y, axis=axis):
-        return y * (g - (g * y).sum(axis=axis, keepdims=True))
-
-    return _result(y, [(a, back)])
-
-
 def layer_norm(a, gain, bias, eps=1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
@@ -273,17 +244,163 @@ def layer_norm(a, gain, bias, eps=1e-5) -> Tensor:
     )
 
 
-# ── reductions / metrics ──────────────────────────────────────────────────
+# ── index ops ─────────────────────────────────────────────────────────────
+#
+# A pack of graphs is one set of row-stacked matrices; these ops address its
+# rows through integer index arrays. Segment ids are sorted, so a segment is
+# one contiguous run of rows and a scatter-add is one ``np.add.reduceat``.
 
 
-def mean_rows(a) -> Tensor:
-    """Mean over axis 0, keeping a leading singleton axis."""
+def _row_index(idx, n_rows: int, op: str) -> np.ndarray:
+    idx = np.asarray(idx, dtype=np.intp)
+    if idx.ndim != 1 or (idx.size and (idx.min() < 0 or idx.max() >= n_rows)):
+        raise ShapeError(f"{op}: indices must be 1-D and inside [0, {n_rows})")
+    return idx
+
+
+def _runs(seg: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Start of each run of equal ids in ``seg`` and each entry's run number."""
+    step = np.diff(seg)
+    if np.any(step < 0):
+        raise ShapeError(f"{op}: segment ids must be sorted")
+    new = np.concatenate([[seg.size > 0], step != 0])[: seg.size]
+    return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def gather_rows(a, idx) -> Tensor:
+    """Rows ``idx`` of a 2-D tensor, repeats allowed; the gradient of every
+    output row flows back onto the row it was read from."""
     a = _as_tensor(a)
     if a.data.ndim != 2:
-        raise ShapeError(f"mean_rows: expected 2-D, got {a.shape}")
-    n = a.data.shape[0]
-    data = a.data.mean(axis=0, keepdims=True)
-    return _result(data, [(a, lambda g: np.repeat(g / n, n, axis=0))])
+        raise ShapeError(f"gather_rows: expected 2-D, got {a.shape}")
+    idx = _row_index(idx, a.shape[0], "gather_rows")
+
+    def back(g):
+        order = np.argsort(idx, kind="stable")
+        starts, _ = _runs(idx[order], "gather_rows")
+        out = np.zeros_like(a.data)
+        out[idx[order[starts]]] = np.add.reduceat(g[order], starts, axis=0)
+        return out
+
+    return _result(a.data[idx], [(a, back)])
+
+
+def segment_sum(a, seg, n_segments: int) -> Tensor:
+    """``out[s]`` is the sum of the rows ``i`` of ``a`` with ``seg[i] == s``.
+
+    ``seg`` is sorted; a segment without rows sums to zero.
+    """
+    a = _as_tensor(a)
+    seg = _row_index(seg, n_segments, "segment_sum")
+    if a.data.ndim != 2 or seg.size != a.shape[0]:
+        raise ShapeError(f"segment_sum: {seg.size} segment ids for data {a.shape}")
+    starts, _ = _runs(seg, "segment_sum")
+    data = np.zeros((n_segments, a.shape[1]))
+    data[seg[starts]] = np.add.reduceat(a.data, starts, axis=0)
+    return _result(data, [(a, lambda g: g[seg])])
+
+
+def segment_softmax(a, seg) -> Tensor:
+    """Softmax of each column over the rows of each segment (``seg`` sorted),
+    shifted by the segment maximum for stability."""
+    a = _as_tensor(a)
+    seg = np.asarray(seg)
+    if a.data.ndim != 2 or seg.shape != (a.shape[0],):
+        raise ShapeError(f"segment_softmax: segment ids {seg.shape} for data {a.shape}")
+    starts, run = _runs(seg, "segment_softmax")
+    # one row per (column, segment), padded with -inf (exp gives 0), so a
+    # segment normalizes exactly like the matching row of a dense softmax
+    at = (slice(None), run, np.arange(seg.size) - starts[run])
+    width = np.diff(np.append(starts, seg.size)).max(initial=0)
+    rows = np.full((a.shape[1], starts.size, width), -np.inf)
+    rows[at] = a.data.T
+    e = np.exp(rows - rows.max(axis=2, keepdims=True))
+    y = (e / e.sum(axis=2, keepdims=True))[at].T
+
+    def back(g):
+        gy = np.zeros(rows.shape)
+        gy[at] = (g * y).T
+        return y * (g - gy.sum(axis=2)[:, run].T)
+
+    return _result(y, [(a, back)])
+
+
+def _head_columns(width: int, heads: int, op: str) -> list[slice]:
+    if heads < 1 or width % heads:
+        raise ShapeError(f"{op}: {width} columns do not split into {heads} heads")
+    dh = width // heads
+    return [slice(h * dh, (h + 1) * dh) for h in range(heads)]
+
+
+def _pair_dots(a, b, rows, cols, heads) -> np.ndarray:
+    """(P, heads): per head, the dot products of rows ``a[rows[p]]`` and
+    ``b[cols[p]]``, read off one dense product of all rows."""
+    return np.stack([(a[:, c] @ b[:, c].T)[rows, cols] for c in heads], axis=1)
+
+
+def _pair_sums(weights, x, rows, cols, n_rows: int, heads) -> np.ndarray:
+    """(n_rows, x columns): per head, ``out[i]`` sums ``weights[p, h] *
+    x[cols[p]]`` over the pairs with ``rows[p] == i``, as one dense product."""
+    out = np.empty((n_rows, x.shape[1]))
+    for h, c in enumerate(heads):
+        m = np.zeros((n_rows, x.shape[0]))
+        m[rows, cols] = weights[:, h]
+        out[:, c] = m @ x[:, c]
+    return out
+
+
+def pair_dot(q, k, q_idx, k_idx, heads: int) -> Tensor:
+    """Per-head dot products of row pairs, shape (P, heads):
+    ``out[p, h] = q[q_idx[p], block h] . k[k_idx[p], block h]``, the columns
+    of ``q`` and ``k`` split into ``heads`` equal blocks.
+
+    Pairs must be distinct. Each head takes one dense product of all rows of
+    ``q`` and ``k``, so they should hold one pack, not a whole dataset.
+    """
+    q, k = _as_tensor(q), _as_tensor(k)
+    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1]:
+        raise ShapeError(f"pair_dot: shapes {q.shape} and {k.shape}")
+    cols = _head_columns(q.shape[1], heads, "pair_dot")
+    q_idx = _row_index(q_idx, q.shape[0], "pair_dot")
+    k_idx = _row_index(k_idx, k.shape[0], "pair_dot")
+    if q_idx.size != k_idx.size:
+        raise ShapeError(f"pair_dot: {q_idx.size} query and {k_idx.size} key indices")
+    return _result(
+        _pair_dots(q.data, k.data, q_idx, k_idx, cols),
+        [
+            (q, lambda g: _pair_sums(g, k.data, q_idx, k_idx, q.shape[0], cols)),
+            (k, lambda g: _pair_sums(g, q.data, k_idx, q_idx, k.shape[0], cols)),
+        ],
+    )
+
+
+def pair_mix(alpha, v, q_idx, k_idx, n_rows: int) -> Tensor:
+    """Per-head weighted sums over row pairs, shape (n_rows, v columns):
+    ``out[i, block h]`` sums ``alpha[p, h] * v[k_idx[p], block h]`` over the
+    pairs with ``q_idx[p] == i``; the columns of ``v`` split into one block
+    per column of ``alpha``.
+
+    Pairs must be distinct. Each head takes one dense product, as in
+    :func:`pair_dot`.
+    """
+    alpha, v = _as_tensor(alpha), _as_tensor(v)
+    if alpha.data.ndim != 2 or v.data.ndim != 2:
+        raise ShapeError(f"pair_mix: shapes {alpha.shape} and {v.shape}")
+    cols = _head_columns(v.shape[1], alpha.shape[1], "pair_mix")
+    q_idx = _row_index(q_idx, n_rows, "pair_mix")
+    k_idx = _row_index(k_idx, v.shape[0], "pair_mix")
+    if not q_idx.size == k_idx.size == alpha.shape[0]:
+        raise ShapeError(f"pair_mix: {alpha.shape[0]} weights for {q_idx.size} pairs")
+    return _result(
+        _pair_sums(alpha.data, v.data, q_idx, k_idx, n_rows, cols),
+        [
+            (alpha, lambda g: _pair_dots(g, v.data, q_idx, k_idx, cols)),
+            (v, lambda g: _pair_sums(alpha.data, g, k_idx, q_idx, v.shape[0], cols)),
+        ],
+    )
+
+
+# ── losses ────────────────────────────────────────────────────────────────
 
 
 def mse(pred, target) -> Tensor:

@@ -251,7 +251,7 @@ def split_dataset(graphs, split_frac: float, seed: int, unit: str = "graph"):
 
 
 def batch(graphs, batch_size: int):
-    """Order-preserving chunks; each graph is processed independently."""
+    """Order-preserving chunks of ``batch_size`` graphs (one optimizer step each)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     graphs = list(graphs)

@@ -19,6 +19,18 @@ instead routes edge information through the attention bias and augments
 node inputs with positional encodings: a learned role embedding plus a
 linear map of the player's latest touch coordinates.
 
+Every pass runs over a pack: the disjoint union of several graphs, stacked
+into one node matrix and one edge matrix, so one taped op serves the whole
+pack. Graph structure enters as index arrays (edge endpoints, adjacency
+pairs, all ordered pairs of each graph for the transformer) that the
+diffcore index ops read; attention never crosses from one graph to another.
+Each head's parameters stay separate (and so does the checkpoint layout);
+a layer concatenates them to run all heads in one product. A single graph
+is a pack of one. Packs hold at most PACK_NODES nodes; a training chunk of
+``batch_size`` graphs is split into packs in order, and each pack's loss is
+weighted by its share of the chunk, so one Adam step sees the chunk's mean
+gradient.
+
 Training minimizes MSE with Adam (decoupled weight decay), halves the
 learning rate on the epoch schedule, and early-stops on a validation
 plateau. The best-validation parameters are what lands in the checkpoint.
@@ -92,13 +104,13 @@ class TrainingConfig:
 
 @dataclass
 class ModelOutput:
-    """Forward-pass result; attention rows are exposed for inspection."""
+    """Forward-pass result of one graph, plain arrays only, so keeping it
+    keeps no tape alive; attention rows are exposed for inspection."""
 
     prediction: float
     node_embeddings: np.ndarray  # (n, hidden), final layer before pooling
     pooled: np.ndarray  # (hidden,)
     attention: list = field(default_factory=list)  # per layer: (heads, n, n)
-    prediction_tensor: object = None  # live Tensor for training
 
 
 # ── parameter construction ────────────────────────────────────────────────
@@ -161,39 +173,89 @@ def init_model(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
     return dc.init_params(build_params(cfg, d_node), cfg.seed)
 
 
-# ── per-graph constant structure ──────────────────────────────────────────
+# ── packs ─────────────────────────────────────────────────────────────────
+
+# Node budget of one pack. Each taped op costs about the same whatever its
+# size, so larger packs train faster; but a pack's tape lives until its
+# backward sweep, and the pair ops take one (nodes x nodes) product per head.
+PACK_NODES = 64
 
 
-def _incidence_mean(n: int, edge_list) -> np.ndarray:
-    """(n, n_edges) matrix averaging the edge vectors touching each node."""
-    m = np.zeros((n, len(edge_list)))
-    for j, (src, dst) in enumerate(edge_list):
-        m[src, j] = 1.0
-        m[dst, j] = 1.0
-    counts = m.sum(axis=1, keepdims=True)
-    return m / np.where(counts > 0, counts, 1.0)
+def packs(graphs) -> list[list[EventGraph]]:
+    """Split ``graphs``, in order, into packs of at most PACK_NODES nodes in
+    total; a larger graph is a pack on its own."""
+    out: list[list[EventGraph]] = []
+    nodes = 0
+    for g in graphs:
+        if not out or nodes + g.n_nodes > PACK_NODES:
+            out.append([])
+            nodes = 0
+        out[-1].append(g)
+        nodes += g.n_nodes
+    return out
 
 
-def _neighbor_mask(n: int, edge_list) -> np.ndarray:
-    """mask[v, u] — u feeds v: a directed edge u -> v exists, or u == v."""
-    mask = np.eye(n, dtype=bool)
-    for src, dst in edge_list:
-        mask[dst, src] = True
-    return mask
+@dataclass
+class _Pack:
+    """A disjoint union of graphs: node i of graph b is row ``offsets[b] + i``
+    of every node matrix, and edges keep their graph order."""
+
+    graphs: list
+    sizes: np.ndarray  # nodes per graph
+    offsets: np.ndarray  # first row of each graph
+    n_nodes: int
+    node_graph: np.ndarray  # graph of each row, sorted
+    src: np.ndarray  # edge endpoints, in pack rows
+    dst: np.ndarray
+    edges: dc.Tensor  # transformed edge vectors (n_edges, edge_out_dim)
+
+    def nodes(self, attr: str) -> np.ndarray:
+        """A per-node array attribute of every graph, stacked."""
+        return np.concatenate([getattr(g, attr) for g in self.graphs])
+
+    def adjacency_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dst, src, weight) of every nonzero of each graph's normalized
+        adjacency, sorted by dst: the neighbours u -> v, self-loops included."""
+        dst, src, weight = [], [], []
+        for g, off in zip(self.graphs, self.offsets):
+            d, s = np.nonzero(g.adjacency)
+            dst.append(d + off)
+            src.append(s + off)
+            weight.append(g.adjacency[d, s])
+        return np.concatenate(dst), np.concatenate(src), np.concatenate(weight)
+
+    def attention_blocks(self, alpha: np.ndarray, q: np.ndarray, k: np.ndarray) -> list:
+        """Per graph, the (heads, n, n) attention of the pairs (q, k), which
+        are sorted by q; pairs not listed read 0."""
+        bounds = np.searchsorted(q, np.append(self.offsets, self.n_nodes))
+        blocks = []
+        for b, (n, off) in enumerate(zip(self.sizes, self.offsets)):
+            lo, hi = bounds[b], bounds[b + 1]
+            block = np.zeros((alpha.shape[1], n, n))
+            block[:, q[lo:hi] - off, k[lo:hi] - off] = alpha[lo:hi].T
+            blocks.append(block)
+        return blocks
 
 
-def _pair_average(n: int, edge_list) -> tuple[np.ndarray, np.ndarray]:
-    """(n*n, n_edges) averaging matrix over ordered pairs, plus the pair
-    connectivity mask (n, n). Parallel edges between a pair are averaged."""
-    b = np.zeros((n * n, len(edge_list)))
-    for j, (src, dst) in enumerate(edge_list):
-        b[src * n + dst, j] = 1.0
-    counts = b.sum(axis=1, keepdims=True)
-    connected = (counts.reshape(n, n) > 0)
-    return b / np.where(counts > 0, counts, 1.0), connected
+def _pack(graphs, params: dc.ParamSet) -> _Pack:
+    sizes = np.array([g.n_nodes for g in graphs])
+    offsets = np.cumsum(sizes) - sizes
+    ends = np.concatenate(
+        [np.array(g.edge_list, dtype=np.intp).reshape(-1, 2) + off for g, off in zip(graphs, offsets)]
+    )
+    return _Pack(
+        graphs=graphs,
+        sizes=sizes,
+        offsets=offsets,
+        n_nodes=int(sizes.sum()),
+        node_graph=np.repeat(np.arange(len(graphs)), sizes),
+        src=ends[:, 0],
+        dst=ends[:, 1],
+        edges=edge_mlp(params, np.concatenate([g.edge_features for g in graphs])),
+    )
 
 
-# ── forward passes ────────────────────────────────────────────────────────
+# ── forward pass ──────────────────────────────────────────────────────────
 
 
 def edge_mlp(params: dc.ParamSet, edge_features) -> dc.Tensor:
@@ -208,120 +270,128 @@ def _head(params: dc.ParamSet, z: dc.Tensor) -> dc.Tensor:
     return hidden @ params["head.W2"] + params["head.b2"]
 
 
-def _node_inputs_with_edges(graph: EventGraph, params: dc.ParamSet) -> dc.Tensor:
-    ep = edge_mlp(params, graph.edge_features)
-    agg = dc.Tensor(_incidence_mean(graph.n_nodes, graph.edge_list)) @ ep
-    return dc.concat([dc.Tensor(graph.node_features), agg], axis=1)
+def _fused(params: dc.ParamSet, prefix: str, cfg: ModelConfig, name: str) -> dc.Tensor:
+    """The per-head parameters ``{prefix}.H{m}.{name}`` side by side."""
+    return dc.concat([params[f"{prefix}.H{m}.{name}"] for m in range(cfg.n_heads)], axis=1)
 
 
-def _finish(graph, params, h: dc.Tensor, attention) -> ModelOutput:
-    z = dc.mean_rows(h)
-    y = _head(params, z)
-    return ModelOutput(
-        prediction=y.item(),
-        node_embeddings=h.data.copy(),
-        pooled=z.data.reshape(-1).copy(),
-        attention=attention,
-        prediction_tensor=y,
-    )
+def _node_inputs_with_edges(pack: _Pack) -> dc.Tensor:
+    """Node statistics beside the mean transformed vector of the edges
+    touching each node (a self-edge counts once)."""
+    e = np.arange(pack.src.size)
+    loop = pack.src == pack.dst
+    nodes = np.concatenate([pack.src, pack.dst[~loop]])
+    edges = np.concatenate([e, e[~loop]])
+    order = np.lexsort((edges, nodes))
+    count = np.bincount(nodes, minlength=pack.n_nodes)
+    total = dc.segment_sum(dc.gather_rows(pack.edges, edges[order]), nodes[order], pack.n_nodes)
+    mean = total * (1.0 / np.maximum(count, 1))[:, None]
+    return dc.concat([dc.Tensor(pack.nodes("node_features")), mean], axis=1)
 
 
-def gcn_forward(graph: EventGraph, params: dc.ParamSet, cfg: ModelConfig) -> ModelOutput:
-    a_hat = dc.Tensor(graph.adjacency)
-    h = _node_inputs_with_edges(graph, params)
+def _gcn(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
+    dst, src, weight = pack.adjacency_pairs()
+    a_hat = dc.Tensor(weight[:, None])
+    h = _node_inputs_with_edges(pack)
     for layer in range(cfg.n_layers):
-        h = dc.relu(a_hat @ (h @ params[f"gcn.L{layer}.W"]) + params[f"gcn.L{layer}.b"])
-    return _finish(graph, params, h, [])
+        xw = h @ params[f"gcn.L{layer}.W"]
+        h = dc.relu(dc.pair_mix(a_hat, xw, dst, src, pack.n_nodes) + params[f"gcn.L{layer}.b"])
+    return h, []
 
 
-def gat_forward(graph: EventGraph, params: dc.ParamSet, cfg: ModelConfig) -> ModelOutput:
-    n = graph.n_nodes
-    mask = _neighbor_mask(n, graph.edge_list)
-    h = _node_inputs_with_edges(graph, params)
-    attention = []
+def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
+    dst, src, _ = pack.adjacency_pairs()
+    h = _node_inputs_with_edges(pack)
     dh = cfg.head_dim
+    head_sum = np.kron(np.eye(cfg.n_heads), np.ones((dh, 1)))  # adds up each head's columns
+    attention = []
     for layer in range(cfg.n_layers):
-        head_outs = []
-        layer_alphas = []
-        for m in range(cfg.n_heads):
-            proj = h @ params[f"gat.L{layer}.H{m}.W"]  # (n, dh)
-            a_vec = params[f"gat.L{layer}.H{m}.a"]
-            # score[v, u] = a[:dh] . proj[u] + a[dh:] . proj[v]
-            su = proj @ _slice_rows(a_vec, 0, dh)  # (n, 1), source term
-            sv = proj @ _slice_rows(a_vec, dh, 2 * dh)  # (n, 1), destination term
-            scores = dc.leaky_relu(dc.transpose(su) + sv, LEAKY_SLOPE)
-            alpha = dc.softmax(scores, axis=1, mask=mask)
-            head_outs.append(alpha @ proj)
-            layer_alphas.append(alpha.data)
-        h = dc.relu(dc.concat(head_outs, axis=1))
-        attention.append(np.stack(layer_alphas))
-    return _finish(graph, params, h, attention)
+        prefix = f"gat.L{layer}"
+        proj = h @ _fused(params, prefix, cfg, "W")
+        # row 0: every head's source half of a, row 1: its destination half
+        a = dc.concat(
+            [dc.reshape(params[f"{prefix}.H{m}.a"], (2, dh)) for m in range(cfg.n_heads)], axis=1
+        )
+        # score(v <- u) = a[:dh] . proj[u] + a[dh:] . proj[v], per head
+        s_src = (proj * dc.gather_rows(a, [0])) @ head_sum
+        s_dst = (proj * dc.gather_rows(a, [1])) @ head_sum
+        scores = dc.leaky_relu(
+            dc.gather_rows(s_src, src) + dc.gather_rows(s_dst, dst), LEAKY_SLOPE
+        )
+        alpha = dc.segment_softmax(scores, dst)
+        h = dc.relu(dc.pair_mix(alpha, proj, dst, src, pack.n_nodes))
+        attention.append(pack.attention_blocks(alpha.data, dst, src))
+    return h, attention
 
 
-def _slice_rows(t: dc.Tensor, lo: int, hi: int) -> dc.Tensor:
-    """Rows lo:hi of a 2-D tensor via a constant selector (keeps the tape)."""
-    n = t.shape[0]
-    sel = np.zeros((hi - lo, n))
-    sel[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-    return dc.Tensor(sel) @ t
+def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
+    n, off = pack.sizes, pack.offsets
+    # every ordered (query, key) pair of each graph, sorted by query
+    q_idx = np.concatenate([o + np.repeat(np.arange(m), m) for m, o in zip(n, off)])
+    k_idx = np.concatenate([o + np.tile(np.arange(m), m) for m, o in zip(n, off)])
+    n_pairs = q_idx.size
+    # edge u -> v biases pair (u, v); parallel edges average, and pairs
+    # without an edge take the learned no-edge bias
+    b = pack.node_graph[pack.src]
+    edge_pair = (np.cumsum(n * n) - n * n)[b] + (pack.src - off[b]) * n[b] + pack.dst - off[b]
+    order = np.argsort(edge_pair, kind="stable")
+    count = np.bincount(edge_pair, minlength=n_pairs)
+    edge_weight = (1.0 / count[edge_pair[order]])[:, None]
+    no_edge = (count == 0).astype(np.float64)[:, None]
 
-
-def transformer_forward(
-    graph: EventGraph, params: dc.ParamSet, cfg: ModelConfig
-) -> ModelOutput:
-    n = graph.n_nodes
-    ep = edge_mlp(params, graph.edge_features)
-    pair_avg, connected = _pair_average(n, graph.edge_list)
-    pair_avg_t = dc.Tensor(pair_avg)
-    edge_mask = dc.Tensor(connected.astype(np.float64))
-    no_edge_mask = dc.Tensor(1.0 - connected.astype(np.float64))
-
-    onehot_roles = np.zeros((n, N_ROLES))
-    onehot_roles[np.arange(n), graph.node_roles] = 1.0
-    pos = dc.Tensor(onehot_roles) @ params["pos.roles"] + dc.Tensor(graph.node_xy) @ params["pos.coords"]
-    x = dc.concat([dc.Tensor(graph.node_features), pos], axis=1)
+    pos = dc.gather_rows(params["pos.roles"], pack.nodes("node_roles")) + dc.Tensor(
+        pack.nodes("node_xy")
+    ) @ params["pos.coords"]
+    x = dc.concat([dc.Tensor(pack.nodes("node_features")), pos], axis=1)
     h = x @ params["input.W"] + params["input.b"]
 
-    dh = cfg.head_dim
-    scale = 1.0 / np.sqrt(dh)
+    scale = 1.0 / np.sqrt(cfg.head_dim)
     attention = []
     for layer in range(cfg.n_layers):
-        head_outs = []
-        layer_alphas = []
-        for m in range(cfg.n_heads):
-            q = h @ params[f"tf.L{layer}.H{m}.Wq"]
-            k = h @ params[f"tf.L{layer}.H{m}.Wk"]
-            v = h @ params[f"tf.L{layer}.H{m}.Wv"]
-            rel_pairs = pair_avg_t @ (ep @ params[f"tf.L{layer}.H{m}.rel_w"])
-            rel = dc.reshape(rel_pairs, (n, n)) * edge_mask + (
-                params[f"tf.L{layer}.H{m}.rel_noedge"] * no_edge_mask
-            )
-            scores = (q @ dc.transpose(k) + rel) * scale
-            alpha = dc.softmax(scores, axis=1)
-            head_outs.append(alpha @ v)
-            layer_alphas.append(alpha.data)
-        att = dc.concat(head_outs, axis=1)
-        h = dc.layer_norm(
-            h + att, params[f"tf.L{layer}.ln1.gain"], params[f"tf.L{layer}.ln1.bias"]
+        prefix = f"tf.L{layer}"
+        q, k, v = (h @ _fused(params, prefix, cfg, w) for w in ("Wq", "Wk", "Wv"))
+        edge_bias = dc.gather_rows(pack.edges @ _fused(params, prefix, cfg, "rel_w"), order)
+        rel = dc.segment_sum(edge_bias * edge_weight, edge_pair[order], n_pairs) + (
+            _fused(params, prefix, cfg, "rel_noedge") * no_edge
         )
-        ffn = dc.relu(h @ params[f"tf.L{layer}.ffn.W1"] + params[f"tf.L{layer}.ffn.b1"])
-        ffn = ffn @ params[f"tf.L{layer}.ffn.W2"] + params[f"tf.L{layer}.ffn.b2"]
-        h = dc.layer_norm(
-            h + ffn, params[f"tf.L{layer}.ln2.gain"], params[f"tf.L{layer}.ln2.bias"]
+        scores = (dc.pair_dot(q, k, q_idx, k_idx, cfg.n_heads) + rel) * scale
+        alpha = dc.segment_softmax(scores, q_idx)
+        att = dc.pair_mix(alpha, v, q_idx, k_idx, pack.n_nodes)
+        h = dc.layer_norm(h + att, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
+        ffn = dc.relu(h @ params[f"{prefix}.ffn.W1"] + params[f"{prefix}.ffn.b1"])
+        ffn = ffn @ params[f"{prefix}.ffn.W2"] + params[f"{prefix}.ffn.b2"]
+        h = dc.layer_norm(h + ffn, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
+        attention.append(pack.attention_blocks(alpha.data, q_idx, k_idx))
+    return h, attention
+
+
+_MIXERS = {"gcn": _gcn, "gat": _gat, "transformer": _transformer}
+
+
+def forward(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[dc.Tensor, list[ModelOutput]]:
+    """One taped pass over a pack of graphs; a single graph is ``[g]``.
+
+    Returns the (B, 1) prediction tensor, whose tape reaches every
+    parameter, and one ModelOutput of plain arrays per graph.
+    """
+    pack = _pack(list(graphs), params)
+    h, attention = _MIXERS[cfg.variant](pack, params, cfg)
+    z = dc.segment_sum(h, pack.node_graph, len(pack.graphs)) * (1.0 / pack.sizes)[:, None]
+    y = _head(params, z)
+    return y, [
+        ModelOutput(
+            prediction=float(y.data[b, 0]),
+            node_embeddings=h.data[lo : lo + n].copy(),
+            pooled=z.data[b].copy(),
+            attention=[layer[b] for layer in attention],
         )
-        attention.append(np.stack(layer_alphas))
-    return _finish(graph, params, h, attention)
+        for b, (n, lo) in enumerate(zip(pack.sizes, pack.offsets))
+    ]
 
 
-_FORWARDS = {
-    "gcn": gcn_forward,
-    "gat": gat_forward,
-    "transformer": transformer_forward,
-}
-
-
-def forward(graph: EventGraph, params: dc.ParamSet, cfg: ModelConfig) -> ModelOutput:
-    return _FORWARDS[cfg.variant](graph, params, cfg)
+def predict(graphs, params: dc.ParamSet, cfg: ModelConfig) -> list[ModelOutput]:
+    """Forward-only outputs of every graph, pack by pack."""
+    return [out for pack in packs(graphs) for out in forward(pack, params, cfg)[1]]
 
 
 # ── training and evaluation ───────────────────────────────────────────────
@@ -414,8 +484,19 @@ def evaluate(checkpoint: Checkpoint, graphs) -> dict:
                 f"checkpoint expects {checkpoint.d_node}"
             )
     params, cfg = checkpoint.build()
-    pairs = [(forward(g, params, cfg).prediction, g.label) for g in graphs]
-    return _metrics_from_pairs(pairs)
+    outputs = predict(graphs, params, cfg)
+    return _metrics_from_pairs([(o.prediction, g.label) for o, g in zip(outputs, graphs)])
+
+
+def _backward_pack(pack, chunk_size: int, params: dc.ParamSet, cfg: ModelConfig) -> list:
+    """Forward and backward over one pack of a training chunk; returns its
+    (prediction, label) pairs. The pack's share of the chunk's mean squared
+    error flows into the gradients, and its tape is freed on return, before
+    the next pack builds one."""
+    pred, outputs = forward(pack, params, cfg)
+    labels = np.array([[g.label] for g in pack])
+    dc.backward(dc.mse(pred, labels) * (len(pack) / chunk_size))
+    return [(o.prediction, g.label) for o, g in zip(outputs, pack)]
 
 
 def train(
@@ -451,15 +532,11 @@ def train(
         try:
             for chunk in make_batches(shuffled, tcfg.batch_size):
                 params.zero_grad()
-                for g in chunk:
-                    out = forward(g, params, cfg)
-                    loss = dc.mse(out.prediction_tensor, np.full((1, 1), g.label))
-                    dc.backward(loss * (1.0 / len(chunk)))
-                    train_pairs.append((out.prediction, g.label))
+                for pack in packs(chunk):
+                    train_pairs.extend(_backward_pack(pack, len(chunk), params, cfg))
                 dc.adam_step(adam, params)
-            val_pairs = [
-                (forward(g, params, cfg).prediction, g.label) for g in val_graphs
-            ]
+            val_outputs = predict(val_graphs, params, cfg)
+            val_pairs = [(o.prediction, g.label) for o, g in zip(val_outputs, val_graphs)]
         except dc.NumericError as exc:
             log.error("training aborted at epoch %d: %s", epoch, exc)
             aborted = True

@@ -42,8 +42,8 @@ def test_criterion_01_gradient_suite():
         params = models.init_model(cfg, graph.node_features.shape[1])
 
         def loss():
-            out = models.forward(graph, params, cfg)
-            return dc.mse(out.prediction_tensor, np.full((1, 1), graph.label))
+            pred, _ = models.forward([graph], params, cfg)
+            return dc.mse(pred, np.full((1, 1), graph.label))
 
         params.zero_grad()
         dc.backward(loss())
@@ -83,10 +83,10 @@ def test_criterion_02_attention_normalization():
     tf_params = models.init_model(tf_cfg, 10)
     for i in range(1000):
         graph = random_event_graph(rng, event_id=f"att{i}")
-        gat_out = models.forward(graph, gat_params, gat_cfg)
+        gat_out = models.forward([graph], gat_params, gat_cfg)[1][0]
         for layer_alpha in gat_out.attention:
             np.testing.assert_allclose(layer_alpha.sum(axis=2), 1.0, atol=1e-12)
-        tf_out = models.forward(graph, tf_params, tf_cfg)
+        tf_out = models.forward([graph], tf_params, tf_cfg)[1][0]
         for layer_alpha in tf_out.attention:
             np.testing.assert_allclose(layer_alpha.sum(axis=2), 1.0, atol=1e-12)
     report(2, "1000 graphs: neighbor and global attention rows sum to 1 within 1e-12")
@@ -106,13 +106,13 @@ def test_criterion_03_attribution_conservation():
         class Out:
             node_embeddings = emb
 
-        base = credit.attribute(graph, Out, delta)
+        base = credit.attribute(graph, Out, delta)[0]
         assert abs(sum(base.values()) - delta) <= 1e-9
         for c in (0.1, 10.0):
             class ScaledOut:
                 node_embeddings = emb * c
 
-            scaled = credit.attribute(graph, ScaledOut, delta)
+            scaled = credit.attribute(graph, ScaledOut, delta)[0]
             for pid in base:
                 assert abs(scaled[pid] - base[pid]) <= 1e-12
     report(3, "1000 triples: shares sum to delta (1e-9) and are scale-invariant (1e-12)")
@@ -133,8 +133,8 @@ def test_criterion_04_permutation():
         for i in range(100):
             graph = random_event_graph(rng, event_id=f"perm{i}")
             perm = rng.permutation(graph.n_nodes)
-            out = models.forward(graph, params, cfg)
-            out_p = models.forward(permute_graph(graph, perm), params, cfg)
+            out = models.forward([graph], params, cfg)[1][0]
+            out_p = models.forward([permute_graph(graph, perm)], params, cfg)[1][0]
             assert abs(out.prediction - out_p.prediction) < 1e-9
             np.testing.assert_allclose(
                 out_p.node_embeddings, out.node_embeddings[perm], atol=1e-9

@@ -6,6 +6,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from threatshare import cli, viz
 from threatshare.ingest import SpadlAction
@@ -268,6 +270,85 @@ def test_failures_exit_with_their_code_and_one_line(case, tmp_path, fixture_dir,
     manifest = json.loads((tmp_path / "artifacts" / "manifest.json").read_text())
     assert set(manifest["stages"]) == {stage}
     assert (tmp_path / "artifacts" / "graphs.ndjson").read_bytes() == graphs_before
+
+
+# artifact, the stage that reads it, the stage that writes it
+READ_ARTIFACTS = [
+    ("actions.ndjson", "xt-fit", "ingest"),
+    ("xt_grid.json", "build-graphs", "xt-fit"),
+    ("graphs.ndjson", "train", "build-graphs"),
+    ("model_gcn.ckpt", "evaluate", "train"),
+    ("player_totals.csv", "rank", "attribute"),
+]
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory, fixture_dir):
+    base = tmp_path_factory.mktemp("finished")
+    config = write_config(base, fixture_dir)
+    cli.run_pipeline(cli.load_config(config), ALL_STAGES)
+    return config, base / "artifacts"
+
+
+def _run_with(config, path, content, stage, caplog):
+    """Exit code and ERROR lines of ``stage`` with ``path`` holding ``content``."""
+    intact = path.read_bytes()
+    path.write_bytes(content)
+    caplog.clear()
+    try:
+        code = cli.main(["--config", str(config), "--quiet", stage])
+    finally:
+        path.write_bytes(intact)
+    return code, [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+@pytest.mark.parametrize("artifact,stage,producer", READ_ARTIFACTS)
+@given(fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_truncated_artifact_exits_3_naming_its_stage(
+    finished_run, artifact, stage, producer, fraction, caplog
+):
+    config, art = finished_run
+    path = art / artifact
+    cut = path.read_bytes()[: int(path.stat().st_size * fraction)]
+    code, errors = _run_with(config, path, cut, stage, caplog)
+    assert code == 3
+    assert len(errors) == 1 and str(path) in errors[0], errors
+    assert f"run {producer} again" in errors[0] and "\n" not in errors[0]
+
+
+@pytest.mark.parametrize("artifact,stage,producer", READ_ARTIFACTS)
+def test_unreadable_artifact_without_manifest_exits_3(
+    finished_run, artifact, stage, producer, caplog
+):
+    config, art = finished_run
+    manifest = art / "manifest.json"
+    path = art / artifact
+    half = path.read_bytes()[: path.stat().st_size // 2]
+    kept = manifest.read_bytes()
+    manifest.unlink()
+    try:
+        code, errors = _run_with(config, path, half, stage, caplog)
+    finally:
+        manifest.write_bytes(kept)
+    assert code == 3
+    assert len(errors) == 1 and f"unreadable {path}" in errors[0], errors
+    assert f"run {producer} again" in errors[0] and "\n" not in errors[0]
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def crash(tmp):
+        tmp.write_text("half")
+        raise RuntimeError("disk full")
+
+    with pytest.raises(RuntimeError):
+        cli._write_atomic(path, crash)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestDeterminism:

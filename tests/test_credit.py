@@ -28,26 +28,27 @@ class TestAttribute:
     def test_norm_ratio_arithmetic(self):
         g = graph_of([10, 20])
         out = FakeOutput([[3.0, 0.0], [1.0, 0.0]])
-        shares = credit.attribute(g, out, 0.04)
+        shares = credit.attribute(g, out, 0.04)[0]
         assert shares[10] == pytest.approx(0.03)
         assert shares[20] == pytest.approx(0.01)
 
     def test_single_node_gets_everything(self):
         g = graph_of([5])
-        assert credit.attribute(g, FakeOutput([[1.0, 2.0]]), -0.2) == {5: -0.2}
+        assert credit.attribute(g, FakeOutput([[1.0, 2.0]]), -0.2)[0] == {5: -0.2}
 
     def test_zero_embeddings_fall_back_to_uniform(self):
         g = graph_of([1, 2, 3, 4])
-        shares = credit.attribute(g, FakeOutput(np.zeros((4, 8))), 0.08)
+        shares, uniform = credit.attribute(g, FakeOutput(np.zeros((4, 8))), 0.08)
+        assert uniform
         assert all(s == pytest.approx(0.02) for s in shares.values())
 
     def test_actor_mode_routes_negative_delta(self):
         g = graph_of([1, 2, 3], actor=2)
         out = FakeOutput(np.ones((3, 4)))
-        shares = credit.attribute(g, out, -0.06, negative_mode="actor")
+        shares = credit.attribute(g, out, -0.06, negative_mode="actor")[0]
         assert shares == {1: 0.0, 2: -0.06, 3: 0.0}
         # positive delta still splits pro rata
-        shares = credit.attribute(g, out, 0.06, negative_mode="actor")
+        shares = credit.attribute(g, out, 0.06, negative_mode="actor")[0]
         assert shares[1] == pytest.approx(0.02)
 
     @given(
@@ -60,16 +61,16 @@ class TestAttribute:
         rng = np.random.default_rng(seed)
         g = graph_of(sorted(rng.choice(1000, size=n, replace=False).astype(int).tolist()))
         emb = rng.normal(size=(n, 6))
-        base = credit.attribute(g, FakeOutput(emb), delta)
+        base = credit.attribute(g, FakeOutput(emb), delta)[0]
         assert sum(base.values()) == pytest.approx(delta, abs=1e-12)
         for c in (0.1, 10.0):
-            scaled = credit.attribute(g, FakeOutput(emb * c), delta)
+            scaled = credit.attribute(g, FakeOutput(emb * c), delta)[0]
             for pid in base:
                 assert scaled[pid] == pytest.approx(base[pid], abs=1e-12)
 
     def test_shares_carry_delta_sign(self):
         g = graph_of([1, 2])
-        shares = credit.attribute(g, FakeOutput([[1.0], [2.0]]), -0.09)
+        shares = credit.attribute(g, FakeOutput([[1.0], [2.0]]), -0.09)[0]
         assert all(s <= 0 for s in shares.values())
 
 
@@ -251,6 +252,17 @@ class TestLedgerAndCaseReport:
                 share for (event_id, _), share in ledger.shares.items() if event_id == g.event_id
             )
             assert event_sum == pytest.approx(g.label, abs=1e-9)
+
+    def test_uniform_fallbacks_counted_and_logged_once(self, caplog):
+        graphs, outputs = self.build()
+        for i in (1, 4):
+            outputs[i] = FakeOutput(np.zeros((3, 4)))
+        with caplog.at_level("WARNING", logger="threatshare.credit"):
+            ledger = credit.build_ledger(graphs, outputs, source="labeled")
+        assert ledger.uniform_fallbacks == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 of 6 events had all-zero embeddings; their deltas were split uniformly"
+        ]
 
     def test_source_validation(self):
         graphs, outputs = self.build()

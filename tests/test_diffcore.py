@@ -63,9 +63,8 @@ class TestPrimitiveGradients:
         a, b = self.leaf(3, 5), self.leaf(5, 2)
         fd_check(lambda: _weighted(dc.matmul(a, b), np.random.default_rng(5)), [a, b])
 
-    def test_transpose_reshape_concat(self):
+    def test_reshape_concat(self):
         a, b = self.leaf(3, 4), self.leaf(3, 2)
-        fd_check(lambda: _weighted(dc.transpose(a), np.random.default_rng(6)), [a])
         fd_check(lambda: _weighted(dc.reshape(a, (4, 3)), np.random.default_rng(7)), [a])
         fd_check(
             lambda: _weighted(dc.concat([a, b], axis=1), np.random.default_rng(8)),
@@ -78,12 +77,18 @@ class TestPrimitiveGradients:
         fd_check(lambda: _weighted(dc.leaky_relu(a, 0.2), np.random.default_rng(10)), [a])
 
     def test_softmax_plain_and_masked(self):
-        a = self.leaf(4, 5)
-        fd_check(lambda: _weighted(dc.softmax(a, axis=1), np.random.default_rng(11)), [a])
-        mask = np.random.default_rng(0).uniform(size=(4, 5)) > 0.4
-        mask[:, 0] = True
+        # row softmax of a (4, 5) matrix: every row one segment of 5 entries
+        a = self.leaf(20, 2)
+        rows = np.repeat(np.arange(4), 5)
+        fd_check(lambda: _weighted(dc.segment_softmax(a, rows), np.random.default_rng(11)), [a])
+        # masked: only the kept entries of each row form its segment
+        keep = np.random.default_rng(0).uniform(size=20) > 0.4
+        keep[::5] = True
         fd_check(
-            lambda: _weighted(dc.softmax(a, axis=1, mask=mask), np.random.default_rng(12)),
+            lambda: _weighted(
+                dc.segment_softmax(dc.gather_rows(a, np.flatnonzero(keep)), rows[keep]),
+                np.random.default_rng(12),
+            ),
             [a],
         )
 
@@ -96,7 +101,32 @@ class TestPrimitiveGradients:
 
     def test_reductions(self):
         a = self.leaf(5, 3)
-        fd_check(lambda: _weighted(dc.mean_rows(a), np.random.default_rng(14)), [a])
+        # segment 1 is empty and segment 3 has one row
+        seg = np.array([0, 0, 2, 2, 3])
+        fd_check(lambda: _weighted(dc.segment_sum(a, seg, 4), np.random.default_rng(14)), [a])
+
+    def test_gather_rows(self):
+        a = self.leaf(4, 3)
+        idx = np.array([2, 0, 2, 3, 2])  # repeats, and row 1 never read
+        fd_check(lambda: _weighted(dc.gather_rows(a, idx), np.random.default_rng(15)), [a])
+
+    def test_pair_dot(self):
+        q, k = self.leaf(4, 6), self.leaf(3, 6)
+        q_idx = np.array([0, 0, 1, 2, 3, 3])
+        k_idx = np.array([0, 2, 1, 1, 0, 2])
+        fd_check(
+            lambda: _weighted(dc.pair_dot(q, k, q_idx, k_idx, 3), np.random.default_rng(16)),
+            [q, k],
+        )
+
+    def test_pair_mix(self):
+        alpha, v = self.leaf(6, 2), self.leaf(3, 4)
+        q_idx = np.array([0, 0, 1, 2, 2, 4])  # row 3 receives nothing
+        k_idx = np.array([0, 2, 1, 1, 0, 2])
+        fd_check(
+            lambda: _weighted(dc.pair_mix(alpha, v, q_idx, k_idx, 5), np.random.default_rng(17)),
+            [alpha, v],
+        )
 
     def test_losses(self):
         a, t = self.leaf(2, 3), self.leaf(2, 3)
@@ -108,31 +138,26 @@ class TestOpValues:
         assert dc.relu(dc.Tensor([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
 
     def test_softmax_single_unmasked_entry(self):
-        mask = np.array([[False, True, False]])
-        out = dc.softmax(dc.Tensor([[5.0, -1.0, 2.0]]), axis=1, mask=mask)
-        assert out.data.tolist() == [[0.0, 1.0, 0.0]]
+        out = dc.segment_softmax(dc.Tensor([[5.0], [-1.0], [2.0]]), [0, 1, 1])
+        assert out.data[0, 0] == 1.0
 
     def test_mse_zero(self):
         assert dc.mse(dc.Tensor([[1.0, 2.0]]), dc.Tensor([[1.0, 2.0]])).item() == 0.0
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        x = dc.Tensor(rng.normal(size=(30, 7)) * 5)
-        mask = rng.uniform(size=(30, 7)) > 0.3
-        mask[:, 2] = True
-        y = dc.softmax(x, axis=1, mask=mask)
-        np.testing.assert_allclose(y.data.sum(axis=1), 1.0, atol=1e-12)
+        seg = np.sort(rng.integers(0, 30, size=150))
+        x = dc.Tensor(rng.normal(size=(150, 4)) * 5)
+        y = dc.segment_softmax(x, seg)
+        sums = np.zeros((30, 4))
+        np.add.at(sums, seg, y.data)
+        np.testing.assert_allclose(sums[np.unique(seg)], 1.0, atol=1e-12)
 
     def test_layer_norm_constant_row_is_zero(self):
         out = dc.layer_norm(
             dc.Tensor([[3.0, 3.0, 3.0, 3.0]]), dc.Tensor([[1.0] * 4]), dc.Tensor([[0.0] * 4])
         )
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
-
-    def test_all_masked_row_raises(self):
-        mask = np.array([[True, True], [False, False]])
-        with pytest.raises(dc.NumericError):
-            dc.softmax(dc.Tensor(np.ones((2, 2))), axis=1, mask=mask)
 
     def test_shape_mismatch_names_op(self):
         with pytest.raises(dc.ShapeError, match="matmul"):
@@ -144,6 +169,51 @@ class TestOpValues:
         big = dc.Tensor(np.full((2, 2), 1e200), requires_grad=True)
         with np.errstate(over="ignore"), pytest.raises(dc.NumericError):
             dc.mul(big, big)
+
+
+class TestIndexOps:
+    """The pack ops against loops over their definitions."""
+
+    def test_pair_ops_match_loops(self):
+        rng = np.random.default_rng(21)
+        q, k, v = rng.normal(size=(5, 6)), rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        q_idx = np.array([0, 0, 1, 3, 3, 4])
+        k_idx = np.array([1, 3, 0, 0, 2, 3])
+        alpha = rng.normal(size=(6, 2))
+        dots = dc.pair_dot(q, k, q_idx, k_idx, 2).data
+        mixed = dc.pair_mix(alpha, v, q_idx, k_idx, 5).data
+        want_mix = np.zeros((5, 6))
+        for p, (i, j) in enumerate(zip(q_idx, k_idx)):
+            for h, c in enumerate((slice(0, 3), slice(3, 6))):
+                assert dots[p, h] == pytest.approx(q[i, c] @ k[j, c], abs=1e-14)
+                want_mix[i, c] += alpha[p, h] * v[j, c]
+        np.testing.assert_allclose(mixed, want_mix, atol=1e-14, rtol=0)
+
+    def test_segment_softmax_rows_equal_dense_softmax(self):
+        x = np.random.default_rng(22).normal(size=(6, 6)) * 3
+        e = np.exp(x - x.max(axis=1, keepdims=True))
+        dense = e / e.sum(axis=1, keepdims=True)
+        out = dc.segment_softmax(dc.Tensor(x.reshape(-1, 1)), np.repeat(np.arange(6), 6))
+        np.testing.assert_array_equal(out.data.reshape(6, 6), dense)
+
+    def test_gather_gradient_adds_repeats_and_segment_sum_fills_empty(self):
+        a = dc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        total = dc.segment_sum(dc.gather_rows(a, [2, 0, 2]), [0, 0, 2], 4)
+        np.testing.assert_array_equal(total.data, [[4.0, 6.0], [0.0, 0.0], [4.0, 5.0], [0.0, 0.0]])
+        dc.backward(dc.mse(dc.reshape(total, (1, 8)), np.zeros((1, 8))))
+        # d(mean of squares)/d(total) = total / 4; row 2 is read twice, row 1 never
+        np.testing.assert_array_equal(a.grad, [[1.0, 1.5], [0.0, 0.0], [2.0, 2.75]])
+
+    def test_bad_indices_raise(self):
+        a = dc.Tensor(np.ones((3, 2)))
+        with pytest.raises(dc.ShapeError, match="sorted"):
+            dc.segment_sum(a, [1, 0, 1], 2)
+        with pytest.raises(dc.ShapeError, match="sorted"):
+            dc.segment_softmax(a, [0, 1, 0])
+        with pytest.raises(dc.ShapeError, match="gather_rows"):
+            dc.gather_rows(a, [3])
+        with pytest.raises(dc.ShapeError, match="pair_mix"):
+            dc.pair_mix(np.ones((2, 1)), a, [0, 1], [0, 1], 1)
 
 
 class TestBackward:

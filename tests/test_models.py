@@ -1,5 +1,7 @@
 """The three architectures against independent dense re-implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ def np_node_inputs(P, graph):
     return np.hstack([graph.node_features, np_incidence_mean(graph) @ ep])
 
 
-def np_gcn(P, graph, cfg):
+def np_gcn(P, graph, cfg, attention=None):
     h = np_node_inputs(P, graph)
     for layer in range(cfg.n_layers):
         h = np.maximum(
@@ -67,7 +69,7 @@ def np_gcn(P, graph, cfg):
     return float(np_head(P, z)[0, 0]), h, z
 
 
-def np_gat(P, graph, cfg):
+def np_gat(P, graph, cfg, attention=None):
     n = graph.n_nodes
     neighbors = {v: {v} for v in range(n)}
     for src, dst in graph.edge_list:
@@ -76,6 +78,7 @@ def np_gat(P, graph, cfg):
     dh = cfg.head_dim
     for layer in range(cfg.n_layers):
         head_outs = []
+        alphas = np.zeros((cfg.n_heads, n, n))
         for m in range(cfg.n_heads):
             w = P[f"gat.L{layer}.H{m}.W"]
             a = P[f"gat.L{layer}.H{m}.a"].reshape(-1)
@@ -91,9 +94,12 @@ def np_gat(P, graph, cfg):
                 scores = np.array(scores)
                 alpha = np.exp(scores - scores.max())
                 alpha /= alpha.sum()
+                alphas[m, v, nbrs] = alpha
                 out[v] = sum(alpha[i] * proj[u] for i, u in enumerate(nbrs))
             head_outs.append(out)
         h = np.maximum(np.hstack(head_outs), 0.0)
+        if attention is not None:
+            attention.append(alphas)
     z = h.mean(axis=0, keepdims=True)
     return float(np_head(P, z)[0, 0]), h, z
 
@@ -104,7 +110,7 @@ def np_layer_norm(x, gain, bias, eps=1e-5):
     return (x - mu) / np.sqrt(var + eps) * gain + bias
 
 
-def np_transformer(P, graph, cfg):
+def np_transformer(P, graph, cfg, attention=None):
     n = graph.n_nodes
     ep = np_edge_mlp(P, graph.edge_features)
     pair_feats = {}
@@ -117,6 +123,7 @@ def np_transformer(P, graph, cfg):
     dh = cfg.head_dim
     for layer in range(cfg.n_layers):
         head_outs = []
+        alphas = []
         for m in range(cfg.n_heads):
             q = h @ P[f"tf.L{layer}.H{m}.Wq"]
             k = h @ P[f"tf.L{layer}.H{m}.Wk"]
@@ -129,7 +136,10 @@ def np_transformer(P, graph, cfg):
             scores = (q @ k.T + rel) / np.sqrt(dh)
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             alpha = e / e.sum(axis=1, keepdims=True)
+            alphas.append(alpha)
             head_outs.append(alpha @ v)
+        if attention is not None:
+            attention.append(np.stack(alphas))
         att = np.hstack(head_outs)
         h = np_layer_norm(h + att, P[f"tf.L{layer}.ln1.gain"], P[f"tf.L{layer}.ln1.bias"])
         ffn = np.maximum(h @ P[f"tf.L{layer}.ffn.W1"] + P[f"tf.L{layer}.ffn.b1"], 0.0)
@@ -185,7 +195,7 @@ class TestGcnForward:
         params["gcn.L0.W"].data = np.eye(26)
         params["gcn.L1.W"].data = np.eye(26)
         params["edge_mlp.W1"].data[:] = 0.0  # edge block contributes zeros
-        out = models.forward(g, params, cfg)
+        out = models.forward([g], params, cfg)[1][0]
         np.testing.assert_allclose(out.node_embeddings[:, :10], g.node_features, atol=1e-12)
 
     def test_mean_pooling(self):
@@ -199,7 +209,7 @@ class TestGcnForward:
         params["gcn.L0.W"].data = np.eye(26)
         params["gcn.L1.W"].data = np.eye(26)
         params["edge_mlp.W1"].data[:] = 0.0
-        out = models.forward(g, params, cfg)
+        out = models.forward([g], params, cfg)[1][0]
         assert out.pooled[0] == pytest.approx(2.0)
         assert out.pooled[1] == pytest.approx(2.0)
 
@@ -208,7 +218,7 @@ class TestGcnForward:
         g = graph_with(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)], rng=rng)
         cfg = models.ModelConfig(variant="gcn", seed=3)
         params, state = init_both(cfg)
-        out = models.forward(g, params, cfg)
+        out = models.forward([g], params, cfg)[1][0]
         y, h, z = np_gcn(state, g, cfg)
         assert out.prediction == pytest.approx(y, abs=1e-12)
         np.testing.assert_allclose(out.node_embeddings, h, atol=1e-12, rtol=0)
@@ -219,7 +229,7 @@ class TestGatForward:
         g = graph_with(1, [(0, 0)])
         cfg = models.ModelConfig(variant="gat", seed=1)
         params, state = init_both(cfg)
-        out = models.forward(g, params, cfg)
+        out = models.forward([g], params, cfg)[1][0]
         for layer_alpha in out.attention:
             np.testing.assert_allclose(layer_alpha, 1.0, atol=0)
         # embedding = relu of concatenated per-head projections
@@ -232,7 +242,7 @@ class TestGatForward:
         g.edge_features = np.tile(g.edge_features[0], (2, 1))
         cfg = models.ModelConfig(variant="gat", seed=2)
         params = models.init_model(cfg, D_NODE)
-        out = models.forward(g, params, cfg)
+        out = models.forward([g], params, cfg)[1][0]
         alpha = out.attention[0]  # (heads, n, n); node 2 attends {0, 1, 2}
         np.testing.assert_allclose(alpha[:, 2, :], 1.0 / 3.0, atol=1e-12)
 
@@ -241,7 +251,7 @@ class TestGatForward:
         g = graph_with(3, [(0, 1), (1, 2), (0, 2)], rng=rng)
         cfg = models.ModelConfig(variant="gat", hidden_dim=8, n_heads=2, seed=4)
         params, state = init_both(cfg)
-        out = models.forward(g, params, cfg)
+        out = models.forward([g], params, cfg)[1][0]
         y, h, _ = np_gat(state, g, cfg)
         assert out.prediction == pytest.approx(y, abs=1e-12)
         np.testing.assert_allclose(out.node_embeddings, h, atol=1e-12)
@@ -259,7 +269,7 @@ class TestTransformerForward:
         g = graph_with(1, [(0, 0)])
         cfg = models.ModelConfig(variant="transformer", seed=1)
         params, state = init_both(cfg)
-        out = models.forward(g, params, cfg)
+        out = models.forward([g], params, cfg)[1][0]
         for layer_alpha in out.attention:
             np.testing.assert_allclose(layer_alpha, 1.0, atol=0)
         y, h, _ = np_transformer(state, g, cfg)
@@ -273,7 +283,7 @@ class TestTransformerForward:
         params["tf.L0.H0.rel_w"].data[:] = 0.0
         params["tf.L0.H0.rel_noedge"].data[:] = 0.0
         state = params.state()
-        out = models.forward(g, params, cfg)
+        out = models.forward([g], params, cfg)[1][0]
         onehot = np.zeros((4, 5))
         onehot[np.arange(4), g.node_roles] = 1.0
         pos = onehot @ state["pos.roles"] + g.node_xy @ state["pos.coords"]
@@ -289,7 +299,7 @@ class TestTransformerForward:
         g = graph_with(4, [(0, 1), (1, 2), (2, 3), (0, 1)], rng=rng)  # parallel edge
         cfg = models.ModelConfig(variant="transformer", seed=6)
         params, state = init_both(cfg)
-        out = models.forward(g, params, cfg)
+        out = models.forward([g], params, cfg)[1][0]
         y, h, z = np_transformer(state, g, cfg)
         assert out.prediction == pytest.approx(y, abs=1e-10)
         np.testing.assert_allclose(out.node_embeddings, h, atol=1e-10)
@@ -328,8 +338,8 @@ class TestPermutationEquivariance:
         for _ in range(10):
             g = random_event_graph(rng)
             perm = rng.permutation(g.n_nodes)
-            out = models.forward(g, params, cfg)
-            out_p = models.forward(permute_graph(g, perm), params, cfg)
+            out = models.forward([g], params, cfg)[1][0]
+            out_p = models.forward([permute_graph(g, perm)], params, cfg)[1][0]
             assert abs(out.prediction - out_p.prediction) < 1e-9
             np.testing.assert_allclose(
                 out_p.node_embeddings, out.node_embeddings[perm], atol=1e-9
@@ -347,8 +357,8 @@ class TestGradients:
         params = models.init_model(cfg, D_NODE)
 
         def loss_value():
-            out = models.forward(g, params, cfg)
-            return dc.mse(out.prediction_tensor, np.full((1, 1), g.label))
+            pred, _ = models.forward([g], params, cfg)
+            return dc.mse(pred, np.full((1, 1), g.label))
 
         params.zero_grad()
         dc.backward(loss_value())
@@ -371,6 +381,99 @@ class TestGradients:
                 assert err <= 1e-4, f"{name}[{i}]: {analytic} vs {numeric}"
                 checked += 1
         assert checked >= 50
+
+
+# ── packs ─────────────────────────────────────────────────────────────────
+
+
+def with_edges(g, edge_list, rng):
+    g.edge_list = list(edge_list)
+    g.adjacency = normalized_adjacency(g.n_nodes, g.edge_list)
+    g.edge_features = rng.uniform(0, 1, (len(edge_list), 10))
+    g.validate()
+    return g
+
+
+def mixed_graphs():
+    """Random graphs plus the edge cases: one node, self-edges only,
+    parallel edges, and the 22-node maximum."""
+    rng = np.random.default_rng(31)
+    gs = [random_event_graph(rng, n_nodes=1, event_id="one")]
+    gs.append(with_edges(random_event_graph(rng, n_nodes=3), [(0, 0), (1, 1), (2, 2)], rng))
+    gs.append(with_edges(random_event_graph(rng, n_nodes=4), [(0, 1), (2, 3), (0, 1), (0, 1), (1, 1)], rng))
+    gs.append(random_event_graph(rng, n_nodes=22, event_id="full"))
+    gs.extend(random_event_graph(rng, event_id=f"r{i}") for i in range(6))
+    return gs
+
+
+class TestPacks:
+    def test_packs_keep_order_within_the_node_budget(self):
+        class Sized:
+            def __init__(self, n):
+                self.n_nodes = n
+
+        sizes = (30, 30, 5, 70, 1, models.PACK_NODES, 2)
+        got = [[g.n_nodes for g in pack] for pack in models.packs([Sized(n) for n in sizes])]
+        assert got == [[30, 30], [5], [70], [1], [models.PACK_NODES], [2]]
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_pack_matches_single_graphs_and_oracle(self, variant):
+        gs = mixed_graphs()
+        cfg = models.ModelConfig(variant=variant, seed=12)
+        params, state = init_both(cfg)
+        pred, outs = models.forward(gs, params, cfg)
+        assert pred.shape == (len(gs), 1)
+        for g, out in zip(gs, outs):
+            (single,) = models.forward([g], params, cfg)[1]
+            oracle_attention = []
+            y, h, z = _ORACLES[variant](state, g, cfg, attention=oracle_attention)
+            for ref in (single, models.ModelOutput(y, h, z.reshape(-1), oracle_attention)):
+                assert abs(out.prediction - ref.prediction) <= 1e-12
+                np.testing.assert_allclose(out.node_embeddings, ref.node_embeddings, atol=1e-12, rtol=0)
+                np.testing.assert_allclose(out.pooled, ref.pooled, atol=1e-12, rtol=0)
+                assert len(out.attention) == len(ref.attention)
+                for alpha, ref_alpha in zip(out.attention, ref.attention):
+                    np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12, rtol=0)
+            assert len(out.attention) == (0 if variant == "gcn" else cfg.n_layers)
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_pack_gradient_is_the_sum_of_single_graph_gradients(self, variant):
+        gs = mixed_graphs()
+        cfg = models.ModelConfig(variant=variant, seed=13)
+        params = models.init_model(cfg, D_NODE)
+        pred, _ = models.forward(gs, params, cfg)
+        params.zero_grad()
+        # mean squared error times B: the sum of the per-graph losses
+        dc.backward(dc.mse(pred, np.array([[g.label] for g in gs])) * len(gs))
+        packed = {name: t.grad for name, t in params.items()}
+        params.zero_grad()
+        for g in gs:
+            single, _ = models.forward([g], params, cfg)
+            dc.backward(dc.mse(single, np.full((1, 1), g.label)))
+        for name, t in params.items():
+            assert packed[name] is not None and t.grad is not None, name
+            scale = np.abs(t.grad).max()
+            assert np.abs(packed[name] - t.grad).max() <= 1e-12 * scale, name
+
+    def test_kept_outputs_hold_no_tape(self):
+        rng = np.random.default_rng(41)
+        gs = [random_event_graph(rng, event_id=f"k{i}") for i in range(40)]
+        cfg = models.ModelConfig(variant="transformer", seed=14)
+        params = models.init_model(cfg, D_NODE)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [models.forward([g], params, cfg)[1][0] for g in gs]
+            kept += models.predict(gs, params, cfg)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        arrays = sum(
+            o.node_embeddings.nbytes + o.pooled.nbytes + sum(a.nbytes for a in o.attention)
+            for o in kept
+        )
+        # the arrays themselves plus object overhead, not a tape per graph
+        assert retained <= arrays + 2_000 * len(kept), (retained, arrays)
 
 
 # ── training and evaluation ───────────────────────────────────────────────
@@ -453,7 +556,7 @@ class TestEvaluate:
         )
         metrics = models.evaluate(ckpt, gs)
         per_graph = [
-            models._metrics_from_pairs([(models.forward(g, params, cfg).prediction, g.label)])
+            models._metrics_from_pairs([(models.forward([g], params, cfg)[1][0].prediction, g.label)])
             for g in gs
         ]
         assert metrics["mse"] == pytest.approx(np.mean([m["mse"] for m in per_graph]), abs=1e-15)
@@ -485,8 +588,8 @@ class TestEvaluate:
         loaded = models.Checkpoint.load(path)
         assert loaded.model_cfg == cfg
         p2, _ = loaded.build()
-        before = models.forward(g, params, cfg).prediction
-        after = models.forward(g, p2, cfg).prediction
+        before = models.forward([g], params, cfg)[1][0].prediction
+        after = models.forward([g], p2, cfg)[1][0].prediction
         assert before == after
 
     def test_schema_mismatch_rejected(self):
