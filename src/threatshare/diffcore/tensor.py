@@ -4,9 +4,12 @@ Deliberately small: eager dense arrays, one closure tape per result, no
 views. The cost of an op is almost all interpreter overhead, not arithmetic,
 so callers pack many small graphs into one set of matrices and the index ops
 (``gather_rows``, ``segment_sum``, ``segment_softmax``, ``pair_dot``,
-``pair_mix``) address rows by index arrays instead of dense masks. Every op
-checks its output for NaN/Inf and raises NumericError rather than letting
-garbage propagate into training.
+``pair_mix``) address rows by index arrays instead of dense masks. The pair
+ops also take the pack's block layout (rows per graph) and multiply block by
+block, so their cost grows with the number of graphs, not the square of the
+pack. An op records its tape only if an input requires grad: a pass over
+constant tensors builds none. Every op checks its output for NaN/Inf and
+raises NumericError rather than letting garbage propagate into training.
 """
 
 from __future__ import annotations
@@ -325,77 +328,121 @@ def segment_softmax(a, seg) -> Tensor:
     return _result(y, [(a, back)])
 
 
-def _head_columns(width: int, heads: int, op: str) -> list[slice]:
+# ── pair ops ──────────────────────────────────────────────────────────────
+#
+# Pairs (i, j) of rows inside the blocks of a pack. ``sizes`` is the block
+# layout: block b (one graph) is ``sizes[b]`` contiguous rows, and no pair
+# leaves its block. Each product pads every block with zero rows to the
+# largest, w, and runs once over a (blocks, heads, w, w) stack, so its cost
+# grows with the number of blocks, not with the square of the rows. A single
+# block needs no padding: its product is the plain (rows x rows) one.
+
+
+class _Blocks:
+    """Where the rows and the pairs of a block layout sit in the padded stack."""
+
+    __slots__ = ("n_rows", "n_blocks", "width", "slot", "block", "q", "k")
+
+    def __init__(self, sizes, q_idx, k_idx, op: str):
+        sizes = np.asarray(sizes, dtype=np.intp)
+        if sizes.ndim != 1 or np.any(sizes < 0):
+            raise ShapeError(f"{op}: block sizes must be 1-D and non-negative")
+        self.n_rows = int(sizes.sum())
+        q_idx = _row_index(q_idx, self.n_rows, op)
+        k_idx = _row_index(k_idx, self.n_rows, op)
+        if q_idx.size != k_idx.size:
+            raise ShapeError(f"{op}: {q_idx.size} query and {k_idx.size} key indices")
+        block = np.repeat(np.arange(sizes.size), sizes)
+        local = np.arange(self.n_rows) - (np.cumsum(sizes) - sizes)[block]
+        self.block = block[q_idx]
+        if np.any(block[k_idx] != self.block):
+            raise ShapeError(f"{op}: a pair crosses blocks")
+        self.n_blocks, self.width = sizes.size, int(sizes.max(initial=0))
+        self.slot = block * self.width + local
+        self.q, self.k = local[q_idx], local[k_idx]
+        cell = (self.block * self.width + self.q) * self.width + self.k
+        if np.bincount(cell).max(initial=0) > 1:
+            raise ShapeError(f"{op}: pairs must be distinct")
+
+    def pad(self, x: np.ndarray, heads: int) -> np.ndarray:
+        """(rows, heads * dh) -> (blocks, heads, w, dh), zero rows appended."""
+        out = np.zeros((self.n_blocks * self.width, x.shape[1]))
+        out[self.slot] = x
+        return out.reshape(self.n_blocks, self.width, heads, -1).transpose(0, 2, 1, 3)
+
+    def unpad(self, y: np.ndarray) -> np.ndarray:
+        """(blocks, heads, w, dh) -> (rows, heads * dh)."""
+        return y.transpose(0, 2, 1, 3).reshape(self.n_blocks * self.width, -1)[self.slot]
+
+    def dots(self, a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
+        """(pairs, heads): per head, ``a[i] . b[j]`` of every pair (i, j)."""
+        prod = self.pad(a, heads) @ self.pad(b, heads).swapaxes(2, 3)
+        return prod[self.block, :, self.q, self.k]
+
+    def sums(self, weights: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """(rows, x columns): per head h, row i sums ``weights[p, h] * x[j]``
+        over the pairs p = (i, j), or over the pairs (j, i) if ``transpose``."""
+        m = np.zeros((self.n_blocks, weights.shape[1], self.width, self.width))
+        m[self.block, :, self.q, self.k] = weights
+        if transpose:
+            m = m.swapaxes(2, 3)
+        return self.unpad(m @ self.pad(x, weights.shape[1]))
+
+
+def _head_split(width: int, heads: int, op: str) -> None:
     if heads < 1 or width % heads:
         raise ShapeError(f"{op}: {width} columns do not split into {heads} heads")
-    dh = width // heads
-    return [slice(h * dh, (h + 1) * dh) for h in range(heads)]
 
 
-def _pair_dots(a, b, rows, cols, heads) -> np.ndarray:
-    """(P, heads): per head, the dot products of rows ``a[rows[p]]`` and
-    ``b[cols[p]]``, read off one dense product of all rows."""
-    return np.stack([(a[:, c] @ b[:, c].T)[rows, cols] for c in heads], axis=1)
-
-
-def _pair_sums(weights, x, rows, cols, n_rows: int, heads) -> np.ndarray:
-    """(n_rows, x columns): per head, ``out[i]`` sums ``weights[p, h] *
-    x[cols[p]]`` over the pairs with ``rows[p] == i``, as one dense product."""
-    out = np.empty((n_rows, x.shape[1]))
-    for h, c in enumerate(heads):
-        m = np.zeros((n_rows, x.shape[0]))
-        m[rows, cols] = weights[:, h]
-        out[:, c] = m @ x[:, c]
-    return out
-
-
-def pair_dot(q, k, q_idx, k_idx, heads: int) -> Tensor:
+def pair_dot(q, k, q_idx, k_idx, heads: int, sizes) -> Tensor:
     """Per-head dot products of row pairs, shape (P, heads):
     ``out[p, h] = q[q_idx[p], block h] . k[k_idx[p], block h]``, the columns
     of ``q`` and ``k`` split into ``heads`` equal blocks.
 
-    Pairs must be distinct. Each head takes one dense product of all rows of
-    ``q`` and ``k``, so they should hold one pack, not a whole dataset.
+    ``q`` and ``k`` share the row layout ``sizes`` (rows per graph); pairs
+    must be distinct and inside one graph, else ShapeError.
     """
     q, k = _as_tensor(q), _as_tensor(k)
-    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape[1] != k.shape[1]:
+    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape != k.shape:
         raise ShapeError(f"pair_dot: shapes {q.shape} and {k.shape}")
-    cols = _head_columns(q.shape[1], heads, "pair_dot")
-    q_idx = _row_index(q_idx, q.shape[0], "pair_dot")
-    k_idx = _row_index(k_idx, k.shape[0], "pair_dot")
-    if q_idx.size != k_idx.size:
-        raise ShapeError(f"pair_dot: {q_idx.size} query and {k_idx.size} key indices")
+    _head_split(q.shape[1], heads, "pair_dot")
+    at = _Blocks(sizes, q_idx, k_idx, "pair_dot")
+    if at.n_rows != q.shape[0]:
+        raise ShapeError(f"pair_dot: {q.shape[0]} rows for blocks of {at.n_rows}")
     return _result(
-        _pair_dots(q.data, k.data, q_idx, k_idx, cols),
+        at.dots(q.data, k.data, heads),
         [
-            (q, lambda g: _pair_sums(g, k.data, q_idx, k_idx, q.shape[0], cols)),
-            (k, lambda g: _pair_sums(g, q.data, k_idx, q_idx, k.shape[0], cols)),
+            (q, lambda g: at.sums(g, k.data)),
+            (k, lambda g: at.sums(g, q.data, transpose=True)),
         ],
     )
 
 
-def pair_mix(alpha, v, q_idx, k_idx, n_rows: int) -> Tensor:
-    """Per-head weighted sums over row pairs, shape (n_rows, v columns):
+def pair_mix(alpha, v, q_idx, k_idx, sizes) -> Tensor:
+    """Per-head weighted sums over row pairs, shape (rows, v columns):
     ``out[i, block h]`` sums ``alpha[p, h] * v[k_idx[p], block h]`` over the
     pairs with ``q_idx[p] == i``; the columns of ``v`` split into one block
     per column of ``alpha``.
 
-    Pairs must be distinct. Each head takes one dense product, as in
-    :func:`pair_dot`.
+    The output and ``v`` share the row layout ``sizes``; pairs must be
+    distinct and inside one graph, as in :func:`pair_dot`.
     """
     alpha, v = _as_tensor(alpha), _as_tensor(v)
     if alpha.data.ndim != 2 or v.data.ndim != 2:
         raise ShapeError(f"pair_mix: shapes {alpha.shape} and {v.shape}")
-    cols = _head_columns(v.shape[1], alpha.shape[1], "pair_mix")
-    q_idx = _row_index(q_idx, n_rows, "pair_mix")
-    k_idx = _row_index(k_idx, v.shape[0], "pair_mix")
-    if not q_idx.size == k_idx.size == alpha.shape[0]:
-        raise ShapeError(f"pair_mix: {alpha.shape[0]} weights for {q_idx.size} pairs")
+    heads = alpha.shape[1]
+    _head_split(v.shape[1], heads, "pair_mix")
+    at = _Blocks(sizes, q_idx, k_idx, "pair_mix")
+    if at.n_rows != v.shape[0] or alpha.shape[0] != at.q.size:
+        raise ShapeError(
+            f"pair_mix: {alpha.shape[0]} weights and {v.shape[0]} rows "
+            f"for {at.q.size} pairs in blocks of {at.n_rows}"
+        )
     return _result(
-        _pair_sums(alpha.data, v.data, q_idx, k_idx, n_rows, cols),
+        at.sums(alpha.data, v.data),
         [
-            (alpha, lambda g: _pair_dots(g, v.data, q_idx, k_idx, cols)),
-            (v, lambda g: _pair_sums(alpha.data, g, k_idx, q_idx, v.shape[0], cols)),
+            (alpha, lambda g: at.dots(g, v.data, heads)),
+            (v, lambda g: at.sums(alpha.data, g, transpose=True)),
         ],
     )
 

@@ -26,10 +26,12 @@ pairs, all ordered pairs of each graph for the transformer) that the
 diffcore index ops read; attention never crosses from one graph to another.
 Each head's parameters stay separate (and so does the checkpoint layout);
 a layer concatenates them to run all heads in one product. A single graph
-is a pack of one. Packs hold at most PACK_NODES nodes; a training chunk of
-``batch_size`` graphs is split into packs in order, and each pack's loss is
-weighted by its share of the chunk, so one Adam step sees the chunk's mean
-gradient.
+is a pack of one. Training packs hold at most PACK_NODES nodes; a training
+chunk of ``batch_size`` graphs is split into packs in order, and each pack's
+loss is weighted by its share of the chunk, so one Adam step sees the
+chunk's mean gradient. Forward-only passes (validation, evaluation,
+attribution) read the parameters as constants, so they record no tape, and
+run over larger packs of at most PREDICT_NODES nodes.
 
 Training minimizes MSE with Adam (decoupled weight decay), halves the
 learning rate on the epoch schedule, and early-stops on a validation
@@ -175,19 +177,24 @@ def init_model(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
 
 # ── packs ─────────────────────────────────────────────────────────────────
 
-# Node budget of one pack. Each taped op costs about the same whatever its
-# size, so larger packs train faster; but a pack's tape lives until its
-# backward sweep, and the pair ops take one (nodes x nodes) product per head.
+# Node budget of one training pack. Each taped op costs about the same
+# whatever its size, so larger packs train faster; but a pack's tape holds
+# every intermediate array until its backward sweep.
 PACK_NODES = 64
 
+# Node budget of one forward-only pack. It records no tape, so only one
+# layer's arrays are alive at a time; beyond this size, packs no longer save
+# time but still cost memory.
+PREDICT_NODES = 512
 
-def packs(graphs) -> list[list[EventGraph]]:
-    """Split ``graphs``, in order, into packs of at most PACK_NODES nodes in
+
+def packs(graphs, budget: int = PACK_NODES) -> list[list[EventGraph]]:
+    """Split ``graphs``, in order, into packs of at most ``budget`` nodes in
     total; a larger graph is a pack on its own."""
     out: list[list[EventGraph]] = []
     nodes = 0
     for g in graphs:
-        if not out or nodes + g.n_nodes > PACK_NODES:
+        if not out or nodes + g.n_nodes > budget:
             out.append([])
             nodes = 0
         out[-1].append(g)
@@ -295,7 +302,7 @@ def _gcn(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     h = _node_inputs_with_edges(pack)
     for layer in range(cfg.n_layers):
         xw = h @ params[f"gcn.L{layer}.W"]
-        h = dc.relu(dc.pair_mix(a_hat, xw, dst, src, pack.n_nodes) + params[f"gcn.L{layer}.b"])
+        h = dc.relu(dc.pair_mix(a_hat, xw, dst, src, pack.sizes) + params[f"gcn.L{layer}.b"])
     return h, []
 
 
@@ -319,7 +326,7 @@ def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
             dc.gather_rows(s_src, src) + dc.gather_rows(s_dst, dst), LEAKY_SLOPE
         )
         alpha = dc.segment_softmax(scores, dst)
-        h = dc.relu(dc.pair_mix(alpha, proj, dst, src, pack.n_nodes))
+        h = dc.relu(dc.pair_mix(alpha, proj, dst, src, pack.sizes))
         attention.append(pack.attention_blocks(alpha.data, dst, src))
     return h, attention
 
@@ -354,9 +361,9 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
         rel = dc.segment_sum(edge_bias * edge_weight, edge_pair[order], n_pairs) + (
             _fused(params, prefix, cfg, "rel_noedge") * no_edge
         )
-        scores = (dc.pair_dot(q, k, q_idx, k_idx, cfg.n_heads) + rel) * scale
+        scores = (dc.pair_dot(q, k, q_idx, k_idx, cfg.n_heads, pack.sizes) + rel) * scale
         alpha = dc.segment_softmax(scores, q_idx)
-        att = dc.pair_mix(alpha, v, q_idx, k_idx, pack.n_nodes)
+        att = dc.pair_mix(alpha, v, q_idx, k_idx, pack.sizes)
         h = dc.layer_norm(h + att, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
         ffn = dc.relu(h @ params[f"{prefix}.ffn.W1"] + params[f"{prefix}.ffn.b1"])
         ffn = ffn @ params[f"{prefix}.ffn.W2"] + params[f"{prefix}.ffn.b2"]
@@ -369,10 +376,11 @@ _MIXERS = {"gcn": _gcn, "gat": _gat, "transformer": _transformer}
 
 
 def forward(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[dc.Tensor, list[ModelOutput]]:
-    """One taped pass over a pack of graphs; a single graph is ``[g]``.
+    """One pass over a pack of graphs; a single graph is ``[g]``.
 
-    Returns the (B, 1) prediction tensor, whose tape reaches every
-    parameter, and one ModelOutput of plain arrays per graph.
+    ``params`` maps each parameter name to a tensor. Returns the (B, 1)
+    prediction tensor, whose tape reaches every parameter that requires
+    grad, and one ModelOutput of plain arrays per graph.
     """
     pack = _pack(list(graphs), params)
     h, attention = _MIXERS[cfg.variant](pack, params, cfg)
@@ -390,8 +398,13 @@ def forward(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[dc.Tensor, l
 
 
 def predict(graphs, params: dc.ParamSet, cfg: ModelConfig) -> list[ModelOutput]:
-    """Forward-only outputs of every graph, pack by pack."""
-    return [out for pack in packs(graphs) for out in forward(pack, params, cfg)[1]]
+    """Forward-only outputs of every graph, in packs of PREDICT_NODES nodes.
+
+    Each parameter enters as a constant tensor over its array, so no op
+    records a tape and no gradient reaches ``params``.
+    """
+    fixed = {name: dc.Tensor(t.data) for name, t in params.items()}
+    return [out for pack in packs(graphs, PREDICT_NODES) for out in forward(pack, fixed, cfg)[1]]
 
 
 # ── training and evaluation ───────────────────────────────────────────────

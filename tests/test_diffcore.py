@@ -1,5 +1,7 @@
 """Gradient, optimizer, and checkpoint contracts of the compute core."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,21 +112,28 @@ class TestPrimitiveGradients:
         idx = np.array([2, 0, 2, 3, 2])  # repeats, and row 1 never read
         fd_check(lambda: _weighted(dc.gather_rows(a, idx), np.random.default_rng(15)), [a])
 
+    # blocks of 3, 1 and 2 rows; the last two are padded to 3 rows
+    SIZES = [3, 1, 2]
+
     def test_pair_dot(self):
-        q, k = self.leaf(4, 6), self.leaf(3, 6)
-        q_idx = np.array([0, 0, 1, 2, 3, 3])
-        k_idx = np.array([0, 2, 1, 1, 0, 2])
+        q, k = self.leaf(6, 6), self.leaf(6, 6)
+        q_idx = np.array([0, 0, 1, 2, 4, 5, 5])  # row 3 is in no pair
+        k_idx = np.array([0, 2, 1, 1, 5, 4, 5])
         fd_check(
-            lambda: _weighted(dc.pair_dot(q, k, q_idx, k_idx, 3), np.random.default_rng(16)),
+            lambda: _weighted(
+                dc.pair_dot(q, k, q_idx, k_idx, 3, self.SIZES), np.random.default_rng(16)
+            ),
             [q, k],
         )
 
     def test_pair_mix(self):
-        alpha, v = self.leaf(6, 2), self.leaf(3, 4)
-        q_idx = np.array([0, 0, 1, 2, 2, 4])  # row 3 receives nothing
-        k_idx = np.array([0, 2, 1, 1, 0, 2])
+        alpha, v = self.leaf(7, 2), self.leaf(6, 4)
+        q_idx = np.array([0, 0, 2, 2, 3, 4, 4])  # rows 1 and 5 receive nothing
+        k_idx = np.array([0, 2, 1, 0, 3, 4, 5])
         fd_check(
-            lambda: _weighted(dc.pair_mix(alpha, v, q_idx, k_idx, 5), np.random.default_rng(17)),
+            lambda: _weighted(
+                dc.pair_mix(alpha, v, q_idx, k_idx, self.SIZES), np.random.default_rng(17)
+            ),
             [alpha, v],
         )
 
@@ -176,13 +185,14 @@ class TestIndexOps:
 
     def test_pair_ops_match_loops(self):
         rng = np.random.default_rng(21)
-        q, k, v = rng.normal(size=(5, 6)), rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
-        q_idx = np.array([0, 0, 1, 3, 3, 4])
-        k_idx = np.array([1, 3, 0, 0, 2, 3])
-        alpha = rng.normal(size=(6, 2))
-        dots = dc.pair_dot(q, k, q_idx, k_idx, 2).data
-        mixed = dc.pair_mix(alpha, v, q_idx, k_idx, 5).data
-        want_mix = np.zeros((5, 6))
+        q, k, v = (rng.normal(size=(7, 6)) for _ in range(3))
+        sizes = [4, 3]  # the second block is padded to 4 rows
+        q_idx = np.array([0, 0, 1, 3, 3, 4, 5, 6, 6])
+        k_idx = np.array([1, 3, 0, 0, 2, 6, 5, 4, 6])
+        alpha = rng.normal(size=(9, 2))
+        dots = dc.pair_dot(q, k, q_idx, k_idx, 2, sizes).data
+        mixed = dc.pair_mix(alpha, v, q_idx, k_idx, sizes).data
+        want_mix = np.zeros((7, 6))
         for p, (i, j) in enumerate(zip(q_idx, k_idx)):
             for h, c in enumerate((slice(0, 3), slice(3, 6))):
                 assert dots[p, h] == pytest.approx(q[i, c] @ k[j, c], abs=1e-14)
@@ -213,7 +223,34 @@ class TestIndexOps:
         with pytest.raises(dc.ShapeError, match="gather_rows"):
             dc.gather_rows(a, [3])
         with pytest.raises(dc.ShapeError, match="pair_mix"):
-            dc.pair_mix(np.ones((2, 1)), a, [0, 1], [0, 1], 1)
+            dc.pair_mix(np.ones((2, 1)), a, [0, 1], [0, 1], [1])
+        # a repeated pair would be summed once, not twice
+        with pytest.raises(dc.ShapeError, match="pair_mix: pairs must be distinct"):
+            dc.pair_mix(np.ones((2, 1)), a, [0, 0], [1, 1], [3])
+        with pytest.raises(dc.ShapeError, match="pair_dot: a pair crosses blocks"):
+            dc.pair_dot(a, a, [0, 1], [1, 2], 1, [2, 1])
+        with pytest.raises(dc.ShapeError, match="pair_mix: a pair crosses blocks"):
+            dc.pair_mix(np.ones((1, 1)), a, [2], [0], [2, 1])
+
+    def test_pair_ops_cost_per_block_not_per_pack(self):
+        """100 graphs of 20 rows: one dense (2000 x 2000) product would take
+        32 MB per head; block by block, forward and backward stay far below."""
+        rng = np.random.default_rng(23)
+        sizes, heads = [20] * 100, 4
+        local = np.arange(20)
+        q_idx = np.concatenate([20 * b + np.repeat(local, 20) for b in range(100)])
+        k_idx = np.concatenate([20 * b + np.tile(local, 20) for b in range(100)])
+        q, k, v = (dc.Tensor(rng.normal(size=(2000, 16)), requires_grad=True) for _ in range(3))
+        tracemalloc.start()
+        try:
+            alpha = dc.pair_dot(q, k, q_idx, k_idx, heads, sizes)
+            out = dc.pair_mix(alpha, v, q_idx, k_idx, sizes)
+            dc.backward(dc.mse(dc.reshape(out, (1, out.data.size)), np.zeros((1, out.data.size))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.grad is not None and k.grad is not None and v.grad is not None
+        assert peak < 16 * 2**20, peak
 
 
 class TestBackward:

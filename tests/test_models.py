@@ -1,5 +1,6 @@
 """The three architectures against independent dense re-implementations."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -455,6 +456,34 @@ class TestPacks:
             scale = np.abs(t.grad).max()
             assert np.abs(packed[name] - t.grad).max() <= 1e-12 * scale, name
 
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_predict_is_forward_only_over_one_large_pack(self, variant, monkeypatch):
+        gs = mixed_graphs()
+        assert len(models.packs(gs, models.PREDICT_NODES)) == 1
+        cfg = models.ModelConfig(variant=variant, seed=15)
+        params = models.init_model(cfg, D_NODE)
+        predictions = []
+        forward = models.forward
+
+        def recorded(*args):
+            pred, outs = forward(*args)
+            predictions.append(pred)
+            return pred, outs
+
+        monkeypatch.setattr(models, "forward", recorded)
+        outs = models.predict(gs, params, cfg)
+        assert len(predictions) == 1
+        assert not predictions[0].requires_grad and predictions[0].is_leaf
+        assert all(t.grad is None for _, t in params.items())
+        monkeypatch.undo()
+        for g, out in zip(gs, outs, strict=True):
+            (single,) = models.forward([g], params, cfg)[1]
+            assert abs(out.prediction - single.prediction) <= 1e-12
+            np.testing.assert_allclose(out.node_embeddings, single.node_embeddings, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(out.pooled, single.pooled, atol=1e-12, rtol=0)
+            for alpha, ref_alpha in zip(out.attention, single.attention, strict=True):
+                np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12, rtol=0)
+
     def test_kept_outputs_hold_no_tape(self):
         rng = np.random.default_rng(41)
         gs = [random_event_graph(rng, event_id=f"k{i}") for i in range(40)]
@@ -465,6 +494,9 @@ class TestPacks:
             before = tracemalloc.get_traced_memory()[0]
             kept = [models.forward([g], params, cfg)[1][0] for g in gs]
             kept += models.predict(gs, params, cfg)
+            # a full collection also empties the interpreter's free lists,
+            # whose cached tuples and floats are not held by the outputs
+            gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
