@@ -5,9 +5,11 @@
 
 Every stage writes its artifacts under the configured artifacts directory
 and records input digests in ``manifest.json``; re-running a stage whose
-inputs and config are unchanged is a no-op. Exit codes: 0 success,
-2 config error, 3 missing or unreadable input file or artifact (or failed
-fetch), 4 numeric failure.
+inputs and config are unchanged is a no-op. ``evaluate`` is the one stage
+that runs a trained model: it stores each graph's prediction and node
+embedding norms, and ``attribute`` splits the threat change from those.
+Exit codes: 0 success, 2 config error, 3 missing, unreadable or stale input
+file or artifact (or failed fetch), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
 
+import numpy as np
+
 from threatshare import credit, graphs as graphs_mod, ingest, models, viz, xt
 from threatshare.diffcore import NumericError
+from threatshare.diffcore import checkpoint as ckpt_io
 
 log = logging.getLogger("threatshare")
 
@@ -230,6 +235,7 @@ def artifact_paths(cfg: RunConfig) -> dict:
         "checkpoint": a / f"model_{v}.ckpt",
         "train_log": a / f"train_log_{v}.csv",
         "metrics": a / f"metrics_{v}.csv",
+        "outputs": a / f"outputs_{v}",
         "shares": a / "shares.csv",
         "totals": a / "player_totals.csv",
         "manifest": a / "manifest.json",
@@ -281,6 +287,7 @@ _PRODUCER = {
     "grid": "xt-fit",
     "graphs": "build-graphs",
     "checkpoint": "train",
+    "outputs": "evaluate",
     "shares": "attribute",
     "totals": "attribute",
 }
@@ -407,9 +414,29 @@ def _stage_build_graphs(cfg: RunConfig) -> list[Path]:
 
 
 def _split_from_config(cfg: RunConfig, all_graphs):
-    return graphs_mod.split_dataset(
-        all_graphs, cfg.training.split_frac, cfg.seed, unit=cfg.training.split_unit
-    )
+    t = cfg.training
+    train_set, val_set = graphs_mod.split_dataset(all_graphs, t.split_frac, cfg.seed, unit=t.split_unit)
+    if not train_set or not val_set:
+        raise ConfigError(
+            f"training.split_frac {t.split_frac} by training.split_unit {t.split_unit!r} "
+            f"splits {len(all_graphs)} graphs into {len(train_set)} train and "
+            f"{len(val_set)} val; both must be non-empty"
+        )
+    return train_set, val_set
+
+
+def _split_scores(all_graphs, train_set, val_set, predictions) -> dict:
+    """``predictions``, one per graph of ``all_graphs``, scored on each split."""
+    row = {id(g): i for i, g in enumerate(all_graphs)}
+    return {
+        name: models.score(predictions[[row[id(g)] for g in subset]], [g.label for g in subset])
+        for name, subset in (("train", train_set), ("val", val_set))
+    }
+
+
+def _train_mean(all_graphs, train_set) -> np.ndarray:
+    """The reference predictor: the train split's mean label, for every graph."""
+    return np.full(len(all_graphs), np.mean([g.label for g in train_set]))
 
 
 def _stage_train(cfg: RunConfig) -> list[Path]:
@@ -418,7 +445,7 @@ def _stage_train(cfg: RunConfig) -> list[Path]:
     model_cfg = replace(cfg.model, seed=cfg.seed)
     result = models.train(model_cfg, train_set, val_set, cfg.training)
     _write_atomic(ap["checkpoint"], result.checkpoint.save)
-    _write_atomic(ap["train_log"], lambda tmp: models.write_train_log(result.log, tmp))
+    _write_text(ap["train_log"], models.train_log_csv(result.log))
     log.info(
         "train[%s]: %d epochs, best val MSE %s%s",
         cfg.model.variant,
@@ -434,14 +461,32 @@ def _stage_train(cfg: RunConfig) -> list[Path]:
 def _stage_evaluate(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
     ckpt = _read(cfg, "checkpoint", models.Checkpoint.load)
-    train_set, val_set = _split_from_config(cfg, _read(cfg, "graphs", graphs_mod.read_graphs))
+    all_graphs = _read(cfg, "graphs", graphs_mod.read_graphs)
+    train_set, val_set = _split_from_config(cfg, all_graphs)
+    try:
+        predictions, norms = models.evaluate(ckpt, all_graphs)
+    except models.CheckpointMismatch as exc:
+        raise MissingArtifactError(
+            f"{ap['checkpoint']} does not fit the graphs; run train again ({exc})"
+        ) from None
+    scores = _split_scores(all_graphs, train_set, val_set, predictions)
+    const = _split_scores(all_graphs, train_set, val_set, _train_mean(all_graphs, train_set))
+    scores.update({f"{name}_const": m for name, m in const.items()})
     lines = ["split,mse,mae,combined"]
-    for name, subset in (("train", train_set), ("val", val_set)):
-        m = models.evaluate(ckpt, subset)
+    for name, m in scores.items():
         lines.append(f"{name},{m['mse']!r},{m['mae']!r},{m['combined']!r}")
     _write_text(ap["metrics"], "\n".join(lines) + "\n")
-    log.info("evaluate[%s]: %s", cfg.model.variant, lines[-1])
-    return [ap["metrics"]]
+    manifest = {"kind": "threatshare-outputs", "graphs_sha256": _sha_file(ap["graphs"])}
+    arrays = {"predictions": predictions, "norms": norms}
+    _write_atomic(ap["outputs"], lambda tmp: ckpt_io.save_container(tmp, manifest, arrays))
+    log.info("evaluate[%s]: %s; %s", cfg.model.variant, lines[2], lines[4])
+    return [ap["metrics"], ap["outputs"]]
+
+
+def _load_outputs(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
+    """(graphs digest, predictions, norms) that evaluate stored."""
+    manifest, arrays = ckpt_io.load_container(path)
+    return manifest["graphs_sha256"], arrays["predictions"], arrays["norms"]
 
 
 def _player_teams(actions) -> dict:
@@ -457,15 +502,18 @@ def _player_teams(actions) -> dict:
 
 def _stage_attribute(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    ckpt = _read(cfg, "checkpoint", models.Checkpoint.load)
+    graphs_digest, predictions, norms = _read(cfg, "outputs", _load_outputs)
+    if graphs_digest != _sha_file(ap["graphs"]):
+        raise MissingArtifactError(
+            f"{ap['outputs']} was computed from other graphs; run evaluate again"
+        )
     all_graphs = _read(cfg, "graphs", graphs_mod.read_graphs)
     actions = _read(cfg, "actions", ingest.read_actions)
     stats_raw = ingest.load_player_stats(cfg.paths.stats_csv)
-    params, model_cfg = ckpt.build()
-    outputs = models.predict(all_graphs, params, model_cfg)
     ledger = credit.build_ledger(
         all_graphs,
-        outputs,
+        predictions,
+        norms,
         source=cfg.attribution_source,
         stats=stats_raw,
         player_team=_player_teams(actions),
@@ -603,7 +651,7 @@ STAGES = {
     ),
     "attribute": Stage(
         _stage_attribute,
-        _inputs("graphs", "checkpoint", "actions", files=("stats_csv",)),
+        _inputs("graphs", "outputs", "actions", files=("stats_csv",)),
         _pick("attribution_source", "negative_share_mode"),
     ),
     "rank": Stage(_stage_rank, _inputs("totals"), _pick()),
@@ -657,7 +705,9 @@ def run_pipeline(cfg: RunConfig, stages) -> dict:
 
 def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
     """Train every (variant, k) cell with a shared seed and emit the three
-    loss tables (rows = models, columns = k, train/val blocks).
+    loss tables (rows = models, columns = k, train/val blocks). Each table
+    ends with a ``train_mean`` row: the train split's mean label as a
+    constant prediction, the baseline a model has to beat.
 
     A failing cell is recorded as ``failed`` and the sweep continues.
     """
@@ -667,32 +717,36 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
     _require_inputs(STAGES["build-graphs"].inputs(cfg))
 
     cells: dict = {}
+    baseline: dict = {}
     for k in k_values:
-        train_set, val_set = _split_from_config(cfg, _build_all_graphs(cfg, k))
+        all_graphs = _build_all_graphs(cfg, k)
+        train_set, val_set = _split_from_config(cfg, all_graphs)
+        baseline[("train_mean", k)] = _split_scores(
+            all_graphs, train_set, val_set, _train_mean(all_graphs, train_set)
+        )
         for variant in models.VARIANTS:
             model_cfg = replace(cfg.model, variant=variant, seed=cfg.seed)
             try:
                 result = models.train(model_cfg, train_set, val_set, cfg.training)
-                cells[(variant, k)] = {
-                    "train": models.evaluate(result.checkpoint, train_set),
-                    "val": models.evaluate(result.checkpoint, val_set),
-                }
+                predictions, _ = models.evaluate(result.checkpoint, all_graphs)
+                cells[(variant, k)] = _split_scores(all_graphs, train_set, val_set, predictions)
             except (NumericError, ValueError) as exc:
                 log.error("ablate cell (%s, k=%d) failed: %s", variant, k, exc)
                 cells[(variant, k)] = None
             log.info("ablate: finished %s k=%d", variant, k)
 
+    rows = {**cells, **baseline}
     written = []
     for metric in ("mae", "mse", "combined"):
         header = ["model"]
         header += [f"train_k{k}" for k in k_values]
         header += [f"val_k{k}" for k in k_values]
         lines = [",".join(header)]
-        for variant in models.VARIANTS:
-            row = [variant]
+        for name in (*models.VARIANTS, "train_mean"):
+            row = [name]
             for block in ("train", "val"):
                 for k in k_values:
-                    cell = cells[(variant, k)]
+                    cell = rows[(name, k)]
                     row.append("failed" if cell is None else repr(cell[block][metric]))
             lines.append(",".join(row))
         path = cfg.paths.artifacts_dir / f"ablation_{metric}.csv"

@@ -23,17 +23,18 @@ NEGATIVE_SHARE_MODES = ("prorata", "actor")
 
 def attribute(
     graph,
-    output,
+    norms,
     delta: float,
     *,
     negative_mode: str = "prorata",
 ) -> tuple[dict[int, float], bool]:
     """Split ``delta`` over the graph's players by embedding magnitude.
 
-    share_v = (|h_v| / sum_u |h_u|) * delta. All-zero embeddings degrade to
-    a uniform split. ``negative_mode="actor"`` instead hands a negative
-    delta entirely to the event's acting player. Returns the shares and
-    whether the split fell back to uniform.
+    ``norms`` holds |h_v|, the L2 norm of each node's final embedding, in
+    node order: share_v = (|h_v| / sum_u |h_u|) * delta. All-zero embeddings
+    degrade to a uniform split. ``negative_mode="actor"`` instead hands a
+    negative delta entirely to the event's acting player. Returns the shares
+    and whether the split fell back to uniform.
     """
     if negative_mode not in NEGATIVE_SHARE_MODES:
         raise ValueError(f"unknown negative_mode {negative_mode!r}")
@@ -42,7 +43,6 @@ def attribute(
         actor = graph.meta.get("actor_id", node_ids[0])
         return {pid: (delta if pid == actor else 0.0) for pid in node_ids}, False
 
-    norms = np.linalg.norm(np.asarray(output.node_embeddings), axis=1)
     total = norms.sum()
     uniform = total == 0.0
     weights = np.full(len(node_ids), 1.0 / len(node_ids)) if uniform else norms / total
@@ -183,7 +183,8 @@ class CreditLedger:
 
 def build_ledger(
     graphs,
-    outputs,
+    predictions,
+    norms,
     *,
     source: str = "predicted",
     stats=None,
@@ -192,16 +193,20 @@ def build_ledger(
 ) -> CreditLedger:
     """Attribute every event and aggregate into a season ledger.
 
-    ``source`` picks the delta that gets distributed: the model prediction
-    (default) or the labeled value. Events whose embeddings are all zero
-    fall back to a uniform split; their count is logged once.
+    ``predictions`` (one per graph) and ``norms`` (every graph's nodes in
+    turn) are flat, as ``models.predict`` returns them. ``source`` picks the
+    delta that gets distributed: the model prediction (default) or the
+    labeled value. Events whose embeddings are all zero fall back to a
+    uniform split; their count is logged once.
     """
     if source not in ("predicted", "labeled"):
         raise ValueError(f"unknown attribution source {source!r}")
+    graphs = list(graphs)
+    ends = np.cumsum([g.n_nodes for g in graphs])
     ledger = CreditLedger()
-    for g, out in zip(graphs, outputs):
-        delta = out.prediction if source == "predicted" else g.label
-        shares, uniform = attribute(g, out, delta, negative_mode=negative_mode)
+    for g, prediction, end in zip(graphs, predictions, ends):
+        delta = float(prediction) if source == "predicted" else g.label
+        shares, uniform = attribute(g, norms[end - g.n_nodes : end], delta, negative_mode=negative_mode)
         ledger.uniform_fallbacks += uniform
         ledger.add_event(g.event_id, g.meta.get("match_id"), delta, g.cross_team, shares)
     if ledger.uniform_fallbacks:

@@ -28,38 +28,3 @@ from threatshare.diffcore.optim import (
     init_params,
     schedule_and_stop,
 )
-from threatshare.diffcore.checkpoint import (
-    CHECKPOINT_VERSION,
-    load_container,
-    save_container,
-)
-
-__all__ = [
-    "AdamState",
-    "CHECKPOINT_VERSION",
-    "NumericError",
-    "ParamSet",
-    "ShapeError",
-    "Tensor",
-    "adam_step",
-    "add",
-    "backward",
-    "concat",
-    "gather_rows",
-    "init_params",
-    "layer_norm",
-    "leaky_relu",
-    "load_container",
-    "matmul",
-    "mse",
-    "mul",
-    "pair_dot",
-    "pair_mix",
-    "relu",
-    "reshape",
-    "save_container",
-    "schedule_and_stop",
-    "segment_softmax",
-    "segment_sum",
-    "sub",
-]

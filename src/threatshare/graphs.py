@@ -145,7 +145,8 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
 
     ``stats`` maps player id to the d=10 feature vector; players without an
     entry are imputed with the population mean and counted in meta.
-    ``extra_node_features`` appends per-player columns (zeros when absent).
+    ``centrality=True`` appends each player's three normalized passing-network
+    centralities of this match (degree, betweenness, closeness) to the stats.
     Labels, recipients, player rows and edge rows are computed once for the
     match; each event's graph slices its window out of them.
     """

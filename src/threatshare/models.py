@@ -26,12 +26,15 @@ pairs, all ordered pairs of each graph for the transformer) that the
 diffcore index ops read; attention never crosses from one graph to another.
 Each head's parameters stay separate (and so does the checkpoint layout);
 a layer concatenates them to run all heads in one product. A single graph
-is a pack of one. Training packs hold at most PACK_NODES nodes; a training
-chunk of ``batch_size`` graphs is split into packs in order, and each pack's
-loss is weighted by its share of the chunk, so one Adam step sees the
-chunk's mean gradient. Forward-only passes (validation, evaluation,
-attribution) read the parameters as constants, so they record no tape, and
-run over larger packs of at most PREDICT_NODES nodes.
+is a pack of one, and ``forward`` is the one pass that training, validation,
+evaluation and inspection all run. Training packs hold at most PACK_NODES
+nodes; a training chunk of ``batch_size`` graphs is split into packs in
+order, and each pack's loss is weighted by its share of the chunk, so one
+Adam step sees the chunk's mean gradient. Forward-only passes (``predict``:
+validation and evaluation) read the parameters as constants, so they record
+no tape, run over packs of at most PREDICT_NODES nodes, and keep one
+prediction per graph and one embedding norm per node, which attribution
+splits the threat change by.
 
 Training minimizes MSE with Adam (decoupled weight decay), halves the
 learning rate on the epoch schedule, and early-stops on a validation
@@ -41,8 +44,7 @@ plateau. The best-validation parameters are what lands in the checkpoint.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,17 +104,6 @@ class TrainingConfig:
     patience: int = 5
     lr_step: int = 10
     lr_gamma: float = 0.5
-
-
-@dataclass
-class ModelOutput:
-    """Forward-pass result of one graph, plain arrays only, so keeping it
-    keeps no tape alive; attention rows are exposed for inspection."""
-
-    prediction: float
-    node_embeddings: np.ndarray  # (n, hidden), final layer before pooling
-    pooled: np.ndarray  # (hidden,)
-    attention: list = field(default_factory=list)  # per layer: (heads, n, n)
 
 
 # ── parameter construction ────────────────────────────────────────────────
@@ -231,18 +222,6 @@ class _Pack:
             weight.append(g.adjacency[d, s])
         return np.concatenate(dst), np.concatenate(src), np.concatenate(weight)
 
-    def attention_blocks(self, alpha: np.ndarray, q: np.ndarray, k: np.ndarray) -> list:
-        """Per graph, the (heads, n, n) attention of the pairs (q, k), which
-        are sorted by q; pairs not listed read 0."""
-        bounds = np.searchsorted(q, np.append(self.offsets, self.n_nodes))
-        blocks = []
-        for b, (n, off) in enumerate(zip(self.sizes, self.offsets)):
-            lo, hi = bounds[b], bounds[b + 1]
-            block = np.zeros((alpha.shape[1], n, n))
-            block[:, q[lo:hi] - off, k[lo:hi] - off] = alpha[lo:hi].T
-            blocks.append(block)
-        return blocks
-
 
 def _pack(graphs, params: dc.ParamSet) -> _Pack:
     sizes = np.array([g.n_nodes for g in graphs])
@@ -327,7 +306,7 @@ def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
         )
         alpha = dc.segment_softmax(scores, dst)
         h = dc.relu(dc.pair_mix(alpha, proj, dst, src, pack.sizes))
-        attention.append(pack.attention_blocks(alpha.data, dst, src))
+        attention.append((alpha.data, dst, src))
     return h, attention
 
 
@@ -368,43 +347,42 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
         ffn = dc.relu(h @ params[f"{prefix}.ffn.W1"] + params[f"{prefix}.ffn.b1"])
         ffn = ffn @ params[f"{prefix}.ffn.W2"] + params[f"{prefix}.ffn.b2"]
         h = dc.layer_norm(h + ffn, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
-        attention.append(pack.attention_blocks(alpha.data, q_idx, k_idx))
+        attention.append((alpha.data, q_idx, k_idx))
     return h, attention
 
 
 _MIXERS = {"gcn": _gcn, "gat": _gat, "transformer": _transformer}
 
 
-def forward(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[dc.Tensor, list[ModelOutput]]:
+def forward(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[dc.Tensor, np.ndarray, list]:
     """One pass over a pack of graphs; a single graph is ``[g]``.
 
     ``params`` maps each parameter name to a tensor. Returns the (B, 1)
     prediction tensor, whose tape reaches every parameter that requires
-    grad, and one ModelOutput of plain arrays per graph.
+    grad; the final node embeddings, one (sum n, hidden) array, graph after
+    graph; and per mixing layer ``(alpha, query, key)``: the (pairs, heads)
+    attention weights and each pair's pack rows (``[]`` for gcn).
     """
     pack = _pack(list(graphs), params)
     h, attention = _MIXERS[cfg.variant](pack, params, cfg)
     z = dc.segment_sum(h, pack.node_graph, len(pack.graphs)) * (1.0 / pack.sizes)[:, None]
-    y = _head(params, z)
-    return y, [
-        ModelOutput(
-            prediction=float(y.data[b, 0]),
-            node_embeddings=h.data[lo : lo + n].copy(),
-            pooled=z.data[b].copy(),
-            attention=[layer[b] for layer in attention],
-        )
-        for b, (n, lo) in enumerate(zip(pack.sizes, pack.offsets))
-    ]
+    return _head(params, z), h.data, attention
 
 
-def predict(graphs, params: dc.ParamSet, cfg: ModelConfig) -> list[ModelOutput]:
-    """Forward-only outputs of every graph, in packs of PREDICT_NODES nodes.
-
-    Each parameter enters as a constant tensor over its array, so no op
-    records a tape and no gradient reaches ``params``.
+def predict(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Forward-only pass over ``graphs``, in packs of PREDICT_NODES nodes:
+    two flat arrays in graph order, one prediction per graph and the L2 norm
+    of every node's final embedding. Each parameter enters as a constant
+    tensor over its array, so no op records a tape and no gradient reaches
+    ``params``.
     """
     fixed = {name: dc.Tensor(t.data) for name, t in params.items()}
-    return [out for pack in packs(graphs, PREDICT_NODES) for out in forward(pack, fixed, cfg)[1]]
+    predictions, norms = [], []
+    for pack in packs(graphs, PREDICT_NODES):
+        y, h, _ = forward(pack, fixed, cfg)
+        predictions.append(y.data[:, 0])
+        norms.append(np.linalg.norm(h, axis=1))
+    return np.concatenate(predictions), np.concatenate(norms)
 
 
 # ── training and evaluation ───────────────────────────────────────────────
@@ -425,10 +403,8 @@ class EpochRecord:
 
 @dataclass
 class Checkpoint:
-    variant: str
-    model_cfg: ModelConfig
+    model_cfg: ModelConfig  # holds the variant and the seed
     d_node: int
-    seed: int
     params_state: dict
     optimizer_scalars: dict
     graph_schema_version: int = SCHEMA_VERSION
@@ -436,10 +412,10 @@ class Checkpoint:
     def save(self, path) -> None:
         manifest = {
             "kind": "threatshare-model",
-            "variant": self.variant,
+            "variant": self.model_cfg.variant,
             "model_cfg": asdict(self.model_cfg),
             "d_node": self.d_node,
-            "seed": self.seed,
+            "seed": self.model_cfg.seed,
             "optimizer": self.optimizer_scalars,
             "graph_schema_version": self.graph_schema_version,
         }
@@ -451,10 +427,8 @@ class Checkpoint:
         raw_cfg = dict(manifest["model_cfg"])
         raw_cfg["edge_mlp_dims"] = tuple(raw_cfg["edge_mlp_dims"])
         return cls(
-            variant=manifest["variant"],
             model_cfg=ModelConfig(**raw_cfg),
             d_node=manifest["d_node"],
-            seed=manifest["seed"],
             params_state=arrays,
             optimizer_scalars=manifest["optimizer"],
             graph_schema_version=manifest["graph_schema_version"],
@@ -474,42 +448,50 @@ class TrainResult:
     aborted: bool = False
 
 
-def _metrics_from_pairs(pairs) -> dict:
-    preds = np.array([p for p, _ in pairs])
-    labels = np.array([t for _, t in pairs])
-    mse = float(np.mean((preds - labels) ** 2))
-    mae = float(np.mean(np.abs(preds - labels)))
+class CheckpointMismatch(ValueError):
+    """A checkpoint was trained on graphs of another schema or width."""
+
+
+def score(predictions, labels) -> dict:
+    """MSE, MAE and their sum ("combined") of predictions against labels."""
+    err = np.asarray(predictions, dtype=np.float64) - np.asarray(labels, dtype=np.float64)
+    mse = float(np.mean(err**2))
+    mae = float(np.mean(np.abs(err)))
     return {"mse": mse, "mae": mae, "combined": mae + mse}
 
 
-def evaluate(checkpoint: Checkpoint, graphs) -> dict:
-    """Metrics of a stored model over a dataset; pure and deterministic."""
+def evaluate(checkpoint: Checkpoint, graphs) -> tuple[np.ndarray, np.ndarray]:
+    """``predict`` of a stored model over ``graphs``: the predictions and the
+    node-embedding norms, in graph order; pure and deterministic.
+
+    Raises CheckpointMismatch when the graphs are not of the schema and node
+    width the checkpoint was trained on.
+    """
     if checkpoint.graph_schema_version != SCHEMA_VERSION:
-        raise ValueError(
+        raise CheckpointMismatch(
             f"checkpoint schema {checkpoint.graph_schema_version} != "
             f"dataset schema {SCHEMA_VERSION}"
         )
     graphs = list(graphs)
     for g in graphs:
         if g.node_features.shape[1] != checkpoint.d_node:
-            raise ValueError(
+            raise CheckpointMismatch(
                 f"graph {g.event_id}: {g.node_features.shape[1]} node features, "
                 f"checkpoint expects {checkpoint.d_node}"
             )
     params, cfg = checkpoint.build()
-    outputs = predict(graphs, params, cfg)
-    return _metrics_from_pairs([(o.prediction, g.label) for o, g in zip(outputs, graphs)])
+    return predict(graphs, params, cfg)
 
 
-def _backward_pack(pack, chunk_size: int, params: dc.ParamSet, cfg: ModelConfig) -> list:
+def _backward_pack(pack, chunk_size: int, params: dc.ParamSet, cfg: ModelConfig) -> np.ndarray:
     """Forward and backward over one pack of a training chunk; returns its
-    (prediction, label) pairs. The pack's share of the chunk's mean squared
-    error flows into the gradients, and its tape is freed on return, before
-    the next pack builds one."""
-    pred, outputs = forward(pack, params, cfg)
+    predictions. The pack's share of the chunk's mean squared error flows
+    into the gradients, and its tape is freed on return, before the next
+    pack builds one."""
+    pred = forward(pack, params, cfg)[0]
     labels = np.array([[g.label] for g in pack])
     dc.backward(dc.mse(pred, labels) * (len(pack) / chunk_size))
-    return [(o.prediction, g.label) for o, g in zip(outputs, pack)]
+    return pred.data[:, 0]
 
 
 def train(
@@ -541,22 +523,21 @@ def train(
     for epoch in range(1, tcfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_graphs))
         shuffled = [train_graphs[i] for i in order]
-        train_pairs = []
+        train_predictions = []
         try:
             for chunk in make_batches(shuffled, tcfg.batch_size):
                 params.zero_grad()
                 for pack in packs(chunk):
-                    train_pairs.extend(_backward_pack(pack, len(chunk), params, cfg))
+                    train_predictions.append(_backward_pack(pack, len(chunk), params, cfg))
                 dc.adam_step(adam, params)
-            val_outputs = predict(val_graphs, params, cfg)
-            val_pairs = [(o.prediction, g.label) for o, g in zip(val_outputs, val_graphs)]
+            val_predictions, _ = predict(val_graphs, params, cfg)
         except dc.NumericError as exc:
             log.error("training aborted at epoch %d: %s", epoch, exc)
             aborted = True
             break
 
-        tm = _metrics_from_pairs(train_pairs)
-        vm = _metrics_from_pairs(val_pairs)
+        tm = score(np.concatenate(train_predictions), [g.label for g in shuffled])
+        vm = score(val_predictions, [g.label for g in val_graphs])
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -589,10 +570,8 @@ def train(
             break
 
     checkpoint = Checkpoint(
-        variant=cfg.variant,
         model_cfg=cfg,
         d_node=d_node,
-        seed=cfg.seed,
         params_state=best_state,
         optimizer_scalars=best_scalars,
     )
@@ -604,9 +583,8 @@ def train(
     )
 
 
-def write_train_log(records, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def train_log_csv(records) -> str:
+    """The epoch records as CSV text, one row per epoch."""
     cols = (
         "epoch,lr,train_mse,train_mae,train_combined,"
         "val_mse,val_mae,val_combined,stopped_early"
@@ -614,8 +592,7 @@ def write_train_log(records, path) -> None:
     lines = [cols]
     for r in records:
         lines.append(
-            f"{r.epoch},{r.lr!r},{r.train_mse!r},{r.train_mae!r},"
-            f"{r.train_combined!r},{r.val_mse!r},{r.val_mae!r},"
-            f"{r.val_combined!r},{int(r.stopped_early)}"
+            f"{r.epoch},{r.lr!r},{r.train_mse!r},{r.train_mae!r},{r.train_combined!r},"
+            f"{r.val_mse!r},{r.val_mae!r},{r.val_combined!r},{int(r.stopped_early)}"
         )
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

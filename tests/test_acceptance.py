@@ -42,7 +42,7 @@ def test_criterion_01_gradient_suite():
         params = models.init_model(cfg, graph.node_features.shape[1])
 
         def loss():
-            pred, _ = models.forward([graph], params, cfg)
+            pred = models.forward([graph], params, cfg)[0]
             return dc.mse(pred, np.full((1, 1), graph.label))
 
         params.zero_grad()
@@ -74,6 +74,8 @@ def test_criterion_01_gradient_suite():
 
 
 def test_criterion_02_attention_normalization():
+    from test_models import graph_outputs
+
     rng = np.random.default_rng(202)
     gat_cfg = models.ModelConfig(variant="gat", hidden_dim=16, n_heads=2, seed=3)
     tf_cfg = models.ModelConfig(
@@ -83,10 +85,10 @@ def test_criterion_02_attention_normalization():
     tf_params = models.init_model(tf_cfg, 10)
     for i in range(1000):
         graph = random_event_graph(rng, event_id=f"att{i}")
-        gat_out = models.forward([graph], gat_params, gat_cfg)[1][0]
+        gat_out = graph_outputs([graph], gat_params, gat_cfg)[0]
         for layer_alpha in gat_out.attention:
             np.testing.assert_allclose(layer_alpha.sum(axis=2), 1.0, atol=1e-12)
-        tf_out = models.forward([graph], tf_params, tf_cfg)[1][0]
+        tf_out = graph_outputs([graph], tf_params, tf_cfg)[0]
         for layer_alpha in tf_out.attention:
             np.testing.assert_allclose(layer_alpha.sum(axis=2), 1.0, atol=1e-12)
     report(2, "1000 graphs: neighbor and global attention rows sum to 1 within 1e-12")
@@ -103,16 +105,10 @@ def test_criterion_03_attribution_conservation():
         emb = rng.normal(size=(n, 8)) * float(rng.uniform(0.01, 5.0))
         delta = float(rng.uniform(-1.0, 1.0))
 
-        class Out:
-            node_embeddings = emb
-
-        base = credit.attribute(graph, Out, delta)[0]
+        base = credit.attribute(graph, np.linalg.norm(emb, axis=1), delta)[0]
         assert abs(sum(base.values()) - delta) <= 1e-9
         for c in (0.1, 10.0):
-            class ScaledOut:
-                node_embeddings = emb * c
-
-            scaled = credit.attribute(graph, ScaledOut, delta)[0]
+            scaled = credit.attribute(graph, np.linalg.norm(emb * c, axis=1), delta)[0]
             for pid in base:
                 assert abs(scaled[pid] - base[pid]) <= 1e-12
     report(3, "1000 triples: shares sum to delta (1e-9) and are scale-invariant (1e-12)")
@@ -122,7 +118,7 @@ def test_criterion_03_attribution_conservation():
 
 
 def test_criterion_04_permutation():
-    from test_models import permute_graph
+    from test_models import graph_outputs, permute_graph
 
     for variant in models.VARIANTS:
         rng = np.random.default_rng(404)
@@ -133,8 +129,8 @@ def test_criterion_04_permutation():
         for i in range(100):
             graph = random_event_graph(rng, event_id=f"perm{i}")
             perm = rng.permutation(graph.n_nodes)
-            out = models.forward([graph], params, cfg)[1][0]
-            out_p = models.forward([permute_graph(graph, perm)], params, cfg)[1][0]
+            out = graph_outputs([graph], params, cfg)[0]
+            out_p = graph_outputs([permute_graph(graph, perm)], params, cfg)[0]
             assert abs(out.prediction - out_p.prediction) < 1e-9
             np.testing.assert_allclose(
                 out_p.node_embeddings, out.node_embeddings[perm], atol=1e-9
@@ -299,7 +295,10 @@ def test_criterion_09_ablation_harness(tmp_path, fixture_dir):
     for metric in ("mae", "mse", "combined"):
         lines = (tmp_path / "artifacts" / f"ablation_{metric}.csv").read_text().splitlines()
         assert lines[0] == header
-        assert [line.split(",")[0] for line in lines[1:]] == list(models.VARIANTS)
+        assert [line.split(",")[0] for line in lines[1:]] == [*models.VARIANTS, "train_mean"]
+        # the train-mean constant: one value per block, the same at every k
+        train_mean = lines[-1].split(",")[1:]
+        assert len(set(train_mean[:5])) == 1 and len(set(train_mean[5:])) == 1
         assert all(len(line.split(",")) == 11 for line in lines[1:])
     for cell in cells.values():
         assert cell is not None

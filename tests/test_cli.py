@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threatshare import cli, viz
+from threatshare import cli, graphs as graphs_mod, models, viz
 from threatshare.ingest import SpadlAction
 
 FAST_OVERRIDES = {
@@ -126,11 +126,52 @@ class TestPipeline:
         assert all(ran.values())
         ap = cli.artifact_paths(cfg)
         for key in ("actions", "grid", "graphs", "checkpoint", "train_log",
-                    "metrics", "shares", "totals"):
+                    "metrics", "outputs", "shares", "totals"):
             assert ap[key].exists(), key
         for mode in ("total", "per90"):
             for scope in ("overall", "by_team"):
                 assert (tmp_path / "artifacts" / f"rankings_{mode}_{scope}.csv").exists()
+
+    def test_evaluate_scores_the_train_mean_beside_the_model(self, tmp_path, fixture_dir):
+        cfg = cli.load_config(write_config(tmp_path, fixture_dir))
+        cli.run_pipeline(cfg, ALL_STAGES[:5])
+        lines = cli.artifact_paths(cfg)["metrics"].read_text().splitlines()
+        assert lines[0] == "split,mse,mae,combined"
+        rows = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]] for line in lines[1:]}
+        assert list(rows) == ["train", "val", "train_const", "val_const"]
+        train_set, val_set = cli._split_from_config(
+            cfg, graphs_mod.read_graphs(cli.artifact_paths(cfg)["graphs"])
+        )
+        mean = np.mean([g.label for g in train_set])
+        for name, subset in (("train_const", train_set), ("val_const", val_set)):
+            err = np.array([g.label for g in subset]) - mean
+            mse, mae = np.mean(err**2), np.mean(np.abs(err))
+            assert rows[name] == pytest.approx([mse, mae, mse + mae], rel=1e-12)
+        for mse, mae, combined in rows.values():
+            assert combined == pytest.approx(mse + mae, abs=1e-12)
+
+    def test_one_inference_pass_per_checkpoint(self, tmp_path, fixture_dir, monkeypatch):
+        cfg = cli.load_config(write_config(tmp_path, fixture_dir))
+        cli.run_pipeline(cfg, ALL_STAGES[:4])
+        calls = {"forward": 0, "checkpoint loads": 0}
+        forward, load = models.forward, models.Checkpoint.load
+
+        def counted_forward(*args):
+            calls["forward"] += 1
+            return forward(*args)
+
+        def counted_load(path):
+            calls["checkpoint loads"] += 1
+            return load(path)
+
+        monkeypatch.setattr(models, "forward", counted_forward)
+        monkeypatch.setattr(models.Checkpoint, "load", staticmethod(counted_load))
+        gs = graphs_mod.read_graphs(cli.artifact_paths(cfg)["graphs"])
+        one_pass = {"forward": len(models.packs(gs, models.PREDICT_NODES)), "checkpoint loads": 1}
+        cli.run_pipeline(cfg, ["evaluate"])
+        assert calls == one_pass
+        cli.run_pipeline(cfg, ["attribute"])
+        assert calls == one_pass
 
     def test_rerun_skips_everything(self, tmp_path, fixture_dir):
         config = write_config(tmp_path, fixture_dir)
@@ -219,6 +260,22 @@ def _truncate_manifest(tmp_path):
     path.write_bytes(path.read_bytes()[:50])
 
 
+def _rebuild_graphs(**changes):
+    """Damage: run build-graphs again, into the same artifacts, with ``changes``
+    made to the config."""
+
+    def damage(tmp_path):
+        data = json.loads((tmp_path / "config.json").read_text())
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**data, **changes}))
+        assert cli.main(["--config", str(other), "--quiet", "build-graphs"]) == 0
+
+    return damage
+
+
+TRAINED = ["ingest", "xt-fit", "build-graphs", "train"]
+
+
 # (config overrides, stages run first, damage done after them, stage, exit code,
 #  text the one ERROR line must hold; for exit 0, the one WARNING line)
 FAILURE_CASES = {
@@ -241,6 +298,16 @@ FAILURE_CASES = {
     "truncated-manifest": (
         lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"], _truncate_manifest,
         "build-graphs", 0, "manifest.json"),
+    # two fixture matches at split_frac 0.8: both land in train
+    "empty-split": (
+        lambda tmp, fx: {"training": {"split_unit": "match"}}, TRAINED[:3], None, "train", 2,
+        "training.split_unit 'match' splits 400 graphs into 400 train and 0 val"),
+    "checkpoint-of-narrower-graphs": (
+        lambda tmp, fx: {}, TRAINED, _rebuild_graphs(append_centrality_features=True),
+        "evaluate", 3, "model_gcn.ckpt does not fit the graphs; run train again"),
+    "outputs-of-other-graphs": (
+        lambda tmp, fx: {}, TRAINED + ["evaluate"], _rebuild_graphs(window_k=5),
+        "attribute", 3, "outputs_gcn was computed from other graphs; run evaluate again"),
 }
 
 
@@ -278,6 +345,7 @@ READ_ARTIFACTS = [
     ("xt_grid.json", "build-graphs", "xt-fit"),
     ("graphs.ndjson", "train", "build-graphs"),
     ("model_gcn.ckpt", "evaluate", "train"),
+    ("outputs_gcn", "attribute", "evaluate"),
     ("player_totals.csv", "rank", "attribute"),
 ]
 
@@ -378,7 +446,9 @@ class TestAblate:
             path = tmp_path / "artifacts" / f"ablation_{metric}.csv"
             lines = path.read_text().splitlines()
             assert lines[0] == "model,train_k1,val_k1"
-            assert [line.split(",")[0] for line in lines[1:]] == ["gcn", "gat", "transformer"]
+            assert [line.split(",")[0] for line in lines[1:]] == ["gcn", "gat", "transformer", "train_mean"]
+            # the train-mean constant misses every label by something
+            assert all(float(v) > 0 for v in lines[-1].split(",")[1:])
         # combined = mae + mse, cell by cell
         for (variant, k), cell in cells.items():
             for block in ("train", "val"):

@@ -12,9 +12,9 @@ from threatshare.fixtures import random_event_graph
 from threatshare.ingest import SpadlAction
 
 
-class FakeOutput:
-    def __init__(self, embeddings):
-        self.node_embeddings = np.asarray(embeddings, dtype=np.float64)
+def norms(embeddings):
+    """The L2 norm of each row: what attribution splits by."""
+    return np.linalg.norm(np.asarray(embeddings, dtype=np.float64), axis=1)
 
 
 def graph_of(node_ids, actor=None):
@@ -27,28 +27,27 @@ def graph_of(node_ids, actor=None):
 class TestAttribute:
     def test_norm_ratio_arithmetic(self):
         g = graph_of([10, 20])
-        out = FakeOutput([[3.0, 0.0], [1.0, 0.0]])
-        shares = credit.attribute(g, out, 0.04)[0]
+        shares = credit.attribute(g, norms([[3.0, 0.0], [1.0, 0.0]]), 0.04)[0]
         assert shares[10] == pytest.approx(0.03)
         assert shares[20] == pytest.approx(0.01)
 
     def test_single_node_gets_everything(self):
         g = graph_of([5])
-        assert credit.attribute(g, FakeOutput([[1.0, 2.0]]), -0.2)[0] == {5: -0.2}
+        assert credit.attribute(g, norms([[1.0, 2.0]]), -0.2)[0] == {5: -0.2}
 
     def test_zero_embeddings_fall_back_to_uniform(self):
         g = graph_of([1, 2, 3, 4])
-        shares, uniform = credit.attribute(g, FakeOutput(np.zeros((4, 8))), 0.08)
+        shares, uniform = credit.attribute(g, norms(np.zeros((4, 8))), 0.08)
         assert uniform
         assert all(s == pytest.approx(0.02) for s in shares.values())
 
     def test_actor_mode_routes_negative_delta(self):
         g = graph_of([1, 2, 3], actor=2)
-        out = FakeOutput(np.ones((3, 4)))
-        shares = credit.attribute(g, out, -0.06, negative_mode="actor")[0]
+        weights = norms(np.ones((3, 4)))
+        shares = credit.attribute(g, weights, -0.06, negative_mode="actor")[0]
         assert shares == {1: 0.0, 2: -0.06, 3: 0.0}
         # positive delta still splits pro rata
-        shares = credit.attribute(g, out, 0.06, negative_mode="actor")[0]
+        shares = credit.attribute(g, weights, 0.06, negative_mode="actor")[0]
         assert shares[1] == pytest.approx(0.02)
 
     @given(
@@ -61,16 +60,16 @@ class TestAttribute:
         rng = np.random.default_rng(seed)
         g = graph_of(sorted(rng.choice(1000, size=n, replace=False).astype(int).tolist()))
         emb = rng.normal(size=(n, 6))
-        base = credit.attribute(g, FakeOutput(emb), delta)[0]
+        base = credit.attribute(g, norms(emb), delta)[0]
         assert sum(base.values()) == pytest.approx(delta, abs=1e-12)
         for c in (0.1, 10.0):
-            scaled = credit.attribute(g, FakeOutput(emb * c), delta)[0]
+            scaled = credit.attribute(g, norms(emb * c), delta)[0]
             for pid in base:
                 assert scaled[pid] == pytest.approx(base[pid], abs=1e-12)
 
     def test_shares_carry_delta_sign(self):
         g = graph_of([1, 2])
-        shares = credit.attribute(g, FakeOutput([[1.0], [2.0]]), -0.09)[0]
+        shares = credit.attribute(g, norms([[1.0], [2.0]]), -0.09)[0]
         assert all(s <= 0 for s in shares.values())
 
 
@@ -233,17 +232,18 @@ def make_action(game, player, team=1):
 class TestLedgerAndCaseReport:
     def build(self):
         rng = np.random.default_rng(5)
-        graphs, outputs = [], []
+        graphs, node_norms = [], []
         for i in range(6):
             g = random_event_graph(rng, n_nodes=3, event_id=f"1:{i}")
             g.meta["match_id"] = 1
             graphs.append(g)
-            outputs.append(FakeOutput(rng.uniform(0.1, 1.0, (3, 4))))
-        return graphs, outputs
+            node_norms.append(norms(rng.uniform(0.1, 1.0, (3, 4))))
+        # predictions as the model makes them: one per graph, flat
+        return graphs, rng.uniform(-0.1, 0.1, len(graphs)), node_norms
 
     def test_totals_reproduce_sum_of_deltas(self):
-        graphs, outputs = self.build()
-        ledger = credit.build_ledger(graphs, outputs, source="labeled")
+        graphs, predictions, node_norms = self.build()
+        ledger = credit.build_ledger(graphs, predictions, np.concatenate(node_norms), source="labeled")
         assert sum(ledger.player_total.values()) == pytest.approx(
             sum(g.label for g in graphs), abs=1e-9
         )
@@ -254,20 +254,20 @@ class TestLedgerAndCaseReport:
             assert event_sum == pytest.approx(g.label, abs=1e-9)
 
     def test_uniform_fallbacks_counted_and_logged_once(self, caplog):
-        graphs, outputs = self.build()
+        graphs, predictions, node_norms = self.build()
         for i in (1, 4):
-            outputs[i] = FakeOutput(np.zeros((3, 4)))
+            node_norms[i] = norms(np.zeros((3, 4)))
         with caplog.at_level("WARNING", logger="threatshare.credit"):
-            ledger = credit.build_ledger(graphs, outputs, source="labeled")
+            ledger = credit.build_ledger(graphs, predictions, np.concatenate(node_norms), source="labeled")
         assert ledger.uniform_fallbacks == 2
         assert [r.getMessage() for r in caplog.records] == [
             "2 of 6 events had all-zero embeddings; their deltas were split uniformly"
         ]
 
     def test_source_validation(self):
-        graphs, outputs = self.build()
+        graphs, predictions, node_norms = self.build()
         with pytest.raises(ValueError):
-            credit.build_ledger(graphs, outputs, source="oracle")
+            credit.build_ledger(graphs, predictions, np.concatenate(node_norms), source="oracle")
 
     def test_case_report_single_action(self):
         ledger = credit.CreditLedger()

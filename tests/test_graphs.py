@@ -256,10 +256,10 @@ class TestSplitAndBatch:
         gs = self.graphs_n(10)
         cfg = models.ModelConfig(variant="gcn", hidden_dim=8, seed=2)
         params = models.init_model(cfg, gs[0].node_features.shape[1])
-        unbatched = [models.forward([g], params, cfg)[1][0].prediction for g in gs]
+        unbatched = [models.forward([g], params, cfg)[0].item() for g in gs]
         batched = []
         for chunk in graphs.batch(gs, 4):
-            batched.extend(o.prediction for o in models.forward(chunk, params, cfg)[1])
+            batched.extend(models.forward(chunk, params, cfg)[0].data[:, 0])
         np.testing.assert_allclose(batched, unbatched, atol=1e-12, rtol=0)
 
 

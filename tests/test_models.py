@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -158,6 +159,40 @@ def init_both(cfg, d_node=D_NODE):
     return params, params.state()
 
 
+class GraphOutput(NamedTuple):
+    prediction: float
+    node_embeddings: np.ndarray  # (n, hidden)
+    attention: list  # per mixing layer: (heads, n, n)
+
+
+def graph_outputs(graphs, params, cfg) -> list[GraphOutput]:
+    """``models.forward`` over ``graphs`` as one pack, split per graph: its
+    prediction, its rows of the node embeddings, and per layer its pair
+    weights scattered into a dense (heads, n, n) block (0 off the pairs)."""
+    y, h, layers = models.forward(graphs, params, cfg)
+    out, lo = [], 0
+    for b, g in enumerate(graphs):
+        hi = lo + g.n_nodes
+        blocks = []
+        for alpha, q, k in layers:
+            mine = (q >= lo) & (q < hi)
+            assert np.all((k[mine] >= lo) & (k[mine] < hi)), "a pair crosses graphs"
+            block = np.zeros((alpha.shape[1], g.n_nodes, g.n_nodes))
+            block[:, q[mine] - lo, k[mine] - lo] = alpha[mine].T
+            blocks.append(block)
+        out.append(GraphOutput(float(y.data[b, 0]), h[lo:hi], blocks))
+        lo = hi
+    return out
+
+
+def read_pooled_column(params, column):
+    """Make the head output relu(pooled[column])."""
+    for name in ("head.W1", "head.b1", "head.W2", "head.b2"):
+        params[name].data = np.zeros_like(params[name].data)
+    params["head.W1"].data[column, 0] = 1.0
+    params["head.W2"].data[0, 0] = 1.0
+
+
 # ── edge MLP ──────────────────────────────────────────────────────────────
 
 
@@ -196,7 +231,7 @@ class TestGcnForward:
         params["gcn.L0.W"].data = np.eye(26)
         params["gcn.L1.W"].data = np.eye(26)
         params["edge_mlp.W1"].data[:] = 0.0  # edge block contributes zeros
-        out = models.forward([g], params, cfg)[1][0]
+        out = graph_outputs([g], params, cfg)[0]
         np.testing.assert_allclose(out.node_embeddings[:, :10], g.node_features, atol=1e-12)
 
     def test_mean_pooling(self):
@@ -210,16 +245,16 @@ class TestGcnForward:
         params["gcn.L0.W"].data = np.eye(26)
         params["gcn.L1.W"].data = np.eye(26)
         params["edge_mlp.W1"].data[:] = 0.0
-        out = models.forward([g], params, cfg)[1][0]
-        assert out.pooled[0] == pytest.approx(2.0)
-        assert out.pooled[1] == pytest.approx(2.0)
+        for column in (0, 1):
+            read_pooled_column(params, column)
+            assert models.forward([g], params, cfg)[0].item() == pytest.approx(2.0)
 
     def test_random_graph_matches_oracle(self):
         rng = np.random.default_rng(7)
         g = graph_with(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 1)], rng=rng)
         cfg = models.ModelConfig(variant="gcn", seed=3)
         params, state = init_both(cfg)
-        out = models.forward([g], params, cfg)[1][0]
+        out = graph_outputs([g], params, cfg)[0]
         y, h, z = np_gcn(state, g, cfg)
         assert out.prediction == pytest.approx(y, abs=1e-12)
         np.testing.assert_allclose(out.node_embeddings, h, atol=1e-12, rtol=0)
@@ -230,7 +265,7 @@ class TestGatForward:
         g = graph_with(1, [(0, 0)])
         cfg = models.ModelConfig(variant="gat", seed=1)
         params, state = init_both(cfg)
-        out = models.forward([g], params, cfg)[1][0]
+        out = graph_outputs([g], params, cfg)[0]
         for layer_alpha in out.attention:
             np.testing.assert_allclose(layer_alpha, 1.0, atol=0)
         # embedding = relu of concatenated per-head projections
@@ -243,7 +278,7 @@ class TestGatForward:
         g.edge_features = np.tile(g.edge_features[0], (2, 1))
         cfg = models.ModelConfig(variant="gat", seed=2)
         params = models.init_model(cfg, D_NODE)
-        out = models.forward([g], params, cfg)[1][0]
+        out = graph_outputs([g], params, cfg)[0]
         alpha = out.attention[0]  # (heads, n, n); node 2 attends {0, 1, 2}
         np.testing.assert_allclose(alpha[:, 2, :], 1.0 / 3.0, atol=1e-12)
 
@@ -252,7 +287,7 @@ class TestGatForward:
         g = graph_with(3, [(0, 1), (1, 2), (0, 2)], rng=rng)
         cfg = models.ModelConfig(variant="gat", hidden_dim=8, n_heads=2, seed=4)
         params, state = init_both(cfg)
-        out = models.forward([g], params, cfg)[1][0]
+        out = graph_outputs([g], params, cfg)[0]
         y, h, _ = np_gat(state, g, cfg)
         assert out.prediction == pytest.approx(y, abs=1e-12)
         np.testing.assert_allclose(out.node_embeddings, h, atol=1e-12)
@@ -270,7 +305,7 @@ class TestTransformerForward:
         g = graph_with(1, [(0, 0)])
         cfg = models.ModelConfig(variant="transformer", seed=1)
         params, state = init_both(cfg)
-        out = models.forward([g], params, cfg)[1][0]
+        out = graph_outputs([g], params, cfg)[0]
         for layer_alpha in out.attention:
             np.testing.assert_allclose(layer_alpha, 1.0, atol=0)
         y, h, _ = np_transformer(state, g, cfg)
@@ -284,7 +319,7 @@ class TestTransformerForward:
         params["tf.L0.H0.rel_w"].data[:] = 0.0
         params["tf.L0.H0.rel_noedge"].data[:] = 0.0
         state = params.state()
-        out = models.forward([g], params, cfg)[1][0]
+        out = graph_outputs([g], params, cfg)[0]
         onehot = np.zeros((4, 5))
         onehot[np.arange(4), g.node_roles] = 1.0
         pos = onehot @ state["pos.roles"] + g.node_xy @ state["pos.coords"]
@@ -300,7 +335,7 @@ class TestTransformerForward:
         g = graph_with(4, [(0, 1), (1, 2), (2, 3), (0, 1)], rng=rng)  # parallel edge
         cfg = models.ModelConfig(variant="transformer", seed=6)
         params, state = init_both(cfg)
-        out = models.forward([g], params, cfg)[1][0]
+        out = graph_outputs([g], params, cfg)[0]
         y, h, z = np_transformer(state, g, cfg)
         assert out.prediction == pytest.approx(y, abs=1e-10)
         np.testing.assert_allclose(out.node_embeddings, h, atol=1e-10)
@@ -339,8 +374,8 @@ class TestPermutationEquivariance:
         for _ in range(10):
             g = random_event_graph(rng)
             perm = rng.permutation(g.n_nodes)
-            out = models.forward([g], params, cfg)[1][0]
-            out_p = models.forward([permute_graph(g, perm)], params, cfg)[1][0]
+            out = graph_outputs([g], params, cfg)[0]
+            out_p = graph_outputs([permute_graph(g, perm)], params, cfg)[0]
             assert abs(out.prediction - out_p.prediction) < 1e-9
             np.testing.assert_allclose(
                 out_p.node_embeddings, out.node_embeddings[perm], atol=1e-9
@@ -358,7 +393,7 @@ class TestGradients:
         params = models.init_model(cfg, D_NODE)
 
         def loss_value():
-            pred, _ = models.forward([g], params, cfg)
+            pred = models.forward([g], params, cfg)[0]
             return dc.mse(pred, np.full((1, 1), g.label))
 
         params.zero_grad()
@@ -422,16 +457,17 @@ class TestPacks:
         gs = mixed_graphs()
         cfg = models.ModelConfig(variant=variant, seed=12)
         params, state = init_both(cfg)
-        pred, outs = models.forward(gs, params, cfg)
+        pred, h_pack, _ = models.forward(gs, params, cfg)
         assert pred.shape == (len(gs), 1)
-        for g, out in zip(gs, outs):
-            (single,) = models.forward([g], params, cfg)[1]
+        assert h_pack.shape == (sum(g.n_nodes for g in gs), cfg.hidden_dim)
+        for g, out in zip(gs, graph_outputs(gs, params, cfg), strict=True):
+            (single,) = graph_outputs([g], params, cfg)
             oracle_attention = []
-            y, h, z = _ORACLES[variant](state, g, cfg, attention=oracle_attention)
-            for ref in (single, models.ModelOutput(y, h, z.reshape(-1), oracle_attention)):
+            y, h, _ = _ORACLES[variant](state, g, cfg, attention=oracle_attention)
+            # the oracle mean-pools, so equal predictions check the pooling
+            for ref in (single, GraphOutput(y, h, oracle_attention)):
                 assert abs(out.prediction - ref.prediction) <= 1e-12
                 np.testing.assert_allclose(out.node_embeddings, ref.node_embeddings, atol=1e-12, rtol=0)
-                np.testing.assert_allclose(out.pooled, ref.pooled, atol=1e-12, rtol=0)
                 assert len(out.attention) == len(ref.attention)
                 for alpha, ref_alpha in zip(out.attention, ref.attention):
                     np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12, rtol=0)
@@ -442,14 +478,14 @@ class TestPacks:
         gs = mixed_graphs()
         cfg = models.ModelConfig(variant=variant, seed=13)
         params = models.init_model(cfg, D_NODE)
-        pred, _ = models.forward(gs, params, cfg)
+        pred = models.forward(gs, params, cfg)[0]
         params.zero_grad()
         # mean squared error times B: the sum of the per-graph losses
         dc.backward(dc.mse(pred, np.array([[g.label] for g in gs])) * len(gs))
         packed = {name: t.grad for name, t in params.items()}
         params.zero_grad()
         for g in gs:
-            single, _ = models.forward([g], params, cfg)
+            single = models.forward([g], params, cfg)[0]
             dc.backward(dc.mse(single, np.full((1, 1), g.label)))
         for name, t in params.items():
             assert packed[name] is not None and t.grad is not None, name
@@ -462,27 +498,30 @@ class TestPacks:
         assert len(models.packs(gs, models.PREDICT_NODES)) == 1
         cfg = models.ModelConfig(variant=variant, seed=15)
         params = models.init_model(cfg, D_NODE)
-        predictions = []
+        calls = []
         forward = models.forward
 
         def recorded(*args):
-            pred, outs = forward(*args)
-            predictions.append(pred)
-            return pred, outs
+            result = forward(*args)
+            calls.append(result[0])
+            return result
 
         monkeypatch.setattr(models, "forward", recorded)
-        outs = models.predict(gs, params, cfg)
-        assert len(predictions) == 1
-        assert not predictions[0].requires_grad and predictions[0].is_leaf
+        predictions, norms = models.predict(gs, params, cfg)
+        assert len(calls) == 1
+        assert not calls[0].requires_grad and calls[0].is_leaf
         assert all(t.grad is None for _, t in params.items())
         monkeypatch.undo()
-        for g, out in zip(gs, outs, strict=True):
-            (single,) = models.forward([g], params, cfg)[1]
-            assert abs(out.prediction - single.prediction) <= 1e-12
-            np.testing.assert_allclose(out.node_embeddings, single.node_embeddings, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(out.pooled, single.pooled, atol=1e-12, rtol=0)
-            for alpha, ref_alpha in zip(out.attention, single.attention, strict=True):
-                np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12, rtol=0)
+        assert predictions.shape == (len(gs),)
+        assert norms.shape == (sum(g.n_nodes for g in gs),)
+        lo = 0
+        for g, prediction in zip(gs, predictions, strict=True):
+            y, h, _ = models.forward([g], params, cfg)
+            assert abs(prediction - y.item()) <= 1e-12
+            np.testing.assert_allclose(
+                norms[lo : lo + g.n_nodes], np.linalg.norm(h, axis=1), atol=1e-12, rtol=0
+            )
+            lo += g.n_nodes
 
     def test_kept_outputs_hold_no_tape(self):
         rng = np.random.default_rng(41)
@@ -492,18 +531,17 @@ class TestPacks:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            kept = [models.forward([g], params, cfg)[1][0] for g in gs]
-            kept += models.predict(gs, params, cfg)
+            # embeddings and attention layers of each forward, and predict's arrays
+            kept = [models.forward([g], params, cfg)[1:] for g in gs]
+            kept.append(models.predict(gs, params, cfg))
             # a full collection also empties the interpreter's free lists,
             # whose cached tuples and floats are not held by the outputs
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        arrays = sum(
-            o.node_embeddings.nbytes + o.pooled.nbytes + sum(a.nbytes for a in o.attention)
-            for o in kept
-        )
+        arrays = sum(h.nbytes + sum(a.nbytes for layer in layers for a in layer) for h, layers in kept[:-1])
+        arrays += sum(a.nbytes for a in kept[-1])
         # the arrays themselves plus object overhead, not a tape per graph
         assert retained <= arrays + 2_000 * len(kept), (retained, arrays)
 
@@ -573,9 +611,9 @@ class TestTraining:
 
 class TestEvaluate:
     def test_metric_arithmetic(self):
-        m = models._metrics_from_pairs([(0.0, 1.0), (0.0, 1.0)])
+        m = models.score([0.0, 0.0], [1.0, 1.0])
         assert m == {"mse": 1.0, "mae": 1.0, "combined": 2.0}
-        assert models._metrics_from_pairs([(1.0, 1.0), (2.0, 2.0)])["mse"] == 0.0
+        assert models.score([1.0, 2.0], [1.0, 2.0])["mse"] == 0.0
 
     def test_dataset_metric_is_mean_of_per_graph(self):
         rng = np.random.default_rng(6)
@@ -583,14 +621,12 @@ class TestEvaluate:
         cfg = models.ModelConfig(variant="gcn", hidden_dim=8, head_hidden_dim=4, seed=6)
         params = models.init_model(cfg, D_NODE)
         ckpt = models.Checkpoint(
-            variant="gcn", model_cfg=cfg, d_node=D_NODE, seed=6,
+            model_cfg=cfg, d_node=D_NODE,
             params_state=params.state(), optimizer_scalars={},
         )
-        metrics = models.evaluate(ckpt, gs)
-        per_graph = [
-            models._metrics_from_pairs([(models.forward([g], params, cfg)[1][0].prediction, g.label)])
-            for g in gs
-        ]
+        predictions, _ = models.evaluate(ckpt, gs)
+        metrics = models.score(predictions, [g.label for g in gs])
+        per_graph = [models.score([models.forward([g], params, cfg)[0].item()], [g.label]) for g in gs]
         assert metrics["mse"] == pytest.approx(np.mean([m["mse"] for m in per_graph]), abs=1e-15)
         assert metrics["mae"] == pytest.approx(np.mean([m["mae"] for m in per_graph]), abs=1e-15)
 
@@ -600,10 +636,11 @@ class TestEvaluate:
         cfg = models.ModelConfig(variant="gat", hidden_dim=8, n_heads=2, seed=7)
         params = models.init_model(cfg, D_NODE)
         ckpt = models.Checkpoint(
-            variant="gat", model_cfg=cfg, d_node=D_NODE, seed=7,
+            model_cfg=cfg, d_node=D_NODE,
             params_state=params.state(), optimizer_scalars={},
         )
-        assert models.evaluate(ckpt, gs) == models.evaluate(ckpt, gs)
+        for first, again in zip(models.evaluate(ckpt, gs), models.evaluate(ckpt, gs), strict=True):
+            np.testing.assert_array_equal(first, again)
 
     def test_checkpoint_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -612,7 +649,7 @@ class TestEvaluate:
                                  ffn_dim=16, head_hidden_dim=4, seed=8)
         params = models.init_model(cfg, D_NODE)
         ckpt = models.Checkpoint(
-            variant="transformer", model_cfg=cfg, d_node=D_NODE, seed=8,
+            model_cfg=cfg, d_node=D_NODE,
             params_state=params.state(), optimizer_scalars={"lr": 1e-4},
         )
         path = tmp_path / "model.ckpt"
@@ -620,8 +657,8 @@ class TestEvaluate:
         loaded = models.Checkpoint.load(path)
         assert loaded.model_cfg == cfg
         p2, _ = loaded.build()
-        before = models.forward([g], params, cfg)[1][0].prediction
-        after = models.forward([g], p2, cfg)[1][0].prediction
+        before = models.forward([g], params, cfg)[0].item()
+        after = models.forward([g], p2, cfg)[0].item()
         assert before == after
 
     def test_schema_mismatch_rejected(self):
@@ -630,9 +667,9 @@ class TestEvaluate:
         cfg = models.ModelConfig(variant="gcn", hidden_dim=8, seed=9)
         params = models.init_model(cfg, D_NODE)
         ckpt = models.Checkpoint(
-            variant="gcn", model_cfg=cfg, d_node=D_NODE, seed=9,
+            model_cfg=cfg, d_node=D_NODE,
             params_state=params.state(), optimizer_scalars={},
             graph_schema_version=99,
         )
-        with pytest.raises(ValueError, match="schema"):
+        with pytest.raises(models.CheckpointMismatch, match="schema"):
             models.evaluate(ckpt, gs)
