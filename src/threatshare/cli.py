@@ -347,7 +347,7 @@ def _outputs_fresh(entry: dict | None, key: str) -> bool:
 # ── stage implementations ─────────────────────────────────────────────────
 
 
-def _stage_fetch(cfg: RunConfig) -> list[Path]:
+def _stage_fetch(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     paths = ingest.fetch_open_data(
         cfg.fetch.competition_id, cfg.fetch.season_id, cfg.paths.cache_dir
     )
@@ -360,7 +360,7 @@ def _event_files(cfg: RunConfig) -> list[Path]:
     return sorted(cfg.paths.data_dir.glob("*.json"))
 
 
-def _stage_ingest(cfg: RunConfig) -> list[Path]:
+def _stage_ingest(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     ap = artifact_paths(cfg)
     files = _event_files(cfg)
     all_actions = []
@@ -376,7 +376,7 @@ def _stage_ingest(cfg: RunConfig) -> list[Path]:
     return [ap["actions"], ap["ingest_summary"]]
 
 
-def _stage_xt_fit(cfg: RunConfig) -> list[Path]:
+def _stage_xt_fit(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     ap = artifact_paths(cfg)
     actions = _read(cfg, "actions", ingest.read_actions)
     grid = xt.fit_grid(actions, cfg.grid.n_x, cfg.grid.n_y, tol=cfg.grid.tol)
@@ -405,7 +405,7 @@ def _build_all_graphs(cfg: RunConfig, k: int) -> list:
     ]
 
 
-def _stage_build_graphs(cfg: RunConfig) -> list[Path]:
+def _stage_build_graphs(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     ap = artifact_paths(cfg)
     all_graphs = _build_all_graphs(cfg, cfg.resolved_k)
     _write_atomic(ap["graphs"], lambda tmp: graphs_mod.write_graphs(all_graphs, tmp))
@@ -439,7 +439,7 @@ def _train_mean(all_graphs, train_set) -> np.ndarray:
     return np.full(len(all_graphs), np.mean([g.label for g in train_set]))
 
 
-def _stage_train(cfg: RunConfig) -> list[Path]:
+def _stage_train(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     ap = artifact_paths(cfg)
     train_set, val_set = _split_from_config(cfg, _read(cfg, "graphs", graphs_mod.read_graphs))
     model_cfg = replace(cfg.model, seed=cfg.seed)
@@ -458,7 +458,7 @@ def _stage_train(cfg: RunConfig) -> list[Path]:
     return [ap["checkpoint"], ap["train_log"]]
 
 
-def _stage_evaluate(cfg: RunConfig) -> list[Path]:
+def _stage_evaluate(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     ap = artifact_paths(cfg)
     ckpt = _read(cfg, "checkpoint", models.Checkpoint.load)
     all_graphs = _read(cfg, "graphs", graphs_mod.read_graphs)
@@ -476,7 +476,7 @@ def _stage_evaluate(cfg: RunConfig) -> list[Path]:
     for name, m in scores.items():
         lines.append(f"{name},{m['mse']!r},{m['mae']!r},{m['combined']!r}")
     _write_text(ap["metrics"], "\n".join(lines) + "\n")
-    manifest = {"kind": "threatshare-outputs", "graphs_sha256": _sha_file(ap["graphs"])}
+    manifest = {"kind": "threatshare-outputs", "graphs_sha256": digests[ap["graphs"]]}
     arrays = {"predictions": predictions, "norms": norms}
     _write_atomic(ap["outputs"], lambda tmp: ckpt_io.save_container(tmp, manifest, arrays))
     log.info("evaluate[%s]: %s; %s", cfg.model.variant, lines[2], lines[4])
@@ -500,10 +500,10 @@ def _player_teams(actions) -> dict:
     }
 
 
-def _stage_attribute(cfg: RunConfig) -> list[Path]:
+def _stage_attribute(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     ap = artifact_paths(cfg)
     graphs_digest, predictions, norms = _read(cfg, "outputs", _load_outputs)
-    if graphs_digest != _sha_file(ap["graphs"]):
+    if graphs_digest != digests[ap["graphs"]]:
         raise MissingArtifactError(
             f"{ap['outputs']} was computed from other graphs; run evaluate again"
         )
@@ -567,7 +567,7 @@ def _load_totals_ledger(path: Path) -> credit.CreditLedger:
     return ledger
 
 
-def _stage_rank(cfg: RunConfig) -> list[Path]:
+def _stage_rank(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     ledger = _read(cfg, "totals", _load_totals_ledger)
 
     rank_paths = _ranking_paths(cfg)
@@ -593,9 +593,11 @@ def _stage_rank(cfg: RunConfig) -> list[Path]:
 @dataclass(frozen=True)
 class Stage:
     """A pipeline stage: its runner, its declared ``(path, how to make it)``
-    inputs, and the part of the effective config its manifest key covers."""
+    inputs, and the part of the effective config its manifest key covers.
+    The runner receives the config and the digest of every declared input,
+    taken once by ``run_stage``."""
 
-    run: Callable[[RunConfig], list[Path]]
+    run: Callable[[RunConfig, dict[Path, str]], list[Path]]
     inputs: Callable[[RunConfig], list[tuple[Path, str]]]
     config: Callable[[dict], dict]
 
@@ -675,7 +677,7 @@ def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bo
         log.info("%s: up to date, skipping", stage)
         return False
 
-    outputs = spec.run(cfg)
+    outputs = spec.run(cfg, digests)
     manifest["stages"][stage] = {
         "key": key,
         "outputs": {str(p): _sha_file(p) for p in outputs},

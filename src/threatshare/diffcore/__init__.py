@@ -11,6 +11,7 @@ from threatshare.diffcore.tensor import (
     gather_rows,
     layer_norm,
     leaky_relu,
+    linear,
     matmul,
     mse,
     mul,

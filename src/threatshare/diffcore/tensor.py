@@ -7,12 +7,21 @@ so callers pack many small graphs into one set of matrices and the index ops
 ``pair_mix``) address rows by index arrays instead of dense masks. The pair
 ops also take the pack's block layout (rows per graph) and multiply block by
 block, so their cost grows with the number of graphs, not the square of the
-pack. An op records its tape only if an input requires grad: a pass over
-constant tensors builds none. Every op checks its output for NaN/Inf and
-raises NumericError rather than letting garbage propagate into training.
+pack. ``linear`` (``x @ W + b``) and ``layer_norm`` (of a sum and its
+residual) are fused: one taped result where there were several.
+
+An op records its tape only if an input requires grad: a pass over constant
+tensors builds none. The tape lists the op's parents, each with a closure
+that keeps only the arrays it reads. Tensors are numbered as they are
+created, so parents precede their results and ``backward`` needs no search:
+it sweeps in decreasing number and frees each closure once it has run.
+Every op checks its output for NaN/Inf and raises NumericError rather than
+letting garbage propagate into training.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -25,6 +34,10 @@ class NumericError(ArithmeticError):
     """A non-finite value appeared, or an op was used out of contract."""
 
 
+# numbers every tensor in creation order; ``backward`` sweeps by it
+_created = itertools.count()
+
+
 class Tensor:
     """A float64 array plus an optional gradient buffer and backward tape.
 
@@ -32,18 +45,18 @@ class Tensor:
     repeated backward passes accumulate until ``grad`` is reset.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape")
+    __slots__ = ("data", "grad", "requires_grad", "_tape", "_seq")
 
     def __init__(self, data, requires_grad=False, _tape=()):
         arr = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericError("tensor holds NaN/Inf")
         self.data = arr
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p, _ in _tape
-        )
-        self._tape = tuple(_tape) if self.requires_grad else ()
+        # ``_tape`` holds only parents that require grad (see ``_result``)
+        self._tape = _tape
+        self.requires_grad = bool(requires_grad or _tape)
+        self._seq = next(_created)
 
     @property
     def shape(self):
@@ -167,6 +180,23 @@ def matmul(a, b) -> Tensor:
     )
 
 
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` as one op, the bias a (1, out) row added to every row."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: shapes {x.shape} and {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ShapeError(f"linear: bias {b.shape} for {w.shape[1]} outputs")
+    return _result(
+        x.data @ w.data + b.data,
+        [
+            (x, lambda g: g @ w.data.T),
+            (w, lambda g: x.data.T @ g),
+            (b, lambda g: g.sum(axis=0, keepdims=True)),
+        ],
+    )
+
+
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.data.shape
@@ -201,35 +231,33 @@ def concat(tensors, axis=0) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    keep = a.data > 0
-    return _result(np.where(keep, a.data, 0.0), [(a, lambda g: g * keep)])
+    return _result(np.where(a.data > 0, a.data, 0.0), [(a, lambda g: g * (a.data > 0))])
 
 
 def leaky_relu(a, slope=0.2) -> Tensor:
     a = _as_tensor(a)
-    keep = a.data > 0
-    data = np.where(keep, a.data, slope * a.data)
-    return _result(data, [(a, lambda g: g * np.where(keep, 1.0, slope))])
+    data = np.where(a.data > 0, a.data, slope * a.data)
+    return _result(data, [(a, lambda g: g * np.where(a.data > 0, 1.0, slope))])
 
 
-def layer_norm(a, gain, bias, eps=1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
-    x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-    try:
-        data = xhat * gain.data + bias.data
-    except ValueError:
-        raise ShapeError(
-            f"layer_norm: data {a.shape}, gain {gain.shape}, bias {bias.shape}"
-        ) from None
+def layer_norm(x, residual, gain, bias, eps=1e-5) -> Tensor:
+    """Normalize ``x + residual`` over the last axis, then scale and shift.
 
-    d = x.shape[-1]
+    One op for the sum and the norm: its tape keeps the normalized sum and
+    the inverse deviations, and both summands receive the same gradient.
+    """
+    x, residual = _as_tensor(x), _as_tensor(residual)
+    gain, bias = _as_tensor(gain), _as_tensor(bias)
+    if x.data.ndim != 2 or residual.shape != x.shape:
+        raise ShapeError(f"layer_norm: data {x.shape}, residual {residual.shape}")
+    if not gain.shape == bias.shape == (1, x.shape[1]):
+        raise ShapeError(f"layer_norm: data {x.shape}, gain {gain.shape}, bias {bias.shape}")
+    centred = x.data + residual.data
+    centred -= centred.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    xhat = centred * inv
 
-    def back_x(g):
+    def back_sum(g):
         dxhat = g * gain.data
         return inv * (
             dxhat
@@ -238,11 +266,12 @@ def layer_norm(a, gain, bias, eps=1e-5) -> Tensor:
         )
 
     return _result(
-        data,
+        xhat * gain.data + bias.data,
         [
-            (a, back_x),
-            (gain, lambda g: _unbroadcast(g * xhat, gain.data.shape)),
-            (bias, lambda g: _unbroadcast(g, bias.data.shape)),
+            (x, back_sum),
+            (residual, back_sum),
+            (gain, lambda g: (g * xhat).sum(axis=0, keepdims=True)),
+            (bias, lambda g: g.sum(axis=0, keepdims=True)),
         ],
     )
 
@@ -320,8 +349,10 @@ def segment_softmax(a, seg) -> Tensor:
     e = np.exp(rows - rows.max(axis=2, keepdims=True))
     y = (e / e.sum(axis=2, keepdims=True))[at].T
 
+    padded = rows.shape
+
     def back(g):
-        gy = np.zeros(rows.shape)
+        gy = np.zeros(padded)
         gy[at] = (g * y).T
         return y * (g - gy.sum(axis=2)[:, run].T)
 
@@ -470,40 +501,36 @@ def mse(pred, target) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every trainable leaf's ``grad``."""
+    """Accumulate d(loss)/d(leaf) into every trainable leaf's ``grad``,
+    consuming the tape; parents that share a closure share its result."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got {loss.shape}")
     if loss.is_leaf:
         raise NumericError("backward: loss has no recorded operations")
 
-    topo: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    reached = {loss._seq: loss}
+    stack = [loss]
     while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node._tape:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+        for parent, _ in stack.pop()._tape:
+            if parent._seq not in reached:
+                reached[parent._seq] = parent
+                stack.append(parent)
 
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = flowing.pop(id(node), None)
-        if g is None:
-            continue
-        if node.is_leaf:
+    # a tensor's readers were all created after it, so they pass first
+    flowing: dict[int, np.ndarray] = {loss._seq: np.ones_like(loss.data)}
+    for seq in sorted(reached, reverse=True):
+        node = reached.pop(seq)
+        g = flowing.pop(seq)
+        tape, node._tape = node._tape, ()
+        if not tape:
             node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for parent, fn in node._tape:
-            contrib = fn(g)
-            acc = flowing.get(id(parent))
-            flowing[id(parent)] = contrib if acc is None else acc + contrib
+        last = None
+        for parent, fn in tape:
+            if fn is not last:
+                contrib, last = fn(g), fn
+            acc = flowing.get(parent._seq)
+            flowing[parent._seq] = contrib if acc is None else acc + contrib
 
 
 # ── parameter container ───────────────────────────────────────────────────

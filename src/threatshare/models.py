@@ -27,14 +27,15 @@ diffcore index ops read; attention never crosses from one graph to another.
 Each head's parameters stay separate (and so does the checkpoint layout);
 a layer concatenates them to run all heads in one product. A single graph
 is a pack of one, and ``forward`` is the one pass that training, validation,
-evaluation and inspection all run. Training packs hold at most PACK_NODES
-nodes; a training chunk of ``batch_size`` graphs is split into packs in
-order, and each pack's loss is weighted by its share of the chunk, so one
-Adam step sees the chunk's mean gradient. Forward-only passes (``predict``:
-validation and evaluation) read the parameters as constants, so they record
-no tape, run over packs of at most PREDICT_NODES nodes, and keep one
-prediction per graph and one embedding norm per node, which attribution
-splits the threat change by.
+evaluation and inspection all run. A training chunk of ``batch_size``
+graphs is one pack: one forward, one backward sweep of the chunk's mean
+squared error and one Adam step. Its tape stays small because the affine
+maps and the residual norms are fused diffcore ops and the sweep frees the
+tape as it goes. Forward-only passes (``predict``: validation and
+evaluation) read the parameters as constants, so they record no tape, run
+over packs of at most PREDICT_NODES nodes, and keep one prediction per graph
+and one embedding norm per node, which attribution splits the threat change
+by.
 
 Training minimizes MSE with Adam (decoupled weight decay), halves the
 learning rate on the epoch schedule, and early-stops on a validation
@@ -168,18 +169,13 @@ def init_model(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
 
 # ── packs ─────────────────────────────────────────────────────────────────
 
-# Node budget of one training pack. Each taped op costs about the same
-# whatever its size, so larger packs train faster; but a pack's tape holds
-# every intermediate array until its backward sweep.
-PACK_NODES = 64
-
 # Node budget of one forward-only pack. It records no tape, so only one
 # layer's arrays are alive at a time; beyond this size, packs no longer save
 # time but still cost memory.
 PREDICT_NODES = 512
 
 
-def packs(graphs, budget: int = PACK_NODES) -> list[list[EventGraph]]:
+def packs(graphs, budget: int) -> list[list[EventGraph]]:
     """Split ``graphs``, in order, into packs of at most ``budget`` nodes in
     total; a larger graph is a pack on its own."""
     out: list[list[EventGraph]] = []
@@ -211,24 +207,29 @@ class _Pack:
         """A per-node array attribute of every graph, stacked."""
         return np.concatenate([getattr(g, attr) for g in self.graphs])
 
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column, in pack rows, of every cell of each graph's
+        (n, n) block: row-major, graph after graph."""
+        cells = self.sizes * self.sizes
+        graph = np.repeat(np.arange(len(self.graphs)), cells)
+        cell = np.arange(cells.sum()) - (np.cumsum(cells) - cells)[graph]
+        n, off = self.sizes[graph], self.offsets[graph]
+        return off + cell // n, off + cell % n
+
     def adjacency_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dst, src, weight) of every nonzero of each graph's normalized
         adjacency, sorted by dst: the neighbours u -> v, self-loops included."""
-        dst, src, weight = [], [], []
-        for g, off in zip(self.graphs, self.offsets):
-            d, s = np.nonzero(g.adjacency)
-            dst.append(d + off)
-            src.append(s + off)
-            weight.append(g.adjacency[d, s])
-        return np.concatenate(dst), np.concatenate(src), np.concatenate(weight)
+        dst, src = self.pairs()
+        weight = np.concatenate([g.adjacency.ravel() for g in self.graphs])
+        nonzero = np.flatnonzero(weight)
+        return dst[nonzero], src[nonzero], weight[nonzero]
 
 
 def _pack(graphs, params: dc.ParamSet) -> _Pack:
     sizes = np.array([g.n_nodes for g in graphs])
     offsets = np.cumsum(sizes) - sizes
-    ends = np.concatenate(
-        [np.array(g.edge_list, dtype=np.intp).reshape(-1, 2) + off for g, off in zip(graphs, offsets)]
-    )
+    ends = np.array([e for g in graphs for e in g.edge_list], dtype=np.intp).reshape(-1, 2)
+    ends += np.repeat(offsets, [len(g.edge_list) for g in graphs])[:, None]
     return _Pack(
         graphs=graphs,
         sizes=sizes,
@@ -247,13 +248,13 @@ def _pack(graphs, params: dc.ParamSet) -> _Pack:
 def edge_mlp(params: dc.ParamSet, edge_features) -> dc.Tensor:
     """Two ReLU layers over raw edge vectors: (n_edges, d_e) -> (n_edges, m2)."""
     e = edge_features if isinstance(edge_features, dc.Tensor) else dc.Tensor(edge_features)
-    h1 = dc.relu(e @ params["edge_mlp.W1"] + params["edge_mlp.b1"])
-    return dc.relu(h1 @ params["edge_mlp.W2"] + params["edge_mlp.b2"])
+    h1 = dc.relu(dc.linear(e, params["edge_mlp.W1"], params["edge_mlp.b1"]))
+    return dc.relu(dc.linear(h1, params["edge_mlp.W2"], params["edge_mlp.b2"]))
 
 
 def _head(params: dc.ParamSet, z: dc.Tensor) -> dc.Tensor:
-    hidden = dc.relu(z @ params["head.W1"] + params["head.b1"])
-    return hidden @ params["head.W2"] + params["head.b2"]
+    hidden = dc.relu(dc.linear(z, params["head.W1"], params["head.b1"]))
+    return dc.linear(hidden, params["head.W2"], params["head.b2"])
 
 
 def _fused(params: dc.ParamSet, prefix: str, cfg: ModelConfig, name: str) -> dc.Tensor:
@@ -313,8 +314,7 @@ def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
 def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     n, off = pack.sizes, pack.offsets
     # every ordered (query, key) pair of each graph, sorted by query
-    q_idx = np.concatenate([o + np.repeat(np.arange(m), m) for m, o in zip(n, off)])
-    k_idx = np.concatenate([o + np.tile(np.arange(m), m) for m, o in zip(n, off)])
+    q_idx, k_idx = pack.pairs()
     n_pairs = q_idx.size
     # edge u -> v biases pair (u, v); parallel edges average, and pairs
     # without an edge take the learned no-edge bias
@@ -329,7 +329,7 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
         pack.nodes("node_xy")
     ) @ params["pos.coords"]
     x = dc.concat([dc.Tensor(pack.nodes("node_features")), pos], axis=1)
-    h = x @ params["input.W"] + params["input.b"]
+    h = dc.linear(x, params["input.W"], params["input.b"])
 
     scale = 1.0 / np.sqrt(cfg.head_dim)
     attention = []
@@ -343,10 +343,10 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
         scores = (dc.pair_dot(q, k, q_idx, k_idx, cfg.n_heads, pack.sizes) + rel) * scale
         alpha = dc.segment_softmax(scores, q_idx)
         att = dc.pair_mix(alpha, v, q_idx, k_idx, pack.sizes)
-        h = dc.layer_norm(h + att, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
-        ffn = dc.relu(h @ params[f"{prefix}.ffn.W1"] + params[f"{prefix}.ffn.b1"])
-        ffn = ffn @ params[f"{prefix}.ffn.W2"] + params[f"{prefix}.ffn.b2"]
-        h = dc.layer_norm(h + ffn, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
+        h = dc.layer_norm(att, h, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
+        ffn = dc.relu(dc.linear(h, params[f"{prefix}.ffn.W1"], params[f"{prefix}.ffn.b1"]))
+        ffn = dc.linear(ffn, params[f"{prefix}.ffn.W2"], params[f"{prefix}.ffn.b2"])
+        h = dc.layer_norm(ffn, h, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
         attention.append((alpha.data, q_idx, k_idx))
     return h, attention
 
@@ -483,17 +483,6 @@ def evaluate(checkpoint: Checkpoint, graphs) -> tuple[np.ndarray, np.ndarray]:
     return predict(graphs, params, cfg)
 
 
-def _backward_pack(pack, chunk_size: int, params: dc.ParamSet, cfg: ModelConfig) -> np.ndarray:
-    """Forward and backward over one pack of a training chunk; returns its
-    predictions. The pack's share of the chunk's mean squared error flows
-    into the gradients, and its tape is freed on return, before the next
-    pack builds one."""
-    pred = forward(pack, params, cfg)[0]
-    labels = np.array([[g.label] for g in pack])
-    dc.backward(dc.mse(pred, labels) * (len(pack) / chunk_size))
-    return pred.data[:, 0]
-
-
 def train(
     cfg: ModelConfig,
     train_graphs,
@@ -527,9 +516,10 @@ def train(
         try:
             for chunk in make_batches(shuffled, tcfg.batch_size):
                 params.zero_grad()
-                for pack in packs(chunk):
-                    train_predictions.append(_backward_pack(pack, len(chunk), params, cfg))
+                pred = forward(chunk, params, cfg)[0]
+                dc.backward(dc.mse(pred, np.array([[g.label] for g in chunk])))
                 dc.adam_step(adam, params)
+                train_predictions.append(pred.data[:, 0])
             val_predictions, _ = predict(val_graphs, params, cfg)
         except dc.NumericError as exc:
             log.error("training aborted at epoch %d: %s", epoch, exc)

@@ -153,8 +153,9 @@ class TestPipeline:
     def test_one_inference_pass_per_checkpoint(self, tmp_path, fixture_dir, monkeypatch):
         cfg = cli.load_config(write_config(tmp_path, fixture_dir))
         cli.run_pipeline(cfg, ALL_STAGES[:4])
-        calls = {"forward": 0, "checkpoint loads": 0}
-        forward, load = models.forward, models.Checkpoint.load
+        calls = {"forward": 0, "checkpoint loads": 0, "graphs hashes": 0}
+        forward, load, sha = models.forward, models.Checkpoint.load, cli._sha_file
+        graphs_path = cli.artifact_paths(cfg)["graphs"]
 
         def counted_forward(*args):
             calls["forward"] += 1
@@ -164,12 +165,22 @@ class TestPipeline:
             calls["checkpoint loads"] += 1
             return load(path)
 
+        def counted_sha(path):
+            calls["graphs hashes"] += path == graphs_path
+            return sha(path)
+
         monkeypatch.setattr(models, "forward", counted_forward)
         monkeypatch.setattr(models.Checkpoint, "load", staticmethod(counted_load))
-        gs = graphs_mod.read_graphs(cli.artifact_paths(cfg)["graphs"])
-        one_pass = {"forward": len(models.packs(gs, models.PREDICT_NODES)), "checkpoint loads": 1}
+        monkeypatch.setattr(cli, "_sha_file", counted_sha)
+        gs = graphs_mod.read_graphs(graphs_path)
+        one_pass = {
+            "forward": len(models.packs(gs, models.PREDICT_NODES)),
+            "checkpoint loads": 1,
+            "graphs hashes": 1,  # run_stage's input digest, handed to the stage
+        }
         cli.run_pipeline(cfg, ["evaluate"])
         assert calls == one_pass
+        calls["graphs hashes"] = 0
         cli.run_pipeline(cfg, ["attribute"])
         assert calls == one_pass
 

@@ -94,11 +94,16 @@ class TestPrimitiveGradients:
             [a],
         )
 
+    def test_linear(self):
+        x, w, b = self.leaf(4, 3), self.leaf(3, 2), self.leaf(1, 2)
+        fd_check(lambda: _weighted(dc.linear(x, w, b), np.random.default_rng(6)), [x, w, b])
+
     def test_layer_norm(self):
-        a, g, b = self.leaf(3, 6), self.leaf(1, 6), self.leaf(1, 6)
+        a, r = self.leaf(3, 6), self.leaf(3, 6)
+        g, b = self.leaf(1, 6), self.leaf(1, 6)
         fd_check(
-            lambda: _weighted(dc.layer_norm(a, g, b), np.random.default_rng(13)),
-            [a, g, b],
+            lambda: _weighted(dc.layer_norm(a, r, g, b), np.random.default_rng(13)),
+            [a, r, g, b],
         )
 
     def test_reductions(self):
@@ -163,16 +168,36 @@ class TestOpValues:
         np.testing.assert_allclose(sums[np.unique(seg)], 1.0, atol=1e-12)
 
     def test_layer_norm_constant_row_is_zero(self):
+        # the row and its residual sum to a constant row
         out = dc.layer_norm(
-            dc.Tensor([[3.0, 3.0, 3.0, 3.0]]), dc.Tensor([[1.0] * 4]), dc.Tensor([[0.0] * 4])
+            dc.Tensor([[1.0, 2.0, 3.0, 4.0]]),
+            dc.Tensor([[2.0, 1.0, 0.0, -1.0]]),
+            dc.Tensor([[1.0] * 4]),
+            dc.Tensor([[0.0] * 4]),
         )
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
+
+    def test_linear_is_matmul_plus_bias(self):
+        rng = np.random.default_rng(4)
+        x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 2)), rng.normal(size=(1, 2))
+        np.testing.assert_array_equal(dc.linear(x, w, b).data, x @ w + b)
 
     def test_shape_mismatch_names_op(self):
         with pytest.raises(dc.ShapeError, match="matmul"):
             dc.matmul(dc.Tensor(np.ones((2, 3))), dc.Tensor(np.ones((2, 3))))
         with pytest.raises(dc.ShapeError, match="mse"):
             dc.mse(dc.Tensor(np.ones((2, 2))), dc.Tensor(np.ones((1, 2))))
+        x, w = np.ones((4, 3)), np.ones((3, 2))
+        with pytest.raises(dc.ShapeError, match="linear: shapes"):
+            dc.linear(x, w.T, np.ones((1, 2)))
+        for bias in (np.ones((1, 3)), np.ones(2), np.ones((4, 2))):
+            with pytest.raises(dc.ShapeError, match="linear: bias"):
+                dc.linear(x, w, bias)
+        ones = np.ones((1, 3))
+        with pytest.raises(dc.ShapeError, match="layer_norm: data .* residual"):
+            dc.layer_norm(x, np.ones((4, 1)), ones, ones)
+        with pytest.raises(dc.ShapeError, match="layer_norm: data .* gain"):
+            dc.layer_norm(x, x, np.ones((1, 2)), ones)
 
     def test_non_finite_output_raises(self):
         big = dc.Tensor(np.full((2, 2), 1e200), requires_grad=True)
@@ -282,6 +307,36 @@ class TestBackward:
         sq = dc.mul(w, w)
         dc.backward(dc.add(sq, sq))
         assert w.grad.tolist() == [[12.0]]
+
+    def test_diamond_with_unequal_paths(self):
+        # s = 2w reaches the loss directly and through four more ops; it may
+        # pass its gradient on only once both contributions have arrived
+        w = dc.Tensor([[1.5]], requires_grad=True)
+        s = dc.mul(w, 2.0)
+        long = s
+        for _ in range(4):
+            long = dc.add(dc.mul(long, 3.0), 1.0)
+        dc.backward(dc.add(s, long))
+        # d/ds = 1 + 3^4, and ds/dw = 2
+        assert w.grad.tolist() == [[2.0 * (1 + 3**4)]]
+
+    def test_long_chain_does_not_recurse(self):
+        w = dc.Tensor([[1.0]], requires_grad=True)
+        x = w
+        for _ in range(10_000):
+            x = dc.add(x, w)
+        dc.backward(x)
+        assert w.grad.tolist() == [[10_001.0]]
+
+    def test_sweep_consumes_the_tape(self):
+        w = dc.Tensor([[2.0]], requires_grad=True)
+        sq = dc.mul(w, w)
+        loss = dc.mul(sq, 3.0)
+        dc.backward(loss)
+        assert w.grad.tolist() == [[12.0]]
+        assert sq.is_leaf and loss.is_leaf and w.requires_grad
+        with pytest.raises(dc.NumericError):
+            dc.backward(loss)
 
 
 class TestInit:
