@@ -6,8 +6,11 @@
 Every stage writes its artifacts under the configured artifacts directory
 and records input digests in ``manifest.json``; re-running a stage whose
 inputs and config are unchanged is a no-op. ``evaluate`` is the one stage
-that runs a trained model: it stores each graph's prediction and node
-embedding norms, and ``attribute`` splits the threat change from those.
+that runs a trained model: beside each graph's prediction and node embedding
+norms it stores what attribution reads of the graphs (event ids, labels,
+node counts, match, actor and player ids, the cross-team flag).
+``attribute`` splits the threat change from that file, the actions and the
+stats CSV alone; it checks ``graphs.ndjson`` only by digest.
 Exit codes: 0 success, 2 config error, 3 missing, unreadable or stale input
 file or artifact (or failed fetch), 4 numeric failure.
 """
@@ -40,6 +43,10 @@ EXIT_NUMERIC = 4
 
 DEFAULT_K = {"gcn": 7, "gat": 7, "transformer": 5}
 DEFAULT_ABLATION_K = (1, 3, 5, 7, 9)
+
+# What ``outputs_<variant>`` holds; part of evaluate's manifest key, so
+# outputs of an earlier layout are rebuilt rather than skipped as fresh.
+OUTPUTS_LAYOUT = 2
 
 
 class ConfigError(ValueError):
@@ -476,17 +483,24 @@ def _stage_evaluate(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     for name, m in scores.items():
         lines.append(f"{name},{m['mse']!r},{m['mae']!r},{m['combined']!r}")
     _write_text(ap["metrics"], "\n".join(lines) + "\n")
-    manifest = {"kind": "threatshare-outputs", "graphs_sha256": digests[ap["graphs"]]}
-    arrays = {"predictions": predictions, "norms": norms}
-    _write_atomic(ap["outputs"], lambda tmp: ckpt_io.save_container(tmp, manifest, arrays))
+    columns = credit.EventColumns.of(all_graphs, predictions, norms)
+    manifest = {
+        "kind": "threatshare-outputs",
+        "graphs_sha256": digests[ap["graphs"]],
+        "event_ids": columns.event_ids,
+    }
+    _write_atomic(
+        ap["outputs"], lambda tmp: ckpt_io.save_container(tmp, manifest, columns.arrays())
+    )
     log.info("evaluate[%s]: %s; %s", cfg.model.variant, lines[2], lines[4])
     return [ap["metrics"], ap["outputs"]]
 
 
-def _load_outputs(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
-    """(graphs digest, predictions, norms) that evaluate stored."""
+def _load_outputs(path: Path) -> tuple[str, credit.EventColumns]:
+    """(digest of the graphs they were computed from, the event columns)
+    that evaluate stored."""
     manifest, arrays = ckpt_io.load_container(path)
-    return manifest["graphs_sha256"], arrays["predictions"], arrays["norms"]
+    return manifest["graphs_sha256"], credit.EventColumns(manifest["event_ids"], **arrays)
 
 
 def _player_teams(actions) -> dict:
@@ -502,18 +516,15 @@ def _player_teams(actions) -> dict:
 
 def _stage_attribute(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     ap = artifact_paths(cfg)
-    graphs_digest, predictions, norms = _read(cfg, "outputs", _load_outputs)
+    graphs_digest, columns = _read(cfg, "outputs", _load_outputs)
     if graphs_digest != digests[ap["graphs"]]:
         raise MissingArtifactError(
             f"{ap['outputs']} was computed from other graphs; run evaluate again"
         )
-    all_graphs = _read(cfg, "graphs", graphs_mod.read_graphs)
     actions = _read(cfg, "actions", ingest.read_actions)
     stats_raw = ingest.load_player_stats(cfg.paths.stats_csv)
     ledger = credit.build_ledger(
-        all_graphs,
-        predictions,
-        norms,
+        columns,
         source=cfg.attribution_source,
         stats=stats_raw,
         player_team=_player_teams(actions),
@@ -649,7 +660,7 @@ STAGES = {
     "evaluate": Stage(
         _stage_evaluate,
         _inputs("graphs", "checkpoint"),
-        _pick("model", "training", "seed"),
+        lambda full: {**_pick("model", "training", "seed")(full), "outputs_layout": OUTPUTS_LAYOUT},
     ),
     "attribute": Stage(
         _stage_attribute,

@@ -22,25 +22,27 @@ NEGATIVE_SHARE_MODES = ("prorata", "actor")
 
 
 def attribute(
-    graph,
+    node_ids,
     norms,
     delta: float,
     *,
+    actor=None,
     negative_mode: str = "prorata",
 ) -> tuple[dict[int, float], bool]:
-    """Split ``delta`` over the graph's players by embedding magnitude.
+    """Split ``delta`` over an event graph's players by embedding magnitude.
 
     ``norms`` holds |h_v|, the L2 norm of each node's final embedding, in
-    node order: share_v = (|h_v| / sum_u |h_u|) * delta. All-zero embeddings
-    degrade to a uniform split. ``negative_mode="actor"`` instead hands a
-    negative delta entirely to the event's acting player. Returns the shares
-    and whether the split fell back to uniform.
+    the order of ``node_ids``: share_v = (|h_v| / sum_u |h_u|) * delta.
+    All-zero embeddings degrade to a uniform split. ``negative_mode="actor"``
+    instead hands a negative delta entirely to the event's acting player
+    ``actor`` (by default the first node). Returns the shares and whether the
+    split fell back to uniform.
     """
     if negative_mode not in NEGATIVE_SHARE_MODES:
         raise ValueError(f"unknown negative_mode {negative_mode!r}")
-    node_ids = list(graph.node_ids)
+    node_ids = list(node_ids)
     if negative_mode == "actor" and delta < 0:
-        actor = graph.meta.get("actor_id", node_ids[0])
+        actor = node_ids[0] if actor is None else actor
         return {pid: (delta if pid == actor else 0.0) for pid in node_ids}, False
 
     total = norms.sum()
@@ -181,34 +183,105 @@ class CreditLedger:
         return self.player_total.get(pid, 0.0) * 90.0 / minutes
 
 
+def _ints(name: str, values) -> np.ndarray:
+    """``values`` as int64; a non-integral entry is a ValueError."""
+    values = np.asarray(values)
+    ints = values.astype(np.int64)
+    if not np.array_equal(ints, values):
+        raise ValueError(f"{name}: non-integral entries")
+    return ints
+
+
+class EventColumns:
+    """What attribution reads of the event graphs, as flat columns.
+
+    Per graph, in stored order: ``event_ids``, ``predictions``, ``labels``,
+    ``sizes`` (node counts), ``match_ids``, ``actor_ids`` and ``cross_team``.
+    Per node, every graph's nodes in turn: ``player_ids`` and ``norms``.
+    Each column but the event ids is an array; ``evaluate`` stores them as
+    float64, so ids and flags are converted back here. Columns of unequal
+    length, or node columns that do not match the sizes, raise ValueError.
+    """
+
+    PER_GRAPH = ("predictions", "labels", "sizes", "match_ids", "actor_ids", "cross_team")
+    PER_NODE = ("player_ids", "norms")
+
+    def __init__(self, event_ids, *, predictions, labels, sizes, match_ids, actor_ids,
+                 cross_team, player_ids, norms):
+        self.event_ids = [str(e) for e in event_ids]
+        self.predictions = np.asarray(predictions, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.float64)
+        self.sizes = _ints("sizes", sizes)
+        self.match_ids = _ints("match_ids", match_ids)
+        self.actor_ids = _ints("actor_ids", actor_ids)
+        self.cross_team = np.asarray(cross_team) != 0
+        self.player_ids = _ints("player_ids", player_ids)
+        self.norms = np.asarray(norms, dtype=np.float64)
+        n = len(self.event_ids)
+        for name in self.PER_GRAPH:
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name}: {len(getattr(self, name))} entries for {n} events")
+        if np.any(self.sizes < 1):
+            raise ValueError("sizes: a graph without nodes")
+        nodes = int(self.sizes.sum())
+        for name in self.PER_NODE:
+            if len(getattr(self, name)) != nodes:
+                raise ValueError(f"{name}: {len(getattr(self, name))} entries for {nodes} nodes")
+
+    @classmethod
+    def of(cls, graphs, predictions, norms) -> "EventColumns":
+        """The columns of ``graphs`` with their model ``predictions`` (one
+        per graph) and node ``norms`` (every graph's nodes in turn)."""
+        graphs = list(graphs)
+        return cls(
+            [g.event_id for g in graphs],
+            predictions=predictions,
+            labels=[g.label for g in graphs],
+            sizes=[g.n_nodes for g in graphs],
+            match_ids=[g.meta["match_id"] for g in graphs],
+            actor_ids=[g.meta["actor_id"] for g in graphs],
+            cross_team=[g.cross_team for g in graphs],
+            player_ids=[pid for g in graphs for pid in g.node_ids],
+            norms=norms,
+        )
+
+    def arrays(self) -> dict:
+        """Every column but the event ids, by name."""
+        return {name: getattr(self, name) for name in self.PER_GRAPH + self.PER_NODE}
+
+
 def build_ledger(
-    graphs,
-    predictions,
-    norms,
+    columns: EventColumns,
     *,
     source: str = "predicted",
     stats=None,
     player_team=None,
     negative_mode: str = "prorata",
 ) -> CreditLedger:
-    """Attribute every event and aggregate into a season ledger.
+    """Attribute every event of ``columns`` and aggregate into a season ledger.
 
-    ``predictions`` (one per graph) and ``norms`` (every graph's nodes in
-    turn) are flat, as ``models.predict`` returns them. ``source`` picks the
-    delta that gets distributed: the model prediction (default) or the
-    labeled value. Events whose embeddings are all zero fall back to a
-    uniform split; their count is logged once.
+    The ``attribute`` stage reads ``columns`` from ``outputs_<variant>``,
+    where ``evaluate`` stored them, so no graph store is parsed. ``source``
+    picks the delta that gets distributed: the model prediction (default)
+    or the labeled value. Events whose embeddings are all zero fall back to
+    a uniform split; their count is logged once.
     """
     if source not in ("predicted", "labeled"):
         raise ValueError(f"unknown attribution source {source!r}")
-    graphs = list(graphs)
-    ends = np.cumsum([g.n_nodes for g in graphs])
+    c = columns
+    deltas = (c.predictions if source == "predicted" else c.labels).tolist()
+    player_ids, actor_ids = c.player_ids.tolist(), c.actor_ids.tolist()
+    match_ids, cross_team = c.match_ids.tolist(), c.cross_team.tolist()
     ledger = CreditLedger()
-    for g, prediction, end in zip(graphs, predictions, ends):
-        delta = float(prediction) if source == "predicted" else g.label
-        shares, uniform = attribute(g, norms[end - g.n_nodes : end], delta, negative_mode=negative_mode)
+    end = 0
+    for i, size in enumerate(c.sizes.tolist()):
+        start, end = end, end + size
+        shares, uniform = attribute(
+            player_ids[start:end], c.norms[start:end], deltas[i],
+            actor=actor_ids[i], negative_mode=negative_mode,
+        )
         ledger.uniform_fallbacks += uniform
-        ledger.add_event(g.event_id, g.meta.get("match_id"), delta, g.cross_team, shares)
+        ledger.add_event(c.event_ids[i], match_ids[i], deltas[i], cross_team[i], shares)
     if ledger.uniform_fallbacks:
         log.warning(
             "%d of %d events had all-zero embeddings; their deltas were split uniformly",

@@ -105,10 +105,10 @@ def test_criterion_03_attribution_conservation():
         emb = rng.normal(size=(n, 8)) * float(rng.uniform(0.01, 5.0))
         delta = float(rng.uniform(-1.0, 1.0))
 
-        base = credit.attribute(graph, np.linalg.norm(emb, axis=1), delta)[0]
+        base = credit.attribute(graph.node_ids, np.linalg.norm(emb, axis=1), delta)[0]
         assert abs(sum(base.values()) - delta) <= 1e-9
         for c in (0.1, 10.0):
-            scaled = credit.attribute(graph, np.linalg.norm(emb * c, axis=1), delta)[0]
+            scaled = credit.attribute(graph.node_ids, np.linalg.norm(emb * c, axis=1), delta)[0]
             for pid in base:
                 assert abs(scaled[pid] - base[pid]) <= 1e-12
     report(3, "1000 triples: shares sum to delta (1e-9) and are scale-invariant (1e-12)")

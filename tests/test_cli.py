@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threatshare import cli, graphs as graphs_mod, models, viz
+from threatshare import cli, credit, graphs as graphs_mod, models, viz
+from threatshare.diffcore import checkpoint as ckpt_io
 from threatshare.ingest import SpadlAction
 
 FAST_OVERRIDES = {
@@ -153,8 +154,9 @@ class TestPipeline:
     def test_one_inference_pass_per_checkpoint(self, tmp_path, fixture_dir, monkeypatch):
         cfg = cli.load_config(write_config(tmp_path, fixture_dir))
         cli.run_pipeline(cfg, ALL_STAGES[:4])
-        calls = {"forward": 0, "checkpoint loads": 0, "graphs hashes": 0}
+        calls = {"forward": 0, "checkpoint loads": 0, "graphs hashes": 0, "graph store parses": 0}
         forward, load, sha = models.forward, models.Checkpoint.load, cli._sha_file
+        read_graphs = graphs_mod.read_graphs
         graphs_path = cli.artifact_paths(cfg)["graphs"]
 
         def counted_forward(*args):
@@ -169,20 +171,98 @@ class TestPipeline:
             calls["graphs hashes"] += path == graphs_path
             return sha(path)
 
+        def counted_read_graphs(path):
+            calls["graph store parses"] += 1
+            return read_graphs(path)
+
         monkeypatch.setattr(models, "forward", counted_forward)
         monkeypatch.setattr(models.Checkpoint, "load", staticmethod(counted_load))
         monkeypatch.setattr(cli, "_sha_file", counted_sha)
-        gs = graphs_mod.read_graphs(graphs_path)
+        gs = read_graphs(graphs_path)
+        monkeypatch.setattr(graphs_mod, "read_graphs", counted_read_graphs)
         one_pass = {
             "forward": len(models.packs(gs, models.PREDICT_NODES)),
             "checkpoint loads": 1,
             "graphs hashes": 1,  # run_stage's input digest, handed to the stage
+            "graph store parses": 1,  # evaluate's; attribute reads outputs_<variant> only
         }
         cli.run_pipeline(cfg, ["evaluate"])
         assert calls == one_pass
         calls["graphs hashes"] = 0
         cli.run_pipeline(cfg, ["attribute"])
         assert calls == one_pass
+
+    def test_outputs_hold_the_graphs_ids_exactly(self, tmp_path, fixture_dir):
+        cfg = cli.load_config(write_config(tmp_path, fixture_dir))
+        cli.run_pipeline(cfg, ALL_STAGES[:5])
+        ap = cli.artifact_paths(cfg)
+        gs = graphs_mod.read_graphs(ap["graphs"])
+        digest, columns = cli._load_outputs(ap["outputs"])
+        assert digest == cli._sha_file(ap["graphs"])
+        assert columns.event_ids == [g.event_id for g in gs]
+        assert columns.player_ids.tolist() == [pid for g in gs for pid in g.node_ids]
+        assert columns.match_ids.tolist() == [g.meta["match_id"] for g in gs]
+        assert columns.actor_ids.tolist() == [g.meta["actor_id"] for g in gs]
+        assert columns.sizes.tolist() == [g.n_nodes for g in gs]
+        assert columns.labels.tolist() == [g.label for g in gs]
+        assert columns.cross_team.tolist() == [g.cross_team for g in gs]
+        for ids in (columns.player_ids, columns.match_ids, columns.actor_ids, columns.sizes):
+            assert ids.dtype == np.int64
+
+    @pytest.mark.parametrize("source,negative_mode", [("predicted", "prorata"), ("labeled", "actor")])
+    def test_ledger_from_outputs_matches_one_built_from_the_graphs(
+        self, tmp_path, fixture_dir, source, negative_mode
+    ):
+        cfg = cli.load_config(write_config(tmp_path, fixture_dir))
+        cli.run_pipeline(cfg, ALL_STAGES[:5])
+        ap = cli.artifact_paths(cfg)
+        _, columns = cli._load_outputs(ap["outputs"])
+        ledger = credit.build_ledger(columns, source=source, negative_mode=negative_mode)
+        # the reference: every graph of the store split on its own
+        gs = graphs_mod.read_graphs(ap["graphs"])
+        predictions, norms = models.evaluate(models.Checkpoint.load(ap["checkpoint"]), gs)
+        reference = credit.CreditLedger()
+        end = 0
+        for g, prediction in zip(gs, predictions, strict=True):
+            end += g.n_nodes
+            delta = float(prediction) if source == "predicted" else g.label
+            shares, uniform = credit.attribute(
+                g.node_ids, norms[end - g.n_nodes : end], delta,
+                actor=g.meta["actor_id"], negative_mode=negative_mode,
+            )
+            reference.uniform_fallbacks += uniform
+            reference.add_event(g.event_id, g.meta["match_id"], delta, g.cross_team, shares)
+        assert end == len(norms)
+        assert ledger.shares == reference.shares
+        assert ledger.player_total == reference.player_total
+        assert ledger.event_cross_team == reference.event_cross_team
+        assert ledger.player_matches == reference.player_matches
+        assert ledger.uniform_fallbacks == reference.uniform_fallbacks
+
+    def test_outputs_of_an_earlier_layout_are_rebuilt(self, tmp_path, fixture_dir):
+        """Outputs that hold only predictions and norms, recorded under an
+        evaluate key without the layout, recover with evaluate then attribute."""
+        config = write_config(tmp_path, fixture_dir)
+        cfg = cli.load_config(config)
+        cli.run_pipeline(cfg, ALL_STAGES[:5])
+        ap = cli.artifact_paths(cfg)
+        digests = {p: cli._sha_file(p) for p in (ap["graphs"], ap["checkpoint"])}
+        old, arrays = ckpt_io.load_container(ap["outputs"])
+        ckpt_io.save_container(
+            ap["outputs"],
+            {"kind": old["kind"], "graphs_sha256": old["graphs_sha256"]},
+            {"predictions": arrays["predictions"], "norms": arrays["norms"]},
+        )
+        manifest = json.loads(ap["manifest"].read_text())
+        full = cfg.effective_dict()
+        old_config = {"model": full["model"], "training": full["training"], "seed": full["seed"]}
+        manifest["stages"]["evaluate"] = {
+            "key": cli._stage_key({"stage": "evaluate", "config": old_config}, digests),
+            "outputs": {str(p): cli._sha_file(p) for p in (ap["metrics"], ap["outputs"])},
+        }
+        ap["manifest"].write_text(json.dumps(manifest))
+        assert cli.main(["--config", str(config), "--quiet", "attribute"]) == 3
+        assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": True}
 
     def test_rerun_skips_everything(self, tmp_path, fixture_dir):
         config = write_config(tmp_path, fixture_dir)
@@ -284,6 +364,19 @@ def _rebuild_graphs(**changes):
     return damage
 
 
+def _drop_prediction(tmp_path):
+    """Damage: rewrite outputs_gcn as a valid container with its last
+    prediction removed, and record its new digest as evaluate's."""
+    path = tmp_path / "artifacts" / "outputs_gcn"
+    manifest, arrays = ckpt_io.load_container(path)
+    arrays["predictions"] = arrays["predictions"][:-1]
+    ckpt_io.save_container(path, manifest, arrays)
+    run = tmp_path / "artifacts" / "manifest.json"
+    data = json.loads(run.read_text())
+    data["stages"]["evaluate"]["outputs"][str(path)] = cli._sha_file(path)
+    run.write_text(json.dumps(data))
+
+
 TRAINED = ["ingest", "xt-fit", "build-graphs", "train"]
 
 
@@ -319,6 +412,9 @@ FAILURE_CASES = {
     "outputs-of-other-graphs": (
         lambda tmp, fx: {}, TRAINED + ["evaluate"], _rebuild_graphs(window_k=5),
         "attribute", 3, "outputs_gcn was computed from other graphs; run evaluate again"),
+    "outputs-missing-a-prediction": (
+        lambda tmp, fx: {}, TRAINED + ["evaluate"], _drop_prediction, "attribute", 3,
+        "outputs_gcn (predictions: 399 entries for 400 events); run evaluate again"),
 }
 
 

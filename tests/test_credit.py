@@ -17,37 +17,26 @@ def norms(embeddings):
     return np.linalg.norm(np.asarray(embeddings, dtype=np.float64), axis=1)
 
 
-def graph_of(node_ids, actor=None):
-    g = random_event_graph(np.random.default_rng(0), n_nodes=len(node_ids))
-    g.node_ids = list(node_ids)
-    g.meta["actor_id"] = actor if actor is not None else node_ids[0]
-    return g
-
-
 class TestAttribute:
     def test_norm_ratio_arithmetic(self):
-        g = graph_of([10, 20])
-        shares = credit.attribute(g, norms([[3.0, 0.0], [1.0, 0.0]]), 0.04)[0]
+        shares = credit.attribute([10, 20], norms([[3.0, 0.0], [1.0, 0.0]]), 0.04)[0]
         assert shares[10] == pytest.approx(0.03)
         assert shares[20] == pytest.approx(0.01)
 
     def test_single_node_gets_everything(self):
-        g = graph_of([5])
-        assert credit.attribute(g, norms([[1.0, 2.0]]), -0.2)[0] == {5: -0.2}
+        assert credit.attribute([5], norms([[1.0, 2.0]]), -0.2)[0] == {5: -0.2}
 
     def test_zero_embeddings_fall_back_to_uniform(self):
-        g = graph_of([1, 2, 3, 4])
-        shares, uniform = credit.attribute(g, norms(np.zeros((4, 8))), 0.08)
+        shares, uniform = credit.attribute([1, 2, 3, 4], norms(np.zeros((4, 8))), 0.08)
         assert uniform
         assert all(s == pytest.approx(0.02) for s in shares.values())
 
     def test_actor_mode_routes_negative_delta(self):
-        g = graph_of([1, 2, 3], actor=2)
         weights = norms(np.ones((3, 4)))
-        shares = credit.attribute(g, weights, -0.06, negative_mode="actor")[0]
+        shares = credit.attribute([1, 2, 3], weights, -0.06, actor=2, negative_mode="actor")[0]
         assert shares == {1: 0.0, 2: -0.06, 3: 0.0}
         # positive delta still splits pro rata
-        shares = credit.attribute(g, weights, 0.06, negative_mode="actor")[0]
+        shares = credit.attribute([1, 2, 3], weights, 0.06, actor=2, negative_mode="actor")[0]
         assert shares[1] == pytest.approx(0.02)
 
     @given(
@@ -58,18 +47,17 @@ class TestAttribute:
     @settings(max_examples=200, deadline=None)
     def test_conservation_and_scale_invariance(self, n, delta, seed):
         rng = np.random.default_rng(seed)
-        g = graph_of(sorted(rng.choice(1000, size=n, replace=False).astype(int).tolist()))
+        node_ids = sorted(rng.choice(1000, size=n, replace=False).astype(int).tolist())
         emb = rng.normal(size=(n, 6))
-        base = credit.attribute(g, norms(emb), delta)[0]
+        base = credit.attribute(node_ids, norms(emb), delta)[0]
         assert sum(base.values()) == pytest.approx(delta, abs=1e-12)
         for c in (0.1, 10.0):
-            scaled = credit.attribute(g, norms(emb * c), delta)[0]
+            scaled = credit.attribute(node_ids, norms(emb * c), delta)[0]
             for pid in base:
                 assert scaled[pid] == pytest.approx(base[pid], abs=1e-12)
 
     def test_shares_carry_delta_sign(self):
-        g = graph_of([1, 2])
-        shares = credit.attribute(g, norms([[1.0], [2.0]]), -0.09)[0]
+        shares = credit.attribute([1, 2], norms([[1.0], [2.0]]), -0.09)[0]
         assert all(s <= 0 for s in shares.values())
 
 
@@ -241,9 +229,14 @@ class TestLedgerAndCaseReport:
         # predictions as the model makes them: one per graph, flat
         return graphs, rng.uniform(-0.1, 0.1, len(graphs)), node_norms
 
+    @staticmethod
+    def ledger(graphs, predictions, node_norms, **kwargs):
+        columns = credit.EventColumns.of(graphs, predictions, np.concatenate(node_norms))
+        return credit.build_ledger(columns, **kwargs)
+
     def test_totals_reproduce_sum_of_deltas(self):
         graphs, predictions, node_norms = self.build()
-        ledger = credit.build_ledger(graphs, predictions, np.concatenate(node_norms), source="labeled")
+        ledger = self.ledger(graphs, predictions, node_norms, source="labeled")
         assert sum(ledger.player_total.values()) == pytest.approx(
             sum(g.label for g in graphs), abs=1e-9
         )
@@ -258,7 +251,7 @@ class TestLedgerAndCaseReport:
         for i in (1, 4):
             node_norms[i] = norms(np.zeros((3, 4)))
         with caplog.at_level("WARNING", logger="threatshare.credit"):
-            ledger = credit.build_ledger(graphs, predictions, np.concatenate(node_norms), source="labeled")
+            ledger = self.ledger(graphs, predictions, node_norms, source="labeled")
         assert ledger.uniform_fallbacks == 2
         assert [r.getMessage() for r in caplog.records] == [
             "2 of 6 events had all-zero embeddings; their deltas were split uniformly"
@@ -267,7 +260,34 @@ class TestLedgerAndCaseReport:
     def test_source_validation(self):
         graphs, predictions, node_norms = self.build()
         with pytest.raises(ValueError):
-            credit.build_ledger(graphs, predictions, np.concatenate(node_norms), source="oracle")
+            self.ledger(graphs, predictions, node_norms, source="oracle")
+
+    def test_actor_mode_hands_negative_deltas_to_each_events_actor(self):
+        graphs, predictions, node_norms = self.build()
+        for g in graphs:
+            g.meta["actor_id"] = g.node_ids[-1]
+        assert min(predictions) < 0 < max(predictions)
+        ledger = self.ledger(graphs, predictions, node_norms, negative_mode="actor")
+        for g, prediction in zip(graphs, predictions):
+            if prediction < 0:
+                assert ledger.shares[(g.event_id, g.node_ids[-1])] == prediction
+                assert all(ledger.shares[(g.event_id, pid)] == 0.0 for pid in g.node_ids[:-1])
+
+    def test_columns_of_unequal_length_rejected(self):
+        graphs, predictions, node_norms = self.build()
+        norms_flat = np.concatenate(node_norms)
+        with pytest.raises(ValueError, match="predictions: 5 entries for 6 events"):
+            credit.EventColumns.of(graphs, predictions[:-1], norms_flat)
+        with pytest.raises(ValueError, match="norms: 17 entries for 18 nodes"):
+            credit.EventColumns.of(graphs, predictions, norms_flat[:-1])
+        arrays = credit.EventColumns.of(graphs, predictions, norms_flat).arrays()
+        event_ids = [g.event_id for g in graphs]
+        with pytest.raises(ValueError, match="player_ids: 18 entries for 19 nodes"):
+            credit.EventColumns(event_ids, **{**arrays, "sizes": np.r_[4, arrays["sizes"][1:]]})
+        with pytest.raises(ValueError, match="sizes: non-integral"):
+            credit.EventColumns(event_ids, **{**arrays, "sizes": np.r_[2.5, 3.5, arrays["sizes"][2:]]})
+        with pytest.raises(ValueError, match="sizes: a graph without nodes"):
+            credit.EventColumns(event_ids, **{**arrays, "sizes": np.r_[0, 6, arrays["sizes"][2:]]})
 
     def test_case_report_single_action(self):
         ledger = credit.CreditLedger()
