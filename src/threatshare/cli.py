@@ -8,9 +8,9 @@ and records input digests in ``manifest.json``; re-running a stage whose
 inputs and config are unchanged is a no-op. ``evaluate`` is the one stage
 that runs a trained model: beside each graph's prediction and node embedding
 norms it stores what attribution reads of the graphs (event ids, labels,
-node counts, match, actor and player ids, the cross-team flag).
-``attribute`` splits the threat change from that file, the actions and the
-stats CSV alone; it checks ``graphs.ndjson`` only by digest.
+node counts, match, actor, actor team and player ids, the cross-team flag).
+``attribute`` splits the threat change from that file and the stats CSV
+alone; it checks ``graphs.ndjson`` only by digest.
 Exit codes: 0 success, 2 config error, 3 missing, unreadable or stale input
 file or artifact (or failed fetch), 4 numeric failure.
 """
@@ -44,9 +44,11 @@ EXIT_NUMERIC = 4
 DEFAULT_K = {"gcn": 7, "gat": 7, "transformer": 5}
 DEFAULT_ABLATION_K = (1, 3, 5, 7, 9)
 
-# What ``outputs_<variant>`` holds; part of evaluate's manifest key, so
-# outputs of an earlier layout are rebuilt rather than skipped as fresh.
-OUTPUTS_LAYOUT = 2
+# What ``outputs_<variant>`` and ``graphs.ndjson`` hold; part of evaluate's
+# and build-graphs' manifest keys, so artifacts of an earlier layout are
+# rebuilt rather than skipped as fresh.
+OUTPUTS_LAYOUT = 3
+GRAPHS_LAYOUT = graphs_mod.STORE_SCHEMA_VERSION
 
 
 class ConfigError(ValueError):
@@ -503,11 +505,12 @@ def _load_outputs(path: Path) -> tuple[str, credit.EventColumns]:
     return manifest["graphs_sha256"], credit.EventColumns(manifest["event_ids"], **arrays)
 
 
-def _player_teams(actions) -> dict:
+def _player_teams(columns: credit.EventColumns) -> dict:
+    """Each actor's team: the one it acted for most often, ties to the lower id."""
     counts: dict = {}
-    for a in actions:
-        counts.setdefault(a.player_id, {}).setdefault(a.team_id, 0)
-        counts[a.player_id][a.team_id] += 1
+    for pid, team in zip(columns.actor_ids.tolist(), columns.actor_teams.tolist()):
+        counts.setdefault(pid, {}).setdefault(team, 0)
+        counts[pid][team] += 1
     return {
         pid: max(teams.items(), key=lambda kv: (kv[1], -kv[0]))[0]
         for pid, teams in counts.items()
@@ -521,13 +524,12 @@ def _stage_attribute(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
         raise MissingArtifactError(
             f"{ap['outputs']} was computed from other graphs; run evaluate again"
         )
-    actions = _read(cfg, "actions", ingest.read_actions)
     stats_raw = ingest.load_player_stats(cfg.paths.stats_csv)
     ledger = credit.build_ledger(
         columns,
         source=cfg.attribution_source,
         stats=stats_raw,
-        player_team=_player_teams(actions),
+        player_team=_player_teams(columns),
         negative_mode=cfg.negative_share_mode,
     )
 
@@ -652,7 +654,10 @@ STAGES = {
     "build-graphs": Stage(
         _stage_build_graphs,
         _inputs("actions", "grid", files=("stats_csv", "roles_csv")),
-        _pick("window_k", "append_centrality_features"),
+        lambda full: {
+            **_pick("window_k", "append_centrality_features")(full),
+            "graphs_layout": GRAPHS_LAYOUT,
+        },
     ),
     "train": Stage(
         _stage_train, _inputs("graphs"), _pick("model", "training", "seed")
@@ -664,7 +669,7 @@ STAGES = {
     ),
     "attribute": Stage(
         _stage_attribute,
-        _inputs("graphs", "outputs", "actions", files=("stats_csv",)),
+        _inputs("graphs", "outputs", files=("stats_csv",)),
         _pick("attribution_source", "negative_share_mode"),
     ),
     "rank": Stage(_stage_rank, _inputs("totals"), _pick()),

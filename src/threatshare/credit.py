@@ -196,24 +196,28 @@ class EventColumns:
     """What attribution reads of the event graphs, as flat columns.
 
     Per graph, in stored order: ``event_ids``, ``predictions``, ``labels``,
-    ``sizes`` (node counts), ``match_ids``, ``actor_ids`` and ``cross_team``.
+    ``sizes`` (node counts), ``match_ids``, ``actor_ids``, ``actor_teams``
+    and ``cross_team``.
     Per node, every graph's nodes in turn: ``player_ids`` and ``norms``.
     Each column but the event ids is an array; ``evaluate`` stores them as
     float64, so ids and flags are converted back here. Columns of unequal
     length, or node columns that do not match the sizes, raise ValueError.
     """
 
-    PER_GRAPH = ("predictions", "labels", "sizes", "match_ids", "actor_ids", "cross_team")
+    PER_GRAPH = (
+        "predictions", "labels", "sizes", "match_ids", "actor_ids", "actor_teams", "cross_team"
+    )
     PER_NODE = ("player_ids", "norms")
 
     def __init__(self, event_ids, *, predictions, labels, sizes, match_ids, actor_ids,
-                 cross_team, player_ids, norms):
+                 actor_teams, cross_team, player_ids, norms):
         self.event_ids = [str(e) for e in event_ids]
         self.predictions = np.asarray(predictions, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.float64)
         self.sizes = _ints("sizes", sizes)
         self.match_ids = _ints("match_ids", match_ids)
         self.actor_ids = _ints("actor_ids", actor_ids)
+        self.actor_teams = _ints("actor_teams", actor_teams)
         self.cross_team = np.asarray(cross_team) != 0
         self.player_ids = _ints("player_ids", player_ids)
         self.norms = np.asarray(norms, dtype=np.float64)
@@ -240,6 +244,7 @@ class EventColumns:
             sizes=[g.n_nodes for g in graphs],
             match_ids=[g.meta["match_id"] for g in graphs],
             actor_ids=[g.meta["actor_id"] for g in graphs],
+            actor_teams=[g.meta["actor_team"] for g in graphs],
             cross_team=[g.cross_team for g in graphs],
             player_ids=[pid for g in graphs for pid in g.node_ids],
             norms=norms,

@@ -241,7 +241,8 @@ def random_event_graph(
         node_xy=rng.uniform(0.0, 1.0, size=(n, 2)),
         node_roles=rng.integers(0, 5, size=n),
         cross_team=bool(rng.uniform() < 0.2),
-        meta={"match_id": 0, "event_index": 0, "k": 0, "n_imputed": 0, "actor_id": node_ids[0]},
+        meta={"match_id": 0, "event_index": 0, "k": 0, "n_imputed": 0, "actor_id": node_ids[0],
+              "actor_team": 0},
     )
     graph.validate()
     return graph
@@ -282,7 +283,8 @@ def planted_linear_dataset(
             node_xy=np.full((n_nodes, 2), 0.5),
             node_roles=np.full(n_nodes, 4, dtype=np.int64),
             cross_team=False,
-            meta={"match_id": 0, "event_index": i, "k": 0, "n_imputed": 0, "actor_id": 1},
+            meta={"match_id": 0, "event_index": i, "k": 0, "n_imputed": 0, "actor_id": 1,
+                  "actor_team": 0},
         )
         g.validate()
         graphs.append(g)

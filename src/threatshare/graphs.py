@@ -12,6 +12,10 @@ Node features are the per-90 normalized season statistics; edge features
 are a fixed 10-slot layout mixing what happened (type, result, geometry)
 with when (match clock, gap to the window's newest action) and how much it
 mattered (end-zone threat and its change).
+
+The store (``graphs.ndjson``) keeps one compact line per action rather than
+every window in full; ``read_graphs`` cuts the windows again with
+``match_windows``, the same function ``build_match_graphs`` uses.
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ from threatshare.xt import XtLabel, label_stream
 
 log = logging.getLogger(__name__)
 
+# What a graph holds (node and edge feature layout); checkpoints record it.
 SCHEMA_VERSION = 1
+# The layout of a ``graphs.ndjson`` line, its ``schema_version`` field. The
+# per-action store changed the lines, not the graphs, so checkpoints trained
+# on graphs read from an earlier store still fit.
+STORE_SCHEMA_VERSION = 2
 
 MAX_NODES = 22
 NODE_FEATURE_DIM = 10
@@ -82,10 +91,11 @@ class EventGraph:
 
 def normalized_adjacency(n: int, edge_list) -> np.ndarray:
     """Row-normalize directed indicators plus self-loops; rows index the
-    destination node, so information flows along the pass direction."""
+    destination node, so information flows along the pass direction.
+    ``edge_list`` is a sequence of (src, dst) pairs or an (E, 2) array."""
     a = np.eye(n)
-    for src, dst in edge_list:
-        a[dst, src] = 1.0
+    ends = np.asarray(edge_list, dtype=np.intp).reshape(-1, 2)
+    a[ends[:, 1], ends[:, 0]] = 1.0
     return a / a.sum(axis=1, keepdims=True)
 
 
@@ -148,7 +158,7 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
     ``centrality=True`` appends each player's three normalized passing-network
     centralities of this match (degree, betweenness, closeness) to the stats.
     Labels, recipients, player rows and edge rows are computed once for the
-    match; each event's graph slices its window out of them.
+    match; ``match_windows`` cuts every event's graph out of them.
     """
     if k < 0:
         raise ValueError("window size k must be >= 0")
@@ -179,44 +189,96 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
             player_rows[j, len(mean_vec) :] = extra[pid]
         if roles:
             role_codes[j] = ROLE_CODES.get(str(roles.get(pid, "")).upper(), ROLE_UNKNOWN)
-    src_all = [player_index[a.player_id] for a in actions]
-    dst_all = [s if r is None else player_index[r] for s, r in zip(src_all, recipients)]
-    src_all, dst_all = np.array(src_all, dtype=np.int64), np.array(dst_all, dtype=np.int64)
-
-    graphs = []
-    for index, a in enumerate(actions):
-        lo = max(0, index - k)
-        src, dst = src_all[lo : index + 1], dst_all[lo : index + 1]
-        nodes = np.unique(np.concatenate([src, dst]))
-        edge_list = list(
-            zip(np.searchsorted(nodes, src).tolist(), np.searchsorted(nodes, dst).tolist())
-        )
-        edges = edge_rows[lo : index + 1].copy()
-        window_clock = clock[lo : index + 1]
-        edges[:, 9] = np.minimum(window_clock.max() - window_clock, DT_CLIP_S) / DT_CLIP_S
-        node_xy = np.zeros((len(nodes), 2))
-        for (s, d), xy in zip(edge_list, edges[:, 4:6]):
-            # latest touch wins: actor at the action end, recipient at the pass end
-            node_xy[s] = xy
-            node_xy[d] = xy
-        graph = EventGraph(
-            event_id=labels[index].event_id,
-            node_ids=[players[j] for j in nodes.tolist()],
-            node_features=player_rows[nodes],
-            adjacency=normalized_adjacency(len(nodes), edge_list),
-            edge_list=edge_list,
-            edge_features=edges,
-            label=labels[index].delta_xt,
-            node_xy=node_xy,
-            node_roles=role_codes[nodes],
-            cross_team=labels[index].cross_team,
-            meta={
+    src = [player_index[a.player_id] for a in actions]
+    dst = [s if r is None else player_index[r] for s, r in zip(src, recipients)]
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    n_imputed = (_window_members(src, dst, k, len(players)) & imputed).sum(axis=1).tolist()
+    events = [
+        (
+            label.event_id,
+            label.delta_xt,
+            label.cross_team,
+            {
                 "match_id": a.game_id,
                 "event_index": index,
                 "k": k,
-                "n_imputed": int(imputed[nodes].sum()),
+                "n_imputed": n,
                 "actor_id": a.player_id,
+                "actor_team": a.team_id,
+                "clock": t,
             },
+        )
+        for index, (a, label, n, t) in enumerate(zip(actions, labels, n_imputed, clock.tolist()))
+    ]
+    return match_windows(players, player_rows, role_codes, src, dst, edge_rows, events, k)
+
+
+def _window_members(src, dst, k: int, n_players: int) -> np.ndarray:
+    """(N, n_players) bool: whether player j acts or receives in the window
+    of event i, the k actions before it (clamped at the stream start) and
+    the event itself. ``src``/``dst`` are each action's player indices."""
+    rows = np.arange(1, len(src) + 1)
+    touched = np.zeros((len(src) + 1, n_players), dtype=np.int64)
+    touched[rows, src] = 1
+    touched[rows, dst] = 1
+    touched = touched.cumsum(axis=0)  # row t: touches among the first t actions
+    return touched[rows] > touched[np.maximum(rows - 1 - k, 0)]
+
+
+def match_windows(players, player_rows, role_codes, src, dst, edge_rows, events, k):
+    """Every event graph of one match, cut from its per-match columns.
+
+    ``players`` are the match's player ids, sorted, with their feature rows
+    and role codes; ``src``/``dst`` index each action's actor and recipient
+    (the actor again when nobody receives); ``edge_rows`` is the (N, 10)
+    ``encode_edges`` matrix, slot 9 filled here per window from
+    ``meta["clock"]``. ``events`` holds (event_id, label, cross_team, meta)
+    per action. ``build_match_graphs`` and ``read_graphs`` both cut windows here.
+    """
+    if not events:
+        return []
+    n = len(events)
+    clock = np.array([meta["clock"] for _, _, _, meta in events], dtype=np.float64)
+    members = _window_members(src, dst, k, len(players))
+    local = members.cumsum(axis=1) - 1  # each player's node index in each window
+    _, cols = np.nonzero(members)  # every window's nodes in turn, in player order
+    n_nodes = members.sum(axis=1)
+    node_start = np.cumsum(n_nodes) - n_nodes
+    lo = np.maximum(np.arange(n) - k, 0)
+    n_edges = np.arange(n) - lo + 1
+    edge_start = np.cumsum(n_edges) - n_edges
+    owner = np.repeat(np.arange(n), n_edges)  # the window of each gathered edge
+    action = np.arange(n_edges.sum()) - edge_start[owner] + lo[owner]
+    ends = np.stack([local[owner, src[action]], local[owner, dst[action]]], axis=1)
+    edges = edge_rows[action]
+    window_clock = clock[action]
+    newest = np.maximum.reduceat(window_clock, edge_start)
+    edges[:, 9] = np.minimum(newest[owner] - window_clock, DT_CLIP_S) / DT_CLIP_S
+    # latest touch wins: actor at the action end, recipient at the pass end
+    last = np.full(len(cols), -1)
+    for side in (0, 1):
+        np.maximum.at(last, node_start[owner] + ends[:, side], np.arange(len(action)))
+    node_xy = edges[last, 4:6]
+    node_features, node_roles = player_rows[cols], role_codes[cols]
+    node_ids = np.asarray(players, dtype=np.int64)[cols].tolist()
+    pairs = list(zip(*ends.T.tolist()))
+
+    graphs = []
+    bounds = zip(node_start.tolist(), n_nodes.tolist(), edge_start.tolist(), n_edges.tolist())
+    for (event_id, label, cross_team, meta), (a, size, e, width) in zip(events, bounds):
+        b, f = a + size, e + width
+        graph = EventGraph(
+            event_id=event_id,
+            node_ids=node_ids[a:b],
+            node_features=node_features[a:b],
+            adjacency=normalized_adjacency(size, ends[e:f]),
+            edge_list=pairs[e:f],
+            edge_features=edges[e:f],
+            label=label,
+            node_xy=node_xy[a:b],
+            node_roles=node_roles[a:b],
+            cross_team=cross_team,
+            meta=meta,
         )
         graph.validate()
         graphs.append(graph)
@@ -263,56 +325,113 @@ def batch(graphs, batch_size: int):
 
 
 def write_graphs(graphs, path) -> None:
-    """One EventGraph per line; adjacency is rebuilt from edges on load."""
+    """One line per action, in match and event order.
+
+    A line holds what ``read_graphs`` needs to cut the windows again: the
+    event id, the window's sorted ``node_ids``, label, ``cross_team`` and
+    ``meta`` (with the action's exact match clock), the action's edge row
+    (slots 0-8), its recipient id or null, and the feature row and role
+    code of each player that first appears in the match on this line.
+    ``graphs`` must be whole matches as ``build_match_graphs`` returns them.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    match, seen = None, set()
     with open(path, "w") as f:
         for g in graphs:
+            if g.meta["match_id"] != match:
+                match, seen = g.meta["match_id"], set()
+            src, dst = g.edge_list[-1]  # the event's own action
+            new = [j for j in dict.fromkeys((src, dst)) if g.node_ids[j] not in seen]
+            seen.update(g.node_ids[j] for j in new)
             record = {
-                "schema_version": SCHEMA_VERSION,
+                "schema_version": STORE_SCHEMA_VERSION,
                 "event_id": g.event_id,
                 "node_ids": list(g.node_ids),
-                "node_features": g.node_features.tolist(),
-                "edge_list": [list(e) for e in g.edge_list],
-                "edge_features": g.edge_features.tolist(),
                 "label": g.label,
-                "node_xy": g.node_xy.tolist(),
-                "node_roles": g.node_roles.tolist(),
                 "cross_team": g.cross_team,
                 "meta": g.meta,
+                "edge": g.edge_features[-1, :9].tolist(),
+                "recipient": None if dst == src else g.node_ids[dst],
+                "players": [
+                    {
+                        "id": g.node_ids[j],
+                        "features": g.node_features[j].tolist(),
+                        "role": int(g.node_roles[j]),
+                    }
+                    for j in new
+                ],
             }
             f.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
             f.write("\n")
 
 
+def _match_graphs(path, lines) -> list[EventGraph]:
+    """The graphs of one match's stored lines, as (line number, record)."""
+    table = {}
+    for line_no, d in lines:
+        for p in d["players"]:
+            if p["id"] in table:
+                raise ValueError(f"{path}:{line_no}: player {p['id']} stored twice")
+            table[p["id"]] = p
+    players = sorted(table)
+    index = {pid: j for j, pid in enumerate(players)}
+    try:
+        src = [index[d["meta"]["actor_id"]] for _, d in lines]
+        dst = [s if d["recipient"] is None else index[d["recipient"]] for s, (_, d) in zip(src, lines)]
+    except KeyError as exc:
+        raise ValueError(f"{path}: player {exc} of match {lines[0][1]['meta']['match_id']} "
+                         "has no feature row") from None
+    edge_rows = np.zeros((len(lines), EDGE_FEATURE_DIM))
+    edge_rows[:, :9] = np.array([d["edge"] for _, d in lines], dtype=np.float64)
+    graphs = match_windows(
+        players,
+        np.array([table[pid]["features"] for pid in players], dtype=np.float64),
+        np.array([table[pid]["role"] for pid in players], dtype=np.int64),
+        np.array(src, dtype=np.int64),
+        np.array(dst, dtype=np.int64),
+        edge_rows,
+        [(d["event_id"], float(d["label"]), bool(d["cross_team"]), d["meta"]) for _, d in lines],
+        lines[0][1]["meta"]["k"],
+    )
+    for g, (line_no, d) in zip(graphs, lines):
+        if g.node_ids != d["node_ids"]:
+            raise ValueError(f"{path}:{line_no}: node_ids differ from the rebuilt window")
+    return graphs
+
+
 def read_graphs(path) -> list[EventGraph]:
-    graphs = []
+    """The graphs ``write_graphs`` stored, every window cut again by
+    ``match_windows``. A store without lines, a line of another schema, a
+    match whose event indices do not run 0..N-1 or whose k changes, a match
+    stored in two runs, or a window that does not rebuild to its stored
+    ``node_ids`` raises ValueError."""
+    graphs, done, lines = [], set(), []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
             d = json.loads(line)
-            version = d.get("schema_version")
-            if version != SCHEMA_VERSION:
+            version = d.get("schema_version") if isinstance(d, dict) else None
+            if version != STORE_SCHEMA_VERSION:
                 raise ValueError(f"{path}:{line_no}: schema version {version}")
-            edge_list = [tuple(e) for e in d["edge_list"]]
-            n = len(d["node_ids"])
-            g = EventGraph(
-                event_id=d["event_id"],
-                node_ids=list(d["node_ids"]),
-                node_features=np.array(d["node_features"], dtype=np.float64),
-                adjacency=normalized_adjacency(n, edge_list),
-                edge_list=edge_list,
-                edge_features=np.array(d["edge_features"], dtype=np.float64).reshape(
-                    len(edge_list), EDGE_FEATURE_DIM
-                ),
-                label=float(d["label"]),
-                node_xy=np.array(d["node_xy"], dtype=np.float64).reshape(n, 2),
-                node_roles=np.array(d["node_roles"], dtype=np.int64),
-                cross_team=bool(d["cross_team"]),
-                meta=d["meta"],
-            )
-            g.validate()
-            graphs.append(g)
+            meta = d["meta"]
+            if lines and meta["match_id"] != lines[0][1]["meta"]["match_id"]:
+                graphs.extend(_match_graphs(path, lines))
+                done.add(lines[0][1]["meta"]["match_id"])
+                lines = []
+            if meta["match_id"] in done:
+                raise ValueError(f"{path}:{line_no}: match {meta['match_id']} stored in two runs")
+            if meta["event_index"] != len(lines):
+                raise ValueError(
+                    f"{path}:{line_no}: event {meta['event_index']} of match {meta['match_id']} "
+                    f"where event {len(lines)} was due"
+                )
+            if lines and meta["k"] != lines[0][1]["meta"]["k"]:
+                raise ValueError(f"{path}:{line_no}: k changes within match {meta['match_id']}")
+            lines.append((line_no, d))
+    if not lines:
+        raise ValueError(f"{path}: no graphs")
+    graphs.extend(_match_graphs(path, lines))
     return graphs

@@ -3,13 +3,14 @@ determinism, exit codes, ablation tables, and the case plot."""
 
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threatshare import cli, credit, graphs as graphs_mod, models, viz
+from threatshare import cli, credit, graphs as graphs_mod, ingest, models, viz
 from threatshare.diffcore import checkpoint as ckpt_io
 from threatshare.ingest import SpadlAction
 
@@ -203,10 +204,12 @@ class TestPipeline:
         assert columns.player_ids.tolist() == [pid for g in gs for pid in g.node_ids]
         assert columns.match_ids.tolist() == [g.meta["match_id"] for g in gs]
         assert columns.actor_ids.tolist() == [g.meta["actor_id"] for g in gs]
+        assert columns.actor_teams.tolist() == [g.meta["actor_team"] for g in gs]
         assert columns.sizes.tolist() == [g.n_nodes for g in gs]
         assert columns.labels.tolist() == [g.label for g in gs]
         assert columns.cross_team.tolist() == [g.cross_team for g in gs]
-        for ids in (columns.player_ids, columns.match_ids, columns.actor_ids, columns.sizes):
+        for ids in (columns.player_ids, columns.match_ids, columns.actor_ids, columns.actor_teams,
+                    columns.sizes):
             assert ids.dtype == np.int64
 
     @pytest.mark.parametrize("source,negative_mode", [("predicted", "prorata"), ("labeled", "actor")])
@@ -263,6 +266,48 @@ class TestPipeline:
         ap["manifest"].write_text(json.dumps(manifest))
         assert cli.main(["--config", str(config), "--quiet", "attribute"]) == 3
         assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": True}
+
+    def test_attribute_takes_teams_from_the_outputs(self, tmp_path, fixture_dir, monkeypatch):
+        cfg = cli.load_config(write_config(tmp_path, fixture_dir))
+        cli.run_pipeline(cfg, ALL_STAGES[:5])
+        ap = cli.artifact_paths(cfg)
+        actions = ingest.read_actions(ap["actions"])
+
+        def no_read(path):
+            raise AssertionError(f"attribute parsed {path}")
+
+        monkeypatch.setattr(ingest, "read_actions", no_read)
+        assert cli.run_pipeline(cfg, ["attribute"]) == {"attribute": True}
+        # each player's team: the one it acted for most often, ties to the lower id
+        counts = Counter((a.player_id, a.team_id) for a in actions)
+        teams = {}
+        for (pid, team), n in sorted(counts.items(), key=lambda kv: (kv[1], -kv[0][1])):
+            teams[pid] = team
+        rows = [line.split(",") for line in ap["totals"].read_text().splitlines()[1:]]
+        assert rows and {int(r[0]): r[1] for r in rows} == {
+            int(r[0]): str(teams.get(int(r[0]), "")) for r in rows
+        }
+
+    def test_graph_store_of_an_earlier_layout_is_rebuilt(self, tmp_path, fixture_dir):
+        """A schema-1 store recorded under a build-graphs key without the
+        layout recovers with build-graphs, then train."""
+        config = write_config(tmp_path, fixture_dir)
+        cfg = cli.load_config(config)
+        cli.run_pipeline(cfg, ALL_STAGES[:3])
+        ap = cli.artifact_paths(cfg)
+        ap["graphs"].write_text("".join(_schema_1_line(g) for g in graphs_mod.read_graphs(ap["graphs"])))
+        digests = {p: cli._sha_file(p) for p in cli._require_inputs(cli.STAGES["build-graphs"].inputs(cfg))}
+        full = cfg.effective_dict()
+        old_config = {key: full[key] for key in ("window_k", "append_centrality_features")}
+        manifest = json.loads(ap["manifest"].read_text())
+        manifest["stages"]["build-graphs"] = {
+            "key": cli._stage_key({"stage": "build-graphs", "config": old_config}, digests),
+            "outputs": {str(ap["graphs"]): cli._sha_file(ap["graphs"])},
+        }
+        ap["manifest"].write_text(json.dumps(manifest))
+        assert cli.main(["--config", str(config), "--quiet", "train"]) == 3
+        assert cli.run_pipeline(cfg, ["build-graphs"]) == {"build-graphs": True}
+        assert cli.main(["--config", str(config), "--quiet", "train"]) == 0
 
     def test_rerun_skips_everything(self, tmp_path, fixture_dir):
         config = write_config(tmp_path, fixture_dir)
@@ -364,6 +409,15 @@ def _rebuild_graphs(**changes):
     return damage
 
 
+def _record_digest(tmp_path, stage, path):
+    """Record ``path``'s current digest as ``stage``'s output, so only the
+    reader can catch what was done to it."""
+    run = tmp_path / "artifacts" / "manifest.json"
+    data = json.loads(run.read_text())
+    data["stages"][stage]["outputs"][str(path)] = cli._sha_file(path)
+    run.write_text(json.dumps(data))
+
+
 def _drop_prediction(tmp_path):
     """Damage: rewrite outputs_gcn as a valid container with its last
     prediction removed, and record its new digest as evaluate's."""
@@ -371,10 +425,51 @@ def _drop_prediction(tmp_path):
     manifest, arrays = ckpt_io.load_container(path)
     arrays["predictions"] = arrays["predictions"][:-1]
     ckpt_io.save_container(path, manifest, arrays)
-    run = tmp_path / "artifacts" / "manifest.json"
-    data = json.loads(run.read_text())
-    data["stages"]["evaluate"]["outputs"][str(path)] = cli._sha_file(path)
-    run.write_text(json.dumps(data))
+    _record_digest(tmp_path, "evaluate", path)
+
+
+def _schema_1_line(g) -> str:
+    """``g`` as the earlier store wrote it: the whole window on one line."""
+    record = {
+        "schema_version": 1,
+        "event_id": g.event_id,
+        "node_ids": g.node_ids,
+        "node_features": g.node_features.tolist(),
+        "edge_list": [list(e) for e in g.edge_list],
+        "edge_features": g.edge_features.tolist(),
+        "label": g.label,
+        "node_xy": g.node_xy.tolist(),
+        "node_roles": g.node_roles.tolist(),
+        "cross_team": g.cross_team,
+        "meta": g.meta,
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _damage_store(edit):
+    """Damage: replace the lines of graphs.ndjson by ``edit(lines)`` and
+    record its new digest as build-graphs'."""
+
+    def damage(tmp_path):
+        path = tmp_path / "artifacts" / "graphs.ndjson"
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        _record_digest(tmp_path, "build-graphs", path)
+
+    return damage
+
+
+def _edit_line(index, change):
+    """Edit: line ``index`` of the store as ``change(record)`` makes it."""
+
+    def edit(lines):
+        lines[index] = change(json.loads(lines[index]))
+        return lines
+
+    return edit
+
+
+def _relabel(**changes):
+    return lambda d: json.dumps({**d, **changes}, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 TRAINED = ["ingest", "xt-fit", "build-graphs", "train"]
@@ -412,6 +507,19 @@ FAILURE_CASES = {
     "outputs-of-other-graphs": (
         lambda tmp, fx: {}, TRAINED + ["evaluate"], _rebuild_graphs(window_k=5),
         "attribute", 3, "outputs_gcn was computed from other graphs; run evaluate again"),
+    # damaged stores whose digest build-graphs recorded: the reader must catch them
+    "store-line-removed": (
+        lambda tmp, fx: {}, TRAINED[:3], _damage_store(lambda lines: lines[:100] + lines[101:]),
+        "train", 3, "event 101 of match 9001 where event 100 was due); run build-graphs again"),
+    "store-node-ids-altered": (
+        lambda tmp, fx: {}, TRAINED[:3], _damage_store(_edit_line(50, _relabel(node_ids=[101]))),
+        "train", 3, "graphs.ndjson:51: node_ids differ from the rebuilt window); run build-graphs"),
+    "store-emptied": (
+        lambda tmp, fx: {}, TRAINED[:3], _damage_store(lambda lines: []),
+        "train", 3, "graphs.ndjson: no graphs); run build-graphs again"),
+    "store-schema-1-line": (
+        lambda tmp, fx: {}, TRAINED[:3], _damage_store(_edit_line(10, _relabel(schema_version=1))),
+        "train", 3, "graphs.ndjson:11: schema version 1); run build-graphs again"),
     "outputs-missing-a-prediction": (
         lambda tmp, fx: {}, TRAINED + ["evaluate"], _drop_prediction, "attribute", 3,
         "outputs_gcn (predictions: 399 entries for 400 events); run evaluate again"),
@@ -524,6 +632,15 @@ def test_failed_write_keeps_the_previous_file(tmp_path):
         cli._write_atomic(path, crash)
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_player_team_is_the_most_frequent_ties_to_the_lower_id():
+    from types import SimpleNamespace
+
+    columns = SimpleNamespace(
+        actor_ids=np.array([7, 7, 7, 7, 9, 9, 9]), actor_teams=np.array([2, 1, 2, 1, 4, 3, 4])
+    )
+    assert cli._player_teams(columns) == {7: 1, 9: 4}
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from threatshare import graphs, xt
-from threatshare.ingest import SpadlAction
+from threatshare.ingest import PITCH_LENGTH, PITCH_WIDTH, SpadlAction
 
 
 def action(player, team=1, t=0.0, action_type="pass", result="success",
@@ -59,6 +59,17 @@ class TestRecipientInference:
     def test_non_pass_types_never_get_recipients(self):
         acts = [action(1, action_type="tackle"), action(2)]
         assert graphs.infer_recipients(acts) == [None, None]
+
+
+def assert_same_graphs(got, expected):
+    """Equal graph for graph: ids, meta and flags exactly, arrays bitwise."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.event_id, a.node_ids, a.edge_list, a.meta) == (b.event_id, b.node_ids, b.edge_list, b.meta)
+        assert (a.label, a.cross_team) == (b.label, b.cross_team)
+        for name in ("node_features", "adjacency", "edge_features", "node_xy", "node_roles"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
 
 def graph_at(acts, index, k, stats, grid):
@@ -191,6 +202,58 @@ class TestEdgeEncoding:
         assert g.edge_features[0, DT_PREV] == 1.0
 
 
+class TestWindows:
+    # 1 -> 2, 2 -> 1, 1 -> 2 again, 2 -> 3, then 3 carries; the graph of the
+    # carry (k=4) holds every action
+    def stream(self):
+        passes = zip((1, 2, 1, 2), (20.0, 30.0, 40.0, 50.0))
+        acts = [action(p, t=4.0 * i, end=(x, x)) for i, (p, x) in enumerate(passes)]
+        return acts + [action(3, t=16.0, action_type="dribble", end=(60.0, 60.0))]
+
+    def test_latest_touch_wins_node_xy(self, tiny_grid):
+        g = graph_at(self.stream(), 4, 4, stats_for(1, 2, 3), tiny_grid)
+        assert g.node_ids == [1, 2, 3]
+        # 1 last acts in the third action, 2 in the fourth (after receiving in
+        # the third), 3 carries last after receiving in the fourth
+        expected = [[x / PITCH_LENGTH, x / PITCH_WIDTH] for x in (40.0, 50.0, 60.0)]
+        assert g.node_xy.tolist() == expected
+
+    def test_repeated_pass_pair_is_one_indicator(self, tiny_grid):
+        g = graph_at(self.stream(), 4, 4, stats_for(1, 2, 3), tiny_grid)
+        assert g.edge_list == [(0, 1), (1, 0), (0, 1), (1, 2), (2, 2)]
+        np.testing.assert_array_equal(
+            g.adjacency, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
+        )
+
+    @pytest.mark.parametrize("k", [0, 3, 50])
+    def test_windows_match_a_per_window_loop(self, k, fixture_actions, fixture_grid, fixture_features):
+        from threatshare.ingest import group_by_match
+
+        stream = list(group_by_match(fixture_actions).values())[1]
+        recipients = graphs.infer_recipients(stream)
+        clock = np.array([(a.period - 1) * graphs.HALF_NOMINAL_S + a.time_s for a in stream])
+        rows = graphs.encode_edges(stream, xt.label_stream(stream, fixture_grid), clock)
+        built = graphs.build_match_graphs(stream, k, fixture_features, fixture_grid)
+        for index, g in enumerate(built):
+            window = range(max(0, index - k), index + 1)
+            ends = [(a.player_id, a.player_id if r is None else r)
+                    for a, r in zip(stream[window.start : index + 1], recipients[window.start : index + 1])]
+            nodes = sorted({pid for pair in ends for pid in pair})
+            edge_list = [(nodes.index(s), nodes.index(d)) for s, d in ends]
+            edges = rows[window.start : index + 1].copy()
+            gap = clock[window.start : index + 1].max() - clock[window.start : index + 1]
+            edges[:, 9] = np.minimum(gap, graphs.DT_CLIP_S) / graphs.DT_CLIP_S
+            node_xy = np.zeros((len(nodes), 2))
+            adjacency = np.eye(len(nodes))
+            for (s, d), row in zip(edge_list, edges):
+                node_xy[s] = node_xy[d] = row[4:6]
+                adjacency[d, s] = 1.0
+            assert (g.node_ids, g.edge_list) == (nodes, edge_list)
+            assert g.edge_features.tobytes() == edges.tobytes()
+            assert g.node_xy.tobytes() == node_xy.tobytes()
+            assert g.adjacency.tobytes() == (adjacency / adjacency.sum(axis=1, keepdims=True)).tobytes()
+
+
 class TestSplitAndBatch:
     def graphs_n(self, n):
         rng = np.random.default_rng(0)
@@ -281,6 +344,51 @@ class TestPersistence:
             np.testing.assert_allclose(a.adjacency, b.adjacency, atol=0)
             assert a.label == b.label
 
+    def test_generated_two_match_slice_round_trips(self, tmp_path, fixture_features, fixture_roles):
+        import json
+
+        from threatshare import fixtures, ingest
+
+        actions = []
+        for match_id in (11, 12):
+            path = tmp_path / f"{match_id}.json"
+            path.write_text(json.dumps(fixtures.generate_match_events(match_id, 4, n_events=300)))
+            actions.extend(ingest.to_spadl(ingest.parse_events(path).events))
+        grid = xt.fit_grid(actions, 16, 12)
+        by_match = ingest.group_by_match(actions)
+        # every fifth player without stats, so imputation is stored too
+        stats = {pid: vec for pid, vec in fixture_features.items() if pid % 5}
+        for k, centrality in ((0, False), (7, True), (50, False)):
+            built = [
+                g
+                for m in sorted(by_match)
+                for g in graphs.build_match_graphs(
+                    by_match[m], k, stats, grid, roles=fixture_roles, centrality=centrality
+                )
+            ]
+            assert sum(g.meta["n_imputed"] for g in built) > 0
+            graphs.write_graphs(built, tmp_path / "graphs.ndjson")
+            assert_same_graphs(graphs.read_graphs(tmp_path / "graphs.ndjson"), built)
+
+    def test_reader_reruns_no_per_match_rule(
+        self, fixture_actions, fixture_grid, fixture_features, tmp_path, monkeypatch
+    ):
+        from threatshare import credit
+        from threatshare.ingest import group_by_match
+
+        stream = list(group_by_match(fixture_actions).values())[0]
+        built = graphs.build_match_graphs(stream, 7, fixture_features, fixture_grid, centrality=True)
+        graphs.write_graphs(built, tmp_path / "graphs.ndjson")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("read_graphs re-ran a per-match rule")
+
+        for module, name in ((graphs, "infer_recipients"), (graphs, "label_stream"),
+                             (credit, "build_passing_graph"), (credit, "centralities"),
+                             (credit, "normalized_centrality_features")):
+            monkeypatch.setattr(module, name, forbidden)
+        assert_same_graphs(graphs.read_graphs(tmp_path / "graphs.ndjson"), built)
+
     def test_schema_version_enforced(self, tmp_path):
         path = tmp_path / "graphs.ndjson"
         import json
@@ -294,13 +402,15 @@ class TestPersistence:
 # sha256 of graphs.ndjson for the bundled fixture with the default grid and
 # roles, keyed by (window_k, append_centrality_features). Pins the graph store
 # byte for byte, so any change to windowing, encoding or float formatting shows.
+# Recorded for the per-action store (schema 2) once its read-back equalled the
+# graphs of build_match_graphs (test_graph_store_reads_back_the_built_graphs).
 GOLDEN_GRAPHS_SHA256 = {
-    (0, False): "94666437d428c59531d2968a288b4750d61354b4f9c8d2b9861a11ba9f9fbd44",
-    (0, True): "9076c79325165bbf457dc3d16cec400c45737eae87803f516dfab85f82963815",
-    (7, False): "4b30bfd17c2fb03d80ffe47102cf78521abd371519515aede7ffa118b790a9a8",
-    (7, True): "8725383e122c85927c1300d21879097b71b88138305e9b5ab46c97cc9ca3b5e5",
-    (50, False): "1da4d62cf7bd1f896a47f7495555e7b3f25c92092e72a0743b96af42e8845870",
-    (50, True): "0c0b4a57ec0e97466f4fdcbec762d245c218bf43f42e6dee9633024ef7942b8d",
+    (0, False): "593271a690f93d635e5023bb1bd0bc7a27bccf9fca80f9cb0547609c5c2f25f4",
+    (0, True): "620647c0e9926bd849cae66779a0b51c8520b3cb079ce750637a9066da77015b",
+    (7, False): "4a4d7338c76460157406c73a9dec94e78017be160c520a696ed074571f713fa8",
+    (7, True): "4c0eea8ec0f2da1a73409ec45d7c9ab3aa2764402df6ed0c5206cd264ed6a139",
+    (50, False): "cbd2536d859628a0ddf03684f41bfaaca5e54e3daeb38508d29ea7406e76519a",
+    (50, True): "ddf62a12cacb7e69273669b89e34dbc66bdf0dd25df43a19891645cd1080f75c",
 }
 
 
@@ -325,6 +435,15 @@ def build_fixture_graphs(tmp_path, fixture_dir, k, centrality):
     for stage in ("ingest", "xt-fit", "build-graphs"):
         assert cli.main(["--config", str(config), "--quiet", stage]) == 0
     return tmp_path / "artifacts" / "graphs.ndjson"
+
+
+@pytest.mark.parametrize("k,centrality", sorted(GOLDEN_GRAPHS_SHA256))
+def test_graph_store_reads_back_the_built_graphs(k, centrality, tmp_path, fixture_dir):
+    from threatshare import cli
+
+    store = build_fixture_graphs(tmp_path, fixture_dir, k, centrality)
+    built = cli._build_all_graphs(cli.load_config(tmp_path / "config.json"), k)
+    assert_same_graphs(graphs.read_graphs(store), built)
 
 
 @pytest.mark.parametrize("k,centrality", sorted(GOLDEN_GRAPHS_SHA256))
