@@ -21,7 +21,6 @@ from threatshare.diffcore.tensor import (
     reshape,
     segment_softmax,
     segment_sum,
-    sub,
 )
 from threatshare.diffcore.optim import (
     AdamState,

@@ -76,23 +76,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -132,21 +117,6 @@ def add(a, b) -> Tensor:
         [
             (a, lambda g: _unbroadcast(g, a.data.shape)),
             (b, lambda g: _unbroadcast(g, b.data.shape)),
-        ],
-    )
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: shapes {a.shape} and {b.shape}") from None
-    return _result(
-        data,
-        [
-            (a, lambda g: _unbroadcast(g, a.data.shape)),
-            (b, lambda g: _unbroadcast(-g, b.data.shape)),
         ],
     )
 

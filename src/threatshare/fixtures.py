@@ -1,11 +1,8 @@
-"""Synthetic data: bundled sample matches, random graphs, planted datasets.
+"""Synthetic data: the bundled sample matches and season-sized corpora.
 
-Everything here is seeded and deterministic. The two sample matches are
-written in the provider event layout (120x80 coordinates, period-relative
-clocks) so the full ingest path gets exercised offline; the planted-signal
-generator produces event graphs whose labels are a fixed linear function
-of the pooled node features, which any of the model variants should be
-able to regress.
+Everything here is seeded and deterministic. The matches are written in the
+provider event layout (120x80 coordinates, period-relative clocks) so the
+full ingest path gets exercised offline.
 """
 
 from __future__ import annotations
@@ -16,12 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from threatshare.graphs import (
-    EDGE_FEATURE_DIM,
-    NODE_FEATURE_DIM,
-    EventGraph,
-    normalized_adjacency,
-)
 from threatshare.ingest import PITCH_LENGTH, PITCH_WIDTH, PROVIDER_LENGTH, PROVIDER_WIDTH
 
 FIXTURE_MATCH_IDS = (9001, 9002)
@@ -209,90 +200,3 @@ def write_fixture(dest_dir, seed: int = 20240901) -> dict:
         for pid, role in sorted(_roles().items()):
             writer.writerow([pid, role])
     return {"events": event_paths, "stats": stats_path, "roles": roles_path}
-
-
-# ── synthetic graphs for tests and training smoke ─────────────────────────
-
-
-def random_event_graph(
-    rng: np.random.Generator,
-    n_nodes: int | None = None,
-    event_id: str = "synthetic",
-) -> EventGraph:
-    """A structurally valid random event graph (features in [0, 1])."""
-    n = int(n_nodes or rng.integers(2, 11))
-    node_ids = sorted(rng.choice(np.arange(100, 900), size=n, replace=False).tolist())
-    n_edges = int(rng.integers(1, 2 * n + 1))
-    edge_list = []
-    for _ in range(n_edges):
-        src = int(rng.integers(0, n))
-        dst = int(rng.integers(0, n))
-        edge_list.append((src, dst))
-    edge_features = rng.uniform(0.0, 1.0, size=(n_edges, EDGE_FEATURE_DIM))
-    edge_features[:, 7] = rng.uniform(-0.5, 0.5, size=n_edges)  # delta slot is signed
-    graph = EventGraph(
-        event_id=event_id,
-        node_ids=node_ids,
-        node_features=rng.uniform(0.0, 1.0, size=(n, NODE_FEATURE_DIM)),
-        adjacency=normalized_adjacency(n, edge_list),
-        edge_list=edge_list,
-        edge_features=edge_features,
-        label=float(rng.uniform(-0.3, 0.3)),
-        node_xy=rng.uniform(0.0, 1.0, size=(n, 2)),
-        node_roles=rng.integers(0, 5, size=n),
-        cross_team=bool(rng.uniform() < 0.2),
-        meta={"match_id": 0, "event_index": 0, "k": 0, "n_imputed": 0, "actor_id": node_ids[0],
-              "actor_team": 0},
-    )
-    graph.validate()
-    return graph
-
-
-def planted_linear_dataset(
-    n_graphs: int = 500,
-    seed: int = 11,
-    noise: float = 0.01,
-    n_nodes: int = 4,
-    signal_gain: float = 0.35,
-) -> list[EventGraph]:
-    """Graphs whose labels are a fixed linear read-out of the pooled node
-    features plus Gaussian noise.
-
-    Built to be learnable inside a tiny optimization budget (a few hundred
-    Adam steps at lr 1e-4): the structure is a fixed ring, nine features sit
-    at a constant, and all label variance comes from the pooled value of the
-    remaining feature. Anything the model has to unlearn (init offsets,
-    passthrough of non-signal variation) eats directly into that budget.
-    """
-    rng = np.random.default_rng([seed, 0x1EAF])
-    edge_list = [(i, (i + 1) % n_nodes) for i in range(n_nodes)]
-    adjacency = normalized_adjacency(n_nodes, edge_list)
-    graphs = []
-    for i in range(n_graphs):
-        feats = np.full((n_nodes, NODE_FEATURE_DIM), 0.1)
-        feats[:, 0] = rng.uniform(0.0, 1.0, n_nodes)
-        label = (feats[:, 0].mean() - 0.5) * signal_gain + rng.normal(0.0, noise)
-        g = EventGraph(
-            event_id=f"planted:{i}",
-            node_ids=list(range(1, n_nodes + 1)),
-            node_features=feats,
-            adjacency=adjacency,
-            edge_list=list(edge_list),
-            edge_features=np.zeros((n_nodes, EDGE_FEATURE_DIM)),
-            label=float(label),
-            node_xy=np.full((n_nodes, 2), 0.5),
-            node_roles=np.full(n_nodes, 4, dtype=np.int64),
-            cross_team=False,
-            meta={"match_id": 0, "event_index": i, "k": 0, "n_imputed": 0, "actor_id": 1,
-                  "actor_team": 0},
-        )
-        g.validate()
-        graphs.append(g)
-    return graphs
-
-
-# widths that keep the planted signal reachable within the small step budget
-# (wider layers move the function further per optimizer step)
-SMOKE_HIDDEN_DIM = 128
-SMOKE_HEAD_HIDDEN_DIM = 64
-SMOKE_FFN_DIM = 256

@@ -62,9 +62,8 @@ class EventGraph:
     event_id: str
     node_ids: list  # sorted player ids
     node_features: np.ndarray  # (n, d)
-    adjacency: np.ndarray  # row-normalized (indicators + self-loops); row = destination
-    edge_list: list  # (src_idx, dst_idx) per in-window interaction
-    edge_features: np.ndarray  # (n_edges, 10)
+    edge_ends: np.ndarray  # (n_edges, 2) int (src, dst) node indices, one row per in-window action
+    edge_features: np.ndarray  # (n_edges, 10), row for row with edge_ends
     label: float
     node_xy: np.ndarray  # (n, 2) latest touch location, normalized
     node_roles: np.ndarray  # (n,) role codes; 4 = unknown
@@ -85,18 +84,8 @@ class EventGraph:
             raise ValueError(f"graph {self.event_id}: non-finite node features")
         if not np.isfinite(self.label):
             raise ValueError(f"graph {self.event_id}: non-finite label")
-        if self.edge_features.shape != (len(self.edge_list), EDGE_FEATURE_DIM):
+        if self.edge_features.shape != (len(self.edge_ends), EDGE_FEATURE_DIM):
             raise ValueError(f"graph {self.event_id}: edge feature shape")
-
-
-def normalized_adjacency(n: int, edge_list) -> np.ndarray:
-    """Row-normalize directed indicators plus self-loops; rows index the
-    destination node, so information flows along the pass direction.
-    ``edge_list`` is a sequence of (src, dst) pairs or an (E, 2) array."""
-    a = np.eye(n)
-    ends = np.asarray(edge_list, dtype=np.intp).reshape(-1, 2)
-    a[ends[:, 1], ends[:, 0]] = 1.0
-    return a / a.sum(axis=1, keepdims=True)
 
 
 def infer_recipients(actions) -> list:
@@ -192,7 +181,8 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
     src = [player_index[a.player_id] for a in actions]
     dst = [s if r is None else player_index[r] for s, r in zip(src, recipients)]
     src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-    n_imputed = (_window_members(src, dst, k, len(players)) & imputed).sum(axis=1).tolist()
+    members = _window_members(src, dst, k, len(players))
+    n_imputed = (members & imputed).sum(axis=1).tolist()
     events = [
         (
             label.event_id,
@@ -210,7 +200,7 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
         )
         for index, (a, label, n, t) in enumerate(zip(actions, labels, n_imputed, clock.tolist()))
     ]
-    return match_windows(players, player_rows, role_codes, src, dst, edge_rows, events, k)
+    return match_windows(players, player_rows, role_codes, src, dst, members, edge_rows, events, k)
 
 
 def _window_members(src, dst, k: int, n_players: int) -> np.ndarray:
@@ -225,12 +215,13 @@ def _window_members(src, dst, k: int, n_players: int) -> np.ndarray:
     return touched[rows] > touched[np.maximum(rows - 1 - k, 0)]
 
 
-def match_windows(players, player_rows, role_codes, src, dst, edge_rows, events, k):
+def match_windows(players, player_rows, role_codes, src, dst, members, edge_rows, events, k):
     """Every event graph of one match, cut from its per-match columns.
 
     ``players`` are the match's player ids, sorted, with their feature rows
     and role codes; ``src``/``dst`` index each action's actor and recipient
-    (the actor again when nobody receives); ``edge_rows`` is the (N, 10)
+    (the actor again when nobody receives); ``members`` is their
+    ``_window_members`` mask for window size ``k``; ``edge_rows`` is the (N, 10)
     ``encode_edges`` matrix, slot 9 filled here per window from
     ``meta["clock"]``. ``events`` holds (event_id, label, cross_team, meta)
     per action. ``build_match_graphs`` and ``read_graphs`` both cut windows here.
@@ -239,7 +230,6 @@ def match_windows(players, player_rows, role_codes, src, dst, edge_rows, events,
         return []
     n = len(events)
     clock = np.array([meta["clock"] for _, _, _, meta in events], dtype=np.float64)
-    members = _window_members(src, dst, k, len(players))
     local = members.cumsum(axis=1) - 1  # each player's node index in each window
     _, cols = np.nonzero(members)  # every window's nodes in turn, in player order
     n_nodes = members.sum(axis=1)
@@ -261,7 +251,6 @@ def match_windows(players, player_rows, role_codes, src, dst, edge_rows, events,
     node_xy = edges[last, 4:6]
     node_features, node_roles = player_rows[cols], role_codes[cols]
     node_ids = np.asarray(players, dtype=np.int64)[cols].tolist()
-    pairs = list(zip(*ends.T.tolist()))
 
     graphs = []
     bounds = zip(node_start.tolist(), n_nodes.tolist(), edge_start.tolist(), n_edges.tolist())
@@ -271,8 +260,7 @@ def match_windows(players, player_rows, role_codes, src, dst, edge_rows, events,
             event_id=event_id,
             node_ids=node_ids[a:b],
             node_features=node_features[a:b],
-            adjacency=normalized_adjacency(size, ends[e:f]),
-            edge_list=pairs[e:f],
+            edge_ends=ends[e:f],
             edge_features=edges[e:f],
             label=label,
             node_xy=node_xy[a:b],
@@ -341,7 +329,7 @@ def write_graphs(graphs, path) -> None:
         for g in graphs:
             if g.meta["match_id"] != match:
                 match, seen = g.meta["match_id"], set()
-            src, dst = g.edge_list[-1]  # the event's own action
+            src, dst = g.edge_ends[-1].tolist()  # the event's own action
             new = [j for j in dict.fromkeys((src, dst)) if g.node_ids[j] not in seen]
             seen.update(g.node_ids[j] for j in new)
             record = {
@@ -382,17 +370,20 @@ def _match_graphs(path, lines) -> list[EventGraph]:
     except KeyError as exc:
         raise ValueError(f"{path}: player {exc} of match {lines[0][1]['meta']['match_id']} "
                          "has no feature row") from None
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    k = lines[0][1]["meta"]["k"]
     edge_rows = np.zeros((len(lines), EDGE_FEATURE_DIM))
     edge_rows[:, :9] = np.array([d["edge"] for _, d in lines], dtype=np.float64)
     graphs = match_windows(
         players,
         np.array([table[pid]["features"] for pid in players], dtype=np.float64),
         np.array([table[pid]["role"] for pid in players], dtype=np.int64),
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
+        src,
+        dst,
+        _window_members(src, dst, k, len(players)),
         edge_rows,
         [(d["event_id"], float(d["label"]), bool(d["cross_team"]), d["meta"]) for _, d in lines],
-        lines[0][1]["meta"]["k"],
+        k,
     )
     for g, (line_no, d) in zip(graphs, lines):
         if g.node_ids != d["node_ids"]:

@@ -21,9 +21,10 @@ linear map of the player's latest touch coordinates.
 
 Every pass runs over a pack: the disjoint union of several graphs, stacked
 into one node matrix and one edge matrix, so one taped op serves the whole
-pack. Graph structure enters as index arrays (edge endpoints, adjacency
-pairs, all ordered pairs of each graph for the transformer) that the
-diffcore index ops read; attention never crosses from one graph to another.
+pack. Graph structure enters as index arrays that the diffcore index ops
+read: the stacked edge endpoints and what the pack derives from them (the
+adjacency pairs, all ordered pairs of each graph for the transformer);
+attention never crosses from one graph to another.
 Each head's parameters stay separate (and so does the checkpoint layout);
 a layer concatenates them to run all heads in one product. A single graph
 is a pack of one, and ``forward`` is the one pass that training, validation,
@@ -217,19 +218,21 @@ class _Pack:
         return off + cell // n, off + cell % n
 
     def adjacency_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dst, src, weight) of every nonzero of each graph's normalized
-        adjacency, sorted by dst: the neighbours u -> v, self-loops included."""
-        dst, src = self.pairs()
-        weight = np.concatenate([g.adjacency.ravel() for g in self.graphs])
-        nonzero = np.flatnonzero(weight)
-        return dst[nonzero], src[nonzero], weight[nonzero]
+        """(dst, src, weight) of every nonzero of each graph's row-normalized
+        adjacency (edge indicators plus self-loops, row = destination), sorted
+        by dst then src: each neighbour u -> v once, weighted 1 / (v's neighbours)."""
+        loops = np.arange(self.n_nodes)
+        cell = np.sort(np.concatenate([self.dst, loops]) * self.n_nodes + np.concatenate([self.src, loops]))
+        # each cell once; np.unique would import numpy.ma (numpy 2), about 1 MB of RSS
+        dst, src = np.divmod(cell[np.diff(cell, prepend=-1) > 0], self.n_nodes)
+        return dst, src, (1.0 / np.bincount(dst))[dst]
 
 
 def _pack(graphs, params: dc.ParamSet) -> _Pack:
     sizes = np.array([g.n_nodes for g in graphs])
     offsets = np.cumsum(sizes) - sizes
-    ends = np.array([e for g in graphs for e in g.edge_list], dtype=np.intp).reshape(-1, 2)
-    ends += np.repeat(offsets, [len(g.edge_list) for g in graphs])[:, None]
+    ends = np.concatenate([g.edge_ends for g in graphs])
+    ends += np.repeat(offsets, [len(g.edge_ends) for g in graphs])[:, None]
     return _Pack(
         graphs=graphs,
         sizes=sizes,

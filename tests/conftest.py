@@ -1,14 +1,10 @@
-import sys
 from pathlib import Path
 
 import pytest
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from threatshare import ingest, xt
 
-from threatshare import ingest, xt  # noqa: E402
-
-FIXTURE_DIR = REPO_ROOT / "data" / "fixture"
+FIXTURE_DIR = Path(__file__).resolve().parents[1] / "data" / "fixture"
 
 
 @pytest.fixture(scope="session")

@@ -17,10 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatshare import cli, credit, diffcore as dc, ingest, models, xt
-from threatshare.fixtures import planted_linear_dataset, random_event_graph
-from threatshare.fixtures import SMOKE_FFN_DIM, SMOKE_HEAD_HIDDEN_DIM, SMOKE_HIDDEN_DIM
 from threatshare.graphs import split_dataset
 
+from graph_factories import planted_linear_dataset, random_event_graph
+from graph_factories import SMOKE_FFN_DIM, SMOKE_HEAD_HIDDEN_DIM, SMOKE_HIDDEN_DIM
 from test_credit import oracle_centralities, pg_from_edges
 from test_cli import ALL_STAGES, write_config
 

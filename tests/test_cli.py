@@ -435,7 +435,7 @@ def _schema_1_line(g) -> str:
         "event_id": g.event_id,
         "node_ids": g.node_ids,
         "node_features": g.node_features.tolist(),
-        "edge_list": [list(e) for e in g.edge_list],
+        "edge_list": g.edge_ends.tolist(),
         "edge_features": g.edge_features.tolist(),
         "label": g.label,
         "node_xy": g.node_xy.tolist(),

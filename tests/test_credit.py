@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatshare import credit
-from threatshare.fixtures import random_event_graph
 from threatshare.ingest import SpadlAction
+
+from graph_factories import random_event_graph
 
 
 def norms(embeddings):

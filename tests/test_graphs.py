@@ -65,9 +65,9 @@ def assert_same_graphs(got, expected):
     """Equal graph for graph: ids, meta and flags exactly, arrays bitwise."""
     assert len(got) == len(expected)
     for a, b in zip(got, expected):
-        assert (a.event_id, a.node_ids, a.edge_list, a.meta) == (b.event_id, b.node_ids, b.edge_list, b.meta)
+        assert (a.event_id, a.node_ids, a.meta) == (b.event_id, b.node_ids, b.meta)
         assert (a.label, a.cross_team) == (b.label, b.cross_team)
-        for name in ("node_features", "adjacency", "edge_features", "node_xy", "node_roles"):
+        for name in ("node_features", "edge_ends", "edge_features", "node_xy", "node_roles"):
             x, y = getattr(a, name), getattr(b, name)
             assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
 
@@ -91,10 +91,7 @@ class TestBuildGraph:
         g = graph_at(acts, 1, 1, stats_for(1, 2, 3), tiny_grid)
         assert g.node_ids == [1, 2, 3]
         idx = {pid: i for i, pid in enumerate(g.node_ids)}
-        assert set(g.edge_list) == {(idx[1], idx[2]), (idx[2], idx[3])}
-        np.testing.assert_allclose(g.adjacency.sum(axis=1), 1.0, atol=1e-12)
-        # self-loops on the diagonal wherever no incoming edge exists
-        assert g.adjacency[idx[1], idx[1]] > 0
+        assert g.edge_ends.tolist() == [[idx[1], idx[2]], [idx[2], idx[3]]]
 
     def test_one_graph_per_event_in_stream_order(self, tiny_grid):
         acts = [action(1, t=0.0), action(2, t=5.0), action(3, t=9.0, action_type="dribble")]
@@ -102,7 +99,7 @@ class TestBuildGraph:
         assert [g.meta["event_index"] for g in gs] == [0, 1, 2]
         assert [g.event_id for g in gs] == ["1:0", "1:1", "1:2"]
         assert [g.meta["actor_id"] for g in gs] == [1, 2, 3]
-        assert [len(g.edge_list) for g in gs] == [1, 2, 2]
+        assert [len(g.edge_ends) for g in gs] == [1, 2, 2]
 
     def test_k_zero_only_current_participants(self, tiny_grid):
         acts = [action(1, t=0.0), action(2, t=5.0), action(3, t=9.0, action_type="dribble")]
@@ -113,7 +110,7 @@ class TestBuildGraph:
         acts = [action(4, action_type="dribble")]
         g = graph_at(acts, 0, 5, stats_for(4), tiny_grid)
         assert g.node_ids == [4]
-        assert g.edge_list == [(0, 0)]  # no recipient -> self-edge
+        assert g.edge_ends.tolist() == [[0, 0]]  # no recipient -> self-edge
 
     def test_negative_k_rejected(self, tiny_grid):
         with pytest.raises(ValueError, match="k must be >= 0"):
@@ -141,7 +138,8 @@ class TestBuildGraph:
                 assert g.node_features.shape[1] == 10
                 assert g.edge_features.shape[1] == 10
                 assert g.node_ids == sorted(g.node_ids)
-                np.testing.assert_allclose(g.adjacency.sum(axis=1), 1.0, atol=1e-12)
+                assert g.edge_ends.shape == (len(g.edge_features), 2)
+                assert 0 <= g.edge_ends.min() and g.edge_ends.max() < g.n_nodes
 
     def test_missing_stats_imputed_with_mean(self, tiny_grid):
         stats = stats_for(1, 2)
@@ -190,7 +188,7 @@ class TestEdgeEncoding:
     def test_vector_layout_is_ten_wide(self, tiny_grid):
         acts = [action(1, t=0.0), action(2, t=4.0), action(3, t=9.0, action_type="dribble")]
         for g in graphs.build_match_graphs(acts, 2, stats_for(1, 2, 3), tiny_grid):
-            assert g.edge_features.shape == (len(g.edge_list), 10)
+            assert g.edge_features.shape == (len(g.edge_ends), 10)
             assert np.all(np.isfinite(g.edge_features))
 
     def test_match_clock_uses_period_offset(self, tiny_grid):
@@ -219,10 +217,15 @@ class TestWindows:
         assert g.node_xy.tolist() == expected
 
     def test_repeated_pass_pair_is_one_indicator(self, tiny_grid):
+        from test_models import pack_of
+
         g = graph_at(self.stream(), 4, 4, stats_for(1, 2, 3), tiny_grid)
-        assert g.edge_list == [(0, 1), (1, 0), (0, 1), (1, 2), (2, 2)]
+        assert g.edge_ends.tolist() == [[0, 1], [1, 0], [0, 1], [1, 2], [2, 2]]
+        dst, src, weight = pack_of([g]).adjacency_pairs()
+        adjacency = np.zeros((3, 3))
+        adjacency[dst, src] = weight
         np.testing.assert_array_equal(
-            g.adjacency, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
+            adjacency, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
         )
 
     @pytest.mark.parametrize("k", [0, 3, 50])
@@ -239,25 +242,22 @@ class TestWindows:
             ends = [(a.player_id, a.player_id if r is None else r)
                     for a, r in zip(stream[window.start : index + 1], recipients[window.start : index + 1])]
             nodes = sorted({pid for pair in ends for pid in pair})
-            edge_list = [(nodes.index(s), nodes.index(d)) for s, d in ends]
+            edge_ends = [[nodes.index(s), nodes.index(d)] for s, d in ends]
             edges = rows[window.start : index + 1].copy()
             gap = clock[window.start : index + 1].max() - clock[window.start : index + 1]
             edges[:, 9] = np.minimum(gap, graphs.DT_CLIP_S) / graphs.DT_CLIP_S
             node_xy = np.zeros((len(nodes), 2))
-            adjacency = np.eye(len(nodes))
-            for (s, d), row in zip(edge_list, edges):
+            for (s, d), row in zip(edge_ends, edges):
                 node_xy[s] = node_xy[d] = row[4:6]
-                adjacency[d, s] = 1.0
-            assert (g.node_ids, g.edge_list) == (nodes, edge_list)
+            assert (g.node_ids, g.edge_ends.tolist()) == (nodes, edge_ends)
             assert g.edge_features.tobytes() == edges.tobytes()
             assert g.node_xy.tobytes() == node_xy.tobytes()
-            assert g.adjacency.tobytes() == (adjacency / adjacency.sum(axis=1, keepdims=True)).tobytes()
 
 
 class TestSplitAndBatch:
     def graphs_n(self, n):
         rng = np.random.default_rng(0)
-        from threatshare.fixtures import random_event_graph
+        from graph_factories import random_event_graph
 
         out = []
         for i in range(n):
@@ -341,7 +341,7 @@ class TestPersistence:
             assert a.node_ids == b.node_ids
             np.testing.assert_array_equal(a.node_features, b.node_features)
             np.testing.assert_array_equal(a.edge_features, b.edge_features)
-            np.testing.assert_allclose(a.adjacency, b.adjacency, atol=0)
+            np.testing.assert_array_equal(a.edge_ends, b.edge_ends)
             assert a.label == b.label
 
     def test_generated_two_match_slice_round_trips(self, tmp_path, fixture_features, fixture_roles):

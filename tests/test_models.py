@@ -9,8 +9,9 @@ import pytest
 
 from threatshare import diffcore as dc
 from threatshare import models
-from threatshare.fixtures import planted_linear_dataset, random_event_graph
-from threatshare.graphs import EventGraph, normalized_adjacency, split_dataset
+from threatshare.graphs import EventGraph, split_dataset
+
+from graph_factories import planted_linear_dataset, random_event_graph
 
 D_NODE = 10
 
@@ -22,8 +23,7 @@ def graph_with(n_nodes, edge_list, features=None, rng=None):
         event_id="t",
         node_ids=list(range(1, n_nodes + 1)),
         node_features=np.asarray(feats, dtype=np.float64),
-        adjacency=normalized_adjacency(n_nodes, edge_list),
-        edge_list=list(edge_list),
+        edge_ends=np.array(edge_list, dtype=np.int64),
         edge_features=rng.uniform(0, 1, (len(edge_list), 10)),
         label=0.05,
         node_xy=rng.uniform(0, 1, (n_nodes, 2)),
@@ -45,10 +45,19 @@ def np_head(P, z):
     return np.maximum(z @ P["head.W1"] + P["head.b1"], 0.0) @ P["head.W2"] + P["head.b2"]
 
 
+def np_adjacency(graph):
+    """Dense row-normalized adjacency: self-loops plus one indicator per
+    (dst, src) pair that an edge joins; row = destination."""
+    a = np.eye(graph.n_nodes)
+    for src, dst in graph.edge_ends.tolist():
+        a[dst, src] = 1.0
+    return a / a.sum(axis=1, keepdims=True)
+
+
 def np_incidence_mean(graph):
-    n, e = graph.n_nodes, len(graph.edge_list)
+    n, e = graph.n_nodes, len(graph.edge_ends)
     m = np.zeros((n, e))
-    for j, (src, dst) in enumerate(graph.edge_list):
+    for j, (src, dst) in enumerate(graph.edge_ends.tolist()):
         m[src, j] = 1.0
         m[dst, j] = 1.0
     counts = m.sum(axis=1, keepdims=True)
@@ -65,7 +74,7 @@ def np_gcn(P, graph, cfg, attention=None):
     h = np_node_inputs(P, graph)
     for layer in range(cfg.n_layers):
         h = np.maximum(
-            graph.adjacency @ (h @ P[f"gcn.L{layer}.W"]) + P[f"gcn.L{layer}.b"], 0.0
+            np_adjacency(graph) @ (h @ P[f"gcn.L{layer}.W"]) + P[f"gcn.L{layer}.b"], 0.0
         )
     z = h.mean(axis=0, keepdims=True)
     return float(np_head(P, z)[0, 0]), h, z
@@ -74,7 +83,7 @@ def np_gcn(P, graph, cfg, attention=None):
 def np_gat(P, graph, cfg, attention=None):
     n = graph.n_nodes
     neighbors = {v: {v} for v in range(n)}
-    for src, dst in graph.edge_list:
+    for src, dst in graph.edge_ends.tolist():
         neighbors[dst].add(src)
     h = np_node_inputs(P, graph)
     dh = cfg.head_dim
@@ -116,7 +125,7 @@ def np_transformer(P, graph, cfg, attention=None):
     n = graph.n_nodes
     ep = np_edge_mlp(P, graph.edge_features)
     pair_feats = {}
-    for j, (src, dst) in enumerate(graph.edge_list):
+    for j, (src, dst) in enumerate(graph.edge_ends.tolist()):
         pair_feats.setdefault((src, dst), []).append(ep[j])
     onehot = np.zeros((n, 5))
     onehot[np.arange(n), graph.node_roles] = 1.0
@@ -294,7 +303,7 @@ class TestGatForward:
         for layer_alpha in out.attention:
             sums = layer_alpha.sum(axis=2)
             mask = np.eye(3, dtype=bool)
-            for src, dst in g.edge_list:
+            for src, dst in g.edge_ends.tolist():
                 mask[dst, src] = True
             np.testing.assert_allclose(sums[:, :], 1.0, atol=1e-12)
             assert np.all(layer_alpha[:, ~mask] == 0.0)
@@ -354,8 +363,7 @@ def permute_graph(g: EventGraph, perm):
         event_id=g.event_id,
         node_ids=[g.node_ids[p] for p in perm],
         node_features=g.node_features[perm],
-        adjacency=g.adjacency[np.ix_(perm, perm)],
-        edge_list=[(int(inv[s]), int(inv[d])) for s, d in g.edge_list],
+        edge_ends=inv[g.edge_ends],
         edge_features=g.edge_features,
         label=g.label,
         node_xy=g.node_xy[perm],
@@ -423,8 +431,7 @@ class TestGradients:
 
 
 def with_edges(g, edge_list, rng):
-    g.edge_list = list(edge_list)
-    g.adjacency = normalized_adjacency(g.n_nodes, g.edge_list)
+    g.edge_ends = np.array(edge_list, dtype=np.int64)
     g.edge_features = rng.uniform(0, 1, (len(edge_list), 10))
     g.validate()
     return g
@@ -442,6 +449,11 @@ def mixed_graphs():
     return gs
 
 
+def pack_of(graphs):
+    """``graphs`` as one pack, under a default model's edge MLP."""
+    return models._pack(graphs, models.init_model(models.ModelConfig(), D_NODE))
+
+
 class TestPacks:
     def test_packs_keep_order_within_the_node_budget(self):
         class Sized:
@@ -451,6 +463,21 @@ class TestPacks:
         sizes = (30, 30, 5, 70, 1, 64, 2)
         got = [[g.n_nodes for g in pack] for pack in models.packs([Sized(n) for n in sizes], 64)]
         assert got == [[30, 30], [5], [70], [1], [64], [2]]
+
+    def test_adjacency_pairs_are_the_nonzeros_of_the_dense_adjacency(self):
+        gs = mixed_graphs()
+        dst, src, weight = pack_of(gs).adjacency_pairs()
+        rows, cols, weights, lo = [], [], [], 0
+        for g in gs:
+            a = np_adjacency(g)
+            r, c = np.nonzero(a)  # row-major, as the pack orders its pairs
+            rows.append(lo + r)
+            cols.append(lo + c)
+            weights.append(a[r, c])
+            lo += g.n_nodes
+        assert dst.tolist() == np.concatenate(rows).tolist()
+        assert src.tolist() == np.concatenate(cols).tolist()
+        assert weight.tobytes() == np.concatenate(weights).tobytes()
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_pack_matches_single_graphs_and_oracle(self, variant):
