@@ -54,6 +54,9 @@ N_ROLES = 5
 
 _TYPE_INDEX = {t: i for i, t in enumerate(SPADL_ACTION_TYPES)}
 
+# One encoder for every line of graphs.ndjson.
+_STORE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass
 class EventGraph:
@@ -73,19 +76,6 @@ class EventGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
-
-    def validate(self) -> None:
-        n = self.n_nodes
-        if n == 0 or n > MAX_NODES:
-            raise ValueError(f"graph {self.event_id}: {n} nodes")
-        if self.node_features.shape[0] != n:
-            raise ValueError(f"graph {self.event_id}: feature/node count mismatch")
-        if not np.all(np.isfinite(self.node_features)):
-            raise ValueError(f"graph {self.event_id}: non-finite node features")
-        if not np.isfinite(self.label):
-            raise ValueError(f"graph {self.event_id}: non-finite label")
-        if self.edge_features.shape != (len(self.edge_ends), EDGE_FEATURE_DIM):
-            raise ValueError(f"graph {self.event_id}: edge feature shape")
 
 
 def infer_recipients(actions) -> list:
@@ -225,14 +215,19 @@ def match_windows(players, player_rows, role_codes, src, dst, members, edge_rows
     ``encode_edges`` matrix, slot 9 filled here per window from
     ``meta["clock"]``. ``events`` holds (event_id, label, cross_team, meta)
     per action. ``build_match_graphs`` and ``read_graphs`` both cut windows here.
+
+    Every window is checked once for the match: 1..``MAX_NODES`` nodes,
+    finite player rows and labels, and one row per player and per action.
+    A failed check raises ValueError naming the first offending event.
     """
     if not events:
         return []
     n = len(events)
+    n_nodes = members.sum(axis=1)
+    _check_windows(events, n_nodes, player_rows, members, edge_rows)
     clock = np.array([meta["clock"] for _, _, _, meta in events], dtype=np.float64)
     local = members.cumsum(axis=1) - 1  # each player's node index in each window
     _, cols = np.nonzero(members)  # every window's nodes in turn, in player order
-    n_nodes = members.sum(axis=1)
     node_start = np.cumsum(n_nodes) - n_nodes
     lo = np.maximum(np.arange(n) - k, 0)
     n_edges = np.arange(n) - lo + 1
@@ -268,9 +263,30 @@ def match_windows(players, player_rows, role_codes, src, dst, members, edge_rows
             cross_team=cross_team,
             meta=meta,
         )
-        graph.validate()
         graphs.append(graph)
     return graphs
+
+
+def _check_windows(events, n_nodes, player_rows, members, edge_rows) -> None:
+    """The checks of ``match_windows``, over all of a match's windows at once."""
+    first = events[0][0]
+    if player_rows.ndim != 2 or player_rows.shape[0] != members.shape[1]:
+        raise ValueError(f"graph {first}: feature/node count mismatch")
+    if edge_rows.shape != (len(events), EDGE_FEATURE_DIM):
+        raise ValueError(f"graph {first}: edge feature shape")
+    oversized = np.flatnonzero((n_nodes < 1) | (n_nodes > MAX_NODES))
+    if oversized.size:
+        i = oversized[0]
+        raise ValueError(f"graph {events[i][0]}: {n_nodes[i]} nodes")
+    bad_rows = ~np.isfinite(player_rows).all(axis=1)
+    if bad_rows.any():
+        holding = np.flatnonzero(members[:, bad_rows].any(axis=1))
+        if holding.size:
+            raise ValueError(f"graph {events[holding[0]][0]}: non-finite node features")
+    labels = np.array([label for _, label, _, _ in events], dtype=np.float64)
+    bad_labels = np.flatnonzero(~np.isfinite(labels))
+    if bad_labels.size:
+        raise ValueError(f"graph {events[bad_labels[0]][0]}: non-finite label")
 
 
 def split_dataset(graphs, split_frac: float, seed: int, unit: str = "graph"):
@@ -350,7 +366,7 @@ def write_graphs(graphs, path) -> None:
                     for j in new
                 ],
             }
-            f.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            f.write(_STORE_ENCODER.encode(record))
             f.write("\n")
 
 

@@ -14,8 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
+import operator
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -162,6 +164,21 @@ class SpadlAction:
 
 SPADL_ATTRIBUTE_COUNT = len(fields(SpadlAction))
 assert SPADL_ATTRIBUTE_COUNT == 12
+
+# The codec of actions.ndjson: one encoder and one decoder for the whole
+# file; keys are written in sorted order and read back in field order.
+_ACTION_FIELDS = tuple(fl.name for fl in fields(SpadlAction))
+_ACTION_KEYS = tuple(sorted(_ACTION_FIELDS))
+_ACTION_KEY_SET = frozenset(_ACTION_FIELDS)
+_ACTION_VALUES = operator.itemgetter(*_ACTION_FIELDS)
+_ACTION_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_ACTION_DECODER = json.JSONDecoder()
+# the values a row must hold: ints (not bools), finite numbers, SPADL words
+_ACTION_INT_KEYS = ("game_id", "period", "team_id", "player_id")
+_ACTION_NUMBER_KEYS = ("time_s", "start_x", "start_y", "end_x", "end_y")
+_ACTION_WORD_KEYS = ("action_type", "body_part", "result")
+_SPADL_TYPE_SET = frozenset(SPADL_ACTION_TYPES)
+_SPADL_RESULTS = frozenset({"success", "fail"})
 
 
 @dataclass(frozen=True)
@@ -473,28 +490,77 @@ def to_spadl(events) -> list[SpadlAction]:
 
 
 def write_actions(actions, path) -> None:
-    """Write actions as newline-delimited JSON, one 12-field record per line."""
+    """Write actions as newline-delimited JSON, one 12-field record per line,
+    keys sorted."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         for a in actions:
-            record = asdict(a)
-            assert len(record) == SPADL_ATTRIBUTE_COUNT
-            f.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            f.write(_ACTION_ENCODER.encode({n: getattr(a, n) for n in _ACTION_KEYS}))
             f.write("\n")
 
 
+def _action_value_error(record: dict) -> str | None:
+    """What is wrong with the values of one 12-key action row, or None."""
+    for key in _ACTION_INT_KEYS:
+        if type(record[key]) is not int:
+            return f"{key} {record[key]!r} is not an integer"
+    for key in _ACTION_NUMBER_KEYS:
+        value = record[key]
+        if type(value) not in (int, float) or not math.isfinite(value):
+            return f"{key} {value!r} is not a finite number"
+    action_type, result = record["action_type"], record["result"]
+    if type(action_type) is not str or action_type not in _SPADL_TYPE_SET:
+        return f"action_type {action_type!r} is not a SPADL action type"
+    if type(result) is not str or result not in _SPADL_RESULTS:
+        return f"result {result!r} is neither success nor fail"
+    if type(record["body_part"]) is not str:
+        return f"body_part {record['body_part']!r} is not a string"
+    return None
+
+
+def _columns_valid(actions) -> bool:
+    """Whether every action passes ``_action_value_error``, checked a
+    column at a time."""
+
+    def column(key):
+        return map(operator.attrgetter(key), actions)
+
+    return (
+        all(set(map(type, column(key))) <= {int} for key in _ACTION_INT_KEYS)
+        and all(set(map(type, column(key))) <= {int, float} for key in _ACTION_NUMBER_KEYS)
+        and all(all(map(math.isfinite, column(key))) for key in _ACTION_NUMBER_KEYS)
+        and all(set(map(type, column(key))) <= {str} for key in _ACTION_WORD_KEYS)
+        and set(column("action_type")) <= _SPADL_TYPE_SET
+        and set(column("result")) <= _SPADL_RESULTS
+    )
+
+
 def read_actions(path) -> list[SpadlAction]:
-    actions = []
+    """The actions ``write_actions`` stored. A line that is not a JSON object
+    of exactly the 12 SPADL keys, or a row whose values are mistyped or
+    outside the SPADL vocabulary, raises SchemaError naming its line. Keys
+    are checked line by line; values once for the file, row by row only to
+    name the first bad one."""
+    actions, line_nos = [], []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if set(record) != {fl.name for fl in fields(SpadlAction)}:
+            try:
+                record = _ACTION_DECODER.decode(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(f"{path}:{line_no}: not JSON ({exc})") from None
+            if not isinstance(record, dict) or record.keys() != _ACTION_KEY_SET:
                 raise SchemaError(f"{path}:{line_no}: not a 12-attribute action row")
-            actions.append(SpadlAction(**record))
+            actions.append(SpadlAction(*_ACTION_VALUES(record)))
+            line_nos.append(line_no)
+    if not _columns_valid(actions):
+        for line_no, a in zip(line_nos, actions):
+            problem = _action_value_error(vars(a))
+            if problem is not None:
+                raise SchemaError(f"{path}:{line_no}: {problem}")
     return actions
 
 

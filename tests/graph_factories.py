@@ -7,7 +7,23 @@ node features, which any of the model variants should be able to regress.
 
 import numpy as np
 
-from threatshare.graphs import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, EventGraph
+from threatshare.graphs import EDGE_FEATURE_DIM, MAX_NODES, NODE_FEATURE_DIM, EventGraph
+
+
+def validate(graph: EventGraph) -> None:
+    """The checks ``graphs.match_windows`` makes of its windows, for one
+    graph built by hand."""
+    n = graph.n_nodes
+    if n == 0 or n > MAX_NODES:
+        raise ValueError(f"graph {graph.event_id}: {n} nodes")
+    if graph.node_features.shape[0] != n:
+        raise ValueError(f"graph {graph.event_id}: feature/node count mismatch")
+    if not np.all(np.isfinite(graph.node_features)):
+        raise ValueError(f"graph {graph.event_id}: non-finite node features")
+    if not np.isfinite(graph.label):
+        raise ValueError(f"graph {graph.event_id}: non-finite label")
+    if graph.edge_features.shape != (len(graph.edge_ends), EDGE_FEATURE_DIM):
+        raise ValueError(f"graph {graph.event_id}: edge feature shape")
 
 
 def random_event_graph(
@@ -37,7 +53,7 @@ def random_event_graph(
         meta={"match_id": 0, "event_index": 0, "k": 0, "n_imputed": 0, "actor_id": node_ids[0],
               "actor_team": 0},
     )
-    graph.validate()
+    validate(graph)
     return graph
 
 
@@ -77,7 +93,7 @@ def planted_linear_dataset(
             meta={"match_id": 0, "event_index": i, "k": 0, "n_imputed": 0, "actor_id": 1,
                   "actor_team": 0},
         )
-        g.validate()
+        validate(g)
         graphs.append(g)
     return graphs
 

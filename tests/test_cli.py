@@ -446,16 +446,24 @@ def _schema_1_line(g) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _damage_store(edit):
-    """Damage: replace the lines of graphs.ndjson by ``edit(lines)`` and
-    record its new digest as build-graphs'."""
+def _damage_lines(artifact, stage, edit):
+    """Damage: replace the lines of ``artifact`` by ``edit(lines)`` and
+    record its new digest as ``stage``'s."""
 
     def damage(tmp_path):
-        path = tmp_path / "artifacts" / "graphs.ndjson"
+        path = tmp_path / "artifacts" / artifact
         path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
-        _record_digest(tmp_path, "build-graphs", path)
+        _record_digest(tmp_path, stage, path)
 
     return damage
+
+
+def _damage_store(edit):
+    return _damage_lines("graphs.ndjson", "build-graphs", edit)
+
+
+def _damage_actions(edit):
+    return _damage_lines("actions.ndjson", "ingest", edit)
 
 
 def _edit_line(index, change):
@@ -470,6 +478,15 @@ def _edit_line(index, change):
 
 def _relabel(**changes):
     return lambda d: json.dumps({**d, **changes}, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _drop_key(key):
+    return lambda d: json.dumps({k: v for k, v in d.items() if k != key}) + "\n"
+
+
+def _nan_feature(d):
+    d["players"][0]["features"][0] = float("nan")
+    return json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 TRAINED = ["ingest", "xt-fit", "build-graphs", "train"]
@@ -520,6 +537,27 @@ FAILURE_CASES = {
     "store-schema-1-line": (
         lambda tmp, fx: {}, TRAINED[:3], _damage_store(_edit_line(10, _relabel(schema_version=1))),
         "train", 3, "graphs.ndjson:11: schema version 1); run build-graphs again"),
+    "store-feature-row-not-finite": (
+        lambda tmp, fx: {}, TRAINED[:3], _damage_store(_edit_line(0, _nan_feature)), "train", 3,
+        "graphs.ndjson (graph 9001:0: non-finite node features); run build-graphs again"),
+    # damaged action rows whose digest ingest recorded: read_actions must catch them
+    "actions-key-missing": (
+        lambda tmp, fx: {}, TRAINED[:3], _damage_actions(_edit_line(7, _drop_key("end_x"))),
+        "xt-fit", 3, "actions.ndjson:8: not a 12-attribute action row); run ingest again"),
+    "actions-key-extra": (
+        lambda tmp, fx: {}, TRAINED[:3], _damage_actions(_edit_line(7, _relabel(receiver_id=102))),
+        "xt-fit", 3, "actions.ndjson:8: not a 12-attribute action row); run ingest again"),
+    "actions-json-array-line": (
+        lambda tmp, fx: {}, TRAINED[:3],
+        _damage_actions(_edit_line(7, lambda d: json.dumps(list(d.values())) + "\n")),
+        "xt-fit", 3, "actions.ndjson:8: not a 12-attribute action row); run ingest again"),
+    "actions-null-coordinate": (
+        lambda tmp, fx: {}, TRAINED[:3], _damage_actions(_edit_line(7, _relabel(start_x=None))),
+        "xt-fit", 3, "actions.ndjson:8: start_x None is not a finite number); run ingest again"),
+    "actions-unknown-action-type": (
+        lambda tmp, fx: {}, TRAINED[:3],
+        _damage_actions(_edit_line(7, _relabel(action_type="kick"))), "xt-fit", 3,
+        "actions.ndjson:8: action_type 'kick' is not a SPADL action type); run ingest again"),
     "outputs-missing-a-prediction": (
         lambda tmp, fx: {}, TRAINED + ["evaluate"], _drop_prediction, "attribute", 3,
         "outputs_gcn (predictions: 399 entries for 400 events); run evaluate again"),

@@ -254,6 +254,50 @@ class TestWindows:
             assert g.node_xy.tobytes() == node_xy.tobytes()
 
 
+class TestWindowChecks:
+    """``match_windows`` checks a match's windows once; each failure names
+    the first offending event, as a per-graph check in stream order would."""
+
+    def test_window_over_22_nodes_names_its_event(self, tiny_grid):
+        # 30 carries by 30 players: at k=25 the window of event 22 is the first
+        # to hold 23 players
+        acts = [action(p, t=2.0 * p, action_type="dribble") for p in range(1, 31)]
+        with pytest.raises(ValueError, match=r"^graph 1:22: 23 nodes$"):
+            graphs.build_match_graphs(acts, 25, stats_for(*range(1, 31)), tiny_grid)
+        assert len(graphs.build_match_graphs(acts, 21, stats_for(*range(1, 31)), tiny_grid)) == 30
+
+    def test_non_finite_stats_row_names_the_first_window_holding_it(self, tiny_grid):
+        # player 3 first enters a window as the recipient of event 1's pass
+        acts = [action(1, action_type="dribble"), action(2, t=2.0), action(3, t=4.0),
+                action(4, t=6.0, action_type="dribble")]
+        stats = stats_for(1, 2, 3, 4)
+        stats[3][0] = float("nan")
+        with pytest.raises(ValueError, match=r"^graph 1:1: non-finite node features$"):
+            graphs.build_match_graphs(acts, 0, stats, tiny_grid)
+        stats[3][0] = float("inf")
+        with pytest.raises(ValueError, match=r"^graph 1:1: non-finite node features$"):
+            graphs.build_match_graphs(acts, 2, stats, tiny_grid)
+
+    def test_nan_label_names_its_event(self, tiny_grid):
+        grid = xt.XtGrid(**{**vars(tiny_grid), "value": np.array([0.3, np.nan])})
+        # events 0 and 1 end in the finite zone, event 2 in the NaN one
+        acts = [action(1, end=(30, 30)), action(2, t=2.0, end=(30, 30)),
+                action(3, t=4.0, end=(80, 30), action_type="dribble")]
+        with pytest.raises(ValueError, match=r"^graph 1:2: non-finite label$"):
+            graphs.build_match_graphs(acts, 1, stats_for(1, 2, 3), grid)
+
+    @pytest.mark.parametrize("k", [0, 7, 50])
+    def test_fixture_windows_pass_the_per_graph_checks(
+        self, k, fixture_actions, fixture_grid, fixture_features
+    ):
+        from graph_factories import validate
+        from threatshare.ingest import group_by_match
+
+        for stream in group_by_match(fixture_actions).values():
+            for g in graphs.build_match_graphs(stream, k, fixture_features, fixture_grid):
+                validate(g)
+
+
 class TestSplitAndBatch:
     def graphs_n(self, n):
         rng = np.random.default_rng(0)
@@ -413,9 +457,15 @@ GOLDEN_GRAPHS_SHA256 = {
     (50, True): "ddf62a12cacb7e69273669b89e34dbc66bdf0dd25df43a19891645cd1080f75c",
 }
 
+# sha256 of actions.ndjson, the SPADL interchange ingest writes for the bundled
+# fixture (400 actions). Pins the action codec byte for byte, as the digests
+# above pin the graph store.
+GOLDEN_ACTIONS_SHA256 = "b5c45c5fd4a78df5781e9b1470e533269b0a361c5fa93285865300b1d6b5ca7b"
 
-def build_fixture_graphs(tmp_path, fixture_dir, k, centrality):
-    """Run ingest, xt-fit and build-graphs through the CLI; return graphs.ndjson."""
+
+def build_fixture_graphs(tmp_path, fixture_dir, k, centrality,
+                         stages=("ingest", "xt-fit", "build-graphs")):
+    """Run ``stages`` through the CLI; return graphs.ndjson."""
     import json
 
     from threatshare import cli
@@ -432,7 +482,7 @@ def build_fixture_graphs(tmp_path, fixture_dir, k, centrality):
         "window_k": k,
         "append_centrality_features": centrality,
     }))
-    for stage in ("ingest", "xt-fit", "build-graphs"):
+    for stage in stages:
         assert cli.main(["--config", str(config), "--quiet", stage]) == 0
     return tmp_path / "artifacts" / "graphs.ndjson"
 
@@ -453,6 +503,14 @@ def test_graph_store_is_byte_identical_to_golden(k, centrality, tmp_path, fixtur
     store = build_fixture_graphs(tmp_path, fixture_dir, k, centrality)
     digest = hashlib.sha256(store.read_bytes()).hexdigest()
     assert digest == GOLDEN_GRAPHS_SHA256[(k, centrality)]
+
+
+def test_actions_file_is_byte_identical_to_golden(tmp_path, fixture_dir):
+    import hashlib
+
+    store = build_fixture_graphs(tmp_path, fixture_dir, 7, False, stages=("ingest",))
+    actions = store.with_name("actions.ndjson").read_bytes()
+    assert hashlib.sha256(actions).hexdigest() == GOLDEN_ACTIONS_SHA256
 
 
 def test_recipient_rule_runs_once_per_match_with_centrality(tmp_path, fixture_dir, monkeypatch):

@@ -1,7 +1,7 @@
 """Provider parsing, SPADL conversion, stats loading, fetch cache behavior."""
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -132,8 +132,6 @@ class TestToSpadl:
     def test_every_row_has_exactly_12_attributes(self, fixture_actions):
         assert len(fields(ingest.SpadlAction)) == 12
         for a in fixture_actions:
-            from dataclasses import asdict
-
             assert len(asdict(a)) == 12
 
     def test_successful_pass_mapping(self, tmp_path):
@@ -192,12 +190,79 @@ class TestToSpadl:
         first = json.loads(path.read_text().splitlines()[0])
         assert len(first) == 12
 
+    def test_generated_two_match_slice_round_trips(self, tmp_path):
+        from threatshare import fixtures
+
+        actions = []
+        for match_id in (11, 12):
+            path = tmp_path / f"{match_id}.json"
+            path.write_text(json.dumps(fixtures.generate_match_events(match_id, 4, n_events=300)))
+            actions.extend(ingest.to_spadl(ingest.parse_events(path).events))
+        first, second = tmp_path / "first.ndjson", tmp_path / "second.ndjson"
+        ingest.write_actions(actions, first)
+        loaded = ingest.read_actions(first)
+        assert loaded == actions
+        assert {a.game_id for a in loaded} == {11, 12}
+        ingest.write_actions(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+        for line, a in zip(first.read_text().splitlines(), actions):
+            assert line == json.dumps(asdict(a), sort_keys=True, separators=(",", ":"))
+
     def test_ordering_invariant(self, fixture_actions):
         from threatshare.ingest import group_by_match
 
         for stream in group_by_match(fixture_actions).values():
             keys = [(a.period, a.time_s) for a in stream]
             assert keys == sorted(keys)
+
+
+def _without(key):
+    return lambda d: json.dumps({k: v for k, v in d.items() if k != key})
+
+
+def _with(**changes):
+    return lambda d: json.dumps({**d, **changes})
+
+
+# damage to one line of actions.ndjson -> what the SchemaError says after "<path>:<line>: "
+DAMAGED_ACTION_ROWS = {
+    "missing-key": (_without("start_x"), "not a 12-attribute action row"),
+    "extra-key": (_with(receiver_id=5), "not a 12-attribute action row"),
+    "json-array": (lambda d: json.dumps(list(d.values())), "not a 12-attribute action row"),
+    "json-string": (lambda d: json.dumps("pass"), "not a 12-attribute action row"),
+    "not-json": (lambda d: "{game_id: 1", "not JSON"),
+    "null-coordinate": (_with(start_x=None), "start_x None is not a finite number"),
+    "nan-coordinate": (_with(end_y=float("nan")), "end_y nan is not a finite number"),
+    "string-time": (_with(time_s="12"), "time_s '12' is not a finite number"),
+    "bool-time": (_with(time_s=True), "time_s True is not a finite number"),
+    "float-player": (_with(player_id=101.0), "player_id 101.0 is not an integer"),
+    "bool-period": (_with(period=True), "period True is not an integer"),
+    "unknown-action-type": (
+        _with(action_type="kick"), "action_type 'kick' is not a SPADL action type"),
+    "list-result": (_with(result=["success"]), "result ['success'] is neither success nor fail"),
+    "numeric-body-part": (_with(body_part=3), "body_part 3 is not a string"),
+}
+
+
+class TestReadActions:
+    @pytest.mark.parametrize("case", sorted(DAMAGED_ACTION_ROWS))
+    def test_damaged_row_raises_schema_error_naming_its_line(self, case, fixture_actions, tmp_path):
+        damage, message = DAMAGED_ACTION_ROWS[case]
+        path = tmp_path / "actions.ndjson"
+        ingest.write_actions(fixture_actions[:10], path)
+        lines = path.read_text().splitlines()
+        lines[6] = damage(json.loads(lines[6]))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ingest.SchemaError) as err:
+            ingest.read_actions(path)
+        assert str(err.value).startswith(f"{path}:7: {message}"), str(err.value)
+
+    def test_integral_coordinates_are_numbers(self, fixture_actions, tmp_path):
+        path = tmp_path / "actions.ndjson"
+        ingest.write_actions(fixture_actions[:1], path)
+        path.write_text(_with(start_x=50, time_s=0)(json.loads(path.read_text())) + "\n")
+        action = ingest.read_actions(path)[0]
+        assert (action.start_x, action.time_s) == (50, 0)
 
 
 class TestPlayerStats:

@@ -11,7 +11,7 @@ from threatshare import diffcore as dc
 from threatshare import models
 from threatshare.graphs import EventGraph, split_dataset
 
-from graph_factories import planted_linear_dataset, random_event_graph
+from graph_factories import planted_linear_dataset, random_event_graph, validate
 
 D_NODE = 10
 
@@ -433,7 +433,7 @@ class TestGradients:
 def with_edges(g, edge_list, rng):
     g.edge_ends = np.array(edge_list, dtype=np.int64)
     g.edge_features = rng.uniform(0, 1, (len(edge_list), 10))
-    g.validate()
+    validate(g)
     return g
 
 
