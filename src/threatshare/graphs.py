@@ -274,19 +274,23 @@ def _check_windows(events, n_nodes, player_rows, members, edge_rows) -> None:
         raise ValueError(f"graph {first}: feature/node count mismatch")
     if edge_rows.shape != (len(events), EDGE_FEATURE_DIM):
         raise ValueError(f"graph {first}: edge feature shape")
+    # the first failing window across the checks; on a tie, the first check
+    # in the order of a per-graph check
+    faults = []
     oversized = np.flatnonzero((n_nodes < 1) | (n_nodes > MAX_NODES))
     if oversized.size:
-        i = oversized[0]
-        raise ValueError(f"graph {events[i][0]}: {n_nodes[i]} nodes")
+        faults.append((oversized[0], f"{n_nodes[oversized[0]]} nodes"))
     bad_rows = ~np.isfinite(player_rows).all(axis=1)
-    if bad_rows.any():
-        holding = np.flatnonzero(members[:, bad_rows].any(axis=1))
-        if holding.size:
-            raise ValueError(f"graph {events[holding[0]][0]}: non-finite node features")
+    holding = np.flatnonzero(members[:, bad_rows].any(axis=1))
+    if holding.size:
+        faults.append((holding[0], "non-finite node features"))
     labels = np.array([label for _, label, _, _ in events], dtype=np.float64)
     bad_labels = np.flatnonzero(~np.isfinite(labels))
     if bad_labels.size:
-        raise ValueError(f"graph {events[bad_labels[0]][0]}: non-finite label")
+        faults.append((bad_labels[0], "non-finite label"))
+    if faults:
+        i, problem = min(faults, key=lambda fault: fault[0])
+        raise ValueError(f"graph {events[i][0]}: {problem}")
 
 
 def split_dataset(graphs, split_frac: float, seed: int, unit: str = "graph"):

@@ -173,10 +173,10 @@ _ACTION_KEY_SET = frozenset(_ACTION_FIELDS)
 _ACTION_VALUES = operator.itemgetter(*_ACTION_FIELDS)
 _ACTION_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _ACTION_DECODER = json.JSONDecoder()
-# the values a row must hold: ints (not bools), finite numbers, SPADL words
+# the values a row must hold: 64-bit ints (not bools), finite numbers, SPADL words
 _ACTION_INT_KEYS = ("game_id", "period", "team_id", "player_id")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # the graph store keeps ids as int64
 _ACTION_NUMBER_KEYS = ("time_s", "start_x", "start_y", "end_x", "end_y")
-_ACTION_WORD_KEYS = ("action_type", "body_part", "result")
 _SPADL_TYPE_SET = frozenset(SPADL_ACTION_TYPES)
 _SPADL_RESULTS = frozenset({"success", "fail"})
 
@@ -503,11 +503,12 @@ def write_actions(actions, path) -> None:
 def _action_value_error(record: dict) -> str | None:
     """What is wrong with the values of one 12-key action row, or None."""
     for key in _ACTION_INT_KEYS:
-        if type(record[key]) is not int:
-            return f"{key} {record[key]!r} is not an integer"
+        value = record[key]
+        if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
+            return f"{key} {value!r} is not a 64-bit integer"
     for key in _ACTION_NUMBER_KEYS:
         value = record[key]
-        if type(value) not in (int, float) or not math.isfinite(value):
+        if type(value) not in (int, float) or not _finite(value):
             return f"{key} {value!r} is not a finite number"
     action_type, result = record["action_type"], record["result"]
     if type(action_type) is not str or action_type not in _SPADL_TYPE_SET:
@@ -519,30 +520,20 @@ def _action_value_error(record: dict) -> str | None:
     return None
 
 
-def _columns_valid(actions) -> bool:
-    """Whether every action passes ``_action_value_error``, checked a
-    column at a time."""
-
-    def column(key):
-        return map(operator.attrgetter(key), actions)
-
-    return (
-        all(set(map(type, column(key))) <= {int} for key in _ACTION_INT_KEYS)
-        and all(set(map(type, column(key))) <= {int, float} for key in _ACTION_NUMBER_KEYS)
-        and all(all(map(math.isfinite, column(key))) for key in _ACTION_NUMBER_KEYS)
-        and all(set(map(type, column(key))) <= {str} for key in _ACTION_WORD_KEYS)
-        and set(column("action_type")) <= _SPADL_TYPE_SET
-        and set(column("result")) <= _SPADL_RESULTS
-    )
+def _finite(value: int | float) -> bool:
+    """Whether a number is finite as a float; an int too large for a float
+    is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def read_actions(path) -> list[SpadlAction]:
     """The actions ``write_actions`` stored. A line that is not a JSON object
     of exactly the 12 SPADL keys, or a row whose values are mistyped or
-    outside the SPADL vocabulary, raises SchemaError naming its line. Keys
-    are checked line by line; values once for the file, row by row only to
-    name the first bad one."""
-    actions, line_nos = [], []
+    outside the SPADL vocabulary, raises SchemaError naming its line."""
+    actions = []
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -554,13 +545,10 @@ def read_actions(path) -> list[SpadlAction]:
                 raise SchemaError(f"{path}:{line_no}: not JSON ({exc})") from None
             if not isinstance(record, dict) or record.keys() != _ACTION_KEY_SET:
                 raise SchemaError(f"{path}:{line_no}: not a 12-attribute action row")
-            actions.append(SpadlAction(*_ACTION_VALUES(record)))
-            line_nos.append(line_no)
-    if not _columns_valid(actions):
-        for line_no, a in zip(line_nos, actions):
-            problem = _action_value_error(vars(a))
+            problem = _action_value_error(record)
             if problem is not None:
                 raise SchemaError(f"{path}:{line_no}: {problem}")
+            actions.append(SpadlAction(*_ACTION_VALUES(record)))
     return actions
 
 

@@ -255,8 +255,8 @@ class TestWindows:
 
 
 class TestWindowChecks:
-    """``match_windows`` checks a match's windows once; each failure names
-    the first offending event, as a per-graph check in stream order would."""
+    """``match_windows`` checks a match's windows once; a failure names the
+    first offending event, as a per-graph check in stream order would."""
 
     def test_window_over_22_nodes_names_its_event(self, tiny_grid):
         # 30 carries by 30 players: at k=25 the window of event 22 is the first
@@ -285,6 +285,21 @@ class TestWindowChecks:
                 action(3, t=4.0, end=(80, 30), action_type="dribble")]
         with pytest.raises(ValueError, match=r"^graph 1:2: non-finite label$"):
             graphs.build_match_graphs(acts, 1, stats_for(1, 2, 3), grid)
+
+    def test_two_faults_name_the_earlier_event(self, tiny_grid):
+        grid = xt.XtGrid(**{**vars(tiny_grid), "value": np.array([0.3, np.nan])})
+        # a NaN label at event 1, then a NaN stats row first held at event 3
+        acts = [action(p, t=2.0 * p, end=(80, 30) if p == 2 else (30, 30), action_type="dribble")
+                for p in (1, 2, 3, 4)]
+        stats = stats_for(1, 2, 3, 4)
+        stats[4][0] = float("nan")
+        with pytest.raises(ValueError, match=r"^graph 1:1: non-finite label$"):
+            graphs.build_match_graphs(acts, 0, stats, grid)
+        # and with the two the other way round
+        stats = stats_for(1, 2, 3, 4)
+        stats[1][0] = float("nan")
+        with pytest.raises(ValueError, match=r"^graph 1:0: non-finite node features$"):
+            graphs.build_match_graphs(acts, 0, stats, grid)
 
     @pytest.mark.parametrize("k", [0, 7, 50])
     def test_fixture_windows_pass_the_per_graph_checks(

@@ -235,8 +235,10 @@ DAMAGED_ACTION_ROWS = {
     "nan-coordinate": (_with(end_y=float("nan")), "end_y nan is not a finite number"),
     "string-time": (_with(time_s="12"), "time_s '12' is not a finite number"),
     "bool-time": (_with(time_s=True), "time_s True is not a finite number"),
-    "float-player": (_with(player_id=101.0), "player_id 101.0 is not an integer"),
-    "bool-period": (_with(period=True), "period True is not an integer"),
+    "huge-int-coordinate": (_with(start_y=10**400), f"start_y {10**400} is not a finite number"),
+    "float-player": (_with(player_id=101.0), "player_id 101.0 is not a 64-bit integer"),
+    "bool-period": (_with(period=True), "period True is not a 64-bit integer"),
+    "huge-player": (_with(player_id=2**63), f"player_id {2**63} is not a 64-bit integer"),
     "unknown-action-type": (
         _with(action_type="kick"), "action_type 'kick' is not a SPADL action type"),
     "list-result": (_with(result=["success"]), "result ['success'] is neither success nor fail"),
