@@ -6,11 +6,11 @@
 Every stage writes its artifacts under the configured artifacts directory
 and records input digests in ``manifest.json``; re-running a stage whose
 inputs and config are unchanged is a no-op. ``evaluate`` is the one stage
-that runs a trained model: beside each graph's prediction and node embedding
-norms it stores what attribution reads of the graphs (event ids, labels,
-node counts, match, actor, actor team and player ids, the cross-team flag).
-``attribute`` splits the threat change from that file and the stats CSV
-alone; it checks ``graphs.ndjson`` only by digest.
+that runs a trained model: it stores what the model computed, each graph's
+prediction and node embedding norms, with the digest of the graphs.
+``attribute`` splits the threat change from that file, the facts of each
+event line of ``graphs.ndjson`` (event and node ids, label, match, actor and
+actor team, the cross-team flag; no window is cut) and the stats CSV.
 Exit codes: 0 success, 2 config error, 3 missing, unreadable or stale input
 file or artifact (or failed fetch), 4 numeric failure.
 """
@@ -18,6 +18,7 @@ file or artifact (or failed fetch), 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -47,7 +48,7 @@ DEFAULT_ABLATION_K = (1, 3, 5, 7, 9)
 # What ``outputs_<variant>`` and ``graphs.ndjson`` hold; part of evaluate's
 # and build-graphs' manifest keys, so artifacts of an earlier layout are
 # rebuilt rather than skipped as fresh.
-OUTPUTS_LAYOUT = 3
+OUTPUTS_LAYOUT = 4
 GRAPHS_LAYOUT = graphs_mod.STORE_SCHEMA_VERSION
 
 
@@ -485,30 +486,27 @@ def _stage_evaluate(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     for name, m in scores.items():
         lines.append(f"{name},{m['mse']!r},{m['mae']!r},{m['combined']!r}")
     _write_text(ap["metrics"], "\n".join(lines) + "\n")
-    columns = credit.EventColumns.of(all_graphs, predictions, norms)
-    manifest = {
-        "kind": "threatshare-outputs",
-        "graphs_sha256": digests[ap["graphs"]],
-        "event_ids": columns.event_ids,
-    }
-    _write_atomic(
-        ap["outputs"], lambda tmp: ckpt_io.save_container(tmp, manifest, columns.arrays())
-    )
+    manifest = {"kind": "threatshare-outputs", "graphs_sha256": digests[ap["graphs"]]}
+    arrays = {"predictions": predictions, "norms": norms}
+    _write_atomic(ap["outputs"], lambda tmp: ckpt_io.save_container(tmp, manifest, arrays))
     log.info("evaluate[%s]: %s; %s", cfg.model.variant, lines[2], lines[4])
     return [ap["metrics"], ap["outputs"]]
 
 
-def _load_outputs(path: Path) -> tuple[str, credit.EventColumns]:
-    """(digest of the graphs they were computed from, the event columns)
+def _load_outputs(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
+    """(digest of the graphs they were computed from, predictions, norms)
     that evaluate stored."""
     manifest, arrays = ckpt_io.load_container(path)
-    return manifest["graphs_sha256"], credit.EventColumns(manifest["event_ids"], **arrays)
+    if arrays.keys() != {"predictions", "norms"}:
+        raise ValueError(f"holds {', '.join(sorted(arrays))}, not predictions and norms")
+    return manifest["graphs_sha256"], arrays["predictions"], arrays["norms"]
 
 
-def _player_teams(columns: credit.EventColumns) -> dict:
+def _player_teams(events) -> dict:
     """Each actor's team: the one it acted for most often, ties to the lower id."""
     counts: dict = {}
-    for pid, team in zip(columns.actor_ids.tolist(), columns.actor_teams.tolist()):
+    for e in events:
+        pid, team = e.meta["actor_id"], e.meta["actor_team"]
         counts.setdefault(pid, {}).setdefault(team, 0)
         counts[pid][team] += 1
     return {
@@ -519,17 +517,29 @@ def _player_teams(columns: credit.EventColumns) -> dict:
 
 def _stage_attribute(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     ap = artifact_paths(cfg)
-    graphs_digest, columns = _read(cfg, "outputs", _load_outputs)
+    graphs_digest, predictions, norms = _read(cfg, "outputs", _load_outputs)
     if graphs_digest != digests[ap["graphs"]]:
         raise MissingArtifactError(
             f"{ap['outputs']} was computed from other graphs; run evaluate again"
         )
+    events = _read(cfg, "graphs", graphs_mod.read_events)
+    n_nodes = sum(len(e.node_ids) for e in events)
+    for name, values, n, unit in (
+        ("predictions", predictions, len(events), "events"), ("norms", norms, n_nodes, "nodes")
+    ):
+        if values.shape != (n,):
+            raise MissingArtifactError(
+                f"unreadable {ap['outputs']} ({name}: {values.size} entries for {n} {unit}); "
+                "run evaluate again"
+            )
     stats_raw = ingest.load_player_stats(cfg.paths.stats_csv)
     ledger = credit.build_ledger(
-        columns,
+        events,
+        predictions,
+        norms,
         source=cfg.attribution_source,
         stats=stats_raw,
-        player_team=_player_teams(columns),
+        player_team=_player_teams(events),
         negative_mode=cfg.negative_share_mode,
     )
 
@@ -815,6 +825,7 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="threatshare",

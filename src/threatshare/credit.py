@@ -160,7 +160,6 @@ class CreditLedger:
     """Event-level shares plus season aggregates per player."""
 
     shares: dict = field(default_factory=dict)  # (event_id, player_id) -> share
-    event_delta: dict = field(default_factory=dict)  # event_id -> delta
     event_cross_team: dict = field(default_factory=dict)
     player_total: dict = field(default_factory=dict)
     player_team: dict = field(default_factory=dict)
@@ -168,8 +167,7 @@ class CreditLedger:
     player_minutes: dict = field(default_factory=dict)
     uniform_fallbacks: int = 0  # events split uniformly: all embeddings were zero
 
-    def add_event(self, event_id, match_id, delta, cross_team, shares: dict) -> None:
-        self.event_delta[event_id] = delta
+    def add_event(self, event_id, match_id, cross_team, shares: dict) -> None:
         self.event_cross_team[event_id] = cross_team
         for pid, share in shares.items():
             self.shares[(event_id, pid)] = share
@@ -183,115 +181,46 @@ class CreditLedger:
         return self.player_total.get(pid, 0.0) * 90.0 / minutes
 
 
-def _ints(name: str, values) -> np.ndarray:
-    """``values`` as int64; a non-integral entry is a ValueError."""
-    values = np.asarray(values)
-    ints = values.astype(np.int64)
-    if not np.array_equal(ints, values):
-        raise ValueError(f"{name}: non-integral entries")
-    return ints
-
-
-class EventColumns:
-    """What attribution reads of the event graphs, as flat columns.
-
-    Per graph, in stored order: ``event_ids``, ``predictions``, ``labels``,
-    ``sizes`` (node counts), ``match_ids``, ``actor_ids``, ``actor_teams``
-    and ``cross_team``.
-    Per node, every graph's nodes in turn: ``player_ids`` and ``norms``.
-    Each column but the event ids is an array; ``evaluate`` stores them as
-    float64, so ids and flags are converted back here. Columns of unequal
-    length, or node columns that do not match the sizes, raise ValueError.
-    """
-
-    PER_GRAPH = (
-        "predictions", "labels", "sizes", "match_ids", "actor_ids", "actor_teams", "cross_team"
-    )
-    PER_NODE = ("player_ids", "norms")
-
-    def __init__(self, event_ids, *, predictions, labels, sizes, match_ids, actor_ids,
-                 actor_teams, cross_team, player_ids, norms):
-        self.event_ids = [str(e) for e in event_ids]
-        self.predictions = np.asarray(predictions, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.float64)
-        self.sizes = _ints("sizes", sizes)
-        self.match_ids = _ints("match_ids", match_ids)
-        self.actor_ids = _ints("actor_ids", actor_ids)
-        self.actor_teams = _ints("actor_teams", actor_teams)
-        self.cross_team = np.asarray(cross_team) != 0
-        self.player_ids = _ints("player_ids", player_ids)
-        self.norms = np.asarray(norms, dtype=np.float64)
-        n = len(self.event_ids)
-        for name in self.PER_GRAPH:
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name}: {len(getattr(self, name))} entries for {n} events")
-        if np.any(self.sizes < 1):
-            raise ValueError("sizes: a graph without nodes")
-        nodes = int(self.sizes.sum())
-        for name in self.PER_NODE:
-            if len(getattr(self, name)) != nodes:
-                raise ValueError(f"{name}: {len(getattr(self, name))} entries for {nodes} nodes")
-
-    @classmethod
-    def of(cls, graphs, predictions, norms) -> "EventColumns":
-        """The columns of ``graphs`` with their model ``predictions`` (one
-        per graph) and node ``norms`` (every graph's nodes in turn)."""
-        graphs = list(graphs)
-        return cls(
-            [g.event_id for g in graphs],
-            predictions=predictions,
-            labels=[g.label for g in graphs],
-            sizes=[g.n_nodes for g in graphs],
-            match_ids=[g.meta["match_id"] for g in graphs],
-            actor_ids=[g.meta["actor_id"] for g in graphs],
-            actor_teams=[g.meta["actor_team"] for g in graphs],
-            cross_team=[g.cross_team for g in graphs],
-            player_ids=[pid for g in graphs for pid in g.node_ids],
-            norms=norms,
-        )
-
-    def arrays(self) -> dict:
-        """Every column but the event ids, by name."""
-        return {name: getattr(self, name) for name in self.PER_GRAPH + self.PER_NODE}
-
-
 def build_ledger(
-    columns: EventColumns,
+    events,
+    predictions,
+    norms,
     *,
     source: str = "predicted",
     stats=None,
     player_team=None,
     negative_mode: str = "prorata",
 ) -> CreditLedger:
-    """Attribute every event of ``columns`` and aggregate into a season ledger.
+    """Attribute every event and aggregate into a season ledger.
 
-    The ``attribute`` stage reads ``columns`` from ``outputs_<variant>``,
-    where ``evaluate`` stored them, so no graph store is parsed. ``source``
-    picks the delta that gets distributed: the model prediction (default)
-    or the labeled value. Events whose embeddings are all zero fall back to
-    a uniform split; their count is logged once.
+    ``events`` are event graphs or the stored events ``graphs.read_events``
+    returns: each has an ``event_id``, ``node_ids``, ``label``, ``cross_team``
+    and a ``meta`` with its ``match_id`` and ``actor_id``. ``predictions``
+    holds the model's delta per event and ``norms`` every event's node
+    embedding norms in turn, as ``evaluate`` stores them in
+    ``outputs_<variant>``. ``source`` picks the delta that gets distributed:
+    the model prediction (default) or the labeled value. Events whose
+    embeddings are all zero fall back to a uniform split; their count is
+    logged once.
     """
     if source not in ("predicted", "labeled"):
         raise ValueError(f"unknown attribution source {source!r}")
-    c = columns
-    deltas = (c.predictions if source == "predicted" else c.labels).tolist()
-    player_ids, actor_ids = c.player_ids.tolist(), c.actor_ids.tolist()
-    match_ids, cross_team = c.match_ids.tolist(), c.cross_team.tolist()
+    deltas = predictions.tolist() if source == "predicted" else [e.label for e in events]
     ledger = CreditLedger()
     end = 0
-    for i, size in enumerate(c.sizes.tolist()):
-        start, end = end, end + size
+    for e, delta in zip(events, deltas, strict=True):
+        start, end = end, end + len(e.node_ids)
         shares, uniform = attribute(
-            player_ids[start:end], c.norms[start:end], deltas[i],
-            actor=actor_ids[i], negative_mode=negative_mode,
+            e.node_ids, norms[start:end], delta,
+            actor=e.meta["actor_id"], negative_mode=negative_mode,
         )
         ledger.uniform_fallbacks += uniform
-        ledger.add_event(c.event_ids[i], match_ids[i], deltas[i], cross_team[i], shares)
+        ledger.add_event(e.event_id, e.meta["match_id"], e.cross_team, shares)
     if ledger.uniform_fallbacks:
         log.warning(
             "%d of %d events had all-zero embeddings; their deltas were split uniformly",
             ledger.uniform_fallbacks,
-            len(ledger.event_delta),
+            len(events),
         )
     if stats:
         for pid, s in stats.items():

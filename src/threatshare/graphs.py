@@ -15,7 +15,8 @@ mattered (end-zone threat and its change).
 
 The store (``graphs.ndjson``) keeps one compact line per action rather than
 every window in full; ``read_graphs`` cuts the windows again with
-``match_windows``, the same function ``build_match_graphs`` uses.
+``match_windows``, the same function ``build_match_graphs`` uses, and
+``read_events`` reads each line's event facts without cutting any window.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -411,13 +413,16 @@ def _match_graphs(path, lines) -> list[EventGraph]:
     return graphs
 
 
-def read_graphs(path) -> list[EventGraph]:
-    """The graphs ``write_graphs`` stored, every window cut again by
-    ``match_windows``. A store without lines, a line of another schema, a
-    match whose event indices do not run 0..N-1 or whose k changes, a match
-    stored in two runs, or a window that does not rebuild to its stored
-    ``node_ids`` raises ValueError."""
-    graphs, done, lines = [], set(), []
+def _stored_matches(path, take):
+    """Each match of the store in turn, as ``take(line number, record)`` of
+    each of its lines; nothing else of a record is kept.
+
+    A store without lines, a line of another schema, a match whose event
+    indices do not run 0..N-1 or whose k changes, a match stored in two
+    runs, or a line whose meta match, actor or actor team id is not an
+    integer or whose ``node_ids`` are not a non-empty list of integers
+    raises ValueError naming the line."""
+    done, taken, first = set(), [], None
     with open(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.strip()
@@ -428,21 +433,62 @@ def read_graphs(path) -> list[EventGraph]:
             if version != STORE_SCHEMA_VERSION:
                 raise ValueError(f"{path}:{line_no}: schema version {version}")
             meta = d["meta"]
-            if lines and meta["match_id"] != lines[0][1]["meta"]["match_id"]:
-                graphs.extend(_match_graphs(path, lines))
-                done.add(lines[0][1]["meta"]["match_id"])
-                lines = []
+            for key in ("match_id", "actor_id", "actor_team"):
+                if type(meta[key]) is not int:
+                    raise ValueError(f"{path}:{line_no}: meta {key} {meta[key]!r} is not an integer")
+            if set(map(type, d["node_ids"])) != {int}:
+                raise ValueError(f"{path}:{line_no}: node_ids {d['node_ids']!r} are not player ids")
+            if taken and meta["match_id"] != first["match_id"]:
+                yield taken
+                done.add(first["match_id"])
+                taken = []
             if meta["match_id"] in done:
                 raise ValueError(f"{path}:{line_no}: match {meta['match_id']} stored in two runs")
-            if meta["event_index"] != len(lines):
+            if meta["event_index"] != len(taken):
                 raise ValueError(
                     f"{path}:{line_no}: event {meta['event_index']} of match {meta['match_id']} "
-                    f"where event {len(lines)} was due"
+                    f"where event {len(taken)} was due"
                 )
-            if lines and meta["k"] != lines[0][1]["meta"]["k"]:
+            if not taken:
+                first = meta
+            elif meta["k"] != first["k"]:
                 raise ValueError(f"{path}:{line_no}: k changes within match {meta['match_id']}")
-            lines.append((line_no, d))
-    if not lines:
+            taken.append(take(line_no, d))
+    if not taken:
         raise ValueError(f"{path}: no graphs")
-    graphs.extend(_match_graphs(path, lines))
+    yield taken
+
+
+def read_graphs(path) -> list[EventGraph]:
+    """The graphs ``write_graphs`` stored, every window cut again by
+    ``match_windows``. Besides the line checks of ``_stored_matches``, a
+    window that does not rebuild to its stored ``node_ids`` raises
+    ValueError."""
+    graphs = []
+    for lines in _stored_matches(path, lambda line_no, d: (line_no, d)):
+        graphs.extend(_match_graphs(path, lines))
+        del lines  # one match's records at a time: drop these before the next are read
     return graphs
+
+
+class StoredEvent(NamedTuple):
+    """What a stored line says of its event graph without cutting the
+    window: the ``EventGraph`` fields of the same names."""
+
+    event_id: str
+    node_ids: list
+    label: float
+    cross_team: bool
+    meta: dict
+
+
+def read_events(path) -> list[StoredEvent]:
+    """Each stored line's event id, ``node_ids``, label, cross-team flag and
+    meta, in stored order, under the line checks of ``_stored_matches``."""
+    matches = _stored_matches(
+        path,
+        lambda _, d: StoredEvent(
+            d["event_id"], d["node_ids"], float(d["label"]), bool(d["cross_team"]), d["meta"]
+        ),
+    )
+    return [e for events in matches for e in events]

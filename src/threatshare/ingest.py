@@ -370,64 +370,69 @@ def parse_events(match_file) -> ParseResult:
         rows = json.loads(match_file.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"could not parse {match_file}: {exc}") from exc
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise SchemaError(f"{match_file}: not a JSON array of event objects")
 
     match_id = int(match_file.stem) if match_file.stem.isdigit() else 0
     summary = ParseSummary(total_rows=len(rows))
     staged = []  # (period, period_time, row_index, payload)
 
-    for idx, row in enumerate(rows):
-        provider_type = str(row.get("type", {}).get("name", "")).lower()
-        if provider_type in _OFF_BALL_TYPES:
-            summary.dropped_off_ball += 1
-            continue
-        if row.get("player") is None or row.get("team") is None:
-            summary.dropped_off_ball += 1
-            continue
+    try:
+        for idx, row in enumerate(rows):
+            provider_type = str(row.get("type", {}).get("name", "")).lower()
+            if provider_type in _OFF_BALL_TYPES:
+                summary.dropped_off_ball += 1
+                continue
+            if row.get("player") is None or row.get("team") is None:
+                summary.dropped_off_ball += 1
+                continue
 
-        kind = _PROVIDER_TYPE_MAP.get(provider_type)
-        if kind is None and provider_type == "duel":
-            duel = str(row.get("duel", {}).get("type", {}).get("name", "")).lower()
-            kind = "tackle" if duel == "tackle" else "other"
-        if kind is None:
-            kind = "other"
-            summary.unknown_type_count += 1
+            kind = _PROVIDER_TYPE_MAP.get(provider_type)
+            if kind is None and provider_type == "duel":
+                duel = str(row.get("duel", {}).get("type", {}).get("name", "")).lower()
+                kind = "tackle" if duel == "tackle" else "other"
+            if kind is None:
+                kind = "other"
+                summary.unknown_type_count += 1
 
-        loc = row.get("location")
-        t = _timestamp_seconds(row)
-        if loc is None or len(loc) < 2 or t is None:
-            summary.dropped_missing_coords += 1
-            continue
+            loc = row.get("location")
+            t = _timestamp_seconds(row)
+            if loc is None or len(loc) < 2 or t is None:
+                summary.dropped_missing_coords += 1
+                continue
 
-        detail = row.get(provider_type, {}) if isinstance(row.get(provider_type), dict) else {}
-        end_loc = detail.get("end_location")
-        start_xy = _rescale(loc)
-        end_xy = _rescale(end_loc) if end_loc and len(end_loc) >= 2 else start_xy
+            detail = row.get(provider_type, {}) if isinstance(row.get(provider_type), dict) else {}
+            end_loc = detail.get("end_location")
+            start_xy = _rescale(loc)
+            end_xy = _rescale(end_loc) if end_loc and len(end_loc) >= 2 else start_xy
 
-        recipient = None
-        if kind in PASS_LIKE:
-            rec = detail.get("recipient")
-            if isinstance(rec, dict) and "id" in rec:
-                recipient = int(rec["id"])
+            recipient = None
+            if kind in PASS_LIKE:
+                rec = detail.get("recipient")
+                if isinstance(rec, dict) and "id" in rec:
+                    recipient = int(rec["id"])
 
-        staged.append(
-            (
-                int(row.get("period", 1)),
-                t,
-                idx,
-                {
-                    "event_id": str(row.get("id", f"{match_id}-{idx}")),
-                    "match_id": int(row.get("match_id", match_id)),
-                    "team_id": int(row["team"]["id"]),
-                    "player_id": int(row["player"]["id"]),
-                    "event_type": kind,
-                    "outcome": _row_outcome(kind, detail),
-                    "start_xy": start_xy,
-                    "end_xy": end_xy,
-                    "period": int(row.get("period", 1)),
-                    "recipient_id": recipient,
-                },
+            staged.append(
+                (
+                    int(row.get("period", 1)),
+                    t,
+                    idx,
+                    {
+                        "event_id": str(row.get("id", f"{match_id}-{idx}")),
+                        "match_id": int(row.get("match_id", match_id)),
+                        "team_id": int(row["team"]["id"]),
+                        "player_id": int(row["player"]["id"]),
+                        "event_type": kind,
+                        "outcome": _row_outcome(kind, detail),
+                        "start_xy": start_xy,
+                        "end_xy": end_xy,
+                        "period": int(row.get("period", 1)),
+                        "recipient_id": recipient,
+                    },
+                )
             )
-        )
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{match_file}: row {idx}: {type(exc).__name__}: {exc}") from None
 
     staged.sort(key=lambda s: (s[0], s[1], s[2]))
     summary.kept = len(staged)
@@ -578,6 +583,9 @@ def load_player_stats(csv_path) -> dict[int, PlayerSeasonStats]:
                 values = {c: float(row[c]) for c in STATS_CSV_COLUMNS}
             except (TypeError, ValueError):
                 raise SchemaError(f"{csv_path}:{line_no}: non-numeric cell") from None
+            for column, value in values.items():
+                if not math.isfinite(value):
+                    raise SchemaError(f"{csv_path}:{line_no}: {column}={value} is not finite")
             pid = int(values["player_id"])
             if pid in out:
                 raise SchemaError(f"{csv_path}:{line_no}: duplicate player id {pid}")

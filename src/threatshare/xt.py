@@ -126,24 +126,25 @@ class XtLabel:
     cross_team: bool = False
 
 
-def zone_of(grid: XtGrid, xy) -> tuple[int, bool]:
-    """Zone index containing ``xy``; the flag marks out-of-bounds clamping.
+def zone_of(n_x: int, n_y: int, xy) -> tuple[int, bool]:
+    """Index of the zone of an ``n_x`` by ``n_y`` grid containing ``xy``;
+    the flag marks out-of-bounds clamping.
 
     Binning is half-open: a point exactly on an interior boundary belongs to
     the zone with the larger index. The far pitch edge closes the last zone.
     """
     x, y = float(xy[0]), float(xy[1])
     clamped = not (0.0 <= x <= PITCH_LENGTH and 0.0 <= y <= PITCH_WIDTH)
-    ix = int(np.floor(x / PITCH_LENGTH * grid.n_x))
-    iy = int(np.floor(y / PITCH_WIDTH * grid.n_y))
-    ix = min(max(ix, 0), grid.n_x - 1)
-    iy = min(max(iy, 0), grid.n_y - 1)
-    return iy * grid.n_x + ix, clamped
+    ix = int(np.floor(x / PITCH_LENGTH * n_x))
+    iy = int(np.floor(y / PITCH_WIDTH * n_y))
+    ix = min(max(ix, 0), n_x - 1)
+    iy = min(max(iy, 0), n_y - 1)
+    return iy * n_x + ix, clamped
 
 
 def xt_of(grid: XtGrid, xy) -> float:
     """xT value of the zone containing ``xy`` (out-of-bounds points clamp)."""
-    zone, _ = zone_of(grid, xy)
+    zone, _ = zone_of(grid.n_x, grid.n_y, xy)
     return float(grid.value[zone])
 
 
@@ -185,16 +186,6 @@ def fit_grid(actions, n_x: int, n_y: int, tol: float = 1e-8) -> XtGrid:
         raise ValueError("fit_grid: n_x and n_y must be >= 1")
 
     n = n_x * n_y
-    probe = XtGrid(
-        n_x=n_x,
-        n_y=n_y,
-        shot_prob=np.zeros(n),
-        goal_prob_given_shot=np.zeros(n),
-        move_prob=np.ones(n),
-        transition=np.eye(n),
-        value=np.zeros(n),
-    )
-
     shots = np.zeros(n)
     goals = np.zeros(n)
     moves = np.zeros(n)
@@ -202,7 +193,7 @@ def fit_grid(actions, n_x: int, n_y: int, tol: float = 1e-8) -> XtGrid:
     clamp_count = 0
 
     for a in actions:
-        start_zone, clamped = zone_of(probe, (a.start_x, a.start_y))
+        start_zone, clamped = zone_of(n_x, n_y, (a.start_x, a.start_y))
         clamp_count += clamped
         if a.action_type in SHOT_TYPES:
             shots[start_zone] += 1
@@ -210,7 +201,7 @@ def fit_grid(actions, n_x: int, n_y: int, tol: float = 1e-8) -> XtGrid:
                 goals[start_zone] += 1
         elif a.action_type in MOVE_TYPES:
             moves[start_zone] += 1
-            end_zone, clamped = zone_of(probe, (a.end_x, a.end_y))
+            end_zone, clamped = zone_of(n_x, n_y, (a.end_x, a.end_y))
             clamp_count += clamped
             trans_counts[start_zone, end_zone] += 1
 

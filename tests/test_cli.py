@@ -185,7 +185,7 @@ class TestPipeline:
             "forward": len(models.packs(gs, models.PREDICT_NODES)),
             "checkpoint loads": 1,
             "graphs hashes": 1,  # run_stage's input digest, handed to the stage
-            "graph store parses": 1,  # evaluate's; attribute reads outputs_<variant> only
+            "graph store parses": 1,  # evaluate's; attribute reads the store's lines, no windows
         }
         cli.run_pipeline(cfg, ["evaluate"])
         assert calls == one_pass
@@ -193,24 +193,18 @@ class TestPipeline:
         cli.run_pipeline(cfg, ["attribute"])
         assert calls == one_pass
 
-    def test_outputs_hold_the_graphs_ids_exactly(self, tmp_path, fixture_dir):
+    def test_outputs_hold_only_predictions_and_norms(self, tmp_path, fixture_dir):
         cfg = cli.load_config(write_config(tmp_path, fixture_dir))
         cli.run_pipeline(cfg, ALL_STAGES[:5])
         ap = cli.artifact_paths(cfg)
+        manifest, arrays = ckpt_io.load_container(ap["outputs"])
+        assert set(arrays) == {"predictions", "norms"}
+        assert set(manifest) == {"kind", "graphs_sha256", "container_version", "tensors"}
+        assert manifest["graphs_sha256"] == cli._sha_file(ap["graphs"])
         gs = graphs_mod.read_graphs(ap["graphs"])
-        digest, columns = cli._load_outputs(ap["outputs"])
-        assert digest == cli._sha_file(ap["graphs"])
-        assert columns.event_ids == [g.event_id for g in gs]
-        assert columns.player_ids.tolist() == [pid for g in gs for pid in g.node_ids]
-        assert columns.match_ids.tolist() == [g.meta["match_id"] for g in gs]
-        assert columns.actor_ids.tolist() == [g.meta["actor_id"] for g in gs]
-        assert columns.actor_teams.tolist() == [g.meta["actor_team"] for g in gs]
-        assert columns.sizes.tolist() == [g.n_nodes for g in gs]
-        assert columns.labels.tolist() == [g.label for g in gs]
-        assert columns.cross_team.tolist() == [g.cross_team for g in gs]
-        for ids in (columns.player_ids, columns.match_ids, columns.actor_ids, columns.actor_teams,
-                    columns.sizes):
-            assert ids.dtype == np.int64
+        predictions, norms = models.evaluate(models.Checkpoint.load(ap["checkpoint"]), gs)
+        assert arrays["predictions"].tolist() == predictions.tolist()
+        assert arrays["norms"].tolist() == norms.tolist()
 
     @pytest.mark.parametrize("source,negative_mode", [("predicted", "prorata"), ("labeled", "actor")])
     def test_ledger_from_outputs_matches_one_built_from_the_graphs(
@@ -219,8 +213,11 @@ class TestPipeline:
         cfg = cli.load_config(write_config(tmp_path, fixture_dir))
         cli.run_pipeline(cfg, ALL_STAGES[:5])
         ap = cli.artifact_paths(cfg)
-        _, columns = cli._load_outputs(ap["outputs"])
-        ledger = credit.build_ledger(columns, source=source, negative_mode=negative_mode)
+        _, stored_predictions, stored_norms = cli._load_outputs(ap["outputs"])
+        ledger = credit.build_ledger(
+            graphs_mod.read_events(ap["graphs"]), stored_predictions, stored_norms,
+            source=source, negative_mode=negative_mode,
+        )
         # the reference: every graph of the store split on its own
         gs = graphs_mod.read_graphs(ap["graphs"])
         predictions, norms = models.evaluate(models.Checkpoint.load(ap["checkpoint"]), gs)
@@ -234,7 +231,7 @@ class TestPipeline:
                 actor=g.meta["actor_id"], negative_mode=negative_mode,
             )
             reference.uniform_fallbacks += uniform
-            reference.add_event(g.event_id, g.meta["match_id"], delta, g.cross_team, shares)
+            reference.add_event(g.event_id, g.meta["match_id"], g.cross_team, shares)
         assert end == len(norms)
         assert ledger.shares == reference.shares
         assert ledger.player_total == reference.player_total
@@ -243,29 +240,52 @@ class TestPipeline:
         assert ledger.uniform_fallbacks == reference.uniform_fallbacks
 
     def test_outputs_of_an_earlier_layout_are_rebuilt(self, tmp_path, fixture_dir):
-        """Outputs that hold only predictions and norms, recorded under an
-        evaluate key without the layout, recover with evaluate then attribute."""
+        """Outputs recorded under the evaluate key of an earlier layout are
+        rebuilt by evaluate. Layout 3 also held what the graph store says of
+        each event, so attribute refuses it until then. Layout 1 (whose key
+        had no layout) held the predictions and norms alone: the same bytes
+        as the current layout, which attribute reads."""
         config = write_config(tmp_path, fixture_dir)
         cfg = cli.load_config(config)
         cli.run_pipeline(cfg, ALL_STAGES[:5])
         ap = cli.artifact_paths(cfg)
+        current = ap["outputs"].read_bytes()
         digests = {p: cli._sha_file(p) for p in (ap["graphs"], ap["checkpoint"])}
-        old, arrays = ckpt_io.load_container(ap["outputs"])
-        ckpt_io.save_container(
-            ap["outputs"],
-            {"kind": old["kind"], "graphs_sha256": old["graphs_sha256"]},
-            {"predictions": arrays["predictions"], "norms": arrays["norms"]},
-        )
-        manifest = json.loads(ap["manifest"].read_text())
+        kept, arrays = ckpt_io.load_container(ap["outputs"])
+        gs = graphs_mod.read_graphs(ap["graphs"])
+        layout_3 = {
+            "labels": [g.label for g in gs],
+            "sizes": [g.n_nodes for g in gs],
+            "match_ids": [g.meta["match_id"] for g in gs],
+            "actor_ids": [g.meta["actor_id"] for g in gs],
+            "actor_teams": [g.meta["actor_team"] for g in gs],
+            "cross_team": [g.cross_team for g in gs],
+            "player_ids": [pid for g in gs for pid in g.node_ids],
+        }
         full = cfg.effective_dict()
         old_config = {"model": full["model"], "training": full["training"], "seed": full["seed"]}
-        manifest["stages"]["evaluate"] = {
-            "key": cli._stage_key({"stage": "evaluate", "config": old_config}, digests),
-            "outputs": {str(p): cli._sha_file(p) for p in (ap["metrics"], ap["outputs"])},
-        }
-        ap["manifest"].write_text(json.dumps(manifest))
+
+        def record(layout, manifest_extra, arrays_extra):
+            ckpt_io.save_container(
+                ap["outputs"],
+                {"kind": kept["kind"], "graphs_sha256": kept["graphs_sha256"], **manifest_extra},
+                {**arrays, **arrays_extra},
+            )
+            config_then = old_config if layout == 1 else {**old_config, "outputs_layout": layout}
+            manifest = json.loads(ap["manifest"].read_text())
+            manifest["stages"]["evaluate"] = {
+                "key": cli._stage_key({"stage": "evaluate", "config": config_then}, digests),
+                "outputs": {str(p): cli._sha_file(p) for p in (ap["metrics"], ap["outputs"])},
+            }
+            ap["manifest"].write_text(json.dumps(manifest))
+
+        record(3, {"event_ids": [g.event_id for g in gs]}, layout_3)
         assert cli.main(["--config", str(config), "--quiet", "attribute"]) == 3
         assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": True}
+        assert ap["outputs"].read_bytes() == current
+        record(1, {}, {})
+        assert ap["outputs"].read_bytes() == current
+        assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": False}
 
     def test_attribute_takes_teams_from_the_outputs(self, tmp_path, fixture_dir, monkeypatch):
         cfg = cli.load_config(write_config(tmp_path, fixture_dir))
@@ -383,12 +403,42 @@ class TestPipeline:
         assert gs[0].node_features.shape[1] == 13
 
 
-def _bad_stats_cell(tmp_path, fixture_dir):
-    lines = (fixture_dir / "player_stats.csv").read_text().splitlines()
-    lines[1] = "101,n/a" + lines[1][len("101,0"):]
-    path = tmp_path / "bad.csv"
-    path.write_text("\n".join(lines) + "\n")
-    return {"paths": {"stats_csv": str(path)}}
+def _bad_stats_cell(cell):
+    """Overrides: a copy of the fixture's stats CSV with ``cell`` as the
+    first row's goals."""
+
+    def overrides(tmp_path, fixture_dir):
+        lines = (fixture_dir / "player_stats.csv").read_text().splitlines()
+        lines[1] = f"101,{cell}" + lines[1][len("101,0"):]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return {"paths": {"stats_csv": str(path)}}
+
+    return overrides
+
+
+def _events_dir(name, edit):
+    """Overrides: a copy of the fixture's event files in which ``name`` holds
+    the text ``edit`` makes of its rows (an empty list for a new file)."""
+
+    def overrides(tmp_path, fixture_dir):
+        events = tmp_path / "events"
+        events.mkdir()
+        for path in fixture_dir.glob("*.json"):
+            (events / path.name).write_bytes(path.read_bytes())
+        path = events / name
+        path.write_text(edit(json.loads(path.read_text()) if path.exists() else []))
+        return {"paths": {"data_dir": str(events)}}
+
+    return overrides
+
+
+def _row_team(index, team):
+    def edit(rows):
+        rows[index]["team"] = team
+        return json.dumps(rows)
+
+    return edit
 
 
 def _truncate_manifest(tmp_path):
@@ -418,14 +468,33 @@ def _record_digest(tmp_path, stage, path):
     run.write_text(json.dumps(data))
 
 
-def _drop_prediction(tmp_path):
-    """Damage: rewrite outputs_gcn as a valid container with its last
-    prediction removed, and record its new digest as evaluate's."""
-    path = tmp_path / "artifacts" / "outputs_gcn"
-    manifest, arrays = ckpt_io.load_container(path)
-    arrays["predictions"] = arrays["predictions"][:-1]
-    ckpt_io.save_container(path, manifest, arrays)
-    _record_digest(tmp_path, "evaluate", path)
+def _drop_last(name):
+    """Damage: rewrite outputs_gcn as a valid container with the last entry
+    of array ``name`` removed, and record its new digest as evaluate's."""
+
+    def damage(tmp_path):
+        path = tmp_path / "artifacts" / "outputs_gcn"
+        manifest, arrays = ckpt_io.load_container(path)
+        arrays[name] = arrays[name][:-1]
+        ckpt_io.save_container(path, manifest, arrays)
+        _record_digest(tmp_path, "evaluate", path)
+
+    return damage
+
+
+def _damage_store_under_outputs(edit):
+    """Damage: edit the store, then stamp outputs_gcn with the store's new
+    digest, so only attribute's reading of the store can catch the edit."""
+
+    def damage(tmp_path):
+        _damage_store(edit)(tmp_path)
+        path = tmp_path / "artifacts" / "outputs_gcn"
+        manifest, arrays = ckpt_io.load_container(path)
+        manifest["graphs_sha256"] = cli._sha_file(tmp_path / "artifacts" / "graphs.ndjson")
+        ckpt_io.save_container(path, manifest, arrays)
+        _record_digest(tmp_path, "evaluate", path)
+
+    return damage
 
 
 def _schema_1_line(g) -> str:
@@ -484,6 +553,10 @@ def _drop_key(key):
     return lambda d: json.dumps({k: v for k, v in d.items() if k != key}) + "\n"
 
 
+def _edit_meta(**changes):
+    return lambda d: _relabel(meta={**d["meta"], **changes})(d)
+
+
 def _nan_feature(d):
     d["players"][0]["features"][0] = float("nan")
     return json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
@@ -510,7 +583,20 @@ FAILURE_CASES = {
         lambda tmp, fx: {"paths": {"roles_csv": str(tmp / "absent_roles.csv")}},
         ["ingest", "xt-fit"], None, "build-graphs", 3, "absent_roles.csv"),
     "non-numeric-stats-cell": (
-        _bad_stats_cell, ["ingest", "xt-fit"], None, "build-graphs", 3, "bad.csv:2"),
+        _bad_stats_cell("n/a"), ["ingest", "xt-fit"], None, "build-graphs", 3, "bad.csv:2"),
+    "non-finite-stats-cell": (
+        _bad_stats_cell("nan"), ["ingest", "xt-fit"], None, "build-graphs", 3,
+        "bad.csv:2: goals=nan is not finite"),
+    # a stray JSON file among the event files, and an event row that does not convert
+    "events-file-not-an-array": (
+        _events_dir("config.json", lambda rows: '{"a": 1}'), [], None, "ingest", 3,
+        "config.json: not a JSON array of event objects"),
+    "events-file-array-of-numbers": (
+        _events_dir("config.json", lambda rows: "[1, 2]"), [], None, "ingest", 3,
+        "config.json: not a JSON array of event objects"),
+    "events-row-team-id-not-a-number": (
+        _events_dir("9001.json", _row_team(3, {"id": "home"})), [], None, "ingest", 3,
+        "9001.json: row 3: ValueError"),
     "truncated-manifest": (
         lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"], _truncate_manifest,
         "build-graphs", 0, "manifest.json"),
@@ -559,8 +645,19 @@ FAILURE_CASES = {
         _damage_actions(_edit_line(7, _relabel(action_type="kick"))), "xt-fit", 3,
         "actions.ndjson:8: action_type 'kick' is not a SPADL action type); run ingest again"),
     "outputs-missing-a-prediction": (
-        lambda tmp, fx: {}, TRAINED + ["evaluate"], _drop_prediction, "attribute", 3,
+        lambda tmp, fx: {}, TRAINED + ["evaluate"], _drop_last("predictions"), "attribute", 3,
         "outputs_gcn (predictions: 399 entries for 400 events); run evaluate again"),
+    "outputs-missing-a-norm": (
+        lambda tmp, fx: {}, TRAINED + ["evaluate"], _drop_last("norms"), "attribute", 3,
+        "outputs_gcn (norms: 1383 entries for 1384 nodes); run evaluate again"),
+    "store-actor-team-not-int": (
+        lambda tmp, fx: {}, TRAINED + ["evaluate"],
+        _damage_store_under_outputs(_edit_line(5, _edit_meta(actor_team=1001.0))), "attribute", 3,
+        "graphs.ndjson:6: meta actor_team 1001.0 is not an integer); run build-graphs again"),
+    "store-node-ids-emptied": (
+        lambda tmp, fx: {}, TRAINED + ["evaluate"],
+        _damage_store_under_outputs(_edit_line(5, _relabel(node_ids=[]))), "attribute", 3,
+        "graphs.ndjson:6: node_ids [] are not player ids); run build-graphs again"),
 }
 
 
@@ -675,10 +772,11 @@ def test_failed_write_keeps_the_previous_file(tmp_path):
 def test_player_team_is_the_most_frequent_ties_to_the_lower_id():
     from types import SimpleNamespace
 
-    columns = SimpleNamespace(
-        actor_ids=np.array([7, 7, 7, 7, 9, 9, 9]), actor_teams=np.array([2, 1, 2, 1, 4, 3, 4])
-    )
-    assert cli._player_teams(columns) == {7: 1, 9: 4}
+    events = [
+        SimpleNamespace(meta={"actor_id": pid, "actor_team": team})
+        for pid, team in zip([7, 7, 7, 7, 9, 9, 9], [2, 1, 2, 1, 4, 3, 4])
+    ]
+    assert cli._player_teams(events) == {7: 1, 9: 4}
 
 
 class TestDeterminism:

@@ -232,8 +232,7 @@ class TestLedgerAndCaseReport:
 
     @staticmethod
     def ledger(graphs, predictions, node_norms, **kwargs):
-        columns = credit.EventColumns.of(graphs, predictions, np.concatenate(node_norms))
-        return credit.build_ledger(columns, **kwargs)
+        return credit.build_ledger(graphs, predictions, np.concatenate(node_norms), **kwargs)
 
     def test_totals_reproduce_sum_of_deltas(self):
         graphs, predictions, node_norms = self.build()
@@ -273,22 +272,6 @@ class TestLedgerAndCaseReport:
             if prediction < 0:
                 assert ledger.shares[(g.event_id, g.node_ids[-1])] == prediction
                 assert all(ledger.shares[(g.event_id, pid)] == 0.0 for pid in g.node_ids[:-1])
-
-    def test_columns_of_unequal_length_rejected(self):
-        graphs, predictions, node_norms = self.build()
-        norms_flat = np.concatenate(node_norms)
-        with pytest.raises(ValueError, match="predictions: 5 entries for 6 events"):
-            credit.EventColumns.of(graphs, predictions[:-1], norms_flat)
-        with pytest.raises(ValueError, match="norms: 17 entries for 18 nodes"):
-            credit.EventColumns.of(graphs, predictions, norms_flat[:-1])
-        arrays = credit.EventColumns.of(graphs, predictions, norms_flat).arrays()
-        event_ids = [g.event_id for g in graphs]
-        with pytest.raises(ValueError, match="player_ids: 18 entries for 19 nodes"):
-            credit.EventColumns(event_ids, **{**arrays, "sizes": np.r_[4, arrays["sizes"][1:]]})
-        with pytest.raises(ValueError, match="sizes: non-integral"):
-            credit.EventColumns(event_ids, **{**arrays, "sizes": np.r_[2.5, 3.5, arrays["sizes"][2:]]})
-        with pytest.raises(ValueError, match="sizes: a graph without nodes"):
-            credit.EventColumns(event_ids, **{**arrays, "sizes": np.r_[0, 6, arrays["sizes"][2:]]})
 
     def test_case_report_single_action(self):
         ledger = credit.CreditLedger()

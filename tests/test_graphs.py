@@ -502,6 +502,18 @@ def build_fixture_graphs(tmp_path, fixture_dir, k, centrality,
     return tmp_path / "artifacts" / "graphs.ndjson"
 
 
+@pytest.mark.parametrize("k", [None, 50])
+def test_stored_events_match_the_graphs_field_for_field(k, tmp_path, fixture_dir):
+    store = build_fixture_graphs(tmp_path, fixture_dir, k, False)
+    events, gs = graphs.read_events(store), graphs.read_graphs(store)
+    assert len(events) == len(gs) == 400
+    for e, g in zip(events, gs):
+        assert (e.event_id, e.node_ids, e.label, e.cross_team, e.meta) == (
+            g.event_id, g.node_ids, g.label, g.cross_team, g.meta
+        )
+        assert type(e.label) is float and type(e.cross_team) is bool
+
+
 @pytest.mark.parametrize("k,centrality", sorted(GOLDEN_GRAPHS_SHA256))
 def test_graph_store_reads_back_the_built_graphs(k, centrality, tmp_path, fixture_dir):
     from threatshare import cli

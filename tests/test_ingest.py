@@ -118,6 +118,31 @@ class TestParseEvents:
         with pytest.raises(ingest.SchemaError, match="9999.json"):
             ingest.parse_events(path)
 
+    @pytest.mark.parametrize("content", ['{"a": 1}', "[1, 2]", '"rows"', "[{}, 3]", "null"])
+    def test_not_an_array_of_objects_raises_with_name(self, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_text(content)
+        with pytest.raises(ingest.SchemaError, match="config.json: not a JSON array of event objects"):
+            ingest.parse_events(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"team": {"id": "home"}},
+            {"team": "home"},
+            {"player": {"id": None}},
+            {"player": {"name": "no id"}},
+            {"location": ["a", 40.0]},
+            {"location": 60.0},
+            {"period": "second"},
+            {"timestamp": "aa:bb:cc"},
+        ],
+    )
+    def test_unconvertible_row_raises_naming_file_and_row(self, tmp_path, change):
+        rows = [provider_row(0), {**provider_row(1), **change}]
+        with pytest.raises(ingest.SchemaError, match="7777.json: row 1: "):
+            ingest.parse_events(write_match(tmp_path, rows))
+
     def test_shot_outcome_mapping(self, tmp_path):
         rows = [
             provider_row(1, "Shot", shot={"end_location": [118, 40], "outcome": {"name": "Goal"}}),
@@ -298,6 +323,19 @@ class TestPlayerStats:
             + "\n5,1,2,3,0.5,7.0,0.1,4,5,600,7,900\n6,one,2,3,0.5,7.0,0.1,4,5,600,7,900\n"
         )
         with pytest.raises(ingest.SchemaError, match=":3"):
+            ingest.load_player_stats(path)
+
+    @pytest.mark.parametrize("column", ["player_id", "goals", "rating", "minutes_played"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line(self, tmp_path, column, cell):
+        path = tmp_path / "stats.csv"
+        row = dict(zip(ingest.STATS_CSV_COLUMNS, "5,1,2,3,0.5,7.0,0.1,4,5,600,7,900".split(",")))
+        row[column] = cell
+        path.write_text(
+            ",".join(ingest.STATS_CSV_COLUMNS) + "\n6,1,2,3,0.5,7.0,0.1,4,5,600,7,900\n"
+            + ",".join(row.values()) + "\n"
+        )
+        with pytest.raises(ingest.SchemaError, match=f"stats.csv:3: {column}={cell} is not finite"):
             ingest.load_player_stats(path)
 
     def test_percentage_range_enforced(self, tmp_path):

@@ -118,7 +118,7 @@ class TestZoneLookup:
 
     def test_boundary_belongs_to_larger_index(self):
         grid = self.grid()
-        zone, clamped = xt.zone_of(grid, (52.5, 34.0))
+        zone, clamped = xt.zone_of(grid.n_x, grid.n_y, (52.5, 34.0))
         assert zone == 1 and not clamped
         assert xt.xt_of(grid, (52.5, 34.0)) == 0.75
 
@@ -128,9 +128,9 @@ class TestZoneLookup:
 
     def test_out_of_bounds_clamps(self):
         grid = self.grid()
-        zone, clamped = xt.zone_of(grid, (-1.0, 34.0))
+        zone, clamped = xt.zone_of(grid.n_x, grid.n_y, (-1.0, 34.0))
         assert zone == 0 and clamped
-        zone, clamped = xt.zone_of(grid, (200.0, 34.0))
+        zone, clamped = xt.zone_of(grid.n_x, grid.n_y, (200.0, 34.0))
         assert zone == 1 and clamped
         assert xt.xt_of(grid, (105.0, 68.0)) == 0.75  # far corner stays in range
 
