@@ -629,6 +629,11 @@ def _pick(*keys):
     return lambda full: {k: full[k] for k in keys}
 
 
+def _model_key(full: dict) -> dict:
+    """The config train and evaluate depend on, and the checkpoint layout."""
+    return {**_pick("model", "training", "seed")(full), "params_layout": models.PARAMS_LAYOUT}
+
+
 def _inputs(*artifacts, files=()):
     """Inputs function: the named artifacts, then the files named by
     ``paths`` keys (a null path declares nothing)."""
@@ -669,13 +674,11 @@ STAGES = {
             "graphs_layout": GRAPHS_LAYOUT,
         },
     ),
-    "train": Stage(
-        _stage_train, _inputs("graphs"), _pick("model", "training", "seed")
-    ),
+    "train": Stage(_stage_train, _inputs("graphs"), _model_key),
     "evaluate": Stage(
         _stage_evaluate,
         _inputs("graphs", "checkpoint"),
-        lambda full: {**_pick("model", "training", "seed")(full), "outputs_layout": OUTPUTS_LAYOUT},
+        lambda full: {**_model_key(full), "outputs_layout": OUTPUTS_LAYOUT},
     ),
     "attribute": Stage(
         _stage_attribute,

@@ -2,7 +2,6 @@
 
 from threatshare.diffcore.tensor import (
     NumericError,
-    ParamSet,
     ShapeError,
     Tensor,
     add,
@@ -24,7 +23,7 @@ from threatshare.diffcore.tensor import (
 )
 from threatshare.diffcore.optim import (
     AdamState,
+    ParamSet,
     adam_step,
-    init_params,
     schedule_and_stop,
 )

@@ -1,4 +1,5 @@
-"""Parameter initialization, Adam with decoupled weight decay, scheduling.
+"""Parameters and their initialization, Adam with decoupled weight decay,
+scheduling.
 
 Init schemes:
     xavier  — uniform on ±sqrt(6/(fan_in+fan_out)); fully-connected layers
@@ -7,7 +8,10 @@ Init schemes:
     ones    — layer-norm gains
 
 Each tensor draws from its own RNG stream derived from (seed, name), so the
-result does not depend on parameter registration order.
+result does not depend on parameter registration order. A tensor holding
+several attention heads side by side, head m in column block m, draws each
+block from its own stream, ``<prefix>.H<m>.<leaf>`` for a tensor named
+``<prefix>.<leaf>``.
 """
 
 from __future__ import annotations
@@ -17,41 +21,80 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from threatshare.diffcore.tensor import ParamSet
+from threatshare.diffcore.tensor import ShapeError, Tensor
 
 
-def _rng_for(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([seed, zlib.crc32(name.encode("utf-8"))])
+def _draw(seed: int, stream: str, shape, scheme: str) -> np.ndarray:
+    if scheme == "zeros":
+        return np.zeros(shape)
+    if scheme == "ones":
+        return np.ones(shape)
+    rng = np.random.default_rng([seed, zlib.crc32(stream.encode("utf-8"))])
+    fan_in, fan_out = shape
+    if scheme == "xavier":
+        a = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-a, a, size=shape)
+    if scheme == "kaiming":
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
+    raise ValueError(f"unknown init scheme {scheme!r} for {stream}")
 
 
-def _fans(shape) -> tuple[int, int]:
-    if len(shape) == 0:
-        return 1, 1
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    return shape[0], int(np.prod(shape[1:]))
+class ParamSet:
+    """Named trainable tensors, each drawn from ``seed`` when it is added.
 
+    Shapes are fixed at construction; ``load_state`` copies values in place
+    so optimizer moment buffers stay aligned.
+    """
 
-def init_params(params: ParamSet, seed: int) -> ParamSet:
-    """Fill every tensor in place according to its recorded scheme."""
-    for name, t in params.items():
-        scheme = params.scheme(name)
-        shape = t.data.shape
-        if scheme == "zeros":
-            t.data = np.zeros(shape)
-        elif scheme == "ones":
-            t.data = np.ones(shape)
-        elif scheme == "xavier":
-            fan_in, fan_out = _fans(shape)
-            a = np.sqrt(6.0 / (fan_in + fan_out))
-            t.data = _rng_for(seed, name).uniform(-a, a, size=shape)
-        elif scheme == "kaiming":
-            fan_in, _ = _fans(shape)
-            std = np.sqrt(2.0 / fan_in)
-            t.data = _rng_for(seed, name).normal(0.0, std, size=shape)
-        else:
-            raise ValueError(f"unknown init scheme {scheme!r} for {name}")
-    return params
+    def __init__(self, seed: int):
+        self._seed = seed
+        self._params: dict[str, Tensor] = {}
+
+    def add(self, name: str, shape, scheme: str, heads: int = 1) -> Tensor:
+        """Add ``name`` of ``shape``, drawn by ``scheme``. With ``heads`` > 1
+        its columns hold that many heads side by side."""
+        if name in self._params:
+            raise ValueError(f"duplicate parameter name: {name}")
+        # a head block draws as its head's own tensor did when each head was
+        # stored apart (same stream, same shape, so same fans): the initial
+        # values stay, and so do train logs and bench/run.py's VAL_MSE_REFERENCE
+        prefix, _, leaf = name.rpartition(".")
+        streams = [f"{prefix}.H{m}.{leaf}" for m in range(heads)] if heads > 1 else [name]
+        block = (shape[0], shape[1] // heads)
+        data = np.concatenate([_draw(self._seed, s, block, scheme) for s in streams], axis=1)
+        t = Tensor(data, requires_grad=True)
+        self._params[name] = t
+        return t
+
+    def __getitem__(self, name: str) -> Tensor:
+        return self._params[name]
+
+    def items(self):
+        return self._params.items()
+
+    def zero_grad(self) -> None:
+        for t in self._params.values():
+            t.grad = None
+
+    def state(self) -> dict[str, np.ndarray]:
+        return {name: t.data.copy() for name, t in self._params.items()}
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Take every value from ``state``, which must hold exactly these
+        parameters, each of its shape."""
+        missing = self._params.keys() - state.keys()
+        if missing:
+            raise ValueError(f"state missing parameters: {sorted(missing)}")
+        unknown = state.keys() - self._params.keys()
+        if unknown:
+            raise ValueError(f"state holds unknown parameters: {sorted(unknown)}")
+        for name, t in self._params.items():
+            arr = np.asarray(state[name], dtype=np.float64)
+            if arr.shape != t.data.shape:
+                raise ShapeError(
+                    f"parameter {name}: stored {arr.shape}, expected {t.data.shape}"
+                )
+            t.data = arr.copy()
 
 
 @dataclass

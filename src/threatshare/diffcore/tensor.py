@@ -66,9 +66,6 @@ class Tensor:
     def is_leaf(self):
         return not self._tape
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -501,57 +498,3 @@ def backward(loss: Tensor) -> None:
                 contrib, last = fn(g), fn
             acc = flowing.get(parent._seq)
             flowing[parent._seq] = contrib if acc is None else acc + contrib
-
-
-# ── parameter container ───────────────────────────────────────────────────
-
-
-class ParamSet:
-    """Named trainable tensors plus the init scheme recorded per tensor.
-
-    Shapes are fixed at construction; ``load_state`` copies values in place
-    so optimizer moment buffers stay aligned.
-    """
-
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-        self._schemes: dict[str, str] = {}
-
-    def add(self, name: str, shape, scheme: str) -> Tensor:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(np.zeros(shape), requires_grad=True)
-        self._params[name] = t
-        self._schemes[name] = scheme
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def scheme(self, name: str) -> str:
-        return self._schemes[name]
-
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = None
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(state)
-        if missing:
-            raise ValueError(f"state missing parameters: {sorted(missing)}")
-        for name, t in self._params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(
-                    f"parameter {name}: stored {arr.shape}, expected {t.data.shape}"
-                )
-            t.data = arr.copy()

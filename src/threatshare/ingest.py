@@ -329,9 +329,12 @@ def fetch_open_data(
 # ── event parsing ─────────────────────────────────────────────────────────
 
 
-def _rescale(loc) -> tuple:
+def _rescale(loc, what: str) -> tuple:
     x = float(loc[0]) * PITCH_LENGTH / PROVIDER_LENGTH
     y = float(loc[1]) * PITCH_WIDTH / PROVIDER_WIDTH
+    # the clamp below would keep a NaN and pin an infinity to the touchline
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"{what} {list(loc)} is not finite")
     x = min(max(x, 0.0), PITCH_LENGTH)
     y = min(max(y, 0.0), PITCH_WIDTH)
     return (x, y)
@@ -400,11 +403,13 @@ def parse_events(match_file) -> ParseResult:
             if loc is None or len(loc) < 2 or t is None:
                 summary.dropped_missing_coords += 1
                 continue
+            if not math.isfinite(t):
+                raise ValueError(f"timestamp {t} is not finite")
 
             detail = row.get(provider_type, {}) if isinstance(row.get(provider_type), dict) else {}
             end_loc = detail.get("end_location")
-            start_xy = _rescale(loc)
-            end_xy = _rescale(end_loc) if end_loc and len(end_loc) >= 2 else start_xy
+            start_xy = _rescale(loc, "location")
+            end_xy = _rescale(end_loc, "end_location") if end_loc and len(end_loc) >= 2 else start_xy
 
             recipient = None
             if kind in PASS_LIKE:
@@ -607,7 +612,16 @@ def load_player_roles(csv_path) -> dict[int, str]:
         reader = csv.DictReader(f)
         if not reader.fieldnames or "player_id" not in reader.fieldnames or "role" not in reader.fieldnames:
             raise SchemaError(f"{csv_path}: expected columns player_id, role")
-        return {int(row["player_id"]): str(row["role"]).strip() for row in reader}
+        roles = {}
+        for line_no, row in enumerate(reader, start=2):
+            try:
+                pid = int(row["player_id"])
+            except (TypeError, ValueError):
+                raise SchemaError(
+                    f"{csv_path}:{line_no}: player_id {row['player_id']!r} is not an integer"
+                ) from None
+            roles[pid] = str(row["role"]).strip()
+        return roles
 
 
 def per90_vector(stats: PlayerSeasonStats) -> list[float]:

@@ -25,14 +25,14 @@ pack. Graph structure enters as index arrays that the diffcore index ops
 read: the stacked edge endpoints and what the pack derives from them (the
 adjacency pairs, all ordered pairs of each graph for the transformer);
 attention never crosses from one graph to another.
-Each head's parameters stay separate (and so does the checkpoint layout);
-a layer concatenates them to run all heads in one product. A single graph
-is a pack of one, and ``forward`` is the one pass that training, validation,
-evaluation and inspection all run. A training chunk of ``batch_size``
-graphs is one pack: one forward, one backward sweep of the chunk's mean
-squared error and one Adam step. Its tape stays small because the affine
-maps and the residual norms are fused diffcore ops and the sweep frees the
-tape as it goes. Forward-only passes (``predict``: validation and
+An attention layer keeps all its heads in one array per weight, head m in
+column block m (and so does the checkpoint), so one product runs every head.
+A single graph is a pack of one, and ``forward`` is the one pass that
+training, validation, evaluation and inspection all run. A training chunk of
+``batch_size`` graphs is one pack: one forward, one backward sweep of the
+chunk's mean squared error and one Adam step. Its tape stays small because
+the affine maps and the residual norms are fused diffcore ops and the sweep
+frees the tape as it goes. Forward-only passes (``predict``: validation and
 evaluation) read the parameters as constants, so they record no tape, run
 over packs of at most PREDICT_NODES nodes, and keep one prediction per graph
 and one embedding norm per node, which attribution splits the threat change
@@ -111,9 +111,9 @@ class TrainingConfig:
 # ── parameter construction ────────────────────────────────────────────────
 
 
-def build_params(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
-    """Declare every trainable tensor with its init scheme (uninitialized)."""
-    p = dc.ParamSet()
+def init_model(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
+    """Every trainable tensor of the variant, drawn from ``cfg.seed``."""
+    p = dc.ParamSet(cfg.seed)
     d_e, m1, m2 = cfg.edge_mlp_dims
     p.add("edge_mlp.W1", (d_e, m1), "xavier")
     p.add("edge_mlp.b1", (1, m1), "zeros")
@@ -134,25 +134,23 @@ def build_params(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
             d_in = h
     elif cfg.variant == "gat":
         d_in = d_node + m2
-        dh = cfg.head_dim
+        heads = cfg.n_heads
         for layer in range(cfg.n_layers):
-            for m in range(cfg.n_heads):
-                p.add(f"gat.L{layer}.H{m}.W", (d_in, dh), "kaiming")
-                p.add(f"gat.L{layer}.H{m}.a", (2 * dh, 1), "kaiming")
+            p.add(f"gat.L{layer}.W", (d_in, h), "kaiming", heads)
+            # column m: head m's attention vector, source half first
+            p.add(f"gat.L{layer}.a", (2 * cfg.head_dim, heads), "kaiming", heads)
             d_in = h
     else:
         p.add("pos.roles", (N_ROLES, cfg.role_embedding_dim), "xavier")
         p.add("pos.coords", (2, cfg.role_embedding_dim), "xavier")
         p.add("input.W", (d_node + cfg.role_embedding_dim, h), "xavier")
         p.add("input.b", (1, h), "zeros")
-        dh = cfg.head_dim
+        heads = cfg.n_heads
         for layer in range(cfg.n_layers):
-            for m in range(cfg.n_heads):
-                p.add(f"tf.L{layer}.H{m}.Wq", (h, dh), "kaiming")
-                p.add(f"tf.L{layer}.H{m}.Wk", (h, dh), "kaiming")
-                p.add(f"tf.L{layer}.H{m}.Wv", (h, dh), "kaiming")
-                p.add(f"tf.L{layer}.H{m}.rel_w", (cfg.edge_out_dim, 1), "kaiming")
-                p.add(f"tf.L{layer}.H{m}.rel_noedge", (1, 1), "zeros")
+            for w in ("Wq", "Wk", "Wv"):
+                p.add(f"tf.L{layer}.{w}", (h, h), "kaiming", heads)
+            p.add(f"tf.L{layer}.rel_w", (cfg.edge_out_dim, heads), "kaiming", heads)
+            p.add(f"tf.L{layer}.rel_noedge", (1, heads), "zeros", heads)
             p.add(f"tf.L{layer}.ln1.gain", (1, h), "ones")
             p.add(f"tf.L{layer}.ln1.bias", (1, h), "zeros")
             p.add(f"tf.L{layer}.ffn.W1", (h, cfg.ffn_dim), "xavier")
@@ -162,10 +160,6 @@ def build_params(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
             p.add(f"tf.L{layer}.ln2.gain", (1, h), "ones")
             p.add(f"tf.L{layer}.ln2.bias", (1, h), "zeros")
     return p
-
-
-def init_model(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
-    return dc.init_params(build_params(cfg, d_node), cfg.seed)
 
 
 # ── packs ─────────────────────────────────────────────────────────────────
@@ -260,11 +254,6 @@ def _head(params: dc.ParamSet, z: dc.Tensor) -> dc.Tensor:
     return dc.linear(hidden, params["head.W2"], params["head.b2"])
 
 
-def _fused(params: dc.ParamSet, prefix: str, cfg: ModelConfig, name: str) -> dc.Tensor:
-    """The per-head parameters ``{prefix}.H{m}.{name}`` side by side."""
-    return dc.concat([params[f"{prefix}.H{m}.{name}"] for m in range(cfg.n_heads)], axis=1)
-
-
 def _node_inputs_with_edges(pack: _Pack) -> dc.Tensor:
     """Node statistics beside the mean transformed vector of the edges
     touching each node (a self-edge counts once)."""
@@ -292,16 +281,16 @@ def _gcn(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
 def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     dst, src, _ = pack.adjacency_pairs()
     h = _node_inputs_with_edges(pack)
-    dh = cfg.head_dim
-    head_sum = np.kron(np.eye(cfg.n_heads), np.ones((dh, 1)))  # adds up each head's columns
+    dh, heads = cfg.head_dim, cfg.n_heads
+    head_sum = np.kron(np.eye(heads), np.ones((dh, 1)))  # adds up each head's columns
+    # a's entries in the order that reads it as two rows, every head's source
+    # half then every head's destination half
+    halves = np.arange(2 * dh * heads).reshape(2, dh, heads).transpose(0, 2, 1).reshape(-1)
     attention = []
     for layer in range(cfg.n_layers):
         prefix = f"gat.L{layer}"
-        proj = h @ _fused(params, prefix, cfg, "W")
-        # row 0: every head's source half of a, row 1: its destination half
-        a = dc.concat(
-            [dc.reshape(params[f"{prefix}.H{m}.a"], (2, dh)) for m in range(cfg.n_heads)], axis=1
-        )
+        proj = h @ params[f"{prefix}.W"]
+        a = dc.reshape(dc.gather_rows(dc.reshape(params[f"{prefix}.a"], (-1, 1)), halves), (2, -1))
         # score(v <- u) = a[:dh] . proj[u] + a[dh:] . proj[v], per head
         s_src = (proj * dc.gather_rows(a, [0])) @ head_sum
         s_dst = (proj * dc.gather_rows(a, [1])) @ head_sum
@@ -338,10 +327,10 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     attention = []
     for layer in range(cfg.n_layers):
         prefix = f"tf.L{layer}"
-        q, k, v = (h @ _fused(params, prefix, cfg, w) for w in ("Wq", "Wk", "Wv"))
-        edge_bias = dc.gather_rows(pack.edges @ _fused(params, prefix, cfg, "rel_w"), order)
+        q, k, v = (h @ params[f"{prefix}.{w}"] for w in ("Wq", "Wk", "Wv"))
+        edge_bias = dc.gather_rows(pack.edges @ params[f"{prefix}.rel_w"], order)
         rel = dc.segment_sum(edge_bias * edge_weight, edge_pair[order], n_pairs) + (
-            _fused(params, prefix, cfg, "rel_noedge") * no_edge
+            params[f"{prefix}.rel_noedge"] * no_edge
         )
         scores = (dc.pair_dot(q, k, q_idx, k_idx, cfg.n_heads, pack.sizes) + rel) * scale
         alpha = dc.segment_softmax(scores, q_idx)
@@ -404,11 +393,17 @@ class EpochRecord:
     stopped_early: bool = False
 
 
+# Part of train's and evaluate's manifest keys, so a checkpoint of an earlier
+# layout is trained again, not skipped as fresh. Layout 1 stored each head's
+# weights as tensors of their own; 2 stores one array per layer weight.
+PARAMS_LAYOUT = 2
+
+
 @dataclass
 class Checkpoint:
     model_cfg: ModelConfig  # holds the variant and the seed
     d_node: int
-    params_state: dict
+    params: dc.ParamSet
     optimizer_scalars: dict
     graph_schema_version: int = SCHEMA_VERSION
 
@@ -422,25 +417,25 @@ class Checkpoint:
             "optimizer": self.optimizer_scalars,
             "graph_schema_version": self.graph_schema_version,
         }
-        ckpt_io.save_container(path, manifest, self.params_state)
+        ckpt_io.save_container(path, manifest, {name: t.data for name, t in self.params.items()})
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
+        """Raises ValueError unless the stored arrays are exactly the
+        parameters of the stored config, each of its shape."""
         manifest, arrays = ckpt_io.load_container(path)
         raw_cfg = dict(manifest["model_cfg"])
         raw_cfg["edge_mlp_dims"] = tuple(raw_cfg["edge_mlp_dims"])
+        model_cfg = ModelConfig(**raw_cfg)
+        params = init_model(model_cfg, manifest["d_node"])
+        params.load_state(arrays)
         return cls(
-            model_cfg=ModelConfig(**raw_cfg),
+            model_cfg=model_cfg,
             d_node=manifest["d_node"],
-            params_state=arrays,
+            params=params,
             optimizer_scalars=manifest["optimizer"],
             graph_schema_version=manifest["graph_schema_version"],
         )
-
-    def build(self) -> tuple[dc.ParamSet, ModelConfig]:
-        params = build_params(self.model_cfg, self.d_node)
-        params.load_state(self.params_state)
-        return params, self.model_cfg
 
 
 @dataclass
@@ -482,8 +477,7 @@ def evaluate(checkpoint: Checkpoint, graphs) -> tuple[np.ndarray, np.ndarray]:
                 f"graph {g.event_id}: {g.node_features.shape[1]} node features, "
                 f"checkpoint expects {checkpoint.d_node}"
             )
-    params, cfg = checkpoint.build()
-    return predict(graphs, params, cfg)
+    return predict(graphs, checkpoint.params, checkpoint.model_cfg)
 
 
 def train(
@@ -562,10 +556,11 @@ def train(
             records[-1].stopped_early = True
             break
 
+    params.load_state(best_state)
     checkpoint = Checkpoint(
         model_cfg=cfg,
         d_node=d_node,
-        params_state=best_state,
+        params=params,
         optimizer_scalars=best_scalars,
     )
     return TrainResult(

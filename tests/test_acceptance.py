@@ -47,7 +47,7 @@ def test_criterion_01_gradient_suite():
 
         params.zero_grad()
         dc.backward(loss())
-        names = params.names()
+        names = [name for name, _ in params.items()]
         checked = 0
         while checked < 50:
             name = names[int(rng.integers(len(names)))]
@@ -56,9 +56,9 @@ def test_criterion_01_gradient_suite():
             i = int(rng.integers(flat.size))
             orig = flat[i]
             flat[i] = orig + h
-            up = loss().item()
+            up = loss().data.item()
             flat[i] = orig - h
-            down = loss().item()
+            down = loss().data.item()
             flat[i] = orig
             numeric = (up - down) / (2 * h)
             analytic = tensor.grad.reshape(-1)[i]

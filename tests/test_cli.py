@@ -433,12 +433,25 @@ def _events_dir(name, edit):
     return overrides
 
 
-def _row_team(index, team):
+def _row_with(index, **changes):
     def edit(rows):
-        rows[index]["team"] = team
+        rows[index].update(changes)
         return json.dumps(rows)
 
     return edit
+
+
+def _bad_roles_row(row):
+    """Overrides: a copy of the fixture's roles CSV with ``row`` as its first row."""
+
+    def overrides(tmp_path, fixture_dir):
+        lines = (fixture_dir / "player_roles.csv").read_text().splitlines()
+        lines[1] = row
+        path = tmp_path / "bad_roles.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return {"paths": {"roles_csv": str(path)}}
+
+    return overrides
 
 
 def _truncate_manifest(tmp_path):
@@ -466,6 +479,20 @@ def _record_digest(tmp_path, stage, path):
     data = json.loads(run.read_text())
     data["stages"][stage]["outputs"][str(path)] = cli._sha_file(path)
     run.write_text(json.dumps(data))
+
+
+def _drop_parameter(name):
+    """Damage: rewrite model_gcn.ckpt without parameter ``name`` and remove
+    the run manifest."""
+
+    def damage(tmp_path):
+        path = tmp_path / "artifacts" / "model_gcn.ckpt"
+        manifest, arrays = ckpt_io.load_container(path)
+        del arrays[name]
+        ckpt_io.save_container(path, manifest, arrays)
+        (tmp_path / "artifacts" / "manifest.json").unlink()
+
+    return damage
 
 
 def _drop_last(name):
@@ -595,8 +622,14 @@ FAILURE_CASES = {
         _events_dir("config.json", lambda rows: "[1, 2]"), [], None, "ingest", 3,
         "config.json: not a JSON array of event objects"),
     "events-row-team-id-not-a-number": (
-        _events_dir("9001.json", _row_team(3, {"id": "home"})), [], None, "ingest", 3,
+        _events_dir("9001.json", _row_with(3, team={"id": "home"})), [], None, "ingest", 3,
         "9001.json: row 3: ValueError"),
+    "events-row-location-nan": (
+        _events_dir("9001.json", _row_with(0, location=[float("nan"), 40.0])), [], None, "ingest",
+        3, "9001.json: row 0: ValueError: location [nan, 40.0] is not finite"),
+    "roles-player-id-not-an-integer": (
+        _bad_roles_row("abc,GK"), ["ingest", "xt-fit"], None, "build-graphs", 3,
+        "bad_roles.csv:2: player_id 'abc' is not an integer"),
     "truncated-manifest": (
         lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"], _truncate_manifest,
         "build-graphs", 0, "manifest.json"),
@@ -607,6 +640,10 @@ FAILURE_CASES = {
     "checkpoint-of-narrower-graphs": (
         lambda tmp, fx: {}, TRAINED, _rebuild_graphs(append_centrality_features=True),
         "evaluate", 3, "model_gcn.ckpt does not fit the graphs; run train again"),
+    # a parameter gone, and no recorded digest to catch it before the reader
+    "checkpoint-missing-a-parameter": (
+        lambda tmp, fx: {}, TRAINED, _drop_parameter("gcn.L1.b"), "evaluate", 3,
+        "model_gcn.ckpt (state missing parameters: ['gcn.L1.b']); run train again"),
     "outputs-of-other-graphs": (
         lambda tmp, fx: {}, TRAINED + ["evaluate"], _rebuild_graphs(window_k=5),
         "attribute", 3, "outputs_gcn was computed from other graphs; run evaluate again"),
@@ -753,6 +790,47 @@ def test_unreadable_artifact_without_manifest_exits_3(
     assert code == 3
     assert len(errors) == 1 and f"unreadable {path}" in errors[0], errors
     assert f"run {producer} again" in errors[0] and "\n" not in errors[0]
+
+
+def _split_heads(path, heads):
+    """Rewrite a gat checkpoint in the per-head layout: column block m of
+    ``gat.L<l>.<leaf>`` as its own tensor ``gat.L<l>.H<m>.<leaf>``."""
+    manifest, arrays = ckpt_io.load_container(path)
+    stored = {}
+    for name, arr in arrays.items():
+        if not name.startswith("gat."):
+            stored[name] = arr
+            continue
+        prefix, leaf = name.rsplit(".", 1)
+        for m, block in enumerate(np.split(arr, heads, axis=1)):
+            stored[f"{prefix}.H{m}.{leaf}"] = block
+    ckpt_io.save_container(path, manifest, stored)
+
+
+def test_checkpoint_of_the_per_head_layout_is_trained_again(
+    tmp_path, fixture_dir, monkeypatch, caplog
+):
+    config = write_config(tmp_path, fixture_dir, {"model": {"variant": "gat"}})
+    cfg = cli.load_config(config)
+    ap = cli.artifact_paths(cfg)
+    # a run as the per-head layout left it: its stage keys and its checkpoint
+    monkeypatch.setattr(models, "PARAMS_LAYOUT", 1)
+    cli.run_pipeline(cfg, ALL_STAGES[:5])
+    outputs = ap["outputs"].read_bytes()
+    _split_heads(ap["checkpoint"], cfg.model.n_heads)
+    _record_digest(tmp_path, "train", ap["checkpoint"])
+    monkeypatch.undo()
+
+    caplog.clear()
+    assert cli.main(["--config", str(config), "--quiet", "evaluate"]) == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [
+        f"unreadable {ap['checkpoint']} (state missing parameters: "
+        "['gat.L0.W', 'gat.L0.a', 'gat.L1.W', 'gat.L1.a']); run train again"
+    ]
+    assert cli.run_stage(cfg, "train")
+    assert cli.run_stage(cfg, "evaluate")
+    assert ap["outputs"].read_bytes() == outputs
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path):

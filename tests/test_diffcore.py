@@ -26,9 +26,9 @@ def fd_check(build_loss, leaves, h=1e-5, tol=1e-5):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = build_loss().item()
+            up = build_loss().data.item()
             flat[i] = orig - h
-            down = build_loss().item()
+            down = build_loss().data.item()
             flat[i] = orig
             numeric = (up - down) / (2 * h)
             assert rel_err(grad[i], numeric) <= tol, (
@@ -155,7 +155,7 @@ class TestOpValues:
         assert out.data[0, 0] == 1.0
 
     def test_mse_zero(self):
-        assert dc.mse(dc.Tensor([[1.0, 2.0]]), dc.Tensor([[1.0, 2.0]])).item() == 0.0
+        assert dc.mse(dc.Tensor([[1.0, 2.0]]), dc.Tensor([[1.0, 2.0]])).data.item() == 0.0
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -339,8 +339,8 @@ class TestBackward:
 
 
 class TestInit:
-    def make_params(self):
-        p = dc.ParamSet()
+    def make_params(self, seed):
+        p = dc.ParamSet(seed)
         p.add("fc.W", (256, 256), "xavier")
         p.add("fc.b", (1, 256), "zeros")
         p.add("conv.W", (64, 64), "kaiming")
@@ -348,36 +348,48 @@ class TestInit:
         return p
 
     def test_bias_zero_gain_one(self):
-        p = dc.init_params(self.make_params(), seed=0)
+        p = self.make_params(seed=0)
         assert np.all(p["fc.b"].data == 0.0)
         assert np.all(p["ln.gain"].data == 1.0)
 
     def test_deterministic_under_seed(self):
-        a = dc.init_params(self.make_params(), seed=9)
-        b = dc.init_params(self.make_params(), seed=9)
-        for name in a.names():
-            np.testing.assert_array_equal(a[name].data, b[name].data)
-        c = dc.init_params(self.make_params(), seed=10)
+        a = self.make_params(seed=9)
+        b = self.make_params(seed=9)
+        for name, t in a.items():
+            np.testing.assert_array_equal(t.data, b[name].data)
+        c = self.make_params(seed=10)
         assert not np.array_equal(a["fc.W"].data, c["fc.W"].data)
 
     def test_xavier_variance(self):
         # sample variance of a 256x256 draw should sit near 2/(fan_in+fan_out)
-        p = dc.init_params(self.make_params(), seed=1)
+        p = self.make_params(seed=1)
         target = 2.0 / (256 + 256)
         var = p["fc.W"].data.var()
         assert abs(var - target) / target < 0.2
 
     def test_duplicate_name_rejected(self):
-        p = dc.ParamSet()
+        p = dc.ParamSet(0)
         p.add("w", (2, 2), "xavier")
         with pytest.raises(ValueError):
             p.add("w", (2, 2), "xavier")
+
+    def test_load_state_takes_exactly_its_parameters(self):
+        p = self.make_params(seed=2)
+        state = p.state()
+        with pytest.raises(ValueError, match=r"state missing parameters: \['fc.b'\]"):
+            p.load_state({k: v for k, v in state.items() if k != "fc.b"})
+        with pytest.raises(ValueError, match=r"unknown parameters: \['extra'\]"):
+            p.load_state({**state, "extra": np.zeros(1)})
+        with pytest.raises(dc.ShapeError, match="fc.b"):
+            p.load_state({**state, "fc.b": np.zeros((256, 1))})
+        p.load_state({k: v + 1.0 for k, v in state.items()})
+        np.testing.assert_array_equal(p["ln.gain"].data, np.full((1, 8), 2.0))
 
 
 class TestAdam:
     def test_first_step_hand_computed(self):
         # grad=1, fresh state: m_hat=1, v_hat=1 => step = lr/(1+eps)
-        p = dc.ParamSet()
+        p = dc.ParamSet(0)
         w = p.add("w", (1, 1), "zeros")
         w.data = np.array([[1.0]])
         w.grad = np.array([[1.0]])
@@ -387,7 +399,7 @@ class TestAdam:
         np.testing.assert_allclose(w.data, [[expected]], rtol=0, atol=1e-18)
 
     def test_zero_grad_zero_decay_unchanged(self):
-        p = dc.ParamSet()
+        p = dc.ParamSet(0)
         w = p.add("w", (2, 2), "zeros")
         w.data = np.full((2, 2), 0.7)
         w.grad = np.zeros((2, 2))
@@ -395,7 +407,7 @@ class TestAdam:
         np.testing.assert_array_equal(w.data, np.full((2, 2), 0.7))
 
     def test_decoupled_decay_scales_param(self):
-        p = dc.ParamSet()
+        p = dc.ParamSet(0)
         w = p.add("w", (1, 1), "zeros")
         w.data = np.array([[1.0]])
         w.grad = np.zeros((1, 1))

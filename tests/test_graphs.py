@@ -378,7 +378,7 @@ class TestSplitAndBatch:
         gs = self.graphs_n(10)
         cfg = models.ModelConfig(variant="gcn", hidden_dim=8, seed=2)
         params = models.init_model(cfg, gs[0].node_features.shape[1])
-        unbatched = [models.forward([g], params, cfg)[0].item() for g in gs]
+        unbatched = [models.forward([g], params, cfg)[0].data.item() for g in gs]
         batched = []
         for chunk in graphs.batch(gs, 4):
             batched.extend(models.forward(chunk, params, cfg)[0].data[:, 0])

@@ -1,6 +1,7 @@
 """Provider parsing, SPADL conversion, stats loading, fetch cache behavior."""
 
 import json
+import re
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -141,6 +142,21 @@ class TestParseEvents:
     def test_unconvertible_row_raises_naming_file_and_row(self, tmp_path, change):
         rows = [provider_row(0), {**provider_row(1), **change}]
         with pytest.raises(ingest.SchemaError, match="7777.json: row 1: "):
+            ingest.parse_events(write_match(tmp_path, rows))
+
+    @pytest.mark.parametrize(
+        "change,named",
+        [
+            ({"location": [float("nan"), 40.0]}, "location [nan, 40.0] is not finite"),
+            ({"location": [60.0, float("inf")]}, "location [60.0, inf] is not finite"),
+            ({"pass": {"end_location": [float("-inf"), 40.0]}},
+             "end_location [-inf, 40.0] is not finite"),
+            ({"timestamp": "00:00:nan"}, "timestamp nan is not finite"),
+        ],
+    )
+    def test_non_finite_number_raises_naming_file_and_row(self, tmp_path, change, named):
+        rows = [provider_row(0), {**provider_row(1), **change}]
+        with pytest.raises(ingest.SchemaError, match=f"7777.json: row 1: ValueError: {re.escape(named)}"):
             ingest.parse_events(write_match(tmp_path, rows))
 
     def test_shot_outcome_mapping(self, tmp_path):

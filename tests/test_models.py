@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+import zlib
 from typing import NamedTuple
 
 import numpy as np
@@ -91,8 +92,8 @@ def np_gat(P, graph, cfg, attention=None):
         head_outs = []
         alphas = np.zeros((cfg.n_heads, n, n))
         for m in range(cfg.n_heads):
-            w = P[f"gat.L{layer}.H{m}.W"]
-            a = P[f"gat.L{layer}.H{m}.a"].reshape(-1)
+            w = P[f"gat.L{layer}.W"][:, m * dh : (m + 1) * dh]
+            a = P[f"gat.L{layer}.a"][:, m]
             proj = h @ w
             out = np.zeros((n, dh))
             for v in range(n):
@@ -136,11 +137,12 @@ def np_transformer(P, graph, cfg, attention=None):
         head_outs = []
         alphas = []
         for m in range(cfg.n_heads):
-            q = h @ P[f"tf.L{layer}.H{m}.Wq"]
-            k = h @ P[f"tf.L{layer}.H{m}.Wk"]
-            v = h @ P[f"tf.L{layer}.H{m}.Wv"]
-            w_rel = P[f"tf.L{layer}.H{m}.rel_w"].reshape(-1)
-            no_edge = float(P[f"tf.L{layer}.H{m}.rel_noedge"][0, 0])
+            cols = slice(m * dh, (m + 1) * dh)
+            q = h @ P[f"tf.L{layer}.Wq"][:, cols]
+            k = h @ P[f"tf.L{layer}.Wk"][:, cols]
+            v = h @ P[f"tf.L{layer}.Wv"][:, cols]
+            w_rel = P[f"tf.L{layer}.rel_w"][:, m]
+            no_edge = float(P[f"tf.L{layer}.rel_noedge"][0, m])
             rel = np.full((n, n), no_edge)
             for (src, dst), vecs in pair_feats.items():
                 rel[src, dst] = np.mean(vecs, axis=0) @ w_rel
@@ -205,6 +207,34 @@ def read_pooled_column(params, column):
 # ── edge MLP ──────────────────────────────────────────────────────────────
 
 
+class TestParameterLayout:
+    def test_tensor_counts(self):
+        counts = {
+            variant: len(models.init_model(models.ModelConfig(variant=variant), D_NODE).items())
+            for variant in models.VARIANTS
+        }
+        assert counts == {"gcn": 12, "gat": 12, "transformer": 38}
+
+    @pytest.mark.parametrize(
+        "variant,name",
+        [("gat", "gat.L0.W"), ("gat", "gat.L0.a"), ("transformer", "tf.L0.Wq"),
+         ("transformer", "tf.L0.rel_w")],
+    )
+    def test_head_block_is_the_per_head_draw(self, variant, name):
+        # block m is drawn as the tensor <prefix>.H<m>.<leaf> of the block's
+        # shape would be: kaiming from its own (seed, crc32(name)) stream
+        cfg = models.ModelConfig(variant=variant, seed=3)
+        fused = models.init_model(cfg, D_NODE)[name].data
+        rows, width = fused.shape[0], fused.shape[1] // cfg.n_heads
+        prefix, leaf = name.rsplit(".", 1)
+        for m in range(cfg.n_heads):
+            stream = zlib.crc32(f"{prefix}.H{m}.{leaf}".encode("utf-8"))
+            draw = np.random.default_rng([cfg.seed, stream]).normal(
+                0.0, np.sqrt(2.0 / rows), size=(rows, width)
+            )
+            np.testing.assert_array_equal(fused[:, m * width : (m + 1) * width], draw)
+
+
 class TestEdgeMlp:
     def test_zero_input_zero_bias_gives_zero(self):
         cfg = models.ModelConfig(seed=0)
@@ -256,7 +286,7 @@ class TestGcnForward:
         params["edge_mlp.W1"].data[:] = 0.0
         for column in (0, 1):
             read_pooled_column(params, column)
-            assert models.forward([g], params, cfg)[0].item() == pytest.approx(2.0)
+            assert models.forward([g], params, cfg)[0].data.item() == pytest.approx(2.0)
 
     def test_random_graph_matches_oracle(self):
         rng = np.random.default_rng(7)
@@ -325,15 +355,15 @@ class TestTransformerForward:
         g = graph_with(4, [(0, 1), (2, 3)], rng=rng)
         cfg = models.ModelConfig(variant="transformer", n_heads=1, n_layers=1, seed=5)
         params, state = init_both(cfg)
-        params["tf.L0.H0.rel_w"].data[:] = 0.0
-        params["tf.L0.H0.rel_noedge"].data[:] = 0.0
+        params["tf.L0.rel_w"].data[:] = 0.0
+        params["tf.L0.rel_noedge"].data[:] = 0.0
         state = params.state()
         out = graph_outputs([g], params, cfg)[0]
         onehot = np.zeros((4, 5))
         onehot[np.arange(4), g.node_roles] = 1.0
         pos = onehot @ state["pos.roles"] + g.node_xy @ state["pos.coords"]
         h = np.hstack([g.node_features, pos]) @ state["input.W"] + state["input.b"]
-        q, k = h @ state["tf.L0.H0.Wq"], h @ state["tf.L0.H0.Wk"]
+        q, k = h @ state["tf.L0.Wq"], h @ state["tf.L0.Wk"]
         scores = q @ k.T / np.sqrt(cfg.head_dim)
         e = np.exp(scores - scores.max(axis=1, keepdims=True))
         plain = e / e.sum(axis=1, keepdims=True)
@@ -415,9 +445,9 @@ class TestGradients:
             for i in idxs:
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_value().item()
+                up = loss_value().data.item()
                 flat[i] = orig - h
-                down = loss_value().item()
+                down = loss_value().data.item()
                 flat[i] = orig
                 numeric = (up - down) / (2 * h)
                 analytic = grad[i] if grad is not None else 0.0
@@ -544,7 +574,7 @@ class TestPacks:
         lo = 0
         for g, prediction in zip(gs, predictions, strict=True):
             y, h, _ = models.forward([g], params, cfg)
-            assert abs(prediction - y.item()) <= 1e-12
+            assert abs(prediction - y.data.item()) <= 1e-12
             np.testing.assert_allclose(
                 norms[lo : lo + g.n_nodes], np.linalg.norm(h, axis=1), atol=1e-12, rtol=0
             )
@@ -679,10 +709,8 @@ class TestTraining:
         tcfg = models.TrainingConfig(epochs=3)
         r1 = models.train(cfg, train_set, val_set, tcfg)
         r2 = models.train(cfg, train_set, val_set, tcfg)
-        for name in r1.checkpoint.params_state:
-            np.testing.assert_array_equal(
-                r1.checkpoint.params_state[name], r2.checkpoint.params_state[name]
-            )
+        for name, t in r1.checkpoint.params.items():
+            np.testing.assert_array_equal(t.data, r2.checkpoint.params[name].data)
         assert [r.val_mse for r in r1.log] == [r.val_mse for r in r2.log]
 
 
@@ -699,11 +727,11 @@ class TestEvaluate:
         params = models.init_model(cfg, D_NODE)
         ckpt = models.Checkpoint(
             model_cfg=cfg, d_node=D_NODE,
-            params_state=params.state(), optimizer_scalars={},
+            params=params, optimizer_scalars={},
         )
         predictions, _ = models.evaluate(ckpt, gs)
         metrics = models.score(predictions, [g.label for g in gs])
-        per_graph = [models.score([models.forward([g], params, cfg)[0].item()], [g.label]) for g in gs]
+        per_graph = [models.score([models.forward([g], params, cfg)[0].data.item()], [g.label]) for g in gs]
         assert metrics["mse"] == pytest.approx(np.mean([m["mse"] for m in per_graph]), abs=1e-15)
         assert metrics["mae"] == pytest.approx(np.mean([m["mae"] for m in per_graph]), abs=1e-15)
 
@@ -714,7 +742,7 @@ class TestEvaluate:
         params = models.init_model(cfg, D_NODE)
         ckpt = models.Checkpoint(
             model_cfg=cfg, d_node=D_NODE,
-            params_state=params.state(), optimizer_scalars={},
+            params=params, optimizer_scalars={},
         )
         for first, again in zip(models.evaluate(ckpt, gs), models.evaluate(ckpt, gs), strict=True):
             np.testing.assert_array_equal(first, again)
@@ -727,15 +755,15 @@ class TestEvaluate:
         params = models.init_model(cfg, D_NODE)
         ckpt = models.Checkpoint(
             model_cfg=cfg, d_node=D_NODE,
-            params_state=params.state(), optimizer_scalars={"lr": 1e-4},
+            params=params, optimizer_scalars={"lr": 1e-4},
         )
         path = tmp_path / "model.ckpt"
         ckpt.save(path)
         loaded = models.Checkpoint.load(path)
         assert loaded.model_cfg == cfg
-        p2, _ = loaded.build()
-        before = models.forward([g], params, cfg)[0].item()
-        after = models.forward([g], p2, cfg)[0].item()
+        p2 = loaded.params
+        before = models.forward([g], params, cfg)[0].data.item()
+        after = models.forward([g], p2, cfg)[0].data.item()
         assert before == after
 
     def test_schema_mismatch_rejected(self):
@@ -745,7 +773,7 @@ class TestEvaluate:
         params = models.init_model(cfg, D_NODE)
         ckpt = models.Checkpoint(
             model_cfg=cfg, d_node=D_NODE,
-            params_state=params.state(), optimizer_scalars={},
+            params=params, optimizer_scalars={},
             graph_schema_version=99,
         )
         with pytest.raises(models.CheckpointMismatch, match="schema"):
