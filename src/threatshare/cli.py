@@ -4,10 +4,13 @@
           -> attribute -> rank        (plus: ablate, plot-case)
 
 Every stage writes its artifacts under the configured artifacts directory
-and records input digests in ``manifest.json``; re-running a stage whose
-inputs and config are unchanged is a no-op. ``evaluate`` is the one stage
-that runs a trained model: it stores what the model computed, each graph's
-prediction and node embedding norms, with the digest of the graphs.
+and records in ``manifest.json`` the digest of each file it read and of each
+file it wrote; re-running a stage whose inputs and config are unchanged is a
+no-op. The manifest is the one record of what each artifact was made from: a
+stage refuses an input that changed since its stage wrote it, or that was
+made from another version of a file this stage reads too. ``evaluate`` is
+the one stage that runs a trained model: it stores what the model computed,
+each graph's prediction and node embedding norms.
 ``attribute`` splits the threat change from that file, the facts of each
 event line of ``graphs.ndjson`` (event and node ids, label, match, actor and
 actor team, the cross-team flag; no window is cut) and the stats CSV.
@@ -48,7 +51,7 @@ DEFAULT_ABLATION_K = (1, 3, 5, 7, 9)
 # What ``outputs_<variant>`` and ``graphs.ndjson`` hold; part of evaluate's
 # and build-graphs' manifest keys, so artifacts of an earlier layout are
 # rebuilt rather than skipped as fresh.
-OUTPUTS_LAYOUT = 4
+OUTPUTS_LAYOUT = 5
 GRAPHS_LAYOUT = graphs_mod.STORE_SCHEMA_VERSION
 
 
@@ -205,9 +208,13 @@ def load_config(path=None, *, seed=None, stage_dir=None) -> RunConfig:
         data = {}
     else:
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError(f"config {path} is unreadable: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if seed is not None and isinstance(data, dict):
@@ -328,13 +335,23 @@ def _require_inputs(declared) -> list[Path]:
 
 
 def _check_unchanged(manifest: dict, digests: dict[Path, str]) -> None:
-    """Each input a recorded stage wrote must still hold what it wrote."""
+    """Refuse an input of ``digests`` that a recorded stage wrote when it no
+    longer holds what that stage wrote, or when that stage read another
+    version of a file ``digests`` holds too. Recorded paths that are not in
+    ``digests`` are never compared."""
     for stage, entry in manifest["stages"].items():
         for path, digest in entry.get("outputs", {}).items():
-            if digests.get(Path(path), digest) != digest:
+            if Path(path) not in digests:
+                continue
+            if digests[Path(path)] != digest:
                 raise MissingArtifactError(
                     f"{path} changed since {stage} wrote it; run {stage} again"
                 )
+            for source, seen in entry.get("inputs", {}).items():
+                if digests.get(Path(source), seen) != seen:
+                    raise MissingArtifactError(
+                        f"{path} was made from another {source}; run {stage} again"
+                    )
 
 
 def _stage_key(cfg_subset: dict, digests: dict[Path, str]) -> str:
@@ -357,7 +374,7 @@ def _outputs_fresh(entry: dict | None, key: str) -> bool:
 # ── stage implementations ─────────────────────────────────────────────────
 
 
-def _stage_fetch(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
+def _stage_fetch(cfg: RunConfig) -> list[Path]:
     paths = ingest.fetch_open_data(
         cfg.fetch.competition_id, cfg.fetch.season_id, cfg.paths.cache_dir
     )
@@ -370,7 +387,7 @@ def _event_files(cfg: RunConfig) -> list[Path]:
     return sorted(cfg.paths.data_dir.glob("*.json"))
 
 
-def _stage_ingest(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
+def _stage_ingest(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
     files = _event_files(cfg)
     all_actions = []
@@ -386,7 +403,7 @@ def _stage_ingest(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     return [ap["actions"], ap["ingest_summary"]]
 
 
-def _stage_xt_fit(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
+def _stage_xt_fit(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
     actions = _read(cfg, "actions", ingest.read_actions)
     grid = xt.fit_grid(actions, cfg.grid.n_x, cfg.grid.n_y, tol=cfg.grid.tol)
@@ -415,7 +432,7 @@ def _build_all_graphs(cfg: RunConfig, k: int) -> list:
     ]
 
 
-def _stage_build_graphs(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
+def _stage_build_graphs(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
     all_graphs = _build_all_graphs(cfg, cfg.resolved_k)
     _write_atomic(ap["graphs"], lambda tmp: graphs_mod.write_graphs(all_graphs, tmp))
@@ -449,7 +466,7 @@ def _train_mean(all_graphs, train_set) -> np.ndarray:
     return np.full(len(all_graphs), np.mean([g.label for g in train_set]))
 
 
-def _stage_train(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
+def _stage_train(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
     train_set, val_set = _split_from_config(cfg, _read(cfg, "graphs", graphs_mod.read_graphs))
     model_cfg = replace(cfg.model, seed=cfg.seed)
@@ -468,7 +485,7 @@ def _stage_train(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     return [ap["checkpoint"], ap["train_log"]]
 
 
-def _stage_evaluate(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
+def _stage_evaluate(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
     ckpt = _read(cfg, "checkpoint", models.Checkpoint.load)
     all_graphs = _read(cfg, "graphs", graphs_mod.read_graphs)
@@ -486,20 +503,19 @@ def _stage_evaluate(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
     for name, m in scores.items():
         lines.append(f"{name},{m['mse']!r},{m['mae']!r},{m['combined']!r}")
     _write_text(ap["metrics"], "\n".join(lines) + "\n")
-    manifest = {"kind": "threatshare-outputs", "graphs_sha256": digests[ap["graphs"]]}
+    manifest = {"kind": "threatshare-outputs"}
     arrays = {"predictions": predictions, "norms": norms}
     _write_atomic(ap["outputs"], lambda tmp: ckpt_io.save_container(tmp, manifest, arrays))
     log.info("evaluate[%s]: %s; %s", cfg.model.variant, lines[2], lines[4])
     return [ap["metrics"], ap["outputs"]]
 
 
-def _load_outputs(path: Path) -> tuple[str, np.ndarray, np.ndarray]:
-    """(digest of the graphs they were computed from, predictions, norms)
-    that evaluate stored."""
-    manifest, arrays = ckpt_io.load_container(path)
+def _load_outputs(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The predictions and norms that evaluate stored."""
+    _, arrays = ckpt_io.load_container(path)
     if arrays.keys() != {"predictions", "norms"}:
         raise ValueError(f"holds {', '.join(sorted(arrays))}, not predictions and norms")
-    return manifest["graphs_sha256"], arrays["predictions"], arrays["norms"]
+    return arrays["predictions"], arrays["norms"]
 
 
 def _player_teams(events) -> dict:
@@ -515,13 +531,9 @@ def _player_teams(events) -> dict:
     }
 
 
-def _stage_attribute(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
+def _stage_attribute(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
-    graphs_digest, predictions, norms = _read(cfg, "outputs", _load_outputs)
-    if graphs_digest != digests[ap["graphs"]]:
-        raise MissingArtifactError(
-            f"{ap['outputs']} was computed from other graphs; run evaluate again"
-        )
+    predictions, norms = _read(cfg, "outputs", _load_outputs)
     events = _read(cfg, "graphs", graphs_mod.read_events)
     n_nodes = sum(len(e.node_ids) for e in events)
     for name, values, n, unit in (
@@ -590,7 +602,7 @@ def _load_totals_ledger(path: Path) -> credit.CreditLedger:
     return ledger
 
 
-def _stage_rank(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
+def _stage_rank(cfg: RunConfig) -> list[Path]:
     ledger = _read(cfg, "totals", _load_totals_ledger)
 
     rank_paths = _ranking_paths(cfg)
@@ -616,11 +628,9 @@ def _stage_rank(cfg: RunConfig, digests: dict[Path, str]) -> list[Path]:
 @dataclass(frozen=True)
 class Stage:
     """A pipeline stage: its runner, its declared ``(path, how to make it)``
-    inputs, and the part of the effective config its manifest key covers.
-    The runner receives the config and the digest of every declared input,
-    taken once by ``run_stage``."""
+    inputs, and the part of the effective config its manifest key covers."""
 
-    run: Callable[[RunConfig, dict[Path, str]], list[Path]]
+    run: Callable[[RunConfig], list[Path]]
     inputs: Callable[[RunConfig], list[tuple[Path, str]]]
     config: Callable[[dict], dict]
 
@@ -706,9 +716,10 @@ def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bo
         log.info("%s: up to date, skipping", stage)
         return False
 
-    outputs = spec.run(cfg, digests)
+    outputs = spec.run(cfg)
     manifest["stages"][stage] = {
         "key": key,
+        "inputs": {str(p): digest for p, digest in digests.items()},
         "outputs": {str(p): _sha_file(p) for p in outputs},
     }
     if own_manifest:

@@ -97,28 +97,21 @@ class ParamSet:
             t.data = arr.copy()
 
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Optimizer state; moment buffers are keyed by parameter name."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-
-    def scalars(self) -> dict:
-        return {
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "weight_decay": self.weight_decay,
-            "step_count": self.step_count,
-        }
 
 
 def adam_step(state: AdamState, params: ParamSet) -> None:
@@ -129,8 +122,8 @@ def adam_step(state: AdamState, params: ParamSet) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if state.weight_decay:
@@ -140,11 +133,11 @@ def adam_step(state: AdamState, params: ParamSet) -> None:
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
         state.m[name] = m
         state.v[name] = v
-        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def schedule_and_stop(

@@ -35,11 +35,7 @@ from threatshare.xt import XtLabel, label_stream
 
 log = logging.getLogger(__name__)
 
-# What a graph holds (node and edge feature layout); checkpoints record it.
-SCHEMA_VERSION = 1
-# The layout of a ``graphs.ndjson`` line, its ``schema_version`` field. The
-# per-action store changed the lines, not the graphs, so checkpoints trained
-# on graphs read from an earlier store still fit.
+# The layout of a ``graphs.ndjson`` line, its ``schema_version`` field.
 STORE_SCHEMA_VERSION = 2
 
 MAX_NODES = 22

@@ -281,9 +281,10 @@ def fetch_open_data(
     """Ensure all event files for one competition season exist on disk.
 
     Cached files are never re-downloaded. Returns event-file paths in
-    ascending match-id order. A cache file that is present but not a JSON
-    array fails fast with its name; downloads that fail are collected and
-    reported together.
+    ascending match-id order. A cached event file that is not a JSON array,
+    or a match index that is not an array of objects each with an integer
+    ``match_id``, fails fast with its name; downloads that fail are
+    collected and reported together.
     """
     cache_dir = Path(cache_dir)
     events_dir = cache_dir / "events"
@@ -300,8 +301,14 @@ def fetch_open_data(
         matches = json.loads(index_path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"corrupt match index {index_path}: {exc}") from exc
+    if not isinstance(matches, list) or not all(
+        isinstance(m, dict) and type(m.get("match_id")) is int for m in matches
+    ):
+        raise SchemaError(
+            f"corrupt match index {index_path}: not a JSON array of objects with an integer match_id"
+        )
 
-    match_ids = sorted(int(m["match_id"]) for m in matches)
+    match_ids = sorted(m["match_id"] for m in matches)
     paths: list[Path] = []
     failures: list[str] = []
     for mid in match_ids:

@@ -55,7 +55,6 @@ from threatshare.diffcore import checkpoint as ckpt_io
 from threatshare.graphs import (
     EDGE_FEATURE_DIM,
     N_ROLES,
-    SCHEMA_VERSION,
     EventGraph,
     batch as make_batches,
 )
@@ -401,41 +400,30 @@ PARAMS_LAYOUT = 2
 
 @dataclass
 class Checkpoint:
-    model_cfg: ModelConfig  # holds the variant and the seed
+    """A trained model: its config (variant and seed included), the node
+    width it was trained on and its parameters. What graphs it was trained
+    on is the run manifest's to record."""
+
+    model_cfg: ModelConfig
     d_node: int
     params: dc.ParamSet
-    optimizer_scalars: dict
-    graph_schema_version: int = SCHEMA_VERSION
 
     def save(self, path) -> None:
-        manifest = {
-            "kind": "threatshare-model",
-            "variant": self.model_cfg.variant,
-            "model_cfg": asdict(self.model_cfg),
-            "d_node": self.d_node,
-            "seed": self.model_cfg.seed,
-            "optimizer": self.optimizer_scalars,
-            "graph_schema_version": self.graph_schema_version,
-        }
+        manifest = {"kind": "threatshare-model", "model_cfg": asdict(self.model_cfg), "d_node": self.d_node}
         ckpt_io.save_container(path, manifest, {name: t.data for name, t in self.params.items()})
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
         """Raises ValueError unless the stored arrays are exactly the
-        parameters of the stored config, each of its shape."""
+        parameters of the stored config, each of its shape. Other manifest
+        keys (those of a checkpoint written before) are ignored."""
         manifest, arrays = ckpt_io.load_container(path)
         raw_cfg = dict(manifest["model_cfg"])
         raw_cfg["edge_mlp_dims"] = tuple(raw_cfg["edge_mlp_dims"])
         model_cfg = ModelConfig(**raw_cfg)
         params = init_model(model_cfg, manifest["d_node"])
         params.load_state(arrays)
-        return cls(
-            model_cfg=model_cfg,
-            d_node=manifest["d_node"],
-            params=params,
-            optimizer_scalars=manifest["optimizer"],
-            graph_schema_version=manifest["graph_schema_version"],
-        )
+        return cls(model_cfg=model_cfg, d_node=manifest["d_node"], params=params)
 
 
 @dataclass
@@ -447,7 +435,7 @@ class TrainResult:
 
 
 class CheckpointMismatch(ValueError):
-    """A checkpoint was trained on graphs of another schema or width."""
+    """A checkpoint was trained on graphs of another node width."""
 
 
 def score(predictions, labels) -> dict:
@@ -462,14 +450,9 @@ def evaluate(checkpoint: Checkpoint, graphs) -> tuple[np.ndarray, np.ndarray]:
     """``predict`` of a stored model over ``graphs``: the predictions and the
     node-embedding norms, in graph order; pure and deterministic.
 
-    Raises CheckpointMismatch when the graphs are not of the schema and node
-    width the checkpoint was trained on.
+    Raises CheckpointMismatch when the graphs are not of the node width the
+    checkpoint was trained on.
     """
-    if checkpoint.graph_schema_version != SCHEMA_VERSION:
-        raise CheckpointMismatch(
-            f"checkpoint schema {checkpoint.graph_schema_version} != "
-            f"dataset schema {SCHEMA_VERSION}"
-        )
     graphs = list(graphs)
     for g in graphs:
         if g.node_features.shape[1] != checkpoint.d_node:
@@ -500,7 +483,6 @@ def train(
 
     best_state = params.state()
     best_val = np.inf
-    best_scalars = adam.scalars()
     records: list[EpochRecord] = []
     val_history: list[float] = []
     stopped_early = False
@@ -541,7 +523,6 @@ def train(
         if vm["mse"] < best_val:
             best_val = vm["mse"]
             best_state = params.state()
-            best_scalars = adam.scalars()
 
         multiplier, stop = dc.schedule_and_stop(
             epoch,
@@ -557,14 +538,8 @@ def train(
             break
 
     params.load_state(best_state)
-    checkpoint = Checkpoint(
-        model_cfg=cfg,
-        d_node=d_node,
-        params=params,
-        optimizer_scalars=best_scalars,
-    )
     return TrainResult(
-        checkpoint=checkpoint,
+        checkpoint=Checkpoint(model_cfg=cfg, d_node=d_node, params=params),
         log=records,
         stopped_early=stopped_early,
         aborted=aborted,

@@ -43,54 +43,26 @@ class XtFitError(RuntimeError):
 
 @dataclass
 class XtGrid:
-    """Fitted expected-threat surface; immutable once built."""
+    """Fitted expected-threat surface: one value per zone (zone
+    ``iy * n_x + ix``) and what the fit recorded in ``meta``. The fit's
+    probabilities and transition matrix stay in ``fit_grid``: only the
+    values reach the labels."""
 
     n_x: int
     n_y: int
-    shot_prob: np.ndarray  # (n_zones,)
-    goal_prob_given_shot: np.ndarray
-    move_prob: np.ndarray
-    transition: np.ndarray  # (n_zones, n_zones), row = origin
-    value: np.ndarray
+    value: np.ndarray  # (n_x * n_y,)
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.n_x * self.n_y
-        for name in ("shot_prob", "goal_prob_given_shot", "move_prob", "value"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (n,):
-                raise ValueError(f"{name}: expected shape ({n},), got {arr.shape}")
-            setattr(self, name, arr)
-        self.transition = np.asarray(self.transition, dtype=np.float64)
-        if self.transition.shape != (n, n):
-            raise ValueError(f"transition: expected ({n}, {n})")
-        if not np.allclose(self.shot_prob + self.move_prob, 1.0, atol=1e-9):
-            raise ValueError("shot_prob + move_prob must equal 1 per zone")
-        row_sums = self.transition.sum(axis=1)
-        ok = np.isclose(row_sums, 1.0, atol=1e-9) | (
-            (row_sums == 0.0) & (self.move_prob == 0.0)
-        )
-        if not np.all(ok):
-            bad = int(np.argmin(ok))
-            raise ValueError(f"transition row {bad} sums to {row_sums[bad]}")
-        if np.any(self.value < 0) or np.any(self.value > 1):
-            raise ValueError("zone values must lie in [0, 1]")
-
-    @property
-    def n_zones(self) -> int:
-        return self.n_x * self.n_y
+        self.value = np.asarray(self.value, dtype=np.float64)
+        if self.value.shape != (n,):
+            raise ValueError(f"value: expected shape ({n},), got {self.value.shape}")
+        if not np.all((self.value >= 0) & (self.value <= 1)):
+            raise ValueError("zone values must be finite numbers in [0, 1]")
 
     def to_json(self) -> str:
-        payload = {
-            "n_x": self.n_x,
-            "n_y": self.n_y,
-            "shot_prob": self.shot_prob.tolist(),
-            "goal_prob_given_shot": self.goal_prob_given_shot.tolist(),
-            "move_prob": self.move_prob.tolist(),
-            "transition": self.transition.reshape(-1).tolist(),  # row-major
-            "value": self.value.tolist(),
-            "meta": self.meta,
-        }
+        payload = {"n_x": self.n_x, "n_y": self.n_y, "value": self.value.tolist(), "meta": self.meta}
         return json.dumps(payload, sort_keys=True)
 
     def save(self, path) -> None:
@@ -98,18 +70,10 @@ class XtGrid:
 
     @classmethod
     def from_json(cls, text: str) -> "XtGrid":
+        """The grid ``to_json`` wrote; other keys (a grid written with the
+        fit's probabilities beside its values) are ignored."""
         d = json.loads(text)
-        n = d["n_x"] * d["n_y"]
-        return cls(
-            n_x=d["n_x"],
-            n_y=d["n_y"],
-            shot_prob=np.array(d["shot_prob"]),
-            goal_prob_given_shot=np.array(d["goal_prob_given_shot"]),
-            move_prob=np.array(d["move_prob"]),
-            transition=np.array(d["transition"]).reshape(n, n),
-            value=np.array(d["value"]),
-            meta=d.get("meta", {}),
-        )
+        return cls(n_x=d["n_x"], n_y=d["n_y"], value=np.array(d["value"]), meta=d.get("meta", {}))
 
     @classmethod
     def load(cls, path) -> "XtGrid":
@@ -227,10 +191,6 @@ def fit_grid(actions, n_x: int, n_y: int, tol: float = 1e-8) -> XtGrid:
     return XtGrid(
         n_x=n_x,
         n_y=n_y,
-        shot_prob=shot_prob,
-        goal_prob_given_shot=goal_prob,
-        move_prob=move_prob,
-        transition=transition,
         value=value,
         meta={
             "tol": tol,

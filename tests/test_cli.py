@@ -4,6 +4,7 @@ determinism, exit codes, ablation tables, and the case plot."""
 import json
 import logging
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ class TestPipeline:
         one_pass = {
             "forward": len(models.packs(gs, models.PREDICT_NODES)),
             "checkpoint loads": 1,
-            "graphs hashes": 1,  # run_stage's input digest, handed to the stage
+            "graphs hashes": 1,  # run_stage's input digest
             "graph store parses": 1,  # evaluate's; attribute reads the store's lines, no windows
         }
         cli.run_pipeline(cfg, ["evaluate"])
@@ -199,8 +200,10 @@ class TestPipeline:
         ap = cli.artifact_paths(cfg)
         manifest, arrays = ckpt_io.load_container(ap["outputs"])
         assert set(arrays) == {"predictions", "norms"}
-        assert set(manifest) == {"kind", "graphs_sha256", "container_version", "tensors"}
-        assert manifest["graphs_sha256"] == cli._sha_file(ap["graphs"])
+        assert set(manifest) == {"kind", "container_version", "tensors"}
+        # what they were computed from is the run manifest's record
+        recorded = json.loads(ap["manifest"].read_text())["stages"]["evaluate"]["inputs"]
+        assert recorded == {str(p): cli._sha_file(p) for p in (ap["graphs"], ap["checkpoint"])}
         gs = graphs_mod.read_graphs(ap["graphs"])
         predictions, norms = models.evaluate(models.Checkpoint.load(ap["checkpoint"]), gs)
         assert arrays["predictions"].tolist() == predictions.tolist()
@@ -213,7 +216,7 @@ class TestPipeline:
         cfg = cli.load_config(write_config(tmp_path, fixture_dir))
         cli.run_pipeline(cfg, ALL_STAGES[:5])
         ap = cli.artifact_paths(cfg)
-        _, stored_predictions, stored_norms = cli._load_outputs(ap["outputs"])
+        stored_predictions, stored_norms = cli._load_outputs(ap["outputs"])
         ledger = credit.build_ledger(
             graphs_mod.read_events(ap["graphs"]), stored_predictions, stored_norms,
             source=source, negative_mode=negative_mode,
@@ -242,9 +245,10 @@ class TestPipeline:
     def test_outputs_of_an_earlier_layout_are_rebuilt(self, tmp_path, fixture_dir):
         """Outputs recorded under the evaluate key of an earlier layout are
         rebuilt by evaluate. Layout 3 also held what the graph store says of
-        each event, so attribute refuses it until then. Layout 1 (whose key
-        had no layout) held the predictions and norms alone: the same bytes
-        as the current layout, which attribute reads."""
+        each event, so attribute refuses it until then. Layouts 1 (whose key
+        had no layout) and 4 held the predictions and norms with the digest
+        of the graphs, which attribute reads and evaluate rewrites without
+        the digest."""
         config = write_config(tmp_path, fixture_dir)
         cfg = cli.load_config(config)
         cli.run_pipeline(cfg, ALL_STAGES[:5])
@@ -252,6 +256,7 @@ class TestPipeline:
         current = ap["outputs"].read_bytes()
         digests = {p: cli._sha_file(p) for p in (ap["graphs"], ap["checkpoint"])}
         kept, arrays = ckpt_io.load_container(ap["outputs"])
+        graphs_sha256 = {"graphs_sha256": digests[ap["graphs"]]}
         gs = graphs_mod.read_graphs(ap["graphs"])
         layout_3 = {
             "labels": [g.label for g in gs],
@@ -268,7 +273,7 @@ class TestPipeline:
         def record(layout, manifest_extra, arrays_extra):
             ckpt_io.save_container(
                 ap["outputs"],
-                {"kind": kept["kind"], "graphs_sha256": kept["graphs_sha256"], **manifest_extra},
+                {"kind": kept["kind"], **manifest_extra},
                 {**arrays, **arrays_extra},
             )
             config_then = old_config if layout == 1 else {**old_config, "outputs_layout": layout}
@@ -279,13 +284,16 @@ class TestPipeline:
             }
             ap["manifest"].write_text(json.dumps(manifest))
 
-        record(3, {"event_ids": [g.event_id for g in gs]}, layout_3)
+        record(3, {**graphs_sha256, "event_ids": [g.event_id for g in gs]}, layout_3)
         assert cli.main(["--config", str(config), "--quiet", "attribute"]) == 3
         assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": True}
         assert ap["outputs"].read_bytes() == current
-        record(1, {}, {})
-        assert ap["outputs"].read_bytes() == current
-        assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": False}
+        for layout in (1, 4):
+            record(layout, graphs_sha256, {})
+            assert ap["outputs"].read_bytes() != current
+            assert cli.run_stage(cfg, "attribute")
+            assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": True}
+            assert ap["outputs"].read_bytes() == current
 
     def test_attribute_takes_teams_from_the_outputs(self, tmp_path, fixture_dir, monkeypatch):
         cfg = cli.load_config(write_config(tmp_path, fixture_dir))
@@ -350,8 +358,6 @@ class TestPipeline:
         cfg = cli.load_config(config)
         cli.run_pipeline(cfg, ALL_STAGES)
         manifest = json.loads((tmp_path / "artifacts" / "manifest.json").read_text())
-        from pathlib import Path
-
         checked = 0
         for entry in manifest["stages"].values():
             for path_str, digest in entry["outputs"].items():
@@ -459,17 +465,76 @@ def _truncate_manifest(tmp_path):
     path.write_bytes(path.read_bytes()[:50])
 
 
-def _rebuild_graphs(**changes):
-    """Damage: run build-graphs again, into the same artifacts, with ``changes``
-    made to the config."""
+def _run_again(stage, changes):
+    """Damage: run ``stage`` again, into the same artifacts, with the config
+    that ``changes(tmp_path, config)`` makes of the run's."""
 
     def damage(tmp_path):
         data = json.loads((tmp_path / "config.json").read_text())
         other = tmp_path / "other.json"
-        other.write_text(json.dumps({**data, **changes}))
-        assert cli.main(["--config", str(other), "--quiet", "build-graphs"]) == 0
+        other.write_text(json.dumps(changes(tmp_path, data)))
+        assert cli.main(["--config", str(other), "--quiet", stage]) == 0
 
     return damage
+
+
+def _rebuild_graphs(**changes):
+    """Damage: run build-graphs again with ``changes`` made to the config."""
+    return _run_again("build-graphs", lambda tmp_path, data: {**data, **changes})
+
+
+def _one_match(tmp_path, data):
+    """The config with a ``data_dir`` of the first fixture match alone."""
+    events = tmp_path / "one_match"
+    events.mkdir()
+    first = sorted(Path(data["paths"]["data_dir"]).glob("*.json"))[0]
+    (events / first.name).write_bytes(first.read_bytes())
+    return {**data, "paths": {**data["paths"], "data_dir": str(events)}}
+
+
+def _without_manifest(damage):
+    """Damage: ``damage``, then remove the run manifest."""
+
+    def remove(tmp_path):
+        damage(tmp_path)
+        (tmp_path / "artifacts" / "manifest.json").unlink()
+
+    return remove
+
+
+def _nan_grid_values(tmp_path):
+    """Damage: write NaN as every zone value of xt_grid.json."""
+    path = tmp_path / "artifacts" / "xt_grid.json"
+    grid = json.loads(path.read_text())
+    grid["value"] = [float("nan")] * len(grid["value"])
+    path.write_text(json.dumps(grid))
+
+
+def _match_index(text):
+    """Overrides: none, with ``text`` as the cached match index of the
+    default competition season, so fetch reads it without a download."""
+
+    def overrides(tmp_path, fixture_dir):
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "cache" / "matches_2_27.json").write_text(text)
+        return {}
+
+    return overrides
+
+
+def _config_file(name, content):
+    """Config: ``name`` in the test directory, holding ``content`` (bytes for
+    a file, None for a directory)."""
+
+    def config(tmp_path, fixture_dir):
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        return path
+
+    return config
 
 
 def _record_digest(tmp_path, stage, path):
@@ -510,16 +575,16 @@ def _drop_last(name):
 
 
 def _damage_store_under_outputs(edit):
-    """Damage: edit the store, then stamp outputs_gcn with the store's new
-    digest, so only attribute's reading of the store can catch the edit."""
+    """Damage: edit the store, then record its new digest as the store
+    evaluate read, so only attribute's reading of the store can catch the edit."""
 
     def damage(tmp_path):
         _damage_store(edit)(tmp_path)
-        path = tmp_path / "artifacts" / "outputs_gcn"
-        manifest, arrays = ckpt_io.load_container(path)
-        manifest["graphs_sha256"] = cli._sha_file(tmp_path / "artifacts" / "graphs.ndjson")
-        ckpt_io.save_container(path, manifest, arrays)
-        _record_digest(tmp_path, "evaluate", path)
+        store = tmp_path / "artifacts" / "graphs.ndjson"
+        run = tmp_path / "artifacts" / "manifest.json"
+        data = json.loads(run.read_text())
+        data["stages"]["evaluate"]["inputs"][str(store)] = cli._sha_file(store)
+        run.write_text(json.dumps(data))
 
     return damage
 
@@ -592,8 +657,9 @@ def _nan_feature(d):
 TRAINED = ["ingest", "xt-fit", "build-graphs", "train"]
 
 
-# (config overrides, stages run first, damage done after them, stage, exit code,
-#  text the one ERROR line must hold; for exit 0, the one WARNING line)
+# (config overrides, or the config path, stages run first, damage done after
+#  them, stage, exit code, text the one ERROR line must hold, "{art}" standing
+#  for the artifacts directory; for exit 0, the one WARNING line)
 FAILURE_CASES = {
     "null-value": (
         lambda tmp, fx: {"grid": {"n_x": None}}, [], None, "ingest", 2, "grid.n_x"),
@@ -604,7 +670,22 @@ FAILURE_CASES = {
         lambda tmp, fx: {"model": {"edge_mlp_dims": 5}}, [], None, "ingest", 2,
         "model.edge_mlp_dims"),
     "unknown-key": (lambda tmp, fx: {"nope": 1}, [], None, "ingest", 2, "'nope'"),
-    "missing-config": (None, [], None, "ingest", 2, "absent.json"),
+    "missing-config": (lambda tmp, fx: tmp / "absent.json", [], None, "ingest", 2, "absent.json"),
+    "config-a-directory": (
+        _config_file("config.d", None), [], None, "ingest", 2, "config.d is unreadable: Is a directory"),
+    "config-not-utf-8": (
+        _config_file("latin1.json", b'{"paths": {"data_dir": "caf\xe9"}}'), [], None, "ingest", 2,
+        "latin1.json is not UTF-8 text"),
+    # a cached match index of another shape: fetch reads it and downloads nothing
+    "match-index-row-without-match-id": (
+        _match_index('[{"x": 1}]'), [], None, "fetch", 3,
+        "matches_2_27.json: not a JSON array of objects with an integer match_id"),
+    "match-index-an-object": (
+        _match_index('{"a": 1}'), [], None, "fetch", 3,
+        "matches_2_27.json: not a JSON array of objects with an integer match_id"),
+    "match-index-empty-object": (
+        _match_index("{}"), [], None, "fetch", 3,
+        "matches_2_27.json: not a JSON array of objects with an integer match_id"),
     "missing-artifact": (lambda tmp, fx: {}, ["ingest"], None, "train", 3, "build-graphs"),
     "missing-roles-csv": (
         lambda tmp, fx: {"paths": {"roles_csv": str(tmp / "absent_roles.csv")}},
@@ -637,16 +718,28 @@ FAILURE_CASES = {
     "empty-split": (
         lambda tmp, fx: {"training": {"split_unit": "match"}}, TRAINED[:3], None, "train", 2,
         "training.split_unit 'match' splits 400 graphs into 400 train and 0 val"),
+    # no manifest to name the graphs it was trained on: the node width catches it
     "checkpoint-of-narrower-graphs": (
-        lambda tmp, fx: {}, TRAINED, _rebuild_graphs(append_centrality_features=True),
+        lambda tmp, fx: {}, TRAINED, _without_manifest(_rebuild_graphs(append_centrality_features=True)),
         "evaluate", 3, "model_gcn.ckpt does not fit the graphs; run train again"),
+    # an input made from another version of a file the stage reads too
+    "checkpoint-of-other-graphs": (
+        lambda tmp, fx: {}, TRAINED, _rebuild_graphs(window_k=5), "evaluate", 3,
+        "{art}/model_gcn.ckpt was made from another {art}/graphs.ndjson; run train again"),
+    "grid-of-other-actions": (
+        lambda tmp, fx: {}, TRAINED[:3], _run_again("ingest", _one_match), "build-graphs", 3,
+        "{art}/xt_grid.json was made from another {art}/actions.ndjson; run xt-fit again"),
+    # no recorded digest to catch it before the reader
+    "grid-values-nan": (
+        lambda tmp, fx: {}, TRAINED[:3], _without_manifest(_nan_grid_values), "build-graphs", 3,
+        "xt_grid.json (zone values must be finite numbers in [0, 1]); run xt-fit again"),
     # a parameter gone, and no recorded digest to catch it before the reader
     "checkpoint-missing-a-parameter": (
         lambda tmp, fx: {}, TRAINED, _drop_parameter("gcn.L1.b"), "evaluate", 3,
         "model_gcn.ckpt (state missing parameters: ['gcn.L1.b']); run train again"),
     "outputs-of-other-graphs": (
-        lambda tmp, fx: {}, TRAINED + ["evaluate"], _rebuild_graphs(window_k=5),
-        "attribute", 3, "outputs_gcn was computed from other graphs; run evaluate again"),
+        lambda tmp, fx: {}, TRAINED + ["evaluate"], _rebuild_graphs(window_k=5), "attribute", 3,
+        "{art}/outputs_gcn was made from another {art}/graphs.ndjson; run evaluate again"),
     # damaged stores whose digest build-graphs recorded: the reader must catch them
     "store-line-removed": (
         lambda tmp, fx: {}, TRAINED[:3], _damage_store(lambda lines: lines[:100] + lines[101:]),
@@ -701,10 +794,9 @@ FAILURE_CASES = {
 @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
 def test_failures_exit_with_their_code_and_one_line(case, tmp_path, fixture_dir, caplog):
     overrides, before, damage, stage, code, named = FAILURE_CASES[case]
-    if overrides is None:
-        config = tmp_path / "absent.json"
-    else:
-        config = write_config(tmp_path, fixture_dir, overrides(tmp_path, fixture_dir))
+    made = overrides(tmp_path, fixture_dir)
+    config = made if isinstance(made, Path) else write_config(tmp_path, fixture_dir, made)
+    named = named.replace("{art}", str(tmp_path / "artifacts"))
     for earlier in before:
         assert cli.main(["--config", str(config), "--quiet", earlier]) == 0
     graphs_before = (tmp_path / "artifacts" / "graphs.ndjson").read_bytes() if damage else None

@@ -27,15 +27,15 @@ def action(player, team=1, t=0.0, action_type="pass", result="success",
 
 @pytest.fixture(scope="module")
 def tiny_grid():
-    return xt.XtGrid(
-        n_x=2,
-        n_y=1,
-        shot_prob=np.array([0.0, 1.0]),
-        goal_prob_given_shot=np.array([0.0, 0.3]),
-        move_prob=np.array([1.0, 0.0]),
-        transition=np.array([[0.0, 1.0], [0.0, 0.0]]),
-        value=np.array([0.3, 0.3]),
-    )
+    return xt.XtGrid(n_x=2, n_y=1, value=np.array([0.3, 0.3]))
+
+
+def _nan_zone_grid():
+    """A 2x1 grid whose second zone's value is NaN, set past the grid's own
+    check so that only the graph builder's label check can catch it."""
+    grid = xt.XtGrid(n_x=2, n_y=1, value=np.array([0.3, 0.3]))
+    grid.value = np.array([0.3, np.nan])
+    return grid
 
 
 def stats_for(*pids):
@@ -278,16 +278,16 @@ class TestWindowChecks:
         with pytest.raises(ValueError, match=r"^graph 1:1: non-finite node features$"):
             graphs.build_match_graphs(acts, 2, stats, tiny_grid)
 
-    def test_nan_label_names_its_event(self, tiny_grid):
-        grid = xt.XtGrid(**{**vars(tiny_grid), "value": np.array([0.3, np.nan])})
+    def test_nan_label_names_its_event(self):
+        grid = _nan_zone_grid()
         # events 0 and 1 end in the finite zone, event 2 in the NaN one
         acts = [action(1, end=(30, 30)), action(2, t=2.0, end=(30, 30)),
                 action(3, t=4.0, end=(80, 30), action_type="dribble")]
         with pytest.raises(ValueError, match=r"^graph 1:2: non-finite label$"):
             graphs.build_match_graphs(acts, 1, stats_for(1, 2, 3), grid)
 
-    def test_two_faults_name_the_earlier_event(self, tiny_grid):
-        grid = xt.XtGrid(**{**vars(tiny_grid), "value": np.array([0.3, np.nan])})
+    def test_two_faults_name_the_earlier_event(self):
+        grid = _nan_zone_grid()
         # a NaN label at event 1, then a NaN stats row first held at event 3
         acts = [action(p, t=2.0 * p, end=(80, 30) if p == 2 else (30, 30), action_type="dribble")
                 for p in (1, 2, 3, 4)]

@@ -725,10 +725,7 @@ class TestEvaluate:
         gs = [random_event_graph(rng, event_id=f"m{i}") for i in range(10)]
         cfg = models.ModelConfig(variant="gcn", hidden_dim=8, head_hidden_dim=4, seed=6)
         params = models.init_model(cfg, D_NODE)
-        ckpt = models.Checkpoint(
-            model_cfg=cfg, d_node=D_NODE,
-            params=params, optimizer_scalars={},
-        )
+        ckpt = models.Checkpoint(model_cfg=cfg, d_node=D_NODE, params=params)
         predictions, _ = models.evaluate(ckpt, gs)
         metrics = models.score(predictions, [g.label for g in gs])
         per_graph = [models.score([models.forward([g], params, cfg)[0].data.item()], [g.label]) for g in gs]
@@ -740,10 +737,7 @@ class TestEvaluate:
         gs = [random_event_graph(rng, event_id=f"p{i}") for i in range(5)]
         cfg = models.ModelConfig(variant="gat", hidden_dim=8, n_heads=2, seed=7)
         params = models.init_model(cfg, D_NODE)
-        ckpt = models.Checkpoint(
-            model_cfg=cfg, d_node=D_NODE,
-            params=params, optimizer_scalars={},
-        )
+        ckpt = models.Checkpoint(model_cfg=cfg, d_node=D_NODE, params=params)
         for first, again in zip(models.evaluate(ckpt, gs), models.evaluate(ckpt, gs), strict=True):
             np.testing.assert_array_equal(first, again)
 
@@ -753,10 +747,7 @@ class TestEvaluate:
         cfg = models.ModelConfig(variant="transformer", hidden_dim=8, n_heads=2,
                                  ffn_dim=16, head_hidden_dim=4, seed=8)
         params = models.init_model(cfg, D_NODE)
-        ckpt = models.Checkpoint(
-            model_cfg=cfg, d_node=D_NODE,
-            params=params, optimizer_scalars={"lr": 1e-4},
-        )
+        ckpt = models.Checkpoint(model_cfg=cfg, d_node=D_NODE, params=params)
         path = tmp_path / "model.ckpt"
         ckpt.save(path)
         loaded = models.Checkpoint.load(path)
@@ -765,16 +756,3 @@ class TestEvaluate:
         before = models.forward([g], params, cfg)[0].data.item()
         after = models.forward([g], p2, cfg)[0].data.item()
         assert before == after
-
-    def test_schema_mismatch_rejected(self):
-        rng = np.random.default_rng(9)
-        gs = [random_event_graph(rng)]
-        cfg = models.ModelConfig(variant="gcn", hidden_dim=8, seed=9)
-        params = models.init_model(cfg, D_NODE)
-        ckpt = models.Checkpoint(
-            model_cfg=cfg, d_node=D_NODE,
-            params=params, optimizer_scalars={},
-            graph_schema_version=99,
-        )
-        with pytest.raises(models.CheckpointMismatch, match="schema"):
-            models.evaluate(ckpt, gs)
