@@ -4,13 +4,14 @@
           -> attribute -> rank        (plus: ablate, plot-case)
 
 Every stage writes its artifacts under the configured artifacts directory
-and records in ``manifest.json`` the digest of each file it read and of each
-file it wrote; re-running a stage whose inputs and config are unchanged is a
-no-op. The manifest is the one record of what each artifact was made from: a
-stage refuses an input that changed since its stage wrote it, or that was
-made from another version of a file this stage reads too. ``evaluate`` is
-the one stage that runs a trained model: it stores what the model computed,
-each graph's prediction and node embedding norms.
+and records in ``manifest.json``, per file it wrote, that file's digest and
+the digest of each file it read; re-running a stage whose inputs and config
+are unchanged is a no-op. The manifest is the one record of what each
+artifact was made from: a stage refuses an input that changed since its
+stage wrote it, or that was made from another version of a file this stage
+reads too. ``evaluate`` is the one stage that runs a trained model: it
+stores what the model computed, each graph's prediction and node embedding
+norms.
 ``attribute`` splits the threat change from that file, the facts of each
 event line of ``graphs.ndjson`` (event and node ids, label, match, actor and
 actor team, the cross-team flag; no window is cut) and the stats CSV.
@@ -264,9 +265,11 @@ def _load_manifest(cfg: RunConfig) -> dict:
     path = artifact_paths(cfg)["manifest"]
     try:
         manifest = json.loads(path.read_text())
-        if isinstance(manifest, dict) and isinstance(manifest.get("stages"), dict):
-            return manifest
-        raise ValueError("no stages table")
+        if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+            raise ValueError("no stages table")
+        if not isinstance(manifest.get("made_from", {}), dict):
+            raise ValueError("made_from is not a table")
+        return manifest
     except FileNotFoundError:
         pass
     except ValueError as exc:
@@ -334,24 +337,39 @@ def _require_inputs(declared) -> list[Path]:
     return [Path(path) for path, _ in declared]
 
 
+def _records(manifest: dict) -> dict:
+    """What each recorded file was made by: ``{path: {"stage", "sha256",
+    "inputs"}}``. A file with no record of its own (a manifest from before
+    the records, or an ablation table) reads as its stage entry lists it,
+    with no inputs."""
+    records = {
+        path: {"stage": stage, "sha256": digest, "inputs": {}}
+        for stage, entry in manifest["stages"].items()
+        for path, digest in entry.get("outputs", {}).items()
+    }
+    records.update(manifest.get("made_from", {}))
+    return records
+
+
 def _check_unchanged(manifest: dict, digests: dict[Path, str]) -> None:
-    """Refuse an input of ``digests`` that a recorded stage wrote when it no
-    longer holds what that stage wrote, or when that stage read another
-    version of a file ``digests`` holds too. Recorded paths that are not in
-    ``digests`` are never compared."""
-    for stage, entry in manifest["stages"].items():
-        for path, digest in entry.get("outputs", {}).items():
-            if Path(path) not in digests:
-                continue
-            if digests[Path(path)] != digest:
+    """Refuse an input of ``digests`` that no longer holds what its recorded
+    stage wrote, or that was made from another version of a file
+    ``digests`` holds too. Recorded paths that are not in ``digests`` are
+    never compared."""
+    records = _records(manifest)
+    for path, digest in digests.items():
+        record = records.get(str(path))
+        if record is None:
+            continue
+        if record["sha256"] != digest:
+            raise MissingArtifactError(
+                f"{path} changed since {record['stage']} wrote it; run {record['stage']} again"
+            )
+        for source, seen in record["inputs"].items():
+            if digests.get(Path(source), seen) != seen:
                 raise MissingArtifactError(
-                    f"{path} changed since {stage} wrote it; run {stage} again"
+                    f"{path} was made from another {source}; run {record['stage']} again"
                 )
-            for source, seen in entry.get("inputs", {}).items():
-                if digests.get(Path(source), seen) != seen:
-                    raise MissingArtifactError(
-                        f"{path} was made from another {source}; run {stage} again"
-                    )
 
 
 def _stage_key(cfg_subset: dict, digests: dict[Path, str]) -> str:
@@ -716,12 +734,14 @@ def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bo
         log.info("%s: up to date, skipping", stage)
         return False
 
-    outputs = spec.run(cfg)
-    manifest["stages"][stage] = {
-        "key": key,
-        "inputs": {str(p): digest for p, digest in digests.items()},
-        "outputs": {str(p): _sha_file(p) for p in outputs},
-    }
+    written = {str(p): _sha_file(p) for p in spec.run(cfg)}
+    manifest["stages"][stage] = {"key": key, "outputs": written}
+    # per file, so running the stage for another variant keeps this record
+    inputs = {str(p): digest for p, digest in digests.items()}
+    for path, digest in written.items():
+        manifest.setdefault("made_from", {})[path] = {
+            "stage": stage, "sha256": digest, "inputs": inputs
+        }
     if own_manifest:
         _save_manifest(cfg, manifest)
     return True

@@ -271,6 +271,28 @@ def _download(url: str, dest: Path, session) -> None:
     os.replace(tmp, dest)  # atomic per file
 
 
+def _index_match_ids(matches, index_path: Path) -> list[int]:
+    """The sorted ids of a match index: a JSON array of objects each with an
+    integer ``match_id``, or a string of one."""
+    corrupt = SchemaError(
+        f"corrupt match index {index_path}: not a JSON array of objects with an integer match_id"
+    )
+    if not isinstance(matches, list):
+        raise corrupt
+    ids = []
+    for m in matches:
+        mid = m.get("match_id") if isinstance(m, dict) else None
+        if isinstance(mid, str):
+            try:
+                mid = int(mid)
+            except ValueError:
+                pass
+        if type(mid) is not int:
+            raise corrupt
+        ids.append(mid)
+    return sorted(ids)
+
+
 def fetch_open_data(
     competition_id: int,
     season_id: int,
@@ -301,14 +323,7 @@ def fetch_open_data(
         matches = json.loads(index_path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"corrupt match index {index_path}: {exc}") from exc
-    if not isinstance(matches, list) or not all(
-        isinstance(m, dict) and type(m.get("match_id")) is int for m in matches
-    ):
-        raise SchemaError(
-            f"corrupt match index {index_path}: not a JSON array of objects with an integer match_id"
-        )
-
-    match_ids = sorted(m["match_id"] for m in matches)
+    match_ids = _index_match_ids(matches, index_path)
     paths: list[Path] = []
     failures: list[str] = []
     for mid in match_ids:

@@ -202,8 +202,12 @@ class TestPipeline:
         assert set(arrays) == {"predictions", "norms"}
         assert set(manifest) == {"kind", "container_version", "tensors"}
         # what they were computed from is the run manifest's record
-        recorded = json.loads(ap["manifest"].read_text())["stages"]["evaluate"]["inputs"]
-        assert recorded == {str(p): cli._sha_file(p) for p in (ap["graphs"], ap["checkpoint"])}
+        recorded = json.loads(ap["manifest"].read_text())["made_from"][str(ap["outputs"])]
+        assert recorded == {
+            "stage": "evaluate",
+            "sha256": cli._sha_file(ap["outputs"]),
+            "inputs": {str(p): cli._sha_file(p) for p in (ap["graphs"], ap["checkpoint"])},
+        }
         gs = graphs_mod.read_graphs(ap["graphs"])
         predictions, norms = models.evaluate(models.Checkpoint.load(ap["checkpoint"]), gs)
         assert arrays["predictions"].tolist() == predictions.tolist()
@@ -278,6 +282,7 @@ class TestPipeline:
             )
             config_then = old_config if layout == 1 else {**old_config, "outputs_layout": layout}
             manifest = json.loads(ap["manifest"].read_text())
+            del manifest["made_from"]  # not kept before these layouts' successor
             manifest["stages"]["evaluate"] = {
                 "key": cli._stage_key({"stage": "evaluate", "config": config_then}, digests),
                 "outputs": {str(p): cli._sha_file(p) for p in (ap["metrics"], ap["outputs"])},
@@ -478,6 +483,21 @@ def _run_again(stage, changes):
     return damage
 
 
+def _as_variant(variant):
+    """Changes: the config with model ``variant``."""
+    return lambda tmp_path, data: {**data, "model": {**data["model"], "variant": variant}}
+
+
+def _in_turn(*damages):
+    """Damage: each of ``damages`` in turn."""
+
+    def damage(tmp_path):
+        for each in damages:
+            each(tmp_path)
+
+    return damage
+
+
 def _rebuild_graphs(**changes):
     """Damage: run build-graphs again with ``changes`` made to the config."""
     return _run_again("build-graphs", lambda tmp_path, data: {**data, **changes})
@@ -537,12 +557,12 @@ def _config_file(name, content):
     return config
 
 
-def _record_digest(tmp_path, stage, path):
-    """Record ``path``'s current digest as ``stage``'s output, so only the
-    reader can catch what was done to it."""
+def _record_digest(tmp_path, path):
+    """Record ``path``'s current digest as the one its stage wrote, so only
+    the reader can catch what was done to it."""
     run = tmp_path / "artifacts" / "manifest.json"
     data = json.loads(run.read_text())
-    data["stages"][stage]["outputs"][str(path)] = cli._sha_file(path)
+    data["made_from"][str(path)]["sha256"] = cli._sha_file(path)
     run.write_text(json.dumps(data))
 
 
@@ -569,7 +589,7 @@ def _drop_last(name):
         manifest, arrays = ckpt_io.load_container(path)
         arrays[name] = arrays[name][:-1]
         ckpt_io.save_container(path, manifest, arrays)
-        _record_digest(tmp_path, "evaluate", path)
+        _record_digest(tmp_path, path)
 
     return damage
 
@@ -583,7 +603,9 @@ def _damage_store_under_outputs(edit):
         store = tmp_path / "artifacts" / "graphs.ndjson"
         run = tmp_path / "artifacts" / "manifest.json"
         data = json.loads(run.read_text())
-        data["stages"]["evaluate"]["inputs"][str(store)] = cli._sha_file(store)
+        data["made_from"][str(tmp_path / "artifacts" / "outputs_gcn")]["inputs"][str(store)] = (
+            cli._sha_file(store)
+        )
         run.write_text(json.dumps(data))
 
     return damage
@@ -607,24 +629,24 @@ def _schema_1_line(g) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _damage_lines(artifact, stage, edit):
+def _damage_lines(artifact, edit):
     """Damage: replace the lines of ``artifact`` by ``edit(lines)`` and
-    record its new digest as ``stage``'s."""
+    record its new digest as the one its stage wrote."""
 
     def damage(tmp_path):
         path = tmp_path / "artifacts" / artifact
         path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
-        _record_digest(tmp_path, stage, path)
+        _record_digest(tmp_path, path)
 
     return damage
 
 
 def _damage_store(edit):
-    return _damage_lines("graphs.ndjson", "build-graphs", edit)
+    return _damage_lines("graphs.ndjson", edit)
 
 
 def _damage_actions(edit):
-    return _damage_lines("actions.ndjson", "ingest", edit)
+    return _damage_lines("actions.ndjson", edit)
 
 
 def _edit_line(index, change):
@@ -726,6 +748,20 @@ FAILURE_CASES = {
     "checkpoint-of-other-graphs": (
         lambda tmp, fx: {}, TRAINED, _rebuild_graphs(window_k=5), "evaluate", 3,
         "{art}/model_gcn.ckpt was made from another {art}/graphs.ndjson; run train again"),
+    # the other variant's run records its own files; gcn's records stay
+    "checkpoint-of-other-graphs-after-gat": (
+        lambda tmp, fx: {}, TRAINED,
+        _in_turn(_run_again("train", _as_variant("gat")), _rebuild_graphs(window_k=5)), "evaluate", 3,
+        "{art}/model_gcn.ckpt was made from another {art}/graphs.ndjson; run train again"),
+    "outputs-of-other-graphs-after-gat": (
+        lambda tmp, fx: {}, TRAINED + ["evaluate"],
+        _in_turn(
+            _run_again("train", _as_variant("gat")),
+            _run_again("evaluate", _as_variant("gat")),
+            _rebuild_graphs(append_centrality_features=True),
+        ),
+        "attribute", 3,
+        "{art}/outputs_gcn was made from another {art}/graphs.ndjson; run evaluate again"),
     "grid-of-other-actions": (
         lambda tmp, fx: {}, TRAINED[:3], _run_again("ingest", _one_match), "build-graphs", 3,
         "{art}/xt_grid.json was made from another {art}/actions.ndjson; run xt-fit again"),
@@ -910,7 +946,7 @@ def test_checkpoint_of_the_per_head_layout_is_trained_again(
     cli.run_pipeline(cfg, ALL_STAGES[:5])
     outputs = ap["outputs"].read_bytes()
     _split_heads(ap["checkpoint"], cfg.model.n_heads)
-    _record_digest(tmp_path, "train", ap["checkpoint"])
+    _record_digest(tmp_path, ap["checkpoint"])
     monkeypatch.undo()
 
     caplog.clear()

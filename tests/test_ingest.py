@@ -476,6 +476,23 @@ class TestFetch:
         assert again == paths
         assert down.calls == 0
 
+    def test_index_ids_may_be_strings_of_integers(self, tmp_path):
+        files = {
+            self.index_url(): json.dumps([{"match_id": "12"}, {"match_id": 11}]),
+            f"{ingest.OPEN_DATA_BASE}/events/11.json": "[]",
+            f"{ingest.OPEN_DATA_BASE}/events/12.json": "[]",
+        }
+        paths = ingest.fetch_open_data(2, 27, tmp_path, session=FakeSession(files))
+        assert [p.name for p in paths] == ["11.json", "12.json"]
+
+    @pytest.mark.parametrize("mid", ["twelve", "", 12.0, None, True, [12]])
+    def test_index_id_not_an_integer_named(self, tmp_path, mid):
+        files = {self.index_url(): json.dumps([{"match_id": 11}, {"match_id": mid}])}
+        session = FakeSession(files)
+        with pytest.raises(ingest.SchemaError, match="matches_2_27.json: not a JSON array"):
+            ingest.fetch_open_data(2, 27, tmp_path, session=session)
+        assert session.calls == 1
+
     def test_corrupted_cache_file_named(self, tmp_path):
         files = {self.index_url(): json.dumps([{"match_id": 7}])}
         (tmp_path / "events").mkdir(parents=True)
