@@ -178,11 +178,19 @@ def parse_config(data: dict) -> RunConfig:
     cfg = _overlay(defaults, defaults._as_json(), data, "")
     g, m, t = cfg.grid, cfg.model, cfg.training
     _require(1 <= g.n_x <= 200 and 1 <= g.n_y <= 200, "grid: n_x, n_y must be in [1, 200]")
+    _require(
+        g.n_x * g.n_y <= xt.MAX_ZONES,
+        f"grid: n_x * n_y must be at most {xt.MAX_ZONES} zones, got {g.n_x * g.n_y}",
+    )
     _require(0.0 < g.tol < 1.0, "grid.tol must be in (0, 1)")
     _require(cfg.window_k is None or 0 <= cfg.window_k <= 50, "window_k must be in [0, 50]")
-    _require(m.hidden_dim >= 1, "model.hidden_dim must be >= 1")
-    _require(m.n_layers >= 1, "model.n_layers must be >= 1")
-    _require(len(m.edge_mlp_dims) == 3, "model.edge_mlp_dims must have 3 entries")
+    for key in ("hidden_dim", "n_layers", "n_heads", "ffn_dim", "head_hidden_dim", "role_embedding_dim"):
+        _require(getattr(m, key) >= 1, f"model.{key} must be >= 1")
+    d_e = graphs_mod.EDGE_FEATURE_DIM
+    _require(
+        len(m.edge_mlp_dims) == 3 and m.edge_mlp_dims[0] == d_e and min(m.edge_mlp_dims[1:]) >= 1,
+        f"model.edge_mlp_dims must be [{d_e}, >= 1, >= 1]",
+    )
     _require(t.lr > 0, "training.lr must be > 0")
     _require(t.weight_decay >= 0, "training.weight_decay must be >= 0")
     _require(1 <= t.epochs <= 1000, "training.epochs must be in [1, 1000]")

@@ -40,7 +40,8 @@ def _draw(seed: int, stream: str, shape, scheme: str) -> np.ndarray:
 
 
 class ParamSet:
-    """Named trainable tensors, each drawn from ``seed`` when it is added.
+    """Named trainable tensors, each drawn from ``seed`` when it is added,
+    or all taken from a stored state by ``from_state``.
 
     Shapes are fixed at construction; ``load_state`` copies values in place
     so optimizer moment buffers stay aligned.
@@ -79,22 +80,41 @@ class ParamSet:
     def state(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
+    @classmethod
+    def from_state(cls, seed: int, shapes: dict, state: dict[str, np.ndarray]) -> "ParamSet":
+        """The parameters ``shapes`` names (name -> shape), in its order, each
+        value copied from ``state``, which must hold exactly these; nothing
+        is drawn."""
+        p = cls(seed)
+        for name, arr in _checked_state(shapes, state).items():
+            p._params[name] = Tensor(arr.copy(), requires_grad=True)
+        return p
+
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Take every value from ``state``, which must hold exactly these
         parameters, each of its shape."""
-        missing = self._params.keys() - state.keys()
-        if missing:
-            raise ValueError(f"state missing parameters: {sorted(missing)}")
-        unknown = state.keys() - self._params.keys()
-        if unknown:
-            raise ValueError(f"state holds unknown parameters: {sorted(unknown)}")
-        for name, t in self._params.items():
-            arr = np.asarray(state[name], dtype=np.float64)
-            if arr.shape != t.data.shape:
-                raise ShapeError(
-                    f"parameter {name}: stored {arr.shape}, expected {t.data.shape}"
-                )
-            t.data = arr.copy()
+        shapes = {name: t.data.shape for name, t in self._params.items()}
+        for name, arr in _checked_state(shapes, state).items():
+            self._params[name].data = arr.copy()
+
+
+def _checked_state(shapes: dict, state: dict) -> dict[str, np.ndarray]:
+    """The arrays of ``state`` as float64, in the order of ``shapes``
+    (name -> shape); ``state`` must name exactly those parameters, each of
+    its shape."""
+    missing = shapes.keys() - state.keys()
+    if missing:
+        raise ValueError(f"state missing parameters: {sorted(missing)}")
+    unknown = state.keys() - shapes.keys()
+    if unknown:
+        raise ValueError(f"state holds unknown parameters: {sorted(unknown)}")
+    arrays = {}
+    for name, shape in shapes.items():
+        arr = np.asarray(state[name], dtype=np.float64)
+        if arr.shape != tuple(shape):
+            raise ShapeError(f"parameter {name}: stored {arr.shape}, expected {tuple(shape)}")
+        arrays[name] = arr
+    return arrays
 
 
 # Adam's moment decay rates and denominator guard

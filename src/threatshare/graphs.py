@@ -30,8 +30,14 @@ from typing import NamedTuple
 import numpy as np
 
 from threatshare import credit
-from threatshare.ingest import PASS_LIKE_SPADL, PITCH_LENGTH, PITCH_WIDTH, SPADL_ACTION_TYPES
-from threatshare.xt import XtLabel, label_stream
+from threatshare.ingest import (
+    PASS_LIKE_SPADL,
+    PITCH_LENGTH,
+    PITCH_WIDTH,
+    SPADL_ACTION_TYPES,
+    action_columns,
+)
+from threatshare.xt import label_stream
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +97,7 @@ def infer_recipients(actions) -> list:
     return recipients
 
 
-def encode_edges(actions, labels: list[XtLabel], clock: np.ndarray) -> np.ndarray:
+def encode_edges(actions, xt_value, delta_xt, clock: np.ndarray) -> np.ndarray:
     """Edge rows of one match stream, shape (N, 10), one row per action.
 
     Slots: 0 type index / vocabulary size; 1 result (1 success, 0 fail);
@@ -99,26 +105,25 @@ def encode_edges(actions, labels: list[XtLabel], clock: np.ndarray) -> np.ndarra
     size; 6 end-zone xT; 7 labeled xT change; 8 match clock / 5400;
     9 gap to the window's newest action, clipped at 60 s and scaled to
     [0, 1]. Slot 9 depends on the window, so it is 0 here and each graph
-    fills it for its own slice.
+    fills it for its own slice. ``xt_value`` and ``delta_xt`` are the
+    ``label_stream`` arrays of the stream, ``clock`` each action's match clock.
     """
-    return np.array(
+    cols = action_columns(actions)
+    n = len(actions)
+    type_index = np.fromiter(map(_TYPE_INDEX.__getitem__, cols.action_type), np.float64, n)
+    success = np.fromiter(map("success".__eq__, cols.result), np.float64, n)
+    xy = np.array([cols.start_x, cols.start_y, cols.end_x, cols.end_y], dtype=np.float64).T
+    return np.column_stack(
         [
-            (
-                _TYPE_INDEX[a.action_type] / len(SPADL_ACTION_TYPES),
-                1.0 if a.result == "success" else 0.0,
-                a.start_x / PITCH_LENGTH,
-                a.start_y / PITCH_WIDTH,
-                a.end_x / PITCH_LENGTH,
-                a.end_y / PITCH_WIDTH,
-                label.xt_value,
-                label.delta_xt,
-                t / MATCH_NOMINAL_S,
-                0.0,
-            )
-            for a, label, t in zip(actions, labels, clock)
-        ],
-        dtype=np.float64,
-    ).reshape(-1, EDGE_FEATURE_DIM)
+            type_index / len(SPADL_ACTION_TYPES),
+            success,
+            xy / (PITCH_LENGTH, PITCH_WIDTH, PITCH_LENGTH, PITCH_WIDTH),
+            xt_value,
+            delta_xt,
+            clock / MATCH_NOMINAL_S,
+            np.zeros(n),
+        ]
+    )
 
 
 def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
@@ -139,14 +144,16 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
     """
     if k < 0:
         raise ValueError("window size k must be >= 0")
-    labels = label_stream(actions, grid)
+    xt_value, delta_xt, cross_team = label_stream(actions, grid)
     recipients = infer_recipients(actions)
     extra = {}
     if centrality:
         pg = credit.build_passing_graph(actions, recipients)
         extra = credit.normalized_centrality_features(credit.centralities(pg), len(pg.nodes))
-    clock = np.array([(a.period - 1) * HALF_NOMINAL_S + a.time_s for a in actions])
-    edge_rows = encode_edges(actions, labels, clock)
+    cols = action_columns(actions)
+    period = np.asarray(cols.period, dtype=np.float64)
+    clock = (period - 1) * HALF_NOMINAL_S + np.asarray(cols.time_s, dtype=np.float64)
+    edge_rows = encode_edges(actions, xt_value, delta_xt, clock)
 
     if stats:
         mean_vec = np.array(list(stats.values()), dtype=np.float64).mean(axis=0)
@@ -173,9 +180,9 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
     n_imputed = (members & imputed).sum(axis=1).tolist()
     events = [
         (
-            label.event_id,
-            label.delta_xt,
-            label.cross_team,
+            f"{a.game_id}:{index}",
+            delta,
+            cross,
             {
                 "match_id": a.game_id,
                 "event_index": index,
@@ -186,7 +193,9 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
                 "clock": t,
             },
         )
-        for index, (a, label, n, t) in enumerate(zip(actions, labels, n_imputed, clock.tolist()))
+        for index, (a, delta, cross, n, t) in enumerate(
+            zip(actions, delta_xt.tolist(), cross_team.tolist(), n_imputed, clock.tolist())
+        )
     ]
     return match_windows(players, player_rows, role_codes, src, dst, members, edge_rows, events, k)
 

@@ -17,8 +17,9 @@ import logging
 import math
 import operator
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -127,8 +128,7 @@ class FetchError(RuntimeError):
     """Open-data download failed and the cache cannot cover it."""
 
 
-@dataclass(frozen=True)
-class RawEvent:
+class RawEvent(NamedTuple):
     """One on-the-ball event in canonical units (meters, match seconds)."""
 
     event_id: str
@@ -144,8 +144,7 @@ class RawEvent:
     recipient_id: int | None = None
 
 
-@dataclass(frozen=True)
-class SpadlAction:
+class SpadlAction(NamedTuple):
     """One SPADL row; exactly the 12 canonical attributes, nothing else."""
 
     game_id: int
@@ -162,15 +161,15 @@ class SpadlAction:
     end_y: float
 
 
-SPADL_ATTRIBUTE_COUNT = len(fields(SpadlAction))
+SPADL_ATTRIBUTE_COUNT = len(SpadlAction._fields)
 assert SPADL_ATTRIBUTE_COUNT == 12
 
 # The codec of actions.ndjson: one encoder and one decoder for the whole
 # file; keys are written in sorted order and read back in field order.
-_ACTION_FIELDS = tuple(fl.name for fl in fields(SpadlAction))
-_ACTION_KEYS = tuple(sorted(_ACTION_FIELDS))
-_ACTION_KEY_SET = frozenset(_ACTION_FIELDS)
-_ACTION_VALUES = operator.itemgetter(*_ACTION_FIELDS)
+_ACTION_KEYS = tuple(sorted(SpadlAction._fields))
+_ACTION_KEY_SET = frozenset(SpadlAction._fields)
+_ACTION_VALUES = operator.itemgetter(*SpadlAction._fields)  # a record's values, in field order
+_KEYED_VALUES = operator.itemgetter(*map(SpadlAction._fields.index, _ACTION_KEYS))  # an action's, in key order
 _ACTION_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _ACTION_DECODER = json.JSONDecoder()
 # the values a row must hold: 64-bit ints (not bools), finite numbers, SPADL words
@@ -181,8 +180,7 @@ _SPADL_TYPE_SET = frozenset(SPADL_ACTION_TYPES)
 _SPADL_RESULTS = frozenset({"success", "fail"})
 
 
-@dataclass(frozen=True)
-class PlayerSeasonStats:
+class PlayerSeasonStats(NamedTuple):
     """Season aggregates for one player: the ten node statistics plus minutes."""
 
     player_id: int
@@ -504,18 +502,18 @@ def to_spadl(events) -> list[SpadlAction]:
     for e in events:
         actions.append(
             SpadlAction(
-                game_id=e.match_id,
-                period=e.period,
-                time_s=e.timestamp_s - period_base[e.period],
-                team_id=e.team_id,
-                player_id=e.player_id,
-                action_type=_SPADL_TYPE_MAP[e.event_type],
-                body_part=DEFAULT_BODY_PART,
-                result="success" if e.outcome == "success" else "fail",
-                start_x=e.start_xy[0],
-                start_y=e.start_xy[1],
-                end_x=e.end_xy[0],
-                end_y=e.end_xy[1],
+                e.match_id,
+                e.period,
+                e.timestamp_s - period_base[e.period],
+                e.team_id,
+                e.player_id,
+                _SPADL_TYPE_MAP[e.event_type],
+                DEFAULT_BODY_PART,
+                "success" if e.outcome == "success" else "fail",
+                e.start_xy[0],
+                e.start_xy[1],
+                e.end_xy[0],
+                e.end_xy[1],
             )
         )
     return actions
@@ -528,7 +526,7 @@ def write_actions(actions, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         for a in actions:
-            f.write(_ACTION_ENCODER.encode({n: getattr(a, n) for n in _ACTION_KEYS}))
+            f.write(_ACTION_ENCODER.encode(dict(zip(_ACTION_KEYS, _KEYED_VALUES(a)))))
             f.write("\n")
 
 
@@ -582,6 +580,14 @@ def read_actions(path) -> list[SpadlAction]:
                 raise SchemaError(f"{path}:{line_no}: {problem}")
             actions.append(SpadlAction(*_ACTION_VALUES(record)))
     return actions
+
+
+def action_columns(actions) -> SpadlAction:
+    """The actions field by field: a SpadlAction each of whose fields is
+    the tuple of that field's values, in action order."""
+    if not actions:
+        return SpadlAction._make([()] * SPADL_ATTRIBUTE_COUNT)
+    return SpadlAction._make(zip(*actions))
 
 
 def group_by_match(actions) -> dict[int, list[SpadlAction]]:

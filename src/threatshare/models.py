@@ -81,7 +81,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant in ("gat", "transformer") and self.hidden_dim % self.n_heads:
+        # a head count below 1 is the config check's to name
+        if self.variant in ("gat", "transformer") and self.n_heads >= 1 and self.hidden_dim % self.n_heads:
             raise ValueError(
                 f"n_heads={self.n_heads} must divide hidden_dim={self.hidden_dim}"
             )
@@ -110,54 +111,62 @@ class TrainingConfig:
 # ── parameter construction ────────────────────────────────────────────────
 
 
-def init_model(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
-    """Every trainable tensor of the variant, drawn from ``cfg.seed``."""
-    p = dc.ParamSet(cfg.seed)
+def _declared(cfg: ModelConfig, d_node: int):
+    """Every trainable tensor of the variant, in order, as the arguments of
+    ``ParamSet.add``: name, shape, init scheme and, for a tensor of several
+    attention heads, the head count."""
     d_e, m1, m2 = cfg.edge_mlp_dims
-    p.add("edge_mlp.W1", (d_e, m1), "xavier")
-    p.add("edge_mlp.b1", (1, m1), "zeros")
-    p.add("edge_mlp.W2", (m1, m2), "xavier")
-    p.add("edge_mlp.b2", (1, m2), "zeros")
+    yield "edge_mlp.W1", (d_e, m1), "xavier"
+    yield "edge_mlp.b1", (1, m1), "zeros"
+    yield "edge_mlp.W2", (m1, m2), "xavier"
+    yield "edge_mlp.b2", (1, m2), "zeros"
 
     h = cfg.hidden_dim
-    p.add("head.W1", (h, cfg.head_hidden_dim), "xavier")
-    p.add("head.b1", (1, cfg.head_hidden_dim), "zeros")
-    p.add("head.W2", (cfg.head_hidden_dim, 1), "xavier")
-    p.add("head.b2", (1, 1), "zeros")
+    yield "head.W1", (h, cfg.head_hidden_dim), "xavier"
+    yield "head.b1", (1, cfg.head_hidden_dim), "zeros"
+    yield "head.W2", (cfg.head_hidden_dim, 1), "xavier"
+    yield "head.b2", (1, 1), "zeros"
 
     if cfg.variant == "gcn":
         d_in = d_node + m2
         for layer in range(cfg.n_layers):
-            p.add(f"gcn.L{layer}.W", (d_in, h), "kaiming")
-            p.add(f"gcn.L{layer}.b", (1, h), "zeros")
+            yield f"gcn.L{layer}.W", (d_in, h), "kaiming"
+            yield f"gcn.L{layer}.b", (1, h), "zeros"
             d_in = h
     elif cfg.variant == "gat":
         d_in = d_node + m2
         heads = cfg.n_heads
         for layer in range(cfg.n_layers):
-            p.add(f"gat.L{layer}.W", (d_in, h), "kaiming", heads)
+            yield f"gat.L{layer}.W", (d_in, h), "kaiming", heads
             # column m: head m's attention vector, source half first
-            p.add(f"gat.L{layer}.a", (2 * cfg.head_dim, heads), "kaiming", heads)
+            yield f"gat.L{layer}.a", (2 * cfg.head_dim, heads), "kaiming", heads
             d_in = h
     else:
-        p.add("pos.roles", (N_ROLES, cfg.role_embedding_dim), "xavier")
-        p.add("pos.coords", (2, cfg.role_embedding_dim), "xavier")
-        p.add("input.W", (d_node + cfg.role_embedding_dim, h), "xavier")
-        p.add("input.b", (1, h), "zeros")
+        yield "pos.roles", (N_ROLES, cfg.role_embedding_dim), "xavier"
+        yield "pos.coords", (2, cfg.role_embedding_dim), "xavier"
+        yield "input.W", (d_node + cfg.role_embedding_dim, h), "xavier"
+        yield "input.b", (1, h), "zeros"
         heads = cfg.n_heads
         for layer in range(cfg.n_layers):
             for w in ("Wq", "Wk", "Wv"):
-                p.add(f"tf.L{layer}.{w}", (h, h), "kaiming", heads)
-            p.add(f"tf.L{layer}.rel_w", (cfg.edge_out_dim, heads), "kaiming", heads)
-            p.add(f"tf.L{layer}.rel_noedge", (1, heads), "zeros", heads)
-            p.add(f"tf.L{layer}.ln1.gain", (1, h), "ones")
-            p.add(f"tf.L{layer}.ln1.bias", (1, h), "zeros")
-            p.add(f"tf.L{layer}.ffn.W1", (h, cfg.ffn_dim), "xavier")
-            p.add(f"tf.L{layer}.ffn.b1", (1, cfg.ffn_dim), "zeros")
-            p.add(f"tf.L{layer}.ffn.W2", (cfg.ffn_dim, h), "xavier")
-            p.add(f"tf.L{layer}.ffn.b2", (1, h), "zeros")
-            p.add(f"tf.L{layer}.ln2.gain", (1, h), "ones")
-            p.add(f"tf.L{layer}.ln2.bias", (1, h), "zeros")
+                yield f"tf.L{layer}.{w}", (h, h), "kaiming", heads
+            yield f"tf.L{layer}.rel_w", (cfg.edge_out_dim, heads), "kaiming", heads
+            yield f"tf.L{layer}.rel_noedge", (1, heads), "zeros", heads
+            yield f"tf.L{layer}.ln1.gain", (1, h), "ones"
+            yield f"tf.L{layer}.ln1.bias", (1, h), "zeros"
+            yield f"tf.L{layer}.ffn.W1", (h, cfg.ffn_dim), "xavier"
+            yield f"tf.L{layer}.ffn.b1", (1, cfg.ffn_dim), "zeros"
+            yield f"tf.L{layer}.ffn.W2", (cfg.ffn_dim, h), "xavier"
+            yield f"tf.L{layer}.ffn.b2", (1, h), "zeros"
+            yield f"tf.L{layer}.ln2.gain", (1, h), "ones"
+            yield f"tf.L{layer}.ln2.bias", (1, h), "zeros"
+
+
+def init_model(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
+    """Every trainable tensor of the variant, drawn from ``cfg.seed``."""
+    p = dc.ParamSet(cfg.seed)
+    for spec in _declared(cfg, d_node):
+        p.add(*spec)
     return p
 
 
@@ -421,8 +430,8 @@ class Checkpoint:
         raw_cfg = dict(manifest["model_cfg"])
         raw_cfg["edge_mlp_dims"] = tuple(raw_cfg["edge_mlp_dims"])
         model_cfg = ModelConfig(**raw_cfg)
-        params = init_model(model_cfg, manifest["d_node"])
-        params.load_state(arrays)
+        shapes = {name: shape for name, shape, *_ in _declared(model_cfg, manifest["d_node"])}
+        params = dc.ParamSet.from_state(model_cfg.seed, shapes, arrays)
         return cls(model_cfg=model_cfg, d_node=manifest["d_node"], params=params)
 
 

@@ -9,7 +9,6 @@ import itertools
 import json
 import os
 import time
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -141,6 +140,17 @@ def test_criterion_04_permutation():
 # ── 5. threat-change labeling ─────────────────────────────────────────────
 
 
+def delta_label(cur, prev, same):
+    """The labelled change of an action ending in a zone worth ``cur`` after
+    one ending in a zone worth ``prev``, by the same team or the other."""
+    grid = xt.XtGrid(n_x=2, n_y=1, value=np.array([prev, cur]))
+    actions = [
+        ingest.SpadlAction(1, 1, 0.0, 1, 1, "pass", "foot", "success", 10.0, 34.0, 10.0, 34.0),
+        ingest.SpadlAction(1, 1, 1.0, 1 if same else 2, 2, "pass", "foot", "success", 10.0, 34.0, 80.0, 34.0),
+    ]
+    return xt.label_stream(actions, grid)[1][1]
+
+
 @given(
     prev=st.floats(min_value=0.0, max_value=1.0),
     cur=st.floats(min_value=0.0, max_value=1.0),
@@ -148,14 +158,13 @@ def test_criterion_04_permutation():
 )
 @settings(max_examples=500, deadline=None)
 def test_criterion_05_delta_labeling_property(prev, cur, same):
-    label = xt.label_delta_xt("e", 1, cur, 1 if same else 2, prev)
-    assert label.delta_xt == (cur - prev if same else cur + prev)
+    assert delta_label(cur, prev, same) == (cur - prev if same else cur + prev)
 
 
 def test_criterion_05_delta_labeling_worked_examples():
-    assert xt.label_delta_xt("e", 1, 0.05, 1, 0.02).delta_xt == pytest.approx(0.03)
-    assert xt.label_delta_xt("e", 1, 0.05, 2, 0.02).delta_xt == pytest.approx(0.07)
-    assert xt.label_delta_xt("e", 1, 0.04, 1, 0.04).delta_xt == 0.0
+    assert delta_label(0.05, 0.02, True) == pytest.approx(0.03)
+    assert delta_label(0.05, 0.02, False) == pytest.approx(0.07)
+    assert delta_label(0.04, 0.04, True) == 0.0
     report(5, "two-branch formula reproduced exhaustively; worked examples hold")
 
 
@@ -318,7 +327,7 @@ def test_criterion_10_ingest(fixture_dir, tmp_path):
             actions.extend(ingest.to_spadl(ingest.parse_events(path).events))
         assert actions
         for a in actions:
-            assert len(asdict(a)) == 12
+            assert len(a._asdict()) == 12
         out = tmp_path / f"run{run}.ndjson"
         ingest.write_actions(actions, out)
         outputs.append(out.read_bytes())

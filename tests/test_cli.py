@@ -691,6 +691,27 @@ FAILURE_CASES = {
     "scalar-edge-mlp-dims": (
         lambda tmp, fx: {"model": {"edge_mlp_dims": 5}}, [], None, "ingest", 2,
         "model.edge_mlp_dims"),
+    # model widths out of range: each used to end in a traceback or train a zero-width layer
+    "negative-head-count": (
+        lambda tmp, fx: {"model": {"variant": "transformer", "n_heads": -4}}, [], None, "ingest", 2,
+        "model.n_heads must be >= 1"),
+    "negative-role-embedding": (
+        lambda tmp, fx: {"model": {"variant": "transformer", "role_embedding_dim": -1}}, [], None,
+        "ingest", 2, "model.role_embedding_dim must be >= 1"),
+    "edge-mlp-input-not-the-edge-width": (
+        lambda tmp, fx: {"model": {"edge_mlp_dims": [5, 32, 16]}}, [], None, "ingest", 2,
+        "model.edge_mlp_dims must be [10, >= 1, >= 1]"),
+    "edge-mlp-zero-width": (
+        lambda tmp, fx: {"model": {"edge_mlp_dims": [10, 0, 16]}}, [], None, "ingest", 2,
+        "model.edge_mlp_dims must be [10, >= 1, >= 1]"),
+    "zero-ffn-width": (
+        lambda tmp, fx: {"model": {"ffn_dim": 0}}, [], None, "ingest", 2, "model.ffn_dim must be >= 1"),
+    "zero-head-width": (
+        lambda tmp, fx: {"model": {"head_hidden_dim": 0}}, [], None, "ingest", 2,
+        "model.head_hidden_dim must be >= 1"),
+    "grid-over-the-zone-bound": (
+        lambda tmp, fx: {"grid": {"n_x": 200, "n_y": 200}}, [], None, "ingest", 2,
+        "grid: n_x * n_y must be at most 2500 zones, got 40000"),
     "unknown-key": (lambda tmp, fx: {"nope": 1}, [], None, "ingest", 2, "'nope'"),
     "missing-config": (lambda tmp, fx: tmp / "absent.json", [], None, "ingest", 2, "absent.json"),
     "config-a-directory": (
@@ -852,6 +873,15 @@ def test_failures_exit_with_their_code_and_one_line(case, tmp_path, fixture_dir,
     manifest = json.loads((tmp_path / "artifacts" / "manifest.json").read_text())
     assert set(manifest["stages"]) == {stage}
     assert (tmp_path / "artifacts" / "graphs.ndjson").read_bytes() == graphs_before
+
+
+def test_grid_over_the_zone_bound_exits_before_any_fit(tmp_path, fixture_dir, monkeypatch):
+    assert cli.main(["--config", str(write_config(tmp_path, fixture_dir)), "--quiet", "ingest"]) == 0
+    fits = []
+    monkeypatch.setattr(cli.xt, "fit_grid", lambda *args, **kwargs: fits.append(args))
+    config = write_config(tmp_path, fixture_dir, {"grid": {"n_x": 200, "n_y": 200}}, name="big.json")
+    assert cli.main(["--config", str(config), "--quiet", "xt-fit"]) == 2
+    assert fits == []
 
 
 # artifact, the stage that reads it, the stage that writes it

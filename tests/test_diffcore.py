@@ -385,6 +385,21 @@ class TestInit:
         p.load_state({k: v + 1.0 for k, v in state.items()})
         np.testing.assert_array_equal(p["ln.gain"].data, np.full((1, 8), 2.0))
 
+    def test_from_state_takes_exactly_the_named_parameters(self):
+        state = self.make_params(seed=2).state()
+        shapes = {name: value.shape for name, value in state.items()}
+        with pytest.raises(ValueError, match=r"state missing parameters: \['fc.b'\]"):
+            dc.ParamSet.from_state(2, shapes, {k: v for k, v in state.items() if k != "fc.b"})
+        with pytest.raises(ValueError, match=r"unknown parameters: \['extra'\]"):
+            dc.ParamSet.from_state(2, shapes, {**state, "extra": np.zeros(1)})
+        with pytest.raises(dc.ShapeError, match="fc.b"):
+            dc.ParamSet.from_state(2, shapes, {**state, "fc.b": np.zeros((256, 1))})
+        p = dc.ParamSet.from_state(2, shapes, state)
+        assert [name for name, _ in p.items()] == list(shapes)
+        for name, value in state.items():
+            np.testing.assert_array_equal(p[name].data, value)
+            assert p[name].data is not value
+
 
 class TestAdam:
     def test_first_step_hand_computed(self):

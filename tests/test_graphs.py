@@ -152,12 +152,12 @@ class TestBuildGraph:
 
     def test_label_is_event_delta(self, tiny_grid):
         acts = [action(1, end=(80, 30)), action(2, end=(20, 30))]
-        labels = xt.label_stream(acts, tiny_grid)
+        xt_value, delta_xt, cross_team = xt.label_stream(acts, tiny_grid)
         g = graph_at(acts, 1, 1, stats_for(1, 2), tiny_grid)
-        assert g.label == labels[1].delta_xt
-        assert g.cross_team == labels[1].cross_team
-        assert g.edge_features[-1, DELTA_XT] == labels[1].delta_xt
-        assert g.edge_features[-1, XT] == labels[1].xt_value
+        assert g.label == delta_xt[1]
+        assert g.cross_team == cross_team[1]
+        assert g.edge_features[-1, DELTA_XT] == delta_xt[1]
+        assert g.edge_features[-1, XT] == xt_value[1]
 
 
 class TestEdgeEncoding:
@@ -235,7 +235,8 @@ class TestWindows:
         stream = list(group_by_match(fixture_actions).values())[1]
         recipients = graphs.infer_recipients(stream)
         clock = np.array([(a.period - 1) * graphs.HALF_NOMINAL_S + a.time_s for a in stream])
-        rows = graphs.encode_edges(stream, xt.label_stream(stream, fixture_grid), clock)
+        xt_value, delta_xt, _ = xt.label_stream(stream, fixture_grid)
+        rows = graphs.encode_edges(stream, xt_value, delta_xt, clock)
         built = graphs.build_match_graphs(stream, k, fixture_features, fixture_grid)
         for index, g in enumerate(built):
             window = range(max(0, index - k), index + 1)
@@ -477,6 +478,10 @@ GOLDEN_GRAPHS_SHA256 = {
 # above pin the graph store.
 GOLDEN_ACTIONS_SHA256 = "b5c45c5fd4a78df5781e9b1470e533269b0a361c5fa93285865300b1d6b5ca7b"
 
+# sha256 of xt_grid.json, the grid xt-fit writes for the bundled fixture at the
+# default 16x12 grid. Pins the zone counts and the value solve byte for byte.
+GOLDEN_GRID_SHA256 = "abbd529d90e38269a19fe4513ab38955451ac24a515dc3d6553052f518b5a033"
+
 
 def build_fixture_graphs(tmp_path, fixture_dir, k, centrality,
                          stages=("ingest", "xt-fit", "build-graphs")):
@@ -538,6 +543,14 @@ def test_actions_file_is_byte_identical_to_golden(tmp_path, fixture_dir):
     store = build_fixture_graphs(tmp_path, fixture_dir, 7, False, stages=("ingest",))
     actions = store.with_name("actions.ndjson").read_bytes()
     assert hashlib.sha256(actions).hexdigest() == GOLDEN_ACTIONS_SHA256
+
+
+def test_grid_file_is_byte_identical_to_golden(tmp_path, fixture_dir):
+    import hashlib
+
+    store = build_fixture_graphs(tmp_path, fixture_dir, 7, False, stages=("ingest", "xt-fit"))
+    grid = store.with_name("xt_grid.json").read_bytes()
+    assert hashlib.sha256(grid).hexdigest() == GOLDEN_GRID_SHA256
 
 
 def test_recipient_rule_runs_once_per_match_with_centrality(tmp_path, fixture_dir, monkeypatch):

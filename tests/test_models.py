@@ -756,3 +756,21 @@ class TestEvaluate:
         before = models.forward([g], params, cfg)[0].data.item()
         after = models.forward([g], p2, cfg)[0].data.item()
         assert before == after
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_checkpoint_load_draws_nothing(self, variant, tmp_path, monkeypatch):
+        from threatshare.diffcore import optim
+
+        cfg = models.ModelConfig(variant=variant, seed=9)
+        params = models.init_model(cfg, D_NODE)
+        models.Checkpoint(model_cfg=cfg, d_node=D_NODE, params=params).save(tmp_path / "model.ckpt")
+
+        def forbidden(*args):
+            raise AssertionError("a stored parameter was drawn")
+
+        monkeypatch.setattr(optim, "_draw", forbidden)
+        loaded = models.Checkpoint.load(tmp_path / "model.ckpt").params
+        assert [name for name, _ in loaded.items()] == [name for name, _ in params.items()]
+        for name, t in params.items():
+            np.testing.assert_array_equal(loaded[name].data, t.data)
+            assert loaded[name].requires_grad
