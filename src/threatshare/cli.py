@@ -48,6 +48,7 @@ EXIT_NUMERIC = 4
 
 DEFAULT_K = {"gcn": 7, "gat": 7, "transformer": 5}
 DEFAULT_ABLATION_K = (1, 3, 5, 7, 9)
+MAX_WINDOW_K = 50
 
 # What ``outputs_<variant>`` and ``graphs.ndjson`` hold; part of evaluate's
 # and build-graphs' manifest keys, so artifacts of an earlier layout are
@@ -183,7 +184,10 @@ def parse_config(data: dict) -> RunConfig:
         f"grid: n_x * n_y must be at most {xt.MAX_ZONES} zones, got {g.n_x * g.n_y}",
     )
     _require(0.0 < g.tol < 1.0, "grid.tol must be in (0, 1)")
-    _require(cfg.window_k is None or 0 <= cfg.window_k <= 50, "window_k must be in [0, 50]")
+    _require(
+        cfg.window_k is None or 0 <= cfg.window_k <= MAX_WINDOW_K,
+        f"window_k must be in [0, {MAX_WINDOW_K}]",
+    )
     for key in ("hidden_dim", "n_layers", "n_heads", "ffn_dim", "head_hidden_dim", "role_embedding_dim"):
         _require(getattr(m, key) >= 1, f"model.{key} must be >= 1")
     d_e = graphs_mod.EDGE_FEATURE_DIM
@@ -544,19 +548,6 @@ def _load_outputs(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return arrays["predictions"], arrays["norms"]
 
 
-def _player_teams(events) -> dict:
-    """Each actor's team: the one it acted for most often, ties to the lower id."""
-    counts: dict = {}
-    for e in events:
-        pid, team = e.meta["actor_id"], e.meta["actor_team"]
-        counts.setdefault(pid, {}).setdefault(team, 0)
-        counts[pid][team] += 1
-    return {
-        pid: max(teams.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        for pid, teams in counts.items()
-    }
-
-
 def _stage_attribute(cfg: RunConfig) -> list[Path]:
     ap = artifact_paths(cfg)
     predictions, norms = _read(cfg, "outputs", _load_outputs)
@@ -570,32 +561,27 @@ def _stage_attribute(cfg: RunConfig) -> list[Path]:
                 f"unreadable {ap['outputs']} ({name}: {values.size} entries for {n} {unit}); "
                 "run evaluate again"
             )
-    stats_raw = ingest.load_player_stats(cfg.paths.stats_csv)
-    ledger = credit.build_ledger(
+    shares, players, _ = credit.build_ledger(
         events,
         predictions,
         norms,
         source=cfg.attribution_source,
-        stats=stats_raw,
-        player_team=_player_teams(events),
+        stats=ingest.load_player_stats(cfg.paths.stats_csv),
         negative_mode=cfg.negative_share_mode,
     )
 
+    keys = [(e.event_id, pid, int(e.cross_team)) for e in events for pid in e.node_ids]
     share_lines = ["event_id,player_id,share,cross_team"]
-    for (event_id, pid), share in sorted(ledger.shares.items()):
-        cross = int(ledger.event_cross_team.get(event_id, False))
+    for (event_id, pid, cross), share in sorted(zip(keys, shares.tolist())):
         share_lines.append(f"{event_id},{pid},{share!r},{cross}")
     _write_text(ap["shares"], "\n".join(share_lines) + "\n")
 
     total_lines = ["player_id,team_id,total,per90,matches,minutes"]
-    for pid in sorted(ledger.player_total):
-        total_lines.append(
-            f"{pid},{ledger.player_team.get(pid, '')},{ledger.player_total[pid]!r},"
-            f"{ledger.per90(pid)!r},{len(ledger.player_matches.get(pid, ()))},"
-            f"{ledger.player_minutes.get(pid, 0.0)!r}"
-        )
+    for p in players:
+        team = "" if p.team_id is None else p.team_id
+        total_lines.append(f"{p.player_id},{team},{p.total!r},{p.per90!r},{p.matches},{p.minutes!r}")
     _write_text(ap["totals"], "\n".join(total_lines) + "\n")
-    log.info("attribute: %d share rows, %d players", len(ledger.shares), len(ledger.player_total))
+    log.info("attribute: %d share rows, %d players", len(keys), len(players))
     return [ap["shares"], ap["totals"]]
 
 
@@ -617,26 +603,24 @@ def _render_rank_text(title: str, rows) -> list[str]:
     return lines
 
 
-def _load_totals_ledger(path: Path) -> credit.CreditLedger:
-    ledger = credit.CreditLedger()
-    for line in path.read_text().splitlines()[1:]:
-        pid_s, team_s, total_s, _per90, _matches, minutes_s = line.split(",")
-        pid = int(pid_s)
-        ledger.player_total[pid] = float(total_s)
-        ledger.player_team[pid] = int(team_s) if team_s else None
-        ledger.player_minutes[pid] = float(minutes_s)
-    return ledger
+def _load_totals(path: Path) -> list[credit.PlayerTotal]:
+    """The ``PlayerTotal`` rows attribute wrote; an empty team reads as None."""
+    kinds = (int, lambda team: int(team) if team else None, float, float, int, float)
+    return [
+        credit.PlayerTotal(*(kind(v) for kind, v in zip(kinds, line.split(","), strict=True)))
+        for line in path.read_text().splitlines()[1:]
+    ]
 
 
 def _stage_rank(cfg: RunConfig) -> list[Path]:
-    ledger = _read(cfg, "totals", _load_totals_ledger)
+    players = _read(cfg, "totals", _load_totals)
 
     rank_paths = _ranking_paths(cfg)
     written = []
     text_blocks: list[str] = []
     for mode in ("total", "per90"):
         for scope in ("overall", "by_team"):
-            rows = credit.rank(ledger, mode=mode, scope=scope)
+            rows = credit.rank(players, mode=mode, scope=scope)
             lines = ["rank,player_id,team_id,metric"]
             for r in rows:
                 lines.append(f"{r.rank},{r.player_id},{r.team_id},{r.metric!r}")
@@ -784,6 +768,8 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
     k_values = list(k_values)
     if not k_values:
         raise ConfigError("ablate: k_values must be non-empty")
+    for k in k_values:
+        _require(0 <= k <= MAX_WINDOW_K, f"ablate: k_values must be in [0, {MAX_WINDOW_K}], got {k}")
     _require_inputs(STAGES["build-graphs"].inputs(cfg))
 
     cells: dict = {}
@@ -834,20 +820,21 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
 # ── case plots ────────────────────────────────────────────────────────────
 
 
-def load_shares_ledger(path) -> credit.CreditLedger:
-    ledger = credit.CreditLedger()
-    for line in Path(path).read_text().splitlines()[1:]:
-        event_id, pid_s, share_s, cross_s = line.rsplit(",", 3)
-        ledger.shares[(event_id, int(pid_s))] = float(share_s)
-        ledger.event_cross_team[event_id] = bool(int(cross_s))
-    return ledger
+def _load_shares(path: Path) -> dict:
+    """Each ``(event_id, player_id)`` share that attribute wrote."""
+    shares = {}
+    for line in path.read_text().splitlines()[1:]:
+        event_id, pid, share, _cross = line.rsplit(",", 3)
+        shares[(event_id, int(pid))] = float(share)
+    return shares
 
 
 def plot_case(cfg: RunConfig, match_id: int, start: int, end: int, out=None) -> Path:
     """Render the attributed deltas of one in-match action range to SVG."""
     ap = artifact_paths(cfg)
-    _require_inputs(_inputs("actions", "shares")(cfg))
-    ledger = _read(cfg, "shares", load_shares_ledger)
+    inputs = _require_inputs(_inputs("actions", "shares")(cfg))
+    _check_unchanged(_load_manifest(cfg), {p: _sha_file(p) for p in inputs})
+    shares = _read(cfg, "shares", _load_shares)
     stream = ingest.group_by_match(_read(cfg, "actions", ingest.read_actions)).get(match_id)
     if stream is None:
         raise MissingArtifactError(f"match {match_id} not present in {ap['actions']}")
@@ -855,7 +842,10 @@ def plot_case(cfg: RunConfig, match_id: int, start: int, end: int, out=None) -> 
         raise ConfigError(
             f"action range [{start}, {end}] outside match stream of {len(stream)}"
         )
-    rows = credit.case_report(stream[start : end + 1], start, ledger)
+    try:
+        rows = credit.case_report(stream[start : end + 1], start, shares)
+    except KeyError as exc:
+        raise MissingArtifactError(f"{ap['shares']}: {exc.args[0]}; run attribute again") from None
     out = Path(out) if out else cfg.paths.artifacts_dir / f"case_{match_id}_{start}_{end}.svg"
     return _write_atomic(out, lambda tmp: viz.plot_case(rows, tmp))
 

@@ -11,8 +11,9 @@ view and can optionally feed back into node features.
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,34 +22,41 @@ log = logging.getLogger(__name__)
 NEGATIVE_SHARE_MODES = ("prorata", "actor")
 
 
-def attribute(
-    node_ids,
-    norms,
-    delta: float,
-    *,
-    actor=None,
-    negative_mode: str = "prorata",
-) -> tuple[dict[int, float], bool]:
-    """Split ``delta`` over an event graph's players by embedding magnitude.
+def split(norms, sizes, deltas, actor=None) -> tuple[np.ndarray, np.ndarray]:
+    """Split every event's ``delta`` over its nodes by embedding magnitude.
 
-    ``norms`` holds |h_v|, the L2 norm of each node's final embedding, in
-    the order of ``node_ids``: share_v = (|h_v| / sum_u |h_u|) * delta.
-    All-zero embeddings degrade to a uniform split. ``negative_mode="actor"``
-    instead hands a negative delta entirely to the event's acting player
-    ``actor`` (by default the first node). Returns the shares and whether the
-    split fell back to uniform.
+    ``norms`` holds |h_v|, the L2 norm of each node's final embedding, for
+    every event's nodes in turn; ``sizes`` is each event's node count:
+    share_v = (|h_v| / sum_u |h_u|) * delta, summed over the event's own
+    nodes. An event whose norms are all zero is split uniformly. ``actor``,
+    a mask over the nodes marking each event's acting player, instead hands
+    a negative delta entirely to that player (the ``"actor"`` negative-share
+    mode). Returns every node's share and, per event, whether its split fell
+    back to uniform.
     """
-    if negative_mode not in NEGATIVE_SHARE_MODES:
-        raise ValueError(f"unknown negative_mode {negative_mode!r}")
-    node_ids = list(node_ids)
-    if negative_mode == "actor" and delta < 0:
-        actor = node_ids[0] if actor is None else actor
-        return {pid: (delta if pid == actor else 0.0) for pid in node_ids}, False
-
-    total = norms.sum()
-    uniform = total == 0.0
-    weights = np.full(len(node_ids), 1.0 / len(node_ids)) if uniform else norms / total
-    return {pid: float(w * delta) for pid, w in zip(node_ids, weights)}, bool(uniform)
+    norms = np.asarray(norms, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    deltas = np.asarray(deltas, dtype=np.float64)
+    starts = np.cumsum(sizes) - sizes
+    totals = np.empty(len(sizes))
+    # events of one size as the rows of one array: each row sums as its own slice would
+    for n in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == n)
+        totals[rows] = norms[starts[rows, None] + np.arange(n)].sum(axis=1)
+    uniform = totals == 0.0
+    node_uniform = np.repeat(uniform, sizes)
+    weights = np.where(
+        node_uniform,
+        np.repeat(1.0 / sizes, sizes),
+        norms / np.repeat(np.where(uniform, 1.0, totals), sizes),
+    )
+    node_deltas = np.repeat(deltas, sizes)
+    shares = weights * node_deltas
+    if actor is not None:
+        negative = deltas < 0
+        shares = np.where(np.repeat(negative, sizes), np.where(actor, node_deltas, 0.0), shares)
+        uniform &= ~negative
+    return shares, uniform
 
 
 # ── passing-network centralities ──────────────────────────────────────────
@@ -155,30 +163,15 @@ def normalized_centrality_features(report: CentralityReport, n_nodes: int) -> di
 # ── season ledger and rankings ────────────────────────────────────────────
 
 
-@dataclass
-class CreditLedger:
-    """Event-level shares plus season aggregates per player."""
+class PlayerTotal(NamedTuple):
+    """One player's season credit, as ``player_totals.csv`` holds it."""
 
-    shares: dict = field(default_factory=dict)  # (event_id, player_id) -> share
-    event_cross_team: dict = field(default_factory=dict)
-    player_total: dict = field(default_factory=dict)
-    player_team: dict = field(default_factory=dict)
-    player_matches: dict = field(default_factory=dict)  # player -> set of match ids
-    player_minutes: dict = field(default_factory=dict)
-    uniform_fallbacks: int = 0  # events split uniformly: all embeddings were zero
-
-    def add_event(self, event_id, match_id, cross_team, shares: dict) -> None:
-        self.event_cross_team[event_id] = cross_team
-        for pid, share in shares.items():
-            self.shares[(event_id, pid)] = share
-            self.player_total[pid] = self.player_total.get(pid, 0.0) + share
-            self.player_matches.setdefault(pid, set()).add(match_id)
-
-    def per90(self, pid) -> float:
-        minutes = self.player_minutes.get(pid, 0.0)
-        if minutes <= 0:
-            return 0.0
-        return self.player_total.get(pid, 0.0) * 90.0 / minutes
+    player_id: int
+    team_id: int | None  # the team it acted for most often; None if it never acted
+    total: float
+    per90: float
+    matches: int
+    minutes: float
 
 
 def build_ledger(
@@ -188,46 +181,58 @@ def build_ledger(
     *,
     source: str = "predicted",
     stats=None,
-    player_team=None,
     negative_mode: str = "prorata",
-) -> CreditLedger:
-    """Attribute every event and aggregate into a season ledger.
+) -> tuple[np.ndarray, list[PlayerTotal], int]:
+    """Split every event and total the shares per player.
 
     ``events`` are event graphs or the stored events ``graphs.read_events``
-    returns: each has an ``event_id``, ``node_ids``, ``label``, ``cross_team``
-    and a ``meta`` with its ``match_id`` and ``actor_id``. ``predictions``
-    holds the model's delta per event and ``norms`` every event's node
-    embedding norms in turn, as ``evaluate`` stores them in
-    ``outputs_<variant>``. ``source`` picks the delta that gets distributed:
-    the model prediction (default) or the labeled value. Events whose
-    embeddings are all zero fall back to a uniform split; their count is
-    logged once.
+    returns: each has ``node_ids``, a ``label`` and a ``meta`` with its
+    ``match_id``, ``actor_id`` and ``actor_team``. ``predictions`` and
+    ``norms`` are what ``evaluate`` stores in ``outputs_<variant>``: one
+    delta per event, and every event's node embedding norms in turn.
+    ``source`` picks the delta that gets split: the model prediction
+    (default) or the labeled value; ``stats`` gives the minutes for per90.
+
+    Returns every node's share in event order, one ``PlayerTotal`` per
+    player in id order, and how many events fell back to a uniform split
+    (logged once).
     """
     if source not in ("predicted", "labeled"):
         raise ValueError(f"unknown attribution source {source!r}")
-    deltas = predictions.tolist() if source == "predicted" else [e.label for e in events]
-    ledger = CreditLedger()
-    end = 0
-    for e, delta in zip(events, deltas, strict=True):
-        start, end = end, end + len(e.node_ids)
-        shares, uniform = attribute(
-            e.node_ids, norms[start:end], delta,
-            actor=e.meta["actor_id"], negative_mode=negative_mode,
-        )
-        ledger.uniform_fallbacks += uniform
-        ledger.add_event(e.event_id, e.meta["match_id"], e.cross_team, shares)
-    if ledger.uniform_fallbacks:
+    if negative_mode not in NEGATIVE_SHARE_MODES:
+        raise ValueError(f"unknown negative_mode {negative_mode!r}")
+    sizes = np.array([len(e.node_ids) for e in events], dtype=np.int64)
+    node_ids = np.array([pid for e in events for pid in e.node_ids], dtype=np.int64)
+    deltas = predictions if source == "predicted" else [e.label for e in events]
+    actor = None
+    if negative_mode == "actor":
+        actor = node_ids == np.repeat([e.meta["actor_id"] for e in events], sizes)
+    shares, uniform = split(norms, sizes, deltas, actor)
+    fallbacks = int(uniform.sum())
+    if fallbacks:
         log.warning(
             "%d of %d events had all-zero embeddings; their deltas were split uniformly",
-            ledger.uniform_fallbacks,
+            fallbacks,
             len(events),
         )
-    if stats:
-        for pid, s in stats.items():
-            ledger.player_minutes[pid] = s.minutes_played
-    if player_team:
-        ledger.player_team.update(player_team)
-    return ledger
+
+    players = sorted(set(node_ids.tolist()))
+    column = np.searchsorted(players, node_ids)
+    # bincount adds in node order, as a running sum per player would
+    totals = np.bincount(column, weights=shares, minlength=len(players)).tolist()
+    node_matches = np.repeat([e.meta["match_id"] for e in events], sizes)
+    played = [c for c, _ in set(zip(column.tolist(), node_matches.tolist()))]
+    matches = np.bincount(played, minlength=len(players)).tolist()
+    acted = Counter((e.meta["actor_id"], e.meta["actor_team"]) for e in events)
+    # a player's last pair in (count, -team) order: its most frequent team, ties to the lower id
+    by_count = sorted(acted.items(), key=lambda kv: (kv[1], -kv[0][1]))
+    teams = {pid: team for (pid, team), _ in by_count}
+    rows = []
+    for pid, total, n_matches in zip(players, totals, matches):
+        minutes = stats[pid].minutes_played if stats and pid in stats else 0.0
+        per90 = 0.0 if minutes <= 0 else total * 90.0 / minutes
+        rows.append(PlayerTotal(pid, teams.get(pid), total, per90, n_matches, minutes))
+    return shares, rows, fallbacks
 
 
 @dataclass(frozen=True)
@@ -238,8 +243,9 @@ class RankRow:
     metric: float
 
 
-def rank(ledger: CreditLedger, mode: str = "total", scope: str = "overall") -> list[RankRow]:
-    """Order players by season credit; ties break on the lower player id.
+def rank(players, mode: str = "total", scope: str = "overall") -> list[RankRow]:
+    """Order ``PlayerTotal`` rows by their ``total`` or ``per90`` credit;
+    ties break on the lower player id.
 
     ``scope="by_team"`` keeps only the top player of each team, ordered by
     the same metric.
@@ -248,35 +254,26 @@ def rank(ledger: CreditLedger, mode: str = "total", scope: str = "overall") -> l
         raise ValueError(f"unknown rank mode {mode!r}")
     if scope not in ("overall", "by_team"):
         raise ValueError(f"unknown rank scope {scope!r}")
-
-    def metric(pid):
-        return ledger.player_total.get(pid, 0.0) if mode == "total" else ledger.per90(pid)
-
-    players = sorted(ledger.player_total, key=lambda pid: (-metric(pid), pid))
+    ordered = sorted(players, key=lambda p: (-getattr(p, mode), p.player_id))
     if scope == "by_team":
-        seen_teams = set()
-        kept = []
-        for pid in players:
-            team = ledger.player_team.get(pid)
-            if team in seen_teams:
-                continue
-            seen_teams.add(team)
-            kept.append(pid)
-        players = kept
+        top = {}
+        for p in ordered:
+            top.setdefault(p.team_id, p)
+        ordered = list(top.values())
     return [
-        RankRow(rank=i + 1, player_id=pid, team_id=ledger.player_team.get(pid), metric=metric(pid))
-        for i, pid in enumerate(players)
+        RankRow(rank=i + 1, player_id=p.player_id, team_id=p.team_id, metric=getattr(p, mode))
+        for i, p in enumerate(ordered)
     ]
 
 
-def case_report(actions, first_index: int, ledger: CreditLedger):
+def case_report(actions, first_index: int, shares: dict):
     """Attributed threat change of the acting player for each action of one
-    contiguous in-match sequence starting at stream index ``first_index``."""
+    contiguous in-match sequence starting at stream index ``first_index``;
+    ``shares`` maps ``(event_id, player_id)`` to a share."""
     rows = []
     for offset, a in enumerate(actions):
-        event_id = f"{a.game_id}:{first_index + offset}"
-        key = (event_id, a.player_id)
-        if key not in ledger.shares:
-            raise KeyError(f"event {event_id} (player {a.player_id}) not in ledger")
-        rows.append((a, ledger.shares[key]))
+        key = (f"{a.game_id}:{first_index + offset}", a.player_id)
+        if key not in shares:
+            raise KeyError(f"event {key[0]} (player {a.player_id}) has no share")
+        rows.append((a, shares[key]))
     return rows

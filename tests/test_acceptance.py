@@ -98,18 +98,21 @@ def test_criterion_02_attention_normalization():
 
 def test_criterion_03_attribution_conservation():
     rng = np.random.default_rng(303)
-    for i in range(1000):
+    sizes, embeddings, deltas = [], [], []
+    for _ in range(1000):
         n = int(rng.integers(1, 13))
-        graph = random_event_graph(rng, n_nodes=n, event_id=f"attr{i}")
-        emb = rng.normal(size=(n, 8)) * float(rng.uniform(0.01, 5.0))
-        delta = float(rng.uniform(-1.0, 1.0))
+        sizes.append(n)
+        embeddings.append(rng.normal(size=(n, 8)) * float(rng.uniform(0.01, 5.0)))
+        deltas.append(float(rng.uniform(-1.0, 1.0)))
+    emb = np.concatenate(embeddings)
 
-        base = credit.attribute(graph.node_ids, np.linalg.norm(emb, axis=1), delta)[0]
-        assert abs(sum(base.values()) - delta) <= 1e-9
-        for c in (0.1, 10.0):
-            scaled = credit.attribute(graph.node_ids, np.linalg.norm(emb * c, axis=1), delta)[0]
-            for pid in base:
-                assert abs(scaled[pid] - base[pid]) <= 1e-12
+    base = credit.split(np.linalg.norm(emb, axis=1), sizes, deltas)[0]
+    starts = np.cumsum(sizes) - sizes
+    for start, n, delta in zip(starts, sizes, deltas):
+        assert abs(base[start : start + n].sum() - delta) <= 1e-9
+    for c in (0.1, 10.0):
+        scaled = credit.split(np.linalg.norm(emb * c, axis=1), sizes, deltas)[0]
+        assert np.abs(scaled - base).max() <= 1e-12
     report(3, "1000 triples: shares sum to delta (1e-9) and are scale-invariant (1e-12)")
 
 

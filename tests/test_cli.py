@@ -15,6 +15,8 @@ from threatshare import cli, credit, graphs as graphs_mod, ingest, models, viz
 from threatshare.diffcore import checkpoint as ckpt_io
 from threatshare.ingest import SpadlAction
 
+from credit_reference import attribute
+
 FAST_OVERRIDES = {
     "model": {"variant": "gcn", "hidden_dim": 16, "n_heads": 2, "ffn_dim": 32,
               "head_hidden_dim": 8},
@@ -217,34 +219,47 @@ class TestPipeline:
     def test_ledger_from_outputs_matches_one_built_from_the_graphs(
         self, tmp_path, fixture_dir, source, negative_mode
     ):
-        cfg = cli.load_config(write_config(tmp_path, fixture_dir))
-        cli.run_pipeline(cfg, ALL_STAGES[:5])
+        overrides = {"attribution_source": source, "negative_share_mode": negative_mode}
+        cfg = cli.load_config(write_config(tmp_path, fixture_dir, overrides))
+        cli.run_pipeline(cfg, ALL_STAGES[:6])
         ap = cli.artifact_paths(cfg)
         stored_predictions, stored_norms = cli._load_outputs(ap["outputs"])
-        ledger = credit.build_ledger(
+        shares, players, fallbacks = credit.build_ledger(
             graphs_mod.read_events(ap["graphs"]), stored_predictions, stored_norms,
             source=source, negative_mode=negative_mode,
         )
         # the reference: every graph of the store split on its own
         gs = graphs_mod.read_graphs(ap["graphs"])
         predictions, norms = models.evaluate(models.Checkpoint.load(ap["checkpoint"]), gs)
-        reference = credit.CreditLedger()
+        reference_shares, reference_lines = [], []
+        reference_totals, reference_matches = {}, {}
+        reference_fallbacks = 0
         end = 0
         for g, prediction in zip(gs, predictions, strict=True):
             end += g.n_nodes
             delta = float(prediction) if source == "predicted" else g.label
-            shares, uniform = credit.attribute(
+            event_shares, uniform = attribute(
                 g.node_ids, norms[end - g.n_nodes : end], delta,
                 actor=g.meta["actor_id"], negative_mode=negative_mode,
             )
-            reference.uniform_fallbacks += uniform
-            reference.add_event(g.event_id, g.meta["match_id"], g.cross_team, shares)
+            reference_fallbacks += uniform
+            for pid, share in event_shares.items():
+                reference_shares.append(share)
+                reference_lines.append((g.event_id, pid, share, int(g.cross_team)))
+                reference_totals[pid] = reference_totals.get(pid, 0.0) + share
+                reference_matches.setdefault(pid, set()).add(g.meta["match_id"])
         assert end == len(norms)
-        assert ledger.shares == reference.shares
-        assert ledger.player_total == reference.player_total
-        assert ledger.event_cross_team == reference.event_cross_team
-        assert ledger.player_matches == reference.player_matches
-        assert ledger.uniform_fallbacks == reference.uniform_fallbacks
+        assert shares.tolist() == reference_shares
+        assert {p.player_id: p.total for p in players} == reference_totals
+        assert {p.player_id: p.matches for p in players} == {
+            pid: len(matches) for pid, matches in reference_matches.items()
+        }
+        assert fallbacks == reference_fallbacks
+        # what attribute wrote: each share with its event's cross-team flag
+        assert ap["shares"].read_text().splitlines()[1:] == [
+            f"{event_id},{pid},{share!r},{cross}"
+            for event_id, pid, share, cross in sorted(reference_lines)
+        ]
 
     def test_outputs_of_an_earlier_layout_are_rebuilt(self, tmp_path, fixture_dir):
         """Outputs recorded under the evaluate key of an earlier layout are
@@ -629,16 +644,30 @@ def _schema_1_line(g) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _edit_lines(artifact, edit):
+    """Damage: replace the lines of ``artifact`` by ``edit(lines)``."""
+
+    def damage(tmp_path):
+        path = tmp_path / "artifacts" / artifact
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+
+    return damage
+
+
 def _damage_lines(artifact, edit):
     """Damage: replace the lines of ``artifact`` by ``edit(lines)`` and
     record its new digest as the one its stage wrote."""
 
     def damage(tmp_path):
-        path = tmp_path / "artifacts" / artifact
-        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
-        _record_digest(tmp_path, path)
+        _edit_lines(artifact, edit)(tmp_path)
+        _record_digest(tmp_path, tmp_path / "artifacts" / artifact)
 
     return damage
+
+
+def _without_event(event_id):
+    """Edit: the shares.csv lines without those of ``event_id``."""
+    return lambda lines: [line for line in lines if not line.startswith(f"{event_id},")]
 
 
 def _damage_store(edit):
@@ -680,8 +709,9 @@ TRAINED = ["ingest", "xt-fit", "build-graphs", "train"]
 
 
 # (config overrides, or the config path, stages run first, damage done after
-#  them, stage, exit code, text the one ERROR line must hold, "{art}" standing
-#  for the artifacts directory; for exit 0, the one WARNING line)
+#  them, the command and its options, exit code, text the one ERROR line must
+#  hold, "{art}" standing for the artifacts directory; for exit 0, the one
+#  WARNING line)
 FAILURE_CASES = {
     "null-value": (
         lambda tmp, fx: {"grid": {"n_x": None}}, [], None, "ingest", 2, "grid.n_x"),
@@ -841,6 +871,22 @@ FAILURE_CASES = {
         lambda tmp, fx: {}, TRAINED + ["evaluate"],
         _damage_store_under_outputs(_edit_line(5, _edit_meta(actor_team=1001.0))), "attribute", 3,
         "graphs.ndjson:6: meta actor_team 1001.0 is not an integer); run build-graphs again"),
+    # the window sizes a sweep may take are the ones window_k may
+    "ablate-k-negative": (
+        lambda tmp, fx: {}, TRAINED[:2], None, "ablate --k-values=-1", 2,
+        "ablate: k_values must be in [0, 50], got -1"),
+    "ablate-k-over-the-bound": (
+        lambda tmp, fx: {}, TRAINED[:2], None, "ablate --k-values=3,60", 2,
+        "ablate: k_values must be in [0, 50], got 60"),
+    # plot-case refuses an edited input as a stage does, and names who writes a missing share
+    "plot-case-shares-edited": (
+        lambda tmp, fx: {}, ALL_STAGES, _edit_lines("shares.csv", _without_event("9001:12")),
+        "plot-case --match 9001 --start 10 --end 14", 3,
+        "{art}/shares.csv changed since attribute wrote it; run attribute again"),
+    "plot-case-event-missing": (
+        lambda tmp, fx: {}, ALL_STAGES, _damage_lines("shares.csv", _without_event("9001:12")),
+        "plot-case --match 9001 --start 10 --end 14", 3,
+        "{art}/shares.csv: event 9001:12 (player 103) has no share; run attribute again"),
     "store-node-ids-emptied": (
         lambda tmp, fx: {}, TRAINED + ["evaluate"],
         _damage_store_under_outputs(_edit_line(5, _relabel(node_ids=[]))), "attribute", 3,
@@ -860,7 +906,7 @@ def test_failures_exit_with_their_code_and_one_line(case, tmp_path, fixture_dir,
     if damage:
         damage(tmp_path)
     caplog.clear()
-    assert cli.main(["--config", str(config), "--quiet", stage]) == code
+    assert cli.main(["--config", str(config), "--quiet", *stage.split()]) == code
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     if code:
         assert len(errors) == 1 and named in errors[0], errors
@@ -1009,10 +1055,14 @@ def test_player_team_is_the_most_frequent_ties_to_the_lower_id():
     from types import SimpleNamespace
 
     events = [
-        SimpleNamespace(meta={"actor_id": pid, "actor_team": team})
+        SimpleNamespace(
+            node_ids=[pid, 11], label=0.1, meta={"match_id": 1, "actor_id": pid, "actor_team": team}
+        )
         for pid, team in zip([7, 7, 7, 7, 9, 9, 9], [2, 1, 2, 1, 4, 3, 4])
     ]
-    assert cli._player_teams(events) == {7: 1, 9: 4}
+    _, players, _ = credit.build_ledger(events, np.zeros(7), np.ones(14))
+    # a player who never acted has no team
+    assert {p.player_id: p.team_id for p in players} == {7: 1, 9: 4, 11: None}
 
 
 class TestDeterminism:
@@ -1106,12 +1156,12 @@ class TestCasePlot:
         cfg = cli.load_config(config)
         cli.run_pipeline(cfg, ALL_STAGES)
         svg = cli.plot_case(cfg, match_id=9001, start=0, end=3)
-        ledger = cli.load_shares_ledger(cli.artifact_paths(cfg)["shares"])
+        shares = cli._load_shares(cli.artifact_paths(cfg)["shares"])
         from threatshare import ingest
 
         actions = ingest.read_actions(cli.artifact_paths(cfg)["actions"])
         stream = ingest.group_by_match(actions)[9001]
         text = svg.read_text()
         for offset, action in enumerate(stream[0:4]):
-            share = ledger.shares[(f"9001:{offset}", action.player_id)]
+            share = shares[(f"9001:{offset}", action.player_id)]
             assert f"P{action.player_id} {share:+.3f}" in text

@@ -1,6 +1,7 @@
 """Share attribution, passing-network centralities, season rankings."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from threatshare import credit
 from threatshare.ingest import SpadlAction
 
+from credit_reference import attribute
 from graph_factories import random_event_graph
 
 
@@ -18,27 +20,34 @@ def norms(embeddings):
     return np.linalg.norm(np.asarray(embeddings, dtype=np.float64), axis=1)
 
 
+def split_one(norms_, delta, actor=None):
+    """``credit.split`` of a single event: its shares and whether it fell back."""
+    shares, uniform = credit.split(norms_, [len(norms_)], [delta], actor)
+    return shares.tolist(), bool(uniform[0])
+
+
 class TestAttribute:
     def test_norm_ratio_arithmetic(self):
-        shares = credit.attribute([10, 20], norms([[3.0, 0.0], [1.0, 0.0]]), 0.04)[0]
-        assert shares[10] == pytest.approx(0.03)
-        assert shares[20] == pytest.approx(0.01)
+        shares = split_one(norms([[3.0, 0.0], [1.0, 0.0]]), 0.04)[0]
+        assert shares[0] == pytest.approx(0.03)
+        assert shares[1] == pytest.approx(0.01)
 
     def test_single_node_gets_everything(self):
-        assert credit.attribute([5], norms([[1.0, 2.0]]), -0.2)[0] == {5: -0.2}
+        assert split_one(norms([[1.0, 2.0]]), -0.2)[0] == [-0.2]
 
     def test_zero_embeddings_fall_back_to_uniform(self):
-        shares, uniform = credit.attribute([1, 2, 3, 4], norms(np.zeros((4, 8))), 0.08)
+        shares, uniform = split_one(norms(np.zeros((4, 8))), 0.08)
         assert uniform
-        assert all(s == pytest.approx(0.02) for s in shares.values())
+        assert all(s == pytest.approx(0.02) for s in shares)
 
     def test_actor_mode_routes_negative_delta(self):
         weights = norms(np.ones((3, 4)))
-        shares = credit.attribute([1, 2, 3], weights, -0.06, actor=2, negative_mode="actor")[0]
-        assert shares == {1: 0.0, 2: -0.06, 3: 0.0}
+        actor = np.array([False, True, False])
+        shares, uniform = split_one(weights, -0.06, actor)
+        assert shares == [0.0, -0.06, 0.0] and not uniform
         # positive delta still splits pro rata
-        shares = credit.attribute([1, 2, 3], weights, 0.06, actor=2, negative_mode="actor")[0]
-        assert shares[1] == pytest.approx(0.02)
+        shares = split_one(weights, 0.06, actor)[0]
+        assert shares[0] == pytest.approx(0.02)
 
     @given(
         n=st.integers(min_value=1, max_value=12),
@@ -48,18 +57,62 @@ class TestAttribute:
     @settings(max_examples=200, deadline=None)
     def test_conservation_and_scale_invariance(self, n, delta, seed):
         rng = np.random.default_rng(seed)
-        node_ids = sorted(rng.choice(1000, size=n, replace=False).astype(int).tolist())
         emb = rng.normal(size=(n, 6))
-        base = credit.attribute(node_ids, norms(emb), delta)[0]
-        assert sum(base.values()) == pytest.approx(delta, abs=1e-12)
+        base = split_one(norms(emb), delta)[0]
+        assert sum(base) == pytest.approx(delta, abs=1e-12)
         for c in (0.1, 10.0):
-            scaled = credit.attribute(node_ids, norms(emb * c), delta)[0]
-            for pid in base:
-                assert scaled[pid] == pytest.approx(base[pid], abs=1e-12)
+            scaled = split_one(norms(emb * c), delta)[0]
+            for share, base_share in zip(scaled, base):
+                assert share == pytest.approx(base_share, abs=1e-12)
 
     def test_shares_carry_delta_sign(self):
-        shares = credit.attribute([1, 2], norms([[1.0], [2.0]]), -0.09)[0]
-        assert all(s <= 0 for s in shares.values())
+        shares = split_one(norms([[1.0], [2.0]]), -0.09)[0]
+        assert all(s <= 0 for s in shares)
+
+
+@st.composite
+def event_packs(draw):
+    """Events of 1-22 nodes with their norms, deltas and actor positions;
+    some events all-zero, some deltas negative or zero."""
+    sizes = draw(st.lists(st.integers(1, 22), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for n in sizes:
+        kind = draw(st.sampled_from(["normal", "zero", "tiny", "huge"]))
+        scale = {"normal": 1.0, "zero": 0.0, "tiny": 1e-300, "huge": 1e150}[kind]
+        parts.append(rng.uniform(0.0, 3.0, n) * scale)
+    deltas = [
+        draw(st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0, -0.0])))
+        for _ in sizes
+    ]
+    actors = [draw(st.integers(0, n - 1)) for n in sizes]
+    return sizes, parts, deltas, actors
+
+
+class TestSplit:
+    @given(pack=event_packs(), mode=st.sampled_from(credit.NEGATIVE_SHARE_MODES))
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_the_per_event_reference(self, pack, mode):
+        sizes, parts, deltas, actors = pack
+        node_ids = [list(range(100, 100 + n)) for n in sizes]
+        actor = None
+        if mode == "actor":
+            actor = np.concatenate([np.arange(n) == a for n, a in zip(sizes, actors)])
+        shares, uniform = credit.split(np.concatenate(parts), sizes, deltas, actor)
+        assert shares.dtype == np.float64 and uniform.shape == (len(sizes),)
+        end = 0
+        for ids, part, delta, a, fell_back in zip(node_ids, parts, deltas, actors, uniform):
+            start, end = end, end + len(ids)
+            expected, expected_uniform = attribute(
+                ids, part, delta, actor=ids[a], negative_mode=mode
+            )
+            got = shares[start:end].tolist()
+            # bitwise: the same float, sign of zero included
+            assert [np.float64(v).tobytes() for v in got] == [
+                np.float64(v).tobytes() for v in expected.values()
+            ]
+            assert bool(fell_back) == expected_uniform
+        assert end == len(shares)
 
 
 def pg_from_edges(nodes, edges):
@@ -170,11 +223,13 @@ class TestCentralities:
 
 
 def ledger_with(totals, teams=None, minutes=None):
-    ledger = credit.CreditLedger()
-    ledger.player_total = dict(totals)
-    ledger.player_team = dict(teams or {})
-    ledger.player_minutes = dict(minutes or {})
-    return ledger
+    """``PlayerTotal`` rows as attribute writes them, per90 included."""
+    rows = []
+    for pid, total in totals.items():
+        played = (minutes or {}).get(pid, 0.0)
+        per90 = 0.0 if played <= 0 else total * 90.0 / played
+        rows.append(credit.PlayerTotal(pid, (teams or {}).get(pid), total, per90, 1, played))
+    return rows
 
 
 class TestRank:
@@ -236,23 +291,23 @@ class TestLedgerAndCaseReport:
 
     def test_totals_reproduce_sum_of_deltas(self):
         graphs, predictions, node_norms = self.build()
-        ledger = self.ledger(graphs, predictions, node_norms, source="labeled")
-        assert sum(ledger.player_total.values()) == pytest.approx(
+        shares, players, _ = self.ledger(graphs, predictions, node_norms, source="labeled")
+        assert sum(p.total for p in players) == pytest.approx(
             sum(g.label for g in graphs), abs=1e-9
         )
+        end = 0
         for g in graphs:
-            event_sum = sum(
-                share for (event_id, _), share in ledger.shares.items() if event_id == g.event_id
-            )
-            assert event_sum == pytest.approx(g.label, abs=1e-9)
+            start, end = end, end + len(g.node_ids)
+            assert shares[start:end].sum() == pytest.approx(g.label, abs=1e-9)
+        assert end == len(shares)
 
     def test_uniform_fallbacks_counted_and_logged_once(self, caplog):
         graphs, predictions, node_norms = self.build()
         for i in (1, 4):
             node_norms[i] = norms(np.zeros((3, 4)))
         with caplog.at_level("WARNING", logger="threatshare.credit"):
-            ledger = self.ledger(graphs, predictions, node_norms, source="labeled")
-        assert ledger.uniform_fallbacks == 2
+            _, _, fallbacks = self.ledger(graphs, predictions, node_norms, source="labeled")
+        assert fallbacks == 2
         assert [r.getMessage() for r in caplog.records] == [
             "2 of 6 events had all-zero embeddings; their deltas were split uniformly"
         ]
@@ -267,21 +322,38 @@ class TestLedgerAndCaseReport:
         for g in graphs:
             g.meta["actor_id"] = g.node_ids[-1]
         assert min(predictions) < 0 < max(predictions)
-        ledger = self.ledger(graphs, predictions, node_norms, negative_mode="actor")
+        shares, _, _ = self.ledger(graphs, predictions, node_norms, negative_mode="actor")
+        end = 0
         for g, prediction in zip(graphs, predictions):
+            start, end = end, end + len(g.node_ids)
             if prediction < 0:
-                assert ledger.shares[(g.event_id, g.node_ids[-1])] == prediction
-                assert all(ledger.shares[(g.event_id, pid)] == 0.0 for pid in g.node_ids[:-1])
+                assert shares[end - 1] == prediction
+                assert all(share == 0.0 for share in shares[start : end - 1])
 
     def test_case_report_single_action(self):
-        ledger = credit.CreditLedger()
-        ledger.shares[("9:4", 55)] = 0.07
-        rows = credit.case_report([make_action(9, 55)], 4, ledger)
+        rows = credit.case_report([make_action(9, 55)], 4, {("9:4", 55): 0.07})
         assert rows == [(make_action(9, 55), 0.07)]
 
     def test_case_report_empty(self):
-        assert credit.case_report([], 0, credit.CreditLedger()) == []
+        assert credit.case_report([], 0, {}) == []
 
     def test_case_report_missing_event_named(self):
         with pytest.raises(KeyError, match="9:4"):
-            credit.case_report([make_action(9, 55)], 4, credit.CreditLedger())
+            credit.case_report([make_action(9, 55)], 4, {})
+
+    def test_player_rows_total_count_matches_and_rate_each_player(self):
+        graphs, predictions, node_norms = self.build()
+        graphs[-1].meta["match_id"] = 2
+        stats = {pid: SimpleNamespace(minutes_played=45.0 * (pid % 3)) for g in graphs for pid in g.node_ids}
+        shares, players, _ = self.ledger(graphs, predictions, node_norms, stats=stats)
+        keys = [(g.meta["match_id"], pid) for g in graphs for pid in g.node_ids]
+        assert [p.player_id for p in players] == sorted({pid for _, pid in keys})
+        for p in players:
+            mine = [share for (_, pid), share in zip(keys, shares.tolist()) if pid == p.player_id]
+            total = 0.0
+            for share in mine:
+                total += share
+            assert p.total == total
+            assert p.matches == len({match for match, pid in keys if pid == p.player_id})
+            assert p.minutes == stats[p.player_id].minutes_played
+            assert p.per90 == (0.0 if p.minutes <= 0 else total * 90.0 / p.minutes)

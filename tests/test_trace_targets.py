@@ -28,3 +28,26 @@ def test_trace_target_resolves_under_src(module_name, attr):
     module = importlib.import_module(module_name)
     assert Path(module.__file__).resolve().is_relative_to(REPO / "src"), module.__file__
     assert callable(getattr(module, attr, None)), f"{module_name}.{attr} is gone"
+
+
+def test_every_trace_target_fires(tmp_path, fixture_dir, monkeypatch):
+    """The fixture's stages from ingest to rank, for one variant, call every
+    target: a refactor that stops calling one is caught here, not by a
+    per-layer metric that reads zero."""
+    from test_cli import ALL_STAGES, write_config
+
+    from threatshare import cli
+
+    calls = dict.fromkeys(_trace_targets(), 0)
+    for target in calls:
+        module = importlib.import_module(target[0])
+
+        def counted(*args, _fn=getattr(module, target[1]), _target=target, **kwargs):
+            calls[_target] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, target[1], counted)
+    config = write_config(tmp_path, fixture_dir, {"training": {"epochs": 1}})
+    for stage in ALL_STAGES:
+        assert cli.main(["--config", str(config), "--quiet", stage]) == 0
+    assert [target for target, n in calls.items() if n == 0] == []
