@@ -129,7 +129,7 @@ class FetchError(RuntimeError):
 
 
 class RawEvent(NamedTuple):
-    """One on-the-ball event in canonical units (meters, match seconds)."""
+    """One on-the-ball event in canonical units (meters, period seconds)."""
 
     event_id: str
     match_id: int
@@ -139,7 +139,7 @@ class RawEvent(NamedTuple):
     outcome: str  # success | failure
     start_xy: tuple
     end_xy: tuple
-    timestamp_s: float  # seconds since match start (actual period durations)
+    timestamp_s: float  # seconds since the period start, as the provider gives them
     period: int
     recipient_id: int | None = None
 
@@ -384,9 +384,8 @@ def parse_events(match_file) -> ParseResult:
 
     Off-the-ball and administrative rows are dropped; unknown on-ball types
     map to ``other`` with a warning count; rows lacking coordinates or a
-    player are dropped and counted. Output is sorted by (period, time) and
-    timestamps are rebased to seconds since match start using the actual
-    duration of earlier periods.
+    player are dropped and counted. Output is sorted by (period, time);
+    timestamps stay the provider's seconds since the period start.
     """
     match_file = Path(match_file)
     try:
@@ -468,19 +467,7 @@ def parse_events(match_file) -> ParseResult:
             summary.unknown_type_count,
         )
 
-    # rebase period-relative clocks onto one non-decreasing match clock
-    events = []
-    offset = 0.0
-    last_period = None
-    last_match_time = 0.0
-    for period, t, _, payload in staged:
-        if last_period is not None and period != last_period:
-            offset = last_match_time
-        match_time = offset + t
-        payload["timestamp_s"] = match_time
-        events.append(RawEvent(**payload))
-        last_period = period
-        last_match_time = max(last_match_time, match_time)
+    events = [RawEvent(**payload, timestamp_s=t) for _, t, _, payload in staged]
     return ParseResult(events=events, summary=summary)
 
 
@@ -489,34 +476,23 @@ def parse_events(match_file) -> ParseResult:
 
 def to_spadl(events) -> list[SpadlAction]:
     """Convert one match's sorted events into 12-attribute SPADL rows."""
-    events = list(events)
-    # recover each period's clock base from the match-relative timestamps
-    period_base: dict[int, float] = {}
-    last_end = 0.0
-    for e in events:
-        if e.period not in period_base:
-            period_base[e.period] = last_end
-        last_end = max(last_end, e.timestamp_s)
-
-    actions = []
-    for e in events:
-        actions.append(
-            SpadlAction(
-                e.match_id,
-                e.period,
-                e.timestamp_s - period_base[e.period],
-                e.team_id,
-                e.player_id,
-                _SPADL_TYPE_MAP[e.event_type],
-                DEFAULT_BODY_PART,
-                "success" if e.outcome == "success" else "fail",
-                e.start_xy[0],
-                e.start_xy[1],
-                e.end_xy[0],
-                e.end_xy[1],
-            )
+    return [
+        SpadlAction(
+            e.match_id,
+            e.period,
+            e.timestamp_s,
+            e.team_id,
+            e.player_id,
+            _SPADL_TYPE_MAP[e.event_type],
+            DEFAULT_BODY_PART,
+            "success" if e.outcome == "success" else "fail",
+            e.start_xy[0],
+            e.start_xy[1],
+            e.end_xy[0],
+            e.end_xy[1],
         )
-    return actions
+        for e in events
+    ]
 
 
 def write_actions(actions, path) -> None:

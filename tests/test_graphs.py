@@ -463,20 +463,22 @@ class TestPersistence:
 # roles, keyed by (window_k, append_centrality_features). Pins the graph store
 # byte for byte, so any change to windowing, encoding or float formatting shows.
 # Recorded for the per-action store (schema 2) once its read-back equalled the
-# graphs of build_match_graphs (test_graph_store_reads_back_the_built_graphs).
+# graphs of build_match_graphs (test_graph_store_reads_back_the_built_graphs);
+# re-recorded, with the actions digest below, when ingest kept the provider's
+# period-relative seconds instead of rebasing them onto a match clock and back.
 GOLDEN_GRAPHS_SHA256 = {
-    (0, False): "593271a690f93d635e5023bb1bd0bc7a27bccf9fca80f9cb0547609c5c2f25f4",
-    (0, True): "620647c0e9926bd849cae66779a0b51c8520b3cb079ce750637a9066da77015b",
-    (7, False): "4a4d7338c76460157406c73a9dec94e78017be160c520a696ed074571f713fa8",
-    (7, True): "4c0eea8ec0f2da1a73409ec45d7c9ab3aa2764402df6ed0c5206cd264ed6a139",
-    (50, False): "cbd2536d859628a0ddf03684f41bfaaca5e54e3daeb38508d29ea7406e76519a",
-    (50, True): "ddf62a12cacb7e69273669b89e34dbc66bdf0dd25df43a19891645cd1080f75c",
+    (0, False): "509a663d3e754c27e6f56cbb80cb9d5c5c65a8cae0096b56ab0cacbe02bbb62a",
+    (0, True): "3e1abf54a544bd0ec63d7636180df8d660dac9ef5a86f23aa1d20d14dbdbfc5b",
+    (7, False): "d75606b3d56854530b9aef6afb917af9febd823a1f49eb714922156585b413ca",
+    (7, True): "c0044df5dff7fcda7933329051c0690ac1a42dfa45d13f4a95264ac8932b9798",
+    (50, False): "89b0b73e30654073183210014cb9432801e6f82dfb28d569a6cd7b672e19bef3",
+    (50, True): "bb4555c135a0756ffb210940b55eb2ac976a9179eccfd4d8fed188dbfb16f291",
 }
 
 # sha256 of actions.ndjson, the SPADL interchange ingest writes for the bundled
 # fixture (400 actions). Pins the action codec byte for byte, as the digests
 # above pin the graph store.
-GOLDEN_ACTIONS_SHA256 = "b5c45c5fd4a78df5781e9b1470e533269b0a361c5fa93285865300b1d6b5ca7b"
+GOLDEN_ACTIONS_SHA256 = "c826984e45bc1316a3590f9a478b70f49be0eed42c417611463c9eda151dfd4d"
 
 # sha256 of xt_grid.json, the grid xt-fit writes for the bundled fixture at the
 # default 16x12 grid. Pins the zone counts and the value solve byte for byte.

@@ -103,14 +103,24 @@ class TestParseEvents:
         assert events[1].recipient_id is None
 
     def test_timestamps_nondecreasing_across_halves(self, tmp_path):
-        # first half runs long (stoppage): second half must not rewind the clock
+        # first half runs long (stoppage): the second half still comes after it,
+        # each timed from its own period start
         rows = [
-            provider_row(1, timestamp="00:47:30.000"),
             provider_row(2, timestamp="00:00:05.000", period=2),
+            provider_row(1, timestamp="00:47:30.000"),
         ]
         events = ingest.parse_events(write_match(tmp_path, rows)).events
-        assert events[0].timestamp_s == pytest.approx(47 * 60 + 30)
-        assert events[1].timestamp_s == pytest.approx(47 * 60 + 30 + 5)
+        assert [(e.period, e.timestamp_s) for e in events] == [(1, 47 * 60 + 30.0), (2, 5.0)]
+        actions = ingest.to_spadl(events)
+        assert [(a.period, a.time_s) for a in actions] == [(1, 47 * 60 + 30.0), (2, 5.0)]
+
+    def test_action_times_are_the_providers_period_seconds(self, fixture_dir):
+        for path in sorted(fixture_dir.glob("*.json")):
+            rows = {row["id"]: row for row in json.loads(path.read_text())}
+            events = ingest.parse_events(path).events
+            assert [a.time_s for a in ingest.to_spadl(events)] == [
+                ingest._timestamp_seconds(rows[e.event_id]) for e in events
+            ]
 
     def test_corrupt_file_raises_with_name(self, tmp_path):
         path = tmp_path / "9999.json"
