@@ -133,14 +133,31 @@ class RunConfig:
         return _sha_text(json.dumps(self.effective_dict(), sort_keys=True))
 
 
+# What each annotated type takes, by JSON type: a bool is never a number,
+# and a number never a string.
+_JSON_TYPES = {
+    bool: ("a boolean", (bool,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+    str: ("a string", (str,)),
+    Path: ("a path string", (str,)),
+}
+
+
 def _coerce(hint, value):
-    """``value`` as the annotated type; ``X | None`` also takes null."""
+    """``value`` as the annotated type, taken only from its own JSON type
+    (a tuple from a list of integers); ``X | None`` also takes null."""
     if get_args(hint):
         if value is None:
             return None
         (hint,) = [a for a in get_args(hint) if a is not type(None)]
     if hint is tuple:
-        return tuple(int(v) for v in value)
+        if type(value) is not list or not all(type(v) is int for v in value):
+            raise TypeError(f"expected a list of integers, got {value!r}")
+        return tuple(value)
+    expected, types = _JSON_TYPES[hint]
+    if type(value) not in types:
+        raise TypeError(f"expected {expected}, got {value!r}")
     return hint(value)
 
 
@@ -427,6 +444,10 @@ def _stage_ingest(cfg: RunConfig) -> list[Path]:
         actions = ingest.to_spadl(result.events)
         all_actions.extend(actions)
         summaries[path.name] = asdict(result.summary)
+    if not all_actions:
+        raise ingest.SchemaError(
+            f"paths.data_dir {cfg.paths.data_dir}: its event files hold no on-ball actions"
+        )
     _write_atomic(ap["actions"], lambda tmp: ingest.write_actions(all_actions, tmp))
     _write_text(ap["ingest_summary"], json.dumps(summaries, sort_keys=True, indent=1))
     log.info("ingest: %d actions from %d matches", len(all_actions), len(files))

@@ -1,18 +1,17 @@
-"""Credit distribution: threat shares per player, centralities, rankings.
+"""Credit distribution: threat shares per player, season totals, rankings.
 
 An event's threat change is split across every node of its graph in
 proportion to the L2 norm of the node's final-layer embedding, so the
 split is invariant to rescaling all embeddings and always sums back to
-the event delta. Classical passing-network centralities (degree,
-betweenness, closeness) are computed per match as a complementary static
-view and can optionally feed back into node features.
+the event delta. The shares are totalled per player over the season and
+ranked by total or per-90 credit.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,107 +56,6 @@ def split(norms, sizes, deltas, actor=None) -> tuple[np.ndarray, np.ndarray]:
         shares = np.where(np.repeat(negative, sizes), np.where(actor, node_deltas, 0.0), shares)
         uniform &= ~negative
     return shares, uniform
-
-
-# ── passing-network centralities ──────────────────────────────────────────
-
-
-@dataclass
-class PassingGraph:
-    """Players as nodes, completed passes as weighted undirected edges."""
-
-    nodes: list
-    weights: dict = field(default_factory=dict)  # (u, v) sorted pair -> pass count
-
-    def add_pass(self, u, v) -> None:
-        if u == v:
-            return
-        key = (u, v) if u <= v else (v, u)
-        self.weights[key] = self.weights.get(key, 0) + 1
-
-    def neighbors(self) -> dict:
-        adj = {v: set() for v in self.nodes}
-        for u, v in self.weights:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-
-def build_passing_graph(actions, recipients) -> PassingGraph:
-    """Per-match passing network from a SPADL stream plus inferred receivers."""
-    nodes = sorted({a.player_id for a in actions})
-    pg = PassingGraph(nodes=nodes)
-    for a, rec in zip(actions, recipients):
-        if rec is not None and a.result == "success":
-            pg.add_pass(a.player_id, rec)
-    return pg
-
-
-@dataclass
-class CentralityReport:
-    """Per-player structural measures on one match's passing network."""
-
-    degree: dict
-    betweenness: dict
-    closeness: dict
-
-
-def centralities(pg: PassingGraph) -> CentralityReport:
-    """Degree, Brandes betweenness (unordered pairs), normalized closeness.
-
-    Closeness is (|C|-1) / sum of distances within the node's component,
-    which keeps it in [0, 1]; isolated nodes score 0.
-    """
-    adj = pg.neighbors()
-    nodes = list(pg.nodes)
-    degree = {v: len(adj[v]) for v in nodes}
-    betweenness = {v: 0.0 for v in nodes}
-    closeness = {}
-
-    for s in nodes:
-        # single-source BFS with shortest-path counting
-        dist = {s: 0}
-        sigma = {v: 0 for v in nodes}
-        sigma[s] = 1
-        preds = {v: [] for v in nodes}
-        order = []
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        # dependency accumulation
-        delta = {v: 0.0 for v in nodes}
-        for w in reversed(order):
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != s:
-                betweenness[w] += delta[w]
-        reach = len(dist) - 1
-        closeness[s] = reach / sum(dist.values()) if reach > 0 else 0.0
-
-    # Brandes over all sources counts each unordered pair twice
-    betweenness = {v: b / 2.0 for v, b in betweenness.items()}
-    return CentralityReport(degree=degree, betweenness=betweenness, closeness=closeness)
-
-
-def normalized_centrality_features(report: CentralityReport, n_nodes: int) -> dict:
-    """Scale the three measures to [0, 1] for use as extra node features."""
-    max_b = (n_nodes - 1) * (n_nodes - 2) / 2.0 if n_nodes > 2 else 1.0
-    return {
-        v: [
-            report.degree[v] / max(n_nodes - 1, 1),
-            report.betweenness[v] / max_b,
-            report.closeness[v],
-        ]
-        for v in report.degree
-    }
 
 
 # ── season ledger and rankings ────────────────────────────────────────────

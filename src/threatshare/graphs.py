@@ -29,7 +29,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from threatshare import credit
 from threatshare.ingest import (
     PASS_LIKE_SPADL,
     PITCH_LENGTH,
@@ -137,8 +136,8 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
 
     ``stats`` maps player id to the d=10 feature vector; players without an
     entry are imputed with the population mean and counted in meta.
-    ``centrality=True`` appends each player's three normalized passing-network
-    centralities of this match (degree, betweenness, closeness) to the stats.
+    ``centrality=True`` appends each player's ``passing_centralities`` of
+    this match (degree, betweenness, closeness) to the stats.
     Labels, recipients, player rows and edge rows are computed once for the
     match; ``match_windows`` cuts every event's graph out of them.
     """
@@ -146,10 +145,6 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
         raise ValueError("window size k must be >= 0")
     xt_value, delta_xt, cross_team = label_stream(actions, grid)
     recipients = infer_recipients(actions)
-    extra = {}
-    if centrality:
-        pg = credit.build_passing_graph(actions, recipients)
-        extra = credit.normalized_centrality_features(credit.centralities(pg), len(pg.nodes))
     cols = action_columns(actions)
     period = np.asarray(cols.period, dtype=np.float64)
     clock = (period - 1) * HALF_NOMINAL_S + np.asarray(cols.time_s, dtype=np.float64)
@@ -159,23 +154,22 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
         mean_vec = np.array(list(stats.values()), dtype=np.float64).mean(axis=0)
     else:
         mean_vec = np.zeros(NODE_FEATURE_DIM)
-    extra_dim = len(next(iter(extra.values()))) if extra else 0
     players = sorted({a.player_id for a in actions} | {r for r in recipients if r is not None})
     player_index = {pid: j for j, pid in enumerate(players)}
-    player_rows = np.zeros((len(players), len(mean_vec) + extra_dim))
+    player_rows = np.zeros((len(players), len(mean_vec)))
     imputed = np.zeros(len(players), dtype=bool)
     role_codes = np.full(len(players), ROLE_UNKNOWN, dtype=np.int64)
     for j, pid in enumerate(players):
         vec = stats.get(pid)
         imputed[j] = vec is None
-        player_rows[j, : len(mean_vec)] = mean_vec if vec is None else vec
-        if pid in extra:
-            player_rows[j, len(mean_vec) :] = extra[pid]
+        player_rows[j] = mean_vec if vec is None else vec
         if roles:
             role_codes[j] = ROLE_CODES.get(str(roles.get(pid, "")).upper(), ROLE_UNKNOWN)
     src = [player_index[a.player_id] for a in actions]
     dst = [s if r is None else player_index[r] for s, r in zip(src, recipients)]
     src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    if centrality:
+        player_rows = np.hstack([player_rows, passing_centralities(src, dst, len(players))])
     members = _window_members(src, dst, k, len(players))
     n_imputed = (members & imputed).sum(axis=1).tolist()
     events = [
@@ -198,6 +192,46 @@ def build_match_graphs(actions, k, stats, grid, roles=None, centrality=False):
         )
     ]
     return match_windows(players, player_rows, role_codes, src, dst, members, edge_rows, events, k)
+
+
+def passing_centralities(src, dst, n: int) -> np.ndarray:
+    """(n, 3) normalized degree, betweenness and closeness of each player on
+    one match's passing network.
+
+    ``src``/``dst`` are each action's actor and recipient player indices (the
+    actor again when nobody receives). Every completed pass, ``src != dst``,
+    links its two players by one undirected edge, however often they pass.
+    Breadth-first search runs from every player at once, one matrix product
+    per distance layer, counting shortest paths; Brandes' dependencies
+    (Brandes 2001) then accumulate farthest layer first, each unordered pair
+    counted once. Degree is scaled by n - 1 and betweenness by the
+    (n - 1)(n - 2) / 2 pairs; closeness is the players a player reaches over
+    the sum of their distances, 0 when it reaches none.
+    """
+    passed = src != dst
+    adj = np.zeros((n, n))
+    adj[src[passed], dst[passed]] = 1.0
+    adj = np.maximum(adj, adj.T)
+    sigma = np.eye(n)  # row s: the shortest-path counts from player s
+    dist = np.zeros((n, n), dtype=np.int64)
+    layers = [np.eye(n, dtype=bool)]  # layer d, per source: the players at distance d
+    reached = layers[0].copy()
+    while layers[-1].any():
+        paths = np.where(layers[-1], sigma, 0.0) @ adj
+        new = (paths > 0) & ~reached
+        sigma[new], dist[new] = paths[new], len(layers)
+        reached |= new
+        layers.append(new)
+    delta = np.zeros((n, n))  # row s: each player's dependency of source s
+    for d in range(len(layers) - 2, 1, -1):
+        ratio = np.divide(1.0 + delta, sigma, out=np.zeros((n, n)), where=layers[d])
+        delta += np.where(layers[d - 1], sigma * (ratio @ adj), 0.0)
+    reach = reached.sum(axis=1) - 1
+    closeness = np.divide(reach, dist.sum(axis=1), out=np.zeros(n), where=reach > 0)
+    max_b = (n - 1) * (n - 2) / 2.0 if n > 2 else 1.0
+    return np.column_stack(
+        [adj.sum(axis=1) / max(n - 1, 1), delta.sum(axis=0) / 2.0 / max_b, closeness]
+    )
 
 
 def _window_members(src, dst, k: int, n_players: int) -> np.ndarray:

@@ -12,6 +12,7 @@ every later stage reads.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -122,6 +123,15 @@ DEFAULT_BODY_PART = "foot"
 
 class SchemaError(ValueError):
     """An input file does not match its documented layout."""
+
+
+def _utf8_text(path: Path) -> str:
+    """The text of ``path``, its newlines as written; a file that is not
+    UTF-8 raises SchemaError naming it."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 class FetchError(RuntimeError):
@@ -389,7 +399,7 @@ def parse_events(match_file) -> ParseResult:
     """
     match_file = Path(match_file)
     try:
-        rows = json.loads(match_file.read_text())
+        rows = json.loads(_utf8_text(match_file))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"could not parse {match_file}: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
@@ -580,7 +590,7 @@ def group_by_match(actions) -> dict[int, list[SpadlAction]]:
 def load_player_stats(csv_path) -> dict[int, PlayerSeasonStats]:
     """Load the documented 12-column stats CSV; duplicate ids are rejected."""
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as f:
+    with io.StringIO(_utf8_text(csv_path), newline="") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         missing = [c for c in STATS_CSV_COLUMNS if c not in header]
@@ -612,7 +622,7 @@ def load_player_stats(csv_path) -> dict[int, PlayerSeasonStats]:
 def load_player_roles(csv_path) -> dict[int, str]:
     """Optional (player_id, role) CSV; roles outside GK/DF/MF/FW read as unknown."""
     csv_path = Path(csv_path)
-    with open(csv_path, newline="") as f:
+    with io.StringIO(_utf8_text(csv_path), newline="") as f:
         reader = csv.DictReader(f)
         if not reader.fieldnames or "player_id" not in reader.fieldnames or "role" not in reader.fieldnames:
             raise SchemaError(f"{csv_path}: expected columns player_id, role")

@@ -20,7 +20,7 @@ from threatshare.graphs import split_dataset
 
 from graph_factories import planted_linear_dataset, random_event_graph
 from graph_factories import SMOKE_FFN_DIM, SMOKE_HEAD_HIDDEN_DIM, SMOKE_HIDDEN_DIM
-from test_credit import oracle_centralities, pg_from_edges
+from test_graphs import centralities_of, normalized_oracle
 from test_cli import ALL_STAGES, write_config
 
 
@@ -232,12 +232,10 @@ def test_criterion_07_centrality_oracle():
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             if not _connected(nodes, edges):
                 continue
-            report_ = credit.centralities(pg_from_edges(nodes, edges))
-            deg, bet, clo = oracle_centralities(nodes, edges)
-            for v in nodes:
-                assert report_.degree[v] == deg[v]
-                assert abs(report_.betweenness[v] - bet[v]) <= 1e-12
-                assert abs(report_.closeness[v] - clo[v]) <= 1e-12
+            got = centralities_of(nodes, edges)
+            expected = normalized_oracle(nodes, edges)
+            assert got[:, 0].tolist() == expected[:, 0].tolist()
+            assert np.abs(got[:, 1:] - expected[:, 1:]).max() <= 1e-12
             total += 1
     report(7, f"{total} connected graphs on <= 6 nodes match the shortest-path oracle")
 

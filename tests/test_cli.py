@@ -431,13 +431,13 @@ class TestPipeline:
 
 def _bad_stats_cell(cell):
     """Overrides: a copy of the fixture's stats CSV with ``cell`` as the
-    first row's goals."""
+    first row's goals, written as Latin-1."""
 
     def overrides(tmp_path, fixture_dir):
         lines = (fixture_dir / "player_stats.csv").read_text().splitlines()
         lines[1] = f"101,{cell}" + lines[1][len("101,0"):]
         path = tmp_path / "bad.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
         return {"paths": {"stats_csv": str(path)}}
 
     return overrides
@@ -459,6 +459,18 @@ def _events_dir(name, edit):
     return overrides
 
 
+def _events_only(content: bytes):
+    """Overrides: a data_dir holding one event file, 9001.json, of ``content``."""
+
+    def overrides(tmp_path, fixture_dir):
+        events = tmp_path / "events"
+        events.mkdir()
+        (events / "9001.json").write_bytes(content)
+        return {"paths": {"data_dir": str(events)}}
+
+    return overrides
+
+
 def _row_with(index, **changes):
     def edit(rows):
         rows[index].update(changes)
@@ -468,13 +480,14 @@ def _row_with(index, **changes):
 
 
 def _bad_roles_row(row):
-    """Overrides: a copy of the fixture's roles CSV with ``row`` as its first row."""
+    """Overrides: a copy of the fixture's roles CSV with ``row`` as its first
+    row, written as Latin-1."""
 
     def overrides(tmp_path, fixture_dir):
         lines = (fixture_dir / "player_roles.csv").read_text().splitlines()
         lines[1] = row
         path = tmp_path / "bad_roles.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
         return {"paths": {"roles_csv": str(path)}}
 
     return overrides
@@ -742,6 +755,19 @@ FAILURE_CASES = {
     "grid-over-the-zone-bound": (
         lambda tmp, fx: {"grid": {"n_x": 200, "n_y": 200}}, [], None, "ingest", 2,
         "grid: n_x * n_y must be at most 2500 zones, got 40000"),
+    # a value of another JSON type is refused, not converted
+    "bool-as-a-string": (
+        lambda tmp, fx: {"append_centrality_features": "false"}, [], None, "ingest", 2,
+        "append_centrality_features: expected a boolean, got 'false'"),
+    "int-as-a-fraction": (
+        lambda tmp, fx: {"window_k": 7.9}, [], None, "ingest", 2,
+        "window_k: expected an integer, got 7.9"),
+    "float-as-a-bool": (
+        lambda tmp, fx: {"training": {"lr": True}}, [], None, "ingest", 2,
+        "training.lr: expected a number, got True"),
+    "int-as-a-string": (
+        lambda tmp, fx: {"grid": {"n_x": "16"}}, [], None, "ingest", 2,
+        "grid.n_x: expected an integer, got '16'"),
     "unknown-key": (lambda tmp, fx: {"nope": 1}, [], None, "ingest", 2, "'nope'"),
     "missing-config": (lambda tmp, fx: tmp / "absent.json", [], None, "ingest", 2, "absent.json"),
     "config-a-directory": (
@@ -781,6 +807,20 @@ FAILURE_CASES = {
     "events-row-location-nan": (
         _events_dir("9001.json", _row_with(0, location=[float("nan"), 40.0])), [], None, "ingest",
         3, "9001.json: row 0: ValueError: location [nan, 40.0] is not finite"),
+    # inputs that are not UTF-8 text
+    "events-file-not-utf-8": (
+        _events_only(b'[{"type": {"name": "Pass"}, "player": {"name": "Jos\xe9"}}]'), [], None,
+        "ingest", 3, "9001.json is not UTF-8 text"),
+    "stats-csv-not-utf-8": (
+        _bad_stats_cell("\xe9"), ["ingest", "xt-fit"], None, "build-graphs", 3,
+        "bad.csv is not UTF-8 text"),
+    "roles-csv-not-utf-8": (
+        _bad_roles_row("101,D\xe9fenseur"), ["ingest", "xt-fit"], None, "build-graphs", 3,
+        "bad_roles.csv is not UTF-8 text"),
+    # event files without an on-ball row: nothing for xt-fit to fit
+    "events-without-on-ball-actions": (
+        _events_only(json.dumps([{"type": {"name": "Starting XI"}, "team": {"id": 1}}]).encode()),
+        [], None, "ingest", 3, "events: its event files hold no on-ball actions"),
     "roles-player-id-not-an-integer": (
         _bad_roles_row("abc,GK"), ["ingest", "xt-fit"], None, "build-graphs", 3,
         "bad_roles.csv:2: player_id 'abc' is not an integer"),
@@ -919,6 +959,17 @@ def test_failures_exit_with_their_code_and_one_line(case, tmp_path, fixture_dir,
     manifest = json.loads((tmp_path / "artifacts" / "manifest.json").read_text())
     assert set(manifest["stages"]) == {stage}
     assert (tmp_path / "artifacts" / "graphs.ndjson").read_bytes() == graphs_before
+
+
+def test_ingest_of_no_on_ball_actions_writes_no_actions_file(tmp_path, fixture_dir, caplog):
+    overrides = FAILURE_CASES["events-without-on-ball-actions"][0](tmp_path, fixture_dir)
+    config = write_config(tmp_path, fixture_dir, overrides)
+    assert cli.main(["--config", str(config), "--quiet", "ingest"]) == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [
+        f"paths.data_dir {tmp_path / 'events'}: its event files hold no on-ball actions"
+    ]
+    assert not (tmp_path / "artifacts" / "actions.ndjson").exists()
 
 
 def test_grid_over_the_zone_bound_exits_before_any_fit(tmp_path, fixture_dir, monkeypatch):

@@ -1,6 +1,5 @@
-"""Share attribution, passing-network centralities, season rankings."""
+"""Share attribution, season totals, rankings."""
 
-import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -113,113 +112,6 @@ class TestSplit:
             ]
             assert bool(fell_back) == expected_uniform
         assert end == len(shares)
-
-
-def pg_from_edges(nodes, edges):
-    pg = credit.PassingGraph(nodes=list(nodes))
-    for u, v in edges:
-        pg.add_pass(u, v)
-    return pg
-
-
-def oracle_centralities(nodes, edges):
-    """Matrix-power shortest-path oracle, independent of the BFS code.
-
-    Distances come from boolean reachability powers; shortest-path counts
-    from integer adjacency powers (a walk of exactly the shortest length
-    cannot revisit vertices, so the count is exact).
-    """
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
-    adj = np.zeros((n, n), dtype=np.int64)
-    for u, v in edges:
-        if u != v:
-            adj[index[u], index[v]] = 1
-            adj[index[v], index[u]] = 1
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0)
-    counts = {0: np.eye(n, dtype=object)}
-    power = np.eye(n, dtype=object)
-    for d in range(1, n):
-        power = power @ adj.astype(object)
-        counts[d] = power
-        newly = (dist == np.inf) & (np.asarray(power, dtype=float) > 0)
-        dist[newly] = d
-
-    def sigma(s, t):
-        d = dist[s, t]
-        return 0 if np.isinf(d) else int(counts[int(d)][s, t])
-
-    degree = {v: int(adj[index[v]].sum()) for v in nodes}
-    betweenness = {}
-    for v in nodes:
-        i = index[v]
-        total = 0.0
-        for s, t in itertools.combinations(range(n), 2):
-            if s == i or t == i or np.isinf(dist[s, t]):
-                continue
-            if dist[s, i] + dist[i, t] == dist[s, t]:
-                total += sigma(s, i) * sigma(i, t) / sigma(s, t)
-        betweenness[v] = total
-    closeness = {}
-    for v in nodes:
-        i = index[v]
-        reachable = [dist[i, j] for j in range(n) if j != i and not np.isinf(dist[i, j])]
-        closeness[v] = len(reachable) / sum(reachable) if reachable else 0.0
-    return degree, betweenness, closeness
-
-
-class TestCentralities:
-    def test_star_center_degree(self):
-        pg = pg_from_edges([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
-        report = credit.centralities(pg)
-        assert report.degree[0] == 3
-        assert report.betweenness[0] == pytest.approx(3.0)  # 3 leaf pairs
-        assert report.closeness[0] == pytest.approx(1.0)
-
-    def test_path_graph_betweenness(self):
-        nodes = ["a", "b", "c", "d", "e"]
-        pg = pg_from_edges(nodes, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
-        report = credit.centralities(pg)
-        assert report.betweenness["c"] == pytest.approx(4.0)
-        assert report.betweenness["b"] == pytest.approx(3.0)
-        assert report.betweenness["a"] == pytest.approx(0.0)
-        assert report.closeness["c"] == pytest.approx(4.0 / 6.0)
-
-    def test_disconnected_nodes_have_zero_closeness(self):
-        pg = pg_from_edges([1, 2], [])
-        report = credit.centralities(pg)
-        assert report.closeness == {1: 0.0, 2: 0.0}
-        assert report.degree == {1: 0, 2: 0}
-
-    def test_parallel_passes_collapse_to_simple_graph(self):
-        pg = pg_from_edges([1, 2], [(1, 2), (2, 1), (1, 2)])
-        assert pg.weights[(1, 2)] == 3
-        report = credit.centralities(pg)
-        assert report.degree == {1: 1, 2: 1}
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_exhaustive_small_graphs_match_oracle(self, n):
-        nodes = list(range(n))
-        pairs = list(itertools.combinations(nodes, 2))
-        for bits in range(2 ** len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            report = credit.centralities(pg_from_edges(nodes, edges))
-            deg, bet, clo = oracle_centralities(nodes, edges)
-            for v in nodes:
-                assert report.degree[v] == deg[v]
-                assert report.betweenness[v] == pytest.approx(bet[v], abs=1e-12)
-                assert report.closeness[v] == pytest.approx(clo[v], abs=1e-12)
-
-    def test_normalized_features_in_unit_interval(self):
-        rng = np.random.default_rng(3)
-        nodes = list(range(8))
-        edges = [tuple(sorted(rng.choice(8, 2, replace=False))) for _ in range(12)]
-        report = credit.centralities(pg_from_edges(nodes, edges))
-        feats = credit.normalized_centrality_features(report, len(nodes))
-        for vec in feats.values():
-            assert len(vec) == 3
-            assert all(0.0 <= x <= 1.0 for x in vec)
 
 
 def ledger_with(totals, teams=None, minutes=None):

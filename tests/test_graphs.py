@@ -1,7 +1,12 @@
-"""Window construction, edge encoding, dataset splitting, batching."""
+"""Window construction, edge encoding, passing-network centralities,
+dataset splitting, batching."""
+
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threatshare import graphs, xt
 from threatshare.ingest import PITCH_LENGTH, PITCH_WIDTH, SpadlAction
@@ -314,6 +319,134 @@ class TestWindowChecks:
                 validate(g)
 
 
+def centralities_of(nodes, edges):
+    """``graphs.passing_centralities`` of the completed passes ``edges``
+    between ``nodes``, one row per node in order."""
+    index = {v: i for i, v in enumerate(nodes)}
+    src = np.array([index[u] for u, _ in edges], dtype=np.int64)
+    dst = np.array([index[v] for _, v in edges], dtype=np.int64)
+    return graphs.passing_centralities(src, dst, len(nodes))
+
+
+def oracle_centralities(nodes, edges):
+    """Matrix-power shortest-path oracle, independent of the BFS code.
+
+    Distances come from boolean reachability powers; shortest-path counts
+    from integer adjacency powers (a walk of exactly the shortest length
+    cannot revisit vertices, so the count is exact). Returns the raw degree,
+    betweenness (unordered pairs) and closeness of each node.
+    """
+    n = len(nodes)
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = np.zeros((n, n), dtype=np.int64)
+    for u, v in edges:
+        if u != v:
+            adj[index[u], index[v]] = 1
+            adj[index[v], index[u]] = 1
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0)
+    counts = {0: np.eye(n, dtype=object)}
+    power = np.eye(n, dtype=object)
+    for d in range(1, n):
+        power = power @ adj.astype(object)
+        counts[d] = power
+        newly = (dist == np.inf) & (np.asarray(power, dtype=float) > 0)
+        dist[newly] = d
+
+    def sigma(s, t):
+        d = dist[s, t]
+        return 0 if np.isinf(d) else int(counts[int(d)][s, t])
+
+    degree = {v: int(adj[index[v]].sum()) for v in nodes}
+    betweenness = {}
+    for v in nodes:
+        i = index[v]
+        total = 0.0
+        for s, t in itertools.combinations(range(n), 2):
+            if s == i or t == i or np.isinf(dist[s, t]):
+                continue
+            if dist[s, i] + dist[i, t] == dist[s, t]:
+                total += sigma(s, i) * sigma(i, t) / sigma(s, t)
+        betweenness[v] = total
+    closeness = {}
+    for v in nodes:
+        i = index[v]
+        reachable = [dist[i, j] for j in range(n) if j != i and not np.isinf(dist[i, j])]
+        closeness[v] = len(reachable) / sum(reachable) if reachable else 0.0
+    return degree, betweenness, closeness
+
+
+def normalized_oracle(nodes, edges):
+    """The oracle's measures scaled as ``passing_centralities`` scales them."""
+    n = len(nodes)
+    deg, bet, clo = oracle_centralities(nodes, edges)
+    max_b = (n - 1) * (n - 2) / 2.0 if n > 2 else 1.0
+    return np.array([[deg[v] / max(n - 1, 1), bet[v] / max_b, clo[v]] for v in nodes])
+
+
+class TestCentralities:
+    def test_star_center_degree(self):
+        c = centralities_of([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)])
+        assert c[0, 0] * 3 == 3
+        assert c[0, 1] * 3 == pytest.approx(3.0)  # 3 leaf pairs
+        assert c[0, 2] == pytest.approx(1.0)
+
+    def test_path_graph_betweenness(self):
+        nodes = ["a", "b", "c", "d", "e"]
+        c = centralities_of(nodes, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+        max_b = 6.0  # 4 * 3 / 2 pairs
+        assert c[2, 1] * max_b == pytest.approx(4.0)
+        assert c[1, 1] * max_b == pytest.approx(3.0)
+        assert c[0, 1] * max_b == pytest.approx(0.0)
+        assert c[2, 2] == pytest.approx(4.0 / 6.0)
+
+    def test_disconnected_nodes_have_zero_closeness(self):
+        c = centralities_of([1, 2], [])
+        assert c[:, 2].tolist() == [0.0, 0.0]
+        assert c[:, 0].tolist() == [0.0, 0.0]
+
+    def test_parallel_passes_collapse_to_simple_graph(self):
+        c = centralities_of([1, 2], [(1, 2), (2, 1), (1, 2)])
+        assert c[:, 0].tolist() == [1.0, 1.0]
+        np.testing.assert_array_equal(c, centralities_of([1, 2], [(1, 2)]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_exhaustive_small_graphs_match_oracle(self, n):
+        nodes = list(range(n))
+        pairs = list(itertools.combinations(nodes, 2))
+        for bits in range(2 ** len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+            c = centralities_of(nodes, edges)
+            expected = normalized_oracle(nodes, edges)
+            assert c[:, 0].tolist() == expected[:, 0].tolist()
+            np.testing.assert_allclose(c[:, 1:], expected[:, 1:], rtol=0, atol=1e-12)
+
+    def test_normalized_features_in_unit_interval(self):
+        rng = np.random.default_rng(3)
+        nodes = list(range(8))
+        edges = [tuple(sorted(rng.choice(8, 2, replace=False))) for _ in range(12)]
+        c = centralities_of(nodes, edges)
+        assert c.shape == (8, 3)
+        assert ((0.0 <= c) & (c <= 1.0)).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_networks_match_oracle_and_relabel_as_rows(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        node = st.integers(0, n - 1)
+        # repeats make parallel passes, (u, u) a pass nobody received; few
+        # passes leave the network disconnected
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=3 * n), label="edges")
+        relabel = data.draw(st.permutations(range(n)), label="relabel")
+        nodes = list(range(n))
+        c = centralities_of(nodes, edges)
+        expected = normalized_oracle(nodes, edges)
+        np.testing.assert_allclose(c, expected, rtol=0, atol=1e-12)
+        moved = centralities_of(nodes, [(relabel[u], relabel[v]) for u, v in edges])
+        np.testing.assert_array_equal(moved[relabel][:, [0, 2]], c[:, [0, 2]])
+        np.testing.assert_allclose(moved[relabel][:, 1], c[:, 1], rtol=0, atol=1e-12)
+
+
 class TestSplitAndBatch:
     def graphs_n(self, n):
         rng = np.random.default_rng(0)
@@ -433,7 +566,6 @@ class TestPersistence:
     def test_reader_reruns_no_per_match_rule(
         self, fixture_actions, fixture_grid, fixture_features, tmp_path, monkeypatch
     ):
-        from threatshare import credit
         from threatshare.ingest import group_by_match
 
         stream = list(group_by_match(fixture_actions).values())[0]
@@ -443,10 +575,8 @@ class TestPersistence:
         def forbidden(*args, **kwargs):
             raise AssertionError("read_graphs re-ran a per-match rule")
 
-        for module, name in ((graphs, "infer_recipients"), (graphs, "label_stream"),
-                             (credit, "build_passing_graph"), (credit, "centralities"),
-                             (credit, "normalized_centrality_features")):
-            monkeypatch.setattr(module, name, forbidden)
+        for name in ("infer_recipients", "label_stream", "passing_centralities"):
+            monkeypatch.setattr(graphs, name, forbidden)
         assert_same_graphs(graphs.read_graphs(tmp_path / "graphs.ndjson"), built)
 
     def test_schema_version_enforced(self, tmp_path):
@@ -466,13 +596,17 @@ class TestPersistence:
 # graphs of build_match_graphs (test_graph_store_reads_back_the_built_graphs);
 # re-recorded, with the actions digest below, when ingest kept the provider's
 # period-relative seconds instead of rebasing them onto a match clock and back.
+# The centrality digests were re-recorded when the centralities became one
+# array function: against the dict-based Brandes they replace, only one
+# player's betweenness in the fixture moved, by 8.7e-19; degree and closeness
+# and every other byte stayed the same.
 GOLDEN_GRAPHS_SHA256 = {
     (0, False): "509a663d3e754c27e6f56cbb80cb9d5c5c65a8cae0096b56ab0cacbe02bbb62a",
-    (0, True): "3e1abf54a544bd0ec63d7636180df8d660dac9ef5a86f23aa1d20d14dbdbfc5b",
+    (0, True): "cbf2bfb26a444ec7fba794faa60f2ec355cdbf0cfd055d261ffecb994d29d743",
     (7, False): "d75606b3d56854530b9aef6afb917af9febd823a1f49eb714922156585b413ca",
-    (7, True): "c0044df5dff7fcda7933329051c0690ac1a42dfa45d13f4a95264ac8932b9798",
+    (7, True): "5811c8f6d10fce1c0277d290ff1810f36a8a0b0b0b6cd0886f461d14f805605d",
     (50, False): "89b0b73e30654073183210014cb9432801e6f82dfb28d569a6cd7b672e19bef3",
-    (50, True): "bb4555c135a0756ffb210940b55eb2ac976a9179eccfd4d8fed188dbfb16f291",
+    (50, True): "1012df304ca38c188254983a7e420d217699769352b4b561ea3fedd713bb46f9",
 }
 
 # sha256 of actions.ndjson, the SPADL interchange ingest writes for the bundled
