@@ -768,6 +768,9 @@ FAILURE_CASES = {
     "int-as-a-string": (
         lambda tmp, fx: {"grid": {"n_x": "16"}}, [], None, "ingest", 2,
         "grid.n_x: expected an integer, got '16'"),
+    "edge-mlp-dims-with-a-fraction": (
+        lambda tmp, fx: {"model": {"edge_mlp_dims": [10, 32.5, 16]}}, [], None, "ingest", 2,
+        "model.edge_mlp_dims: expected a list of integers, got [10, 32.5, 16]"),
     "unknown-key": (lambda tmp, fx: {"nope": 1}, [], None, "ingest", 2, "'nope'"),
     "missing-config": (lambda tmp, fx: tmp / "absent.json", [], None, "ingest", 2, "absent.json"),
     "config-a-directory": (
