@@ -8,20 +8,22 @@ and records in ``manifest.json``, per file it wrote, that file's digest and
 the digest of each file it read; re-running a stage whose inputs and config
 are unchanged is a no-op. The manifest is the one record of what each
 artifact was made from: a stage refuses an input that changed since its
-stage wrote it, or that was made from another version of a file this stage
-reads too. ``evaluate`` is the one stage that runs a trained model: it
-stores what the model computed, each graph's prediction and node embedding
-norms.
+stage wrote it, that was made from another version of a file this stage
+reads too, or that its stage made under another config. ``evaluate`` is the
+one stage that runs a trained model: it stores what the model computed,
+each graph's prediction and node embedding norms.
 ``attribute`` splits the threat change from that file, the facts of each
 event line of ``graphs.ndjson`` (event and node ids, label, match, actor and
 actor team, the cross-team flag; no window is cut) and the stats CSV.
 Exit codes: 0 success, 2 config error, 3 missing, unreadable or stale input
-file or artifact (or failed fetch), 4 numeric failure.
+file or artifact (or failed fetch, or an OS error on a path the run reads or
+writes), 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import hashlib
 import json
@@ -368,9 +370,10 @@ def _require_inputs(declared) -> list[Path]:
 
 def _records(manifest: dict) -> dict:
     """What each recorded file was made by: ``{path: {"stage", "sha256",
-    "inputs"}}``. A file with no record of its own (a manifest from before
-    the records, or an ablation table) reads as its stage entry lists it,
-    with no inputs."""
+    "inputs", "config"}}``, ``config`` the digest of the stage's config
+    subset. A file with no record of its own (a manifest from before the
+    records, or an ablation table) reads as its stage entry lists it, with
+    no inputs and no config."""
     records = {
         path: {"stage": stage, "sha256": digest, "inputs": {}}
         for stage, entry in manifest["stages"].items()
@@ -380,17 +383,23 @@ def _records(manifest: dict) -> dict:
     return records
 
 
-def _check_unchanged(manifest: dict, digests: dict[Path, str]) -> None:
+def _config_digest(stage: str, full: dict) -> str:
+    """Digest of the part of the effective config ``full`` that ``stage``'s
+    manifest key covers."""
+    return _sha_text(json.dumps(STAGES[stage].config(full), sort_keys=True))
+
+
+def _check_unchanged(manifest: dict, digests: dict[Path, str], full: dict) -> None:
     """Refuse an input of ``digests`` that no longer holds what its recorded
-    stage wrote, or that was made from another version of a file
-    ``digests`` holds too. Recorded paths that are not in ``digests`` are
-    never compared."""
+    stage wrote, that was made from another version of a file ``digests``
+    holds too, or, after those, that its stage made under another config
+    than the effective config ``full``. Recorded paths that are not in
+    ``digests`` are never compared, nor the config of a record that holds
+    none."""
     records = _records(manifest)
-    for path, digest in digests.items():
-        record = records.get(str(path))
-        if record is None:
-            continue
-        if record["sha256"] != digest:
+    recorded = [(path, records[str(path)]) for path in digests if str(path) in records]
+    for path, record in recorded:
+        if record["sha256"] != digests[path]:
             raise MissingArtifactError(
                 f"{path} changed since {record['stage']} wrote it; run {record['stage']} again"
             )
@@ -399,6 +408,13 @@ def _check_unchanged(manifest: dict, digests: dict[Path, str]) -> None:
                 raise MissingArtifactError(
                     f"{path} was made from another {source}; run {record['stage']} again"
                 )
+    for path, record in recorded:
+        made_under = record.get("config")
+        if made_under is not None and made_under != _config_digest(record["stage"], full):
+            raise MissingArtifactError(
+                f"{path} was made under another {record['stage']} config; "
+                f"run {record['stage']} again"
+            )
 
 
 def _stage_key(cfg_subset: dict, digests: dict[Path, str]) -> str:
@@ -740,8 +756,9 @@ def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bo
         manifest = _load_manifest(cfg)
     spec = STAGES[stage]
     digests = {p: _sha_file(p) for p in _require_inputs(spec.inputs(cfg))}
-    _check_unchanged(manifest, digests)
-    key = _stage_key({"stage": stage, "config": spec.config(cfg.effective_dict())}, digests)
+    full = cfg.effective_dict()
+    _check_unchanged(manifest, digests, full)
+    key = _stage_key({"stage": stage, "config": spec.config(full)}, digests)
     entry = manifest["stages"].get(stage)
     if _outputs_fresh(entry, key):
         log.info("%s: up to date, skipping", stage)
@@ -751,9 +768,10 @@ def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bo
     manifest["stages"][stage] = {"key": key, "outputs": written}
     # per file, so running the stage for another variant keeps this record
     inputs = {str(p): digest for p, digest in digests.items()}
+    made_under = _config_digest(stage, full)
     for path, digest in written.items():
         manifest.setdefault("made_from", {})[path] = {
-            "stage": stage, "sha256": digest, "inputs": inputs
+            "stage": stage, "sha256": digest, "inputs": inputs, "config": made_under
         }
     if own_manifest:
         _save_manifest(cfg, manifest)
@@ -854,7 +872,7 @@ def plot_case(cfg: RunConfig, match_id: int, start: int, end: int, out=None) -> 
     """Render the attributed deltas of one in-match action range to SVG."""
     ap = artifact_paths(cfg)
     inputs = _require_inputs(_inputs("actions", "shares")(cfg))
-    _check_unchanged(_load_manifest(cfg), {p: _sha_file(p) for p in inputs})
+    _check_unchanged(_load_manifest(cfg), {p: _sha_file(p) for p in inputs}, cfg.effective_dict())
     shares = _read(cfg, "shares", _load_shares)
     stream = ingest.group_by_match(_read(cfg, "actions", ingest.read_actions)).get(match_id)
     if stream is None:
@@ -911,7 +929,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h) and the values the CLI sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # the cap of glibc's own dynamic threshold
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed array buffers in the heap for the next allocation to reuse.
+
+    By default glibc serves large buffers with fresh mappings and returns
+    the freed top of the heap to the OS, so every training step faults in
+    and zero-fills the same pages again. A C library without ``mallopt``
+    keeps its own policy.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
@@ -940,6 +982,9 @@ def main(argv=None) -> int:
     except (NumericError, xt.XtFitError) as exc:
         log.error("numeric failure: %s", exc)
         return EXIT_NUMERIC
+    except OSError as exc:
+        log.error("%s: %s", exc.filename, exc.strerror or exc)
+        return EXIT_MISSING
     return EXIT_OK
 
 

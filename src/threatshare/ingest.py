@@ -312,9 +312,9 @@ def fetch_open_data(
 
     Cached files are never re-downloaded. Returns event-file paths in
     ascending match-id order. A cached event file that is not a JSON array,
-    or a match index that is not an array of objects each with an integer
-    ``match_id``, fails fast with its name; downloads that fail are
-    collected and reported together.
+    or a match index that is not UTF-8 text or not an array of objects each
+    with an integer ``match_id``, fails fast with its name; downloads that
+    fail are collected and reported together.
     """
     cache_dir = Path(cache_dir)
     events_dir = cache_dir / "events"
@@ -328,7 +328,7 @@ def fetch_open_data(
         except Exception as exc:
             raise FetchError(f"could not fetch match index {url}: {exc}") from exc
     try:
-        matches = json.loads(index_path.read_text())
+        matches = json.loads(_utf8_text(index_path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"corrupt match index {index_path}: {exc}") from exc
     match_ids = _index_match_ids(matches, index_path)

@@ -1,8 +1,12 @@
 """Pipeline wiring: config validation, stage artifacts, idempotence,
 determinism, exit codes, ablation tables, and the case plot."""
 
+import ctypes
 import json
 import logging
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -209,6 +213,7 @@ class TestPipeline:
             "stage": "evaluate",
             "sha256": cli._sha_file(ap["outputs"]),
             "inputs": {str(p): cli._sha_file(p) for p in (ap["graphs"], ap["checkpoint"])},
+            "config": cli._config_digest("evaluate", cfg.effective_dict()),
         }
         gs = graphs_mod.read_graphs(ap["graphs"])
         predictions, norms = models.evaluate(models.Checkpoint.load(ap["checkpoint"]), gs)
@@ -559,15 +564,22 @@ def _nan_grid_values(tmp_path):
 
 
 def _match_index(text):
-    """Overrides: none, with ``text`` as the cached match index of the
-    default competition season, so fetch reads it without a download."""
+    """Overrides: none, with ``text`` (written as Latin-1) as the cached match
+    index of the default competition season, so fetch reads it without a
+    download."""
 
     def overrides(tmp_path, fixture_dir):
         (tmp_path / "cache").mkdir()
-        (tmp_path / "cache" / "matches_2_27.json").write_text(text)
+        (tmp_path / "cache" / "matches_2_27.json").write_bytes(text.encode("latin-1"))
         return {}
 
     return overrides
+
+
+def _artifacts_under_a_file(tmp_path, fixture_dir):
+    """Overrides: an artifacts directory whose parent is a regular file."""
+    (tmp_path / "plain").write_text("")
+    return {"paths": {"artifacts_dir": str(tmp_path / "plain" / "artifacts")}}
 
 
 def _config_file(name, content):
@@ -788,6 +800,13 @@ FAILURE_CASES = {
     "match-index-empty-object": (
         _match_index("{}"), [], None, "fetch", 3,
         "matches_2_27.json: not a JSON array of objects with an integer match_id"),
+    "match-index-not-utf-8": (
+        _match_index('[{"match_id": 1, "home_team": "Fran\xe7a"}]'), [], None, "fetch", 3,
+        "matches_2_27.json is not UTF-8 text"),
+    # an OS error on a path the run writes under
+    "artifacts-dir-under-a-file": (
+        _artifacts_under_a_file, [], None, "ingest", 3,
+        "plain/artifacts/manifest.json: Not a directory"),
     "missing-artifact": (lambda tmp, fx: {}, ["ingest"], None, "train", 3, "build-graphs"),
     "missing-roles-csv": (
         lambda tmp, fx: {"paths": {"roles_csv": str(tmp / "absent_roles.csv")}},
@@ -975,6 +994,37 @@ def test_ingest_of_no_on_ball_actions_writes_no_actions_file(tmp_path, fixture_d
     assert not (tmp_path / "artifacts" / "actions.ndjson").exists()
 
 
+def test_input_made_under_another_config_is_refused(tmp_path, fixture_dir, caplog):
+    assert cli.main(["--config", str(write_config(tmp_path, fixture_dir)), "--quiet", "ingest"]) == 0
+    overrides = FAILURE_CASES["events-without-on-ball-actions"][0](tmp_path, fixture_dir)
+    other = write_config(tmp_path, fixture_dir, overrides, name="other.json")
+    assert cli.main(["--config", str(other), "--quiet", "ingest"]) == 3
+    # the earlier corpus is still on disk, made under the other data_dir
+    caplog.clear()
+    assert cli.main(["--config", str(other), "--quiet", "xt-fit"]) == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    actions = tmp_path / "artifacts" / "actions.ndjson"
+    assert errors == [f"{actions} was made under another ingest config; run ingest again"]
+    assert not (tmp_path / "artifacts" / "xt_grid.json").exists()
+
+
+def test_config_change_trips_only_the_stages_it_covers(tmp_path, fixture_dir, caplog):
+    config = write_config(tmp_path, fixture_dir)
+    for stage in ("ingest", "xt-fit"):
+        assert cli.main(["--config", str(config), "--quiet", stage]) == 0
+    longer = write_config(
+        tmp_path, fixture_dir, {"training": {"epochs": 3}}, name="longer.json"
+    )
+    for stage in ("xt-fit", "build-graphs", "train"):
+        assert cli.main(["--config", str(longer), "--quiet", stage]) == 0
+    # the checkpoint was trained under the other epochs
+    caplog.clear()
+    assert cli.main(["--config", str(config), "--quiet", "evaluate"]) == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    ckpt = tmp_path / "artifacts" / "model_gcn.ckpt"
+    assert errors == [f"{ckpt} was made under another train config; run train again"]
+
+
 def test_grid_over_the_zone_bound_exits_before_any_fit(tmp_path, fixture_dir, monkeypatch):
     assert cli.main(["--config", str(write_config(tmp_path, fixture_dir)), "--quiet", "ingest"]) == 0
     fits = []
@@ -1079,6 +1129,17 @@ def test_checkpoint_of_the_per_head_layout_is_trained_again(
     _record_digest(tmp_path, ap["checkpoint"])
     monkeypatch.undo()
 
+    # the layout is part of train's config: the record's config digest catches it
+    caplog.clear()
+    assert cli.main(["--config", str(config), "--quiet", "evaluate"]) == 3
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors == [f"{ap['checkpoint']} was made under another train config; run train again"]
+
+    # a manifest of that layout predates the records' config digest: the reader catches it
+    run = json.loads(ap["manifest"].read_text())
+    for record in run["made_from"].values():
+        del record["config"]
+    ap["manifest"].write_text(json.dumps(run))
     caplog.clear()
     assert cli.main(["--config", str(config), "--quiet", "evaluate"]) == 3
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
@@ -1219,3 +1280,68 @@ class TestCasePlot:
         for offset, action in enumerate(stream[0:4]):
             share = shares[(f"9001:{offset}", action.player_id)]
             assert f"P{action.player_id} {share:+.3f}" in text
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# A step's array freed as soon as it is made, as a training step frees its
+# tape: under the default glibc policy each round faults its pages in again.
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from threatshare import cli
+
+assert cli.main(["--config", sys.argv[1], "--quiet", "ingest"]) == 2
+rng = np.random.default_rng(0)
+x = rng.standard_normal((500, 64))
+w = rng.standard_normal((64, 128))
+b = rng.standard_normal((1, 128))
+
+
+def step():
+    x @ w + b
+
+
+for _ in range(10):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    step()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_main_keeps_freed_arrays_for_the_next_step(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE, str(tmp_path / "absent.json")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 1.0
+
+
+class _NoMallopt:
+    """A C library without ``mallopt``."""
+
+
+def _no_c_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize(
+    "cdll", [_no_c_library, lambda name: _NoMallopt()], ids=["oserror", "no-mallopt"]
+)
+def test_main_runs_without_mallopt(cdll, tmp_path, fixture_dir, monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli.main(["--config", str(write_config(tmp_path, fixture_dir)), "--quiet", "ingest"]) == 0
+    assert (tmp_path / "artifacts" / "actions.ndjson").is_file()
