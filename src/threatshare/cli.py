@@ -929,13 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameters (malloc.h) and the values the CLI sets
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 32 << 20  # the cap of glibc's own dynamic threshold
-_TRIM_THRESHOLD = 64 << 20
-
-
 def _keep_freed_memory() -> None:
     """Keep freed array buffers in the heap for the next allocation to reuse.
 
@@ -948,8 +941,8 @@ def _keep_freed_memory() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):
         return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the cap of glibc's dynamic threshold
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
 def main(argv=None) -> int:

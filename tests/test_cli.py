@@ -1012,9 +1012,7 @@ def test_config_change_trips_only_the_stages_it_covers(tmp_path, fixture_dir, ca
     config = write_config(tmp_path, fixture_dir)
     for stage in ("ingest", "xt-fit"):
         assert cli.main(["--config", str(config), "--quiet", stage]) == 0
-    longer = write_config(
-        tmp_path, fixture_dir, {"training": {"epochs": 3}}, name="longer.json"
-    )
+    longer = write_config(tmp_path, fixture_dir, {"training": {"epochs": 3}}, name="longer.json")
     for stage in ("xt-fit", "build-graphs", "train"):
         assert cli.main(["--config", str(longer), "--quiet", stage]) == 0
     # the checkpoint was trained under the other epochs
@@ -1330,16 +1328,12 @@ def test_main_keeps_freed_arrays_for_the_next_step(tmp_path):
     assert float(proc.stdout) < 1.0
 
 
-class _NoMallopt:
-    """A C library without ``mallopt``."""
-
-
 def _no_c_library(name):
     raise OSError(f"{name}: cannot open shared object file")
 
 
 @pytest.mark.parametrize(
-    "cdll", [_no_c_library, lambda name: _NoMallopt()], ids=["oserror", "no-mallopt"]
+    "cdll", [_no_c_library, lambda name: object()], ids=["oserror", "no-mallopt"]
 )
 def test_main_runs_without_mallopt(cdll, tmp_path, fixture_dir, monkeypatch):
     monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
