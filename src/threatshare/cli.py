@@ -809,7 +809,8 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
         raise ConfigError("ablate: k_values must be non-empty")
     for k in k_values:
         _require(0 <= k <= MAX_WINDOW_K, f"ablate: k_values must be in [0, {MAX_WINDOW_K}], got {k}")
-    _require_inputs(STAGES["build-graphs"].inputs(cfg))
+    inputs = _require_inputs(STAGES["build-graphs"].inputs(cfg))
+    _check_unchanged(_load_manifest(cfg), {p: _sha_file(p) for p in inputs}, cfg.effective_dict())
 
     cells: dict = {}
     baseline: dict = {}

@@ -2,6 +2,7 @@
 
 from threatshare.diffcore.tensor import (
     NumericError,
+    PairPlan,
     ShapeError,
     Tensor,
     add,
@@ -16,9 +17,9 @@ from threatshare.diffcore.tensor import (
     mul,
     pair_dot,
     pair_mix,
+    pair_softmax,
     relu,
     reshape,
-    segment_softmax,
     segment_sum,
 )
 from threatshare.diffcore.optim import (

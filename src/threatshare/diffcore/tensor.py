@@ -1,14 +1,19 @@
 """Float64 tensors with taped reverse-mode differentiation.
 
 Deliberately small: eager dense arrays, one closure tape per result, no
-views. The cost of an op is almost all interpreter overhead, not arithmetic,
-so callers pack many small graphs into one set of matrices and the index ops
-(``gather_rows``, ``segment_sum``, ``segment_softmax``, ``pair_dot``,
-``pair_mix``) address rows by index arrays instead of dense masks. The pair
-ops also take the pack's block layout (rows per graph) and multiply block by
-block, so their cost grows with the number of graphs, not the square of the
-pack. ``linear`` (``x @ W + b``) and ``layer_norm`` (of a sum and its
-residual) are fused: one taped result where there were several.
+views. The cost of an op is almost all interpreter overhead and data
+movement, not arithmetic, so callers pack many small graphs into one set of
+matrices and the index ops (``gather_rows``, ``segment_sum``) address rows by
+index arrays instead of dense masks. Rows move by ``np.take``: a gather is
+one take, and a scatter of distinct rows into zeros is a take from the
+source with one sentinel row appended. The pair ops (``pair_dot``,
+``pair_mix``, ``pair_softmax``) read one ``PairPlan`` per pack, which fixes
+the pairs, checks them once and holds every map they move rows through.
+They multiply block by block (one block per graph), so their cost grows with
+the number of graphs, not the square of the pack. ``linear`` (``x @ W + b``)
+and ``layer_norm`` (of a sum and its residual) are fused: one taped result
+where there were several. ``relu`` and ``leaky_relu`` are maxima, with no
+data-dependent select.
 
 An op records its tape only if an input requires grad: a pass over constant
 tensors builds none. The tape lists the op's parents, each with a closure
@@ -194,17 +199,30 @@ def concat(tensors, axis=0) -> Tensor:
 
 
 # ── nonlinearities ────────────────────────────────────────────────────────
+#
+# Both are maxima, not selects: a data-dependent select mispredicts on
+# random signs. Each equals its select form bit for bit.
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
-    return _result(np.where(a.data > 0, a.data, 0.0), [(a, lambda g: g * (a.data > 0))])
+    data = np.maximum(0.0, a.data)
+    # on a tie of signed zeros np.maximum may return either one; adding +0.0
+    # turns -0.0 into +0.0, as the select ``a > 0 ? a : 0`` gives
+    data += 0.0
+    return _result(data, [(a, lambda g: g * (a.data > 0))])
 
 
 def leaky_relu(a, slope=0.2) -> Tensor:
+    """``max(a, slope * a)``, which is ``a > 0 ? a : slope * a`` only for a
+    slope in [0, 1]; any other slope is out of contract."""
+    if not 0.0 <= slope <= 1.0:
+        raise NumericError(f"leaky_relu: slope {slope!r} outside [0, 1]")
     a = _as_tensor(a)
-    data = np.where(a.data > 0, a.data, slope * a.data)
-    return _result(data, [(a, lambda g: g * np.where(a.data > 0, 1.0, slope))])
+    # the factor max(a > 0, slope) is 1 where a > 0 and slope elsewhere
+    return _result(
+        np.maximum(a.data, slope * a.data), [(a, lambda g: g * np.maximum(a.data > 0, slope))]
+    )
 
 
 def layer_norm(x, residual, gain, bias, eps=1e-5) -> Tensor:
@@ -248,6 +266,10 @@ def layer_norm(x, residual, gain, bias, eps=1e-5) -> Tensor:
 # A pack of graphs is one set of row-stacked matrices; these ops address its
 # rows through integer index arrays. Segment ids are sorted, so a segment is
 # one contiguous run of rows and a scatter-add is one ``np.add.reduceat``.
+# Rows move by ``np.take``, far cheaper than fancy indexing. A scatter
+# of distinct rows into an array of zeros (or -inf) is a take too: from the
+# source with one row of the fill value appended, through a fill map that
+# names each destination's source row or that sentinel row.
 
 
 def _row_index(idx, n_rows: int, op: str) -> np.ndarray:
@@ -257,13 +279,30 @@ def _row_index(idx, n_rows: int, op: str) -> np.ndarray:
     return idx
 
 
-def _runs(seg: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
+def _runs(seg: np.ndarray, op: str, what: str = "segment ids") -> tuple[np.ndarray, np.ndarray]:
     """Start of each run of equal ids in ``seg`` and each entry's run number."""
     step = np.diff(seg)
     if np.any(step < 0):
-        raise ShapeError(f"{op}: segment ids must be sorted")
+        raise ShapeError(f"{op}: {what} must be sorted")
     new = np.concatenate([[seg.size > 0], step != 0])[: seg.size]
     return np.flatnonzero(new), np.cumsum(new) - 1
+
+
+def _fill_map(size: int, dest: np.ndarray) -> np.ndarray:
+    """For each of ``size`` destination entries, the flat source index that
+    the distinct flat positions ``dest`` send there, or ``dest.size``: the
+    sentinel entry appended after the source."""
+    fill = np.full(size, dest.size, dtype=np.intp)
+    fill[dest.reshape(-1)] = np.arange(dest.size)
+    return fill
+
+
+def _with_sentinel(x: np.ndarray, value: float) -> np.ndarray:
+    """``x`` with one more entry of ``value`` along its first axis."""
+    out = np.empty((x.shape[0] + 1,) + x.shape[1:])
+    out[:-1] = x
+    out[-1] = value
+    return out
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -276,12 +315,12 @@ def gather_rows(a, idx) -> Tensor:
 
     def back(g):
         order = np.argsort(idx, kind="stable")
-        starts, _ = _runs(idx[order], "gather_rows")
-        out = np.zeros_like(a.data)
-        out[idx[order[starts]]] = np.add.reduceat(g[order], starts, axis=0)
-        return out
+        starts, _ = _runs(np.take(idx, order), "gather_rows")
+        sums = np.add.reduceat(np.take(g, order, axis=0), starts, axis=0)
+        fill = _fill_map(a.shape[0], np.take(idx, np.take(order, starts)))
+        return np.take(_with_sentinel(sums, 0.0), fill, axis=0)
 
-    return _result(a.data[idx], [(a, back)])
+    return _result(np.take(a.data, idx, axis=0), [(a, back)])
 
 
 def segment_sum(a, seg, n_segments: int) -> Tensor:
@@ -294,155 +333,167 @@ def segment_sum(a, seg, n_segments: int) -> Tensor:
     if a.data.ndim != 2 or seg.size != a.shape[0]:
         raise ShapeError(f"segment_sum: {seg.size} segment ids for data {a.shape}")
     starts, _ = _runs(seg, "segment_sum")
-    data = np.zeros((n_segments, a.shape[1]))
-    data[seg[starts]] = np.add.reduceat(a.data, starts, axis=0)
-    return _result(data, [(a, lambda g: g[seg])])
-
-
-def segment_softmax(a, seg) -> Tensor:
-    """Softmax of each column over the rows of each segment (``seg`` sorted),
-    shifted by the segment maximum for stability."""
-    a = _as_tensor(a)
-    seg = np.asarray(seg)
-    if a.data.ndim != 2 or seg.shape != (a.shape[0],):
-        raise ShapeError(f"segment_softmax: segment ids {seg.shape} for data {a.shape}")
-    starts, run = _runs(seg, "segment_softmax")
-    # one row per (column, segment), padded with -inf (exp gives 0), so a
-    # segment normalizes exactly like the matching row of a dense softmax
-    at = (slice(None), run, np.arange(seg.size) - starts[run])
-    width = np.diff(np.append(starts, seg.size)).max(initial=0)
-    rows = np.full((a.shape[1], starts.size, width), -np.inf)
-    rows[at] = a.data.T
-    e = np.exp(rows - rows.max(axis=2, keepdims=True))
-    y = (e / e.sum(axis=2, keepdims=True))[at].T
-
-    padded = rows.shape
-
-    def back(g):
-        gy = np.zeros(padded)
-        gy[at] = (g * y).T
-        return y * (g - gy.sum(axis=2)[:, run].T)
-
-    return _result(y, [(a, back)])
+    sums = np.add.reduceat(a.data, starts, axis=0)
+    fill = _fill_map(n_segments, np.take(seg, starts))
+    data = np.take(_with_sentinel(sums, 0.0), fill, axis=0)
+    return _result(data, [(a, lambda g: np.take(g, seg, axis=0))])
 
 
 # ── pair ops ──────────────────────────────────────────────────────────────
 #
-# Pairs (i, j) of rows inside the blocks of a pack. ``sizes`` is the block
-# layout: block b (one graph) is ``sizes[b]`` contiguous rows, and no pair
-# leaves its block. Each product pads every block with zero rows to the
-# largest, w, and runs once over a (blocks, heads, w, w) stack, so its cost
-# grows with the number of blocks, not with the square of the rows. A single
-# block needs no padding: its product is the plain (rows x rows) one.
+# Pairs (i, j) of rows inside the blocks of a pack: block b (one graph) is
+# ``sizes[b]`` contiguous rows, and no pair leaves its block. A PairPlan
+# fixes the pairs of one pack and every map the ops below move rows through,
+# so a pack is checked and laid out once, however many ops read it. Each
+# product pads every block with zero rows to the largest, w, and runs once
+# over a (blocks, heads, w, w) stack, so its cost grows with the number of
+# blocks, not with the square of the rows. A single block needs no padding:
+# its product is the plain (rows x rows) one.
 
 
-class _Blocks:
-    """Where the rows and the pairs of a block layout sit in the padded stack."""
+class PairPlan:
+    """The pairs of a pack, sorted by query row, and where they sit in the
+    padded layouts of the pair ops (the block stack) and of the softmax over
+    each query's pairs (one row per head and query, as wide as the query
+    with the most pairs).
 
-    __slots__ = ("n_rows", "n_blocks", "width", "slot", "block", "q", "k")
+    ``q`` and ``k`` are the query and key row of each pair. Raises
+    ShapeError unless the rows are inside the blocks, the queries sorted,
+    the pairs distinct and each inside one block.
+    """
 
-    def __init__(self, sizes, q_idx, k_idx, op: str):
+    __slots__ = (
+        "q", "k", "heads", "n_rows", "n_blocks", "width", "slot", "pad_fill",
+        "cells", "cell_fill", "n_queries", "run", "run_width", "run_cells", "run_fill",
+    )
+
+    def __init__(self, sizes, q_idx, k_idx, heads: int):
+        op = "pair plan"
         sizes = np.asarray(sizes, dtype=np.intp)
         if sizes.ndim != 1 or np.any(sizes < 0):
             raise ShapeError(f"{op}: block sizes must be 1-D and non-negative")
-        self.n_rows = int(sizes.sum())
-        q_idx = _row_index(q_idx, self.n_rows, op)
-        k_idx = _row_index(k_idx, self.n_rows, op)
-        if q_idx.size != k_idx.size:
-            raise ShapeError(f"{op}: {q_idx.size} query and {k_idx.size} key indices")
+        if heads < 1:
+            raise ShapeError(f"{op}: heads must be >= 1, got {heads}")
+        self.heads, self.n_rows = heads, int(sizes.sum())
+        self.q, self.k = _row_index(q_idx, self.n_rows, op), _row_index(k_idx, self.n_rows, op)
+        if self.q.size != self.k.size:
+            raise ShapeError(f"{op}: {self.q.size} query and {self.k.size} key indices")
+        starts, run = _runs(self.q, op, "query rows")
         block = np.repeat(np.arange(sizes.size), sizes)
         local = np.arange(self.n_rows) - (np.cumsum(sizes) - sizes)[block]
-        self.block = block[q_idx]
-        if np.any(block[k_idx] != self.block):
+        pair_block = np.take(block, self.q)
+        if np.any(np.take(block, self.k) != pair_block):
             raise ShapeError(f"{op}: a pair crosses blocks")
         self.n_blocks, self.width = sizes.size, int(sizes.max(initial=0))
-        self.slot = block * self.width + local
-        self.q, self.k = local[q_idx], local[k_idx]
-        cell = (self.block * self.width + self.q) * self.width + self.k
+        w, n_pairs = self.width, self.q.size
+        # cell of each pair in its block's (w, w) square, blocks in a row
+        cell = (pair_block * w + np.take(local, self.q)) * w + np.take(local, self.k)
         if np.bincount(cell).max(initial=0) > 1:
             raise ShapeError(f"{op}: pairs must be distinct")
+        self.slot = block * w + local
+        self.pad_fill = _fill_map(self.n_blocks * w, self.slot)
+        # (pairs, heads) positions in the (blocks, heads, w, w) stack, and back
+        head = np.arange(heads)
+        self.cells = (cell + pair_block * (heads - 1) * w * w)[:, None] + head * w * w
+        self.cell_fill = _fill_map(self.n_blocks * heads * w * w, self.cells)
+        # (pairs, heads) positions in the (heads, queries, run width) rows
+        self.n_queries, self.run = starts.size, run
+        self.run_width = int(np.diff(np.append(starts, n_pairs)).max(initial=0))
+        per_head = self.n_queries * self.run_width
+        at = run * self.run_width + np.arange(n_pairs) - np.take(starts, run)
+        self.run_cells = at[:, None] + head * per_head
+        self.run_fill = _fill_map(heads * per_head, self.run_cells)
 
-    def pad(self, x: np.ndarray, heads: int) -> np.ndarray:
+    def pad(self, x: np.ndarray) -> np.ndarray:
         """(rows, heads * dh) -> (blocks, heads, w, dh), zero rows appended."""
-        out = np.zeros((self.n_blocks * self.width, x.shape[1]))
-        out[self.slot] = x
-        return out.reshape(self.n_blocks, self.width, heads, -1).transpose(0, 2, 1, 3)
+        out = np.take(_with_sentinel(x, 0.0), self.pad_fill, axis=0)
+        return out.reshape(self.n_blocks, self.width, self.heads, -1).transpose(0, 2, 1, 3)
 
     def unpad(self, y: np.ndarray) -> np.ndarray:
         """(blocks, heads, w, dh) -> (rows, heads * dh)."""
-        return y.transpose(0, 2, 1, 3).reshape(self.n_blocks * self.width, -1)[self.slot]
+        rows = y.transpose(0, 2, 1, 3).reshape(self.n_blocks * self.width, -1)
+        return np.take(rows, self.slot, axis=0)
 
-    def dots(self, a: np.ndarray, b: np.ndarray, heads: int) -> np.ndarray:
+    def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(pairs, heads): per head, ``a[i] . b[j]`` of every pair (i, j)."""
-        prod = self.pad(a, heads) @ self.pad(b, heads).swapaxes(2, 3)
-        return prod[self.block, :, self.q, self.k]
+        return np.take(self.pad(a) @ self.pad(b).swapaxes(2, 3), self.cells)
 
     def sums(self, weights: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """(rows, x columns): per head h, row i sums ``weights[p, h] * x[j]``
         over the pairs p = (i, j), or over the pairs (j, i) if ``transpose``."""
-        m = np.zeros((self.n_blocks, weights.shape[1], self.width, self.width))
-        m[self.block, :, self.q, self.k] = weights
+        w = self.width
+        m = np.take(_with_sentinel(weights.reshape(-1), 0.0), self.cell_fill)
+        m = m.reshape(self.n_blocks, self.heads, w, w)
         if transpose:
             m = m.swapaxes(2, 3)
-        return self.unpad(m @ self.pad(x, weights.shape[1]))
+        return self.unpad(m @ self.pad(x))
 
 
-def _head_split(width: int, heads: int, op: str) -> None:
-    if heads < 1 or width % heads:
-        raise ShapeError(f"{op}: {width} columns do not split into {heads} heads")
+def _check_rows(t: Tensor, plan: PairPlan, op: str) -> None:
+    if t.data.ndim != 2 or t.shape[0] != plan.n_rows:
+        raise ShapeError(f"{op}: shape {t.shape} for blocks of {plan.n_rows} rows")
+    if t.shape[1] % plan.heads:
+        raise ShapeError(f"{op}: {t.shape[1]} columns do not split into {plan.heads} heads")
 
 
-def pair_dot(q, k, q_idx, k_idx, heads: int, sizes) -> Tensor:
-    """Per-head dot products of row pairs, shape (P, heads):
-    ``out[p, h] = q[q_idx[p], block h] . k[k_idx[p], block h]``, the columns
-    of ``q`` and ``k`` split into ``heads`` equal blocks.
+def _check_pairs(t: Tensor, plan: PairPlan, op: str) -> None:
+    if t.shape != (plan.q.size, plan.heads):
+        raise ShapeError(f"{op}: shape {t.shape} for {plan.q.size} pairs of {plan.heads} heads")
 
-    ``q`` and ``k`` share the row layout ``sizes`` (rows per graph); pairs
-    must be distinct and inside one graph, else ShapeError.
-    """
+
+def pair_dot(q, k, plan: PairPlan) -> Tensor:
+    """Per-head dot products of the plan's row pairs, shape (pairs, heads):
+    ``out[p, h] = q[plan.q[p], block h] . k[plan.k[p], block h]``, the
+    columns of ``q`` and ``k`` split into ``plan.heads`` equal blocks."""
     q, k = _as_tensor(q), _as_tensor(k)
-    if q.data.ndim != 2 or k.data.ndim != 2 or q.shape != k.shape:
+    _check_rows(q, plan, "pair_dot")
+    if k.shape != q.shape:
         raise ShapeError(f"pair_dot: shapes {q.shape} and {k.shape}")
-    _head_split(q.shape[1], heads, "pair_dot")
-    at = _Blocks(sizes, q_idx, k_idx, "pair_dot")
-    if at.n_rows != q.shape[0]:
-        raise ShapeError(f"pair_dot: {q.shape[0]} rows for blocks of {at.n_rows}")
     return _result(
-        at.dots(q.data, k.data, heads),
+        plan.dots(q.data, k.data),
         [
-            (q, lambda g: at.sums(g, k.data)),
-            (k, lambda g: at.sums(g, q.data, transpose=True)),
+            (q, lambda g: plan.sums(g, k.data)),
+            (k, lambda g: plan.sums(g, q.data, transpose=True)),
         ],
     )
 
 
-def pair_mix(alpha, v, q_idx, k_idx, sizes) -> Tensor:
-    """Per-head weighted sums over row pairs, shape (rows, v columns):
-    ``out[i, block h]`` sums ``alpha[p, h] * v[k_idx[p], block h]`` over the
-    pairs with ``q_idx[p] == i``; the columns of ``v`` split into one block
-    per column of ``alpha``.
-
-    The output and ``v`` share the row layout ``sizes``; pairs must be
-    distinct and inside one graph, as in :func:`pair_dot`.
-    """
+def pair_mix(alpha, v, plan: PairPlan) -> Tensor:
+    """Per-head weighted sums over the plan's row pairs, shape (rows, v
+    columns): ``out[i, block h]`` sums ``alpha[p, h] * v[plan.k[p], block h]``
+    over the pairs with ``plan.q[p] == i``; the columns of ``v`` split into
+    one block per head."""
     alpha, v = _as_tensor(alpha), _as_tensor(v)
-    if alpha.data.ndim != 2 or v.data.ndim != 2:
-        raise ShapeError(f"pair_mix: shapes {alpha.shape} and {v.shape}")
-    heads = alpha.shape[1]
-    _head_split(v.shape[1], heads, "pair_mix")
-    at = _Blocks(sizes, q_idx, k_idx, "pair_mix")
-    if at.n_rows != v.shape[0] or alpha.shape[0] != at.q.size:
-        raise ShapeError(
-            f"pair_mix: {alpha.shape[0]} weights and {v.shape[0]} rows "
-            f"for {at.q.size} pairs in blocks of {at.n_rows}"
-        )
+    _check_pairs(alpha, plan, "pair_mix")
+    _check_rows(v, plan, "pair_mix")
     return _result(
-        at.sums(alpha.data, v.data),
+        plan.sums(alpha.data, v.data),
         [
-            (alpha, lambda g: at.dots(g, v.data, heads)),
-            (v, lambda g: at.sums(alpha.data, g, transpose=True)),
+            (alpha, lambda g: plan.dots(g, v.data)),
+            (v, lambda g: plan.sums(alpha.data, g, transpose=True)),
         ],
     )
+
+
+def pair_softmax(a, plan: PairPlan) -> Tensor:
+    """Softmax of each column of a (pairs, heads) tensor over the pairs of
+    each query row, shifted by the query's maximum for stability.
+
+    The padded rows hold -inf (exp gives 0), so a query normalizes exactly
+    like the matching row of a dense softmax.
+    """
+    a = _as_tensor(a)
+    _check_pairs(a, plan, "pair_softmax")
+    shape = (plan.heads, plan.n_queries, plan.run_width)
+    rows = np.take(_with_sentinel(a.data.reshape(-1), -np.inf), plan.run_fill).reshape(shape)
+    e = np.exp(rows - rows.max(axis=2, keepdims=True))
+    y = np.take(e / e.sum(axis=2, keepdims=True), plan.run_cells)
+
+    def back(g):
+        gy = np.take(_with_sentinel((g * y).reshape(-1), 0.0), plan.run_fill).reshape(shape)
+        return y * (g - np.take(gy.sum(axis=2).T, plan.run, axis=0))
+
+    return _result(y, [(a, back)])
 
 
 # ── losses ────────────────────────────────────────────────────────────────

@@ -22,9 +22,11 @@ linear map of the player's latest touch coordinates.
 Every pass runs over a pack: the disjoint union of several graphs, stacked
 into one node matrix and one edge matrix, so one taped op serves the whole
 pack. Graph structure enters as index arrays that the diffcore index ops
-read: the stacked edge endpoints and what the pack derives from them (the
-adjacency pairs, all ordered pairs of each graph for the transformer);
-attention never crosses from one graph to another.
+read: the stacked edge endpoints and what the pack derives from them. Each
+mixer builds one ``diffcore.PairPlan`` per pack, of the adjacency pairs (gcn,
+gat) or of all ordered pairs of each graph (transformer), and every pair op
+and softmax of every layer reads it; attention never crosses from one graph
+to another.
 An attention layer keeps all its heads in one array per weight, head m in
 column block m (and so does the checkpoint), so one product runs every head.
 A single graph is a pack of one, and ``forward`` is the one pass that
@@ -278,11 +280,12 @@ def _node_inputs_with_edges(pack: _Pack) -> dc.Tensor:
 
 def _gcn(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     dst, src, weight = pack.adjacency_pairs()
+    plan = dc.PairPlan(pack.sizes, dst, src, heads=1)
     a_hat = dc.Tensor(weight[:, None])
     h = _node_inputs_with_edges(pack)
     for layer in range(cfg.n_layers):
         xw = h @ params[f"gcn.L{layer}.W"]
-        h = dc.relu(dc.pair_mix(a_hat, xw, dst, src, pack.sizes) + params[f"gcn.L{layer}.b"])
+        h = dc.relu(dc.pair_mix(a_hat, xw, plan) + params[f"gcn.L{layer}.b"])
     return h, []
 
 
@@ -290,6 +293,7 @@ def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     dst, src, _ = pack.adjacency_pairs()
     h = _node_inputs_with_edges(pack)
     dh, heads = cfg.head_dim, cfg.n_heads
+    plan = dc.PairPlan(pack.sizes, dst, src, heads)
     head_sum = np.kron(np.eye(heads), np.ones((dh, 1)))  # adds up each head's columns
     # a's entries in the order that reads it as two rows, every head's source
     # half then every head's destination half
@@ -305,8 +309,8 @@ def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
         scores = dc.leaky_relu(
             dc.gather_rows(s_src, src) + dc.gather_rows(s_dst, dst), LEAKY_SLOPE
         )
-        alpha = dc.segment_softmax(scores, dst)
-        h = dc.relu(dc.pair_mix(alpha, proj, dst, src, pack.sizes))
+        alpha = dc.pair_softmax(scores, plan)
+        h = dc.relu(dc.pair_mix(alpha, proj, plan))
         attention.append((alpha.data, dst, src))
     return h, attention
 
@@ -314,8 +318,8 @@ def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
 def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     n, off = pack.sizes, pack.offsets
     # every ordered (query, key) pair of each graph, sorted by query
-    q_idx, k_idx = pack.pairs()
-    n_pairs = q_idx.size
+    plan = dc.PairPlan(pack.sizes, *pack.pairs(), cfg.n_heads)
+    n_pairs = plan.q.size
     # edge u -> v biases pair (u, v); parallel edges average, and pairs
     # without an edge take the learned no-edge bias
     b = pack.node_graph[pack.src]
@@ -340,14 +344,14 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
         rel = dc.segment_sum(edge_bias * edge_weight, edge_pair[order], n_pairs) + (
             params[f"{prefix}.rel_noedge"] * no_edge
         )
-        scores = (dc.pair_dot(q, k, q_idx, k_idx, cfg.n_heads, pack.sizes) + rel) * scale
-        alpha = dc.segment_softmax(scores, q_idx)
-        att = dc.pair_mix(alpha, v, q_idx, k_idx, pack.sizes)
+        scores = (dc.pair_dot(q, k, plan) + rel) * scale
+        alpha = dc.pair_softmax(scores, plan)
+        att = dc.pair_mix(alpha, v, plan)
         h = dc.layer_norm(att, h, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
         ffn = dc.relu(dc.linear(h, params[f"{prefix}.ffn.W1"], params[f"{prefix}.ffn.b1"]))
         ffn = dc.linear(ffn, params[f"{prefix}.ffn.W2"], params[f"{prefix}.ffn.b2"])
         h = dc.layer_norm(ffn, h, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
-        attention.append((alpha.data, q_idx, k_idx))
+        attention.append((alpha.data, plan.q, plan.k))
     return h, attention
 
 

@@ -516,6 +516,24 @@ def _run_again(stage, changes):
     return damage
 
 
+def _refused(stage, changes):
+    """Damage: rewrite the run's config as ``changes(tmp_path, config)``
+    makes it, and see ``stage`` refuse to run under it."""
+
+    def damage(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(changes(tmp_path, json.loads(path.read_text()))))
+        assert cli.main(["--config", str(path), "--quiet", stage]) == 3
+
+    return damage
+
+
+def _no_on_ball_events(tmp_path, data):
+    """The config with a ``data_dir`` of one event file without an on-ball action."""
+    content = json.dumps([{"type": {"name": "Starting XI"}, "team": {"id": 1}}]).encode()
+    return {**data, "paths": {**data["paths"], **_events_only(content)(tmp_path, None)["paths"]}}
+
+
 def _as_variant(variant):
     """Changes: the config with model ``variant``."""
     return lambda tmp_path, data: {**data, "model": {**data["model"], "variant": variant}}
@@ -940,6 +958,11 @@ FAILURE_CASES = {
     "ablate-k-over-the-bound": (
         lambda tmp, fx: {}, TRAINED[:2], None, "ablate --k-values=3,60", 2,
         "ablate: k_values must be in [0, 50], got 60"),
+    # ingest refused a new data_dir; the sweep must not run on the earlier corpus
+    "ablate-actions-of-another-data-dir": (
+        lambda tmp, fx: {}, TRAINED[:3], _refused("ingest", _no_on_ball_events),
+        "ablate --k-values=1", 3,
+        "{art}/actions.ndjson was made under another ingest config; run ingest again"),
     # plot-case refuses an edited input as a stage does, and names who writes a missing share
     "plot-case-shares-edited": (
         lambda tmp, fx: {}, ALL_STAGES, _edit_lines("shares.csv", _without_event("9001:12")),

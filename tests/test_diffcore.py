@@ -1,14 +1,17 @@
 """Gradient, optimizer, and checkpoint contracts of the compute core."""
 
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from threatshare import diffcore as dc
 from threatshare.diffcore import checkpoint as ckpt
+
+import diffcore_reference as ref
 
 
 def rel_err(a, b):
@@ -78,16 +81,19 @@ class TestPrimitiveGradients:
         fd_check(lambda: _weighted(dc.leaky_relu(a, 0.2), np.random.default_rng(10)), [a])
 
     def test_softmax_plain_and_masked(self):
-        # row softmax of a (4, 5) matrix: every row one segment of 5 entries
+        # row softmax of a (4, 5) matrix: four blocks of 5 rows, the first
+        # row of each the query of a pair with every row of its block
         a = self.leaf(20, 2)
-        rows = np.repeat(np.arange(4), 5)
-        fd_check(lambda: _weighted(dc.segment_softmax(a, rows), np.random.default_rng(11)), [a])
-        # masked: only the kept entries of each row form its segment
+        queries, keys = np.repeat(5 * np.arange(4), 5), np.arange(20)
+        plan = dc.PairPlan([5] * 4, queries, keys, 2)
+        fd_check(lambda: _weighted(dc.pair_softmax(a, plan), np.random.default_rng(11)), [a])
+        # masked: only the kept pairs of each query form its segment
         keep = np.random.default_rng(0).uniform(size=20) > 0.4
         keep[::5] = True
+        masked = dc.PairPlan([5] * 4, queries[keep], keys[keep], 2)
         fd_check(
             lambda: _weighted(
-                dc.segment_softmax(dc.gather_rows(a, np.flatnonzero(keep)), rows[keep]),
+                dc.pair_softmax(dc.gather_rows(a, np.flatnonzero(keep)), masked),
                 np.random.default_rng(12),
             ),
             [a],
@@ -123,22 +129,16 @@ class TestPrimitiveGradients:
         q, k = self.leaf(6, 6), self.leaf(6, 6)
         q_idx = np.array([0, 0, 1, 2, 4, 5, 5])  # row 3 is in no pair
         k_idx = np.array([0, 2, 1, 1, 5, 4, 5])
-        fd_check(
-            lambda: _weighted(
-                dc.pair_dot(q, k, q_idx, k_idx, 3, self.SIZES), np.random.default_rng(16)
-            ),
-            [q, k],
-        )
+        plan = dc.PairPlan(self.SIZES, q_idx, k_idx, 3)
+        fd_check(lambda: _weighted(dc.pair_dot(q, k, plan), np.random.default_rng(16)), [q, k])
 
     def test_pair_mix(self):
         alpha, v = self.leaf(7, 2), self.leaf(6, 4)
         q_idx = np.array([0, 0, 2, 2, 3, 4, 4])  # rows 1 and 5 receive nothing
         k_idx = np.array([0, 2, 1, 0, 3, 4, 5])
+        plan = dc.PairPlan(self.SIZES, q_idx, k_idx, 2)
         fd_check(
-            lambda: _weighted(
-                dc.pair_mix(alpha, v, q_idx, k_idx, self.SIZES), np.random.default_rng(17)
-            ),
-            [alpha, v],
+            lambda: _weighted(dc.pair_mix(alpha, v, plan), np.random.default_rng(17)), [alpha, v]
         )
 
     def test_losses(self):
@@ -150,8 +150,18 @@ class TestOpValues:
     def test_relu_values(self):
         assert dc.relu(dc.Tensor([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
 
+    def test_activation_zero_signs_and_slope_contract(self):
+        # the select forms: relu(-0.0) is +0.0, leaky_relu(-0.0) is slope * -0.0
+        assert not np.signbit(dc.relu(dc.Tensor([[-0.0]])).data[0, 0])
+        assert np.signbit(dc.leaky_relu(dc.Tensor([[-0.0]]), 0.2).data[0, 0])
+        # max(a, slope * a) is the select form only for a slope in [0, 1]
+        for slope in (1.5, -0.1, float("nan")):
+            with pytest.raises(dc.NumericError, match="leaky_relu: slope"):
+                dc.leaky_relu(dc.Tensor([[-1.0, 2.0]]), slope)
+
     def test_softmax_single_unmasked_entry(self):
-        out = dc.segment_softmax(dc.Tensor([[5.0], [-1.0], [2.0]]), [0, 1, 1])
+        plan = dc.PairPlan([1, 2], [0, 1, 1], [0, 1, 2], 1)
+        out = dc.pair_softmax(dc.Tensor([[5.0], [-1.0], [2.0]]), plan)
         assert out.data[0, 0] == 1.0
 
     def test_mse_zero(self):
@@ -159,12 +169,16 @@ class TestOpValues:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        seg = np.sort(rng.integers(0, 30, size=150))
-        x = dc.Tensor(rng.normal(size=(150, 4)) * 5)
-        y = dc.segment_softmax(x, seg)
-        sums = np.zeros((30, 4))
-        np.add.at(sums, seg, y.data)
-        np.testing.assert_allclose(sums[np.unique(seg)], 1.0, atol=1e-12)
+        # 30 blocks of 1-8 rows; each pair of rows of a block kept at random
+        sizes = rng.integers(1, 9, size=30)
+        q_idx, k_idx = _all_pairs(sizes)
+        keep = rng.uniform(size=q_idx.size) < 0.6
+        plan = dc.PairPlan(sizes, q_idx[keep], k_idx[keep], 4)
+        x = dc.Tensor(rng.normal(size=(plan.q.size, 4)) * 5)
+        y = dc.pair_softmax(x, plan)
+        sums = np.zeros((sizes.sum(), 4))
+        np.add.at(sums, plan.q, y.data)
+        np.testing.assert_allclose(sums[np.unique(plan.q)], 1.0, atol=1e-12)
 
     def test_layer_norm_constant_row_is_zero(self):
         # the row and its residual sum to a constant row
@@ -204,6 +218,15 @@ class TestOpValues:
             dc.mul(big, big)
 
 
+def _all_pairs(sizes):
+    """Every ordered (query, key) pair of rows inside each block, sorted by query."""
+    sizes = np.asarray(sizes)
+    offsets = np.cumsum(sizes) - sizes
+    q = np.concatenate([o + np.repeat(np.arange(n), n) for o, n in zip(offsets, sizes)] + [[]])
+    k = np.concatenate([o + np.tile(np.arange(n), n) for o, n in zip(offsets, sizes)] + [[]])
+    return q.astype(np.intp), k.astype(np.intp)
+
+
 class TestIndexOps:
     """The pack ops against loops over their definitions."""
 
@@ -214,8 +237,9 @@ class TestIndexOps:
         q_idx = np.array([0, 0, 1, 3, 3, 4, 5, 6, 6])
         k_idx = np.array([1, 3, 0, 0, 2, 6, 5, 4, 6])
         alpha = rng.normal(size=(9, 2))
-        dots = dc.pair_dot(q, k, q_idx, k_idx, 2, sizes).data
-        mixed = dc.pair_mix(alpha, v, q_idx, k_idx, sizes).data
+        plan = dc.PairPlan(sizes, q_idx, k_idx, 2)
+        dots = dc.pair_dot(q, k, plan).data
+        mixed = dc.pair_mix(alpha, v, plan).data
         want_mix = np.zeros((7, 6))
         for p, (i, j) in enumerate(zip(q_idx, k_idx)):
             for h, c in enumerate((slice(0, 3), slice(3, 6))):
@@ -227,7 +251,7 @@ class TestIndexOps:
         x = np.random.default_rng(22).normal(size=(6, 6)) * 3
         e = np.exp(x - x.max(axis=1, keepdims=True))
         dense = e / e.sum(axis=1, keepdims=True)
-        out = dc.segment_softmax(dc.Tensor(x.reshape(-1, 1)), np.repeat(np.arange(6), 6))
+        out = dc.pair_softmax(dc.Tensor(x.reshape(-1, 1)), dc.PairPlan([6], *_all_pairs([6]), 1))
         np.testing.assert_array_equal(out.data.reshape(6, 6), dense)
 
     def test_gather_gradient_adds_repeats_and_segment_sum_fills_empty(self):
@@ -242,19 +266,29 @@ class TestIndexOps:
         a = dc.Tensor(np.ones((3, 2)))
         with pytest.raises(dc.ShapeError, match="sorted"):
             dc.segment_sum(a, [1, 0, 1], 2)
-        with pytest.raises(dc.ShapeError, match="sorted"):
-            dc.segment_softmax(a, [0, 1, 0])
         with pytest.raises(dc.ShapeError, match="gather_rows"):
             dc.gather_rows(a, [3])
-        with pytest.raises(dc.ShapeError, match="pair_mix"):
-            dc.pair_mix(np.ones((2, 1)), a, [0, 1], [0, 1], [1])
+        # the pairs are checked once, where the plan is built
+        with pytest.raises(dc.ShapeError, match="pair plan: query rows must be sorted"):
+            dc.PairPlan([3], [0, 1, 0], [0, 1, 2], 1)
+        with pytest.raises(dc.ShapeError, match=r"pair plan: indices must be 1-D and inside \[0, 1\)"):
+            dc.PairPlan([1], [0, 1], [0, 1], 1)
         # a repeated pair would be summed once, not twice
-        with pytest.raises(dc.ShapeError, match="pair_mix: pairs must be distinct"):
-            dc.pair_mix(np.ones((2, 1)), a, [0, 0], [1, 1], [3])
-        with pytest.raises(dc.ShapeError, match="pair_dot: a pair crosses blocks"):
-            dc.pair_dot(a, a, [0, 1], [1, 2], 1, [2, 1])
-        with pytest.raises(dc.ShapeError, match="pair_mix: a pair crosses blocks"):
-            dc.pair_mix(np.ones((1, 1)), a, [2], [0], [2, 1])
+        with pytest.raises(dc.ShapeError, match="pair plan: pairs must be distinct"):
+            dc.PairPlan([3], [0, 0], [1, 1], 1)
+        for q_idx, k_idx in (([0, 1], [1, 2]), ([2], [0])):
+            with pytest.raises(dc.ShapeError, match="pair plan: a pair crosses blocks"):
+                dc.PairPlan([2, 1], q_idx, k_idx, 1)
+        # an op refuses operands the plan's rows, pairs or heads do not fit
+        plan = dc.PairPlan([2, 1], [0, 1, 2], [1, 0, 2], 2)
+        with pytest.raises(dc.ShapeError, match="pair_mix: shape"):
+            dc.pair_mix(np.ones((3, 1)), a, plan)
+        with pytest.raises(dc.ShapeError, match="pair_dot: shape"):
+            dc.pair_dot(np.ones((2, 2)), np.ones((2, 2)), plan)
+        with pytest.raises(dc.ShapeError, match="pair_softmax: shape"):
+            dc.pair_softmax(np.ones((2, 2)), plan)
+        with pytest.raises(dc.ShapeError, match="pair_dot: 3 columns do not split into 2 heads"):
+            dc.pair_dot(np.ones((3, 3)), np.ones((3, 3)), plan)
 
     def test_pair_ops_cost_per_block_not_per_pack(self):
         """100 graphs of 20 rows: one dense (2000 x 2000) product would take
@@ -267,14 +301,120 @@ class TestIndexOps:
         q, k, v = (dc.Tensor(rng.normal(size=(2000, 16)), requires_grad=True) for _ in range(3))
         tracemalloc.start()
         try:
-            alpha = dc.pair_dot(q, k, q_idx, k_idx, heads, sizes)
-            out = dc.pair_mix(alpha, v, q_idx, k_idx, sizes)
+            plan = dc.PairPlan(sizes, q_idx, k_idx, heads)
+            alpha = dc.pair_softmax(dc.pair_dot(q, k, plan), plan)
+            out = dc.pair_mix(alpha, v, plan)
             dc.backward(dc.mse(dc.reshape(out, (1, out.data.size)), np.zeros((1, out.data.size))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert q.grad is not None and k.grad is not None and v.grad is not None
         assert peak < 16 * 2**20, peak
+
+
+class _Layout(NamedTuple):
+    sizes: list
+    q: np.ndarray  # the kept pairs, sorted by query
+    k: np.ndarray
+    gather: list  # rows read, repeats allowed
+    seg: list  # sorted segment ids, some segments empty
+    n_seg: int
+    heads: int
+    dh: int
+    slope: float
+    seed: int
+
+
+@st.composite
+def pack_layouts(draw):
+    """Blocks of 0-5 rows (at least one row in all), a random subset of each
+    block's pairs (some rows are in no pair, one pair at least), a gather of as many rows
+    with repeats, and sorted segment ids over up to 6 segments."""
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(any))
+    q_all, k_all = _all_pairs(sizes)
+    keep = np.array(draw(st.lists(st.booleans(), min_size=q_all.size, max_size=q_all.size)), bool)
+    assume(keep.any())  # a softmax over no pairs at all fails in both forms
+    n = sum(sizes)
+    rows = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    n_seg = draw(st.integers(1, 6))
+    seg = sorted(draw(st.lists(st.integers(0, n_seg - 1), min_size=n, max_size=n)))
+    return _Layout(
+        sizes, q_all[keep], k_all[keep], draw(rows), seg, n_seg,
+        draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+        draw(st.sampled_from([0.0, 0.2, 1.0])), draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _index_chain(ops, lay, leaves):
+    """Every index op and activation, each output feeding the next, so the
+    backward sweep runs through each; returns every op's output."""
+    x, bias, z = leaves
+    outs = [ops["gather"](x, lay.gather)]
+    outs.append(ops["leaky"](ops["dot"](outs[-1], x) + bias, lay.slope))
+    outs.append(ops["softmax"](outs[-1]))
+    outs.append(ops["relu"](ops["mix"](outs[-1], x) + z))
+    outs.append(ops["segment_sum"](outs[-1], lay.seg, lay.n_seg))
+    return outs
+
+
+def _chain_ops(module, lay):
+    if module is dc:
+        plan = dc.PairPlan(lay.sizes, lay.q, lay.k, lay.heads)
+        pairs = {
+            "dot": lambda a, b: dc.pair_dot(a, b, plan),
+            "softmax": lambda a: dc.pair_softmax(a, plan),
+            "mix": lambda a, v: dc.pair_mix(a, v, plan),
+        }
+    else:
+        pairs = {
+            "dot": lambda a, b: ref.pair_dot(a, b, lay.q, lay.k, lay.heads, lay.sizes),
+            "softmax": lambda a: ref.segment_softmax(a, lay.q),
+            "mix": lambda a, v: ref.pair_mix(a, v, lay.q, lay.k, lay.sizes),
+        }
+    return {
+        "gather": module.gather_rows, "segment_sum": module.segment_sum,
+        "relu": module.relu, "leaky": module.leaky_relu, **pairs,
+    }
+
+
+class TestIndexOpsAgainstReference:
+    """The take forms, the pair plan and the maxima against the fancy-index
+    and select forms of ``diffcore_reference``, byte for byte."""
+
+    @given(lay=pack_layouts())
+    @settings(max_examples=150, deadline=None)
+    def test_outputs_and_gradients_are_bitwise_equal(self, lay):
+        rng = np.random.default_rng(lay.seed)
+        n, width = sum(lay.sizes), lay.heads * lay.dh
+        x = rng.normal(size=(n, width))
+        x[rng.uniform(size=x.shape) < 0.2] = 0.0
+        x[rng.uniform(size=x.shape) < 0.2] = -0.0
+        start = (x, rng.normal(size=(1, lay.heads)), rng.normal(size=(n, width)))
+        weights = rng.normal(size=(lay.n_seg, width))
+        results = []
+        for module in (dc, ref):
+            leaves = [dc.Tensor(a.copy(), requires_grad=True) for a in start]
+            outs = _index_chain(_chain_ops(module, lay), lay, leaves)
+            dc.backward(_weighted(dc.mul(outs[-1], weights), np.random.default_rng(0)))
+            results.append(([o.data for o in outs], [t.grad for t in leaves]))
+        (outs, grads), (want_outs, want_grads) = results
+        for got, want in zip(outs + grads, want_outs + want_grads, strict=True):
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_activations_on_signed_zeros_are_bitwise_equal(self):
+        values = np.array([[-0.0, 0.0, -1.5, 2.0, -1e-310, 1e-310, 3.0, -4.0]])
+        for slope in (0.0, 0.2, 1.0):
+            for ops in ((dc.relu, ref.relu), (lambda a: dc.leaky_relu(a, slope), lambda a: ref.leaky_relu(a, slope))):
+                grads = []
+                for op in ops:
+                    a = dc.Tensor(values.copy(), requires_grad=True)
+                    out = op(a)
+                    dc.backward(_weighted(out, np.random.default_rng(1)))
+                    grads.append((out.data.tobytes(), a.grad.tobytes()))
+                assert grads[0] == grads[1]
 
 
 class TestBackward:

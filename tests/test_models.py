@@ -531,6 +531,27 @@ class TestPacks:
             assert len(out.attention) == (0 if variant == "gcn" else cfg.n_layers)
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_each_pack_builds_one_pair_plan(self, variant, monkeypatch):
+        """The pairs of a pack are laid out and checked once, for every
+        layer and for both directions of the sweep."""
+        gs = mixed_graphs()
+        cfg = models.ModelConfig(variant=variant, seed=16)
+        params = models.init_model(cfg, D_NODE)
+        built = []
+        plan = dc.PairPlan
+
+        def counted(*args, **kwargs):
+            built.append(plan(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(dc, "PairPlan", counted)
+        dc.backward(dc.mse(models.forward(gs, params, cfg)[0], np.array([[g.label] for g in gs])))
+        assert len(built) == 1
+        monkeypatch.setattr(models, "PREDICT_NODES", 30)
+        models.predict(gs, params, cfg)
+        assert len(built) == 1 + len(models.packs(gs, 30)) > 2
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_pack_gradient_is_the_sum_of_single_graph_gradients(self, variant):
         gs = mixed_graphs()
         cfg = models.ModelConfig(variant=variant, seed=13)
