@@ -13,8 +13,8 @@ byte for byte except ``manifest.json``, which is compared with the run
 directory written as ``<run>``.
 
 Prints one line per artifact that differs or that one side lacks, then a
-count; exits 0 when all are identical, 1 when any differs, and 2 when a
-stage fails.
+count; exits 0 when all are identical, 1 when any differs, and 2 on a
+usage error or when a stage fails.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ VARIANTS = ("gcn", "gat", "transformer")
 CONFIGS = {"default": {}, "k50": {"window_k": 50}}
 STAGES = ("ingest", "xt-fit", "build-graphs", "train", "evaluate", "attribute", "rank")
 CASE = ("plot-case", "--match", "9001", "--start", "10", "--end", "14")
+
+
+def _fail(message: str) -> None:
+    print(message, file=sys.stderr)
+    sys.exit(2)
 
 
 def _run_side(root: Path, run: Path) -> None:
@@ -54,9 +59,11 @@ def _run_side(root: Path, run: Path) -> None:
             path.write_text(json.dumps(config))
             for command in [(stage,) for stage in STAGES] + [CASE]:
                 argv = [sys.executable, "-m", "threatshare.cli", "--config", str(path), "--quiet"]
-                done = subprocess.run([*argv, *command], cwd=run, env=env, capture_output=True, text=True)
+                done = subprocess.run(
+                    [*argv, *command], cwd=run, env=env, capture_output=True, text=True
+                )
                 if done.returncode:
-                    sys.exit(
+                    _fail(
                         f"{root}: {' '.join(command)} for {name}/{variant} exited "
                         f"{done.returncode}: {done.stderr.strip()}"
                     )
@@ -74,7 +81,7 @@ def _content(path: Path, run: Path) -> bytes:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
-        sys.exit(__doc__.split("\n\n")[1])
+        _fail(__doc__.split("\n\n")[1])
     parent, change = (Path(a).resolve() for a in argv)
     with tempfile.TemporaryDirectory() as scratch:
         run = Path(scratch) / "run"

@@ -271,7 +271,8 @@ class TestIndexOps:
         # the pairs are checked once, where the plan is built
         with pytest.raises(dc.ShapeError, match="pair plan: query rows must be sorted"):
             dc.PairPlan([3], [0, 1, 0], [0, 1, 2], 1)
-        with pytest.raises(dc.ShapeError, match=r"pair plan: indices must be 1-D and inside \[0, 1\)"):
+        out_of_range = r"pair plan: indices must be 1-D and inside \[0, 1\)"
+        with pytest.raises(dc.ShapeError, match=out_of_range):
             dc.PairPlan([1], [0, 1], [0, 1], 1)
         # a repeated pair would be summed once, not twice
         with pytest.raises(dc.ShapeError, match="pair plan: pairs must be distinct"):
@@ -328,8 +329,8 @@ class _Layout(NamedTuple):
 @st.composite
 def pack_layouts(draw):
     """Blocks of 0-5 rows (at least one row in all), a random subset of each
-    block's pairs (some rows are in no pair, one pair at least), a gather of as many rows
-    with repeats, and sorted segment ids over up to 6 segments."""
+    block's pairs (one at least; some rows are in no pair), a gather of as
+    many rows with repeats, and sorted segment ids over up to 6 segments."""
     sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(any))
     q_all, k_all = _all_pairs(sizes)
     keep = np.array(draw(st.lists(st.booleans(), min_size=q_all.size, max_size=q_all.size)), bool)
@@ -407,7 +408,8 @@ class TestIndexOpsAgainstReference:
     def test_activations_on_signed_zeros_are_bitwise_equal(self):
         values = np.array([[-0.0, 0.0, -1.5, 2.0, -1e-310, 1e-310, 3.0, -4.0]])
         for slope in (0.0, 0.2, 1.0):
-            for ops in ((dc.relu, ref.relu), (lambda a: dc.leaky_relu(a, slope), lambda a: ref.leaky_relu(a, slope))):
+            leaky = (lambda a: dc.leaky_relu(a, slope), lambda a: ref.leaky_relu(a, slope))
+            for ops in ((dc.relu, ref.relu), leaky):
                 grads = []
                 for op in ops:
                     a = dc.Tensor(values.copy(), requires_grad=True)
