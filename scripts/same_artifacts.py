@@ -5,8 +5,8 @@
 
 Each checkout's own command line (``python -m threatshare.cli`` over that
 root's ``src/``) runs ingest -> rank and one ``plot-case`` for gcn, gat and
-the transformer, at the default config and at ``window_k`` 50, on a copy of
-CHANGE_ROOT's bundled fixture. Both sides run in the same run directory, one
+the transformer, at the default config and at ``window_k`` 50 and 0, on a
+copy of CHANGE_ROOT's bundled fixture. Both sides run in the same run directory, one
 after the other, so every path they record is the same; each side's
 artifacts are moved aside before the other runs. Every artifact is compared
 byte for byte except ``manifest.json``, which is compared with the run
@@ -28,7 +28,8 @@ import tempfile
 from pathlib import Path
 
 VARIANTS = ("gcn", "gat", "transformer")
-CONFIGS = {"default": {}, "k50": {"window_k": 50}}
+# window_k 0 makes graphs of 1-2 nodes: the most padding per block in a pack
+CONFIGS = {"default": {}, "k50": {"window_k": 50}, "k0": {"window_k": 0}}
 STAGES = ("ingest", "xt-fit", "build-graphs", "train", "evaluate", "attribute", "rank")
 CASE = ("plot-case", "--match", "9001", "--start", "10", "--end", "14")
 

@@ -1,12 +1,16 @@
 """Dense float64 compute with reverse-mode gradients, Adam, and checkpoints."""
 
 from threatshare.diffcore.tensor import (
+    Blocks,
     NumericError,
     PairPlan,
     ShapeError,
     Tensor,
     add,
     backward,
+    block_mix,
+    block_scores,
+    block_softmax,
     concat,
     gather_rows,
     layer_norm,
@@ -15,8 +19,6 @@ from threatshare.diffcore.tensor import (
     matmul,
     mse,
     mul,
-    pair_dot,
-    pair_mix,
     pair_softmax,
     relu,
     reshape,

@@ -6,14 +6,15 @@ movement, not arithmetic, so callers pack many small graphs into one set of
 matrices and the index ops (``gather_rows``, ``segment_sum``) address rows by
 index arrays instead of dense masks. Rows move by ``np.take``: a gather is
 one take, and a scatter of distinct rows into zeros is a take from the
-source with one sentinel row appended. The pair ops (``pair_dot``,
-``pair_mix``, ``pair_softmax``) read one ``PairPlan`` per pack, which fixes
-the pairs, checks them once and holds every map they move rows through.
-They multiply block by block (one block per graph), so their cost grows with
-the number of graphs, not the square of the pack. ``linear`` (``x @ W + b``)
-and ``layer_norm`` (of a sum and its residual) are fused: one taped result
-where there were several. ``relu`` and ``leaky_relu`` are maxima, with no
-data-dependent select.
+source with one sentinel row appended. The block ops (``block_scores``,
+``block_softmax``, ``block_mix``) run on one (blocks, heads, w, w) stack per
+pack: a ``Blocks`` layout pads every graph's rows to the largest graph's, w,
+so their cost grows with the number of graphs, not the square of the pack.
+``pair_softmax`` normalizes over the pairs of a ``PairPlan`` (gat's
+neighbours) and writes the weights into that stack. ``linear``
+(``x @ W + b``) and ``layer_norm`` (of a sum and its residual) are fused: one
+taped result where there were several. ``relu`` and ``leaky_relu`` are
+maxima, with no data-dependent select.
 
 An op records its tape only if an input requires grad: a pass over constant
 tensors builds none. The tape lists the op's parents, each with a closure
@@ -305,6 +306,15 @@ def _with_sentinel(x: np.ndarray, value: float) -> np.ndarray:
     return out
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """The maximum of each row along the last axis (keepdims; -inf for an
+    empty row). numpy reduces many short rows one by one, several times
+    slower than one reduction over a copy with the last axis first; the two
+    can differ only in the sign of a zero maximum, which no shift by it sees.
+    """
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0, initial=-np.inf)[..., None]
+
+
 def gather_rows(a, idx) -> Tensor:
     """Rows ``idx`` of a 2-D tensor, repeats allowed; the gradient of every
     output row flows back onto the row it was read from."""
@@ -339,161 +349,242 @@ def segment_sum(a, seg, n_segments: int) -> Tensor:
     return _result(data, [(a, lambda g: np.take(g, seg, axis=0))])
 
 
-# ── pair ops ──────────────────────────────────────────────────────────────
+# ── block ops ─────────────────────────────────────────────────────────────
 #
-# Pairs (i, j) of rows inside the blocks of a pack: block b (one graph) is
-# ``sizes[b]`` contiguous rows, and no pair leaves its block. A PairPlan
-# fixes the pairs of one pack and every map the ops below move rows through,
-# so a pack is checked and laid out once, however many ops read it. Each
-# product pads every block with zero rows to the largest, w, and runs once
-# over a (blocks, heads, w, w) stack, so its cost grows with the number of
-# blocks, not with the square of the rows. A single block needs no padding:
-# its product is the plain (rows x rows) one.
+# The rows of a pack fall in blocks, one per graph: block b is ``sizes[b]``
+# contiguous rows, and no op mixes rows of two blocks. ``Blocks`` pads every
+# block with zero rows to the largest, w, so that the mixing layers run once
+# over a (blocks, heads, w, w) stack, one cell (i, j) per row pair of a
+# block. Their cost grows with the number of blocks, not with the square of
+# the rows. ``block_mix`` is the one ``alpha @ v`` of every variant; the
+# transformer fills alpha with ``block_scores`` and ``block_softmax``, gat
+# with ``pair_softmax`` over the pairs of a ``PairPlan``, and gcn passes a
+# constant block.
 
 
-class PairPlan:
-    """The pairs of a pack, sorted by query row, and where they sit in the
-    padded layouts of the pair ops (the block stack) and of the softmax over
-    each query's pairs (one row per head and query, as wide as the query
-    with the most pairs).
+class Blocks:
+    """The row layout of a pack: block b is ``sizes[b]`` contiguous rows,
+    padded with zero rows to the largest block, w, and the columns of a row
+    split into ``heads`` equal blocks."""
 
-    ``q`` and ``k`` are the query and key row of each pair. Raises
-    ShapeError unless the rows are inside the blocks, the queries sorted,
-    the pairs distinct and each inside one block.
-    """
+    __slots__ = ("sizes", "heads", "n_rows", "n_blocks", "width", "slot", "pad_fill", "_every", "_key_mask")
 
-    __slots__ = (
-        "q", "k", "heads", "n_rows", "n_blocks", "width", "slot", "pad_fill",
-        "cells", "cell_fill", "n_queries", "run", "run_width", "run_cells", "run_fill",
-    )
-
-    def __init__(self, sizes, q_idx, k_idx, heads: int):
-        op = "pair plan"
+    def __init__(self, sizes, heads: int):
+        op = "blocks"
         sizes = np.asarray(sizes, dtype=np.intp)
         if sizes.ndim != 1 or np.any(sizes < 0):
             raise ShapeError(f"{op}: block sizes must be 1-D and non-negative")
         if heads < 1:
             raise ShapeError(f"{op}: heads must be >= 1, got {heads}")
-        self.heads, self.n_rows = heads, int(sizes.sum())
-        self.q, self.k = _row_index(q_idx, self.n_rows, op), _row_index(k_idx, self.n_rows, op)
-        if self.q.size != self.k.size:
-            raise ShapeError(f"{op}: {self.q.size} query and {self.k.size} key indices")
-        starts, run = _runs(self.q, op, "query rows")
-        block = np.repeat(np.arange(sizes.size), sizes)
-        local = np.arange(self.n_rows) - (np.cumsum(sizes) - sizes)[block]
-        pair_block = np.take(block, self.q)
-        if np.any(np.take(block, self.k) != pair_block):
-            raise ShapeError(f"{op}: a pair crosses blocks")
+        self.sizes, self.heads, self.n_rows = sizes, heads, int(sizes.sum())
         self.n_blocks, self.width = sizes.size, int(sizes.max(initial=0))
-        w, n_pairs = self.width, self.q.size
-        # cell of each pair in its block's (w, w) square, blocks in a row
-        cell = (pair_block * w + np.take(local, self.q)) * w + np.take(local, self.k)
-        if np.bincount(cell).max(initial=0) > 1:
-            raise ShapeError(f"{op}: pairs must be distinct")
-        self.slot = block * w + local
-        self.pad_fill = _fill_map(self.n_blocks * w, self.slot)
-        # (pairs, heads) positions in the (blocks, heads, w, w) stack, and back
-        head = np.arange(heads)
-        self.cells = (cell + pair_block * (heads - 1) * w * w)[:, None] + head * w * w
-        self.cell_fill = _fill_map(self.n_blocks * heads * w * w, self.cells)
-        # (pairs, heads) positions in the (heads, queries, run width) rows
-        self.n_queries, self.run = starts.size, run
-        self.run_width = int(np.diff(np.append(starts, n_pairs)).max(initial=0))
-        per_head = self.n_queries * self.run_width
-        at = run * self.run_width + np.arange(n_pairs) - np.take(starts, run)
-        self.run_cells = at[:, None] + head * per_head
-        self.run_fill = _fill_map(heads * per_head, self.run_cells)
+        # row r of the pack is row ``slot[r]`` of the padded stack
+        offsets = np.cumsum(sizes) - sizes
+        self.slot = np.arange(self.n_rows) + np.repeat(np.arange(sizes.size) * self.width - offsets, sizes)
+        self.pad_fill = _fill_map(self.n_blocks * self.width, self.slot)
+        self._every = self._key_mask = None
 
     def pad(self, x: np.ndarray) -> np.ndarray:
         """(rows, heads * dh) -> (blocks, heads, w, dh), zero rows appended."""
         out = np.take(_with_sentinel(x, 0.0), self.pad_fill, axis=0)
-        return out.reshape(self.n_blocks, self.width, self.heads, -1).transpose(0, 2, 1, 3)
+        out = out.reshape(self.n_blocks, self.width, self.heads, x.shape[1] // self.heads)
+        return out.transpose(0, 2, 1, 3)
 
     def unpad(self, y: np.ndarray) -> np.ndarray:
         """(blocks, heads, w, dh) -> (rows, heads * dh)."""
         rows = y.transpose(0, 2, 1, 3).reshape(self.n_blocks * self.width, -1)
         return np.take(rows, self.slot, axis=0)
 
-    def dots(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(pairs, heads): per head, ``a[i] . b[j]`` of every pair (i, j)."""
-        return np.take(self.pad(a) @ self.pad(b).swapaxes(2, 3), self.cells)
+    def cells(self, q_idx, k_idx, op: str) -> np.ndarray:
+        """The cell of each pair of rows (q_idx[p], k_idx[p]) in the flat
+        (blocks, w, w) stack. Raises ShapeError unless the rows are inside the
+        blocks and the pairs distinct, each inside one block."""
+        q, k = _row_index(q_idx, self.n_rows, op), _row_index(k_idx, self.n_rows, op)
+        if q.size != k.size:
+            raise ShapeError(f"{op}: {q.size} query and {k.size} key indices")
+        w = max(self.width, 1)
+        q_slot, k_slot = np.take(self.slot, q), np.take(self.slot, k)
+        if np.any(q_slot // w != k_slot // w):
+            raise ShapeError(f"{op}: a pair crosses blocks")
+        cell = q_slot * w + k_slot % w
+        if np.bincount(cell).max(initial=0) > 1:
+            raise ShapeError(f"{op}: pairs must be distinct")
+        return cell
 
-    def sums(self, weights: np.ndarray, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """(rows, x columns): per head h, row i sums ``weights[p, h] * x[j]``
-        over the pairs p = (i, j), or over the pairs (j, i) if ``transpose``."""
-        w = self.width
-        m = np.take(_with_sentinel(weights.reshape(-1), 0.0), self.cell_fill)
-        m = m.reshape(self.n_blocks, self.heads, w, w)
-        if transpose:
-            m = m.swapaxes(2, 3)
-        return self.unpad(m @ self.pad(x))
+    def constant(self, q_idx, k_idx, values) -> np.ndarray:
+        """A (blocks, 1, w, w) stack of ``values`` at the cells of the pairs
+        (q_idx, k_idx) and 0 elsewhere."""
+        fill = _fill_map(self.n_blocks * self.width**2, self.cells(q_idx, k_idx, "blocks"))
+        stack = np.take(_with_sentinel(np.asarray(values, dtype=np.float64), 0.0), fill)
+        return stack.reshape(self.n_blocks, 1, self.width, self.width)
+
+    def every_cell(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell of every row pair of each block, block after block and
+        row-major, and for each cell of the stack its pair or the sentinel
+        (the pair count); built once."""
+        if self._every is None:
+            inside = np.arange(self.width) < self.sizes[:, None]
+            cells = np.flatnonzero(inside[:, :, None] & inside[:, None, :])
+            self._every = cells, _fill_map(self.n_blocks * self.width**2, cells)
+        return self._every
+
+    def key_mask(self) -> np.ndarray:
+        """(blocks, 1, 1, w): -inf on the padded keys of each block, 0 on the
+        rest; an empty block keeps key 0, so that no row is all -inf."""
+        if self._key_mask is None:
+            keys = np.arange(self.width) < np.maximum(self.sizes, 1)[:, None]
+            self._key_mask = np.where(keys, 0.0, -np.inf).reshape(self.n_blocks, 1, 1, self.width)
+        return self._key_mask
 
 
-def _check_rows(t: Tensor, plan: PairPlan, op: str) -> None:
-    if t.data.ndim != 2 or t.shape[0] != plan.n_rows:
-        raise ShapeError(f"{op}: shape {t.shape} for blocks of {plan.n_rows} rows")
-    if t.shape[1] % plan.heads:
-        raise ShapeError(f"{op}: {t.shape[1]} columns do not split into {plan.heads} heads")
+def _check_rows(t: Tensor, blocks: Blocks, op: str) -> None:
+    if t.data.ndim != 2 or t.shape[0] != blocks.n_rows:
+        raise ShapeError(f"{op}: shape {t.shape} for blocks of {blocks.n_rows} rows")
+    if t.shape[1] % blocks.heads:
+        raise ShapeError(f"{op}: {t.shape[1]} columns do not split into {blocks.heads} heads")
 
 
-def _check_pairs(t: Tensor, plan: PairPlan, op: str) -> None:
-    if t.shape != (plan.q.size, plan.heads):
-        raise ShapeError(f"{op}: shape {t.shape} for {plan.q.size} pairs of {plan.heads} heads")
+def _check_stack(t: Tensor, blocks: Blocks, op: str) -> None:
+    shape = (blocks.n_blocks, blocks.heads, blocks.width, blocks.width)
+    if t.shape != shape:
+        raise ShapeError(f"{op}: shape {t.shape} for a block stack of {shape}")
 
 
-def pair_dot(q, k, plan: PairPlan) -> Tensor:
-    """Per-head dot products of the plan's row pairs, shape (pairs, heads):
-    ``out[p, h] = q[plan.q[p], block h] . k[plan.k[p], block h]``, the
-    columns of ``q`` and ``k`` split into ``plan.heads`` equal blocks."""
-    q, k = _as_tensor(q), _as_tensor(k)
-    _check_rows(q, plan, "pair_dot")
+def block_scores(q, k, bias, blocks: Blocks, scale: float) -> Tensor:
+    """Per head, ``(q[i] . k[j] + bias[c]) * scale`` for every row pair
+    c = (i, j) of each block, as a (blocks, heads, w, w) stack; the columns of
+    ``q`` and ``k`` split into one block per head. ``bias`` is (pairs, heads),
+    its pairs those of ``Blocks.every_cell``. A cell of a padded row scores 0.
+    """
+    q, k, bias = _as_tensor(q), _as_tensor(k), _as_tensor(bias)
+    _check_rows(q, blocks, "block_scores")
     if k.shape != q.shape:
-        raise ShapeError(f"pair_dot: shapes {q.shape} and {k.shape}")
+        raise ShapeError(f"block_scores: shapes {q.shape} and {k.shape}")
+    cells, fill = blocks.every_cell()
+    heads, w = blocks.heads, blocks.width
+    if bias.shape != (cells.size, heads):
+        raise ShapeError(f"block_scores: bias {bias.shape} for {cells.size} pairs of {heads} heads")
+    qp, kp = blocks.pad(q.data), blocks.pad(k.data)
+    data = qp @ kp.swapaxes(2, 3)
+    spread = np.take(_with_sentinel(bias.data, 0.0), fill, axis=0)
+    data += spread.reshape(blocks.n_blocks, w, w, heads).transpose(0, 3, 1, 2)
+    data *= scale
     return _result(
-        plan.dots(q.data, k.data),
+        data,
         [
-            (q, lambda g: plan.sums(g, k.data)),
-            (k, lambda g: plan.sums(g, q.data, transpose=True)),
+            (q, lambda g: blocks.unpad((g * scale) @ kp)),
+            (k, lambda g: blocks.unpad((g * scale).swapaxes(2, 3) @ qp)),
+            (bias, lambda g: np.take((g * scale).transpose(0, 2, 3, 1).reshape(-1, heads), cells, axis=0)),
         ],
     )
 
 
-def pair_mix(alpha, v, plan: PairPlan) -> Tensor:
-    """Per-head weighted sums over the plan's row pairs, shape (rows, v
-    columns): ``out[i, block h]`` sums ``alpha[p, h] * v[plan.k[p], block h]``
-    over the pairs with ``plan.q[p] == i``; the columns of ``v`` split into
-    one block per head."""
+def block_softmax(a, blocks: Blocks) -> Tensor:
+    """Softmax along each row of a (blocks, heads, w, w) stack, shifted by
+    the row's maximum for stability, over the block's keys only: the padded
+    keys get 0. The rows of padded queries stay finite; no caller reads them.
+    """
+    a = _as_tensor(a)
+    _check_stack(a, blocks, "block_softmax")
+    y = a.data + blocks.key_mask()
+    y -= _row_max(y)
+    np.exp(y, out=y)
+    y /= y.sum(axis=3, keepdims=True)
+
+    def back(g):
+        d = g - (g * y).sum(axis=3, keepdims=True)
+        d *= y
+        return d
+
+    return _result(y, [(a, back)])
+
+
+def block_mix(alpha, v, blocks: Blocks) -> Tensor:
+    """Per head and block, ``alpha @ v``: row i of the output sums
+    ``alpha[b, h, i, j] * v[j, block h]`` over the rows j of its block. The
+    columns of ``v`` split into one block per head, and ``alpha`` is a
+    (blocks, heads, w, w) stack."""
     alpha, v = _as_tensor(alpha), _as_tensor(v)
-    _check_pairs(alpha, plan, "pair_mix")
-    _check_rows(v, plan, "pair_mix")
+    _check_rows(v, blocks, "block_mix")
+    _check_stack(alpha, blocks, "block_mix")
+    vp = blocks.pad(v.data)
     return _result(
-        plan.sums(alpha.data, v.data),
+        blocks.unpad(alpha.data @ vp),
         [
-            (alpha, lambda g: plan.dots(g, v.data)),
-            (v, lambda g: plan.sums(alpha.data, g, transpose=True)),
+            (alpha, lambda g: blocks.pad(g) @ vp.swapaxes(2, 3)),
+            (v, lambda g: blocks.unpad(alpha.data.swapaxes(2, 3) @ blocks.pad(g))),
         ],
     )
+
+
+class PairPlan:
+    """Some of the row pairs of a pack, sorted by query row, for a softmax
+    over each query's pairs: each pair's cell in the block stack, and where it
+    sits in the run layout (one row per head and query, as wide as the query
+    with the most pairs).
+
+    Raises ShapeError unless the rows are inside the blocks, the queries
+    sorted, the pairs distinct and each inside one block.
+    """
+
+    __slots__ = ("blocks", "cell", "cell_fill", "run", "at", "run_fill", "n_queries", "run_width")
+
+    def __init__(self, blocks: Blocks, q_idx, k_idx):
+        op = "pair plan"
+        self.blocks = blocks
+        q = _row_index(q_idx, blocks.n_rows, op)
+        starts, run = _runs(q, op, "query rows")
+        cell = blocks.cells(q, k_idx, op)
+        w, n_pairs = blocks.width, cell.size
+        # head 0's entry of each pair in the (blocks, heads, w, w) stack
+        self.cell = cell + cell // max(w * w, 1) * (blocks.heads - 1) * w * w
+        self.cell_fill = _fill_map(blocks.n_blocks * w * w, cell)
+        self.n_queries, self.run = starts.size, run
+        self.run_width = int(np.diff(np.append(starts, n_pairs)).max(initial=0))
+        self.at = run * self.run_width + np.arange(n_pairs) - np.take(starts, run)
+        self.run_fill = _fill_map(self.n_queries * self.run_width, self.at)
+
+
+def _by_head(x: np.ndarray, value: float) -> np.ndarray:
+    """(pairs, heads) -> (heads, pairs + 1): one row per head, with one more
+    entry of ``value``, so that a take along the pairs reads contiguous rows."""
+    out = np.empty((x.shape[1], x.shape[0] + 1))
+    out[:, :-1] = x.T
+    out[:, -1] = value
+    return out
 
 
 def pair_softmax(a, plan: PairPlan) -> Tensor:
     """Softmax of each column of a (pairs, heads) tensor over the pairs of
-    each query row, shifted by the query's maximum for stability.
+    each query row, shifted by the query's maximum for stability, written
+    into a (blocks, heads, w, w) stack: each pair at its cell, 0 elsewhere.
 
-    The padded rows hold -inf (exp gives 0), so a query normalizes exactly
-    like the matching row of a dense softmax.
+    The softmax runs in the run layout, whose padding holds -inf (exp gives
+    0), so a query normalizes exactly like the matching row of a dense
+    softmax; its sums run over the query's pairs alone. In the stack's rows,
+    0s would sit between a query's keys and change the order in which numpy
+    sums a row of 8 or more.
     """
     a = _as_tensor(a)
-    _check_pairs(a, plan, "pair_softmax")
-    shape = (plan.heads, plan.n_queries, plan.run_width)
-    rows = np.take(_with_sentinel(a.data.reshape(-1), -np.inf), plan.run_fill).reshape(shape)
-    e = np.exp(rows - rows.max(axis=2, keepdims=True))
-    y = np.take(e / e.sum(axis=2, keepdims=True), plan.run_cells)
+    blocks = plan.blocks
+    heads, w, n_pairs = blocks.heads, blocks.width, plan.at.size
+    if a.shape != (n_pairs, heads):
+        raise ShapeError(f"pair_softmax: shape {a.shape} for {n_pairs} pairs of {heads} heads")
+    shape = (heads, plan.n_queries, plan.run_width)
+    e = np.take(_by_head(a.data, -np.inf), plan.run_fill, axis=1).reshape(shape)
+    e -= _row_max(e)
+    np.exp(e, out=e)
+    e /= e.sum(axis=2, keepdims=True)
+    y = np.take(e.reshape(heads, -1), plan.at, axis=1)  # (heads, pairs)
+    stack = np.take(_by_head(y.T, 0.0), plan.cell_fill, axis=1)
+    stack = stack.reshape(heads, blocks.n_blocks, w, w).transpose(1, 0, 2, 3)
 
     def back(g):
-        gy = np.take(_with_sentinel((g * y).reshape(-1), 0.0), plan.run_fill).reshape(shape)
-        return y * (g - np.take(gy.sum(axis=2).T, plan.run, axis=0))
+        gp = np.take(g, plan.cell + np.arange(heads)[:, None] * w * w)
+        gy = np.take(_by_head((gp * y).T, 0.0), plan.run_fill, axis=1).reshape(shape)
+        return (y * (gp - np.take(gy.sum(axis=2), plan.run, axis=1))).T
 
-    return _result(y, [(a, back)])
+    return _result(stack, [(a, back)])
 
 
 # ── losses ────────────────────────────────────────────────────────────────

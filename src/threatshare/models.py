@@ -23,10 +23,13 @@ Every pass runs over a pack: the disjoint union of several graphs, stacked
 into one node matrix and one edge matrix, so one taped op serves the whole
 pack. Graph structure enters as index arrays that the diffcore index ops
 read: the stacked edge endpoints and what the pack derives from them. Each
-mixer builds one ``diffcore.PairPlan`` per pack, of the adjacency pairs (gcn,
-gat) or of all ordered pairs of each graph (transformer), and every pair op
-and softmax of every layer reads it; attention never crosses from one graph
-to another.
+mixer lays the pack out once as ``diffcore.Blocks``, every graph padded to
+the largest, w, and mixes on (graphs, heads, w, w) arrays with the one
+``diffcore.block_mix``: gcn's weights are a constant block of the
+row-normalized adjacency, gat's a softmax over each node's neighbours (one
+``diffcore.PairPlan`` of the adjacency pairs per pack), and the
+transformer's a softmax over its scaled scores plus edge bias; attention
+never crosses from one graph to another.
 An attention layer keeps all its heads in one array per weight, head m in
 column block m (and so does the checkpoint), so one product runs every head.
 A single graph is a pack of one, and ``forward`` is the one pass that
@@ -212,15 +215,6 @@ class _Pack:
         """A per-node array attribute of every graph, stacked."""
         return np.concatenate([getattr(g, attr) for g in self.graphs])
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and column, in pack rows, of every cell of each graph's
-        (n, n) block: row-major, graph after graph."""
-        cells = self.sizes * self.sizes
-        graph = np.repeat(np.arange(len(self.graphs)), cells)
-        cell = np.arange(cells.sum()) - (np.cumsum(cells) - cells)[graph]
-        n, off = self.sizes[graph], self.offsets[graph]
-        return off + cell // n, off + cell % n
-
     def adjacency_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(dst, src, weight) of every nonzero of each graph's row-normalized
         adjacency (edge indicators plus self-loops, row = destination), sorted
@@ -279,13 +273,12 @@ def _node_inputs_with_edges(pack: _Pack) -> dc.Tensor:
 
 
 def _gcn(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
-    dst, src, weight = pack.adjacency_pairs()
-    plan = dc.PairPlan(pack.sizes, dst, src, heads=1)
-    a_hat = dc.Tensor(weight[:, None])
+    blocks = dc.Blocks(pack.sizes, heads=1)
+    a_hat = dc.Tensor(blocks.constant(*pack.adjacency_pairs()))
     h = _node_inputs_with_edges(pack)
     for layer in range(cfg.n_layers):
         xw = h @ params[f"gcn.L{layer}.W"]
-        h = dc.relu(dc.pair_mix(a_hat, xw, plan) + params[f"gcn.L{layer}.b"])
+        h = dc.relu(dc.block_mix(a_hat, xw, blocks) + params[f"gcn.L{layer}.b"])
     return h, []
 
 
@@ -293,7 +286,8 @@ def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     dst, src, _ = pack.adjacency_pairs()
     h = _node_inputs_with_edges(pack)
     dh, heads = cfg.head_dim, cfg.n_heads
-    plan = dc.PairPlan(pack.sizes, dst, src, heads)
+    blocks = dc.Blocks(pack.sizes, heads)
+    plan = dc.PairPlan(blocks, dst, src)
     head_sum = np.kron(np.eye(heads), np.ones((dh, 1)))  # adds up each head's columns
     # a's entries in the order that reads it as two rows, every head's source
     # half then every head's destination half
@@ -310,18 +304,19 @@ def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
             dc.gather_rows(s_src, src) + dc.gather_rows(s_dst, dst), LEAKY_SLOPE
         )
         alpha = dc.pair_softmax(scores, plan)
-        h = dc.relu(dc.pair_mix(alpha, proj, plan))
-        attention.append((alpha.data, dst, src))
+        h = dc.relu(dc.block_mix(alpha, proj, blocks))
+        attention.append(alpha.data)
     return h, attention
 
 
 def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     n, off = pack.sizes, pack.offsets
-    # every ordered (query, key) pair of each graph, sorted by query
-    plan = dc.PairPlan(pack.sizes, *pack.pairs(), cfg.n_heads)
-    n_pairs = plan.q.size
-    # edge u -> v biases pair (u, v); parallel edges average, and pairs
-    # without an edge take the learned no-edge bias
+    blocks = dc.Blocks(n, cfg.n_heads)
+    # every ordered (query, key) pair of each graph, graph after graph and
+    # row-major, as ``block_scores`` reads its bias. Edge u -> v biases pair
+    # (u, v); parallel edges average, and pairs without an edge take the
+    # learned no-edge bias
+    n_pairs = int((n * n).sum())
     b = pack.node_graph[pack.src]
     edge_pair = (np.cumsum(n * n) - n * n)[b] + (pack.src - off[b]) * n[b] + pack.dst - off[b]
     order = np.argsort(edge_pair, kind="stable")
@@ -344,14 +339,13 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
         rel = dc.segment_sum(edge_bias * edge_weight, edge_pair[order], n_pairs) + (
             params[f"{prefix}.rel_noedge"] * no_edge
         )
-        scores = (dc.pair_dot(q, k, plan) + rel) * scale
-        alpha = dc.pair_softmax(scores, plan)
-        att = dc.pair_mix(alpha, v, plan)
+        alpha = dc.block_softmax(dc.block_scores(q, k, rel, blocks, scale), blocks)
+        att = dc.block_mix(alpha, v, blocks)
         h = dc.layer_norm(att, h, params[f"{prefix}.ln1.gain"], params[f"{prefix}.ln1.bias"])
         ffn = dc.relu(dc.linear(h, params[f"{prefix}.ffn.W1"], params[f"{prefix}.ffn.b1"]))
         ffn = dc.linear(ffn, params[f"{prefix}.ffn.W2"], params[f"{prefix}.ffn.b2"])
         h = dc.layer_norm(ffn, h, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
-        attention.append((alpha.data, plan.q, plan.k))
+        attention.append(alpha.data)
     return h, attention
 
 
@@ -364,8 +358,9 @@ def forward(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[dc.Tensor, n
     ``params`` maps each parameter name to a tensor. Returns the (B, 1)
     prediction tensor, whose tape reaches every parameter that requires
     grad; the final node embeddings, one (sum n, hidden) array, graph after
-    graph; and per mixing layer ``(alpha, query, key)``: the (pairs, heads)
-    attention weights and each pair's pack rows (``[]`` for gcn).
+    graph; and per attention layer its weights, a (graphs, heads, w, w)
+    array padded to the largest graph, w (``[]`` for gcn): graph b's are
+    ``[b, :, :n, :n]``, the rest is padding.
     """
     pack = _pack(list(graphs), params)
     h, attention = _MIXERS[cfg.variant](pack, params, cfg)

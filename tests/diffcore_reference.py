@@ -1,6 +1,7 @@
 """The index ops and activations of ``diffcore`` in their fancy-indexing and
-select forms, kept as the reference the ``np.take`` forms and the maxima
-are checked against byte for byte.
+select forms, and its mixing ops in their pair forms, kept as the reference
+the ``np.take`` forms, the maxima and the block ops are checked against
+byte for byte.
 
 Each is a taped op on the engine's own tape, so ``dc.backward`` runs through
 it; the pair ops take the raw index arrays and block sizes, and the softmax
@@ -70,7 +71,7 @@ def segment_softmax(a, seg):
     width = np.diff(np.append(starts, seg.size)).max(initial=0)
     rows = np.full((a.shape[1], starts.size, width), -np.inf)
     rows[at] = a.data.T
-    e = np.exp(rows - rows.max(axis=2, keepdims=True))
+    e = np.exp(rows - rows.max(axis=2, keepdims=True, initial=-np.inf))
     y = (e / e.sum(axis=2, keepdims=True))[at].T
     padded = rows.shape
 

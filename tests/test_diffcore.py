@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatshare import diffcore as dc
@@ -85,12 +85,13 @@ class TestPrimitiveGradients:
         # row of each the query of a pair with every row of its block
         a = self.leaf(20, 2)
         queries, keys = np.repeat(5 * np.arange(4), 5), np.arange(20)
-        plan = dc.PairPlan([5] * 4, queries, keys, 2)
+        blocks = dc.Blocks([5] * 4, 2)
+        plan = dc.PairPlan(blocks, queries, keys)
         fd_check(lambda: _weighted(dc.pair_softmax(a, plan), np.random.default_rng(11)), [a])
         # masked: only the kept pairs of each query form its segment
         keep = np.random.default_rng(0).uniform(size=20) > 0.4
         keep[::5] = True
-        masked = dc.PairPlan([5] * 4, queries[keep], keys[keep], 2)
+        masked = dc.PairPlan(blocks, queries[keep], keys[keep])
         fd_check(
             lambda: _weighted(
                 dc.pair_softmax(dc.gather_rows(a, np.flatnonzero(keep)), masked),
@@ -122,23 +123,28 @@ class TestPrimitiveGradients:
         idx = np.array([2, 0, 2, 3, 2])  # repeats, and row 1 never read
         fd_check(lambda: _weighted(dc.gather_rows(a, idx), np.random.default_rng(15)), [a])
 
-    # blocks of 3, 1 and 2 rows; the last two are padded to 3 rows
-    SIZES = [3, 1, 2]
+    # blocks of 3, 0, 1 and 2 rows; all but the first are padded to 3 rows
+    SIZES = [3, 0, 1, 2]
 
-    def test_pair_dot(self):
-        q, k = self.leaf(6, 6), self.leaf(6, 6)
-        q_idx = np.array([0, 0, 1, 2, 4, 5, 5])  # row 3 is in no pair
-        k_idx = np.array([0, 2, 1, 1, 5, 4, 5])
-        plan = dc.PairPlan(self.SIZES, q_idx, k_idx, 3)
-        fd_check(lambda: _weighted(dc.pair_dot(q, k, plan), np.random.default_rng(16)), [q, k])
-
-    def test_pair_mix(self):
-        alpha, v = self.leaf(7, 2), self.leaf(6, 4)
-        q_idx = np.array([0, 0, 2, 2, 3, 4, 4])  # rows 1 and 5 receive nothing
-        k_idx = np.array([0, 2, 1, 0, 3, 4, 5])
-        plan = dc.PairPlan(self.SIZES, q_idx, k_idx, 2)
+    def test_block_scores(self):
+        q, k, bias = self.leaf(6, 6), self.leaf(6, 6), self.leaf(9 + 1 + 4, 3)
+        blocks = dc.Blocks(self.SIZES, 3)
         fd_check(
-            lambda: _weighted(dc.pair_mix(alpha, v, plan), np.random.default_rng(17)), [alpha, v]
+            lambda: _weighted(dc.block_scores(q, k, bias, blocks, 0.5), np.random.default_rng(16)),
+            [q, k, bias],
+        )
+
+    def test_block_softmax(self):
+        # the padded rows and keys are read too: their weights are finite
+        a = self.leaf(4, 2, 3, 3)
+        blocks = dc.Blocks(self.SIZES, 2)
+        fd_check(lambda: _weighted(dc.block_softmax(a, blocks), np.random.default_rng(18)), [a])
+
+    def test_block_mix(self):
+        alpha, v = self.leaf(4, 2, 3, 3), self.leaf(6, 4)
+        blocks = dc.Blocks(self.SIZES, 2)
+        fd_check(
+            lambda: _weighted(dc.block_mix(alpha, v, blocks), np.random.default_rng(17)), [alpha, v]
         )
 
     def test_losses(self):
@@ -160,9 +166,11 @@ class TestOpValues:
                 dc.leaky_relu(dc.Tensor([[-1.0, 2.0]]), slope)
 
     def test_softmax_single_unmasked_entry(self):
-        plan = dc.PairPlan([1, 2], [0, 1, 1], [0, 1, 2], 1)
-        out = dc.pair_softmax(dc.Tensor([[5.0], [-1.0], [2.0]]), plan)
-        assert out.data[0, 0] == 1.0
+        blocks = dc.Blocks([1, 2], 1)
+        out = dc.pair_softmax(dc.Tensor([[5.0], [-1.0], [2.0]]), dc.PairPlan(blocks, [0, 1, 1], [0, 1, 2]))
+        assert out.data[0, 0, 0, 0] == 1.0
+        out = dc.block_softmax(dc.Tensor(np.full((2, 1, 2, 2), 3.0)), blocks)
+        assert out.data[0, 0, 0].tolist() == [1.0, 0.0]
 
     def test_mse_zero(self):
         assert dc.mse(dc.Tensor([[1.0, 2.0]]), dc.Tensor([[1.0, 2.0]])).data.item() == 0.0
@@ -173,12 +181,16 @@ class TestOpValues:
         sizes = rng.integers(1, 9, size=30)
         q_idx, k_idx = _all_pairs(sizes)
         keep = rng.uniform(size=q_idx.size) < 0.6
-        plan = dc.PairPlan(sizes, q_idx[keep], k_idx[keep], 4)
-        x = dc.Tensor(rng.normal(size=(plan.q.size, 4)) * 5)
-        y = dc.pair_softmax(x, plan)
-        sums = np.zeros((sizes.sum(), 4))
-        np.add.at(sums, plan.q, y.data)
-        np.testing.assert_allclose(sums[np.unique(plan.q)], 1.0, atol=1e-12)
+        blocks = dc.Blocks(sizes, 4)
+        plan = dc.PairPlan(blocks, q_idx[keep], k_idx[keep])
+        y = dc.pair_softmax(dc.Tensor(rng.normal(size=(keep.sum(), 4)) * 5), plan)
+        # each query's row sums to 1, and a row without pairs to 0
+        sums = blocks.unpad(y.data.sum(axis=3)[..., None])
+        has_pairs = np.isin(np.arange(sizes.sum()), q_idx[keep])
+        np.testing.assert_allclose(sums[has_pairs], 1.0, atol=1e-12)
+        assert not sums[~has_pairs].any()
+        y = dc.block_softmax(dc.Tensor(rng.normal(size=y.shape) * 5), blocks)
+        np.testing.assert_allclose(y.data.sum(axis=3), 1.0, atol=1e-12)
 
     def test_layer_norm_constant_row_is_zero(self):
         # the row and its residual sum to a constant row
@@ -234,25 +246,41 @@ class TestIndexOps:
         rng = np.random.default_rng(21)
         q, k, v = (rng.normal(size=(7, 6)) for _ in range(3))
         sizes = [4, 3]  # the second block is padded to 4 rows
-        q_idx = np.array([0, 0, 1, 3, 3, 4, 5, 6, 6])
-        k_idx = np.array([1, 3, 0, 0, 2, 6, 5, 4, 6])
-        alpha = rng.normal(size=(9, 2))
-        plan = dc.PairPlan(sizes, q_idx, k_idx, 2)
-        dots = dc.pair_dot(q, k, plan).data
-        mixed = dc.pair_mix(alpha, v, plan).data
+        blocks = dc.Blocks(sizes, 2)
+        q_idx, k_idx = _all_pairs(sizes)
+        bias = rng.normal(size=(q_idx.size, 2))
+        alpha = rng.normal(size=(2, 2, 4, 4))
+        scores = dc.block_scores(q, k, bias, blocks, 0.5).data
+        mixed = dc.block_mix(alpha, v, blocks).data
+        local = np.array([0, 1, 2, 3, 0, 1, 2])
         want_mix = np.zeros((7, 6))
         for p, (i, j) in enumerate(zip(q_idx, k_idx)):
+            b, li, lj = int(i >= 4), local[i], local[j]
             for h, c in enumerate((slice(0, 3), slice(3, 6))):
-                assert dots[p, h] == pytest.approx(q[i, c] @ k[j, c], abs=1e-14)
-                want_mix[i, c] += alpha[p, h] * v[j, c]
+                want = (q[i, c] @ k[j, c] + bias[p, h]) * 0.5
+                assert scores[b, h, li, lj] == pytest.approx(want, abs=1e-14)
+                want_mix[i, c] += alpha[b, h, li, lj] * v[j, c]
         np.testing.assert_allclose(mixed, want_mix, atol=1e-14, rtol=0)
+        # the cells of the padded row and key score 0
+        assert not scores[1, :, 3].any() and not scores[1, :, :, 3].any()
 
     def test_segment_softmax_rows_equal_dense_softmax(self):
         x = np.random.default_rng(22).normal(size=(6, 6)) * 3
         e = np.exp(x - x.max(axis=1, keepdims=True))
         dense = e / e.sum(axis=1, keepdims=True)
-        out = dc.pair_softmax(dc.Tensor(x.reshape(-1, 1)), dc.PairPlan([6], *_all_pairs([6]), 1))
-        np.testing.assert_array_equal(out.data.reshape(6, 6), dense)
+        blocks = dc.Blocks([6], 1)
+        out = dc.pair_softmax(dc.Tensor(x.reshape(-1, 1)), dc.PairPlan(blocks, *_all_pairs([6])))
+        np.testing.assert_array_equal(out.data[0, 0], dense)
+        np.testing.assert_array_equal(dc.block_softmax(x[None, None], blocks).data[0, 0], dense)
+
+    def test_softmax_over_no_pairs_is_all_zero(self):
+        blocks = dc.Blocks([2, 0, 3], 2)
+        a = dc.Tensor(np.zeros((0, 2)), requires_grad=True)
+        plan = dc.PairPlan(blocks, [], [])
+        out = dc.pair_softmax(a, plan)
+        assert out.shape == (3, 2, 3, 3) and not out.data.any()
+        dc.backward(_weighted(dc.block_mix(out, np.ones((5, 4)), blocks), np.random.default_rng(2)))
+        assert a.grad.shape == (0, 2)
 
     def test_gather_gradient_adds_repeats_and_segment_sum_fills_empty(self):
         a = dc.Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
@@ -268,48 +296,59 @@ class TestIndexOps:
             dc.segment_sum(a, [1, 0, 1], 2)
         with pytest.raises(dc.ShapeError, match="gather_rows"):
             dc.gather_rows(a, [3])
+        with pytest.raises(dc.ShapeError, match="blocks: heads must be >= 1"):
+            dc.Blocks([3], 0)
         # the pairs are checked once, where the plan is built
+        one, three = dc.Blocks([1], 1), dc.Blocks([3], 1)
         with pytest.raises(dc.ShapeError, match="pair plan: query rows must be sorted"):
-            dc.PairPlan([3], [0, 1, 0], [0, 1, 2], 1)
+            dc.PairPlan(three, [0, 1, 0], [0, 1, 2])
         out_of_range = r"pair plan: indices must be 1-D and inside \[0, 1\)"
         with pytest.raises(dc.ShapeError, match=out_of_range):
-            dc.PairPlan([1], [0, 1], [0, 1], 1)
+            dc.PairPlan(one, [0, 1], [0, 1])
         # a repeated pair would be summed once, not twice
         with pytest.raises(dc.ShapeError, match="pair plan: pairs must be distinct"):
-            dc.PairPlan([3], [0, 0], [1, 1], 1)
+            dc.PairPlan(three, [0, 0], [1, 1])
         for q_idx, k_idx in (([0, 1], [1, 2]), ([2], [0])):
             with pytest.raises(dc.ShapeError, match="pair plan: a pair crosses blocks"):
-                dc.PairPlan([2, 1], q_idx, k_idx, 1)
-        # an op refuses operands the plan's rows, pairs or heads do not fit
-        plan = dc.PairPlan([2, 1], [0, 1, 2], [1, 0, 2], 2)
-        with pytest.raises(dc.ShapeError, match="pair_mix: shape"):
-            dc.pair_mix(np.ones((3, 1)), a, plan)
-        with pytest.raises(dc.ShapeError, match="pair_dot: shape"):
-            dc.pair_dot(np.ones((2, 2)), np.ones((2, 2)), plan)
+                dc.PairPlan(dc.Blocks([2, 1], 1), q_idx, k_idx)
+        with pytest.raises(dc.ShapeError, match="blocks: a pair crosses blocks"):
+            dc.Blocks([2, 1], 1).constant([0], [2], [1.0])
+        # an op refuses operands the layout's rows, pairs or heads do not fit
+        blocks = dc.Blocks([2, 1], 2)
+        plan = dc.PairPlan(blocks, [0, 1, 2], [1, 0, 2])
+        stack = np.ones((2, 2, 2, 2))
+        with pytest.raises(dc.ShapeError, match="block_mix: shape"):
+            dc.block_mix(np.ones((2, 1, 2, 2)), a, blocks)
+        with pytest.raises(dc.ShapeError, match="block_mix: shape"):
+            dc.block_mix(stack, np.ones((2, 2)), blocks)
+        with pytest.raises(dc.ShapeError, match="block_scores: shape"):
+            dc.block_scores(np.ones((2, 2)), np.ones((2, 2)), np.ones((5, 2)), blocks, 1.0)
+        with pytest.raises(dc.ShapeError, match="block_scores: 3 columns do not split into 2 heads"):
+            dc.block_scores(np.ones((3, 3)), np.ones((3, 3)), np.ones((5, 2)), blocks, 1.0)
+        with pytest.raises(dc.ShapeError, match="block_scores: bias"):
+            dc.block_scores(a, a, np.ones((4, 2)), blocks, 1.0)
+        with pytest.raises(dc.ShapeError, match="block_softmax: shape"):
+            dc.block_softmax(np.ones((2, 1, 2, 2)), blocks)
         with pytest.raises(dc.ShapeError, match="pair_softmax: shape"):
             dc.pair_softmax(np.ones((2, 2)), plan)
-        with pytest.raises(dc.ShapeError, match="pair_dot: 3 columns do not split into 2 heads"):
-            dc.pair_dot(np.ones((3, 3)), np.ones((3, 3)), plan)
 
     def test_pair_ops_cost_per_block_not_per_pack(self):
         """100 graphs of 20 rows: one dense (2000 x 2000) product would take
         32 MB per head; block by block, forward and backward stay far below."""
         rng = np.random.default_rng(23)
         sizes, heads = [20] * 100, 4
-        local = np.arange(20)
-        q_idx = np.concatenate([20 * b + np.repeat(local, 20) for b in range(100)])
-        k_idx = np.concatenate([20 * b + np.tile(local, 20) for b in range(100)])
         q, k, v = (dc.Tensor(rng.normal(size=(2000, 16)), requires_grad=True) for _ in range(3))
+        bias = dc.Tensor(rng.normal(size=(100 * 20 * 20, heads)), requires_grad=True)
         tracemalloc.start()
         try:
-            plan = dc.PairPlan(sizes, q_idx, k_idx, heads)
-            alpha = dc.pair_softmax(dc.pair_dot(q, k, plan), plan)
-            out = dc.pair_mix(alpha, v, plan)
+            blocks = dc.Blocks(sizes, heads)
+            alpha = dc.block_softmax(dc.block_scores(q, k, bias, blocks, 0.5), blocks)
+            out = dc.block_mix(alpha, v, blocks)
             dc.backward(dc.mse(dc.reshape(out, (1, out.data.size)), np.zeros((1, out.data.size))))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert q.grad is not None and k.grad is not None and v.grad is not None
+        assert all(t.grad is not None for t in (q, k, v, bias))
         assert peak < 16 * 2**20, peak
 
 
@@ -328,13 +367,19 @@ class _Layout(NamedTuple):
 
 @st.composite
 def pack_layouts(draw):
-    """Blocks of 0-5 rows (at least one row in all), a random subset of each
-    block's pairs (one at least; some rows are in no pair), a gather of as
-    many rows with repeats, and sorted segment ids over up to 6 segments."""
-    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(any))
+    """Blocks of 0-5 rows (at least one row in all), or blocks of one row
+    each, or one block and so no padding; a random subset of each block's
+    pairs (maybe none; some rows are in no pair), a gather of as many rows
+    with repeats, and sorted segment ids over up to 6 segments."""
+    sizes = draw(
+        st.one_of(
+            st.lists(st.integers(0, 5), min_size=1, max_size=5).filter(any),
+            st.lists(st.just(1), min_size=1, max_size=5),
+            st.integers(1, 5).map(lambda n: [n]),
+        )
+    )
     q_all, k_all = _all_pairs(sizes)
     keep = np.array(draw(st.lists(st.booleans(), min_size=q_all.size, max_size=q_all.size)), bool)
-    assume(keep.any())  # a softmax over no pairs at all fails in both forms
     n = sum(sizes)
     rows = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
     n_seg = draw(st.integers(1, 6))
@@ -346,58 +391,108 @@ def pack_layouts(draw):
     )
 
 
-def _index_chain(ops, lay, leaves):
-    """Every index op and activation, each output feeding the next, so the
-    backward sweep runs through each; returns every op's output."""
-    x, bias, z = leaves
-    outs = [ops["gather"](x, lay.gather)]
-    outs.append(ops["leaky"](ops["dot"](outs[-1], x) + bias, lay.slope))
-    outs.append(ops["softmax"](outs[-1]))
-    outs.append(ops["relu"](ops["mix"](outs[-1], x) + z))
-    outs.append(ops["segment_sum"](outs[-1], lay.seg, lay.n_seg))
-    return outs
+SCALE = 3**-0.5
 
 
-def _chain_ops(module, lay):
+def _transformer_chain(module, lay, leaves):
+    """Scores of every pair of each block, their softmax and the weighted sum,
+    between a gather and a segment sum, so the backward sweep runs through
+    each; returns every op's output, with a (pairs, heads) form of the pair
+    ops' outputs to compare."""
+    x, bias, z, _ = leaves
+    gx = module.gather_rows(x, lay.gather)
+    q, k = _all_pairs(lay.sizes)
     if module is dc:
-        plan = dc.PairPlan(lay.sizes, lay.q, lay.k, lay.heads)
-        pairs = {
-            "dot": lambda a, b: dc.pair_dot(a, b, plan),
-            "softmax": lambda a: dc.pair_softmax(a, plan),
-            "mix": lambda a, v: dc.pair_mix(a, v, plan),
-        }
+        blocks = dc.Blocks(lay.sizes, lay.heads)
+        scores = dc.block_scores(gx, x, bias, blocks, SCALE)
+        alpha = dc.block_softmax(scores, blocks)
+        mixed = dc.block_mix(alpha, x, blocks)
+        pair_outs = [_at_pairs(t.data, lay.sizes, q, k) for t in (scores, alpha)]
     else:
-        pairs = {
-            "dot": lambda a, b: ref.pair_dot(a, b, lay.q, lay.k, lay.heads, lay.sizes),
-            "softmax": lambda a: ref.segment_softmax(a, lay.q),
-            "mix": lambda a, v: ref.pair_mix(a, v, lay.q, lay.k, lay.sizes),
-        }
-    return {
-        "gather": module.gather_rows, "segment_sum": module.segment_sum,
-        "relu": module.relu, "leaky": module.leaky_relu, **pairs,
-    }
+        scores = dc.mul(ref.pair_dot(gx, x, q, k, lay.heads, lay.sizes) + bias, SCALE)
+        alpha = ref.segment_softmax(scores, q)
+        mixed = ref.pair_mix(alpha, x, q, k, lay.sizes)
+        pair_outs = [scores.data, alpha.data]
+    out = module.segment_sum(module.relu(mixed + z), lay.seg, lay.n_seg)
+    return [gx.data, *pair_outs, mixed.data, out]
+
+
+def _gat_chain(module, lay, leaves):
+    """gat's mixing over the kept pairs: gathered and activated pair scores,
+    their softmax over each query's pairs and the weighted sum."""
+    x, _, z, s = leaves
+    gx = module.gather_rows(x, lay.gather)
+    scores = module.leaky_relu(module.gather_rows(s, lay.q) + module.gather_rows(s, lay.k), lay.slope)
+    if module is dc:
+        blocks = dc.Blocks(lay.sizes, lay.heads)
+        alpha = dc.pair_softmax(scores, dc.PairPlan(blocks, lay.q, lay.k))
+        mixed = dc.block_mix(alpha, gx, blocks)
+        alpha_pairs = _at_pairs(alpha.data, lay.sizes, lay.q, lay.k)
+        assert np.count_nonzero(alpha.data) == np.count_nonzero(alpha_pairs)  # 0 off the pairs
+    else:
+        alpha = ref.segment_softmax(scores, lay.q)
+        mixed = ref.pair_mix(alpha, gx, lay.q, lay.k, lay.sizes)
+        alpha_pairs = alpha.data
+    out = module.segment_sum(module.relu(mixed + z), lay.seg, lay.n_seg)
+    return [gx.data, scores.data, alpha_pairs, mixed.data, out]
+
+
+def _at_pairs(stack, sizes, q, k):
+    """The (pairs, heads) entries of a (blocks, heads, w, w) stack at the
+    row pairs (q, k) of the pack."""
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(sum(sizes)) - (np.cumsum(sizes) - sizes)[block]
+    return stack[block[q], :, local[q], local[k]]
 
 
 class TestIndexOpsAgainstReference:
-    """The take forms, the pair plan and the maxima against the fancy-index
-    and select forms of ``diffcore_reference``, byte for byte."""
+    """The take forms, the block ops and the maxima against the fancy-index,
+    pair and select forms of ``diffcore_reference``, byte for byte."""
 
     @given(lay=pack_layouts())
     @settings(max_examples=150, deadline=None)
     def test_outputs_and_gradients_are_bitwise_equal(self, lay):
+        for chain in (_transformer_chain, _gat_chain):
+            self.check_chain(chain, lay)
+
+    def test_rows_wider_than_eight_keep_their_sum_order(self):
+        """numpy sums a row of 9 or more entries pairwise, in blocks of 8,
+        so these rows pin where each softmax sums: gat over each query's
+        own pairs (its dense row has gaps), the transformer over whole rows."""
+        rng = np.random.default_rng(24)
+        sizes = [12, 3, 10]
+        q_all, k_all = _all_pairs(sizes)
+        keep = rng.uniform(size=q_all.size) < 0.85
+        n = sum(sizes)
+        lay = _Layout(
+            sizes, q_all[keep], k_all[keep], list(rng.integers(0, n, n)), list(range(n)), n,
+            3, 2, 0.2, 25,
+        )
+        assert np.bincount(lay.q).max() >= 9 and not keep[:144].all()
+        for chain in (_transformer_chain, _gat_chain):
+            self.check_chain(chain, lay)
+
+    @staticmethod
+    def check_chain(chain, lay):
         rng = np.random.default_rng(lay.seed)
         n, width = sum(lay.sizes), lay.heads * lay.dh
         x = rng.normal(size=(n, width))
         x[rng.uniform(size=x.shape) < 0.2] = 0.0
         x[rng.uniform(size=x.shape) < 0.2] = -0.0
-        start = (x, rng.normal(size=(1, lay.heads)), rng.normal(size=(n, width)))
+        n_pairs = sum(m * m for m in lay.sizes)
+        start = (
+            x,
+            rng.normal(size=(n_pairs, lay.heads)),
+            rng.normal(size=(n, width)),
+            rng.normal(size=(n, lay.heads)),
+        )
         weights = rng.normal(size=(lay.n_seg, width))
         results = []
         for module in (dc, ref):
             leaves = [dc.Tensor(a.copy(), requires_grad=True) for a in start]
-            outs = _index_chain(_chain_ops(module, lay), lay, leaves)
+            outs = chain(module, lay, leaves)
             dc.backward(_weighted(dc.mul(outs[-1], weights), np.random.default_rng(0)))
-            results.append(([o.data for o in outs], [t.grad for t in leaves]))
+            results.append((outs[:-1] + [outs[-1].data], [t.grad for t in leaves]))
         (outs, grads), (want_outs, want_grads) = results
         for got, want in zip(outs + grads, want_outs + want_grads, strict=True):
             if want is None:

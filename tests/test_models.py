@@ -10,7 +10,7 @@ import pytest
 
 from threatshare import diffcore as dc
 from threatshare import models
-from threatshare.graphs import EventGraph, split_dataset
+from threatshare.graphs import MAX_NODES, EventGraph, split_dataset
 
 from graph_factories import planted_linear_dataset, random_event_graph, validate
 
@@ -178,21 +178,15 @@ class GraphOutput(NamedTuple):
 
 def graph_outputs(graphs, params, cfg) -> list[GraphOutput]:
     """``models.forward`` over ``graphs`` as one pack, split per graph: its
-    prediction, its rows of the node embeddings, and per layer its pair
-    weights scattered into a dense (heads, n, n) block (0 off the pairs)."""
+    prediction, its rows of the node embeddings, and per layer its (heads,
+    n, n) block of attention weights (0 off the pairs for gat)."""
     y, h, layers = models.forward(graphs, params, cfg)
     out, lo = [], 0
     for b, g in enumerate(graphs):
-        hi = lo + g.n_nodes
-        blocks = []
-        for alpha, q, k in layers:
-            mine = (q >= lo) & (q < hi)
-            assert np.all((k[mine] >= lo) & (k[mine] < hi)), "a pair crosses graphs"
-            block = np.zeros((alpha.shape[1], g.n_nodes, g.n_nodes))
-            block[:, q[mine] - lo, k[mine] - lo] = alpha[mine].T
-            blocks.append(block)
-        out.append(GraphOutput(float(y.data[b, 0]), h[lo:hi], blocks))
-        lo = hi
+        n = g.n_nodes
+        blocks = [alpha[b, :, :n, :n] for alpha in layers]
+        out.append(GraphOutput(float(y.data[b, 0]), h[lo : lo + n], blocks))
+        lo += n
     return out
 
 
@@ -531,25 +525,56 @@ class TestPacks:
             assert len(out.attention) == (0 if variant == "gcn" else cfg.n_layers)
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
+    def test_padding_extremes_match_packs_of_one(self, variant):
+        """A 1-node graph beside a MAX_NODES one (its block padded by 21
+        rows), and a pack of 1-node graphs (no padding), at 4 heads: forward
+        and backward raise no NumericError, every gradient is finite, and
+        each graph's outputs are those of its pack of one."""
+        rng = np.random.default_rng(47)
+        ones = [random_event_graph(rng, n_nodes=1, event_id=f"one{i}") for i in range(5)]
+        widest = random_event_graph(rng, n_nodes=MAX_NODES, event_id="widest")
+        cfg = models.ModelConfig(variant=variant, n_heads=4, seed=19)
+        params = models.init_model(cfg, D_NODE)
+        for gs in ([ones[0], widest], ones):
+            params.zero_grad()
+            pred, h, _ = models.forward(gs, params, cfg)
+            dc.backward(dc.mse(pred, np.array([[g.label] for g in gs])))
+            assert all(np.isfinite(t.grad).all() for _, t in params.items())
+            lo = 0
+            for b, g in enumerate(gs):
+                y, h_one, _ = models.forward([g], params, cfg)
+                assert abs(pred.data[b, 0] - y.data[0, 0]) <= 1e-12
+                np.testing.assert_allclose(h[lo : lo + g.n_nodes], h_one, atol=1e-12, rtol=0)
+                lo += g.n_nodes
+
+    @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_each_pack_builds_one_pair_plan(self, variant, monkeypatch):
-        """The pairs of a pack are laid out and checked once, for every
-        layer and for both directions of the sweep."""
+        """The rows of a pack are laid out in blocks once, and gat's pairs
+        planned once, for every layer and for both directions of the sweep."""
         gs = mixed_graphs()
         cfg = models.ModelConfig(variant=variant, seed=16)
         params = models.init_model(cfg, D_NODE)
-        built = []
-        plan = dc.PairPlan
+        built = {"Blocks": [], "PairPlan": []}
 
-        def counted(*args, **kwargs):
-            built.append(plan(*args, **kwargs))
-            return built[-1]
+        def counting(name):
+            make = getattr(dc, name)
 
-        monkeypatch.setattr(dc, "PairPlan", counted)
+            def counted(*args, **kwargs):
+                built[name].append(make(*args, **kwargs))
+                return built[name][-1]
+
+            return counted
+
+        for name in built:
+            monkeypatch.setattr(dc, name, counting(name))
+        plans = 1 if variant == "gat" else 0
         dc.backward(dc.mse(models.forward(gs, params, cfg)[0], np.array([[g.label] for g in gs])))
-        assert len(built) == 1
+        assert (len(built["Blocks"]), len(built["PairPlan"])) == (1, plans)
         monkeypatch.setattr(models, "PREDICT_NODES", 30)
         models.predict(gs, params, cfg)
-        assert len(built) == 1 + len(models.packs(gs, 30)) > 2
+        n_packs = 1 + len(models.packs(gs, 30))
+        assert n_packs > 2
+        assert (len(built["Blocks"]), len(built["PairPlan"])) == (n_packs, n_packs * plans)
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_pack_gradient_is_the_sum_of_single_graph_gradients(self, variant):
