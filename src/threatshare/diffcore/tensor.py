@@ -10,11 +10,12 @@ source with one sentinel row appended. The block ops (``block_scores``,
 ``block_softmax``, ``block_mix``) run on one (blocks, heads, w, w) stack per
 pack: a ``Blocks`` layout pads every graph's rows to the largest graph's, w,
 so their cost grows with the number of graphs, not the square of the pack.
-``pair_softmax`` normalizes over the pairs of a ``PairPlan`` (gat's
-neighbours) and writes the weights into that stack. ``linear``
-(``x @ W + b``) and ``layer_norm`` (of a sum and its residual) are fused: one
-taped result where there were several. ``relu`` and ``leaky_relu`` are
-maxima, with no data-dependent select.
+Structure is a (blocks, w, w) mask of that layout (``Blocks.adjacency``);
+``pair_softmax`` normalizes over the set cells of a mask, planned once as a
+``PairPlan`` (gat's neighbours), and writes the weights into the stack.
+``linear`` (``x @ W + b``) and ``layer_norm`` (of a sum and its residual)
+are fused: one taped result where there were several. ``relu`` and
+``leaky_relu`` are maxima, with no data-dependent select.
 
 An op records its tape only if an input requires grad: a pass over constant
 tensors builds none. The tape lists the op's parents, each with a closure
@@ -211,7 +212,15 @@ def relu(a) -> Tensor:
     # on a tie of signed zeros np.maximum may return either one; adding +0.0
     # turns -0.0 into +0.0, as the select ``a > 0 ? a : 0`` gives
     data += 0.0
-    return _result(data, [(a, lambda g: g * (a.data > 0))])
+
+    def back(g):
+        # a float mask, not a bool one numpy casts on every call, and the
+        # product in place in it: no second array of the gradient's size
+        mask = (a.data > 0).astype(np.float64)
+        mask *= g
+        return mask
+
+    return _result(data, [(a, back)])
 
 
 def leaky_relu(a, slope=0.2) -> Tensor:
@@ -280,11 +289,11 @@ def _row_index(idx, n_rows: int, op: str) -> np.ndarray:
     return idx
 
 
-def _runs(seg: np.ndarray, op: str, what: str = "segment ids") -> tuple[np.ndarray, np.ndarray]:
+def _runs(seg: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
     """Start of each run of equal ids in ``seg`` and each entry's run number."""
     step = np.diff(seg)
     if np.any(step < 0):
-        raise ShapeError(f"{op}: {what} must be sorted")
+        raise ShapeError(f"{op}: segment ids must be sorted")
     new = np.concatenate([[seg.size > 0], step != 0])[: seg.size]
     return np.flatnonzero(new), np.cumsum(new) - 1
 
@@ -356,10 +365,11 @@ def segment_sum(a, seg, n_segments: int) -> Tensor:
 # block with zero rows to the largest, w, so that the mixing layers run once
 # over a (blocks, heads, w, w) stack, one cell (i, j) per row pair of a
 # block. Their cost grows with the number of blocks, not with the square of
-# the rows. ``block_mix`` is the one ``alpha @ v`` of every variant; the
-# transformer fills alpha with ``block_scores`` and ``block_softmax``, gat
-# with ``pair_softmax`` over the pairs of a ``PairPlan``, and gcn passes a
-# constant block.
+# the rows. Which row pairs a graph joins is a (blocks, w, w) bool mask of
+# the same cells, ``Blocks.adjacency``. ``block_mix`` is the one ``alpha @ v``
+# of every variant; the transformer fills alpha with ``block_scores`` and
+# ``block_softmax``, gat with ``pair_softmax`` over a ``PairPlan`` of the
+# mask, and gcn passes the mask divided by its row counts.
 
 
 class Blocks:
@@ -395,28 +405,16 @@ class Blocks:
         rows = y.transpose(0, 2, 1, 3).reshape(self.n_blocks * self.width, -1)
         return np.take(rows, self.slot, axis=0)
 
-    def cells(self, q_idx, k_idx, op: str) -> np.ndarray:
-        """The cell of each pair of rows (q_idx[p], k_idx[p]) in the flat
-        (blocks, w, w) stack. Raises ShapeError unless the rows are inside the
-        blocks and the pairs distinct, each inside one block."""
-        q, k = _row_index(q_idx, self.n_rows, op), _row_index(k_idx, self.n_rows, op)
-        if q.size != k.size:
-            raise ShapeError(f"{op}: {q.size} query and {k.size} key indices")
+    def adjacency(self, src, dst) -> np.ndarray:
+        """Each block's adjacency as a (blocks, w, w) bool mask, the
+        destination the row: cell (i, j) is set where an edge src -> dst (in
+        pack rows) runs from the block's row j to its row i, and at (i, i)
+        for every real row i."""
         w = max(self.width, 1)
-        q_slot, k_slot = np.take(self.slot, q), np.take(self.slot, k)
-        if np.any(q_slot // w != k_slot // w):
-            raise ShapeError(f"{op}: a pair crosses blocks")
-        cell = q_slot * w + k_slot % w
-        if np.bincount(cell).max(initial=0) > 1:
-            raise ShapeError(f"{op}: pairs must be distinct")
-        return cell
-
-    def constant(self, q_idx, k_idx, values) -> np.ndarray:
-        """A (blocks, 1, w, w) stack of ``values`` at the cells of the pairs
-        (q_idx, k_idx) and 0 elsewhere."""
-        fill = _fill_map(self.n_blocks * self.width**2, self.cells(q_idx, k_idx, "blocks"))
-        stack = np.take(_with_sentinel(np.asarray(values, dtype=np.float64), 0.0), fill)
-        return stack.reshape(self.n_blocks, 1, self.width, self.width)
+        mask = np.zeros(self.n_blocks * self.width**2, dtype=bool)
+        mask[np.take(self.slot, dst) * w + np.take(self.slot, src) % w] = True
+        mask[self.slot * w + self.slot % w] = True
+        return mask.reshape(self.n_blocks, self.width, self.width)
 
     def every_cell(self) -> tuple[np.ndarray, np.ndarray]:
         """The cell of every row pair of each block, block after block and
@@ -518,24 +516,24 @@ def block_mix(alpha, v, blocks: Blocks) -> Tensor:
 
 
 class PairPlan:
-    """Some of the row pairs of a pack, sorted by query row, for a softmax
-    over each query's pairs: each pair's cell in the block stack, and where it
-    sits in the run layout (one row per head and query, as wide as the query
-    with the most pairs).
+    """The set cells of a (blocks, w, w) mask, in row-major order, for a
+    softmax over each query row's cells: each pair's cell in the block
+    stack, and where it sits in the run layout (one row per head and query,
+    as wide as the query with the most pairs).
 
-    Raises ShapeError unless the rows are inside the blocks, the queries
-    sorted, the pairs distinct and each inside one block.
+    Raises ShapeError unless the mask is of the layout's (blocks, w, w).
     """
 
     __slots__ = ("blocks", "cell", "cell_fill", "run", "at", "run_fill", "n_queries", "run_width")
 
-    def __init__(self, blocks: Blocks, q_idx, k_idx):
-        op = "pair plan"
+    def __init__(self, blocks: Blocks, mask: np.ndarray):
+        w = blocks.width
+        if mask.shape != (blocks.n_blocks, w, w):
+            raise ShapeError(f"pair plan: mask {mask.shape} for blocks of {(blocks.n_blocks, w, w)}")
         self.blocks = blocks
-        q = _row_index(q_idx, blocks.n_rows, op)
-        starts, run = _runs(q, op, "query rows")
-        cell = blocks.cells(q, k_idx, op)
-        w, n_pairs = blocks.width, cell.size
+        cell = np.flatnonzero(mask)
+        starts, run = _runs(cell // max(w, 1), "pair plan")
+        n_pairs = cell.size
         # head 0's entry of each pair in the (blocks, heads, w, w) stack
         self.cell = cell + cell // max(w * w, 1) * (blocks.heads - 1) * w * w
         self.cell_fill = _fill_map(blocks.n_blocks * w * w, cell)

@@ -21,15 +21,15 @@ linear map of the player's latest touch coordinates.
 
 Every pass runs over a pack: the disjoint union of several graphs, stacked
 into one node matrix and one edge matrix, so one taped op serves the whole
-pack. Graph structure enters as index arrays that the diffcore index ops
-read: the stacked edge endpoints and what the pack derives from them. Each
-mixer lays the pack out once as ``diffcore.Blocks``, every graph padded to
-the largest, w, and mixes on (graphs, heads, w, w) arrays with the one
-``diffcore.block_mix``: gcn's weights are a constant block of the
-row-normalized adjacency, gat's a softmax over each node's neighbours (one
-``diffcore.PairPlan`` of the adjacency pairs per pack), and the
-transformer's a softmax over its scaled scores plus edge bias; attention
-never crosses from one graph to another.
+pack. Each mixer lays the pack out once as ``diffcore.Blocks``, every
+graph padded to the largest, w, and mixes on (graphs, heads, w, w) arrays
+with the one ``diffcore.block_mix``. Graph structure enters only as cells of
+that layout: the stacked edge endpoints become one (graphs, w, w)
+``Blocks.adjacency`` mask. gcn's weights are that mask divided by its row
+counts, gat's a softmax over each node's neighbours (one
+``diffcore.PairPlan`` of the mask per pack), and the transformer's a
+softmax over its scaled scores plus an edge bias read at each edge's cell;
+attention never crosses from one graph to another.
 An attention layer keeps all its heads in one array per weight, head m in
 column block m (and so does the checkpoint), so one product runs every head.
 A single graph is a pack of one, and ``forward`` is the one pass that
@@ -153,8 +153,8 @@ def _declared(cfg: ModelConfig, d_node: int):
         yield "input.b", (1, h), "zeros"
         heads = cfg.n_heads
         for layer in range(cfg.n_layers):
-            for w in ("Wq", "Wk", "Wv"):
-                yield f"tf.L{layer}.{w}", (h, h), "kaiming", heads
+            for name in ("Wq", "Wk", "Wv"):
+                yield f"tf.L{layer}.{name}", (h, h), "kaiming", heads
             yield f"tf.L{layer}.rel_w", (cfg.edge_out_dim, heads), "kaiming", heads
             yield f"tf.L{layer}.rel_noedge", (1, heads), "zeros", heads
             yield f"tf.L{layer}.ln1.gain", (1, h), "ones"
@@ -199,12 +199,11 @@ def packs(graphs, budget: int) -> list[list[EventGraph]]:
 
 @dataclass
 class _Pack:
-    """A disjoint union of graphs: node i of graph b is row ``offsets[b] + i``
-    of every node matrix, and edges keep their graph order."""
+    """A disjoint union of graphs: their nodes stacked graph after graph in
+    every node matrix, and their edges in graph order, endpoints in pack rows."""
 
     graphs: list
     sizes: np.ndarray  # nodes per graph
-    offsets: np.ndarray  # first row of each graph
     n_nodes: int
     node_graph: np.ndarray  # graph of each row, sorted
     src: np.ndarray  # edge endpoints, in pack rows
@@ -215,26 +214,14 @@ class _Pack:
         """A per-node array attribute of every graph, stacked."""
         return np.concatenate([getattr(g, attr) for g in self.graphs])
 
-    def adjacency_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dst, src, weight) of every nonzero of each graph's row-normalized
-        adjacency (edge indicators plus self-loops, row = destination), sorted
-        by dst then src: each neighbour u -> v once, weighted 1 / (v's neighbours)."""
-        loops = np.arange(self.n_nodes)
-        cell = np.sort(np.concatenate([self.dst, loops]) * self.n_nodes + np.concatenate([self.src, loops]))
-        # each cell once; np.unique would import numpy.ma (numpy 2), about 1 MB of RSS
-        dst, src = np.divmod(cell[np.diff(cell, prepend=-1) > 0], self.n_nodes)
-        return dst, src, (1.0 / np.bincount(dst))[dst]
-
 
 def _pack(graphs, params: dc.ParamSet) -> _Pack:
     sizes = np.array([g.n_nodes for g in graphs])
-    offsets = np.cumsum(sizes) - sizes
     ends = np.concatenate([g.edge_ends for g in graphs])
-    ends += np.repeat(offsets, [len(g.edge_ends) for g in graphs])[:, None]
+    ends += np.repeat(np.cumsum(sizes) - sizes, [len(g.edge_ends) for g in graphs])[:, None]
     return _Pack(
         graphs=graphs,
         sizes=sizes,
-        offsets=offsets,
         n_nodes=int(sizes.sum()),
         node_graph=np.repeat(np.arange(len(graphs)), sizes),
         src=ends[:, 0],
@@ -274,7 +261,9 @@ def _node_inputs_with_edges(pack: _Pack) -> dc.Tensor:
 
 def _gcn(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     blocks = dc.Blocks(pack.sizes, heads=1)
-    a_hat = dc.Tensor(blocks.constant(*pack.adjacency_pairs()))
+    # each row of the adjacency divided by its neighbour count (a padded row is 0)
+    mask = blocks.adjacency(pack.src, pack.dst)
+    a_hat = dc.Tensor((mask / np.maximum(mask.sum(axis=2, keepdims=True), 1))[:, None])
     h = _node_inputs_with_edges(pack)
     for layer in range(cfg.n_layers):
         xw = h @ params[f"gcn.L{layer}.W"]
@@ -283,11 +272,14 @@ def _gcn(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
 
 
 def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
-    dst, src, _ = pack.adjacency_pairs()
     h = _node_inputs_with_edges(pack)
     dh, heads = cfg.head_dim, cfg.n_heads
     blocks = dc.Blocks(pack.sizes, heads)
-    plan = dc.PairPlan(blocks, dst, src)
+    mask = blocks.adjacency(pack.src, pack.dst)
+    plan = dc.PairPlan(blocks, mask)
+    # the pack rows of each pair v <- u, in the plan's row-major order
+    b, v, u = np.nonzero(mask)
+    dst, src = (np.take(blocks.pad_fill, b * blocks.width + i) for i in (v, u))
     head_sum = np.kron(np.eye(heads), np.ones((dh, 1)))  # adds up each head's columns
     # a's entries in the order that reads it as two rows, every head's source
     # half then every head's destination half
@@ -310,15 +302,13 @@ def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
 
 
 def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
-    n, off = pack.sizes, pack.offsets
-    blocks = dc.Blocks(n, cfg.n_heads)
-    # every ordered (query, key) pair of each graph, graph after graph and
-    # row-major, as ``block_scores`` reads its bias. Edge u -> v biases pair
-    # (u, v); parallel edges average, and pairs without an edge take the
-    # learned no-edge bias
-    n_pairs = int((n * n).sum())
-    b = pack.node_graph[pack.src]
-    edge_pair = (np.cumsum(n * n) - n * n)[b] + (pack.src - off[b]) * n[b] + pack.dst - off[b]
+    blocks = dc.Blocks(pack.sizes, cfg.n_heads)
+    # ``block_scores`` reads its bias per pair of ``Blocks.every_cell``. Edge
+    # u -> v biases the pair at cell (u, v); parallel edges average, and pairs
+    # without an edge take the learned no-edge bias
+    cells, pair_at = blocks.every_cell()
+    n_pairs, w = cells.size, blocks.width
+    edge_pair = np.take(pair_at, np.take(blocks.slot, pack.src) * w + np.take(blocks.slot, pack.dst) % w)
     order = np.argsort(edge_pair, kind="stable")
     count = np.bincount(edge_pair, minlength=n_pairs)
     edge_weight = (1.0 / count[edge_pair[order]])[:, None]
@@ -334,7 +324,7 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     attention = []
     for layer in range(cfg.n_layers):
         prefix = f"tf.L{layer}"
-        q, k, v = (h @ params[f"{prefix}.{w}"] for w in ("Wq", "Wk", "Wv"))
+        q, k, v = (h @ params[f"{prefix}.{name}"] for name in ("Wq", "Wk", "Wv"))
         edge_bias = dc.gather_rows(pack.edges @ params[f"{prefix}.rel_w"], order)
         rel = dc.segment_sum(edge_bias * edge_weight, edge_pair[order], n_pairs) + (
             params[f"{prefix}.rel_noedge"] * no_edge

@@ -86,12 +86,12 @@ class TestPrimitiveGradients:
         a = self.leaf(20, 2)
         queries, keys = np.repeat(5 * np.arange(4), 5), np.arange(20)
         blocks = dc.Blocks([5] * 4, 2)
-        plan = dc.PairPlan(blocks, queries, keys)
+        plan = _pair_plan(blocks, queries, keys)
         fd_check(lambda: _weighted(dc.pair_softmax(a, plan), np.random.default_rng(11)), [a])
         # masked: only the kept pairs of each query form its segment
         keep = np.random.default_rng(0).uniform(size=20) > 0.4
         keep[::5] = True
-        masked = dc.PairPlan(blocks, queries[keep], keys[keep])
+        masked = _pair_plan(blocks, queries[keep], keys[keep])
         fd_check(
             lambda: _weighted(
                 dc.pair_softmax(dc.gather_rows(a, np.flatnonzero(keep)), masked),
@@ -167,7 +167,7 @@ class TestOpValues:
 
     def test_softmax_single_unmasked_entry(self):
         blocks = dc.Blocks([1, 2], 1)
-        out = dc.pair_softmax(dc.Tensor([[5.0], [-1.0], [2.0]]), dc.PairPlan(blocks, [0, 1, 1], [0, 1, 2]))
+        out = dc.pair_softmax(dc.Tensor([[5.0], [-1.0], [2.0]]), _pair_plan(blocks, [0, 1, 1], [0, 1, 2]))
         assert out.data[0, 0, 0, 0] == 1.0
         out = dc.block_softmax(dc.Tensor(np.full((2, 1, 2, 2), 3.0)), blocks)
         assert out.data[0, 0, 0].tolist() == [1.0, 0.0]
@@ -182,7 +182,7 @@ class TestOpValues:
         q_idx, k_idx = _all_pairs(sizes)
         keep = rng.uniform(size=q_idx.size) < 0.6
         blocks = dc.Blocks(sizes, 4)
-        plan = dc.PairPlan(blocks, q_idx[keep], k_idx[keep])
+        plan = _pair_plan(blocks, q_idx[keep], k_idx[keep])
         y = dc.pair_softmax(dc.Tensor(rng.normal(size=(keep.sum(), 4)) * 5), plan)
         # each query's row sums to 1, and a row without pairs to 0
         sums = blocks.unpad(y.data.sum(axis=3)[..., None])
@@ -239,6 +239,21 @@ def _all_pairs(sizes):
     return q.astype(np.intp), k.astype(np.intp)
 
 
+def _pair_plan(blocks, q_idx, k_idx):
+    """The ``PairPlan`` of the mask set at the row pairs (q_idx, k_idx) of
+    the pack, which must be distinct, each inside one block and sorted by
+    query then key: the plan's pairs are then these, in this order."""
+    q, k = np.asarray(q_idx, dtype=np.intp), np.asarray(k_idx, dtype=np.intp)
+    block = np.repeat(np.arange(blocks.n_blocks), blocks.sizes)
+    local = np.arange(blocks.n_rows) - (np.cumsum(blocks.sizes) - blocks.sizes)[block]
+    w = blocks.width
+    cells = (block[q] * w + local[q]) * w + local[k]
+    assert (block[k] == block[q]).all() and (np.diff(cells) > 0).all()
+    mask = np.zeros(blocks.n_blocks * w * w, bool)
+    mask[cells] = True
+    return dc.PairPlan(blocks, mask.reshape(blocks.n_blocks, w, w))
+
+
 class TestIndexOps:
     """The pack ops against loops over their definitions."""
 
@@ -269,14 +284,14 @@ class TestIndexOps:
         e = np.exp(x - x.max(axis=1, keepdims=True))
         dense = e / e.sum(axis=1, keepdims=True)
         blocks = dc.Blocks([6], 1)
-        out = dc.pair_softmax(dc.Tensor(x.reshape(-1, 1)), dc.PairPlan(blocks, *_all_pairs([6])))
+        out = dc.pair_softmax(dc.Tensor(x.reshape(-1, 1)), dc.PairPlan(blocks, np.ones((1, 6, 6), bool)))
         np.testing.assert_array_equal(out.data[0, 0], dense)
         np.testing.assert_array_equal(dc.block_softmax(x[None, None], blocks).data[0, 0], dense)
 
     def test_softmax_over_no_pairs_is_all_zero(self):
         blocks = dc.Blocks([2, 0, 3], 2)
         a = dc.Tensor(np.zeros((0, 2)), requires_grad=True)
-        plan = dc.PairPlan(blocks, [], [])
+        plan = dc.PairPlan(blocks, np.zeros((3, 3, 3), bool))
         out = dc.pair_softmax(a, plan)
         assert out.shape == (3, 2, 3, 3) and not out.data.any()
         dc.backward(_weighted(dc.block_mix(out, np.ones((5, 4)), blocks), np.random.default_rng(2)))
@@ -298,24 +313,13 @@ class TestIndexOps:
             dc.gather_rows(a, [3])
         with pytest.raises(dc.ShapeError, match="blocks: heads must be >= 1"):
             dc.Blocks([3], 0)
-        # the pairs are checked once, where the plan is built
-        one, three = dc.Blocks([1], 1), dc.Blocks([3], 1)
-        with pytest.raises(dc.ShapeError, match="pair plan: query rows must be sorted"):
-            dc.PairPlan(three, [0, 1, 0], [0, 1, 2])
-        out_of_range = r"pair plan: indices must be 1-D and inside \[0, 1\)"
-        with pytest.raises(dc.ShapeError, match=out_of_range):
-            dc.PairPlan(one, [0, 1], [0, 1])
-        # a repeated pair would be summed once, not twice
-        with pytest.raises(dc.ShapeError, match="pair plan: pairs must be distinct"):
-            dc.PairPlan(three, [0, 0], [1, 1])
-        for q_idx, k_idx in (([0, 1], [1, 2]), ([2], [0])):
-            with pytest.raises(dc.ShapeError, match="pair plan: a pair crosses blocks"):
-                dc.PairPlan(dc.Blocks([2, 1], 1), q_idx, k_idx)
-        with pytest.raises(dc.ShapeError, match="blocks: a pair crosses blocks"):
-            dc.Blocks([2, 1], 1).constant([0], [2], [1.0])
-        # an op refuses operands the layout's rows, pairs or heads do not fit
+        # a plan's mask is the layout's (blocks, w, w)
         blocks = dc.Blocks([2, 1], 2)
-        plan = dc.PairPlan(blocks, [0, 1, 2], [1, 0, 2])
+        for shape in ((2, 2, 3), (1, 2, 2), (2, 2)):
+            with pytest.raises(dc.ShapeError, match=r"pair plan: mask \(.*\) for blocks of \(2, 2, 2\)"):
+                dc.PairPlan(blocks, np.ones(shape, bool))
+        # an op refuses operands the layout's rows, pairs or heads do not fit
+        plan = _pair_plan(blocks, [0, 1, 2], [1, 0, 2])
         stack = np.ones((2, 2, 2, 2))
         with pytest.raises(dc.ShapeError, match="block_mix: shape"):
             dc.block_mix(np.ones((2, 1, 2, 2)), a, blocks)
@@ -425,7 +429,7 @@ def _gat_chain(module, lay, leaves):
     scores = module.leaky_relu(module.gather_rows(s, lay.q) + module.gather_rows(s, lay.k), lay.slope)
     if module is dc:
         blocks = dc.Blocks(lay.sizes, lay.heads)
-        alpha = dc.pair_softmax(scores, dc.PairPlan(blocks, lay.q, lay.k))
+        alpha = dc.pair_softmax(scores, _pair_plan(blocks, lay.q, lay.k))
         mixed = dc.block_mix(alpha, gx, blocks)
         alpha_pairs = _at_pairs(alpha.data, lay.sizes, lay.q, lay.k)
         assert np.count_nonzero(alpha.data) == np.count_nonzero(alpha_pairs)  # 0 off the pairs
@@ -509,7 +513,9 @@ class TestIndexOpsAgainstReference:
                 for op in ops:
                     a = dc.Tensor(values.copy(), requires_grad=True)
                     out = op(a)
-                    dc.backward(_weighted(out, np.random.default_rng(1)))
+                    # shifted by 1, so a zero output still passes back a
+                    # nonzero gradient and the derivative at 0 shows
+                    dc.backward(_weighted(dc.add(out, 1.0), np.random.default_rng(1)))
                     grads.append((out.data.tobytes(), a.grad.tobytes()))
                 assert grads[0] == grads[1]
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threatshare import diffcore as dc
 from threatshare import graphs, xt
 from threatshare.ingest import PITCH_LENGTH, PITCH_WIDTH, SpadlAction
 
@@ -226,12 +227,9 @@ class TestWindows:
 
         g = graph_at(self.stream(), 4, 4, stats_for(1, 2, 3), tiny_grid)
         assert g.edge_ends.tolist() == [[0, 1], [1, 0], [0, 1], [1, 2], [2, 2]]
-        dst, src, weight = pack_of([g]).adjacency_pairs()
-        adjacency = np.zeros((3, 3))
-        adjacency[dst, src] = weight
-        np.testing.assert_array_equal(
-            adjacency, [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
-        )
+        pack = pack_of([g])
+        adjacency = dc.Blocks(pack.sizes, 1).adjacency(pack.src, pack.dst)
+        assert adjacency[0].tolist() == [[True, True, False], [True, True, False], [False, True, True]]
 
     @pytest.mark.parametrize("k", [0, 3, 50])
     def test_windows_match_a_per_window_loop(self, k, fixture_actions, fixture_grid, fixture_features):

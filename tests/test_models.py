@@ -488,20 +488,32 @@ class TestPacks:
         got = [[g.n_nodes for g in pack] for pack in models.packs([Sized(n) for n in sizes], 64)]
         assert got == [[30, 30], [5], [70], [1], [64], [2]]
 
-    def test_adjacency_pairs_are_the_nonzeros_of_the_dense_adjacency(self):
-        gs = mixed_graphs()
-        dst, src, weight = pack_of(gs).adjacency_pairs()
-        rows, cols, weights, lo = [], [], [], 0
-        for g in gs:
-            a = np_adjacency(g)
-            r, c = np.nonzero(a)  # row-major, as the pack orders its pairs
-            rows.append(lo + r)
-            cols.append(lo + c)
-            weights.append(a[r, c])
-            lo += g.n_nodes
-        assert dst.tolist() == np.concatenate(rows).tolist()
-        assert src.tolist() == np.concatenate(cols).tolist()
-        assert weight.tobytes() == np.concatenate(weights).tobytes()
+    def test_adjacency_mask_is_the_nonzeros_of_the_dense_adjacency(self, monkeypatch):
+        """Inside each block the mask is where the dense adjacency is
+        nonzero, on padding it is False, and gcn's constant block is the
+        dense adjacency byte for byte: for mixed graphs, and for a 1-node
+        graph beside a MAX_NODES one (its block padded by 21 rows)."""
+        rng = np.random.default_rng(48)
+        one = random_event_graph(rng, n_nodes=1, event_id="one")
+        widest = random_event_graph(rng, n_nodes=MAX_NODES, event_id="widest")
+        cfg = models.ModelConfig(seed=18)
+        params = models.init_model(cfg, D_NODE)
+        mix = dc.block_mix
+        for gs in (mixed_graphs(), [one, widest]):
+            pack = pack_of(gs)
+            mask = dc.Blocks(pack.sizes, 1).adjacency(pack.src, pack.dst)
+            weights = []
+            monkeypatch.setattr(dc, "block_mix", lambda alpha, *rest: weights.append(alpha.data) or mix(alpha, *rest))
+            models.forward(gs, params, cfg)
+            w = max(g.n_nodes for g in gs)
+            assert mask.shape == (len(gs), w, w) and mask.dtype == bool
+            assert len(weights) == cfg.n_layers and weights[0].shape == (len(gs), 1, w, w)
+            for b, g in enumerate(gs):
+                n, a = g.n_nodes, np_adjacency(g)
+                assert mask[b, :n, :n].tolist() == (a != 0).tolist()
+                assert not mask[b, n:].any() and not mask[b, :, n:].any()
+                assert weights[0][b, 0, :n, :n].tobytes() == a.tobytes()
+                assert not weights[0][b, 0, n:].any() and not weights[0][b, 0, :, n:].any()
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_pack_matches_single_graphs_and_oracle(self, variant):
@@ -549,12 +561,18 @@ class TestPacks:
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_each_pack_builds_one_pair_plan(self, variant, monkeypatch):
-        """The rows of a pack are laid out in blocks once, and gat's pairs
-        planned once, for every layer and for both directions of the sweep."""
+        """The rows of a pack are laid out in blocks once, gcn's and gat's
+        adjacency masked once and gat's pairs planned once, for every layer
+        and for both directions of the sweep."""
         gs = mixed_graphs()
         cfg = models.ModelConfig(variant=variant, seed=16)
         params = models.init_model(cfg, D_NODE)
-        built = {"Blocks": [], "PairPlan": []}
+        built = {"Blocks": [], "PairPlan": [], "adjacency": []}
+        adjacency = dc.Blocks.adjacency
+
+        def counted_adjacency(blocks, *args):
+            built["adjacency"].append(blocks)
+            return adjacency(blocks, *args)
 
         def counting(name):
             make = getattr(dc, name)
@@ -565,16 +583,21 @@ class TestPacks:
 
             return counted
 
-        for name in built:
+        monkeypatch.setattr(dc.Blocks, "adjacency", counted_adjacency)
+        for name in ("Blocks", "PairPlan"):
             monkeypatch.setattr(dc, name, counting(name))
-        plans = 1 if variant == "gat" else 0
+        per_pack = (1, variant == "gat", variant != "transformer")
+
+        def counts():
+            return tuple(len(made) for made in built.values())
+
         dc.backward(dc.mse(models.forward(gs, params, cfg)[0], np.array([[g.label] for g in gs])))
-        assert (len(built["Blocks"]), len(built["PairPlan"])) == (1, plans)
+        assert counts() == per_pack
         monkeypatch.setattr(models, "PREDICT_NODES", 30)
         models.predict(gs, params, cfg)
         n_packs = 1 + len(models.packs(gs, 30))
         assert n_packs > 2
-        assert (len(built["Blocks"]), len(built["PairPlan"])) == (n_packs, n_packs * plans)
+        assert counts() == tuple(n_packs * count for count in per_pack)
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_pack_gradient_is_the_sum_of_single_graph_gradients(self, variant):
