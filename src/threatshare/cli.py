@@ -489,14 +489,19 @@ def _build_all_graphs(cfg: RunConfig, k: int) -> list:
     features = ingest.normalize_per90(ingest.load_player_stats(cfg.paths.stats_csv))
     roles = None if cfg.paths.roles_csv is None else ingest.load_player_roles(cfg.paths.roles_csv)
     by_match = ingest.group_by_match(_read(cfg, "actions", ingest.read_actions))
-    return [
-        g
-        for match_id in sorted(by_match)
-        for g in graphs_mod.build_match_graphs(
-            by_match[match_id], k, features, grid, roles=roles,
-            centrality=cfg.append_centrality_features,
-        )
-    ]
+    try:
+        return [
+            g
+            for match_id in sorted(by_match)
+            for g in graphs_mod.build_match_graphs(
+                by_match[match_id], k, features, grid, roles=roles,
+                centrality=cfg.append_centrality_features,
+            )
+        ]
+    except graphs_mod.WindowTooLarge as exc:
+        raise ConfigError(
+            f"window_k {k}: {exc}, more than the {graphs_mod.MAX_NODES} a graph holds; lower window_k"
+        ) from None
 
 
 def _stage_build_graphs(cfg: RunConfig) -> list[Path]:
@@ -746,14 +751,12 @@ STAGES = {
 }
 
 
-def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bool:
-    """Run one stage unless its recorded inputs and config are unchanged.
+def run_stage(cfg: RunConfig, stage: str, *, manifest: dict) -> bool:
+    """Run one stage unless its recorded inputs and config are unchanged,
+    recording what it wrote in ``manifest``; the caller saves it.
 
     Returns True when work happened, False on a fresh-skip.
     """
-    own_manifest = manifest is None
-    if own_manifest:
-        manifest = _load_manifest(cfg)
     spec = STAGES[stage]
     digests = {p: _sha_file(p) for p in _require_inputs(spec.inputs(cfg))}
     full = cfg.effective_dict()
@@ -773,8 +776,6 @@ def run_stage(cfg: RunConfig, stage: str, *, manifest: dict | None = None) -> bo
         manifest.setdefault("made_from", {})[path] = {
             "stage": stage, "sha256": digest, "inputs": inputs, "config": made_under
         }
-    if own_manifest:
-        _save_manifest(cfg, manifest)
     return True
 
 

@@ -518,13 +518,15 @@ def block_mix(alpha, v, blocks: Blocks) -> Tensor:
 class PairPlan:
     """The set cells of a (blocks, w, w) mask, in row-major order, for a
     softmax over each query row's cells: each pair's cell in the block
-    stack, and where it sits in the run layout (one row per head and query,
-    as wide as the query with the most pairs).
+    stack, its query and key as pack rows (``query_row``, ``key_row``), and
+    where it sits in the run layout (one row per head and query, as wide as
+    the query with the most pairs).
 
     Raises ShapeError unless the mask is of the layout's (blocks, w, w).
     """
 
-    __slots__ = ("blocks", "cell", "cell_fill", "run", "at", "run_fill", "n_queries", "run_width")
+    __slots__ = ("blocks", "cell", "cell_fill", "query_row", "key_row", "run", "at", "run_fill",
+                 "n_queries", "run_width")
 
     def __init__(self, blocks: Blocks, mask: np.ndarray):
         w = blocks.width
@@ -537,6 +539,8 @@ class PairPlan:
         # head 0's entry of each pair in the (blocks, heads, w, w) stack
         self.cell = cell + cell // max(w * w, 1) * (blocks.heads - 1) * w * w
         self.cell_fill = _fill_map(blocks.n_blocks * w * w, cell)
+        self.query_row = np.take(blocks.pad_fill, cell // max(w, 1))
+        self.key_row = np.take(blocks.pad_fill, cell // max(w * w, 1) * w + cell % max(w, 1))
         self.n_queries, self.run = starts.size, run
         self.run_width = int(np.diff(np.append(starts, n_pairs)).max(initial=0))
         self.at = run * self.run_width + np.arange(n_pairs) - np.take(starts, run)

@@ -61,6 +61,10 @@ _TYPE_INDEX = {t: i for i, t in enumerate(SPADL_ACTION_TYPES)}
 _STORE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
+class WindowTooLarge(ValueError):
+    """An event's window holds more players than a graph may (MAX_NODES)."""
+
+
 @dataclass
 class EventGraph:
     """One labeled event graph (players as nodes, interactions as edges)."""
@@ -259,7 +263,8 @@ def match_windows(players, player_rows, role_codes, src, dst, members, edge_rows
 
     Every window is checked once for the match: 1..``MAX_NODES`` nodes,
     finite player rows and labels, and one row per player and per action.
-    A failed check raises ValueError naming the first offending event.
+    A failed check raises ValueError naming the first offending event,
+    WindowTooLarge when that event's window holds more than MAX_NODES.
     """
     if not events:
         return []
@@ -320,18 +325,19 @@ def _check_windows(events, n_nodes, player_rows, members, edge_rows) -> None:
     faults = []
     oversized = np.flatnonzero((n_nodes < 1) | (n_nodes > MAX_NODES))
     if oversized.size:
-        faults.append((oversized[0], f"{n_nodes[oversized[0]]} nodes"))
+        n = n_nodes[oversized[0]]
+        faults.append((oversized[0], f"{n} nodes", WindowTooLarge if n > MAX_NODES else ValueError))
     bad_rows = ~np.isfinite(player_rows).all(axis=1)
     holding = np.flatnonzero(members[:, bad_rows].any(axis=1))
     if holding.size:
-        faults.append((holding[0], "non-finite node features"))
+        faults.append((holding[0], "non-finite node features", ValueError))
     labels = np.array([label for _, label, _, _ in events], dtype=np.float64)
     bad_labels = np.flatnonzero(~np.isfinite(labels))
     if bad_labels.size:
-        faults.append((bad_labels[0], "non-finite label"))
+        faults.append((bad_labels[0], "non-finite label", ValueError))
     if faults:
-        i, problem = min(faults, key=lambda fault: fault[0])
-        raise ValueError(f"graph {events[i][0]}: {problem}")
+        i, problem, error = min(faults, key=lambda fault: fault[0])
+        raise error(f"graph {events[i][0]}: {problem}")
 
 
 def split_dataset(graphs, split_frac: float, seed: int, unit: str = "graph"):

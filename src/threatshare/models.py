@@ -27,13 +27,15 @@ with the one ``diffcore.block_mix``. Graph structure enters only as cells of
 that layout: the stacked edge endpoints become one (graphs, w, w)
 ``Blocks.adjacency`` mask. gcn's weights are that mask divided by its row
 counts, gat's a softmax over each node's neighbours (one
-``diffcore.PairPlan`` of the mask per pack), and the transformer's a
-softmax over its scaled scores plus an edge bias read at each edge's cell;
-attention never crosses from one graph to another.
+``diffcore.PairPlan`` of the mask per pack, which also gives each pair's
+pack rows), and the transformer's a softmax over its scaled scores plus an
+edge bias read at each edge's cell; attention never crosses from one graph
+to another. A layer's weights live only for its ``block_mix``.
 An attention layer keeps all its heads in one array per weight, head m in
 column block m (and so does the checkpoint), so one product runs every head.
 A single graph is a pack of one, and ``forward`` is the one pass that
-training, validation, evaluation and inspection all run. A training chunk of
+training, validation and evaluation all run; it returns the predictions and
+the node embeddings, nothing else. A training chunk of
 ``batch_size`` graphs is one pack: one forward, one backward sweep of the
 chunk's mean squared error and one Adam step. Its tape stays small because
 the affine maps and the residual norms are fused diffcore ops and the sweep
@@ -268,37 +270,32 @@ def _gcn(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     for layer in range(cfg.n_layers):
         xw = h @ params[f"gcn.L{layer}.W"]
         h = dc.relu(dc.block_mix(a_hat, xw, blocks) + params[f"gcn.L{layer}.b"])
-    return h, []
+    return h
 
 
 def _gat(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     h = _node_inputs_with_edges(pack)
     dh, heads = cfg.head_dim, cfg.n_heads
     blocks = dc.Blocks(pack.sizes, heads)
-    mask = blocks.adjacency(pack.src, pack.dst)
-    plan = dc.PairPlan(blocks, mask)
-    # the pack rows of each pair v <- u, in the plan's row-major order
-    b, v, u = np.nonzero(mask)
-    dst, src = (np.take(blocks.pad_fill, b * blocks.width + i) for i in (v, u))
+    plan = dc.PairPlan(blocks, blocks.adjacency(pack.src, pack.dst))
     head_sum = np.kron(np.eye(heads), np.ones((dh, 1)))  # adds up each head's columns
     # a's entries in the order that reads it as two rows, every head's source
     # half then every head's destination half
     halves = np.arange(2 * dh * heads).reshape(2, dh, heads).transpose(0, 2, 1).reshape(-1)
-    attention = []
     for layer in range(cfg.n_layers):
         prefix = f"gat.L{layer}"
         proj = h @ params[f"{prefix}.W"]
         a = dc.reshape(dc.gather_rows(dc.reshape(params[f"{prefix}.a"], (-1, 1)), halves), (2, -1))
-        # score(v <- u) = a[:dh] . proj[u] + a[dh:] . proj[v], per head
+        # score(v <- u) = a[:dh] . proj[u] + a[dh:] . proj[v], per head, for
+        # each pair's key u and query v
         s_src = (proj * dc.gather_rows(a, [0])) @ head_sum
         s_dst = (proj * dc.gather_rows(a, [1])) @ head_sum
         scores = dc.leaky_relu(
-            dc.gather_rows(s_src, src) + dc.gather_rows(s_dst, dst), LEAKY_SLOPE
+            dc.gather_rows(s_src, plan.key_row) + dc.gather_rows(s_dst, plan.query_row), LEAKY_SLOPE
         )
         alpha = dc.pair_softmax(scores, plan)
         h = dc.relu(dc.block_mix(alpha, proj, blocks))
-        attention.append(alpha.data)
-    return h, attention
+    return h
 
 
 def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
@@ -321,7 +318,6 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
     h = dc.linear(x, params["input.W"], params["input.b"])
 
     scale = 1.0 / np.sqrt(cfg.head_dim)
-    attention = []
     for layer in range(cfg.n_layers):
         prefix = f"tf.L{layer}"
         q, k, v = (h @ params[f"{prefix}.{name}"] for name in ("Wq", "Wk", "Wv"))
@@ -335,27 +331,25 @@ def _transformer(pack: _Pack, params: dc.ParamSet, cfg: ModelConfig):
         ffn = dc.relu(dc.linear(h, params[f"{prefix}.ffn.W1"], params[f"{prefix}.ffn.b1"]))
         ffn = dc.linear(ffn, params[f"{prefix}.ffn.W2"], params[f"{prefix}.ffn.b2"])
         h = dc.layer_norm(ffn, h, params[f"{prefix}.ln2.gain"], params[f"{prefix}.ln2.bias"])
-        attention.append(alpha.data)
-    return h, attention
+    return h
 
 
 _MIXERS = {"gcn": _gcn, "gat": _gat, "transformer": _transformer}
 
 
-def forward(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[dc.Tensor, np.ndarray, list]:
+def forward(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[dc.Tensor, np.ndarray]:
     """One pass over a pack of graphs; a single graph is ``[g]``.
 
     ``params`` maps each parameter name to a tensor. Returns the (B, 1)
     prediction tensor, whose tape reaches every parameter that requires
-    grad; the final node embeddings, one (sum n, hidden) array, graph after
-    graph; and per attention layer its weights, a (graphs, heads, w, w)
-    array padded to the largest graph, w (``[]`` for gcn): graph b's are
-    ``[b, :, :n, :n]``, the rest is padding.
+    grad, and the final node embeddings, one (sum n, hidden) array, graph
+    after graph. Each mixing layer's weights live only for its
+    ``dc.block_mix``.
     """
     pack = _pack(list(graphs), params)
-    h, attention = _MIXERS[cfg.variant](pack, params, cfg)
+    h = _MIXERS[cfg.variant](pack, params, cfg)
     z = dc.segment_sum(h, pack.node_graph, len(pack.graphs)) * (1.0 / pack.sizes)[:, None]
-    return _head(params, z), h.data, attention
+    return _head(params, z), h.data
 
 
 def predict(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -368,7 +362,7 @@ def predict(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[np.ndarray, 
     fixed = {name: dc.Tensor(t.data) for name, t in params.items()}
     predictions, norms = [], []
     for pack in packs(graphs, PREDICT_NODES):
-        y, h, _ = forward(pack, fixed, cfg)
+        y, h = forward(pack, fixed, cfg)
         predictions.append(y.data[:, 0])
         norms.append(np.linalg.norm(h, axis=1))
     return np.concatenate(predictions), np.concatenate(norms)

@@ -67,23 +67,16 @@ class XtGrid:
         if not np.all((self.value >= 0) & (self.value <= 1)):
             raise ValueError("zone values must be finite numbers in [0, 1]")
 
-    def to_json(self) -> str:
-        payload = {"n_x": self.n_x, "n_y": self.n_y, "value": self.value.tolist(), "meta": self.meta}
-        return json.dumps(payload, sort_keys=True)
-
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json())
-
-    @classmethod
-    def from_json(cls, text: str) -> "XtGrid":
-        """The grid ``to_json`` wrote; other keys (a grid written with the
-        fit's probabilities beside its values) are ignored."""
-        d = json.loads(text)
-        return cls(n_x=d["n_x"], n_y=d["n_y"], value=np.array(d["value"]), meta=d.get("meta", {}))
+        payload = {"n_x": self.n_x, "n_y": self.n_y, "value": self.value.tolist(), "meta": self.meta}
+        Path(path).write_text(json.dumps(payload, sort_keys=True))
 
     @classmethod
     def load(cls, path) -> "XtGrid":
-        return cls.from_json(Path(path).read_text())
+        """The grid ``save`` wrote; other keys (a grid written with the fit's
+        probabilities beside its values) are ignored."""
+        d = json.loads(Path(path).read_text())
+        return cls(n_x=d["n_x"], n_y=d["n_y"], value=np.array(d["value"]), meta=d.get("meta", {}))
 
 
 def zones(n_x: int, n_y: int, x, y) -> tuple[np.ndarray, np.ndarray]:

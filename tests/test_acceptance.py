@@ -80,17 +80,19 @@ def test_criterion_02_attention_normalization():
     tf_cfg = models.ModelConfig(
         variant="transformer", hidden_dim=16, n_heads=2, ffn_dim=32, seed=3
     )
+    gcn_cfg = models.ModelConfig(variant="gcn", hidden_dim=16, seed=3)
     gat_params = models.init_model(gat_cfg, 10)
     tf_params = models.init_model(tf_cfg, 10)
+    gcn_params = models.init_model(gcn_cfg, 10)
     for i in range(1000):
         graph = random_event_graph(rng, event_id=f"att{i}")
-        gat_out = graph_outputs([graph], gat_params, gat_cfg)[0]
-        for layer_alpha in gat_out.attention:
-            np.testing.assert_allclose(layer_alpha.sum(axis=2), 1.0, atol=1e-12)
-        tf_out = graph_outputs([graph], tf_params, tf_cfg)[0]
-        for layer_alpha in tf_out.attention:
-            np.testing.assert_allclose(layer_alpha.sum(axis=2), 1.0, atol=1e-12)
-    report(2, "1000 graphs: neighbor and global attention rows sum to 1 within 1e-12")
+        # the weights each layer mixes with, graph's rows only
+        for params, cfg in ((gat_params, gat_cfg), (tf_params, tf_cfg), (gcn_params, gcn_cfg)):
+            out = graph_outputs([graph], params, cfg)[0]
+            assert len(out.attention) == cfg.n_layers
+            for layer_alpha in out.attention:
+                np.testing.assert_allclose(layer_alpha.sum(axis=2), 1.0, atol=1e-12)
+    report(2, "1000 graphs: neighbor, global and gcn mixing rows sum to 1 within 1e-12")
 
 
 # ── 3. attribution conservation and ratio invariance ──────────────────────

@@ -316,7 +316,7 @@ class TestPipeline:
         for layout in (1, 4):
             record(layout, graphs_sha256, {})
             assert ap["outputs"].read_bytes() != current
-            assert cli.run_stage(cfg, "attribute")
+            assert cli.run_pipeline(cfg, ["attribute"])["attribute"]
             assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": True}
             assert ap["outputs"].read_bytes() == current
 
@@ -482,6 +482,19 @@ def _row_with(index, **changes):
         return json.dumps(rows)
 
     return edit
+
+
+def _forty_actors(**more):
+    """Overrides ``more``, and a copy of the fixture's event files in which
+    match 9001's actor ids cycle over 40 players: at window_k 30 its window
+    of event 21 is the first to hold 23 players."""
+
+    def cycle(rows):
+        for i, row in enumerate(r for r in rows if "player" in r):
+            row["player"]["id"] = 300 + i % 40
+        return json.dumps(rows)
+
+    return lambda tmp, fx: {**_events_dir("9001.json", cycle)(tmp, fx), **more}
 
 
 def _bad_roles_row(row):
@@ -958,6 +971,13 @@ FAILURE_CASES = {
     "ablate-k-over-the-bound": (
         lambda tmp, fx: {}, TRAINED[:2], None, "ablate --k-values=3,60", 2,
         "ablate: k_values must be in [0, 50], got 60"),
+    # real matches with substitutes hold more players than a graph may
+    "window-over-the-node-bound": (
+        _forty_actors(window_k=30), TRAINED[:2], None, "build-graphs", 2,
+        "window_k 30: graph 9001:21: 23 nodes, more than the 22 a graph holds; lower window_k"),
+    "ablate-window-over-the-node-bound": (
+        _forty_actors(), TRAINED[:2], None, "ablate --k-values=30", 2,
+        "window_k 30: graph 9001:21: 23 nodes, more than the 22 a graph holds; lower window_k"),
     # ingest refused a new data_dir; the sweep must not run on the earlier corpus
     "ablate-actions-of-another-data-dir": (
         lambda tmp, fx: {}, TRAINED[:3], _refused("ingest", _no_on_ball_events),
@@ -1168,8 +1188,8 @@ def test_checkpoint_of_the_per_head_layout_is_trained_again(
         f"unreadable {ap['checkpoint']} (state missing parameters: "
         "['gat.L0.W', 'gat.L0.a', 'gat.L1.W', 'gat.L1.a']); run train again"
     ]
-    assert cli.run_stage(cfg, "train")
-    assert cli.run_stage(cfg, "evaluate")
+    assert cli.run_pipeline(cfg, ["train"])["train"]
+    assert cli.run_pipeline(cfg, ["evaluate"])["evaluate"]
     assert ap["outputs"].read_bytes() == outputs
 
 

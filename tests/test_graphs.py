@@ -266,7 +266,7 @@ class TestWindowChecks:
         # 30 carries by 30 players: at k=25 the window of event 22 is the first
         # to hold 23 players
         acts = [action(p, t=2.0 * p, action_type="dribble") for p in range(1, 31)]
-        with pytest.raises(ValueError, match=r"^graph 1:22: 23 nodes$"):
+        with pytest.raises(graphs.WindowTooLarge, match=r"^graph 1:22: 23 nodes$"):
             graphs.build_match_graphs(acts, 25, stats_for(*range(1, 31)), tiny_grid)
         assert len(graphs.build_match_graphs(acts, 21, stats_for(*range(1, 31)), tiny_grid)) == 30
 

@@ -77,6 +77,8 @@ def np_gcn(P, graph, cfg, attention=None):
         h = np.maximum(
             np_adjacency(graph) @ (h @ P[f"gcn.L{layer}.W"]) + P[f"gcn.L{layer}.b"], 0.0
         )
+        if attention is not None:
+            attention.append(np_adjacency(graph)[None])
     z = h.mean(axis=0, keepdims=True)
     return float(np_head(P, z)[0, 0]), h, z
 
@@ -176,11 +178,22 @@ class GraphOutput(NamedTuple):
     attention: list  # per mixing layer: (heads, n, n)
 
 
+def forward_with_weights(graphs, params, cfg):
+    """``models.forward`` over ``graphs`` as one pack, and the weights each
+    mixing layer passes to ``dc.block_mix``: per layer one (graphs, heads,
+    w, w) stack, padded to the largest graph, w."""
+    weights, mix = [], dc.block_mix
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dc, "block_mix", lambda alpha, *rest: weights.append(alpha.data) or mix(alpha, *rest))
+        y, h = models.forward(graphs, params, cfg)
+    return y, h, weights
+
+
 def graph_outputs(graphs, params, cfg) -> list[GraphOutput]:
     """``models.forward`` over ``graphs`` as one pack, split per graph: its
     prediction, its rows of the node embeddings, and per layer its (heads,
-    n, n) block of attention weights (0 off the pairs for gat)."""
-    y, h, layers = models.forward(graphs, params, cfg)
+    n, n) block of mixing weights (0 off the pairs for gcn and gat)."""
+    y, h, layers = forward_with_weights(graphs, params, cfg)
     out, lo = [], 0
     for b, g in enumerate(graphs):
         n = g.n_nodes
@@ -188,6 +201,15 @@ def graph_outputs(graphs, params, cfg) -> list[GraphOutput]:
         out.append(GraphOutput(float(y.data[b, 0]), h[lo : lo + n], blocks))
         lo += n
     return out
+
+
+def assert_same_outputs(out: GraphOutput, ref: GraphOutput):
+    """One graph's prediction, embeddings and mixing weights agree within 1e-12."""
+    assert abs(out.prediction - ref.prediction) <= 1e-12
+    np.testing.assert_allclose(out.node_embeddings, ref.node_embeddings, atol=1e-12, rtol=0)
+    assert len(out.attention) == len(ref.attention)
+    for alpha, ref_alpha in zip(out.attention, ref.attention):
+        np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12, rtol=0)
 
 
 def read_pooled_column(params, column):
@@ -488,7 +510,7 @@ class TestPacks:
         got = [[g.n_nodes for g in pack] for pack in models.packs([Sized(n) for n in sizes], 64)]
         assert got == [[30, 30], [5], [70], [1], [64], [2]]
 
-    def test_adjacency_mask_is_the_nonzeros_of_the_dense_adjacency(self, monkeypatch):
+    def test_adjacency_mask_is_the_nonzeros_of_the_dense_adjacency(self):
         """Inside each block the mask is where the dense adjacency is
         nonzero, on padding it is False, and gcn's constant block is the
         dense adjacency byte for byte: for mixed graphs, and for a 1-node
@@ -498,13 +520,10 @@ class TestPacks:
         widest = random_event_graph(rng, n_nodes=MAX_NODES, event_id="widest")
         cfg = models.ModelConfig(seed=18)
         params = models.init_model(cfg, D_NODE)
-        mix = dc.block_mix
         for gs in (mixed_graphs(), [one, widest]):
             pack = pack_of(gs)
             mask = dc.Blocks(pack.sizes, 1).adjacency(pack.src, pack.dst)
-            weights = []
-            monkeypatch.setattr(dc, "block_mix", lambda alpha, *rest: weights.append(alpha.data) or mix(alpha, *rest))
-            models.forward(gs, params, cfg)
+            weights = forward_with_weights(gs, params, cfg)[2]
             w = max(g.n_nodes for g in gs)
             assert mask.shape == (len(gs), w, w) and mask.dtype == bool
             assert len(weights) == cfg.n_layers and weights[0].shape == (len(gs), 1, w, w)
@@ -520,7 +539,7 @@ class TestPacks:
         gs = mixed_graphs()
         cfg = models.ModelConfig(variant=variant, seed=12)
         params, state = init_both(cfg)
-        pred, h_pack, _ = models.forward(gs, params, cfg)
+        pred, h_pack = models.forward(gs, params, cfg)
         assert pred.shape == (len(gs), 1)
         assert h_pack.shape == (sum(g.n_nodes for g in gs), cfg.hidden_dim)
         for g, out in zip(gs, graph_outputs(gs, params, cfg), strict=True):
@@ -529,19 +548,16 @@ class TestPacks:
             y, h, _ = _ORACLES[variant](state, g, cfg, attention=oracle_attention)
             # the oracle mean-pools, so equal predictions check the pooling
             for ref in (single, GraphOutput(y, h, oracle_attention)):
-                assert abs(out.prediction - ref.prediction) <= 1e-12
-                np.testing.assert_allclose(out.node_embeddings, ref.node_embeddings, atol=1e-12, rtol=0)
-                assert len(out.attention) == len(ref.attention)
-                for alpha, ref_alpha in zip(out.attention, ref.attention):
-                    np.testing.assert_allclose(alpha, ref_alpha, atol=1e-12, rtol=0)
-            assert len(out.attention) == (0 if variant == "gcn" else cfg.n_layers)
+                assert_same_outputs(out, ref)
+            assert len(out.attention) == cfg.n_layers
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_padding_extremes_match_packs_of_one(self, variant):
         """A 1-node graph beside a MAX_NODES one (its block padded by 21
         rows), and a pack of 1-node graphs (no padding), at 4 heads: forward
         and backward raise no NumericError, every gradient is finite, and
-        each graph's outputs are those of its pack of one."""
+        each graph's outputs and mixing weights are those of its pack of
+        one."""
         rng = np.random.default_rng(47)
         ones = [random_event_graph(rng, n_nodes=1, event_id=f"one{i}") for i in range(5)]
         widest = random_event_graph(rng, n_nodes=MAX_NODES, event_id="widest")
@@ -549,15 +565,11 @@ class TestPacks:
         params = models.init_model(cfg, D_NODE)
         for gs in ([ones[0], widest], ones):
             params.zero_grad()
-            pred, h, _ = models.forward(gs, params, cfg)
+            pred = models.forward(gs, params, cfg)[0]
             dc.backward(dc.mse(pred, np.array([[g.label] for g in gs])))
             assert all(np.isfinite(t.grad).all() for _, t in params.items())
-            lo = 0
-            for b, g in enumerate(gs):
-                y, h_one, _ = models.forward([g], params, cfg)
-                assert abs(pred.data[b, 0] - y.data[0, 0]) <= 1e-12
-                np.testing.assert_allclose(h[lo : lo + g.n_nodes], h_one, atol=1e-12, rtol=0)
-                lo += g.n_nodes
+            for g, out in zip(gs, graph_outputs(gs, params, cfg), strict=True):
+                assert_same_outputs(out, graph_outputs([g], params, cfg)[0])
 
     @pytest.mark.parametrize("variant", models.VARIANTS)
     def test_each_pack_builds_one_pair_plan(self, variant, monkeypatch):
@@ -642,7 +654,7 @@ class TestPacks:
         assert norms.shape == (sum(g.n_nodes for g in gs),)
         lo = 0
         for g, prediction in zip(gs, predictions, strict=True):
-            y, h, _ = models.forward([g], params, cfg)
+            y, h = models.forward([g], params, cfg)
             assert abs(prediction - y.data.item()) <= 1e-12
             np.testing.assert_allclose(
                 norms[lo : lo + g.n_nodes], np.linalg.norm(h, axis=1), atol=1e-12, rtol=0
@@ -657,8 +669,8 @@ class TestPacks:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            # embeddings and attention layers of each forward, and predict's arrays
-            kept = [models.forward([g], params, cfg)[1:] for g in gs]
+            # the embeddings of each forward, and predict's arrays
+            kept = [models.forward([g], params, cfg)[1] for g in gs]
             kept.append(models.predict(gs, params, cfg))
             # a full collection also empties the interpreter's free lists,
             # whose cached tuples and floats are not held by the outputs
@@ -666,8 +678,7 @@ class TestPacks:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        arrays = sum(h.nbytes + sum(a.nbytes for layer in layers for a in layer) for h, layers in kept[:-1])
-        arrays += sum(a.nbytes for a in kept[-1])
+        arrays = sum(h.nbytes for h in kept[:-1]) + sum(a.nbytes for a in kept[-1])
         # the arrays themselves plus object overhead, not a tape per graph
         assert retained <= arrays + 2_000 * len(kept), (retained, arrays)
 

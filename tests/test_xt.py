@@ -233,7 +233,8 @@ class TestFitGrid:
         assert set(raw) == {"n_x", "n_y", "value", "meta"}
         # a grid written with the fit's probabilities beside its values
         raw.update(shot_prob=[0.0] * 12, move_prob=[1.0] * 12, transition=[0.0] * 144)
-        earlier = xt.XtGrid.from_json(json.dumps(raw))
+        path.write_text(json.dumps(raw))
+        earlier = xt.XtGrid.load(path)
         np.testing.assert_array_equal(earlier.value, grid.value)
         assert earlier.meta == grid.meta
 
