@@ -5,8 +5,10 @@
 
 Each checkout's own command line (``python -m threatshare.cli`` over that
 root's ``src/``) runs ingest -> rank and one ``plot-case`` for gcn, gat and
-the transformer, at the default config and at ``window_k`` 50 and 0, on a
-copy of CHANGE_ROOT's bundled fixture. Both sides run in the same run directory, one
+the transformer, at the default config and at ``window_k`` 50 and 0, and
+one ``ablate --k-values=1,3`` sweep at the default config (it trains every
+variant itself, so it runs once, into gcn's artifacts), on a copy of
+CHANGE_ROOT's bundled fixture. Both sides run in the same run directory, one
 after the other, so every path they record is the same; each side's
 artifacts are moved aside before the other runs. Every artifact is compared
 byte for byte except ``manifest.json``, which is compared with the run
@@ -32,6 +34,7 @@ VARIANTS = ("gcn", "gat", "transformer")
 CONFIGS = {"default": {}, "k50": {"window_k": 50}, "k0": {"window_k": 0}}
 STAGES = ("ingest", "xt-fit", "build-graphs", "train", "evaluate", "attribute", "rank")
 CASE = ("plot-case", "--match", "9001", "--start", "10", "--end", "14")
+ABLATE = ("ablate", "--k-values=1,3")
 
 
 def _fail(message: str) -> None:
@@ -58,7 +61,10 @@ def _run_side(root: Path, run: Path) -> None:
             }
             path = run / f"{name}_{variant}.json"
             path.write_text(json.dumps(config))
-            for command in [(stage,) for stage in STAGES] + [CASE]:
+            commands = [(stage,) for stage in STAGES] + [CASE]
+            if (name, variant) == ("default", VARIANTS[0]):
+                commands.append(ABLATE)
+            for command in commands:
                 argv = [sys.executable, "-m", "threatshare.cli", "--config", str(path), "--quiet"]
                 done = subprocess.run(
                     [*argv, *command], cwd=run, env=env, capture_output=True, text=True

@@ -31,7 +31,7 @@ import logging
 import os
 import sys
 import zipfile
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Callable, get_args, get_type_hints
 
@@ -332,6 +332,13 @@ def _write_text(path: Path, text: str) -> Path:
     return _write_atomic(path, lambda tmp: tmp.write_text(text))
 
 
+def _write_table(path: Path, header, rows) -> Path:
+    """``rows``, tuples of one value per ``header`` name, as CSV. A value
+    prints as ``%s`` gives it: a float as its ``repr``."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    return _write_text(path, ",".join(header) + "\n" + "".join(map(line.__mod__, rows)))
+
+
 # The stage that writes each artifact another stage reads.
 _PRODUCER = {
     "actions": "ingest",
@@ -544,7 +551,8 @@ def _stage_train(cfg: RunConfig) -> list[Path]:
     model_cfg = replace(cfg.model, seed=cfg.seed)
     result = models.train(model_cfg, train_set, val_set, cfg.training)
     _write_atomic(ap["checkpoint"], result.checkpoint.save)
-    _write_text(ap["train_log"], models.train_log_csv(result.log))
+    records = [astuple(replace(r, stopped_early=int(r.stopped_early))) for r in result.log]
+    _write_table(ap["train_log"], [f.name for f in fields(models.EpochRecord)], records)
     log.info(
         "train[%s]: %d epochs, best val MSE %s%s",
         cfg.model.variant,
@@ -571,14 +579,12 @@ def _stage_evaluate(cfg: RunConfig) -> list[Path]:
     scores = _split_scores(all_graphs, train_set, val_set, predictions)
     const = _split_scores(all_graphs, train_set, val_set, _train_mean(all_graphs, train_set))
     scores.update({f"{name}_const": m for name, m in const.items()})
-    lines = ["split,mse,mae,combined"]
-    for name, m in scores.items():
-        lines.append(f"{name},{m['mse']!r},{m['mae']!r},{m['combined']!r}")
-    _write_text(ap["metrics"], "\n".join(lines) + "\n")
+    table = [(name, m["mse"], m["mae"], m["combined"]) for name, m in scores.items()]
+    _write_table(ap["metrics"], ("split", "mse", "mae", "combined"), table)
     manifest = {"kind": "threatshare-outputs"}
     arrays = {"predictions": predictions, "norms": norms}
     _write_atomic(ap["outputs"], lambda tmp: ckpt_io.save_container(tmp, manifest, arrays))
-    log.info("evaluate[%s]: %s; %s", cfg.model.variant, lines[2], lines[4])
+    log.info("evaluate[%s]: val %s; val_const %s", cfg.model.variant, scores["val"], scores["val_const"])
     return [ap["metrics"], ap["outputs"]]
 
 
@@ -612,18 +618,13 @@ def _stage_attribute(cfg: RunConfig) -> list[Path]:
         negative_mode=cfg.negative_share_mode,
     )
 
-    keys = [(e.event_id, pid, int(e.cross_team)) for e in events for pid in e.node_ids]
-    share_lines = ["event_id,player_id,share,cross_team"]
-    for (event_id, pid, cross), share in sorted(zip(keys, shares.tolist())):
-        share_lines.append(f"{event_id},{pid},{share!r},{cross}")
-    _write_text(ap["shares"], "\n".join(share_lines) + "\n")
-
-    total_lines = ["player_id,team_id,total,per90,matches,minutes"]
-    for p in players:
-        team = "" if p.team_id is None else p.team_id
-        total_lines.append(f"{p.player_id},{team},{p.total!r},{p.per90!r},{p.matches},{p.minutes!r}")
-    _write_text(ap["totals"], "\n".join(total_lines) + "\n")
-    log.info("attribute: %d share rows, %d players", len(keys), len(players))
+    # shares holds one value per node, in event then node order
+    share = iter(shares.tolist())
+    rows = sorted((e.event_id, pid, next(share), int(e.cross_team)) for e in events for pid in e.node_ids)
+    _write_table(ap["shares"], ("event_id", "player_id", "share", "cross_team"), rows)
+    totals = [p._replace(team_id="" if p.team_id is None else p.team_id) for p in players]
+    _write_table(ap["totals"], credit.PlayerTotal._fields, totals)
+    log.info("attribute: %d share rows, %d players", len(rows), len(players))
     return [ap["shares"], ap["totals"]]
 
 
@@ -658,15 +659,14 @@ def _stage_rank(cfg: RunConfig) -> list[Path]:
     players = _read(cfg, "totals", _load_totals)
 
     rank_paths = _ranking_paths(cfg)
+    header = ("rank", "player_id", "team_id", "metric")
     written = []
     text_blocks: list[str] = []
     for mode in ("total", "per90"):
         for scope in ("overall", "by_team"):
             rows = credit.rank(players, mode=mode, scope=scope)
-            lines = ["rank,player_id,team_id,metric"]
-            for r in rows:
-                lines.append(f"{r.rank},{r.player_id},{r.team_id},{r.metric!r}")
-            written.append(_write_text(rank_paths[(mode, scope)], "\n".join(lines) + "\n"))
+            table = [(r.rank, r.player_id, r.team_id, r.metric) for r in rows]
+            written.append(_write_table(rank_paths[(mode, scope)], header, table))
             if mode == "total":
                 text_blocks.extend(_render_rank_text(f"{mode} credit, {scope}", rows[:20]))
     written.append(_write_text(rank_paths["text"], "\n".join(text_blocks)))
@@ -813,11 +813,13 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
     inputs = _require_inputs(STAGES["build-graphs"].inputs(cfg))
     _check_unchanged(_load_manifest(cfg), {p: _sha_file(p) for p in inputs}, cfg.effective_dict())
 
+    # every k's windows and split are checked before the first cell trains
+    built = {k: _build_all_graphs(cfg, k) for k in k_values}
+    splits = {k: _split_from_config(cfg, all_graphs) for k, all_graphs in built.items()}
     cells: dict = {}
     baseline: dict = {}
-    for k in k_values:
-        all_graphs = _build_all_graphs(cfg, k)
-        train_set, val_set = _split_from_config(cfg, all_graphs)
+    for k, all_graphs in built.items():
+        train_set, val_set = splits[k]
         baseline[("train_mean", k)] = _split_scores(
             all_graphs, train_set, val_set, _train_mean(all_graphs, train_set)
         )
@@ -832,22 +834,17 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
                 cells[(variant, k)] = None
             log.info("ablate: finished %s k=%d", variant, k)
 
-    rows = {**cells, **baseline}
+    scores = {**cells, **baseline}
+    columns = [(block, k) for block in ("train", "val") for k in k_values]
+    header = ["model", *(f"{block}_k{k}" for block, k in columns)]
     written = []
     for metric in ("mae", "mse", "combined"):
-        header = ["model"]
-        header += [f"train_k{k}" for k in k_values]
-        header += [f"val_k{k}" for k in k_values]
-        lines = [",".join(header)]
-        for name in (*models.VARIANTS, "train_mean"):
-            row = [name]
-            for block in ("train", "val"):
-                for k in k_values:
-                    cell = rows[(name, k)]
-                    row.append("failed" if cell is None else repr(cell[block][metric]))
-            lines.append(",".join(row))
-        path = cfg.paths.artifacts_dir / f"ablation_{metric}.csv"
-        written.append(_write_text(path, "\n".join(lines) + "\n"))
+        rows = [
+            (name, *("failed" if scores[(name, k)] is None else scores[(name, k)][block][metric]
+                     for block, k in columns))
+            for name in (*models.VARIANTS, "train_mean")
+        ]
+        written.append(_write_table(cfg.paths.artifacts_dir / f"ablation_{metric}.csv", header, rows))
 
     manifest = _load_manifest(cfg)
     manifest["stages"]["ablate"] = {

@@ -373,6 +373,8 @@ def predict(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[np.ndarray, 
 
 @dataclass
 class EpochRecord:
+    """One epoch's scores; the CLI's train log has one column per field, in this order."""
+
     epoch: int
     lr: float
     train_mse: float
@@ -537,17 +539,3 @@ def train(
         aborted=aborted,
     )
 
-
-def train_log_csv(records) -> str:
-    """The epoch records as CSV text, one row per epoch."""
-    cols = (
-        "epoch,lr,train_mse,train_mae,train_combined,"
-        "val_mse,val_mae,val_combined,stopped_early"
-    )
-    lines = [cols]
-    for r in records:
-        lines.append(
-            f"{r.epoch},{r.lr!r},{r.train_mse!r},{r.train_mae!r},{r.train_combined!r},"
-            f"{r.val_mse!r},{r.val_mae!r},{r.val_combined!r},{int(r.stopped_early)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 determinism, exit codes, ablation tables, and the case plot."""
 
 import ctypes
+import dataclasses
 import json
 import logging
 import os
@@ -265,6 +266,43 @@ class TestPipeline:
             f"{event_id},{pid},{share!r},{cross}"
             for event_id, pid, share, cross in sorted(reference_lines)
         ]
+
+    def test_tables_parse_back_to_the_exact_values_computed(self, tmp_path, fixture_dir, monkeypatch):
+        cfg = cli.load_config(write_config(tmp_path, fixture_dir))
+        runs, totals = [], []
+        train, ledger = models.train, credit.build_ledger
+
+        def ledger_with_a_teamless_player(*args, **kwargs):
+            shares, players, fallbacks = ledger(*args, **kwargs)
+            # as a player who never acted; the fixture has none
+            totals.extend([*players[:-1], players[-1]._replace(team_id=None)])
+            return shares, totals, fallbacks
+
+        monkeypatch.setattr(models, "train", lambda *args: runs.append(train(*args)) or runs[-1])
+        monkeypatch.setattr(credit, "build_ledger", ledger_with_a_teamless_player)
+        cli.run_pipeline(cfg, ALL_STAGES[:6])
+        ap = cli.artifact_paths(cfg)
+        events = graphs_mod.read_events(ap["graphs"])
+        shares, _, _ = ledger(
+            events, *cli._load_outputs(ap["outputs"]),
+            source=cfg.attribution_source,
+            stats=ingest.load_player_stats(cfg.paths.stats_csv),
+            negative_mode=cfg.negative_share_mode,
+        )
+        written = cli._load_shares(ap["shares"])
+        keys = [(e.event_id, pid) for e in events for pid in e.node_ids]
+        assert len(written) == len(keys) == len(shares)
+        assert np.array([written[key] for key in keys]).tobytes() == shares.tobytes()
+        # repr tells -0.0 from 0.0 and an int from a float
+        assert repr(cli._load_totals(ap["totals"])) == repr(totals)
+        (run,) = runs
+        lines = ap["train_log"].read_text().splitlines()
+        assert lines[0] == ",".join(f.name for f in dataclasses.fields(models.EpochRecord))
+        parsed = [
+            models.EpochRecord(int(epoch), *map(float, scores), stopped_early=bool(int(stop)))
+            for epoch, *scores, stop in (line.split(",") for line in lines[1:])
+        ]
+        assert repr(parsed) == repr(run.log)
 
     def test_outputs_of_an_earlier_layout_are_rebuilt(self, tmp_path, fixture_dir):
         """Outputs recorded under the evaluate key of an earlier layout are
@@ -978,6 +1016,10 @@ FAILURE_CASES = {
     "ablate-window-over-the-node-bound": (
         _forty_actors(), TRAINED[:2], None, "ablate --k-values=30", 2,
         "window_k 30: graph 9001:21: 23 nodes, more than the 22 a graph holds; lower window_k"),
+    # refused before k=1 trains (test_ablate_refuses_a_later_window_before_any_training)
+    "ablate-later-window-over-the-node-bound": (
+        _forty_actors(), TRAINED[:2], None, "ablate --k-values=1,30", 2,
+        "window_k 30: graph 9001:21: 23 nodes, more than the 22 a graph holds; lower window_k"),
     # ingest refused a new data_dir; the sweep must not run on the earlier corpus
     "ablate-actions-of-another-data-dir": (
         lambda tmp, fx: {}, TRAINED[:3], _refused("ingest", _no_on_ball_events),
@@ -1024,6 +1066,17 @@ def test_failures_exit_with_their_code_and_one_line(case, tmp_path, fixture_dir,
     manifest = json.loads((tmp_path / "artifacts" / "manifest.json").read_text())
     assert set(manifest["stages"]) == {stage}
     assert (tmp_path / "artifacts" / "graphs.ndjson").read_bytes() == graphs_before
+
+
+def test_ablate_refuses_a_later_window_before_any_training(tmp_path, fixture_dir, monkeypatch):
+    config = write_config(tmp_path, fixture_dir, _forty_actors()(tmp_path, fixture_dir))
+    for stage in TRAINED[:2]:
+        assert cli.main(["--config", str(config), "--quiet", stage]) == 0
+    trained = []
+    monkeypatch.setattr(models, "train", lambda *args: trained.append(args))
+    assert cli.main(["--config", str(config), "--quiet", "ablate", "--k-values=1,30"]) == 2
+    assert trained == []
+    assert list((tmp_path / "artifacts").glob("ablation_*")) == []
 
 
 def test_ingest_of_no_on_ball_actions_writes_no_actions_file(tmp_path, fixture_dir, caplog):
