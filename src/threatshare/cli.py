@@ -292,7 +292,9 @@ def artifact_paths(cfg: RunConfig) -> dict:
 
 
 def _load_manifest(cfg: RunConfig) -> dict:
-    """The recorded manifest; a missing or unreadable one reads as empty."""
+    """The recorded manifest; a missing or unreadable one reads as empty. A
+    stage entry or file record of another shape than ``run_stage`` writes
+    makes it unreadable."""
     path = artifact_paths(cfg)["manifest"]
     try:
         manifest = json.loads(path.read_text())
@@ -300,6 +302,14 @@ def _load_manifest(cfg: RunConfig) -> dict:
             raise ValueError("no stages table")
         if not isinstance(manifest.get("made_from", {}), dict):
             raise ValueError("made_from is not a table")
+        for name, entry in manifest["stages"].items():
+            if not isinstance(entry, dict) or not isinstance(entry.get("outputs", {}), dict):
+                raise ValueError(f"stage {name} is not an entry with an outputs table")
+        for recorded, record in manifest.get("made_from", {}).items():
+            stage = record.get("stage") if isinstance(record, dict) else None
+            if not (isinstance(stage, str) and stage in STAGES and "sha256" in record
+                    and isinstance(record.get("inputs"), dict)):
+                raise ValueError(f"made_from {recorded} is not a file record")
         return manifest
     except FileNotFoundError:
         pass
@@ -462,9 +472,16 @@ def _stage_ingest(cfg: RunConfig) -> list[Path]:
     files = _event_files(cfg)
     all_actions = []
     summaries = {}
+    file_of = {}  # match id -> the event file that yielded it
     for path in files:
         result = ingest.parse_events(path)
         actions = ingest.to_spadl(result.events)
+        for match_id in sorted({a.game_id for a in actions}):
+            if file_of.setdefault(match_id, path) != path:
+                raise ingest.SchemaError(
+                    f"paths.data_dir {cfg.paths.data_dir}: {file_of[match_id].name} and "
+                    f"{path.name} both hold match {match_id}; name each event file by its match id"
+                )
         all_actions.extend(actions)
         summaries[path.name] = asdict(result.summary)
     if not all_actions:

@@ -1,12 +1,13 @@
-"""Event-data ingestion: open-data fetch, event parsing, SPADL conversion,
-and player season statistics.
+"""Event-data ingestion: open-data fetch, parsing provider rows into SPADL
+actions, and player season statistics.
 
 Provider event files arrive in the open-data JSON layout with coordinates
 on a 120x80 grid; everything downstream works in meters on a 105x68 pitch,
 so parsing rescales once and the rest of the pipeline never thinks about
-provider units again. Actions leave this module as newline-delimited JSON
-(one action per line, exactly 12 named fields) — the interchange format
-every later stage reads.
+provider units again. Each kept row is parsed straight into its SPADL
+action, in SPADL's own types and results. Actions leave this module as
+newline-delimited JSON (one action per line, exactly 12 named fields) — the
+interchange format every later stage reads.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ PITCH_WIDTH = 68.0
 PROVIDER_LENGTH = 120.0
 PROVIDER_WIDTH = 80.0
 
-# pass-like types may carry a recipient id
-PASS_LIKE = frozenset({"pass"})
-
 # provider rows that never describe an on-the-ball action
 _OFF_BALL_TYPES = frozenset(
     {
@@ -52,11 +50,14 @@ _OFF_BALL_TYPES = frozenset(
     }
 )
 
-_PROVIDER_TYPE_MAP = {
+# provider type -> SPADL type. SPADL's "dribble" is a ball carry; a
+# dribble past an opponent is a "take_on". A duel is a tackle when its own
+# type says so; any other on-ball type is a "non_action".
+_SPADL_TYPE_OF = {
     "pass": "pass",
     "shot": "shot",
-    "dribble": "dribble",
-    "carry": "carry",
+    "carry": "dribble",
+    "dribble": "take_on",
     "clearance": "clearance",
     "interception": "interception",
     "tackle": "tackle",
@@ -105,19 +106,6 @@ PASS_LIKE_SPADL = frozenset(
     }
 )
 
-# RawEvent type -> SPADL type. SPADL's "dribble" is a ball carry; a
-# dribble past an opponent is a "take_on".
-_SPADL_TYPE_MAP = {
-    "pass": "pass",
-    "shot": "shot",
-    "dribble": "take_on",
-    "carry": "dribble",
-    "tackle": "tackle",
-    "interception": "interception",
-    "clearance": "clearance",
-    "other": "non_action",
-}
-
 DEFAULT_BODY_PART = "foot"
 
 
@@ -138,22 +126,6 @@ class FetchError(RuntimeError):
     """Open-data download failed and the cache cannot cover it."""
 
 
-class RawEvent(NamedTuple):
-    """One on-the-ball event in canonical units (meters, period seconds)."""
-
-    event_id: str
-    match_id: int
-    team_id: int
-    player_id: int
-    event_type: str
-    outcome: str  # success | failure
-    start_xy: tuple
-    end_xy: tuple
-    timestamp_s: float  # seconds since the period start, as the provider gives them
-    period: int
-    recipient_id: int | None = None
-
-
 class SpadlAction(NamedTuple):
     """One SPADL row; exactly the 12 canonical attributes, nothing else."""
 
@@ -169,6 +141,15 @@ class SpadlAction(NamedTuple):
     start_y: float
     end_x: float
     end_y: float
+
+
+class RawEvent(NamedTuple):
+    """One kept provider row: its SPADL action, and what SPADL has no
+    column for."""
+
+    event_id: str
+    action: SpadlAction
+    recipient_id: int | None = None  # a pass's recipient, as the provider names it
 
 
 SPADL_ATTRIBUTE_COUNT = len(SpadlAction._fields)
@@ -380,22 +361,23 @@ def _timestamp_seconds(row) -> float | None:
     return None
 
 
-def _row_outcome(kind: str, detail: dict) -> str:
-    # provider convention: a pass dict without an outcome is complete
+def _row_result(action_type: str, detail: dict) -> str:
+    # provider convention: a pass, carry or clearance without an outcome is complete
     outcome = detail.get("outcome")
     if outcome is None:
-        return "success" if kind in ("pass", "carry", "clearance") else "failure"
+        return "success" if action_type in ("pass", "dribble", "clearance") else "fail"
     name = str(outcome.get("name", "")).lower()
-    return "success" if name in _SUCCESS_OUTCOMES else "failure"
+    return "success" if name in _SUCCESS_OUTCOMES else "fail"
 
 
 def parse_events(match_file) -> ParseResult:
-    """Parse one open-data event file into sorted canonical events.
+    """Parse one open-data event file into sorted events, each holding its
+    SPADL action.
 
     Off-the-ball and administrative rows are dropped; unknown on-ball types
-    map to ``other`` with a warning count; rows lacking coordinates or a
+    become ``non_action`` with a warning count; rows lacking coordinates or a
     player are dropped and counted. Output is sorted by (period, time);
-    timestamps stay the provider's seconds since the period start.
+    action times stay the provider's seconds since the period start.
     """
     match_file = Path(match_file)
     try:
@@ -407,7 +389,7 @@ def parse_events(match_file) -> ParseResult:
 
     match_id = int(match_file.stem) if match_file.stem.isdigit() else 0
     summary = ParseSummary(total_rows=len(rows))
-    staged = []  # (period, period_time, row_index, payload)
+    staged = []  # (period, period_time, row_index, event)
 
     try:
         for idx, row in enumerate(rows):
@@ -419,12 +401,12 @@ def parse_events(match_file) -> ParseResult:
                 summary.dropped_off_ball += 1
                 continue
 
-            kind = _PROVIDER_TYPE_MAP.get(provider_type)
-            if kind is None and provider_type == "duel":
+            action_type = _SPADL_TYPE_OF.get(provider_type)
+            if action_type is None and provider_type == "duel":
                 duel = str(row.get("duel", {}).get("type", {}).get("name", "")).lower()
-                kind = "tackle" if duel == "tackle" else "other"
-            if kind is None:
-                kind = "other"
+                action_type = "tackle" if duel == "tackle" else "non_action"
+            if action_type is None:
+                action_type = "non_action"
                 summary.unknown_type_count += 1
 
             loc = row.get("location")
@@ -441,30 +423,26 @@ def parse_events(match_file) -> ParseResult:
             end_xy = _rescale(end_loc, "end_location") if end_loc and len(end_loc) >= 2 else start_xy
 
             recipient = None
-            if kind in PASS_LIKE:
+            if action_type in PASS_LIKE_SPADL:
                 rec = detail.get("recipient")
                 if isinstance(rec, dict) and "id" in rec:
                     recipient = int(rec["id"])
 
-            staged.append(
-                (
-                    int(row.get("period", 1)),
-                    t,
-                    idx,
-                    {
-                        "event_id": str(row.get("id", f"{match_id}-{idx}")),
-                        "match_id": int(row.get("match_id", match_id)),
-                        "team_id": int(row["team"]["id"]),
-                        "player_id": int(row["player"]["id"]),
-                        "event_type": kind,
-                        "outcome": _row_outcome(kind, detail),
-                        "start_xy": start_xy,
-                        "end_xy": end_xy,
-                        "period": int(row.get("period", 1)),
-                        "recipient_id": recipient,
-                    },
-                )
+            period = int(row.get("period", 1))
+            action = SpadlAction(
+                int(row.get("match_id", match_id)),
+                period,
+                t,
+                int(row["team"]["id"]),
+                int(row["player"]["id"]),
+                action_type,
+                DEFAULT_BODY_PART,
+                _row_result(action_type, detail),
+                *start_xy,
+                *end_xy,
             )
+            event_id = str(row.get("id", f"{match_id}-{idx}"))
+            staged.append((period, t, idx, RawEvent(event_id, action, recipient)))
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{match_file}: row {idx}: {type(exc).__name__}: {exc}") from None
 
@@ -472,37 +450,20 @@ def parse_events(match_file) -> ParseResult:
     summary.kept = len(staged)
     if summary.unknown_type_count:
         log.warning(
-            "%s: %d rows of unknown type mapped to 'other'",
+            "%s: %d rows of unknown type mapped to 'non_action'",
             match_file.name,
             summary.unknown_type_count,
         )
 
-    events = [RawEvent(**payload, timestamp_s=t) for _, t, _, payload in staged]
-    return ParseResult(events=events, summary=summary)
+    return ParseResult(events=[event for *_, event in staged], summary=summary)
 
 
 # ── SPADL conversion ──────────────────────────────────────────────────────
 
 
 def to_spadl(events) -> list[SpadlAction]:
-    """Convert one match's sorted events into 12-attribute SPADL rows."""
-    return [
-        SpadlAction(
-            e.match_id,
-            e.period,
-            e.timestamp_s,
-            e.team_id,
-            e.player_id,
-            _SPADL_TYPE_MAP[e.event_type],
-            DEFAULT_BODY_PART,
-            "success" if e.outcome == "success" else "fail",
-            e.start_xy[0],
-            e.start_xy[1],
-            e.end_xy[0],
-            e.end_xy[1],
-        )
-        for e in events
-    ]
+    """The 12-attribute SPADL rows of one match's sorted events."""
+    return [e.action for e in events]
 
 
 def write_actions(actions, path) -> None:

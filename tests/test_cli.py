@@ -514,6 +514,20 @@ def _events_only(content: bytes):
     return overrides
 
 
+def _events_named(copies):
+    """Overrides: a data_dir holding, for each ``(name, source)`` of
+    ``copies``, the fixture's event file ``source`` under ``name``."""
+
+    def overrides(tmp_path, fixture_dir):
+        events = tmp_path / "events"
+        events.mkdir()
+        for name, source in copies:
+            (events / name).write_bytes((fixture_dir / source).read_bytes())
+        return {"paths": {"data_dir": str(events)}}
+
+    return overrides
+
+
 def _row_with(index, **changes):
     def edit(rows):
         rows[index].update(changes)
@@ -552,6 +566,19 @@ def _bad_roles_row(row):
 def _truncate_manifest(tmp_path):
     path = tmp_path / "artifacts" / "manifest.json"
     path.write_bytes(path.read_bytes()[:50])
+
+
+def _edit_manifest(table, edit):
+    """Damage: each entry of the run manifest's ``table`` ("stages" or
+    "made_from") replaced by ``edit(entry)``."""
+
+    def damage(tmp_path):
+        path = tmp_path / "artifacts" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[table] = {key: edit(entry) for key, entry in manifest[table].items()}
+        path.write_text(json.dumps(manifest))
+
+    return damage
 
 
 def _run_again(stage, changes):
@@ -912,11 +939,34 @@ FAILURE_CASES = {
     "events-without-on-ball-actions": (
         _events_only(json.dumps([{"type": {"name": "Starting XI"}, "team": {"id": 1}}]).encode()),
         [], None, "ingest", 3, "events: its event files hold no on-ball actions"),
+    # rows without a match_id take the file's: two files of one match id would merge
+    "events-files-of-one-match-id": (
+        _events_named([("a.json", "9001.json"), ("b.json", "9002.json")]), [], None, "ingest", 3,
+        "a.json and b.json both hold match 0; name each event file by its match id"),
+    "events-file-ids-with-a-leading-zero": (
+        _events_named([("9001.json", "9001.json"), ("09001.json", "9002.json")]), [], None, "ingest",
+        3, "09001.json and 9001.json both hold match 9001; name each event file by its match id"),
     "roles-player-id-not-an-integer": (
         _bad_roles_row("abc,GK"), ["ingest", "xt-fit"], None, "build-graphs", 3,
         "bad_roles.csv:2: player_id 'abc' is not an integer"),
     "truncated-manifest": (
         lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"], _truncate_manifest,
+        "build-graphs", 0, "manifest.json"),
+    # a manifest that parses, with entries of another shape than a run writes
+    "manifest-stage-entry-a-string": (
+        lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"],
+        _edit_manifest("stages", lambda entry: "done"), "build-graphs", 0, "manifest.json"),
+    "manifest-stage-outputs-a-list": (
+        lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"],
+        _edit_manifest("stages", lambda entry: {**entry, "outputs": list(entry["outputs"])}),
+        "build-graphs", 0, "manifest.json"),
+    "manifest-record-without-sha256": (
+        lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"],
+        _edit_manifest("made_from", lambda record: {k: v for k, v in record.items() if k != "sha256"}),
+        "build-graphs", 0, "manifest.json"),
+    "manifest-record-inputs-a-list": (
+        lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"],
+        _edit_manifest("made_from", lambda record: {**record, "inputs": list(record["inputs"])}),
         "build-graphs", 0, "manifest.json"),
     # two fixture matches at split_frac 0.8: both land in train
     "empty-split": (

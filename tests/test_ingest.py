@@ -58,17 +58,17 @@ class TestParseEvents:
             provider_row(4, timestamp="00:01:00.000"),
         ]
         events = ingest.parse_events(write_match(tmp_path, rows)).events
-        keys = [(e.period, e.timestamp_s) for e in events]
+        keys = [(e.action.period, e.action.time_s) for e in events]
         assert keys == sorted(keys)
 
     def test_empty_event_array(self, tmp_path):
         result = ingest.parse_events(write_match(tmp_path, []))
         assert result.events == [] and result.summary.total_rows == 0
 
-    def test_unknown_type_maps_to_other_with_counter(self, tmp_path):
+    def test_unknown_type_maps_to_non_action_with_counter(self, tmp_path):
         rows = [provider_row(1, type_name="Mystery Move")]
         result = ingest.parse_events(write_match(tmp_path, rows))
-        assert result.events[0].event_type == "other"
+        assert result.events[0].action.action_type == "non_action"
         assert result.summary.unknown_type_count == 1
 
     def test_missing_coordinates_dropped_and_counted(self, tmp_path):
@@ -87,7 +87,7 @@ class TestParseEvents:
     def test_coordinates_rescaled_to_meters(self, tmp_path):
         rows = [provider_row(1, location=(60.0, 40.0))]  # provider pitch center
         ev = ingest.parse_events(write_match(tmp_path, rows)).events[0]
-        assert ev.start_xy == (52.5, 34.0)
+        assert (ev.action.start_x, ev.action.start_y) == (52.5, 34.0)
 
     def test_recipient_only_for_passes(self, tmp_path):
         rows = [
@@ -110,7 +110,7 @@ class TestParseEvents:
             provider_row(1, timestamp="00:47:30.000"),
         ]
         events = ingest.parse_events(write_match(tmp_path, rows)).events
-        assert [(e.period, e.timestamp_s) for e in events] == [(1, 47 * 60 + 30.0), (2, 5.0)]
+        assert [(e.action.period, e.action.time_s) for e in events] == [(1, 47 * 60 + 30.0), (2, 5.0)]
         actions = ingest.to_spadl(events)
         assert [(a.period, a.time_s) for a in actions] == [(1, 47 * 60 + 30.0), (2, 5.0)]
 
@@ -174,11 +174,39 @@ class TestParseEvents:
             provider_row(2, "Shot", shot={"end_location": [118, 41], "outcome": {"name": "Off T"}}),
         ]
         events = ingest.parse_events(write_match(tmp_path, rows)).events
-        assert events[0].outcome == "success"
-        assert events[1].outcome == "failure"
+        assert events[0].action.result == "success"
+        assert events[1].action.result == "fail"
+
+
+# provider type, its duel type, the SPADL type, and the result of a row
+# without an outcome
+PROVIDER_TO_SPADL = [
+    ("Pass", None, "pass", "success"),
+    ("Shot", None, "shot", "fail"),
+    ("Dribble", None, "take_on", "fail"),
+    ("Carry", None, "dribble", "success"),
+    ("Clearance", None, "clearance", "success"),
+    ("Interception", None, "interception", "fail"),
+    ("Tackle", None, "tackle", "fail"),
+    ("Duel", "Tackle", "tackle", "fail"),
+    ("Duel", "Aerial Lost", "non_action", "fail"),
+    ("Mystery Move", None, "non_action", "fail"),
+]
 
 
 class TestToSpadl:
+    @pytest.mark.parametrize("outcome,result", [(None, None), ("Won", "success"), ("Incomplete", "fail")])
+    @pytest.mark.parametrize("type_name,duel,action_type,without_outcome", PROVIDER_TO_SPADL)
+    def test_provider_type_maps_to_spadl(
+        self, tmp_path, type_name, duel, action_type, without_outcome, outcome, result
+    ):
+        detail = {} if duel is None else {"type": {"name": duel}}
+        if outcome is not None:
+            detail["outcome"] = {"name": outcome}
+        rows = [provider_row(1, type_name, **{type_name.lower(): detail})]
+        [action] = ingest.to_spadl(ingest.parse_events(write_match(tmp_path, rows)).events)
+        assert (action.action_type, action.result) == (action_type, result or without_outcome)
+
     def test_every_row_has_exactly_12_attributes(self, fixture_actions):
         assert len(ingest.SpadlAction._fields) == 12
         for a in fixture_actions:
@@ -203,9 +231,9 @@ class TestToSpadl:
     def test_missing_end_point_copies_start(self, tmp_path):
         rows = [provider_row(1, "Shot", shot={"outcome": {"name": "Off T"}})]
         events = ingest.parse_events(write_match(tmp_path, rows)).events
-        assert events[0].end_xy == events[0].start_xy
-        action = ingest.to_spadl(events)[0]
-        assert (action.start_x, action.start_y) == (action.end_x, action.end_y)
+        action = events[0].action
+        assert (action.end_x, action.end_y) == (action.start_x, action.start_y)
+        assert ingest.to_spadl(events) == [action]
 
     def test_action_types_within_closed_vocabulary(self, fixture_actions):
         assert len(ingest.SPADL_ACTION_TYPES) == 22
