@@ -131,8 +131,9 @@ class RunConfig:
         """Full configuration with every default resolved (round-trips)."""
         return {**self._as_json(), "window_k": self.resolved_k}
 
-    def config_hash(self) -> str:
-        return _sha_text(json.dumps(self.effective_dict(), sort_keys=True))
+
+# Every key a config may set, nested as the JSON layout nests them.
+_CONFIG_KEYS = RunConfig()._as_json()
 
 
 # What each annotated type takes, by JSON type: a bool is never a number,
@@ -194,8 +195,7 @@ def _require(cond: bool, message: str) -> None:
 
 def parse_config(data: dict) -> RunConfig:
     """Validate a raw config dict (every field range-checked) into RunConfig."""
-    defaults = RunConfig()
-    cfg = _overlay(defaults, defaults._as_json(), data, "")
+    cfg = _overlay(RunConfig(), _CONFIG_KEYS, data, "")
     g, m, t = cfg.grid, cfg.model, cfg.training
     _require(1 <= g.n_x <= 200 and 1 <= g.n_y <= 200, "grid: n_x, n_y must be in [1, 200]")
     _require(
@@ -318,9 +318,15 @@ def _load_manifest(cfg: RunConfig) -> dict:
     return {"config": None, "config_hash": None, "seed": None, "stages": {}}
 
 
-def _save_manifest(cfg: RunConfig, manifest: dict) -> None:
-    manifest["config"] = cfg.effective_dict()
-    manifest["config_hash"] = cfg.config_hash()
+def _config_hash(full: dict) -> str:
+    """Digest of the effective config ``full``."""
+    return _sha_text(json.dumps(full, sort_keys=True))
+
+
+def _save_manifest(cfg: RunConfig, manifest: dict, full: dict) -> None:
+    """Write ``manifest`` under ``cfg``'s effective config ``full``."""
+    manifest["config"] = full
+    manifest["config_hash"] = _config_hash(full)
     manifest["seed"] = cfg.seed
     _write_text(artifact_paths(cfg)["manifest"], json.dumps(manifest, sort_keys=True, indent=1))
 
@@ -768,15 +774,15 @@ STAGES = {
 }
 
 
-def run_stage(cfg: RunConfig, stage: str, *, manifest: dict) -> bool:
+def run_stage(cfg: RunConfig, stage: str, *, manifest: dict, full: dict) -> bool:
     """Run one stage unless its recorded inputs and config are unchanged,
-    recording what it wrote in ``manifest``; the caller saves it.
+    recording what it wrote in ``manifest``; the caller saves it. ``full``
+    is ``cfg.effective_dict()``.
 
     Returns True when work happened, False on a fresh-skip.
     """
     spec = STAGES[stage]
     digests = {p: _sha_file(p) for p in _require_inputs(spec.inputs(cfg))}
-    full = cfg.effective_dict()
     _check_unchanged(manifest, digests, full)
     key = _stage_key({"stage": stage, "config": spec.config(full)}, digests)
     entry = manifest["stages"].get(stage)
@@ -803,11 +809,12 @@ def run_pipeline(cfg: RunConfig, stages) -> dict:
     if unknown:
         raise ConfigError(f"unknown stage(s): {', '.join(unknown)}")
     manifest = _load_manifest(cfg)
+    full = cfg.effective_dict()
     ran = {}
     for stage in STAGES:
         if stage in stages:
-            ran[stage] = run_stage(cfg, stage, manifest=manifest)
-    _save_manifest(cfg, manifest)
+            ran[stage] = run_stage(cfg, stage, manifest=manifest, full=full)
+    _save_manifest(cfg, manifest, full)
     return ran
 
 
@@ -828,7 +835,8 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
     for k in k_values:
         _require(0 <= k <= MAX_WINDOW_K, f"ablate: k_values must be in [0, {MAX_WINDOW_K}], got {k}")
     inputs = _require_inputs(STAGES["build-graphs"].inputs(cfg))
-    _check_unchanged(_load_manifest(cfg), {p: _sha_file(p) for p in inputs}, cfg.effective_dict())
+    full = cfg.effective_dict()
+    _check_unchanged(_load_manifest(cfg), {p: _sha_file(p) for p in inputs}, full)
 
     # every k's windows and split are checked before the first cell trains
     built = {k: _build_all_graphs(cfg, k) for k in k_values}
@@ -865,10 +873,10 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
 
     manifest = _load_manifest(cfg)
     manifest["stages"]["ablate"] = {
-        "key": _sha_text(json.dumps({"k_values": k_values, "config": cfg.config_hash()})),
+        "key": _sha_text(json.dumps({"k_values": k_values, "config": _config_hash(full)})),
         "outputs": {str(p): _sha_file(p) for p in written},
     }
-    _save_manifest(cfg, manifest)
+    _save_manifest(cfg, manifest, full)
     return cells
 
 

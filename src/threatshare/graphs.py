@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,8 +59,20 @@ N_ROLES = 5
 
 _TYPE_INDEX = {t: i for i, t in enumerate(SPADL_ACTION_TYPES)}
 
-# One encoder for every line of graphs.ndjson.
-_STORE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# One line of graphs.ndjson and one of its first-seen players, their keys
+# in sorted order at every level, filled as json's C encoder fills them:
+# floats by float.__repr__, ints by int.__repr__, strings by
+# encode_basestring_ascii. Every float is finite: match_windows checks the
+# labels and player rows, and each edge's xT is a term of its label.
+_STORE_LINE = (
+    '{"cross_team":%s,"edge":[%s],"event_id":%s,"label":%s,"meta":{"actor_id":%s,'
+    '"actor_team":%s,"clock":%s,"event_index":%s,"k":%s,"match_id":%s,"n_imputed":%s},'
+    '"node_ids":[%s],"players":[%s],"recipient":%s,"schema_version":%d}\n'
+)
+_STORE_PLAYER = '{"features":[%s],"id":%s,"role":%s}'
+_META_VALUES = operator.itemgetter(
+    "actor_id", "actor_team", "clock", "event_index", "k", "match_id", "n_imputed"
+)  # a graph's meta, in the line's key order
 
 
 class WindowTooLarge(ValueError):
@@ -388,37 +402,40 @@ def write_graphs(graphs, path) -> None:
     (slots 0-8), its recipient id or null, and the feature row and role
     code of each player that first appears in the match on this line.
     ``graphs`` must be whole matches as ``build_match_graphs`` returns them.
+    Each line is the bytes ``json.JSONEncoder(sort_keys=True,
+    separators=(",", ":"))`` gives for that record, written line by line
+    from ``_STORE_LINE``.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    num, whole = float.__repr__, int.__repr__
     match, seen = None, set()
     with open(path, "w") as f:
         for g in graphs:
-            if g.meta["match_id"] != match:
-                match, seen = g.meta["match_id"], set()
+            ids = g.node_ids
+            actor, team, clock, index, k, match_id, n_imputed = _META_VALUES(g.meta)
+            if match_id != match:
+                match, seen = match_id, set()
             src, dst = g.edge_ends[-1].tolist()  # the event's own action
-            new = [j for j in dict.fromkeys((src, dst)) if g.node_ids[j] not in seen]
-            seen.update(g.node_ids[j] for j in new)
-            record = {
-                "schema_version": STORE_SCHEMA_VERSION,
-                "event_id": g.event_id,
-                "node_ids": list(g.node_ids),
-                "label": g.label,
-                "cross_team": g.cross_team,
-                "meta": g.meta,
-                "edge": g.edge_features[-1, :9].tolist(),
-                "recipient": None if dst == src else g.node_ids[dst],
-                "players": [
-                    {
-                        "id": g.node_ids[j],
-                        "features": g.node_features[j].tolist(),
-                        "role": int(g.node_roles[j]),
-                    }
+            new = [j for j in dict.fromkeys((src, dst)) if ids[j] not in seen]
+            players = ""
+            if new:
+                seen.update(ids[j] for j in new)
+                players = ",".join(
+                    _STORE_PLAYER % (",".join(map(num, g.node_features[j].tolist())),
+                                     whole(ids[j]), whole(int(g.node_roles[j])))
                     for j in new
-                ],
-            }
-            f.write(_STORE_ENCODER.encode(record))
-            f.write("\n")
+                )
+            f.write(
+                _STORE_LINE % (
+                    "true" if g.cross_team else "false",
+                    ",".join(map(num, g.edge_features[-1, :9].tolist())),
+                    encode_basestring_ascii(g.event_id), num(g.label), whole(actor), whole(team),
+                    num(clock), whole(index), whole(k), whole(match_id), whole(n_imputed),
+                    ",".join(map(whole, ids)), players, "null" if dst == src else whole(ids[dst]),
+                    STORE_SCHEMA_VERSION,
+                )
+            )
 
 
 def _match_graphs(path, lines) -> list[EventGraph]:

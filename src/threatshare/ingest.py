@@ -20,6 +20,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -155,13 +156,17 @@ class RawEvent(NamedTuple):
 SPADL_ATTRIBUTE_COUNT = len(SpadlAction._fields)
 assert SPADL_ATTRIBUTE_COUNT == 12
 
-# The codec of actions.ndjson: one encoder and one decoder for the whole
-# file; keys are written in sorted order and read back in field order.
-_ACTION_KEYS = tuple(sorted(SpadlAction._fields))
+# The codec of actions.ndjson. A line is written from one fixed template,
+# its keys in sorted order, filled as json's C encoder fills them: floats by
+# float.__repr__ (every coordinate and time is finite), ints by int.__repr__
+# and strings by encode_basestring_ascii. One decoder reads the lines back,
+# in field order.
+_ACTION_LINE = (
+    '{"action_type":%s,"body_part":%s,"end_x":%s,"end_y":%s,"game_id":%s,"period":%s,'
+    '"player_id":%s,"result":%s,"start_x":%s,"start_y":%s,"team_id":%s,"time_s":%s}\n'
+)
 _ACTION_KEY_SET = frozenset(SpadlAction._fields)
 _ACTION_VALUES = operator.itemgetter(*SpadlAction._fields)  # a record's values, in field order
-_KEYED_VALUES = operator.itemgetter(*map(SpadlAction._fields.index, _ACTION_KEYS))  # an action's, in key order
-_ACTION_ENCODER = json.JSONEncoder(separators=(",", ":"))
 _ACTION_DECODER = json.JSONDecoder()
 # the values a row must hold: 64-bit ints (not bools), finite numbers, SPADL words
 _ACTION_INT_KEYS = ("game_id", "period", "team_id", "player_id")
@@ -468,13 +473,22 @@ def to_spadl(events) -> list[SpadlAction]:
 
 def write_actions(actions, path) -> None:
     """Write actions as newline-delimited JSON, one 12-field record per line,
-    keys sorted."""
+    keys sorted: the bytes ``json.JSONEncoder(sort_keys=True,
+    separators=(",", ":"))`` gives for each action's dict, written line by
+    line from ``_ACTION_LINE``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    text, num, whole = encode_basestring_ascii, float.__repr__, int.__repr__
     with open(path, "w") as f:
-        for a in actions:
-            f.write(_ACTION_ENCODER.encode(dict(zip(_ACTION_KEYS, _KEYED_VALUES(a)))))
-            f.write("\n")
+        f.writelines(
+            _ACTION_LINE % (
+                text(action_type), text(body_part), num(end_x), num(end_y), whole(game_id),
+                whole(period), whole(player_id), text(result), num(start_x), num(start_y),
+                whole(team_id), num(time_s),
+            )
+            for (game_id, period, time_s, team_id, player_id, action_type, body_part, result,
+                 start_x, start_y, end_x, end_y) in actions
+        )
 
 
 def _action_value_error(record: dict) -> str | None:
@@ -548,8 +562,20 @@ def group_by_match(actions) -> dict[int, list[SpadlAction]]:
 # ── player season statistics ──────────────────────────────────────────────
 
 
+def _player_id(row: dict, csv_path: Path, line_no: int) -> int:
+    """The ``player_id`` cell of a CSV row as an integer; a cell that is not
+    one (``101.7``, ``1e3``) raises SchemaError naming its line."""
+    try:
+        return int(row["player_id"])
+    except (TypeError, ValueError):
+        raise SchemaError(
+            f"{csv_path}:{line_no}: player_id {row['player_id']!r} is not an integer"
+        ) from None
+
+
 def load_player_stats(csv_path) -> dict[int, PlayerSeasonStats]:
-    """Load the documented 12-column stats CSV; duplicate ids are rejected."""
+    """Load the documented 12-column stats CSV; a player id that is not an
+    integer, or a duplicate one, is rejected."""
     csv_path = Path(csv_path)
     with io.StringIO(_utf8_text(csv_path), newline="") as f:
         reader = csv.DictReader(f)
@@ -566,7 +592,7 @@ def load_player_stats(csv_path) -> dict[int, PlayerSeasonStats]:
             for column, value in values.items():
                 if not math.isfinite(value):
                     raise SchemaError(f"{csv_path}:{line_no}: {column}={value} is not finite")
-            pid = int(values["player_id"])
+            pid = _player_id(row, csv_path, line_no)
             if pid in out:
                 raise SchemaError(f"{csv_path}:{line_no}: duplicate player id {pid}")
             for pct in ("accurate_pass_pct", "goal_conversion_pct"):
@@ -581,7 +607,8 @@ def load_player_stats(csv_path) -> dict[int, PlayerSeasonStats]:
 
 
 def load_player_roles(csv_path) -> dict[int, str]:
-    """Optional (player_id, role) CSV; roles outside GK/DF/MF/FW read as unknown."""
+    """Optional (player_id, role) CSV; roles outside GK/DF/MF/FW read as
+    unknown; duplicate ids are rejected."""
     csv_path = Path(csv_path)
     with io.StringIO(_utf8_text(csv_path), newline="") as f:
         reader = csv.DictReader(f)
@@ -589,12 +616,9 @@ def load_player_roles(csv_path) -> dict[int, str]:
             raise SchemaError(f"{csv_path}: expected columns player_id, role")
         roles = {}
         for line_no, row in enumerate(reader, start=2):
-            try:
-                pid = int(row["player_id"])
-            except (TypeError, ValueError):
-                raise SchemaError(
-                    f"{csv_path}:{line_no}: player_id {row['player_id']!r} is not an integer"
-                ) from None
+            pid = _player_id(row, csv_path, line_no)
+            if pid in roles:
+                raise SchemaError(f"{csv_path}:{line_no}: duplicate player id {pid}")
             roles[pid] = str(row["role"]).strip()
         return roles
 

@@ -83,14 +83,14 @@ class TestConfig:
         cfg = cli.parse_config({})
         again = cli.parse_config(cfg.effective_dict())
         assert again.effective_dict() == cfg.effective_dict()
-        assert cfg.config_hash() == (
+        assert cli._config_hash(cfg.effective_dict()) == (
             "853321a46ecb56dac7659e832663087c3427bf7c213b6c5d4786e2961243801b"
         )
         full = cli.parse_config(FULL_CONFIG)
         assert full.effective_dict() == FULL_CONFIG
         assert cli.parse_config(full.effective_dict()).effective_dict() == FULL_CONFIG
         # recorded before the config schema was declared once
-        assert full.config_hash() == (
+        assert cli._config_hash(full.effective_dict()) == (
             "c641447781116501e083d80abbdf3cb8e62c66a5a6ce6ba7e918820fefd90510"
         )
 
@@ -124,7 +124,7 @@ class TestConfig:
         cli.run_pipeline(cfg, ["ingest"])
         manifest = json.loads((tmp_path / "artifacts" / "manifest.json").read_text())
         assert manifest["config"] == cfg.effective_dict()
-        assert manifest["config_hash"] == cfg.config_hash()
+        assert manifest["config_hash"] == cli._config_hash(cfg.effective_dict())
         assert manifest["seed"] == 13
 
 
@@ -472,13 +472,13 @@ class TestPipeline:
         assert gs[0].node_features.shape[1] == 13
 
 
-def _bad_stats_cell(cell):
+def _bad_stats_cell(cell, player_id="101"):
     """Overrides: a copy of the fixture's stats CSV with ``cell`` as the
-    first row's goals, written as Latin-1."""
+    first row's goals and ``player_id`` as its id, written as Latin-1."""
 
     def overrides(tmp_path, fixture_dir):
         lines = (fixture_dir / "player_stats.csv").read_text().splitlines()
-        lines[1] = f"101,{cell}" + lines[1][len("101,0"):]
+        lines[1] = f"{player_id},{cell}" + lines[1][len("101,0"):]
         path = tmp_path / "bad.csv"
         path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
         return {"paths": {"stats_csv": str(path)}}
@@ -949,6 +949,17 @@ FAILURE_CASES = {
     "roles-player-id-not-an-integer": (
         _bad_roles_row("abc,GK"), ["ingest", "xt-fit"], None, "build-graphs", 3,
         "bad_roles.csv:2: player_id 'abc' is not an integer"),
+    # the fixture's second row is player 102: a first row of 102 repeats it
+    "roles-duplicate-player-id": (
+        _bad_roles_row("102,FW"), ["ingest", "xt-fit"], None, "build-graphs", 3,
+        "bad_roles.csv:3: duplicate player id 102"),
+    # a stats id read through float would load as player 101 and player 1000
+    "stats-player-id-a-fraction": (
+        _bad_stats_cell("0", player_id="101.7"), ["ingest", "xt-fit"], None, "build-graphs", 3,
+        "bad.csv:2: player_id '101.7' is not an integer"),
+    "stats-player-id-in-exponent-form": (
+        _bad_stats_cell("0", player_id="1e3"), ["ingest", "xt-fit"], None, "build-graphs", 3,
+        "bad.csv:2: player_id '1e3' is not an integer"),
     "truncated-manifest": (
         lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"], _truncate_manifest,
         "build-graphs", 0, "manifest.json"),
