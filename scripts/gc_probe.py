@@ -9,10 +9,12 @@ Prepares one set-up of WORKLOAD (``train``, ``season-graphs`` or
 seed, parameters and environment). Then, per run, it copies that set-up
 and runs the workload's timed stages in one fresh process through
 ``threatshare.cli.main``, as the benchmark's stage process calls them, with
-a ``gc.callbacks`` hook. It prints one line per stage: its exit code, its
-raw process CPU seconds, the generation-2 (full) collections that ran
-inside it with their raw CPU seconds, and the interpreter's generation-2
-counter against its threshold when the stage ends.
+a ``gc.callbacks`` hook: ``stages.run_stages`` runs them, as in the
+benchmark's stage process, reference clock included. It prints one line
+per stage: its exit code, its raw and reference-speed CPU seconds, the
+generation-2 (full) collections that ran inside it with their raw CPU
+seconds, and the interpreter's generation-2 counter against its threshold
+when the stage ends; then the process's peak RSS.
 
 A full collection costs tens of milliseconds on these heaps, and whether
 one falls inside a timed stage depends on how many objects the stages
@@ -36,12 +38,11 @@ HERE = Path(__file__).resolve().parents[1]
 
 
 def _bench(root: Path):
-    """ROOT's benchmark modules, imported read-only."""
+    """ROOT's ``bench/run.py``, imported read-only."""
     sys.path.insert(0, str(root / "bench"))
     import run
-    import stages
 
-    return run, stages
+    return run
 
 
 def _env(root: Path, run) -> dict:
@@ -52,8 +53,7 @@ def _env(root: Path, run) -> dict:
     return env
 
 
-def _set_up(root: Path, workload: str, seed: int, base: Path) -> None:
-    run, _ = _bench(root)
+def _set_up(root: Path, run, workload: str, seed: int, base: Path) -> None:
     out = base.parent / "setup.json"
     spec = {
         "kind": "setup",
@@ -76,16 +76,27 @@ def _set_up(root: Path, workload: str, seed: int, base: Path) -> None:
 
 
 def _probe(root: Path, workload: str, run_dir: Path) -> None:
-    """Run the timed stages here, in this fresh process, and print a line each."""
+    """Time the stages here, in this fresh process, as the benchmark's stage
+    process does (``stages.run_stages``), and print a line per stage."""
     import gc
     import time
 
-    _, stages = _bench(root)
-    from threatshare import cli
+    sys.path.insert(0, str(root / "bench"))
+    import stages
 
     os.chdir(run_dir)
+    labels = iter([f"{variant}/{stage}" for variant, stage, _ in stages.steps(workload)])
     current = {"step": None, "start": 0.0}
     full: dict = {}
+    counters = {}
+    cli = stages._cli
+
+    def labelled(cfg_path, stage):
+        current["step"] = next(labels)
+        try:
+            return cli(cfg_path, stage)
+        finally:
+            counters[current["step"]] = gc.get_count()[2]
 
     def hook(phase, info):
         if info["generation"] != 2:
@@ -95,22 +106,21 @@ def _probe(root: Path, workload: str, run_dir: Path) -> None:
         else:
             full.setdefault(current["step"], []).append(time.process_time() - current["start"])
 
+    stages._cli = labelled
     gc.callbacks.append(hook)
-    threshold = gc.get_threshold()[2]
-    for variant, stage, cfg_path in stages.steps(workload):
-        step = f"{variant}/{stage}"
-        current["step"] = step
-        start = time.process_time()
-        rc = cli.main(["--config", str(cfg_path), "--quiet", stage])
-        cpu_s = time.process_time() - start
-        collections = full.get(step, [])
-        print(
-            f"{step}: rc {rc}, cpu_s {cpu_s:.4f}, full collections {len(collections)} "
-            f"({' '.join(f'{s:.4f}' for s in collections) or '-'} s), "
-            f"gen-2 counter {gc.get_count()[2]}/{threshold}",
-            flush=True,
-        )
+    result = stages.run_stages({"workload": workload, "trace": False})
     gc.callbacks.remove(hook)
+    threshold = gc.get_threshold()[2]
+    for step in result["steps"]:
+        name = f"{step['variant']}/{step['stage']}"
+        collections = full.get(name, [])
+        print(
+            f"{name}: rc {step['rc']}, cpu_s {step['cpu_s']:.4f}, ref_cpu_s {step['ref_cpu_s']:.4f}, "
+            f"full collections {len(collections)} "
+            f"({' '.join(f'{s:.4f}' for s in collections) or '-'} s), "
+            f"gen-2 counter {counters[name]}/{threshold}"
+        )
+    print(f"peak_rss_mb {result['peak_rss_mb']:.3f}")
 
 
 def main(argv=None) -> int:
@@ -125,10 +135,10 @@ def main(argv=None) -> int:
     if args.probe_in is not None:
         _probe(root, args.workload, args.probe_in)
         return 0
-    run, _ = _bench(root)
+    run = _bench(root)
     with tempfile.TemporaryDirectory(prefix="gc_probe_") as tmp:
         base = Path(tmp) / "base"
-        _set_up(root, args.workload, args.seed, base)
+        _set_up(root, run, args.workload, args.seed, base)
         for i in range(args.runs):
             run_dir = Path(tmp) / f"run{i}"
             shutil.copytree(base, run_dir)
