@@ -3,13 +3,15 @@
     fetch -> ingest -> xt-fit -> build-graphs -> train -> evaluate
           -> attribute -> rank        (plus: ablate, plot-case)
 
-Every stage writes its artifacts under the configured artifacts directory
-and records in ``manifest.json``, per file it wrote, that file's digest and
-the digest of each file it read; re-running a stage whose inputs and config
-are unchanged is a no-op. The manifest is the one record of what each
-artifact was made from: a stage refuses an input that changed since its
-stage wrote it, that was made from another version of a file this stage
-reads too, or that its stage made under another config. ``evaluate`` is the
+Every stage writes the artifacts it declares under the configured artifacts
+directory and keeps in ``manifest.json``, under its own name, one record per
+file it wrote: that file's digest, the digest of each file it read and the
+digest of its part of the config. A stage whose outputs all have records of
+this run's inputs and config, and still hold what they record, is skipped.
+The same records are the one account of what each artifact was made from: a
+stage refuses an input that changed since its stage wrote it, that was made
+from another version of a file this stage reads too, or that its stage made
+under another config. ``evaluate`` is the
 one stage that runs a trained model: it stores what the model computed,
 each graph's prediction and node embedding norms.
 ``attribute`` splits the threat change from that file, the facts of each
@@ -52,8 +54,8 @@ DEFAULT_K = {"gcn": 7, "gat": 7, "transformer": 5}
 DEFAULT_ABLATION_K = (1, 3, 5, 7, 9)
 MAX_WINDOW_K = 50
 
-# What ``outputs_<variant>`` and ``graphs.ndjson`` hold; part of evaluate's
-# and build-graphs' manifest keys, so artifacts of an earlier layout are
+# What ``outputs_<variant>`` and ``graphs.ndjson`` hold; part of the config
+# evaluate and build-graphs record, so artifacts of an earlier layout are
 # rebuilt rather than skipped as fresh.
 OUTPUTS_LAYOUT = 5
 GRAPHS_LAYOUT = graphs_mod.STORE_SCHEMA_VERSION
@@ -260,16 +262,16 @@ def load_config(path=None, *, seed=None, stage_dir=None) -> RunConfig:
 # ── artifact paths and the run manifest ───────────────────────────────────
 
 
-def _sha_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _sha_file(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+# The (mode, scope) of each ranking table rank writes.
+_RANKED = [(mode, scope) for mode in ("total", "per90") for scope in ("overall", "by_team")]
 
 
 def artifact_paths(cfg: RunConfig) -> dict:
@@ -287,29 +289,28 @@ def artifact_paths(cfg: RunConfig) -> dict:
         "outputs": a / f"outputs_{v}",
         "shares": a / "shares.csv",
         "totals": a / "player_totals.csv",
+        **{f"rankings_{mode}_{scope}": a / f"rankings_{mode}_{scope}.csv" for mode, scope in _RANKED},
+        "rankings": a / "rankings.txt",
         "manifest": a / "manifest.json",
     }
 
 
 def _load_manifest(cfg: RunConfig) -> dict:
     """The recorded manifest; a missing or unreadable one reads as empty. A
-    stage entry or file record of another shape than ``run_stage`` writes
-    makes it unreadable."""
+    stage entry or file record of another shape than ``_record`` writes
+    (a manifest of an earlier layout too) makes it unreadable."""
     path = artifact_paths(cfg)["manifest"]
     try:
         manifest = json.loads(path.read_text())
         if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
             raise ValueError("no stages table")
-        if not isinstance(manifest.get("made_from", {}), dict):
-            raise ValueError("made_from is not a table")
-        for name, entry in manifest["stages"].items():
-            if not isinstance(entry, dict) or not isinstance(entry.get("outputs", {}), dict):
-                raise ValueError(f"stage {name} is not an entry with an outputs table")
-        for recorded, record in manifest.get("made_from", {}).items():
-            stage = record.get("stage") if isinstance(record, dict) else None
-            if not (isinstance(stage, str) and stage in STAGES and "sha256" in record
-                    and isinstance(record.get("inputs"), dict)):
-                raise ValueError(f"made_from {recorded} is not a file record")
+        for stage, entry in manifest["stages"].items():
+            if not isinstance(entry, dict):
+                raise ValueError(f"stage {stage} is not a table of file records")
+            for recorded, record in entry.items():
+                if not (isinstance(record, dict) and record.keys() == {"sha256", "inputs", "config"}
+                        and isinstance(record["inputs"], dict)):
+                    raise ValueError(f"{stage} entry {recorded} is not a file record")
         return manifest
     except FileNotFoundError:
         pass
@@ -318,9 +319,9 @@ def _load_manifest(cfg: RunConfig) -> dict:
     return {"config": None, "config_hash": None, "seed": None, "stages": {}}
 
 
-def _config_hash(full: dict) -> str:
-    """Digest of the effective config ``full``."""
-    return _sha_text(json.dumps(full, sort_keys=True))
+def _config_hash(config: dict) -> str:
+    """Digest of the effective config, or of the part of it a stage records."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _save_manifest(cfg: RunConfig, manifest: dict, full: dict) -> None:
@@ -355,17 +356,6 @@ def _write_table(path: Path, header, rows) -> Path:
     return _write_text(path, ",".join(header) + "\n" + "".join(map(line.__mod__, rows)))
 
 
-# The stage that writes each artifact another stage reads.
-_PRODUCER = {
-    "actions": "ingest",
-    "grid": "xt-fit",
-    "graphs": "build-graphs",
-    "checkpoint": "train",
-    "outputs": "evaluate",
-    "shares": "attribute",
-    "totals": "attribute",
-}
-
 # What a reader raises on a truncated or garbled artifact.
 _UNREADABLE = (ValueError, KeyError, TypeError, IndexError, EOFError, zipfile.BadZipFile)
 
@@ -383,97 +373,68 @@ def _read(cfg: RunConfig, name: str, reader: Callable[[Path], object]):
         ) from None
 
 
-def _require_inputs(declared) -> list[Path]:
-    """Paths of the declared ``(path, how to make it)`` inputs, all present."""
+def _check_unchanged(manifest: dict, digests: dict[str, str], full: dict) -> None:
+    """Refuse an input of ``digests`` that no longer holds what the record
+    of the stage that wrote it says, that was made from another version of
+    a file ``digests`` holds too, or, after those, that its stage made
+    under another config than the effective config ``full``. Recorded paths
+    that are not in ``digests`` are never compared, nor the config of an
+    ablation table (the sweep's own)."""
+    stages = manifest["stages"]
+    made_by = {path: (stage, record) for stage in stages for path, record in stages[stage].items()}
+    recorded = [(path, *made_by[path]) for path in digests if path in made_by]
+    for path, stage, record in recorded:
+        if record["sha256"] != digests[path]:
+            raise MissingArtifactError(f"{path} changed since {stage} wrote it; run {stage} again")
+        for source, seen in record["inputs"].items():
+            if digests.get(source, seen) != seen:
+                raise MissingArtifactError(
+                    f"{path} was made from another {source}; run {stage} again"
+                )
+    for path, stage, record in recorded:
+        if stage in STAGES and record["config"] != _config_hash(STAGES[stage].config(full)):
+            raise MissingArtifactError(
+                f"{path} was made under another {stage} config; run {stage} again"
+            )
+
+
+def _checked_inputs(manifest: dict, declared, full: dict) -> dict[str, str]:
+    """The digest of each declared ``(path, how to make it)`` input, by
+    path, once every one is present and passes ``_check_unchanged``."""
     for path, remedy in declared:
         if not Path(path).is_file():
             raise MissingArtifactError(f"missing {path}; {remedy}")
-    return [Path(path) for path, _ in declared]
+    digests = {str(path): _sha_file(path) for path, _ in declared}
+    _check_unchanged(manifest, digests, full)
+    return digests
 
 
-def _records(manifest: dict) -> dict:
-    """What each recorded file was made by: ``{path: {"stage", "sha256",
-    "inputs", "config"}}``, ``config`` the digest of the stage's config
-    subset. A file with no record of its own (a manifest from before the
-    records, or an ablation table) reads as its stage entry lists it, with
-    no inputs and no config."""
-    records = {
-        path: {"stage": stage, "sha256": digest, "inputs": {}}
-        for stage, entry in manifest["stages"].items()
-        for path, digest in entry.get("outputs", {}).items()
-    }
-    records.update(manifest.get("made_from", {}))
-    return records
-
-
-def _config_digest(stage: str, full: dict) -> str:
-    """Digest of the part of the effective config ``full`` that ``stage``'s
-    manifest key covers."""
-    return _sha_text(json.dumps(STAGES[stage].config(full), sort_keys=True))
-
-
-def _check_unchanged(manifest: dict, digests: dict[Path, str], full: dict) -> None:
-    """Refuse an input of ``digests`` that no longer holds what its recorded
-    stage wrote, that was made from another version of a file ``digests``
-    holds too, or, after those, that its stage made under another config
-    than the effective config ``full``. Recorded paths that are not in
-    ``digests`` are never compared, nor the config of a record that holds
-    none."""
-    records = _records(manifest)
-    recorded = [(path, records[str(path)]) for path in digests if str(path) in records]
-    for path, record in recorded:
-        if record["sha256"] != digests[path]:
-            raise MissingArtifactError(
-                f"{path} changed since {record['stage']} wrote it; run {record['stage']} again"
-            )
-        for source, seen in record["inputs"].items():
-            if digests.get(Path(source), seen) != seen:
-                raise MissingArtifactError(
-                    f"{path} was made from another {source}; run {record['stage']} again"
-                )
-    for path, record in recorded:
-        made_under = record.get("config")
-        if made_under is not None and made_under != _config_digest(record["stage"], full):
-            raise MissingArtifactError(
-                f"{path} was made under another {record['stage']} config; "
-                f"run {record['stage']} again"
-            )
-
-
-def _stage_key(cfg_subset: dict, digests: dict[Path, str]) -> str:
-    parts = [json.dumps(cfg_subset, sort_keys=True)]
-    for p in sorted(digests):
-        parts.append(f"{p}:{digests[p]}")
-    return _sha_text("|".join(parts))
-
-
-def _outputs_fresh(entry: dict | None, key: str) -> bool:
-    if not entry or entry.get("key") != key:
-        return False
-    for path_str, digest in entry.get("outputs", {}).items():
-        p = Path(path_str)
-        if not p.exists() or _sha_file(p) != digest:
-            return False
-    return True
+def _record(manifest: dict, stage: str, written, inputs: dict[str, str], config: str) -> None:
+    """Record each ``written`` path under ``stage``: its digest, the digests
+    of the ``inputs`` it was made from and the ``config`` digest it was
+    made under. The stage's records of other files, such as another
+    variant's checkpoint, stay."""
+    entry = manifest["stages"].setdefault(stage, {})
+    for path in written:
+        entry[str(path)] = {"sha256": _sha_file(path), "inputs": inputs, "config": config}
 
 
 # ── stage implementations ─────────────────────────────────────────────────
 
 
-def _stage_fetch(cfg: RunConfig) -> list[Path]:
+def _stage_fetch(cfg: RunConfig) -> None:
     paths = ingest.fetch_open_data(
         cfg.fetch.competition_id, cfg.fetch.season_id, cfg.paths.cache_dir
     )
-    out = _write_text(artifact_paths(cfg)["fetched"], json.dumps([str(p) for p in paths], indent=1))
+    _write_text(artifact_paths(cfg)["fetched"], json.dumps([str(p) for p in paths], indent=1))
     log.info("fetch: %d event files available", len(paths))
-    return [out]
 
 
 def _event_files(cfg: RunConfig) -> list[Path]:
     return sorted(cfg.paths.data_dir.glob("*.json"))
 
 
-def _stage_ingest(cfg: RunConfig) -> list[Path]:
+def _stage_ingest(cfg: RunConfig) -> None:
     ap = artifact_paths(cfg)
     files = _event_files(cfg)
     all_actions = []
@@ -497,10 +458,9 @@ def _stage_ingest(cfg: RunConfig) -> list[Path]:
     _write_atomic(ap["actions"], lambda tmp: ingest.write_actions(all_actions, tmp))
     _write_text(ap["ingest_summary"], json.dumps(summaries, sort_keys=True, indent=1))
     log.info("ingest: %d actions from %d matches", len(all_actions), len(files))
-    return [ap["actions"], ap["ingest_summary"]]
 
 
-def _stage_xt_fit(cfg: RunConfig) -> list[Path]:
+def _stage_xt_fit(cfg: RunConfig) -> None:
     ap = artifact_paths(cfg)
     actions = _read(cfg, "actions", ingest.read_actions)
     grid = xt.fit_grid(actions, cfg.grid.n_x, cfg.grid.n_y, tol=cfg.grid.tol)
@@ -511,7 +471,6 @@ def _stage_xt_fit(cfg: RunConfig) -> list[Path]:
         cfg.grid.n_y,
         grid.meta["iterations"],
     )
-    return [ap["grid"]]
 
 
 def _build_all_graphs(cfg: RunConfig, k: int) -> list:
@@ -534,12 +493,11 @@ def _build_all_graphs(cfg: RunConfig, k: int) -> list:
         ) from None
 
 
-def _stage_build_graphs(cfg: RunConfig) -> list[Path]:
+def _stage_build_graphs(cfg: RunConfig) -> None:
     ap = artifact_paths(cfg)
     all_graphs = _build_all_graphs(cfg, cfg.resolved_k)
     _write_atomic(ap["graphs"], lambda tmp: graphs_mod.write_graphs(all_graphs, tmp))
     log.info("build-graphs: %d graphs at k=%d", len(all_graphs), cfg.resolved_k)
-    return [ap["graphs"]]
 
 
 def _split_from_config(cfg: RunConfig, all_graphs):
@@ -568,7 +526,7 @@ def _train_mean(all_graphs, train_set) -> np.ndarray:
     return np.full(len(all_graphs), np.mean([g.label for g in train_set]))
 
 
-def _stage_train(cfg: RunConfig) -> list[Path]:
+def _stage_train(cfg: RunConfig) -> None:
     ap = artifact_paths(cfg)
     train_set, val_set = _split_from_config(cfg, _read(cfg, "graphs", graphs_mod.read_graphs))
     model_cfg = replace(cfg.model, seed=cfg.seed)
@@ -585,10 +543,9 @@ def _stage_train(cfg: RunConfig) -> list[Path]:
     )
     if result.aborted:
         raise NumericError("training diverged; last good checkpoint was saved")
-    return [ap["checkpoint"], ap["train_log"]]
 
 
-def _stage_evaluate(cfg: RunConfig) -> list[Path]:
+def _stage_evaluate(cfg: RunConfig) -> None:
     ap = artifact_paths(cfg)
     ckpt = _read(cfg, "checkpoint", models.Checkpoint.load)
     all_graphs = _read(cfg, "graphs", graphs_mod.read_graphs)
@@ -608,7 +565,6 @@ def _stage_evaluate(cfg: RunConfig) -> list[Path]:
     arrays = {"predictions": predictions, "norms": norms}
     _write_atomic(ap["outputs"], lambda tmp: ckpt_io.save_container(tmp, manifest, arrays))
     log.info("evaluate[%s]: val %s; val_const %s", cfg.model.variant, scores["val"], scores["val_const"])
-    return [ap["metrics"], ap["outputs"]]
 
 
 def _load_outputs(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -619,7 +575,7 @@ def _load_outputs(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return arrays["predictions"], arrays["norms"]
 
 
-def _stage_attribute(cfg: RunConfig) -> list[Path]:
+def _stage_attribute(cfg: RunConfig) -> None:
     ap = artifact_paths(cfg)
     predictions, norms = _read(cfg, "outputs", _load_outputs)
     events = _read(cfg, "graphs", graphs_mod.read_events)
@@ -648,17 +604,6 @@ def _stage_attribute(cfg: RunConfig) -> list[Path]:
     totals = [p._replace(team_id="" if p.team_id is None else p.team_id) for p in players]
     _write_table(ap["totals"], credit.PlayerTotal._fields, totals)
     log.info("attribute: %d share rows, %d players", len(rows), len(players))
-    return [ap["shares"], ap["totals"]]
-
-
-def _ranking_paths(cfg: RunConfig) -> dict:
-    a = cfg.paths.artifacts_dir
-    out = {}
-    for mode in ("total", "per90"):
-        for scope in ("overall", "by_team"):
-            out[(mode, scope)] = a / f"rankings_{mode}_{scope}.csv"
-    out["text"] = a / "rankings.txt"
-    return out
 
 
 def _render_rank_text(title: str, rows) -> list[str]:
@@ -678,23 +623,19 @@ def _load_totals(path: Path) -> list[credit.PlayerTotal]:
     ]
 
 
-def _stage_rank(cfg: RunConfig) -> list[Path]:
+def _stage_rank(cfg: RunConfig) -> None:
+    ap = artifact_paths(cfg)
     players = _read(cfg, "totals", _load_totals)
-
-    rank_paths = _ranking_paths(cfg)
     header = ("rank", "player_id", "team_id", "metric")
-    written = []
     text_blocks: list[str] = []
-    for mode in ("total", "per90"):
-        for scope in ("overall", "by_team"):
-            rows = credit.rank(players, mode=mode, scope=scope)
-            table = [(r.rank, r.player_id, r.team_id, r.metric) for r in rows]
-            written.append(_write_table(rank_paths[(mode, scope)], header, table))
-            if mode == "total":
-                text_blocks.extend(_render_rank_text(f"{mode} credit, {scope}", rows[:20]))
-    written.append(_write_text(rank_paths["text"], "\n".join(text_blocks)))
-    log.info("rank: wrote %d tables", len(written) - 1)
-    return written
+    for mode, scope in _RANKED:
+        rows = credit.rank(players, mode=mode, scope=scope)
+        table = [(r.rank, r.player_id, r.team_id, r.metric) for r in rows]
+        _write_table(ap[f"rankings_{mode}_{scope}"], header, table)
+        if mode == "total":
+            text_blocks.extend(_render_rank_text(f"{mode} credit, {scope}", rows[:20]))
+    _write_text(ap["rankings"], "\n".join(text_blocks))
+    log.info("rank: wrote %d tables", len(_RANKED))
 
 
 # ── the stage table ───────────────────────────────────────────────────────
@@ -702,10 +643,12 @@ def _stage_rank(cfg: RunConfig) -> list[Path]:
 
 @dataclass(frozen=True)
 class Stage:
-    """A pipeline stage: its runner, its declared ``(path, how to make it)``
-    inputs, and the part of the effective config its manifest key covers."""
+    """A pipeline stage: its runner, the ``artifact_paths`` names of what
+    it writes, its declared ``(path, how to make it)`` inputs, and the part
+    of the effective config that each record of what it wrote holds."""
 
-    run: Callable[[RunConfig], list[Path]]
+    run: Callable[[RunConfig], None]
+    writes: tuple[str, ...]
     inputs: Callable[[RunConfig], list[tuple[Path, str]]]
     config: Callable[[dict], dict]
 
@@ -740,65 +683,79 @@ def _ingest_inputs(cfg: RunConfig) -> list[tuple[Path, str]]:
     return [(p, remedy) for p in files]
 
 
-# In pipeline order; each stage's manifest key digests its config subset and inputs.
+# In pipeline order.
 STAGES = {
     "fetch": Stage(
         _stage_fetch,
+        ("fetched",),
         _inputs(),
         lambda full: {"fetch": full["fetch"], "paths": full["paths"]["cache_dir"]},
     ),
     "ingest": Stage(
-        _stage_ingest, _ingest_inputs, lambda full: {"data_dir": full["paths"]["data_dir"]}
+        _stage_ingest,
+        ("actions", "ingest_summary"),
+        _ingest_inputs,
+        lambda full: {"data_dir": full["paths"]["data_dir"]},
     ),
-    "xt-fit": Stage(_stage_xt_fit, _inputs("actions"), _pick("grid")),
+    "xt-fit": Stage(_stage_xt_fit, ("grid",), _inputs("actions"), _pick("grid")),
     "build-graphs": Stage(
         _stage_build_graphs,
+        ("graphs",),
         _inputs("actions", "grid", files=("stats_csv", "roles_csv")),
         lambda full: {
             **_pick("window_k", "append_centrality_features")(full),
             "graphs_layout": GRAPHS_LAYOUT,
         },
     ),
-    "train": Stage(_stage_train, _inputs("graphs"), _model_key),
+    "train": Stage(_stage_train, ("checkpoint", "train_log"), _inputs("graphs"), _model_key),
     "evaluate": Stage(
         _stage_evaluate,
+        ("metrics", "outputs"),
         _inputs("graphs", "checkpoint"),
         lambda full: {**_model_key(full), "outputs_layout": OUTPUTS_LAYOUT},
     ),
     "attribute": Stage(
         _stage_attribute,
+        ("shares", "totals"),
         _inputs("graphs", "outputs", files=("stats_csv",)),
         _pick("attribution_source", "negative_share_mode"),
     ),
-    "rank": Stage(_stage_rank, _inputs("totals"), _pick()),
+    "rank": Stage(
+        _stage_rank,
+        (*(f"rankings_{mode}_{scope}" for mode, scope in _RANKED), "rankings"),
+        _inputs("totals"),
+        _pick(),
+    ),
 }
+
+# The stage that writes each artifact.
+_PRODUCER = {name: stage for stage, spec in STAGES.items() for name in spec.writes}
 
 
 def run_stage(cfg: RunConfig, stage: str, *, manifest: dict, full: dict) -> bool:
-    """Run one stage unless its recorded inputs and config are unchanged,
-    recording what it wrote in ``manifest``; the caller saves it. ``full``
-    is ``cfg.effective_dict()``.
+    """Run one stage unless every file it writes has a record of this run's
+    inputs and config and still holds what that record says, recording
+    what it wrote in ``manifest``; the caller saves it. ``full`` is
+    ``cfg.effective_dict()``.
 
     Returns True when work happened, False on a fresh-skip.
     """
     spec = STAGES[stage]
-    digests = {p: _sha_file(p) for p in _require_inputs(spec.inputs(cfg))}
-    _check_unchanged(manifest, digests, full)
-    key = _stage_key({"stage": stage, "config": spec.config(full)}, digests)
-    entry = manifest["stages"].get(stage)
-    if _outputs_fresh(entry, key):
+    inputs = _checked_inputs(manifest, spec.inputs(cfg), full)
+    made_under = _config_hash(spec.config(full))
+    written = [artifact_paths(cfg)[name] for name in spec.writes]
+    entry = manifest["stages"].get(stage, {})
+    records = [(path, entry.get(str(path))) for path in written]
+    if all(
+        record is not None and record["inputs"] == inputs and record["config"] == made_under
+        and path.is_file() and _sha_file(path) == record["sha256"]
+        for path, record in records
+    ):
         log.info("%s: up to date, skipping", stage)
         return False
 
-    written = {str(p): _sha_file(p) for p in spec.run(cfg)}
-    manifest["stages"][stage] = {"key": key, "outputs": written}
-    # per file, so running the stage for another variant keeps this record
-    inputs = {str(p): digest for p, digest in digests.items()}
-    made_under = _config_digest(stage, full)
-    for path, digest in written.items():
-        manifest.setdefault("made_from", {})[path] = {
-            "stage": stage, "sha256": digest, "inputs": inputs, "config": made_under
-        }
+    spec.run(cfg)
+    _record(manifest, stage, written, inputs, made_under)
     return True
 
 
@@ -832,11 +789,12 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
     k_values = list(k_values)
     if not k_values:
         raise ConfigError("ablate: k_values must be non-empty")
-    for k in k_values:
+    for i, k in enumerate(k_values):
         _require(0 <= k <= MAX_WINDOW_K, f"ablate: k_values must be in [0, {MAX_WINDOW_K}], got {k}")
-    inputs = _require_inputs(STAGES["build-graphs"].inputs(cfg))
+        _require(k not in k_values[:i], f"ablate: k_values must be distinct, got {k} again")
     full = cfg.effective_dict()
-    _check_unchanged(_load_manifest(cfg), {p: _sha_file(p) for p in inputs}, full)
+    manifest = _load_manifest(cfg)
+    inputs = _checked_inputs(manifest, STAGES["build-graphs"].inputs(cfg), full)
 
     # every k's windows and split are checked before the first cell trains
     built = {k: _build_all_graphs(cfg, k) for k in k_values}
@@ -871,11 +829,7 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
         ]
         written.append(_write_table(cfg.paths.artifacts_dir / f"ablation_{metric}.csv", header, rows))
 
-    manifest = _load_manifest(cfg)
-    manifest["stages"]["ablate"] = {
-        "key": _sha_text(json.dumps({"k_values": k_values, "config": _config_hash(full)})),
-        "outputs": {str(p): _sha_file(p) for p in written},
-    }
+    _record(manifest, "ablate", written, inputs, _config_hash({**full, "k_values": k_values}))
     _save_manifest(cfg, manifest, full)
     return cells
 
@@ -895,8 +849,7 @@ def _load_shares(path: Path) -> dict:
 def plot_case(cfg: RunConfig, match_id: int, start: int, end: int, out=None) -> Path:
     """Render the attributed deltas of one in-match action range to SVG."""
     ap = artifact_paths(cfg)
-    inputs = _require_inputs(_inputs("actions", "shares")(cfg))
-    _check_unchanged(_load_manifest(cfg), {p: _sha_file(p) for p in inputs}, cfg.effective_dict())
+    _checked_inputs(_load_manifest(cfg), _inputs("actions", "shares")(cfg), cfg.effective_dict())
     shares = _read(cfg, "shares", _load_shares)
     stream = ingest.group_by_match(_read(cfg, "actions", ingest.read_actions)).get(match_id)
     if stream is None:
@@ -981,7 +934,7 @@ def main(argv=None) -> int:
         if args.command in STAGES:
             run_pipeline(cfg, [args.command])
             if args.command == "rank" and not args.quiet:
-                path = _ranking_paths(cfg)[(args.mode, args.scope)]
+                path = artifact_paths(cfg)[f"rankings_{args.mode}_{args.scope}"]
                 sys.stdout.write(path.read_text())
         elif args.command == "ablate":
             ablate(cfg, args.k_values)

@@ -492,15 +492,18 @@ def write_actions(actions, path) -> None:
 
 
 def _action_value_error(record: dict) -> str | None:
-    """What is wrong with the values of one 12-key action row, or None."""
+    """What is wrong with the values of one 12-key action row, or None. An
+    integral time or coordinate is made the float it stands for, in place."""
     for key in _ACTION_INT_KEYS:
         value = record[key]
         if type(value) is not int or not _INT64_MIN <= value <= _INT64_MAX:
             return f"{key} {value!r} is not a 64-bit integer"
     for key in _ACTION_NUMBER_KEYS:
         value = record[key]
-        if type(value) not in (int, float) or not _finite(value):
-            return f"{key} {value!r} is not a finite number"
+        if type(value) is not float or not _finite(value):
+            if type(value) is not int or not _finite(value):
+                return f"{key} {value!r} is not a finite number"
+            record[key] = float(value)  # as write_actions formats it
     action_type, result = record["action_type"], record["result"]
     if type(action_type) is not str or action_type not in _SPADL_TYPE_SET:
         return f"action_type {action_type!r} is not a SPADL action type"

@@ -386,7 +386,7 @@ class EpochRecord:
     stopped_early: bool = False
 
 
-# Part of train's and evaluate's manifest keys, so a checkpoint of an earlier
+# Part of the config train and evaluate record, so a checkpoint of an earlier
 # layout is trained again, not skipped as fresh. Layout 1 stored each head's
 # weights as tensors of their own; 2 stores one array per layer weight.
 PARAMS_LAYOUT = 2

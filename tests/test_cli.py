@@ -209,12 +209,11 @@ class TestPipeline:
         assert set(arrays) == {"predictions", "norms"}
         assert set(manifest) == {"kind", "container_version", "tensors"}
         # what they were computed from is the run manifest's record
-        recorded = json.loads(ap["manifest"].read_text())["made_from"][str(ap["outputs"])]
+        recorded = json.loads(ap["manifest"].read_text())["stages"]["evaluate"][str(ap["outputs"])]
         assert recorded == {
-            "stage": "evaluate",
             "sha256": cli._sha_file(ap["outputs"]),
             "inputs": {str(p): cli._sha_file(p) for p in (ap["graphs"], ap["checkpoint"])},
-            "config": cli._config_digest("evaluate", cfg.effective_dict()),
+            "config": cli._config_hash(cli.STAGES["evaluate"].config(cfg.effective_dict())),
         }
         gs = graphs_mod.read_graphs(ap["graphs"])
         predictions, norms = models.evaluate(models.Checkpoint.load(ap["checkpoint"]), gs)
@@ -305,20 +304,18 @@ class TestPipeline:
         assert repr(parsed) == repr(run.log)
 
     def test_outputs_of_an_earlier_layout_are_rebuilt(self, tmp_path, fixture_dir):
-        """Outputs recorded under the evaluate key of an earlier layout are
-        rebuilt by evaluate. Layout 3 also held what the graph store says of
-        each event, so attribute refuses it until then. Layouts 1 (whose key
-        had no layout) and 4 held the predictions and norms with the digest
-        of the graphs, which attribute reads and evaluate rewrites without
-        the digest."""
+        """Outputs recorded under the evaluate config of an earlier layout
+        are refused by attribute until evaluate rebuilds them. Layout 3 also
+        held what the graph store says of each event; layouts 1 (whose
+        config had no layout) and 4 held the predictions and norms with the
+        digest of the graphs, which evaluate rewrites without the digest."""
         config = write_config(tmp_path, fixture_dir)
         cfg = cli.load_config(config)
         cli.run_pipeline(cfg, ALL_STAGES[:5])
         ap = cli.artifact_paths(cfg)
         current = ap["outputs"].read_bytes()
-        digests = {p: cli._sha_file(p) for p in (ap["graphs"], ap["checkpoint"])}
         kept, arrays = ckpt_io.load_container(ap["outputs"])
-        graphs_sha256 = {"graphs_sha256": digests[ap["graphs"]]}
+        graphs_sha256 = {"graphs_sha256": cli._sha_file(ap["graphs"])}
         gs = graphs_mod.read_graphs(ap["graphs"])
         layout_3 = {
             "labels": [g.label for g in gs],
@@ -340,11 +337,10 @@ class TestPipeline:
             )
             config_then = old_config if layout == 1 else {**old_config, "outputs_layout": layout}
             manifest = json.loads(ap["manifest"].read_text())
-            del manifest["made_from"]  # not kept before these layouts' successor
-            manifest["stages"]["evaluate"] = {
-                "key": cli._stage_key({"stage": "evaluate", "config": config_then}, digests),
-                "outputs": {str(p): cli._sha_file(p) for p in (ap["metrics"], ap["outputs"])},
-            }
+            for path in (ap["metrics"], ap["outputs"]):
+                manifest["stages"]["evaluate"][str(path)].update(
+                    sha256=cli._sha_file(path), config=cli._config_hash(config_then)
+                )
             ap["manifest"].write_text(json.dumps(manifest))
 
         record(3, {**graphs_sha256, "event_ids": [g.event_id for g in gs]}, layout_3)
@@ -354,8 +350,9 @@ class TestPipeline:
         for layout in (1, 4):
             record(layout, graphs_sha256, {})
             assert ap["outputs"].read_bytes() != current
-            assert cli.run_pipeline(cfg, ["attribute"])["attribute"]
-            assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": True}
+            assert cli.main(["--config", str(config), "--quiet", "attribute"]) == 3
+            # shares.csv was made from the outputs evaluate makes again
+            assert cli.run_pipeline(cfg, ["evaluate", "attribute"]) == {"evaluate": True, "attribute": False}
             assert ap["outputs"].read_bytes() == current
 
     def test_attribute_takes_teams_from_the_outputs(self, tmp_path, fixture_dir, monkeypatch):
@@ -380,21 +377,19 @@ class TestPipeline:
         }
 
     def test_graph_store_of_an_earlier_layout_is_rebuilt(self, tmp_path, fixture_dir):
-        """A schema-1 store recorded under a build-graphs key without the
+        """A schema-1 store recorded under a build-graphs config without the
         layout recovers with build-graphs, then train."""
         config = write_config(tmp_path, fixture_dir)
         cfg = cli.load_config(config)
         cli.run_pipeline(cfg, ALL_STAGES[:3])
         ap = cli.artifact_paths(cfg)
         ap["graphs"].write_text("".join(_schema_1_line(g) for g in graphs_mod.read_graphs(ap["graphs"])))
-        digests = {p: cli._sha_file(p) for p in cli._require_inputs(cli.STAGES["build-graphs"].inputs(cfg))}
         full = cfg.effective_dict()
         old_config = {key: full[key] for key in ("window_k", "append_centrality_features")}
         manifest = json.loads(ap["manifest"].read_text())
-        manifest["stages"]["build-graphs"] = {
-            "key": cli._stage_key({"stage": "build-graphs", "config": old_config}, digests),
-            "outputs": {str(ap["graphs"]): cli._sha_file(ap["graphs"])},
-        }
+        manifest["stages"]["build-graphs"][str(ap["graphs"])].update(
+            sha256=cli._sha_file(ap["graphs"]), config=cli._config_hash(old_config)
+        )
         ap["manifest"].write_text(json.dumps(manifest))
         assert cli.main(["--config", str(config), "--quiet", "train"]) == 3
         assert cli.run_pipeline(cfg, ["build-graphs"]) == {"build-graphs": True}
@@ -406,6 +401,44 @@ class TestPipeline:
         cli.run_pipeline(cfg, ALL_STAGES)
         again = cli.run_pipeline(cfg, ALL_STAGES)
         assert not any(again.values())
+
+    def test_each_variant_keeps_its_own_records(self, tmp_path, fixture_dir):
+        gcn = cli.load_config(write_config(tmp_path, fixture_dir))
+        gat = cli.load_config(write_config(tmp_path, fixture_dir, {"model": {"variant": "gat"}}, "gat.json"))
+        cli.run_pipeline(gcn, ALL_STAGES[:6])
+        cli.run_pipeline(gat, ["train", "evaluate", "attribute"])
+        assert cli.run_pipeline(gcn, ["train", "evaluate"]) == {"train": False, "evaluate": False}
+        manifest = json.loads(cli.artifact_paths(gcn)["manifest"].read_text())
+        assert set(manifest["stages"]["train"]) == {
+            str(cli.artifact_paths(cfg)[name]) for cfg in (gcn, gat) for name in ("checkpoint", "train_log")
+        }
+        # shares.csv is one file for every variant: gat's attribute rewrote it
+        assert cli.run_pipeline(gcn, ["attribute"]) == {"attribute": True}
+
+    def test_manifest_of_the_earlier_layout_rebuilds_everything(self, tmp_path, fixture_dir, caplog):
+        """A manifest with a key and an outputs table per stage and the file
+        records in a ``made_from`` table reads as unreadable: one warning,
+        then every stage runs again and writes the same bytes."""
+        cfg = cli.load_config(write_config(tmp_path, fixture_dir))
+        cli.run_pipeline(cfg, ALL_STAGES)
+        ap = cli.artifact_paths(cfg)
+        made = {p: p.read_bytes() for p in sorted(ap["manifest"].parent.iterdir()) if p != ap["manifest"]}
+        manifest = json.loads(ap["manifest"].read_text())
+        manifest["made_from"] = {
+            path: {"stage": stage, **record} for stage, entry in manifest["stages"].items()
+            for path, record in entry.items()
+        }
+        manifest["stages"] = {
+            stage: {"key": "0" * 64, "outputs": {path: r["sha256"] for path, r in entry.items()}}
+            for stage, entry in manifest["stages"].items()
+        }
+        ap["manifest"].write_text(json.dumps(manifest))
+        caplog.clear()
+        assert all(cli.run_pipeline(cfg, ALL_STAGES).values())
+        warnings = [r.getMessage() for r in caplog.records if r.name == "threatshare"]
+        assert len(warnings) == 1 and str(ap["manifest"]) in warnings[0], warnings
+        assert {p: p.read_bytes() for p in made} == made
+        assert "made_from" not in json.loads(ap["manifest"].read_text())
 
     def test_changed_config_invalidates_dependents(self, tmp_path, fixture_dir):
         config = write_config(tmp_path, fixture_dir)
@@ -423,8 +456,8 @@ class TestPipeline:
         manifest = json.loads((tmp_path / "artifacts" / "manifest.json").read_text())
         checked = 0
         for entry in manifest["stages"].values():
-            for path_str, digest in entry["outputs"].items():
-                assert cli._sha_file(Path(path_str)) == digest
+            for path_str, record in entry.items():
+                assert cli._sha_file(Path(path_str)) == record["sha256"]
                 checked += 1
         assert checked >= 8
 
@@ -568,17 +601,21 @@ def _truncate_manifest(tmp_path):
     path.write_bytes(path.read_bytes()[:50])
 
 
-def _edit_manifest(table, edit):
-    """Damage: each entry of the run manifest's ``table`` ("stages" or
-    "made_from") replaced by ``edit(entry)``."""
+def _edit_manifest(edit):
+    """Damage: each stage entry of the run manifest replaced by ``edit(entry)``."""
 
     def damage(tmp_path):
         path = tmp_path / "artifacts" / "manifest.json"
         manifest = json.loads(path.read_text())
-        manifest[table] = {key: edit(entry) for key, entry in manifest[table].items()}
+        manifest["stages"] = {stage: edit(entry) for stage, entry in manifest["stages"].items()}
         path.write_text(json.dumps(manifest))
 
     return damage
+
+
+def _each_record(edit):
+    """Edit: each file record of a stage entry replaced by ``edit(record)``."""
+    return lambda entry: {path: edit(record) for path, record in entry.items()}
 
 
 def _run_again(stage, changes):
@@ -698,7 +735,8 @@ def _record_digest(tmp_path, path):
     the reader can catch what was done to it."""
     run = tmp_path / "artifacts" / "manifest.json"
     data = json.loads(run.read_text())
-    data["made_from"][str(path)]["sha256"] = cli._sha_file(path)
+    (record,) = [entry[str(path)] for entry in data["stages"].values() if str(path) in entry]
+    record["sha256"] = cli._sha_file(path)
     run.write_text(json.dumps(data))
 
 
@@ -739,9 +777,8 @@ def _damage_store_under_outputs(edit):
         store = tmp_path / "artifacts" / "graphs.ndjson"
         run = tmp_path / "artifacts" / "manifest.json"
         data = json.loads(run.read_text())
-        data["made_from"][str(tmp_path / "artifacts" / "outputs_gcn")]["inputs"][str(store)] = (
-            cli._sha_file(store)
-        )
+        outputs = data["stages"]["evaluate"][str(tmp_path / "artifacts" / "outputs_gcn")]
+        outputs["inputs"][str(store)] = cli._sha_file(store)
         run.write_text(json.dumps(data))
 
     return damage
@@ -966,18 +1003,18 @@ FAILURE_CASES = {
     # a manifest that parses, with entries of another shape than a run writes
     "manifest-stage-entry-a-string": (
         lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"],
-        _edit_manifest("stages", lambda entry: "done"), "build-graphs", 0, "manifest.json"),
+        _edit_manifest(lambda entry: "done"), "build-graphs", 0, "manifest.json"),
+    # a stage entry is the table of its outputs' records: here a list of their paths
     "manifest-stage-outputs-a-list": (
-        lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"],
-        _edit_manifest("stages", lambda entry: {**entry, "outputs": list(entry["outputs"])}),
+        lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"], _edit_manifest(list),
         "build-graphs", 0, "manifest.json"),
     "manifest-record-without-sha256": (
         lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"],
-        _edit_manifest("made_from", lambda record: {k: v for k, v in record.items() if k != "sha256"}),
+        _edit_manifest(_each_record(lambda record: {k: v for k, v in record.items() if k != "sha256"})),
         "build-graphs", 0, "manifest.json"),
     "manifest-record-inputs-a-list": (
         lambda tmp, fx: {}, ["ingest", "xt-fit", "build-graphs"],
-        _edit_manifest("made_from", lambda record: {**record, "inputs": list(record["inputs"])}),
+        _edit_manifest(_each_record(lambda record: {**record, "inputs": list(record["inputs"])})),
         "build-graphs", 0, "manifest.json"),
     # two fixture matches at split_frac 0.8: both land in train
     "empty-split": (
@@ -1070,6 +1107,10 @@ FAILURE_CASES = {
     "ablate-k-over-the-bound": (
         lambda tmp, fx: {}, TRAINED[:2], None, "ablate --k-values=3,60", 2,
         "ablate: k_values must be in [0, 50], got 60"),
+    # a repeated window size would write each of its columns twice
+    "ablate-k-repeated": (
+        lambda tmp, fx: {}, TRAINED[:2], None, "ablate --k-values=1,1", 2,
+        "ablate: k_values must be distinct, got 1 again"),
     # real matches with substitutes hold more players than a graph may
     "window-over-the-node-bound": (
         _forty_actors(window_k=30), TRAINED[:2], None, "build-graphs", 2,
@@ -1276,7 +1317,7 @@ def test_checkpoint_of_the_per_head_layout_is_trained_again(
     config = write_config(tmp_path, fixture_dir, {"model": {"variant": "gat"}})
     cfg = cli.load_config(config)
     ap = cli.artifact_paths(cfg)
-    # a run as the per-head layout left it: its stage keys and its checkpoint
+    # a run as the per-head layout left it: its records and its checkpoint
     monkeypatch.setattr(models, "PARAMS_LAYOUT", 1)
     cli.run_pipeline(cfg, ALL_STAGES[:5])
     outputs = ap["outputs"].read_bytes()
@@ -1290,10 +1331,12 @@ def test_checkpoint_of_the_per_head_layout_is_trained_again(
     errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
     assert errors == [f"{ap['checkpoint']} was made under another train config; run train again"]
 
-    # a manifest of that layout predates the records' config digest: the reader catches it
+    # a manifest of that layout predates the records' config digest, so it reads as
+    # unreadable and every stage runs again: the checkpoint reader catches it
     run = json.loads(ap["manifest"].read_text())
-    for record in run["made_from"].values():
-        del record["config"]
+    for entry in run["stages"].values():
+        for record in entry.values():
+            del record["config"]
     ap["manifest"].write_text(json.dumps(run))
     caplog.clear()
     assert cli.main(["--config", str(config), "--quiet", "evaluate"]) == 3

@@ -344,6 +344,19 @@ class TestReadActions:
         action = ingest.read_actions(path)[0]
         assert (action.start_x, action.time_s) == (50, 0)
 
+    def test_integral_coordinates_write_back_as_floats(self, fixture_actions, tmp_path):
+        path = tmp_path / "actions.ndjson"
+        ingest.write_actions(fixture_actions[:1], path)
+        record = json.loads(path.read_text())
+        integral = {"time_s": 0, "start_x": 50, "start_y": 34, "end_x": 60, "end_y": 0}
+        path.write_text(json.dumps({**record, **integral}) + "\n")
+        (action,) = ingest.read_actions(path)
+        assert [type(getattr(action, key)) for key in integral] == [float] * 5
+        again = tmp_path / "again.ndjson"
+        ingest.write_actions([action], again)
+        assert json.loads(again.read_text()) == {**record, **{k: float(v) for k, v in integral.items()}}
+        assert ingest.read_actions(again) == [action]
+
 
 class TestPlayerStats:
     def test_fixture_loads_all_players(self, fixture_dir):
