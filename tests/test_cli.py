@@ -440,6 +440,18 @@ class TestPipeline:
         assert {p: p.read_bytes() for p in made} == made
         assert "made_from" not in json.loads(ap["manifest"].read_text())
 
+    def test_an_edited_or_removed_output_is_written_again(self, tmp_path, fixture_dir):
+        cfg = cli.load_config(write_config(tmp_path, fixture_dir))
+        cli.run_pipeline(cfg, ALL_STAGES)
+        ap = cli.artifact_paths(cfg)
+        made = {name: ap[name].read_bytes() for name in cli.STAGES["rank"].writes}
+        ap["rankings"].write_text("edited")
+        assert cli.run_pipeline(cfg, ["rank"]) == {"rank": True}
+        ap["rankings_per90_by_team"].unlink()
+        assert cli.run_pipeline(cfg, ["rank"]) == {"rank": True}
+        assert {name: ap[name].read_bytes() for name in made} == made
+        assert cli.run_pipeline(cfg, ["rank"]) == {"rank": False}
+
     def test_changed_config_invalidates_dependents(self, tmp_path, fixture_dir):
         config = write_config(tmp_path, fixture_dir)
         cfg = cli.load_config(config)
