@@ -5,8 +5,8 @@
 
 Each checkout's own command line (``python -m threatshare.cli`` over that
 root's ``src/``) runs ingest -> rank and one ``plot-case`` for gcn, gat and
-the transformer, at the default config and at ``window_k`` 50 and 0, and
-one ``ablate --k-values=1,3`` sweep at the default config (it trains every
+the transformer, at the default config, at ``window_k`` 50 and 0, and
+without weight decay (Adam's other branch) for 3 epochs, and one ``ablate --k-values=1,3`` sweep at the default config (it trains every
 variant itself, so it runs once, into gcn's artifacts), on a copy of
 CHANGE_ROOT's bundled fixture. Both sides run in the same run directory, one
 after the other, so every path they record is the same; each side's
@@ -30,8 +30,14 @@ import tempfile
 from pathlib import Path
 
 VARIANTS = ("gcn", "gat", "transformer")
-# window_k 0 makes graphs of 1-2 nodes: the most padding per block in a pack
-CONFIGS = {"default": {}, "k50": {"window_k": 50}, "k0": {"window_k": 0}}
+# window_k 0 makes graphs of 1-2 nodes: the most padding per block in a pack;
+# every other config trains with weight decay
+CONFIGS = {
+    "default": {},
+    "k50": {"window_k": 50},
+    "k0": {"window_k": 0},
+    "wd0": {"training": {"weight_decay": 0.0, "epochs": 3}},
+}
 STAGES = ("ingest", "xt-fit", "build-graphs", "train", "evaluate", "attribute", "rank")
 CASE = ("plot-case", "--match", "9001", "--start", "10", "--end", "14")
 ABLATE = ("ablate", "--k-values=1,3")

@@ -44,7 +44,8 @@ def save_container(path, manifest: dict, arrays: dict) -> None:
 
 
 def load_container(path) -> tuple[dict, dict]:
-    """Read back (manifest, arrays); raises on unknown container version."""
+    """Read back (manifest, arrays); raises ValueError on an unknown
+    container version or a tensor holding NaN or Inf."""
     path = Path(path)
     with zipfile.ZipFile(path, "r") as zf:
         manifest = json.loads(zf.read("manifest.json"))
@@ -55,5 +56,7 @@ def load_container(path) -> tuple[dict, dict]:
         for name, meta in manifest["tensors"].items():
             raw = zf.read(meta["file"])
             arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"tensor {name} holds NaN or Inf")
             arrays[name] = arr.reshape(meta["shape"])
     return manifest, arrays

@@ -17,7 +17,7 @@ block from its own stream, ``<prefix>.H<m>.<leaf>`` for a tensor named
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +43,20 @@ class ParamSet:
     """Named trainable tensors, each drawn from ``seed`` when it is added,
     or all taken from a stored state by ``from_state``.
 
-    Shapes are fixed at construction; ``load_state`` copies values in place
-    so optimizer moment buffers stay aligned.
+    Every value lives in one flat float64 buffer, in the order the tensors
+    were added, and each tensor's ``data`` is a view into it, so that
+    ``adam_step`` updates all of them in a few passes over one array. The
+    buffer is made at the first step, ``load_state`` or ``from_state``, and
+    made again after an ``add``. Shapes are fixed once added; ``load_state``
+    copies values into the views, and a tensor whose ``data`` was rebound
+    gives its values back to the buffer there or at the next step.
     """
 
     def __init__(self, seed: int):
         self._seed = seed
         self._params: dict[str, Tensor] = {}
+        self._views: list[np.ndarray] = []
+        self._flat = np.empty(0)
 
     def add(self, name: str, shape, scheme: str, heads: int = 1) -> Tensor:
         """Add ``name`` of ``shape``, drawn by ``scheme``. With ``heads`` > 1
@@ -87,15 +94,35 @@ class ParamSet:
         is drawn."""
         p = cls(seed)
         for name, arr in _checked_state(shapes, state).items():
-            p._params[name] = Tensor(arr.copy(), requires_grad=True)
+            p._params[name] = Tensor(arr, requires_grad=True)
+        p._buffer()
         return p
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         """Take every value from ``state``, which must hold exactly these
         parameters, each of its shape."""
         shapes = {name: t.data.shape for name, t in self._params.items()}
-        for name, arr in _checked_state(shapes, state).items():
-            self._params[name].data = arr.copy()
+        arrays = _checked_state(shapes, state)
+        self._buffer()
+        for name, arr in arrays.items():
+            self._params[name].data[...] = arr
+
+    def _buffer(self) -> np.ndarray:
+        """The flat buffer, with every tensor's ``data`` a view into it (made
+        anew when a tensor was added since), after taking in the value of
+        each tensor whose ``data`` is not its view."""
+        tensors = self._params.values()
+        if len(self._views) != len(tensors):
+            self._flat = np.empty(sum(t.data.size for t in tensors))
+            self._views, at = [], 0
+            for t in tensors:
+                self._views.append(self._flat[at : at + t.data.size].reshape(t.data.shape))
+                at += t.data.size
+        for view, t in zip(self._views, tensors):
+            if t.data is not view:
+                view[...] = t.data
+                t.data = view
+        return self._flat
 
 
 def _checked_state(shapes: dict, state: dict) -> dict[str, np.ndarray]:
@@ -125,39 +152,55 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Optimizer state; moment buffers are keyed by parameter name."""
+    """Optimizer state: the moment estimates, each one flat array in the
+    order of the parameters' buffer, made at the first step."""
 
     lr: float = 1e-4
     weight_decay: float = 0.0
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(state: AdamState, params: ParamSet) -> None:
-    """One Adam update with bias correction.
+    """One Adam update with bias correction, in place over the parameters'
+    flat buffer: one array of every gradient, then one pass of each kind
+    over the whole buffer.
 
     Weight decay is decoupled: parameters shrink by lr*wd*param before the
-    moment update, so decay never leaks into the moment estimates.
+    moment update, so decay never leaks into the moment estimates. Each
+    element goes through the same operations, in the same order, as a
+    per-tensor update, so it rounds the same way.
     """
+    p = params._buffer()
+    g = np.concatenate(
+        [np.zeros(t.data.size) if t.grad is None else t.grad for _, t in params.items()], axis=None
+    )
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+    m, v = state.m, state.v
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - BETA1**t
     bc2 = 1.0 - BETA2**t
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if state.weight_decay:
-            p.data = p.data * (1.0 - state.lr * state.weight_decay)
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = BETA1 * m + (1.0 - BETA1) * g
-        v = BETA2 * v + (1.0 - BETA2) * g * g
-        state.m[name] = m
-        state.v[name] = v
-        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+    if state.weight_decay:
+        p *= 1.0 - state.lr * state.weight_decay
+    m *= BETA1
+    v *= BETA2
+    # v += ((1 - BETA2) * g) * g, then m += (1 - BETA1) * g, g's buffer reused
+    step = (1.0 - BETA2) * g
+    step *= g
+    v += step
+    g *= 1.0 - BETA1
+    m += g
+    # p -= (lr * (m / bc1)) / (sqrt(v / bc2) + EPS)
+    np.divide(m, bc1, out=g)
+    g *= state.lr
+    np.divide(v, bc2, out=step)
+    np.sqrt(step, out=step)
+    step += EPS
+    g /= step
+    p -= g
 
 
 def schedule_and_stop(

@@ -1,10 +1,10 @@
 """Float64 tensors with taped reverse-mode differentiation.
 
-Deliberately small: eager dense arrays, one closure tape per result, no
-views. The cost of an op is almost all interpreter overhead and data
-movement, not arithmetic, so callers pack many small graphs into one set of
-matrices and the index ops (``gather_rows``, ``segment_sum``) address rows by
-index arrays instead of dense masks. Rows move by ``np.take``: a gather is
+Deliberately small: eager dense arrays, one closure tape per result. The
+cost of an op is almost all interpreter overhead and data movement, not
+arithmetic, so callers pack many small graphs into one set of matrices
+and the index ops (``gather_rows``, ``segment_sum``) address rows by index
+arrays instead of dense masks. Rows move by ``np.take``: a gather is
 one take, and a scatter of distinct rows into zeros is a take from the
 source with one sentinel row appended. The block ops (``block_scores``,
 ``block_softmax``, ``block_mix``) run on one (blocks, heads, w, w) stack per
@@ -14,16 +14,22 @@ Structure is a (blocks, w, w) mask of that layout (``Blocks.adjacency``);
 ``pair_softmax`` normalizes over the set cells of a mask, planned once as a
 ``PairPlan`` (gat's neighbours), and writes the weights into the stack.
 ``linear`` (``x @ W + b``) and ``layer_norm`` (of a sum and its residual)
-are fused: one taped result where there were several. ``relu`` and
-``leaky_relu`` are maxima, with no data-dependent select.
+are fused: one taped result where there were several, computed in place in
+the few arrays the op allocates (layer norm: two forward, two backward).
+``relu`` and ``leaky_relu`` are maxima, with no data-dependent select.
 
 An op records its tape only if an input requires grad: a pass over constant
 tensors builds none. The tape lists the op's parents, each with a closure
 that keeps only the arrays it reads. Tensors are numbered as they are
 created, so parents precede their results and ``backward`` needs no search:
 it sweeps in decreasing number and frees each closure once it has run.
-Every op checks its output for NaN/Inf and raises NumericError rather than
-letting garbage propagate into training.
+Closures may pass their gradient on unchanged (``add``), so the sweep adds
+a tensor's second and later contributions into an array it allocated
+itself, never into one a closure returned; the closures of one op's
+parents share what they derive from the gradient alike (``block_mix`` pads
+it once, ``block_scores`` scales it once). Every op checks its output for
+NaN/Inf and raises NumericError rather than letting garbage propagate into
+training.
 """
 
 from __future__ import annotations
@@ -161,8 +167,10 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(f"linear: shapes {x.shape} and {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear: bias {b.shape} for {w.shape[1]} outputs")
+    out = x.data @ w.data
+    out += b.data
     return _result(
-        x.data @ w.data + b.data,
+        out,
         [
             (x, lambda g: g @ w.data.T),
             (w, lambda g: x.data.T @ g),
@@ -247,21 +255,33 @@ def layer_norm(x, residual, gain, bias, eps=1e-5) -> Tensor:
         raise ShapeError(f"layer_norm: data {x.shape}, residual {residual.shape}")
     if not gain.shape == bias.shape == (1, x.shape[1]):
         raise ShapeError(f"layer_norm: data {x.shape}, gain {gain.shape}, bias {bias.shape}")
-    centred = x.data + residual.data
-    centred -= centred.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
-    xhat = centred * inv
+    n = x.shape[1]
+    # one buffer becomes the centred sum, then xhat; another the squares,
+    # then the output. A row mean is its add.reduce over n, as ``mean`` is.
+    xhat = x.data + residual.data
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / n
+    out = xhat * xhat
+    inv = np.add.reduce(out, axis=-1, keepdims=True) / n
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def back_sum(g):
+        # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), in dxhat
         dxhat = g * gain.data
-        return inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        both = dxhat * xhat
+        mean_both = np.add.reduce(both, axis=-1, keepdims=True) / n
+        dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        np.multiply(xhat, mean_both, out=both)
+        dxhat -= both
+        dxhat *= inv
+        return dxhat
 
     return _result(
-        xhat * gain.data + bias.data,
+        out,
         [
             (x, back_sum),
             (residual, back_sum),
@@ -435,6 +455,20 @@ class Blocks:
         return self._key_mask
 
 
+def _once(fn):
+    """``fn``, computed once for calls in a row with the same argument: the
+    closures of one op's parents are called one after the other with the
+    same gradient, and so share what each would derive from it alike."""
+    last = [None, None]
+
+    def call(g):
+        if last[0] is not g:
+            last[:] = g, fn(g)
+        return last[1]
+
+    return call
+
+
 def _check_rows(t: Tensor, blocks: Blocks, op: str) -> None:
     if t.data.ndim != 2 or t.shape[0] != blocks.n_rows:
         raise ShapeError(f"{op}: shape {t.shape} for blocks of {blocks.n_rows} rows")
@@ -467,12 +501,13 @@ def block_scores(q, k, bias, blocks: Blocks, scale: float) -> Tensor:
     spread = np.take(_with_sentinel(bias.data, 0.0), fill, axis=0)
     data += spread.reshape(blocks.n_blocks, w, w, heads).transpose(0, 3, 1, 2)
     data *= scale
+    scaled = _once(lambda g: g * scale)
     return _result(
         data,
         [
-            (q, lambda g: blocks.unpad((g * scale) @ kp)),
-            (k, lambda g: blocks.unpad((g * scale).swapaxes(2, 3) @ qp)),
-            (bias, lambda g: np.take((g * scale).transpose(0, 2, 3, 1).reshape(-1, heads), cells, axis=0)),
+            (q, lambda g: blocks.unpad(scaled(g) @ kp)),
+            (k, lambda g: blocks.unpad(scaled(g).swapaxes(2, 3) @ qp)),
+            (bias, lambda g: np.take(scaled(g).transpose(0, 2, 3, 1).reshape(-1, heads), cells, axis=0)),
         ],
     )
 
@@ -506,11 +541,12 @@ def block_mix(alpha, v, blocks: Blocks) -> Tensor:
     _check_rows(v, blocks, "block_mix")
     _check_stack(alpha, blocks, "block_mix")
     vp = blocks.pad(v.data)
+    padded = _once(blocks.pad)
     return _result(
         blocks.unpad(alpha.data @ vp),
         [
-            (alpha, lambda g: blocks.pad(g) @ vp.swapaxes(2, 3)),
-            (v, lambda g: blocks.unpad(alpha.data.swapaxes(2, 3) @ blocks.pad(g))),
+            (alpha, lambda g: padded(g) @ vp.swapaxes(2, 3)),
+            (v, lambda g: blocks.unpad(alpha.data.swapaxes(2, 3) @ padded(g))),
         ],
     )
 
@@ -627,8 +663,11 @@ def backward(loss: Tensor) -> None:
                 reached[parent._seq] = parent
                 stack.append(parent)
 
-    # a tensor's readers were all created after it, so they pass first
+    # a tensor's readers were all created after it, so they pass first. A
+    # contribution may be another tensor's gradient passed through (``add``),
+    # so a second one is added into a new array, which later ones then join
     flowing: dict[int, np.ndarray] = {loss._seq: np.ones_like(loss.data)}
+    owned: set[int] = set()
     for seq in sorted(reached, reverse=True):
         node = reached.pop(seq)
         g = flowing.pop(seq)
@@ -640,5 +679,12 @@ def backward(loss: Tensor) -> None:
         for parent, fn in tape:
             if fn is not last:
                 contrib, last = fn(g), fn
-            acc = flowing.get(parent._seq)
-            flowing[parent._seq] = contrib if acc is None else acc + contrib
+            at = parent._seq
+            acc = flowing.get(at)
+            if acc is None:
+                flowing[at] = contrib
+            elif at in owned:
+                acc += contrib
+            else:
+                flowing[at] = acc + contrib
+                owned.add(at)

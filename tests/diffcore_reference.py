@@ -1,16 +1,21 @@
 """The index ops and activations of ``diffcore`` in their fancy-indexing and
 select forms, and its mixing ops in their pair forms, kept as the reference
 the ``np.take`` forms, the maxima and the block ops are checked against
-byte for byte.
+byte for byte. Beside them, the per-tensor Adam step, the layer norm of one
+array per step and the backward sweep that adds every later contribution
+into a new array, the reference for the flat in-place forms.
 
 Each is a taped op on the engine's own tape, so ``dc.backward`` runs through
 it; the pair ops take the raw index arrays and block sizes, and the softmax
 the sorted segment ids, as they did before the pair plan.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from threatshare.diffcore import ShapeError
+from threatshare.diffcore.optim import BETA1, BETA2, EPS
 from threatshare.diffcore.tensor import _as_tensor, _result
 
 
@@ -141,3 +146,88 @@ def pair_mix(alpha, v, q_idx, k_idx, sizes):
             (v, lambda g: at.sums(alpha.data, g, transpose=True)),
         ],
     )
+
+
+def layer_norm(x, residual, gain, bias, eps=1e-5):
+    x, residual = _as_tensor(x), _as_tensor(residual)
+    gain, bias = _as_tensor(gain), _as_tensor(bias)
+    centred = x.data + residual.data
+    centred -= centred.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + eps)
+    xhat = centred * inv
+
+    def back_sum(g):
+        dxhat = g * gain.data
+        return inv * (
+            dxhat
+            - dxhat.mean(axis=-1, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        )
+
+    return _result(
+        xhat * gain.data + bias.data,
+        [
+            (x, back_sum),
+            (residual, back_sum),
+            (gain, lambda g: (g * xhat).sum(axis=0, keepdims=True)),
+            (bias, lambda g: g.sum(axis=0, keepdims=True)),
+        ],
+    )
+
+
+def backward(loss) -> None:
+    reached = {loss._seq: loss}
+    stack = [loss]
+    while stack:
+        for parent, _ in stack.pop()._tape:
+            if parent._seq not in reached:
+                reached[parent._seq] = parent
+                stack.append(parent)
+    flowing = {loss._seq: np.ones_like(loss.data)}
+    for seq in sorted(reached, reverse=True):
+        node = reached.pop(seq)
+        g = flowing.pop(seq)
+        tape, node._tape = node._tape, ()
+        if not tape:
+            node.grad = g.copy() if node.grad is None else node.grad + g
+            continue
+        last = None
+        for parent, fn in tape:
+            if fn is not last:
+                contrib, last = fn(g), fn
+            acc = flowing.get(parent._seq)
+            flowing[parent._seq] = contrib if acc is None else acc + contrib
+
+
+@dataclass
+class AdamState:
+    """Moment buffers keyed by parameter name."""
+
+    lr: float = 1e-4
+    weight_decay: float = 0.0
+    step_count: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def adam_step(state: AdamState, params) -> None:
+    """One Adam step over ``params.items()`` (name, tensor), each tensor's
+    ``data`` rebound to its update."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if state.weight_decay:
+            p.data = p.data * (1.0 - state.lr * state.weight_decay)
+        m = state.m.get(name)
+        v = state.v.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            v = np.zeros_like(p.data)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g
+        state.m[name] = m
+        state.v[name] = v
+        p.data = p.data - state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

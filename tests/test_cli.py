@@ -780,6 +780,21 @@ def _drop_last(name):
     return damage
 
 
+def _nan_entry(artifact, name):
+    """Damage: rewrite container ``artifact`` as a valid container with NaN
+    as the first entry of array ``name``, and record its new digest as its
+    stage's, so only the reader can catch it."""
+
+    def damage(tmp_path):
+        path = tmp_path / "artifacts" / artifact
+        manifest, arrays = ckpt_io.load_container(path)
+        arrays[name].reshape(-1)[0] = np.nan
+        ckpt_io.save_container(path, manifest, arrays)
+        _record_digest(tmp_path, path)
+
+    return damage
+
+
 def _damage_store_under_outputs(edit):
     """Damage: edit the store, then record its new digest as the store
     evaluate read, so only attribute's reading of the store can catch the edit."""
@@ -1065,6 +1080,13 @@ FAILURE_CASES = {
     "checkpoint-missing-a-parameter": (
         lambda tmp, fx: {}, TRAINED, _drop_parameter("gcn.L1.b"), "evaluate", 3,
         "model_gcn.ckpt (state missing parameters: ['gcn.L1.b']); run train again"),
+    # a NaN payload used to leave evaluate with exit 4 and attribute with nan shares
+    "checkpoint-weight-nan": (
+        lambda tmp, fx: {}, TRAINED, _nan_entry("model_gcn.ckpt", "gcn.L0.W"), "evaluate", 3,
+        "model_gcn.ckpt (tensor gcn.L0.W holds NaN or Inf); run train again"),
+    "outputs-prediction-nan": (
+        lambda tmp, fx: {}, TRAINED + ["evaluate"], _nan_entry("outputs_gcn", "predictions"),
+        "attribute", 3, "outputs_gcn (tensor predictions holds NaN or Inf); run evaluate again"),
     "outputs-of-other-graphs": (
         lambda tmp, fx: {}, TRAINED + ["evaluate"], _rebuild_graphs(window_k=5), "attribute", 3,
         "{art}/outputs_gcn was made from another {art}/graphs.ndjson; run evaluate again"),

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from threatshare import diffcore as dc
 from threatshare.diffcore import checkpoint as ckpt
 
+from threatshare.diffcore.tensor import _result
+
 import diffcore_reference as ref
 
 
@@ -520,6 +522,56 @@ class TestIndexOpsAgainstReference:
                 assert grads[0] == grads[1]
 
 
+class TestFusedAgainstReference:
+    """The layer norm and the backward sweep against ``diffcore_reference``'s
+    forms with one new array per step, byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(64, 7), (3, 1)])
+    def test_layer_norm_output_and_gradients_are_bitwise_equal(self, shape):
+        rng = np.random.default_rng(shape[1])
+        start = [
+            rng.normal(size=shape),
+            rng.normal(size=shape),
+            rng.normal(size=(1, shape[1])),
+            rng.normal(size=(1, shape[1])),
+        ]
+        start[0][0], start[1][0] = 1.5, 0.25  # a constant row
+        results = []
+        for op in (dc.layer_norm, ref.layer_norm):
+            leaves = [dc.Tensor(a.copy(), requires_grad=True) for a in start]
+            out = op(*leaves)
+            dc.backward(_weighted(out, np.random.default_rng(5)))
+            results.append([out.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+        assert results[0] == results[1]
+
+    def test_accumulation_leaves_a_passed_through_gradient_alone(self):
+        """h gets three contributions; the first to arrive is the gradient
+        ``add`` passes through unchanged, which z receives too."""
+        rng = np.random.default_rng(8)
+        start = [rng.normal(size=(3, 4)) for _ in range(3)]
+        results = []
+        for sweep in (dc.backward, ref.backward):
+            passed = []
+
+            def doubled(a):
+                def back(g):
+                    out = g * 2.0
+                    passed.append((out, out.copy()))
+                    return out
+
+                return _result(a.data * 2.0, [(a, back)])
+
+            x, y, z = (dc.Tensor(a.copy(), requires_grad=True) for a in start)
+            h = dc.mul(x, y)
+            r, m = dc.relu(h), dc.mul(h, 3.0)
+            a = doubled(dc.add(h, z))
+            sweep(_weighted(dc.add(dc.add(a, m), r), np.random.default_rng(9)))
+            ((out, snapshot),) = passed
+            assert out.tobytes() == snapshot.tobytes()
+            results.append([t.grad.tobytes() for t in (x, y, z)])
+        assert results[0] == results[1]
+
+
 class TestBackward:
     def test_square_gradient(self):
         w = dc.Tensor([[1.0]], requires_grad=True)
@@ -671,6 +723,41 @@ class TestAdam:
         w.grad = np.zeros((1, 1))
         dc.adam_step(dc.AdamState(lr=1e-4, weight_decay=1e-4), p)
         np.testing.assert_allclose(w.data, [[1.0 - 1e-8]], rtol=0, atol=1e-20)
+
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_flat_step_equals_the_per_tensor_step_bitwise(self, weight_decay):
+        """Parameters, moments and their order over 6 steps, one parameter
+        never given a gradient, the lr halved after step 2 and an earlier
+        state loaded after step 4."""
+        params = dc.ParamSet(3)
+        for name, shape, scheme in (
+            ("a.W", (3, 4), "xavier"), ("a.b", (1, 4), "zeros"), ("idle", (2, 2), "kaiming"),
+            ("c.W", (5, 1), "kaiming"),
+        ):
+            params.add(name, shape, scheme)
+        tensors = {name: dc.Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()}
+        state = dc.AdamState(lr=1e-2, weight_decay=weight_decay)
+        want = ref.AdamState(lr=1e-2, weight_decay=weight_decay)
+        rng = np.random.default_rng(4)
+        for step in range(1, 7):
+            for name, t in params.items():
+                grad = None if name == "idle" else rng.normal(size=t.shape)
+                t.grad, tensors[name].grad = grad, grad
+            dc.adam_step(state, params)
+            ref.adam_step(want, tensors)
+            for name, t in params.items():
+                assert t.data.tobytes() == tensors[name].data.tobytes(), (step, name)
+            for got, by_name in ((state.m, want.m), (state.v, want.v)):
+                assert got.tobytes() == np.concatenate(list(by_name.values()), axis=None).tobytes()
+            if step == 1:
+                earlier = params.state()
+            if step == 2:
+                state.lr = want.lr = state.lr * 0.5
+            if step == 4:
+                params.load_state(earlier)
+                for name, value in earlier.items():
+                    tensors[name].data = value.copy()
 
 
 class TestSchedule:

@@ -684,7 +684,7 @@ class TestPacks:
 
     def test_training_chunk_tape_stays_small(self):
         """A 64-graph transformer chunk (379 nodes) forward and backward as
-        one pack. Its tracemalloc peak is 9.78 MB; the tape of unfused
+        one pack. Its tracemalloc peak is 9.48 MB; the tape of unfused
         matmul, bias and residual ops, swept without freeing, peaks at
         12.0 MB."""
         rng = np.random.default_rng(0)
