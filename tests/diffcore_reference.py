@@ -1,11 +1,11 @@
 """The index ops and activations of ``diffcore`` in their fancy-indexing and
 select forms, and its mixing ops in their pair forms, kept as the reference
 the ``np.take`` forms, the maxima and the block ops are checked against
-byte for byte. Beside them, the per-tensor Adam step, the layer norm of one
-array per step and the backward sweep that adds every later contribution
-into a new array, the reference for the flat in-place forms.
+byte for byte. Beside them are the references of the in-place forms: the
+per-tensor Adam step, the layer norm that makes a new array for each step,
+and the backward sweep that adds every later contribution into a new array.
 
-Each is a taped op on the engine's own tape, so ``dc.backward`` runs through
+Each op is taped on the engine's own tape, so ``dc.backward`` runs through
 it; the pair ops take the raw index arrays and block sizes, and the softmax
 the sorted segment ids, as they did before the pair plan.
 """

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from threatshare import diffcore as dc
 from threatshare.diffcore import checkpoint as ckpt
-
 from threatshare.diffcore.tensor import _result
 
 import diffcore_reference as ref
@@ -723,7 +722,6 @@ class TestAdam:
         w.grad = np.zeros((1, 1))
         dc.adam_step(dc.AdamState(lr=1e-4, weight_decay=1e-4), p)
         np.testing.assert_allclose(w.data, [[1.0 - 1e-8]], rtol=0, atol=1e-20)
-
 
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
     def test_flat_step_equals_the_per_tensor_step_bitwise(self, weight_decay):
