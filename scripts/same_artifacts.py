@@ -5,14 +5,16 @@
 
 Each checkout's own command line (``python -m threatshare.cli`` over that
 root's ``src/``) runs ingest -> rank and one ``plot-case`` for gcn, gat and
-the transformer, at the default config, at ``window_k`` 50 and 0, and
-without weight decay (Adam's other branch) for 3 epochs, and one ``ablate --k-values=1,3`` sweep at the default config (it trains every
-variant itself, so it runs once, into gcn's artifacts), on a copy of
-CHANGE_ROOT's bundled fixture. Both sides run in the same run directory, one
-after the other, so every path they record is the same; each side's
-artifacts are moved aside before the other runs. Every artifact is compared
-byte for byte except ``manifest.json``, which is compared with the run
-directory written as ``<run>``.
+the transformer, at the default config, at ``window_k`` 50 and 0, without
+weight decay (Adam's other branch) for 3 epochs, and with the config's other
+branches (centrality features, labeled attribution, actor-borne negative
+shares), and one ``ablate --k-values=1,3`` sweep at the default config (it
+trains every variant itself, so it runs once, into gcn's artifacts), on a
+copy of CHANGE_ROOT's bundled fixture. Both sides run in the same run
+directory, one after the other, so every path they record is the same; each
+side's artifacts are moved aside before the other runs. Every artifact is
+compared byte for byte except ``manifest.json``, which is compared with the
+run directory written as ``<run>``.
 
 Prints one line per artifact that differs or that one side lacks, then a
 count; exits 0 when all are identical, 1 when any differs, and 2 on a
@@ -31,12 +33,17 @@ from pathlib import Path
 
 VARIANTS = ("gcn", "gat", "transformer")
 # window_k 0 makes graphs of 1-2 nodes: the most padding per block in a pack;
-# every other config trains with weight decay
+# every other config trains with weight decay; alt widens node rows to 13
 CONFIGS = {
     "default": {},
     "k50": {"window_k": 50},
     "k0": {"window_k": 0},
     "wd0": {"training": {"weight_decay": 0.0, "epochs": 3}},
+    "alt": {
+        "append_centrality_features": True,
+        "attribution_source": "labeled",
+        "negative_share_mode": "actor",
+    },
 }
 STAGES = ("ingest", "xt-fit", "build-graphs", "train", "evaluate", "attribute", "rank")
 CASE = ("plot-case", "--match", "9001", "--start", "10", "--end", "14")

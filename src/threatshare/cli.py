@@ -151,7 +151,8 @@ _JSON_TYPES = {
 
 def _coerce(hint, value):
     """``value`` as the annotated type, taken only from its own JSON type
-    (a tuple from a list of integers); ``X | None`` also takes null."""
+    (a tuple from a list of integers, a float only if finite); ``X | None``
+    also takes null."""
     if get_args(hint):
         if value is None:
             return None
@@ -163,6 +164,9 @@ def _coerce(hint, value):
     expected, types = _JSON_TYPES[hint]
     if type(value) not in types:
         raise TypeError(f"expected {expected}, got {value!r}")
+    # false for NaN, the infinities and an integer beyond the float range
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"expected a finite number, got {value!r}")
     return hint(value)
 
 

@@ -1,6 +1,11 @@
 """Parameters and their initialization, Adam with decoupled weight decay,
 scheduling.
 
+A ``ParamSet`` is made once, from a seed or from stored arrays, and keeps
+every value in one flat float64 buffer that each tensor's ``data`` views:
+Adam updates that buffer in place, and training keeps its best epoch as one
+copy of it.
+
 Init schemes:
     xavier  — uniform on ±sqrt(6/(fan_in+fan_out)); fully-connected layers
     kaiming — normal with std sqrt(2/fan_in); graph-conv/attention projections
@@ -8,9 +13,9 @@ Init schemes:
     ones    — layer-norm gains
 
 Each tensor draws from its own RNG stream derived from (seed, name), so the
-result does not depend on parameter registration order. A tensor holding
-several attention heads side by side, head m in column block m, draws each
-block from its own stream, ``<prefix>.H<m>.<leaf>`` for a tensor named
+result does not depend on declaration order. A tensor holding several
+attention heads side by side, head m in column block m, draws each block
+from its own stream, ``<prefix>.H<m>.<leaf>`` for a tensor named
 ``<prefix>.<leaf>``.
 """
 
@@ -24,7 +29,7 @@ import numpy as np
 from threatshare.diffcore.tensor import ShapeError, Tensor
 
 
-def _draw(seed: int, stream: str, shape, scheme: str) -> np.ndarray:
+def _draw_block(seed: int, stream: str, shape, scheme: str) -> np.ndarray:
     if scheme == "zeros":
         return np.zeros(shape)
     if scheme == "ones":
@@ -39,40 +44,68 @@ def _draw(seed: int, stream: str, shape, scheme: str) -> np.ndarray:
     raise ValueError(f"unknown init scheme {scheme!r} for {stream}")
 
 
-class ParamSet:
-    """Named trainable tensors, each drawn from ``seed`` when it is added,
-    or all taken from a stored state by ``from_state``.
+def _draw(seed: int, name: str, shape, scheme: str, heads: int = 1) -> np.ndarray:
+    """``name``'s values of ``shape`` by ``scheme``; with ``heads`` > 1 its
+    columns hold that many heads side by side."""
+    # a head block draws as its head's own tensor did when each head was
+    # stored apart (same stream, same shape, so same fans): the initial
+    # values stay, and so do train logs and bench/run.py's VAL_MSE_REFERENCE
+    prefix, _, leaf = name.rpartition(".")
+    streams = [f"{prefix}.H{m}.{leaf}" for m in range(heads)] if heads > 1 else [name]
+    block = (shape[0], shape[1] // heads)
+    return np.concatenate([_draw_block(seed, s, block, scheme) for s in streams], axis=1)
 
-    Every value lives in one flat float64 buffer, in the order the tensors
-    were added, and each tensor's ``data`` is a view into it, so that
-    ``adam_step`` updates all of them in a few passes over one array. The
-    buffer is made at the first step, ``load_state`` or ``from_state``, and
-    made again after an ``add``. Shapes are fixed once added; ``load_state``
-    copies values into the views, and a tensor whose ``data`` was rebound
-    gives its values back to the buffer there or at the next step.
+
+class ParamSet:
+    """Named trainable tensors over one flat float64 buffer, ``flat``.
+
+    Built once from a name -> array mapping: every array is copied into
+    ``flat``, in the mapping's order, and each tensor's ``data`` is a view
+    into it. So ``adam_step`` updates every tensor in a few passes over one
+    array, and ``flat.copy()`` is a snapshot of every value. Names and
+    shapes are fixed; values change in place, never by rebinding ``data``.
+    ``draw`` draws the arrays from a seed, ``from_state`` takes them from
+    stored ones.
     """
 
-    def __init__(self, seed: int):
-        self._seed = seed
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self.flat = np.empty(sum(a.size for a in arrays.values()))
         self._params: dict[str, Tensor] = {}
-        self._views: list[np.ndarray] = []
-        self._flat = np.empty(0)
+        at = 0
+        for name, arr in arrays.items():
+            view = self.flat[at : at + arr.size].reshape(arr.shape)
+            view[...] = arr
+            self._params[name] = Tensor(view, requires_grad=True)
+            at += view.size
 
-    def add(self, name: str, shape, scheme: str, heads: int = 1) -> Tensor:
-        """Add ``name`` of ``shape``, drawn by ``scheme``. With ``heads`` > 1
-        its columns hold that many heads side by side."""
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name: {name}")
-        # a head block draws as its head's own tensor did when each head was
-        # stored apart (same stream, same shape, so same fans): the initial
-        # values stay, and so do train logs and bench/run.py's VAL_MSE_REFERENCE
-        prefix, _, leaf = name.rpartition(".")
-        streams = [f"{prefix}.H{m}.{leaf}" for m in range(heads)] if heads > 1 else [name]
-        block = (shape[0], shape[1] // heads)
-        data = np.concatenate([_draw(self._seed, s, block, scheme) for s in streams], axis=1)
-        t = Tensor(data, requires_grad=True)
-        self._params[name] = t
-        return t
+    @classmethod
+    def draw(cls, seed: int, specs) -> "ParamSet":
+        """The tensors ``specs`` declares, in order, each as (name, shape,
+        init scheme) or (name, shape, init scheme, heads), drawn from
+        ``seed``."""
+        arrays = {}
+        for name, *spec in specs:
+            if name in arrays:
+                raise ValueError(f"duplicate parameter name: {name}")
+            arrays[name] = _draw(seed, name, *spec)
+        return cls(arrays)
+
+    @classmethod
+    def from_state(cls, shapes: dict, state: dict[str, np.ndarray]) -> "ParamSet":
+        """The parameters ``shapes`` names (name -> shape), in its order, each
+        value copied from ``state``, which must hold exactly these, each of
+        its shape."""
+        missing = shapes.keys() - state.keys()
+        if missing:
+            raise ValueError(f"state missing parameters: {sorted(missing)}")
+        unknown = state.keys() - shapes.keys()
+        if unknown:
+            raise ValueError(f"state holds unknown parameters: {sorted(unknown)}")
+        for name, shape in shapes.items():
+            stored = state[name].shape
+            if stored != tuple(shape):
+                raise ShapeError(f"parameter {name}: stored {stored}, expected {tuple(shape)}")
+        return cls({name: state[name] for name in shapes})
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -84,65 +117,6 @@ class ParamSet:
         for t in self._params.values():
             t.grad = None
 
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
-
-    @classmethod
-    def from_state(cls, seed: int, shapes: dict, state: dict[str, np.ndarray]) -> "ParamSet":
-        """The parameters ``shapes`` names (name -> shape), in its order, each
-        value copied from ``state``, which must hold exactly these; nothing
-        is drawn."""
-        p = cls(seed)
-        for name, arr in _checked_state(shapes, state).items():
-            p._params[name] = Tensor(arr, requires_grad=True)
-        p._buffer()
-        return p
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        """Take every value from ``state``, which must hold exactly these
-        parameters, each of its shape."""
-        shapes = {name: t.data.shape for name, t in self._params.items()}
-        arrays = _checked_state(shapes, state)
-        self._buffer()
-        for name, arr in arrays.items():
-            self._params[name].data[...] = arr
-
-    def _buffer(self) -> np.ndarray:
-        """The flat buffer, with every tensor's ``data`` a view into it (made
-        anew when a tensor was added since), after taking in the value of
-        each tensor whose ``data`` is not its view."""
-        tensors = self._params.values()
-        if len(self._views) != len(tensors):
-            self._flat = np.empty(sum(t.data.size for t in tensors))
-            self._views, at = [], 0
-            for t in tensors:
-                self._views.append(self._flat[at : at + t.data.size].reshape(t.data.shape))
-                at += t.data.size
-        for view, t in zip(self._views, tensors):
-            if t.data is not view:
-                view[...] = t.data
-                t.data = view
-        return self._flat
-
-
-def _checked_state(shapes: dict, state: dict) -> dict[str, np.ndarray]:
-    """The arrays of ``state`` as float64, in the order of ``shapes``
-    (name -> shape); ``state`` must name exactly those parameters, each of
-    its shape."""
-    missing = shapes.keys() - state.keys()
-    if missing:
-        raise ValueError(f"state missing parameters: {sorted(missing)}")
-    unknown = state.keys() - shapes.keys()
-    if unknown:
-        raise ValueError(f"state holds unknown parameters: {sorted(unknown)}")
-    arrays = {}
-    for name, shape in shapes.items():
-        arr = np.asarray(state[name], dtype=np.float64)
-        if arr.shape != tuple(shape):
-            raise ShapeError(f"parameter {name}: stored {arr.shape}, expected {tuple(shape)}")
-        arrays[name] = arr
-    return arrays
-
 
 # Adam's moment decay rates and denominator guard
 BETA1 = 0.9
@@ -153,7 +127,7 @@ EPS = 1e-8
 @dataclass
 class AdamState:
     """Optimizer state: the moment estimates, each one flat array in the
-    order of the parameters' buffer, made at the first step."""
+    order of the parameters' ``flat``, made at the first step."""
 
     lr: float = 1e-4
     weight_decay: float = 0.0
@@ -163,16 +137,16 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: ParamSet) -> None:
-    """One Adam update with bias correction, in place over the parameters'
-    flat buffer: one array of every gradient, then one pass of each kind
-    over the whole buffer.
+    """One Adam update with bias correction, in place over ``params.flat``:
+    one array of every gradient, then one pass of each kind over the whole
+    buffer.
 
     Weight decay is decoupled: parameters shrink by lr*wd*param before the
     moment update, so decay never leaks into the moment estimates. Each
     element goes through the same operations, in the same order, as a
     per-tensor update, so it rounds the same way.
     """
-    p = params._buffer()
+    p = params.flat
     g = np.concatenate(
         [np.zeros(t.data.size) if t.grad is None else t.grad for _, t in params.items()], axis=None
     )

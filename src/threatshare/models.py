@@ -52,6 +52,7 @@ plateau. The best-validation parameters are what lands in the checkpoint.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 from dataclasses import asdict, dataclass
 
@@ -119,8 +120,8 @@ class TrainingConfig:
 
 
 def _declared(cfg: ModelConfig, d_node: int):
-    """Every trainable tensor of the variant, in order, as the arguments of
-    ``ParamSet.add``: name, shape, init scheme and, for a tensor of several
+    """Every trainable tensor of the variant, in order, as the specs of
+    ``ParamSet.draw``: name, shape, init scheme and, for a tensor of several
     attention heads, the head count."""
     d_e, m1, m2 = cfg.edge_mlp_dims
     yield "edge_mlp.W1", (d_e, m1), "xavier"
@@ -171,10 +172,7 @@ def _declared(cfg: ModelConfig, d_node: int):
 
 def init_model(cfg: ModelConfig, d_node: int) -> dc.ParamSet:
     """Every trainable tensor of the variant, drawn from ``cfg.seed``."""
-    p = dc.ParamSet(cfg.seed)
-    for spec in _declared(cfg, d_node):
-        p.add(*spec)
-    return p
+    return dc.ParamSet.draw(cfg.seed, _declared(cfg, d_node))
 
 
 # ── packs ─────────────────────────────────────────────────────────────────
@@ -352,6 +350,17 @@ def forward(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[dc.Tensor, n
     return _head(params, z), h.data
 
 
+@contextlib.contextmanager
+def _float_errors_raised():
+    """numpy's overflow, division by zero and invalid results inside raise
+    dc.NumericError, where numpy would warn and go on."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise dc.NumericError(str(exc)) from None
+
+
 def predict(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """Forward-only pass over ``graphs``, in packs of PREDICT_NODES nodes:
     two flat arrays in graph order, one prediction per graph and the L2 norm
@@ -361,10 +370,11 @@ def predict(graphs, params: dc.ParamSet, cfg: ModelConfig) -> tuple[np.ndarray, 
     """
     fixed = {name: dc.Tensor(t.data) for name, t in params.items()}
     predictions, norms = [], []
-    for pack in packs(graphs, PREDICT_NODES):
-        y, h = forward(pack, fixed, cfg)
-        predictions.append(y.data[:, 0])
-        norms.append(np.linalg.norm(h, axis=1))
+    with _float_errors_raised():
+        for pack in packs(graphs, PREDICT_NODES):
+            y, h = forward(pack, fixed, cfg)
+            predictions.append(y.data[:, 0])
+            norms.append(np.linalg.norm(h, axis=1))
     return np.concatenate(predictions), np.concatenate(norms)
 
 
@@ -416,7 +426,7 @@ class Checkpoint:
         raw_cfg["edge_mlp_dims"] = tuple(raw_cfg["edge_mlp_dims"])
         model_cfg = ModelConfig(**raw_cfg)
         shapes = {name: shape for name, shape, *_ in _declared(model_cfg, manifest["d_node"])}
-        params = dc.ParamSet.from_state(model_cfg.seed, shapes, arrays)
+        params = dc.ParamSet.from_state(shapes, arrays)
         return cls(model_cfg=model_cfg, d_node=manifest["d_node"], params=params)
 
 
@@ -475,7 +485,7 @@ def train(
     params = init_model(cfg, d_node)
     adam = dc.AdamState(lr=tcfg.lr, weight_decay=tcfg.weight_decay)
 
-    best_state = params.state()
+    best = params.flat.copy()
     best_val = np.inf
     records: list[EpochRecord] = []
     val_history: list[float] = []
@@ -487,12 +497,13 @@ def train(
         shuffled = [train_graphs[i] for i in order]
         train_predictions = []
         try:
-            for chunk in make_batches(shuffled, tcfg.batch_size):
-                params.zero_grad()
-                pred = forward(chunk, params, cfg)[0]
-                dc.backward(dc.mse(pred, np.array([[g.label] for g in chunk])))
-                dc.adam_step(adam, params)
-                train_predictions.append(pred.data[:, 0])
+            with _float_errors_raised():
+                for chunk in make_batches(shuffled, tcfg.batch_size):
+                    params.zero_grad()
+                    pred = forward(chunk, params, cfg)[0]
+                    dc.backward(dc.mse(pred, np.array([[g.label] for g in chunk])))
+                    dc.adam_step(adam, params)
+                    train_predictions.append(pred.data[:, 0])
             val_predictions, _ = predict(val_graphs, params, cfg)
         except dc.NumericError as exc:
             log.error("training aborted at epoch %d: %s", epoch, exc)
@@ -516,7 +527,7 @@ def train(
         val_history.append(vm["mse"])
         if vm["mse"] < best_val:
             best_val = vm["mse"]
-            best_state = params.state()
+            best = params.flat.copy()
 
         multiplier, stop = dc.schedule_and_stop(
             epoch,
@@ -531,7 +542,7 @@ def train(
             records[-1].stopped_early = True
             break
 
-    params.load_state(best_state)
+    params.flat[...] = best
     return TrainResult(
         checkpoint=Checkpoint(model_cfg=cfg, d_node=d_node, params=params),
         log=records,

@@ -8,6 +8,7 @@ import logging
 import os
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -117,6 +118,35 @@ class TestConfig:
             cli.parse_config({"seed": -1})
         with pytest.raises(cli.ConfigError, match="seed"):
             cli.load_config(None, seed=-1)
+
+    # every float key of the schema, as (section, key)
+    FLOAT_KEYS = [
+        (section.name, key)
+        for section in dataclasses.fields(cli.RunConfig)
+        if dataclasses.is_dataclass(section.default_factory)
+        for key, hint in typing.get_type_hints(section.default_factory).items()
+        if hint is float
+    ]
+
+    def test_float_keys_found(self):
+        assert ("training", "lr") in self.FLOAT_KEYS and ("grid", "tol") in self.FLOAT_KEYS
+        assert len(self.FLOAT_KEYS) == 5
+
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS)
+    def test_infinite_float_refused(self, section, key, tmp_path, fixture_dir, caplog):
+        # JSON's Infinity; training.lr and weight_decay used to pass and end the run at train
+        config = write_config(tmp_path, fixture_dir, {section: {key: float("inf")}})
+        assert "Infinity" in config.read_text()
+        assert cli.main(["--config", str(config), "--quiet", "ingest"]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"config error: {section}.{key}: expected a finite number, got inf"]
+
+    @pytest.mark.parametrize(
+        "value", [float("-inf"), float("nan"), 10**400], ids=["-inf", "nan", "int-beyond-float"]
+    )
+    def test_other_non_finite_numbers_refused(self, value):
+        with pytest.raises(cli.ConfigError, match="training.weight_decay: expected a finite number"):
+            cli.parse_config({"training": {"weight_decay": value}})
 
     def test_effective_config_written_to_manifest(self, tmp_path, fixture_dir):
         config = write_config(tmp_path, fixture_dir)
@@ -494,8 +524,7 @@ class TestPipeline:
         )
         cfg = cli.load_config(config)
         cli.run_pipeline(cfg, ["ingest", "xt-fit", "build-graphs"])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["--config", str(config), "--quiet", "train"]) == 4
+        assert cli.main(["--config", str(config), "--quiet", "train"]) == 4
         # the last good checkpoint was still written
         assert cli.artifact_paths(cfg)["checkpoint"].exists()
 

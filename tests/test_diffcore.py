@@ -634,12 +634,11 @@ class TestBackward:
 
 class TestInit:
     def make_params(self, seed):
-        p = dc.ParamSet(seed)
-        p.add("fc.W", (256, 256), "xavier")
-        p.add("fc.b", (1, 256), "zeros")
-        p.add("conv.W", (64, 64), "kaiming")
-        p.add("ln.gain", (1, 8), "ones")
-        return p
+        return dc.ParamSet.draw(
+            seed,
+            [("fc.W", (256, 256), "xavier"), ("fc.b", (1, 256), "zeros"),
+             ("conv.W", (64, 64), "kaiming"), ("ln.gain", (1, 8), "ones")],
+        )
 
     def test_bias_zero_gain_one(self):
         p = self.make_params(seed=0)
@@ -662,45 +661,38 @@ class TestInit:
         assert abs(var - target) / target < 0.2
 
     def test_duplicate_name_rejected(self):
-        p = dc.ParamSet(0)
-        p.add("w", (2, 2), "xavier")
-        with pytest.raises(ValueError):
-            p.add("w", (2, 2), "xavier")
+        with pytest.raises(ValueError, match="duplicate parameter name: w"):
+            dc.ParamSet.draw(0, [("w", (2, 2), "xavier"), ("v", (1, 2), "zeros"), ("w", (2, 2), "ones")])
 
-    def test_load_state_takes_exactly_its_parameters(self):
+    def test_every_tensor_views_the_flat_buffer(self):
         p = self.make_params(seed=2)
-        state = p.state()
-        with pytest.raises(ValueError, match=r"state missing parameters: \['fc.b'\]"):
-            p.load_state({k: v for k, v in state.items() if k != "fc.b"})
-        with pytest.raises(ValueError, match=r"unknown parameters: \['extra'\]"):
-            p.load_state({**state, "extra": np.zeros(1)})
-        with pytest.raises(dc.ShapeError, match="fc.b"):
-            p.load_state({**state, "fc.b": np.zeros((256, 1))})
-        p.load_state({k: v + 1.0 for k, v in state.items()})
-        np.testing.assert_array_equal(p["ln.gain"].data, np.full((1, 8), 2.0))
+        values = {name: t.data.copy() for name, t in p.items()}
+        np.testing.assert_array_equal(p.flat, np.concatenate(list(values.values()), axis=None))
+        p.flat += 1.0
+        for name, t in p.items():
+            np.testing.assert_array_equal(t.data, values[name] + 1.0)
 
     def test_from_state_takes_exactly_the_named_parameters(self):
-        state = self.make_params(seed=2).state()
+        state = {name: t.data.copy() for name, t in self.make_params(seed=2).items()}
         shapes = {name: value.shape for name, value in state.items()}
         with pytest.raises(ValueError, match=r"state missing parameters: \['fc.b'\]"):
-            dc.ParamSet.from_state(2, shapes, {k: v for k, v in state.items() if k != "fc.b"})
+            dc.ParamSet.from_state(shapes, {k: v for k, v in state.items() if k != "fc.b"})
         with pytest.raises(ValueError, match=r"unknown parameters: \['extra'\]"):
-            dc.ParamSet.from_state(2, shapes, {**state, "extra": np.zeros(1)})
+            dc.ParamSet.from_state(shapes, {**state, "extra": np.zeros(1)})
         with pytest.raises(dc.ShapeError, match="fc.b"):
-            dc.ParamSet.from_state(2, shapes, {**state, "fc.b": np.zeros((256, 1))})
-        p = dc.ParamSet.from_state(2, shapes, state)
+            dc.ParamSet.from_state(shapes, {**state, "fc.b": np.zeros((256, 1))})
+        p = dc.ParamSet.from_state(shapes, state)
         assert [name for name, _ in p.items()] == list(shapes)
         for name, value in state.items():
             np.testing.assert_array_equal(p[name].data, value)
-            assert p[name].data is not value
+            assert not np.shares_memory(p[name].data, value)
 
 
 class TestAdam:
     def test_first_step_hand_computed(self):
         # grad=1, fresh state: m_hat=1, v_hat=1 => step = lr/(1+eps)
-        p = dc.ParamSet(0)
-        w = p.add("w", (1, 1), "zeros")
-        w.data = np.array([[1.0]])
+        p = dc.ParamSet({"w": np.array([[1.0]])})
+        w = p["w"]
         w.grad = np.array([[1.0]])
         state = dc.AdamState(lr=1e-4)
         dc.adam_step(state, p)
@@ -708,17 +700,15 @@ class TestAdam:
         np.testing.assert_allclose(w.data, [[expected]], rtol=0, atol=1e-18)
 
     def test_zero_grad_zero_decay_unchanged(self):
-        p = dc.ParamSet(0)
-        w = p.add("w", (2, 2), "zeros")
-        w.data = np.full((2, 2), 0.7)
+        p = dc.ParamSet({"w": np.full((2, 2), 0.7)})
+        w = p["w"]
         w.grad = np.zeros((2, 2))
         dc.adam_step(dc.AdamState(lr=1e-4, weight_decay=0.0), p)
         np.testing.assert_array_equal(w.data, np.full((2, 2), 0.7))
 
     def test_decoupled_decay_scales_param(self):
-        p = dc.ParamSet(0)
-        w = p.add("w", (1, 1), "zeros")
-        w.data = np.array([[1.0]])
+        p = dc.ParamSet({"w": np.array([[1.0]])})
+        w = p["w"]
         w.grad = np.zeros((1, 1))
         dc.adam_step(dc.AdamState(lr=1e-4, weight_decay=1e-4), p)
         np.testing.assert_allclose(w.data, [[1.0 - 1e-8]], rtol=0, atol=1e-20)
@@ -726,14 +716,13 @@ class TestAdam:
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
     def test_flat_step_equals_the_per_tensor_step_bitwise(self, weight_decay):
         """Parameters, moments and their order over 6 steps, one parameter
-        never given a gradient, the lr halved after step 2 and an earlier
-        state loaded after step 4."""
-        params = dc.ParamSet(3)
-        for name, shape, scheme in (
-            ("a.W", (3, 4), "xavier"), ("a.b", (1, 4), "zeros"), ("idle", (2, 2), "kaiming"),
-            ("c.W", (5, 1), "kaiming"),
-        ):
-            params.add(name, shape, scheme)
+        never given a gradient, the lr halved after step 2 and the values
+        after step 1 written back into the flat buffer after step 4."""
+        params = dc.ParamSet.draw(
+            3,
+            [("a.W", (3, 4), "xavier"), ("a.b", (1, 4), "zeros"), ("idle", (2, 2), "kaiming"),
+             ("c.W", (5, 1), "kaiming")],
+        )
         tensors = {name: dc.Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()}
         state = dc.AdamState(lr=1e-2, weight_decay=weight_decay)
         want = ref.AdamState(lr=1e-2, weight_decay=weight_decay)
@@ -749,13 +738,13 @@ class TestAdam:
             for got, by_name in ((state.m, want.m), (state.v, want.v)):
                 assert got.tobytes() == np.concatenate(list(by_name.values()), axis=None).tobytes()
             if step == 1:
-                earlier = params.state()
+                earlier = params.flat.copy()
             if step == 2:
                 state.lr = want.lr = state.lr * 0.5
             if step == 4:
-                params.load_state(earlier)
-                for name, value in earlier.items():
-                    tensors[name].data = value.copy()
+                params.flat[...] = earlier
+                for name, t in params.items():
+                    tensors[name].data = t.data.copy()
 
 
 class TestSchedule:

@@ -167,9 +167,14 @@ def np_transformer(P, graph, cfg, attention=None):
 _ORACLES = {"gcn": np_gcn, "gat": np_gat, "transformer": np_transformer}
 
 
+def values(params):
+    """A copy of every parameter's array, by name."""
+    return {name: t.data.copy() for name, t in params.items()}
+
+
 def init_both(cfg, d_node=D_NODE):
     params = models.init_model(cfg, d_node)
-    return params, params.state()
+    return params, values(params)
 
 
 class GraphOutput(NamedTuple):
@@ -215,7 +220,7 @@ def assert_same_outputs(out: GraphOutput, ref: GraphOutput):
 def read_pooled_column(params, column):
     """Make the head output relu(pooled[column])."""
     for name in ("head.W1", "head.b1", "head.W2", "head.b2"):
-        params[name].data = np.zeros_like(params[name].data)
+        params[name].data[...] = 0.0
     params["head.W1"].data[column, 0] = 1.0
     params["head.W2"].data[0, 0] = 1.0
 
@@ -261,8 +266,8 @@ class TestEdgeMlp:
     def test_identity_square_config_passes_nonnegative_input(self):
         cfg = models.ModelConfig(edge_mlp_dims=(10, 10, 10), seed=0)
         params = models.init_model(cfg, D_NODE)
-        params["edge_mlp.W1"].data = np.eye(10)
-        params["edge_mlp.W2"].data = np.eye(10)
+        params["edge_mlp.W1"].data[...] = np.eye(10)
+        params["edge_mlp.W2"].data[...] = np.eye(10)
         x = np.random.default_rng(0).uniform(0, 1, (4, 10))
         out = models.edge_mlp(params, x)
         np.testing.assert_allclose(out.data, x, atol=0)
@@ -283,8 +288,8 @@ class TestGcnForward:
         g = graph_with(1, [(0, 0)])
         cfg = models.ModelConfig(variant="gcn", hidden_dim=26, head_hidden_dim=4, seed=0)
         params = models.init_model(cfg, D_NODE)
-        params["gcn.L0.W"].data = np.eye(26)
-        params["gcn.L1.W"].data = np.eye(26)
+        params["gcn.L0.W"].data[...] = np.eye(26)
+        params["gcn.L1.W"].data[...] = np.eye(26)
         params["edge_mlp.W1"].data[:] = 0.0  # edge block contributes zeros
         out = graph_outputs([g], params, cfg)[0]
         np.testing.assert_allclose(out.node_embeddings[:, :10], g.node_features, atol=1e-12)
@@ -297,8 +302,8 @@ class TestGcnForward:
         g = graph_with(2, [(0, 0), (1, 1)], features=feats)
         cfg = models.ModelConfig(variant="gcn", hidden_dim=26, head_hidden_dim=4, seed=0)
         params = models.init_model(cfg, D_NODE)
-        params["gcn.L0.W"].data = np.eye(26)
-        params["gcn.L1.W"].data = np.eye(26)
+        params["gcn.L0.W"].data[...] = np.eye(26)
+        params["gcn.L1.W"].data[...] = np.eye(26)
         params["edge_mlp.W1"].data[:] = 0.0
         for column in (0, 1):
             read_pooled_column(params, column)
@@ -373,7 +378,7 @@ class TestTransformerForward:
         params, state = init_both(cfg)
         params["tf.L0.rel_w"].data[:] = 0.0
         params["tf.L0.rel_noedge"].data[:] = 0.0
-        state = params.state()
+        state = values(params)
         out = graph_outputs([g], params, cfg)[0]
         onehot = np.zeros((4, 5))
         onehot[np.arange(4), g.node_roles] = 1.0
@@ -745,12 +750,61 @@ class TestTraining:
         gs = [random_event_graph(rng, event_id=f"d{i}") for i in range(20)]
         train_set, val_set = split_dataset(gs, 0.8, seed=0)
         cfg = models.ModelConfig(variant="gcn", hidden_dim=8, head_hidden_dim=4, seed=4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = models.train(
-                cfg, train_set, val_set, models.TrainingConfig(lr=1e150, epochs=5)
-            )
+        res = models.train(cfg, train_set, val_set, models.TrainingConfig(lr=1e150, epochs=5))
         assert res.aborted
         assert res.checkpoint is not None
+        # no epoch finished: the checkpoint holds the initial values
+        assert res.log == []
+        initial = values(models.init_model(cfg, gs[0].node_features.shape[1]))
+        for name, value in values(res.checkpoint.params).items():
+            np.testing.assert_array_equal(value, initial[name])
+
+    @staticmethod
+    def record_epoch_ends(monkeypatch, offsets):
+        """Every parameter's values as training validates each epoch, in a
+        list that fills as it runs; epoch e's validation predictions are
+        shifted by ``offsets[e - 1]``, which decides the best epoch."""
+        ends, predict = [], models.predict
+
+        def recorded(graphs, params, cfg):
+            ends.append(values(params))
+            y, norms = predict(graphs, params, cfg)
+            return y + offsets[len(ends) - 1], norms
+
+        monkeypatch.setattr(models, "predict", recorded)
+        return ends
+
+    def small_run(self):
+        rng = np.random.default_rng(5)
+        gs = [random_event_graph(rng, event_id=f"b{i}") for i in range(20)]
+        cfg = models.ModelConfig(variant="gcn", hidden_dim=8, head_hidden_dim=4, seed=4)
+        return cfg, *split_dataset(gs, 0.8, seed=0)
+
+    def test_checkpoint_holds_the_best_epoch_not_the_last(self, monkeypatch):
+        cfg, train_set, val_set = self.small_run()
+        ends = self.record_epoch_ends(monkeypatch, [1.0, 0.0, 2.0, 3.0])
+        res = models.train(cfg, train_set, val_set, models.TrainingConfig(epochs=4, patience=10))
+        val_mse = [r.val_mse for r in res.log]
+        assert len(val_mse) == 4 and np.argmin(val_mse) == 1
+        kept = values(res.checkpoint.params)
+        for name, value in ends[1].items():
+            np.testing.assert_array_equal(kept[name], value)
+        assert any(not np.array_equal(kept[name], value) for name, value in ends[3].items())
+
+    def test_abort_returns_the_best_finished_epoch_all_finite(self, monkeypatch):
+        cfg, train_set, val_set = self.small_run()
+        ends = self.record_epoch_ends(monkeypatch, [0.0, 1.0, 0.0])
+        # the lr grows by 1e150 after epoch 2, so epoch 3 diverges
+        monkeypatch.setattr(
+            dc, "schedule_and_stop", lambda epoch, history, **_: (1e150 if epoch == 2 else 1.0, False)
+        )
+        res = models.train(cfg, train_set, val_set, models.TrainingConfig(epochs=5))
+        assert res.aborted and len(res.log) == 2
+        kept = values(res.checkpoint.params)
+        assert all(np.isfinite(value).all() for value in kept.values())
+        for name, value in ends[0].items():
+            np.testing.assert_array_equal(kept[name], value)
+        assert any(not np.array_equal(kept[name], value) for name, value in ends[2].items())
 
     def test_one_forward_backward_and_adam_step_per_chunk(self, monkeypatch):
         rng = np.random.default_rng(12)
