@@ -246,7 +246,7 @@ def load_config(path=None, *, seed=None, stage_dir=None) -> RunConfig:
         data = {}
     else:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except OSError as exc:
@@ -535,6 +535,10 @@ def _stage_train(cfg: RunConfig) -> None:
     train_set, val_set = _split_from_config(cfg, _read(cfg, "graphs", graphs_mod.read_graphs))
     model_cfg = replace(cfg.model, seed=cfg.seed)
     result = models.train(model_cfg, train_set, val_set, cfg.training)
+    if not result.log:
+        raise NumericError(
+            "training diverged in its first epoch; no checkpoint or train log was written"
+        )
     _write_atomic(ap["checkpoint"], result.checkpoint.save)
     records = [astuple(replace(r, stopped_early=int(r.stopped_early))) for r in result.log]
     _write_table(ap["train_log"], [f.name for f in fields(models.EpochRecord)], records)
@@ -542,8 +546,8 @@ def _stage_train(cfg: RunConfig) -> None:
         "train[%s]: %d epochs, best val MSE %s%s",
         cfg.model.variant,
         len(result.log),
-        min((r.val_mse for r in result.log), default=float("nan")),
-        " (early stop)" if result.stopped_early else "",
+        min(r.val_mse for r in result.log),
+        " (early stop)" if result.log[-1].stopped_early else "",
     )
     if result.aborted:
         raise NumericError("training diverged; last good checkpoint was saved")
@@ -814,6 +818,8 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
             model_cfg = replace(cfg.model, variant=variant, seed=cfg.seed)
             try:
                 result = models.train(model_cfg, train_set, val_set, cfg.training)
+                if result.aborted:
+                    raise NumericError("training diverged")
                 predictions, _ = models.evaluate(result.checkpoint, all_graphs)
                 cells[(variant, k)] = _split_scores(all_graphs, train_set, val_set, predictions)
             except (NumericError, ValueError) as exc:

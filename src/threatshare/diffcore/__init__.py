@@ -24,9 +24,4 @@ from threatshare.diffcore.tensor import (
     reshape,
     segment_sum,
 )
-from threatshare.diffcore.optim import (
-    AdamState,
-    ParamSet,
-    adam_step,
-    schedule_and_stop,
-)
+from threatshare.diffcore.optim import AdamState, ParamSet, adam_step

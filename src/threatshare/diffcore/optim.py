@@ -1,5 +1,4 @@
-"""Parameters and their initialization, Adam with decoupled weight decay,
-scheduling.
+"""Parameters and their initialization, and Adam with decoupled weight decay.
 
 A ``ParamSet`` is made once, from a seed or from stored arrays, and keeps
 every value in one flat float64 buffer that each tensor's ``data`` views:
@@ -175,31 +174,3 @@ def adam_step(state: AdamState, params: ParamSet) -> None:
     step += EPS
     g /= step
     p -= g
-
-
-def schedule_and_stop(
-    epoch: int,
-    val_history,
-    *,
-    patience: int = 5,
-    lr_step: int = 10,
-    lr_gamma: float = 0.5,
-) -> tuple[float, bool]:
-    """Post-epoch decision: LR multiplier for the next epoch, and stop flag.
-
-    ``epoch`` is 1-indexed and must equal ``len(val_history)``. The stop flag
-    rises once the best validation loss has gone ``patience`` consecutive
-    epochs without a strict improvement.
-    """
-    if epoch < 1 or epoch != len(val_history):
-        raise ValueError(f"epoch {epoch} inconsistent with history length {len(val_history)}")
-    multiplier = lr_gamma if epoch % lr_step == 0 else 1.0
-    best = np.inf
-    streak = 0
-    for loss in val_history:
-        if loss < best:
-            best = loss
-            streak = 0
-        else:
-            streak += 1
-    return multiplier, streak >= patience

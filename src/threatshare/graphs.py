@@ -276,7 +276,8 @@ def match_windows(players, player_rows, role_codes, src, dst, members, edge_rows
     per action. ``build_match_graphs`` and ``read_graphs`` both cut windows here.
 
     Every window is checked once for the match: 1..``MAX_NODES`` nodes,
-    finite player rows and labels, and one row per player and per action.
+    finite player rows, labels, edge rows and clocks, and one row per player
+    and per action.
     A failed check raises ValueError naming the first offending event,
     WindowTooLarge when that event's window holds more than MAX_NODES.
     """
@@ -284,8 +285,8 @@ def match_windows(players, player_rows, role_codes, src, dst, members, edge_rows
         return []
     n = len(events)
     n_nodes = members.sum(axis=1)
-    _check_windows(events, n_nodes, player_rows, members, edge_rows)
     clock = np.array([meta["clock"] for _, _, _, meta in events], dtype=np.float64)
+    _check_windows(events, n_nodes, player_rows, members, edge_rows, clock)
     local = members.cumsum(axis=1) - 1  # each player's node index in each window
     _, cols = np.nonzero(members)  # every window's nodes in turn, in player order
     node_start = np.cumsum(n_nodes) - n_nodes
@@ -327,8 +328,9 @@ def match_windows(players, player_rows, role_codes, src, dst, members, edge_rows
     return graphs
 
 
-def _check_windows(events, n_nodes, player_rows, members, edge_rows) -> None:
-    """The checks of ``match_windows``, over all of a match's windows at once."""
+def _check_windows(events, n_nodes, player_rows, members, edge_rows, clock) -> None:
+    """The checks of ``match_windows``, over all of a match's windows at once.
+    An action's edge row and clock enter its own window first."""
     first = events[0][0]
     if player_rows.ndim != 2 or player_rows.shape[0] != members.shape[1]:
         raise ValueError(f"graph {first}: feature/node count mismatch")
@@ -346,9 +348,14 @@ def _check_windows(events, n_nodes, player_rows, members, edge_rows) -> None:
     if holding.size:
         faults.append((holding[0], "non-finite node features", ValueError))
     labels = np.array([label for _, label, _, _ in events], dtype=np.float64)
-    bad_labels = np.flatnonzero(~np.isfinite(labels))
-    if bad_labels.size:
-        faults.append((bad_labels[0], "non-finite label", ValueError))
+    for values, problem in (
+        (labels, "non-finite label"),
+        (edge_rows, "non-finite edge features"),
+        (clock, "non-finite clock"),
+    ):
+        bad = np.flatnonzero(~np.isfinite(values.reshape(len(events), -1)).all(axis=1))
+        if bad.size:
+            faults.append((bad[0], problem, ValueError))
     if faults:
         i, problem, error = min(faults, key=lambda fault: fault[0])
         raise error(f"graph {events[i][0]}: {problem}")
@@ -380,14 +387,6 @@ def split_dataset(graphs, split_frac: float, seed: int, unit: str = "graph"):
         val = [g for g in graphs if g.meta["match_id"] not in train_matches]
         return train, val
     raise ValueError(f"unknown split unit {unit!r}")
-
-
-def batch(graphs, batch_size: int):
-    """Order-preserving chunks of ``batch_size`` graphs (one optimizer step each)."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    graphs = list(graphs)
-    return [graphs[i : i + batch_size] for i in range(0, len(graphs), batch_size)]
 
 
 # ── persistence ───────────────────────────────────────────────────────────

@@ -115,10 +115,11 @@ class SchemaError(ValueError):
 
 
 def _utf8_text(path: Path) -> str:
-    """The text of ``path``, its newlines as written; a file that is not
-    UTF-8 raises SchemaError naming it."""
+    """The text of ``path``, its newlines as written, without the byte-order
+    mark spreadsheet tools put first; a file that is not UTF-8 raises
+    SchemaError naming it."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path} is not UTF-8 text: {exc}") from None
 

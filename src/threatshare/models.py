@@ -45,9 +45,10 @@ over packs of at most PREDICT_NODES nodes, and keep one prediction per graph
 and one embedding norm per node, which attribution splits the threat change
 by.
 
-Training minimizes MSE with Adam (decoupled weight decay), halves the
-learning rate on the epoch schedule, and early-stops on a validation
-plateau. The best-validation parameters are what lands in the checkpoint.
+Training minimizes MSE with Adam (decoupled weight decay). ``train`` owns
+the whole training policy: the chunks, the learning-rate step, the plateau
+stop and the epoch whose parameters land in the checkpoint, the one of the
+best validation MSE, all decided from that one best-epoch record.
 """
 
 from __future__ import annotations
@@ -60,12 +61,7 @@ import numpy as np
 
 from threatshare import diffcore as dc
 from threatshare.diffcore import checkpoint as ckpt_io
-from threatshare.graphs import (
-    EDGE_FEATURE_DIM,
-    N_ROLES,
-    EventGraph,
-    batch as make_batches,
-)
+from threatshare.graphs import EDGE_FEATURE_DIM, N_ROLES, EventGraph
 
 log = logging.getLogger(__name__)
 
@@ -393,7 +389,7 @@ class EpochRecord:
     val_mse: float
     val_mae: float
     val_combined: float
-    stopped_early: bool = False
+    stopped_early: bool
 
 
 # Part of the config train and evaluate record, so a checkpoint of an earlier
@@ -432,9 +428,11 @@ class Checkpoint:
 
 @dataclass
 class TrainResult:
+    """The kept model and one record per finished epoch; ``aborted`` when a
+    non-finite value ended the run."""
+
     checkpoint: Checkpoint
     log: list
-    stopped_early: bool
     aborted: bool = False
 
 
@@ -473,10 +471,16 @@ def train(
     val_graphs,
     tcfg: TrainingConfig = TrainingConfig(),
 ) -> TrainResult:
-    """MSE training with Adam, the step scheduler, and plateau early stopping.
+    """MSE training with Adam, in chunks of ``tcfg.batch_size`` graphs of
+    each epoch's shuffle, one step each.
 
-    The checkpoint keeps whichever epoch scored the best validation MSE. A
-    non-finite loss aborts and returns the last good state.
+    The checkpoint keeps the first epoch of the lowest validation MSE; an
+    epoch that does not score strictly below it leaves the checkpoint and
+    counts towards the plateau stop, which ends the run at ``tcfg.patience``
+    such epochs in a row. The lr is multiplied by ``tcfg.lr_gamma`` after
+    every ``tcfg.lr_step``-th epoch. A non-finite value aborts the run,
+    which keeps the best finished epoch, or the initial values when none
+    finished.
     """
     train_graphs, val_graphs = list(train_graphs), list(val_graphs)
     if not train_graphs or not val_graphs:
@@ -487,9 +491,8 @@ def train(
 
     best = params.flat.copy()
     best_val = np.inf
+    since_best = 0
     records: list[EpochRecord] = []
-    val_history: list[float] = []
-    stopped_early = False
     aborted = False
 
     for epoch in range(1, tcfg.epochs + 1):
@@ -498,7 +501,8 @@ def train(
         train_predictions = []
         try:
             with _float_errors_raised():
-                for chunk in make_batches(shuffled, tcfg.batch_size):
+                for i in range(0, len(shuffled), tcfg.batch_size):
+                    chunk = shuffled[i : i + tcfg.batch_size]
                     params.zero_grad()
                     pred = forward(chunk, params, cfg)[0]
                     dc.backward(dc.mse(pred, np.array([[g.label] for g in chunk])))
@@ -512,6 +516,12 @@ def train(
 
         tm = score(np.concatenate(train_predictions), [g.label for g in shuffled])
         vm = score(val_predictions, [g.label for g in val_graphs])
+        if vm["mse"] < best_val:
+            best_val = vm["mse"]
+            best = params.flat.copy()
+            since_best = 0
+        else:
+            since_best += 1
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -522,31 +532,17 @@ def train(
                 val_mse=vm["mse"],
                 val_mae=vm["mae"],
                 val_combined=vm["combined"],
+                stopped_early=since_best >= tcfg.patience,
             )
         )
-        val_history.append(vm["mse"])
-        if vm["mse"] < best_val:
-            best_val = vm["mse"]
-            best = params.flat.copy()
-
-        multiplier, stop = dc.schedule_and_stop(
-            epoch,
-            val_history,
-            patience=tcfg.patience,
-            lr_step=tcfg.lr_step,
-            lr_gamma=tcfg.lr_gamma,
-        )
-        adam.lr *= multiplier
-        if stop:
-            stopped_early = True
-            records[-1].stopped_early = True
+        if records[-1].stopped_early:
             break
+        if epoch % tcfg.lr_step == 0:
+            adam.lr *= tcfg.lr_gamma
 
     params.flat[...] = best
     return TrainResult(
         checkpoint=Checkpoint(model_cfg=cfg, d_node=d_node, params=params),
         log=records,
-        stopped_early=stopped_early,
         aborted=aborted,
     )
-

@@ -245,7 +245,7 @@ def test_criterion_07_centrality_oracle():
 # ── 8. training smoke on the planted signal ───────────────────────────────
 
 
-def test_criterion_08_training_smoke():
+def test_criterion_08_training_smoke(monkeypatch):
     started = time.monotonic()
     data = planted_linear_dataset(n_graphs=500, seed=11, noise=0.01)
     label_var = float(np.var([g.label for g in data]))  # oracle: variance of the set
@@ -270,14 +270,15 @@ def test_criterion_08_training_smoke():
         assert lrs[20:] == [2.5e-5] * len(lrs[20:])
         assert set(lrs) == {1e-4, 5e-5, 2.5e-5}
 
-    # early stopping on a manufactured plateau: best at epoch 1, then five
-    # consecutive epochs without improvement
-    plateau = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5]
-    for epoch in range(1, 6):
-        _, stop = dc.schedule_and_stop(epoch, plateau[:epoch])
-        assert not stop
-    _, stop = dc.schedule_and_stop(6, plateau)
-    assert stop
+    # early stopping on a manufactured plateau: every epoch's val MSE equal,
+    # so epoch 1 is the best and epochs 2-6 are five without improvement
+    from test_models import TestTraining
+
+    TestTraining.record_epoch_ends(monkeypatch, [0.5] * tcfg.epochs)
+    cfg = models.ModelConfig(variant="gcn", hidden_dim=SMOKE_HIDDEN_DIM,
+                             head_hidden_dim=SMOKE_HEAD_HIDDEN_DIM, seed=11)
+    result = models.train(cfg, train_set[:64], val_set[:16], tcfg)
+    assert [r.stopped_early for r in result.log] == [False] * 5 + [True]
 
     elapsed = time.monotonic() - started
     assert elapsed < 600.0

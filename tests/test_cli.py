@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from threatshare import cli, credit, graphs as graphs_mod, ingest, models, viz
-from threatshare.diffcore import checkpoint as ckpt_io
+from threatshare.diffcore import NumericError, checkpoint as ckpt_io
 from threatshare.ingest import SpadlAction
 
 from credit_reference import attribute
@@ -94,6 +94,11 @@ class TestConfig:
         assert cli._config_hash(full.effective_dict()) == (
             "c641447781116501e083d80abbdf3cb8e62c66a5a6ce6ba7e918820fefd90510"
         )
+
+    def test_byte_order_mark_reads_as_without(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(FULL_CONFIG).encode())
+        assert cli.load_config(path).effective_dict() == FULL_CONFIG
 
     def test_window_default_depends_on_variant(self):
         assert cli.parse_config({}).resolved_k == 7
@@ -525,8 +530,32 @@ class TestPipeline:
         cfg = cli.load_config(config)
         cli.run_pipeline(cfg, ["ingest", "xt-fit", "build-graphs"])
         assert cli.main(["--config", str(config), "--quiet", "train"]) == 4
-        # the last good checkpoint was still written
-        assert cli.artifact_paths(cfg)["checkpoint"].exists()
+        # no epoch finished: nothing a later stage could take for a model
+        ap = cli.artifact_paths(cfg)
+        assert not ap["checkpoint"].exists() and not ap["train_log"].exists()
+
+    def test_divergence_after_an_epoch_keeps_that_epoch(
+        self, tmp_path, fixture_dir, monkeypatch, caplog
+    ):
+        config = write_config(tmp_path, fixture_dir, overrides={"training": {"epochs": 3}})
+        cfg = cli.load_config(config)
+        cli.run_pipeline(cfg, ["ingest", "xt-fit", "build-graphs"])
+        predict, epoch_ends = models.predict, []
+
+        def diverging_in_epoch_2(graphs, params, model_cfg):
+            epoch_ends.append(params.flat.copy())
+            if len(epoch_ends) == 2:
+                raise NumericError("overflow encountered in matmul")
+            return predict(graphs, params, model_cfg)
+
+        monkeypatch.setattr(models, "predict", diverging_in_epoch_2)
+        caplog.clear()
+        assert cli.main(["--config", str(config), "--quiet", "train"]) == 4
+        assert caplog.records[-1].getMessage().endswith("last good checkpoint was saved")
+        ap = cli.artifact_paths(cfg)
+        assert len(ap["train_log"].read_text().splitlines()) == 2  # the header and epoch 1
+        kept = models.Checkpoint.load(ap["checkpoint"]).params.flat
+        assert kept.tobytes() == epoch_ends[0].tobytes()
 
     def test_stage_dir_override(self, tmp_path, fixture_dir):
         config = write_config(tmp_path, fixture_dir)
@@ -919,6 +948,16 @@ def _nan_feature(d):
     return json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _nan_edge(d):
+    d["edge"][2] = float("nan")
+    return json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _train_diverges(tmp_path):
+    """Damage: train under the run's config, which must diverge (exit 4)."""
+    assert cli.main(["--config", str(tmp_path / "config.json"), "--quiet", "train"]) == 4
+
+
 TRAINED = ["ingest", "xt-fit", "build-graphs", "train"]
 
 
@@ -1135,6 +1174,17 @@ FAILURE_CASES = {
     "store-feature-row-not-finite": (
         lambda tmp, fx: {}, TRAINED[:3], _damage_store(_edit_line(0, _nan_feature)), "train", 3,
         "graphs.ndjson (graph 9001:0: non-finite node features); run build-graphs again"),
+    # used to reach training and exit 4 naming no file
+    "store-edge-row-not-finite": (
+        lambda tmp, fx: {}, TRAINED[:3], _damage_store(_edit_line(3, _nan_edge)), "train", 3,
+        "graphs.ndjson (graph 9001:3: non-finite edge features); run build-graphs again"),
+    "store-clock-not-finite": (
+        lambda tmp, fx: {}, TRAINED[:3],
+        _damage_store(_edit_line(3, _edit_meta(clock=float("inf")))), "train", 3, "graphs.ndjson (graph 9001:3: non-finite clock); run build-graphs again"),
+    # a run that diverged before its first epoch ended leaves no model to evaluate
+    "train-diverged-in-its-first-epoch": (
+        lambda tmp, fx: {"training": {"lr": 1e150}}, TRAINED[:3], _train_diverges, "evaluate", 3,
+        "missing {art}/model_gcn.ckpt; run train first"),
     # damaged action rows whose digest ingest recorded: read_actions must catch them
     "actions-key-missing": (
         lambda tmp, fx: {}, TRAINED[:3], _damage_actions(_edit_line(7, _drop_key("end_x"))),
@@ -1477,6 +1527,20 @@ class TestAblate:
                 assert cell[block]["combined"] == pytest.approx(
                     cell[block]["mae"] + cell[block]["mse"], abs=1e-12
                 )
+
+    def test_diverged_cells_are_failed(self, tmp_path, fixture_dir, caplog):
+        overrides = {"training": {"epochs": 1, "lr": 1e150}}
+        config = write_config(tmp_path, fixture_dir, overrides=overrides)
+        for stage in ("ingest", "xt-fit"):
+            assert cli.main(["--config", str(config), "--quiet", stage]) == 0
+        caplog.clear()
+        assert cli.main(["--config", str(config), "--quiet", "ablate", "--k-values=1,3"]) == 0
+        failed = [r for r in caplog.records if "failed: training diverged" in r.getMessage()]
+        assert len(failed) == 6  # three variants at each k
+        for metric in ("mae", "mse", "combined"):
+            lines = (tmp_path / "artifacts" / f"ablation_{metric}.csv").read_text().splitlines()
+            assert lines[1:4] == [f"{v},failed,failed,failed,failed" for v in models.VARIANTS]
+            assert lines[4].startswith("train_mean,") and "failed" not in lines[4]
 
     def test_empty_k_values_rejected(self, tmp_path, fixture_dir):
         cfg = cli.load_config(write_config(tmp_path, fixture_dir))

@@ -747,47 +747,6 @@ class TestAdam:
                     tensors[name].data = t.data.copy()
 
 
-class TestSchedule:
-    def test_halves_on_schedule_epochs(self):
-        history = list(np.linspace(1.0, 0.5, 25))
-        for epoch in range(1, 26):
-            mult, stop = dc.schedule_and_stop(epoch, history[:epoch])
-            assert mult == (0.5 if epoch in (10, 20) else 1.0)
-            assert not stop
-
-    def test_plateau_stops_after_exactly_five(self):
-        history = [0.5]
-        stopped_at = None
-        for epoch in range(2, 12):
-            history.append(0.5)
-            _, stop = dc.schedule_and_stop(epoch, history)
-            if stop:
-                stopped_at = epoch
-                break
-        # epoch 1 sets the best; epochs 2..6 are the 5 non-improving ones
-        assert stopped_at == 6
-
-    def test_strictly_decreasing_never_stops(self):
-        history = []
-        for epoch in range(1, 26):
-            history.append(1.0 / epoch)
-            _, stop = dc.schedule_and_stop(epoch, history)
-            assert not stop
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_stop_matches_streak_definition(self, history):
-        _, stop = dc.schedule_and_stop(len(history), history)
-        best = np.inf
-        streak = 0
-        for v in history:
-            if v < best:
-                best, streak = v, 0
-            else:
-                streak += 1
-        assert stop == (streak >= 5)
-
-
 class TestCheckpointContainer:
     def test_round_trip(self, tmp_path):
         arrays = {

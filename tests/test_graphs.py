@@ -485,12 +485,6 @@ class TestSplitAndBatch:
         assert train_matches.isdisjoint(val_matches)
         assert len(train) + len(val) == 50
 
-    def test_batch_sizes(self):
-        chunks = graphs.batch(self.graphs_n(130), 64)
-        assert [len(c) for c in chunks] == [64, 64, 2]
-        singles = graphs.batch(self.graphs_n(3), 1)
-        assert [len(c) for c in singles] == [1, 1, 1]
-
     def test_one_graph_per_event_then_split(self, fixture_actions, fixture_grid, fixture_features):
         from threatshare.ingest import group_by_match
 
@@ -512,8 +506,8 @@ class TestSplitAndBatch:
         params = models.init_model(cfg, gs[0].node_features.shape[1])
         unbatched = [models.forward([g], params, cfg)[0].data.item() for g in gs]
         batched = []
-        for chunk in graphs.batch(gs, 4):
-            batched.extend(models.forward(chunk, params, cfg)[0].data[:, 0])
+        for i in range(0, len(gs), 4):
+            batched.extend(models.forward(gs[i : i + 4], params, cfg)[0].data[:, 0])
         np.testing.assert_allclose(batched, unbatched, atol=1e-12, rtol=0)
 
 

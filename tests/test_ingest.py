@@ -413,6 +413,21 @@ class TestPlayerStats:
             ingest.load_player_stats(path)
 
 
+@pytest.mark.parametrize(
+    "name, read",
+    [
+        ("player_stats.csv", ingest.load_player_stats),
+        ("player_roles.csv", ingest.load_player_roles),
+        ("9001.json", ingest.parse_events),
+    ],
+)
+def test_byte_order_mark_reads_as_without(name, read, fixture_dir, tmp_path):
+    """Spreadsheet tools save UTF-8 text with a byte-order mark first."""
+    marked = tmp_path / name
+    marked.write_bytes(b"\xef\xbb\xbf" + (fixture_dir / name).read_bytes())
+    assert read(marked) == read(fixture_dir / name)
+
+
 def make_stats(pid, minutes=900.0, **kw):
     base = dict(
         goals=0.0,

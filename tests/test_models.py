@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threatshare import diffcore as dc
 from threatshare import models
@@ -741,8 +743,8 @@ class TestTraining:
         cfg = models.ModelConfig(variant="gcn", hidden_dim=8, head_hidden_dim=4, seed=3)
         # zero labels plateau almost immediately at machine-level MSE
         res = models.train(cfg, train_set, val_set, models.TrainingConfig(epochs=25, patience=3))
-        if res.stopped_early:
-            assert res.log[-1].stopped_early
+        assert not any(r.stopped_early for r in res.log[:-1])
+        if res.log[-1].stopped_early:
             assert len(res.log) < 25
 
     def test_divergence_aborts_with_checkpoint(self):
@@ -762,14 +764,16 @@ class TestTraining:
     @staticmethod
     def record_epoch_ends(monkeypatch, offsets):
         """Every parameter's values as training validates each epoch, in a
-        list that fills as it runs; epoch e's validation predictions are
-        shifted by ``offsets[e - 1]``, which decides the best epoch."""
+        list that fills as it runs. Epoch e's validation predictions are
+        each graph's label plus ``offsets[e - 1]``, so the offsets alone
+        decide the val MSE, and equal offsets give equal val MSEs. The model
+        still runs, so a diverged model still aborts the epoch."""
         ends, predict = [], models.predict
 
         def recorded(graphs, params, cfg):
             ends.append(values(params))
-            y, norms = predict(graphs, params, cfg)
-            return y + offsets[len(ends) - 1], norms
+            _, norms = predict(graphs, params, cfg)
+            return np.array([g.label for g in graphs]) + offsets[len(ends) - 1], norms
 
         monkeypatch.setattr(models, "predict", recorded)
         return ends
@@ -795,16 +799,73 @@ class TestTraining:
         cfg, train_set, val_set = self.small_run()
         ends = self.record_epoch_ends(monkeypatch, [0.0, 1.0, 0.0])
         # the lr grows by 1e150 after epoch 2, so epoch 3 diverges
-        monkeypatch.setattr(
-            dc, "schedule_and_stop", lambda epoch, history, **_: (1e150 if epoch == 2 else 1.0, False)
-        )
-        res = models.train(cfg, train_set, val_set, models.TrainingConfig(epochs=5))
+        tcfg = models.TrainingConfig(epochs=5, lr_step=2, lr_gamma=1e150)
+        res = models.train(cfg, train_set, val_set, tcfg)
         assert res.aborted and len(res.log) == 2
         kept = values(res.checkpoint.params)
         assert all(np.isfinite(value).all() for value in kept.values())
         for name, value in ends[0].items():
             np.testing.assert_array_equal(kept[name], value)
         assert any(not np.array_equal(kept[name], value) for name, value in ends[2].items())
+
+    def test_plateau_stops_after_exactly_patience_epochs(self, monkeypatch):
+        cfg, train_set, val_set = self.small_run()
+        # epoch 4 beats epoch 1's best after two worse epochs, so the run
+        # goes on until epochs 5, 6 and 7 have not beaten it
+        self.record_epoch_ends(monkeypatch, [2.0, 3.0, 3.0, 1.0, 3.0, 2.0, 1.5, 0.5])
+        res = models.train(cfg, train_set, val_set, models.TrainingConfig(epochs=8, patience=3))
+        assert [r.stopped_early for r in res.log] == [False] * 6 + [True]
+
+    def test_strictly_falling_val_mse_never_stops(self, monkeypatch):
+        cfg, train_set, val_set = self.small_run()
+        self.record_epoch_ends(monkeypatch, [1.0 / epoch for epoch in range(1, 9)])
+        res = models.train(cfg, train_set, val_set, models.TrainingConfig(epochs=8, patience=1))
+        val_mse = [r.val_mse for r in res.log]
+        assert len(val_mse) == 8 and all(a > b for a, b in zip(val_mse, val_mse[1:]))
+        assert not any(r.stopped_early for r in res.log)
+
+    def test_val_mse_equal_to_the_best_is_no_improvement(self, monkeypatch):
+        cfg, train_set, val_set = self.small_run()
+        ends = self.record_epoch_ends(monkeypatch, [2.0, 1.0, 1.0, 1.0, 0.5])
+        res = models.train(cfg, train_set, val_set, models.TrainingConfig(epochs=5, patience=2))
+        # epochs 3 and 4 tie epoch 2's best: the counter runs on to the stop
+        val_mse = [r.val_mse for r in res.log]
+        assert len(val_mse) == 4 and val_mse[1] == val_mse[2] == val_mse[3]
+        assert res.log[-1].stopped_early
+        # and the checkpoint stays at epoch 2
+        kept = values(res.checkpoint.params)
+        for name, value in ends[1].items():
+            np.testing.assert_array_equal(kept[name], value)
+        for later in ends[2:]:
+            assert any(not np.array_equal(kept[name], value) for name, value in later.items())
+
+    @given(
+        offsets=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=10),
+        patience=st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stop_matches_streak_definition(self, offsets, patience):
+        cfg, train_set, val_set = self.small_run()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.record_epoch_ends(monkeypatch, offsets)
+            tcfg = models.TrainingConfig(epochs=len(offsets), patience=patience)
+            res = models.train(cfg, train_set, val_set, tcfg)
+        best, streak, expected = np.inf, 0, []
+        for record in res.log:
+            if record.val_mse < best:
+                best, streak = record.val_mse, 0
+            else:
+                streak += 1
+            expected.append(streak >= patience)
+        assert [r.stopped_early for r in res.log] == expected
+        assert not any(expected[:-1])
+        assert expected[-1] or len(res.log) == len(offsets)
+
+    def test_lr_steps_at_multiples_of_lr_step(self):
+        cfg, train_set, val_set = self.small_run()
+        tcfg = models.TrainingConfig(epochs=7, patience=10, lr_step=3, lr_gamma=0.5)
+        res = models.train(cfg, train_set, val_set, tcfg)
+        assert [r.lr for r in res.log] == [1e-4] * 3 + [5e-5] * 3 + [2.5e-5]
 
     def test_one_forward_backward_and_adam_step_per_chunk(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -835,6 +896,11 @@ class TestTraining:
         # forward-only pass over the 10 validation graphs
         epoch = [(16, True), (16, True), (8, True), (10, False)]
         assert calls == {"forward": epoch * 2, "backward": 6, "adam_step": 6}
+
+        # one graph a chunk: a step per graph
+        calls.update(forward=[], backward=0, adam_step=0)
+        models.train(cfg, gs[:5], gs[5:8], models.TrainingConfig(epochs=1, batch_size=1))
+        assert calls == {"forward": [(1, True)] * 5 + [(3, False)], "backward": 5, "adam_step": 5}
 
     def test_deterministic_trajectory(self):
         data = planted_linear_dataset(n_graphs=60, seed=9)
