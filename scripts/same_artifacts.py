@@ -7,10 +7,10 @@ Each checkout's own command line (``python -m threatshare.cli`` over that
 root's ``src/``) runs ingest -> rank and one ``plot-case`` for gcn, gat and
 the transformer, at the default config, at ``window_k`` 50 and 0, without
 weight decay (Adam's other branch) for 3 epochs, for 12 epochs at a short
-patience and lr step, and with the config's other branches (centrality
-features, labeled attribution, actor-borne negative shares), and one
-``ablate --k-values=1,3`` sweep at the default config (it trains every
-variant itself, so it runs once, into gcn's artifacts), on a
+patience and lr step, split by match, and with the config's other
+branches (centrality features, labeled attribution, actor-borne negative
+shares), and one ``ablate --k-values=1,3`` sweep at the default config (it
+trains every variant itself, so it runs once, into gcn's artifacts), on a
 copy of CHANGE_ROOT's bundled fixture. Both sides run in the same run
 directory, one after the other, so every path they record is the same; each
 side's artifacts are moved aside before the other runs. Every artifact is
@@ -36,13 +36,15 @@ VARIANTS = ("gcn", "gat", "transformer")
 # window_k 0 makes graphs of 1-2 nodes: the most padding per block in a pack;
 # every other config trains with weight decay; sched is the one that does
 # not train at the default patience, lr step and lr factor (gcn and the
-# transformer stop early under it); alt widens node rows to 13
+# transformer stop early under it); alt widens node rows to 13; split is the
+# one match split (at the default split_frac both fixture matches land in train)
 CONFIGS = {
     "default": {},
     "k50": {"window_k": 50},
     "k0": {"window_k": 0},
     "wd0": {"training": {"weight_decay": 0.0, "epochs": 3}},
     "sched": {"training": {"epochs": 12, "patience": 2, "lr_step": 3, "lr_gamma": 0.9}},
+    "split": {"training": {"split_unit": "match", "split_frac": 0.5}},
     "alt": {
         "append_centrality_features": True,
         "attribution_source": "labeled",

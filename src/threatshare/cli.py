@@ -94,6 +94,7 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class TrainingSection(models.TrainingConfig):
+    split_frac: float = 0.8
     split_unit: str = "graph"
 
 
@@ -535,10 +536,6 @@ def _stage_train(cfg: RunConfig) -> None:
     train_set, val_set = _split_from_config(cfg, _read(cfg, "graphs", graphs_mod.read_graphs))
     model_cfg = replace(cfg.model, seed=cfg.seed)
     result = models.train(model_cfg, train_set, val_set, cfg.training)
-    if not result.log:
-        raise NumericError(
-            "training diverged in its first epoch; no checkpoint or train log was written"
-        )
     _write_atomic(ap["checkpoint"], result.checkpoint.save)
     records = [astuple(replace(r, stopped_early=int(r.stopped_early))) for r in result.log]
     _write_table(ap["train_log"], [f.name for f in fields(models.EpochRecord)], records)
@@ -549,8 +546,6 @@ def _stage_train(cfg: RunConfig) -> None:
         min(r.val_mse for r in result.log),
         " (early stop)" if result.log[-1].stopped_early else "",
     )
-    if result.aborted:
-        raise NumericError("training diverged; last good checkpoint was saved")
 
 
 def _stage_evaluate(cfg: RunConfig) -> None:
@@ -818,8 +813,6 @@ def ablate(cfg: RunConfig, k_values=DEFAULT_ABLATION_K) -> dict:
             model_cfg = replace(cfg.model, variant=variant, seed=cfg.seed)
             try:
                 result = models.train(model_cfg, train_set, val_set, cfg.training)
-                if result.aborted:
-                    raise NumericError("training diverged")
                 predictions, _ = models.evaluate(result.checkpoint, all_graphs)
                 cells[(variant, k)] = _split_scores(all_graphs, train_set, val_set, predictions)
             except (NumericError, ValueError) as exc:
@@ -873,7 +866,7 @@ def plot_case(cfg: RunConfig, match_id: int, start: int, end: int, out=None) -> 
     except KeyError as exc:
         raise MissingArtifactError(f"{ap['shares']}: {exc.args[0]}; run attribute again") from None
     out = Path(out) if out else cfg.paths.artifacts_dir / f"case_{match_id}_{start}_{end}.svg"
-    return _write_atomic(out, lambda tmp: viz.plot_case(rows, tmp))
+    return _write_text(out, viz.render_case_svg(rows))
 
 
 # ── command line ──────────────────────────────────────────────────────────
@@ -960,7 +953,7 @@ def main(argv=None) -> int:
         log.error("fetch failed: %s", exc)
         return EXIT_MISSING
     except (NumericError, xt.XtFitError) as exc:
-        log.error("numeric failure: %s", exc)
+        log.error("numeric failure in %s: %s", args.command, exc)
         return EXIT_NUMERIC
     except OSError as exc:
         log.error("%s: %s", exc.filename, exc.strerror or exc)

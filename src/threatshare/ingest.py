@@ -627,38 +627,32 @@ def load_player_roles(csv_path) -> dict[int, str]:
         return roles
 
 
-def per90_vector(stats: PlayerSeasonStats) -> list[float]:
-    """The d=10 feature row with count statistics on a 90-minute basis."""
-    if stats.minutes_played <= 0:
-        raise ValueError(f"player {stats.player_id}: minutes_played must be > 0")
-    row = []
-    for name in STAT_FEATURES:
-        v = getattr(stats, name)
-        if name in COUNT_FEATURES:
-            v = v * 90.0 / stats.minutes_played
-        row.append(v)
-    return row
-
-
 def normalize_per90(stats_by_player) -> dict[int, list[float]]:
     """Per-90 scale the count statistics, then min-max every feature to [0, 1].
 
     Percentages and the rating are min-max scaled only. Players with zero
-    minutes are excluded (with a warning). A feature with no spread across
-    the population maps to 0.0 for everyone.
+    minutes are excluded (with one warning for all of them). A feature with
+    no spread across the population maps to 0.0 for everyone.
     """
     import numpy as np
 
-    included = []
-    for pid, s in stats_by_player.items():
-        if s.minutes_played <= 0:
-            log.warning("player %s excluded from features: zero minutes", pid)
-            continue
-        included.append((pid, per90_vector(s)))
-
+    included = [(pid, s) for pid, s in stats_by_player.items() if s.minutes_played > 0]
+    excluded = [pid for pid, s in stats_by_player.items() if s.minutes_played <= 0]
+    if excluded:
+        log.warning(
+            "%d players excluded from features: zero minutes (%s%s)",
+            len(excluded),
+            ", ".join(map(str, excluded[:5])),
+            ", ..." if len(excluded) > 5 else "",
+        )
     if not included:
         return {}
-    matrix = np.array([row for _, row in included], dtype=np.float64)
+    matrix = np.array(
+        [[getattr(s, name) for name in STAT_FEATURES] for _, s in included], dtype=np.float64
+    )
+    minutes = np.array([s.minutes_played for _, s in included])
+    counts = [i for i, name in enumerate(STAT_FEATURES) if name in COUNT_FEATURES]
+    matrix[:, counts] = matrix[:, counts] * 90.0 / minutes[:, None]
     lo = matrix.min(axis=0)
     hi = matrix.max(axis=0)
     span = hi - lo

@@ -54,7 +54,6 @@ best validation MSE, all decided from that one best-epoch record.
 from __future__ import annotations
 
 import contextlib
-import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,8 +61,6 @@ import numpy as np
 from threatshare import diffcore as dc
 from threatshare.diffcore import checkpoint as ckpt_io
 from threatshare.graphs import EDGE_FEATURE_DIM, N_ROLES, EventGraph
-
-log = logging.getLogger(__name__)
 
 VARIANTS = ("gcn", "gat", "transformer")
 
@@ -106,7 +103,6 @@ class TrainingConfig:
     weight_decay: float = 1e-4
     epochs: int = 25
     batch_size: int = 64
-    split_frac: float = 0.8
     patience: int = 5
     lr_step: int = 10
     lr_gamma: float = 0.5
@@ -428,12 +424,10 @@ class Checkpoint:
 
 @dataclass
 class TrainResult:
-    """The kept model and one record per finished epoch; ``aborted`` when a
-    non-finite value ended the run."""
+    """The kept model and one record per finished epoch."""
 
     checkpoint: Checkpoint
     log: list
-    aborted: bool = False
 
 
 class CheckpointMismatch(ValueError):
@@ -478,9 +472,10 @@ def train(
     epoch that does not score strictly below it leaves the checkpoint and
     counts towards the plateau stop, which ends the run at ``tcfg.patience``
     such epochs in a row. The lr is multiplied by ``tcfg.lr_gamma`` after
-    every ``tcfg.lr_step``-th epoch. A non-finite value aborts the run,
-    which keeps the best finished epoch, or the initial values when none
-    finished.
+    every ``tcfg.lr_step``-th epoch.
+
+    Raises NumericError, naming the epoch, when a non-finite value ends the
+    run; no epoch of it is kept.
     """
     train_graphs, val_graphs = list(train_graphs), list(val_graphs)
     if not train_graphs or not val_graphs:
@@ -493,7 +488,6 @@ def train(
     best_val = np.inf
     since_best = 0
     records: list[EpochRecord] = []
-    aborted = False
 
     for epoch in range(1, tcfg.epochs + 1):
         order = np.random.default_rng([cfg.seed, epoch]).permutation(len(train_graphs))
@@ -510,9 +504,7 @@ def train(
                     train_predictions.append(pred.data[:, 0])
             val_predictions, _ = predict(val_graphs, params, cfg)
         except dc.NumericError as exc:
-            log.error("training aborted at epoch %d: %s", epoch, exc)
-            aborted = True
-            break
+            raise dc.NumericError(f"training diverged in epoch {epoch}: {exc}") from exc
 
         tm = score(np.concatenate(train_predictions), [g.label for g in shuffled])
         vm = score(val_predictions, [g.label for g in val_graphs])
@@ -544,5 +536,4 @@ def train(
     return TrainResult(
         checkpoint=Checkpoint(model_cfg=cfg, d_node=d_node, params=params),
         log=records,
-        aborted=aborted,
     )

@@ -9,8 +9,6 @@ clamp is announced in the legend.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from threatshare.ingest import PITCH_LENGTH, PITCH_WIDTH
 
 _SCALE = 8.0
@@ -128,11 +126,3 @@ def render_case_svg(report_rows) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def plot_case(report_rows, out_path) -> Path:
-    """Write the case SVG; byte-identical output for identical input."""
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(render_case_svg(report_rows))
-    return out_path

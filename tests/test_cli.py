@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from threatshare import cli, credit, graphs as graphs_mod, ingest, models, viz
-from threatshare.diffcore import NumericError, checkpoint as ckpt_io
+from threatshare.diffcore import checkpoint as ckpt_io
 from threatshare.ingest import SpadlAction
 
 from credit_reference import attribute
@@ -534,28 +534,26 @@ class TestPipeline:
         ap = cli.artifact_paths(cfg)
         assert not ap["checkpoint"].exists() and not ap["train_log"].exists()
 
-    def test_divergence_after_an_epoch_keeps_that_epoch(
-        self, tmp_path, fixture_dir, monkeypatch, caplog
-    ):
-        config = write_config(tmp_path, fixture_dir, overrides={"training": {"epochs": 3}})
+    def test_divergence_after_an_epoch_leaves_the_earlier_run(self, tmp_path, fixture_dir, caplog):
+        config = write_config(tmp_path, fixture_dir)
         cfg = cli.load_config(config)
-        cli.run_pipeline(cfg, ["ingest", "xt-fit", "build-graphs"])
-        predict, epoch_ends = models.predict, []
-
-        def diverging_in_epoch_2(graphs, params, model_cfg):
-            epoch_ends.append(params.flat.copy())
-            if len(epoch_ends) == 2:
-                raise NumericError("overflow encountered in matmul")
-            return predict(graphs, params, model_cfg)
-
-        monkeypatch.setattr(models, "predict", diverging_in_epoch_2)
-        caplog.clear()
-        assert cli.main(["--config", str(config), "--quiet", "train"]) == 4
-        assert caplog.records[-1].getMessage().endswith("last good checkpoint was saved")
+        cli.run_pipeline(cfg, ["ingest", "xt-fit", "build-graphs", "train"])
         ap = cli.artifact_paths(cfg)
-        assert len(ap["train_log"].read_text().splitlines()) == 2  # the header and epoch 1
-        kept = models.Checkpoint.load(ap["checkpoint"]).params.flat
-        assert kept.tobytes() == epoch_ends[0].tobytes()
+        earlier = {name: ap[name].read_bytes() for name in ("checkpoint", "train_log", "manifest")}
+        # at this lr the fixture's gcn overflows in epoch 2
+        diverging = write_config(
+            tmp_path, fixture_dir, {"training": {"lr": 1e6, "epochs": 6}}, name="diverging.json"
+        )
+        caplog.clear()
+        assert cli.main(["--config", str(diverging), "--quiet", "train"]) == 4
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1, errors
+        assert errors[0].startswith("numeric failure in train: training diverged in epoch 2: ")
+        assert {name: ap[name].read_bytes() for name in earlier} == earlier
+        caplog.clear()
+        assert cli.main(["--config", str(diverging), "--quiet", "evaluate"]) == 3
+        assert "model_gcn.ckpt was made under another train config" in caplog.records[-1].getMessage()
+        assert cli.main(["--config", str(config), "--quiet", "evaluate"]) == 0
 
     def test_stage_dir_override(self, tmp_path, fixture_dir):
         config = write_config(tmp_path, fixture_dir)
@@ -1185,6 +1183,10 @@ FAILURE_CASES = {
     "train-diverged-in-its-first-epoch": (
         lambda tmp, fx: {"training": {"lr": 1e150}}, TRAINED[:3], _train_diverges, "evaluate", 3,
         "missing {art}/model_gcn.ckpt; run train first"),
+    # nor does one that diverged after finishing an epoch (epoch 2 overflows at this lr)
+    "train-diverged-in-a-later-epoch": (
+        lambda tmp, fx: {"training": {"lr": 1e6, "epochs": 6}}, TRAINED[:3], _train_diverges,
+        "evaluate", 3, "missing {art}/model_gcn.ckpt; run train first"),
     # damaged action rows whose digest ingest recorded: read_actions must catch them
     "actions-key-missing": (
         lambda tmp, fx: {}, TRAINED[:3], _damage_actions(_edit_line(7, _drop_key("end_x"))),
@@ -1535,8 +1537,9 @@ class TestAblate:
             assert cli.main(["--config", str(config), "--quiet", stage]) == 0
         caplog.clear()
         assert cli.main(["--config", str(config), "--quiet", "ablate", "--k-values=1,3"]) == 0
-        failed = [r for r in caplog.records if "failed: training diverged" in r.getMessage()]
-        assert len(failed) == 6  # three variants at each k
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 6, errors  # one for each of three variants at each k
+        assert all("failed: training diverged in epoch 1: " in e for e in errors), errors
         for metric in ("mae", "mse", "combined"):
             lines = (tmp_path / "artifacts" / f"ablation_{metric}.csv").read_text().splitlines()
             assert lines[1:4] == [f"{v},failed,failed,failed,failed" for v in models.VARIANTS]
@@ -1557,29 +1560,25 @@ def make_action(player=1, start=(10.0, 20.0), end=(40.0, 30.0)):
 
 
 class TestCasePlot:
-    def test_four_actions_four_arrows_four_labels(self, tmp_path):
+    def test_four_actions_four_arrows_four_labels(self):
         rows = [(make_action(player=i), 0.01 * i) for i in range(1, 5)]
-        out = viz.plot_case(rows, tmp_path / "case.svg")
-        text = out.read_text()
+        text = viz.render_case_svg(rows)
         assert text.count("<polygon") == 4
         for i in range(1, 4):
             assert f"P{i} +0.0{i}0" in text
 
-    def test_empty_sequence_is_pitch_only(self, tmp_path):
-        out = viz.plot_case([], tmp_path / "empty.svg")
-        text = out.read_text()
+    def test_empty_sequence_is_pitch_only(self):
+        text = viz.render_case_svg([])
         assert text.count("<polygon") == 0
         assert "<svg" in text and "0 actions" in text
 
-    def test_byte_identical_for_identical_input(self, tmp_path):
-        rows = [(make_action(), 0.025)]
-        a = viz.plot_case(rows, tmp_path / "a.svg").read_bytes()
-        b = viz.plot_case(rows, tmp_path / "b.svg").read_bytes()
-        assert a == b
+    def test_byte_identical_for_identical_input(self):
+        svgs = [viz.render_case_svg([(make_action(), 0.025)]) for _ in range(2)]
+        assert svgs[0] == svgs[1]
 
-    def test_out_of_pitch_coordinates_flagged(self, tmp_path):
+    def test_out_of_pitch_coordinates_flagged(self):
         rows = [(make_action(start=(-5.0, 20.0)), 0.01)]
-        text = viz.plot_case(rows, tmp_path / "clamp.svg").read_text()
+        text = viz.render_case_svg(rows)
         assert "clamped" in text
 
     def test_plot_case_range_validation(self, tmp_path, fixture_dir):

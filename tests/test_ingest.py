@@ -1,6 +1,7 @@
 """Provider parsing, SPADL conversion, stats loading, fetch cache behavior."""
 
 import json
+import logging
 import re
 
 import numpy as np
@@ -447,10 +448,15 @@ def make_stats(pid, minutes=900.0, **kw):
 
 class TestNormalization:
     def test_per90_arithmetic(self):
-        vec = ingest.per90_vector(make_stats(1, minutes=180.0, goals=2.0))
-        assert vec[ingest.STAT_FEATURES.index("goals")] == pytest.approx(1.0)
-        # percentages pass through untouched
-        assert vec[ingest.STAT_FEATURES.index("accurate_pass_pct")] == 0.5
+        # per 90 minutes: 1, 0 and 2 goals; the pass percentage is not rescaled
+        stats = {
+            1: make_stats(1, minutes=180.0, goals=2.0, accurate_pass_pct=0.5),
+            2: make_stats(2, minutes=90.0, goals=0.0, accurate_pass_pct=0.0),
+            3: make_stats(3, minutes=90.0, goals=2.0, accurate_pass_pct=1.0),
+        }
+        feats = ingest.normalize_per90(stats)
+        assert feats[1][ingest.STAT_FEATURES.index("goals")] == 0.5
+        assert feats[1][ingest.STAT_FEATURES.index("accurate_pass_pct")] == 0.5
 
     def test_population_max_maps_to_one(self):
         stats = {
@@ -472,6 +478,15 @@ class TestNormalization:
         stats = {1: make_stats(1), 2: make_stats(2, minutes=0.0)}
         feats = ingest.normalize_per90(stats)
         assert 2 not in feats and 1 in feats
+
+    def test_zero_minute_players_give_one_warning(self, caplog):
+        stats = {pid: make_stats(pid, minutes=0.0 if pid > 1 else 900.0) for pid in range(1, 8)}
+        with caplog.at_level(logging.WARNING, logger="threatshare.ingest"):
+            feats = ingest.normalize_per90(stats)
+        assert list(feats) == [1]
+        assert [r.getMessage() for r in caplog.records] == [
+            "6 players excluded from features: zero minutes (2, 3, 4, 5, 6, ...)"
+        ]
 
     @given(
         st.lists(

@@ -747,19 +747,13 @@ class TestTraining:
         if res.log[-1].stopped_early:
             assert len(res.log) < 25
 
-    def test_divergence_aborts_with_checkpoint(self):
+    def test_divergence_raises_naming_its_epoch(self):
         rng = np.random.default_rng(3)
         gs = [random_event_graph(rng, event_id=f"d{i}") for i in range(20)]
         train_set, val_set = split_dataset(gs, 0.8, seed=0)
         cfg = models.ModelConfig(variant="gcn", hidden_dim=8, head_hidden_dim=4, seed=4)
-        res = models.train(cfg, train_set, val_set, models.TrainingConfig(lr=1e150, epochs=5))
-        assert res.aborted
-        assert res.checkpoint is not None
-        # no epoch finished: the checkpoint holds the initial values
-        assert res.log == []
-        initial = values(models.init_model(cfg, gs[0].node_features.shape[1]))
-        for name, value in values(res.checkpoint.params).items():
-            np.testing.assert_array_equal(value, initial[name])
+        with pytest.raises(dc.NumericError, match="^training diverged in epoch 1: "):
+            models.train(cfg, train_set, val_set, models.TrainingConfig(lr=1e150, epochs=5))
 
     @staticmethod
     def record_epoch_ends(monkeypatch, offsets):
@@ -767,7 +761,7 @@ class TestTraining:
         list that fills as it runs. Epoch e's validation predictions are
         each graph's label plus ``offsets[e - 1]``, so the offsets alone
         decide the val MSE, and equal offsets give equal val MSEs. The model
-        still runs, so a diverged model still aborts the epoch."""
+        still runs, so a diverged model still raises."""
         ends, predict = [], models.predict
 
         def recorded(graphs, params, cfg):
@@ -795,18 +789,12 @@ class TestTraining:
             np.testing.assert_array_equal(kept[name], value)
         assert any(not np.array_equal(kept[name], value) for name, value in ends[3].items())
 
-    def test_abort_returns_the_best_finished_epoch_all_finite(self, monkeypatch):
+    def test_divergence_in_a_later_epoch_raises_naming_it(self):
         cfg, train_set, val_set = self.small_run()
-        ends = self.record_epoch_ends(monkeypatch, [0.0, 1.0, 0.0])
         # the lr grows by 1e150 after epoch 2, so epoch 3 diverges
         tcfg = models.TrainingConfig(epochs=5, lr_step=2, lr_gamma=1e150)
-        res = models.train(cfg, train_set, val_set, tcfg)
-        assert res.aborted and len(res.log) == 2
-        kept = values(res.checkpoint.params)
-        assert all(np.isfinite(value).all() for value in kept.values())
-        for name, value in ends[0].items():
-            np.testing.assert_array_equal(kept[name], value)
-        assert any(not np.array_equal(kept[name], value) for name, value in ends[2].items())
+        with pytest.raises(dc.NumericError, match="^training diverged in epoch 3: "):
+            models.train(cfg, train_set, val_set, tcfg)
 
     def test_plateau_stops_after_exactly_patience_epochs(self, monkeypatch):
         cfg, train_set, val_set = self.small_run()
